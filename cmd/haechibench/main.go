@@ -50,7 +50,7 @@ func run(args []string) int {
 		seed       = fs.Int64("seed", 0, "random seed (default 42)")
 		par        = fs.Int("parallel", runtime.GOMAXPROCS(0), "concurrent cluster runs per experiment sweep (output is identical at any value)")
 		shards     = fs.Int("shards", 0, "partition each cluster onto this many shard kernels (0/1 = single kernel; changes output like -scale does)")
-		shardWork  = fs.Int("shard-workers", 0, "worker pool driving the shard kernels (0 = GOMAXPROCS; output is identical at any value)")
+		shardWork  = fs.Int("shard-workers", 0, "worker pool driving the shard kernels (0 or 1 = inline, no goroutines; output is identical at any value)")
 		sanitize   = fs.Bool("sanitize", false, "enable runtime invariant checks (token conservation, pool floor, event order; output is identical, violations fail the run)")
 		chaosSpec  = fs.String("chaos", "", "inject a fault scenario into every cluster run (a preset such as set5, or a grammar string like 'crash@2.25:c=0;restart@5.5:c=0'; deterministic)")
 		csvDir     = fs.String("csv", "", "also write each table as CSV into this directory")

@@ -31,7 +31,7 @@ func run(args []string) int {
 		shards  = fs.Int("shards", 1, "independent profiling runs splitting the periods (seeds seed..seed+shards-1; part of the result)")
 		par     = fs.Int("parallel", runtime.GOMAXPROCS(0), "concurrent kernels for sharded profiling (never changes the result)")
 		clShard = fs.Int("cluster-shards", 0, "shard kernels inside each profiled cluster (0/1 = single kernel; part of the result, unlike -shard-workers)")
-		clWork  = fs.Int("shard-workers", 0, "worker pool driving the cluster shard kernels (0 = GOMAXPROCS; never changes the result)")
+		clWork  = fs.Int("shard-workers", 0, "worker pool driving the cluster shard kernels (0 or 1 = inline, no goroutines; never changes the result)")
 		san     = fs.Bool("sanitize", false, "enable runtime invariant checks (never changes the result; violations fail the run)")
 		cpuProf = fs.String("cpuprofile", "", "write a pprof CPU profile of the profiling run to this file")
 		memProf = fs.String("memprofile", "", "write a pprof heap profile (after GC) to this file on exit")

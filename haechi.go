@@ -185,11 +185,7 @@ func New(cfg Config, tenants []Tenant) (*System, error) {
 	}
 	ccfg.Scale = cfg.Scale
 	ccfg.Seed = cfg.Seed
-	storeCap := 1
-	for storeCap < cfg.Records {
-		storeCap <<= 1
-	}
-	ccfg.Store = kvstore.Options{Capacity: storeCap, RecordSize: 4096}
+	ccfg.Store = kvstore.Options{Capacity: kvstore.CapacityFor(cfg.Records), RecordSize: 4096}
 	ccfg.Records = cfg.Records
 	if cfg.FlightSpans > 0 || cfg.MetricsInterval > 0 {
 		ccfg.Observe = &cluster.Observe{

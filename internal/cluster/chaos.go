@@ -144,8 +144,8 @@ type FaultReport struct {
 }
 
 // buildFaults assembles the FaultReport after the run. Runs
-// single-threaded (the shard group, if any, is closed), so reading every
-// shard's engine state is safe.
+// single-threaded (the group's RunUntil has returned, so no quantum is in
+// flight), so reading every shard's engine state is safe.
 func (c *Cluster) buildFaults() *FaultReport {
 	sc := c.chaos
 	fr := &FaultReport{

@@ -55,32 +55,31 @@ type Cluster struct {
 	monitor *core.Monitor // nil in Bare mode
 	clients []*Client
 
-	// Sharded mode (Config.Shards > 1): kernels[s] drives shard s
-	// (kernels[0] == kernel) and group is the quantum coordinator.
-	// Both nil on the classic single-kernel path.
+	// kernels[s] drives shard s (kernels[0] == kernel, the data node's),
+	// group is their quantum coordinator and byShard[s] lists the clients
+	// whose nodes live on shard s. The shard count is data, not a mode: a
+	// run without Config.Shards is the one-shard case of the same code.
 	kernels []*sim.Kernel
 	group   *shard.Group
+	byShard [][]*Client
 
-	bareTicker  *sim.Ticker
-	barePeriod  int
-	bgJobs      map[string]*rdma.BackgroundJob
-	serverStat0 rdma.Stats
+	bgJobs map[string]*rdma.BackgroundJob
+	// ran guards Run, which consumes the cluster.
+	ran bool
 
 	// flights and registries are the observability layer (nil unless
 	// cfg.Observe enables them): one flight recorder and one metrics
-	// registry per shard (a single entry on the single-kernel path).
-	// Each instance is stamped or sampled only from its own shard's
-	// kernel — single-writer by construction, like the sanitizer's
-	// per-shard checkers — and they merge deterministically into
+	// registry per shard. Each instance is stamped or sampled only from
+	// its own shard's kernel — single-writer by construction, like the
+	// sanitizer's per-shard checkers — and they merge deterministically into
 	// Results at run end; see observe.go and DESIGN.md §11.
 	flights    []*trace.FlightRecorder
 	registries []*metrics.Registry
 
-	// san holds one invariant checker per shard (one entry total on the
-	// single-kernel path), nil unless cfg.Sanitize. Per-shard checkers
-	// keep the sanitizer lock-free: shards run concurrently but each
-	// checker is only touched by its own shard's events, and the
-	// checkers merge in shard order after the run.
+	// san holds one invariant checker per shard, nil unless cfg.Sanitize.
+	// Per-shard checkers keep the sanitizer lock-free: shards run
+	// concurrently but each checker is only touched by its own shard's
+	// events, and the checkers merge in shard order after the run.
 	san []*sanitize.Checker
 
 	// sharedKeys is the default scrambled-zipfian chooser, built once and
@@ -100,8 +99,8 @@ type Cluster struct {
 
 // New assembles a cluster for the given tenant specs. In QoS modes every
 // client passes admission control before its engine is created.
-func New(cfg Config, specs []ClientSpec) (*Cluster, error) {
-	cfg, err := cfg.ApplyScale()
+func New(cfg Config, specs []ClientSpec) (_ *Cluster, err error) {
+	cfg, err = cfg.ApplyScale()
 	if err != nil {
 		return nil, err
 	}
@@ -118,40 +117,45 @@ func New(cfg Config, specs []ClientSpec) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	var kernels []*sim.Kernel
-	var group *shard.Group
-	if shards := cfg.Shards; shards > 1 {
-		// Every shard needs at least one node: shard 0 is the data node's,
-		// the rest split the clients round-robin.
-		if shards > len(specs)+1 {
-			shards = len(specs) + 1
-		}
-		kernels = make([]*sim.Kernel, shards)
-		kernels[0] = k
-		for s := 1; s < shards; s++ {
-			// Distinct deterministic per-shard seeds; shard 0 keeps the
-			// config seed so its RNG stream matches the unsharded kernel's.
-			kernels[s] = sim.New(cfg.Seed + int64(s)*1_000_003)
-		}
-		group, err = shard.New(kernels, cfg.Fabric.PropagationDelay, cfg.ShardWorkers)
+	// Every shard needs at least one node: shard 0 is the data node's,
+	// the rest split the clients.
+	shards := cfg.Shards
+	if shards > len(specs)+1 {
+		shards = len(specs) + 1
+	}
+	if shards < 1 {
+		shards = 1
+	}
+	kernels := make([]*sim.Kernel, shards)
+	kernels[0] = k
+	for s := 1; s < shards; s++ {
+		// Distinct deterministic per-shard seeds; shard 0 keeps the
+		// config seed.
+		kernels[s] = sim.New(cfg.Seed + int64(s)*1_000_003)
+	}
+	group, err := shard.New(kernels, cfg.Fabric.PropagationDelay, cfg.ShardWorkers)
+	if err != nil {
+		return nil, err
+	}
+	defer func() {
 		if err != nil {
-			return nil, err
+			group.Close() // a rejected cluster must not strand the pool's workers
 		}
-		assign := func(name string, kind rdma.NodeKind) int {
-			// Background initiators ("bg/…") inject at the data node's
-			// scheduler directly and must share its kernel.
-			if kind == rdma.ServerNode || strings.HasPrefix(name, "bg/") {
-				return 0
-			}
-			// Hash the stable node name, not insertion order: a client must
-			// land on the same shard regardless of the order tenants were
-			// declared in, or re-ordering a spec list silently reshuffles
-			// every placement (and with it the per-shard event streams).
-			return 1 + int(fnv32(name)%uint32(shards-1))
+	}()
+	assign := func(name string, kind rdma.NodeKind) int {
+		// Background initiators ("bg/…") inject at the data node's
+		// scheduler directly and must share its kernel.
+		if shards == 1 || kind == rdma.ServerNode || strings.HasPrefix(name, "bg/") {
+			return 0
 		}
-		if err := fabric.EnableSharding(kernels, assign, group.Post); err != nil {
-			return nil, err
-		}
+		// Hash the stable node name, not insertion order: a client must
+		// land on the same shard regardless of the order tenants were
+		// declared in, or re-ordering a spec list silently reshuffles
+		// every placement (and with it the per-shard event streams).
+		return 1 + int(fnv32(name)%uint32(shards-1))
+	}
+	if err := fabric.EnableSharding(kernels, assign, group.Post); err != nil {
+		return nil, err
 	}
 	server, err := fabric.AddServer("datanode")
 	if err != nil {
@@ -178,23 +182,18 @@ func New(cfg Config, specs []ClientSpec) (*Cluster, error) {
 		bgJobs:  make(map[string]*rdma.BackgroundJob),
 		kernels: kernels,
 		group:   group,
+		byShard: make([][]*Client, shards),
 	}
 
 	if cfg.Sanitize {
-		ks := kernels
-		if ks == nil {
-			ks = []*sim.Kernel{k}
-		}
-		c.san = make([]*sanitize.Checker, len(ks))
-		for s, sk := range ks {
+		c.san = make([]*sanitize.Checker, shards)
+		for s, sk := range kernels {
 			c.san[s] = sanitize.New()
 			armEventOrder(sk, s, c.san[s])
 		}
-		if group != nil {
-			// inject runs on the coordinating goroutine between quanta;
-			// the pool barrier orders it against shard 0's quantum work.
-			group.SetSanitizer(c.san[0])
-		}
+		// inject runs on the coordinating goroutine between quanta;
+		// the pool barrier orders it against shard 0's quantum work.
+		group.SetSanitizer(c.san[0])
 	}
 
 	if cfg.Chaos != "" {
@@ -227,9 +226,6 @@ func New(cfg Config, specs []ClientSpec) (*Cluster, error) {
 		var opts []core.MonitorOption
 		if cfg.Mode == BasicHaechi {
 			opts = append(opts, core.WithoutConversion())
-		}
-		if cfg.AlertAfter > 0 {
-			opts = append(opts, core.WithAlertAfter(cfg.AlertAfter))
 		}
 		if cfg.FailureGrace > 0 {
 			opts = append(opts, core.WithFailureDetection(cfg.FailureGrace))
@@ -382,12 +378,11 @@ func (c *Cluster) addClient(i int, spec ClientSpec) error {
 		c.harvest(rt, period)
 		rt.Gen.BeginPeriod(rt.Spec.Demand(period))
 	}
-	if c.cfg.Mode == Bare {
-		rt.lastPeriod = 0 // driven by the cluster's bare ticker
-	} else {
+	if c.cfg.Mode != Bare { // Bare clients are driven by Run's per-shard period tickers
 		rt.Engine.OnPeriodStart = onPeriod
 	}
 	c.clients = append(c.clients, rt)
+	c.byShard[node.Shard()] = append(c.byShard[node.Shard()], rt)
 	return nil
 }
 
@@ -459,9 +454,6 @@ func (c *Cluster) sanFor(s int) *sanitize.Checker {
 	if c.san == nil {
 		return nil
 	}
-	if s < 0 || s >= len(c.san) {
-		s = 0
-	}
 	return c.san[s]
 }
 
@@ -502,16 +494,16 @@ func armEventOrder(k *sim.Kernel, shard int, san *sanitize.Checker) {
 	})
 }
 
-// At schedules fn at absolute virtual time t (e.g. congestion onset).
-// In a sharded run this is shard 0's kernel — correct for the usual
-// experiment events (background-job start/stop touches the data node's
-// shard only); fn must not mutate client-shard state.
+// At schedules fn at absolute virtual time t (e.g. congestion onset) on
+// shard 0's kernel — correct for the usual experiment events
+// (background-job start/stop touches the data node's shard only); with
+// more than one shard fn must not mutate client-shard state.
 func (c *Cluster) At(t sim.Time, fn func()) { c.kernel.At(t, fn) }
 
 // FlightRecorder returns the per-I/O span recorder, nil unless enabled
-// via Config.Observe. In a sharded run the per-shard recorders are
-// merged on each call (deterministically; see trace.MergeFlightRecorders),
-// so read it after Run, not per quantum.
+// via Config.Observe. The per-shard recorders are merged on each call
+// (deterministically; see trace.MergeFlightRecorders), so read it after
+// Run, not per quantum.
 func (c *Cluster) FlightRecorder() *trace.FlightRecorder {
 	if c.flights == nil {
 		return nil
@@ -520,9 +512,8 @@ func (c *Cluster) FlightRecorder() *trace.FlightRecorder {
 }
 
 // Metrics returns the sampled metrics registry, nil unless enabled via
-// Config.Observe. In a sharded run the per-shard registries are merged
-// on each call; read it after Run, when every shard has sampled the
-// same instants.
+// Config.Observe. The per-shard registries are merged on each call; read
+// it after Run, when every shard has sampled the same instants.
 func (c *Cluster) Metrics() *metrics.Registry {
 	if c.registries == nil {
 		return nil
@@ -538,15 +529,15 @@ func (c *Cluster) Metrics() *metrics.Registry {
 
 // EnableTrace attaches a shared protocol-event recorder (ring of the
 // given capacity) to the monitor and every engine, and returns it. QoS
-// modes only, and unsharded only: the recorder is one ring shared by
-// writers on every shard, which the sharded worker pool cannot drive
+// modes only, and one shard only: the recorder is one ring shared by
+// every engine, which a worker pool driving several shards cannot write
 // without races (the public haechi.go API never shards, so this never
 // constrains it).
 func (c *Cluster) EnableTrace(capacity int) (*trace.Recorder, error) {
 	if c.monitor == nil {
 		return nil, fmt.Errorf("cluster: tracing requires a QoS mode")
 	}
-	if c.group != nil {
+	if len(c.kernels) > 1 {
 		return nil, fmt.Errorf("cluster: the protocol-event recorder is shared across engines and unsupported in sharded runs; use Observe span recording instead")
 	}
 	rec, err := trace.NewRecorder(capacity)

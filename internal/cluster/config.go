@@ -13,7 +13,6 @@ import (
 	"github.com/haechi-qos/haechi/internal/core"
 	"github.com/haechi-qos/haechi/internal/kvstore"
 	"github.com/haechi-qos/haechi/internal/rdma"
-	"github.com/haechi-qos/haechi/internal/sim"
 	"github.com/haechi-qos/haechi/internal/workload"
 )
 
@@ -85,7 +84,7 @@ type Config struct {
 	Params core.Params
 	// Scale divides all fabric rates by this factor (0 or 1 = full
 	// scale) and rescales the control-plane constants to preserve the
-	// paper's control:data cost ratios (see ApplyScale).
+	// paper's control:data cost ratios (see core.Params.Scaled).
 	Scale float64
 	// Store configures the KV store; zero value means defaults.
 	Store kvstore.Options
@@ -101,8 +100,6 @@ type Config struct {
 	// Sigma is the profiled capacity's standard deviation; 0 derives 1%
 	// of the profiled capacity.
 	Sigma float64
-	// AlertAfter configures under-use alerts (0 = off).
-	AlertAfter int
 	// FailureGrace enables the monitor's client failure detection: a
 	// client whose report slot stays static for this many consecutive
 	// periods is suspected crashed and its reservation returns to the
@@ -139,23 +136,27 @@ type Config struct {
 	// Shards partitions the cluster onto per-shard simulation kernels
 	// that advance concurrently under the conservative quantum protocol
 	// (internal/sim/shard): the data node (with the monitor, store and
-	// background jobs) on shard 0, clients round-robin across the rest.
-	// 0 or 1 runs the classic single-kernel path. Like the profiling
-	// shard count, Shards is part of the experiment definition: a
-	// sharded run is deterministic and replayable but NOT byte-identical
-	// to the unsharded run (cross-shard completions interleave by wire
-	// arrival instead of a shared kernel's global tie order, and
-	// flow-control credits return one propagation later — see DESIGN.md
-	// §9). Clamped to the number of clients + 1.
+	// background jobs) on shard 0, clients hashed by name across the
+	// rest. 0 means 1: everything on one kernel, the same run loop with
+	// nothing to coordinate. Like the profiling shard count, Shards is
+	// part of the experiment definition: a multi-shard run is
+	// deterministic and replayable but NOT byte-identical to the
+	// one-shard run (cross-shard completions interleave by wire arrival
+	// instead of a shared kernel's global tie order, and flow-control
+	// credits return one propagation later — see DESIGN.md §9). Clamped
+	// to the number of clients + 1.
 	Shards int
 	// ShardWorkers is the size of the worker pool driving the shards.
 	// Pure concurrency: any value produces byte-identical Results
-	// (pinned by TestShardedKernelByteIdentical). <= 0 selects
-	// GOMAXPROCS. Observability no longer constrains the workers: the
-	// flight recorder and metrics registry are per-shard instances,
-	// each touched only by its own shard's kernel and merged
-	// deterministically at run end (DESIGN.md §11), so observed runs
-	// export byte-identical traces and CSVs at any worker count.
+	// (pinned by TestShardedKernelByteIdentical). Values below 1 mean 1 —
+	// every quantum runs inline on the calling goroutine, which is also
+	// the fastest setting measured so far (BENCH_shard.json) — and the
+	// pool is never wider than the shard count. Observability does not
+	// constrain the workers: the flight recorder and metrics registry
+	// are per-shard instances, each touched only by its own shard's
+	// kernel and merged deterministically at run end (DESIGN.md §11), so
+	// observed runs export byte-identical traces and CSVs at any worker
+	// count.
 	ShardWorkers int
 }
 
@@ -172,12 +173,9 @@ func NewDefaultConfig() Config {
 }
 
 // ApplyScale normalizes the config: fills zero values with defaults and,
-// when Scale > 1, divides the fabric rates by Scale while multiplying the
-// control intervals and dividing the FAA batch by the same factor. This
-// keeps every dimensionless ratio of the protocol — control-verb cost per
-// unit of capacity, tokens per batch relative to the pool, ticks per
-// period — equal to the paper's, so scaled runs reproduce full-scale
-// shapes quickly.
+// when Scale > 1, divides the fabric rates by Scale and rescales the
+// control-plane constants to match (rdma.Config.Scaled,
+// core.Params.Scaled).
 func (c Config) ApplyScale() (Config, error) {
 	if c.Mode == 0 {
 		c.Mode = Haechi
@@ -198,16 +196,8 @@ func (c Config) ApplyScale() (Config, error) {
 		return c, fmt.Errorf("cluster: Scale must be >= 1, got %v", c.Scale)
 	}
 	if c.Scale > 1 {
-		s := c.Scale
-		c.Fabric = c.Fabric.Scaled(s)
-		c.Params.Tick = clampInterval(sim.Time(float64(c.Params.Tick)*s), c.Params.Period)
-		c.Params.CheckInterval = clampInterval(sim.Time(float64(c.Params.CheckInterval)*s), c.Params.Period)
-		c.Params.ReportInterval = clampInterval(sim.Time(float64(c.Params.ReportInterval)*s), c.Params.Period)
-		if b := int64(float64(c.Params.Batch) / s); b >= 1 {
-			c.Params.Batch = b
-		} else {
-			c.Params.Batch = 1
-		}
+		c.Fabric = c.Fabric.Scaled(c.Scale)
+		c.Params = c.Params.Scaled(c.Scale)
 	}
 	if c.Records == 0 {
 		c.Records = c.Store.Capacity / 2
@@ -231,16 +221,6 @@ func (c Config) ApplyScale() (Config, error) {
 		return c, err
 	}
 	return c, nil
-}
-
-func clampInterval(v, period sim.Time) sim.Time {
-	if v > period/10 {
-		v = period / 10
-	}
-	if v <= 0 {
-		v = 1
-	}
-	return v
 }
 
 // LocalCapacityPerPeriod returns C_L*T for the config's fabric.

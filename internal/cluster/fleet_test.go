@@ -211,3 +211,36 @@ func TestFleetSmoke(t *testing.T) {
 		t.Errorf("per-client totals sum to %d, TotalCompleted = %d", sum, res.TotalCompleted)
 	}
 }
+
+// TestOverheadDataReadsSaturates is the regression test for the wrapped
+// OverheadReport.DataReads: at a control-plane-bound fleet point the
+// whole-run engine counters (FAAs, reports) exceed the measure-window
+// one-sided total they are subtracted from (DESIGN.md §4 item 16), and the
+// unsigned difference used to read ~1.8e19. It must saturate at zero.
+func TestOverheadDataReadsSaturates(t *testing.T) {
+	const tenants = 2500
+	specs := make([]ClientSpec, tenants)
+	for i := range specs {
+		specs[i] = ClientSpec{Reservation: 3, Demand: ConstantDemand(5)}
+	}
+	cfg := testConfig(Haechi)
+	cfg.Seed = 42
+	cfg.Fabric.QPCacheSize = 1024
+	cfg.Fabric.QPCacheMissPenalty = 0.25
+	cl, err := New(cfg, specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := cl.Run(1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctrl := res.Overhead.FAAs + res.Overhead.ControlWrites
+	if ctrl <= res.ServerStats.OneSidedTargeted {
+		t.Fatalf("fixture is not control-plane-bound: %d control verbs vs %d one-sided targeted",
+			ctrl, res.ServerStats.OneSidedTargeted)
+	}
+	if res.Overhead.DataReads != 0 {
+		t.Errorf("DataReads = %d, want 0 (saturated)", res.Overhead.DataReads)
+	}
+}

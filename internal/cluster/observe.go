@@ -51,8 +51,7 @@ func DefaultMetricsInterval(period sim.Time) sim.Time {
 }
 
 // setupObserve attaches the flight recorders and metrics registries per
-// the config — one of each per shard (a single instance on the
-// single-kernel path), so observed sharded runs keep every recorder
+// the config — one of each per shard, so every recorder stays
 // single-writer at any worker count. Called at the end of New, once all
 // nodes, engines and generators exist.
 func (c *Cluster) setupObserve() error {
@@ -60,12 +59,8 @@ func (c *Cluster) setupObserve() error {
 	if ob == nil {
 		return nil
 	}
-	shardCount := 1
-	if c.kernels != nil {
-		shardCount = len(c.kernels)
-	}
 	if ob.FlightSpans > 0 {
-		frs := make([]*trace.FlightRecorder, shardCount)
+		frs := make([]*trace.FlightRecorder, len(c.kernels))
 		for s := range frs {
 			fr, err := trace.NewShardFlightRecorder(ob.FlightSpans, s)
 			if err != nil {
@@ -79,7 +74,7 @@ func (c *Cluster) setupObserve() error {
 		c.flights = frs
 	}
 	if ob.MetricsInterval > 0 {
-		c.registries = make([]*metrics.Registry, shardCount)
+		c.registries = make([]*metrics.Registry, len(c.kernels))
 		for s := range c.registries {
 			c.registries[s] = metrics.NewRegistry()
 		}
@@ -101,22 +96,11 @@ func (c *Cluster) setupObserve() error {
 // merged registry presents per-shard columns plus summed totals for
 // names that exist on several shards (metrics.MergeSharded).
 func (c *Cluster) registerMetrics() error {
-	regFor := func(s int) *metrics.Registry {
-		if s < 0 || s >= len(c.registries) {
-			s = 0
-		}
-		return c.registries[s]
-	}
-	kernels := c.kernels
-	if kernels == nil {
-		kernels = []*sim.Kernel{c.kernel}
-	}
 	// Kernel-health gauges: one set per shard, each sampled from its own
 	// kernel. The merged export keeps the historical cross-shard sums
 	// under the plain names and adds shard<K>/sim/* columns so shard
 	// imbalance is visible directly in the CSV.
-	for s, k := range kernels {
-		k := k
+	for s, k := range c.kernels {
 		reg := c.registries[s]
 		if err := reg.Register("sim/pending-events", func() float64 { return float64(k.Pending()) }); err != nil {
 			return err
@@ -129,7 +113,7 @@ func (c *Cluster) registerMetrics() error {
 		}
 	}
 	for _, n := range c.fabric.Nodes() {
-		reg := regFor(n.Shard())
+		reg := c.registries[n.Shard()]
 		nic := n.NIC()
 		if err := reg.Register(n.Name()+"/nic/served", func() float64 { return float64(nic.Served()) }); err != nil {
 			return err
@@ -144,7 +128,7 @@ func (c *Cluster) registerMetrics() error {
 		}
 	}
 	if c.monitor != nil {
-		reg := regFor(0) // the monitor lives on the data node's shard
+		reg := c.registries[0] // the monitor lives on the data node's shard
 		if err := reg.Register("monitor/omega", func() float64 { return float64(c.monitor.Estimator().Current()) }); err != nil {
 			return err
 		}
@@ -154,7 +138,7 @@ func (c *Cluster) registerMetrics() error {
 	}
 	for _, rt := range c.clients {
 		rt := rt
-		reg := regFor(rt.Node.Shard())
+		reg := c.registries[rt.Node.Shard()]
 		name := rt.Node.Name()
 		if rt.Engine != nil {
 			if err := reg.Register(name+"/engine/pending", func() float64 { return float64(rt.Engine.Pending()) }); err != nil {
@@ -178,8 +162,7 @@ func (c *Cluster) registerMetrics() error {
 		}
 	}
 	for s, fr := range c.flights {
-		fr := fr
-		reg := regFor(s)
+		reg := c.registries[s]
 		if err := reg.Register("trace/spans-finished", func() float64 { return float64(fr.Finished()) }); err != nil {
 			return err
 		}

@@ -69,7 +69,7 @@ type Results struct {
 	// convert back to full-scale equivalents.
 	Scale float64
 	// EventsExecuted is the simulation's total fired-event count at the
-	// end of the run (summed over shard kernels in a sharded run). It is
+	// end of the run, summed over the shard kernels. It is
 	// fully deterministic (part of the byte-identity surface); dividing
 	// it by wall-clock time gives the kernel's events-per-second figure
 	// cmd/haechibench reports.
@@ -78,22 +78,22 @@ type Results struct {
 	// Config.Chaos armed a scenario. Deterministic (part of the
 	// byte-identity surface).
 	Faults *FaultReport `json:",omitempty"`
-	// Sharding summarizes the sharded-kernel run; nil on the classic
-	// single-kernel path. Deterministic — it never includes the worker
+	// Sharding summarizes the shard coordination; nil for one shard
+	// (nothing to coordinate). Deterministic — it never includes the worker
 	// count (workers are pure concurrency; see Config.ShardWorkers).
 	Sharding *ShardingReport `json:",omitempty"`
 	// Stages is the per-tenant per-stage latency breakdown from the
 	// flight recorder; nil unless Config.Observe enabled span recording.
-	// In a sharded run the rows come from the merged per-shard
-	// recorders (histograms merged per actor, deterministically).
+	// The rows come from the merged per-shard recorders (histograms
+	// merged per actor, deterministically).
 	Stages []StageLatency `json:",omitempty"`
 	// Metrics is the sampled registry; nil unless enabled. It marshals
-	// deterministically (registration order). In a sharded run it is
+	// deterministically (registration order). With several shards it is
 	// the merged per-shard registry: summed totals under the plain
 	// names plus shard<K>/ columns for per-shard gauges.
 	Metrics *metrics.Registry `json:",omitempty"`
 	// Flight is the span recorder for trace export (merged across
-	// shards in a sharded run). Excluded from JSON: the ring is bounded
+	// shards). Excluded from JSON: the ring is bounded
 	// (eviction order is deterministic but the retained window is an
 	// export concern, not a result).
 	Flight *trace.FlightRecorder `json:"-"`
@@ -116,10 +116,9 @@ func (c *Cluster) buildResults(measurePeriods int, serverStats rdma.Stats) (*Res
 		MeasuredPeriods: measurePeriods,
 		ServerStats:     serverStats,
 		Scale:           c.cfg.Scale,
-		EventsExecuted:  c.kernel.Executed(),
+		EventsExecuted:  c.group.Executed(),
 	}
-	if c.group != nil {
-		res.EventsExecuted = c.group.Executed()
+	if len(c.kernels) > 1 {
 		res.Sharding = c.shardingReport()
 	}
 	if c.chaos != nil {
@@ -134,8 +133,8 @@ func (c *Cluster) buildResults(measurePeriods int, serverStats rdma.Stats) (*Res
 	}
 	if c.flights != nil {
 		// Merge the per-shard recorders in shard order: the span ring in
-		// (End, shard) order, the stage histograms per actor. Identity on
-		// the single-kernel path.
+		// (End, shard) order, the stage histograms per actor. Identity for
+		// one shard.
 		fr := trace.MergeFlightRecorders(c.flights...)
 		res.Flight = fr
 		res.Stages = stageRows(fr)
@@ -181,7 +180,13 @@ func (c *Cluster) buildResults(measurePeriods int, serverStats rdma.Stats) (*Res
 			FAAs:          totalFAA + checks,
 			ControlWrites: totalReports + c.monitor.ConversionCount,
 			ControlSends:  totalSends,
-			DataReads:     serverStats.OneSidedTargeted - totalFAA - checks - totalReports - c.monitor.ConversionCount,
+		}
+		// The control counts are whole-run engine counters plus an estimated
+		// check count; the one-sided total is the measure window's. On a
+		// control-plane-bound run the former exceeds the latter, so saturate
+		// instead of wrapping (root cause and the real fix: DESIGN.md §4 item 16).
+		if ctrl := res.Overhead.FAAs + res.Overhead.ControlWrites; serverStats.OneSidedTargeted > ctrl {
+			res.Overhead.DataReads = serverStats.OneSidedTargeted - ctrl
 		}
 		f := c.cfg.Fabric
 		weighted := float64(res.Overhead.FAAs)*f.AtomicWeight +

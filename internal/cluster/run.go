@@ -3,86 +3,120 @@ package cluster
 import (
 	"fmt"
 
+	"github.com/haechi-qos/haechi/internal/rdma"
 	"github.com/haechi-qos/haechi/internal/sim"
 )
 
 // Run executes the experiment: warmupPeriods QoS periods of warm-up
 // (discarded, like the paper's first 30 s), then measurePeriods periods
 // whose per-client completions, latencies and throughput are recorded.
-// Run is one-shot: it consumes the cluster.
+// Run is one-shot: it consumes the cluster, and a second call is an error.
+//
+// This is the only copy of the warm-up/measure/teardown protocol. Every
+// per-client action (period boundaries, harvesting, measure-window flags,
+// metrics sampling) is scheduled on that client's own shard kernel, so a
+// quantum never writes state owned by another shard; the data-node-side
+// pieces (monitor, server-stat snapshot, background jobs) live on shard 0.
+// With one shard that is simply everything on c.kernel, run as a single
+// quantum.
 func (c *Cluster) Run(warmupPeriods, measurePeriods int) (*Results, error) {
 	if warmupPeriods < 0 || measurePeriods <= 0 {
 		return nil, fmt.Errorf("cluster: need warmupPeriods >= 0 and measurePeriods > 0, got %d/%d",
 			warmupPeriods, measurePeriods)
 	}
-	if c.group != nil {
-		return c.runSharded(warmupPeriods, measurePeriods)
+	if c.ran {
+		return nil, fmt.Errorf("cluster: Run is one-shot and this cluster has already run")
 	}
-	k := c.kernel
+	c.ran = true
+	defer c.group.Close()
+
 	T := c.cfg.Params.Period
-	start := k.Now()
+	start := c.kernel.Now()
 	c.warmupPeriods = warmupPeriods
 	if err := c.armChaos(start); err != nil {
 		return nil, err
 	}
 
+	var tickers []*sim.Ticker
 	if c.cfg.Mode == Bare {
-		tick, err := k.Every(0, T, func() {
-			c.barePeriod++
-			for _, rt := range c.clients {
-				c.harvest(rt, c.barePeriod)
-				rt.Gen.BeginPeriod(rt.Spec.Demand(c.barePeriod))
+		// One period ticker per shard, driving only that shard's clients.
+		// All shards tick at the same virtual instants, so the per-shard
+		// period counters advance in lockstep.
+		for s, list := range c.byShard {
+			if len(list) == 0 {
+				continue
 			}
-		})
-		if err != nil {
-			return nil, err
+			period := 0
+			tick, err := c.kernels[s].Every(0, T, func() {
+				period++
+				for _, rt := range list {
+					c.harvest(rt, period)
+					rt.Gen.BeginPeriod(rt.Spec.Demand(period))
+				}
+			})
+			if err != nil {
+				return nil, err
+			}
+			tickers = append(tickers, tick)
 		}
-		c.bareTicker = tick
 	} else {
 		if err := c.monitor.Start(); err != nil {
 			return nil, err
 		}
 	}
 
-	var metricsTicker *sim.Ticker
-	if c.registries != nil {
-		reg := c.registries[0]
-		t, err := k.Every(0, c.cfg.Observe.MetricsInterval, func() {
+	// One metrics ticker per shard, sampling only that shard's registry
+	// from that shard's kernel: every gauge is registered on its owner's
+	// shard (see registerMetrics), so sampling reads no cross-shard state
+	// and the workers stay unconstrained. All shards tick at the same
+	// virtual instants and run to the same horizon, so the per-shard
+	// sample timelines coincide and merge cleanly.
+	for s, reg := range c.registries {
+		k := c.kernels[s]
+		tick, err := k.Every(0, c.cfg.Observe.MetricsInterval, func() {
 			reg.Sample(k.Now())
 		})
 		if err != nil {
 			return nil, err
 		}
-		metricsTicker = t
+		tickers = append(tickers, tick)
 	}
 
 	warmEnd := start + sim.Time(warmupPeriods)*T
 	measureEnd := warmEnd + sim.Time(measurePeriods)*T
-	k.At(warmEnd, func() {
-		c.serverStat0 = c.server.Stats()
-		for _, rt := range c.clients {
-			rt.Gen.Latency.Reset()
-			rt.measuring = true
-			// The next harvest closes the final warm-up period; skip it.
-			rt.skipNext = true
+	var serverStat0 rdma.Stats
+	for s, list := range c.byShard {
+		// Shard 0 always gets a warm-end event, clients or not: it owns
+		// the data node, so that event also snapshots the server counters.
+		if s == 0 || len(list) > 0 {
+			c.kernels[s].At(warmEnd, func() {
+				if s == 0 {
+					serverStat0 = c.server.Stats()
+				}
+				for _, rt := range list {
+					rt.Gen.Latency.Reset()
+					rt.measuring = true
+					// The next harvest closes the final warm-up period; skip it.
+					rt.skipNext = true
+				}
+			})
 		}
-	})
-	// Harvests for period p happen just after the p+1 boundary; stop
-	// measuring mid-period so exactly measurePeriods are recorded.
-	k.At(measureEnd+T/2, func() {
-		for _, rt := range c.clients {
-			rt.measuring = false
+		if len(list) > 0 {
+			// Harvests for period p happen just after the p+1 boundary; stop
+			// measuring mid-period so exactly measurePeriods are recorded.
+			c.kernels[s].At(measureEnd+T/2, func() {
+				for _, rt := range list {
+					rt.measuring = false
+				}
+			})
 		}
-	})
-
-	k.RunUntil(measureEnd + 3*T/4)
-	serverStats := c.server.Stats().Sub(c.serverStat0)
-
-	if metricsTicker != nil {
-		metricsTicker.Stop()
 	}
-	if c.bareTicker != nil {
-		c.bareTicker.Stop()
+
+	c.group.RunUntil(measureEnd + 3*T/4)
+	serverStats := c.server.Stats().Sub(serverStat0)
+
+	for _, tick := range tickers {
+		tick.Stop()
 	}
 	if c.monitor != nil {
 		c.monitor.Stop()

@@ -3,6 +3,8 @@ package cluster
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"runtime"
 	"testing"
 
 	"github.com/haechi-qos/haechi/internal/rdma"
@@ -237,5 +239,43 @@ func TestObservedShardedByteIdentical(t *testing.T) {
 			t.Errorf("workers=%d: metrics CSV diverged from workers=1", workers)
 			reportDivergence(t, baseCSV, csvB)
 		}
+	}
+}
+
+// TestRunOneShot pins the cluster's lifetime contract at both shard
+// counts: a cluster New rejects leaves no pool worker behind, and Run
+// consumes the cluster — a second call is an error, not a re-armed run
+// on spent state (or, with a multi-worker pool, a send on the closed
+// pool's nil channel that blocks forever).
+func TestRunOneShot(t *testing.T) {
+	for _, shards := range []int{1, 3} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			cfg := testConfig(Haechi)
+			cfg.Shards, cfg.ShardWorkers = shards, 2
+			before := runtime.NumGoroutine()
+			over := []ClientSpec{{Reservation: 1 << 40}, {Reservation: 1 << 40}}
+			if _, err := New(cfg, over); err == nil {
+				t.Fatal("admission accepted an impossible reservation")
+			}
+			// Pool.Close has waited for the workers; give their goroutines a
+			// few scheduler turns to finish exiting before counting.
+			for i := 0; i < 1000 && runtime.NumGoroutine() > before; i++ {
+				runtime.Gosched()
+			}
+			if n := runtime.NumGoroutine(); n > before {
+				t.Fatalf("rejected New left %d goroutines running", n-before)
+			}
+
+			cl, err := New(cfg, []ClientSpec{{Reservation: 1000}, {Reservation: 1000}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := cl.Run(1, 1); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := cl.Run(1, 1); err == nil {
+				t.Fatal("second Run on a consumed cluster succeeded")
+			}
+		})
 	}
 }

@@ -11,7 +11,7 @@ type ShardAssignment struct {
 	Shard int
 }
 
-// ShardingReport summarizes a sharded run (Config.Shards > 1). Every
+// ShardingReport summarizes a run on more than one shard. Every
 // field is deterministic and part of the byte-identity surface — which
 // is why the worker count is deliberately absent: workers are pure
 // concurrency and must never show up in Results.
@@ -40,133 +40,7 @@ type ShardingReport struct {
 	Attribution []rdma.ExecProfile
 }
 
-// runSharded is Run's quantum-coordinated twin: the same warm-up/measure
-// protocol, but every per-client action (period boundaries, harvesting,
-// measure-window flags) is scheduled on that client's own shard kernel so
-// a quantum never writes state owned by another shard. The data-node-side
-// pieces (monitor, metrics sampling, server-stat snapshots, background
-// jobs) all live on shard 0 and keep using c.kernel directly.
-func (c *Cluster) runSharded(warmupPeriods, measurePeriods int) (*Results, error) {
-	T := c.cfg.Params.Period
-	start := c.kernel.Now()
-	c.warmupPeriods = warmupPeriods
-	if err := c.armChaos(start); err != nil {
-		return nil, err
-	}
-
-	byShard := make([][]*Client, len(c.kernels))
-	for _, rt := range c.clients {
-		s := rt.Node.Shard()
-		byShard[s] = append(byShard[s], rt)
-	}
-
-	var bareTickers []*sim.Ticker
-	if c.cfg.Mode == Bare {
-		// One period ticker per shard, driving only that shard's clients.
-		// All shards tick at the same virtual instants, so the per-shard
-		// period counters advance in lockstep with the unsharded ticker.
-		for s, list := range byShard {
-			if len(list) == 0 {
-				continue
-			}
-			list := list
-			period := 0
-			tick, err := c.kernels[s].Every(0, T, func() {
-				period++
-				for _, rt := range list {
-					c.harvest(rt, period)
-					rt.Gen.BeginPeriod(rt.Spec.Demand(period))
-				}
-			})
-			if err != nil {
-				return nil, err
-			}
-			bareTickers = append(bareTickers, tick)
-		}
-	} else {
-		if err := c.monitor.Start(); err != nil {
-			return nil, err
-		}
-	}
-
-	var metricsTickers []*sim.Ticker
-	if c.registries != nil {
-		// One metrics ticker per shard, sampling only that shard's
-		// registry from that shard's kernel: every gauge is registered on
-		// its owner's shard (see registerMetrics), so sampling reads no
-		// cross-shard state and the workers stay unconstrained. All shards
-		// tick at the same virtual instants and run to the same horizon,
-		// so the per-shard sample timelines coincide and merge cleanly.
-		for s, reg := range c.registries {
-			k := c.kernels[s]
-			reg := reg
-			t, err := k.Every(0, c.cfg.Observe.MetricsInterval, func() {
-				reg.Sample(k.Now())
-			})
-			if err != nil {
-				return nil, err
-			}
-			metricsTickers = append(metricsTickers, t)
-		}
-	}
-
-	warmEnd := start + sim.Time(warmupPeriods)*T
-	measureEnd := warmEnd + sim.Time(measurePeriods)*T
-	c.kernel.At(warmEnd, func() {
-		c.serverStat0 = c.server.Stats()
-	})
-	for s, list := range byShard {
-		if len(list) == 0 {
-			continue
-		}
-		list := list
-		c.kernels[s].At(warmEnd, func() {
-			for _, rt := range list {
-				rt.Gen.Latency.Reset()
-				rt.measuring = true
-				// The next harvest closes the final warm-up period; skip it.
-				rt.skipNext = true
-			}
-		})
-		c.kernels[s].At(measureEnd+T/2, func() {
-			for _, rt := range list {
-				rt.measuring = false
-			}
-		})
-	}
-
-	c.group.RunUntil(measureEnd + 3*T/4)
-	c.group.Close()
-	serverStats := c.server.Stats().Sub(c.serverStat0)
-
-	for _, tick := range metricsTickers {
-		tick.Stop()
-	}
-	for _, tick := range bareTickers {
-		tick.Stop()
-	}
-	if c.monitor != nil {
-		c.monitor.Stop()
-	}
-	for _, rt := range c.clients {
-		rt.Gen.Stop()
-		if rt.Engine != nil {
-			rt.Engine.Stop()
-		}
-	}
-	res, err := c.buildResults(measurePeriods, serverStats)
-	if err != nil {
-		return nil, err
-	}
-	if ob := c.cfg.Observe; ob != nil && ob.OnResults != nil {
-		ob.OnResults(res)
-	}
-	c.checkChaosInvariants(res)
-	// See Run: a sanitized run that broke an invariant fails loudly.
-	return res, c.sanErr()
-}
-
-// shardingReport assembles the Results entry for a sharded run.
+// shardingReport assembles the Results entry for a multi-shard run.
 func (c *Cluster) shardingReport() *ShardingReport {
 	per := make([]uint64, len(c.kernels))
 	for s, k := range c.kernels {

@@ -77,20 +77,27 @@ func TestParamsValidate(t *testing.T) {
 }
 
 func TestParamsScaled(t *testing.T) {
-	p := NewDefaultParams().Scaled(10)
-	if p.Period != NewDefaultParams().Period/10 {
-		t.Errorf("scaled period = %v", p.Period)
+	def := NewDefaultParams()
+	p := def.Scaled(10)
+	if p.Period != def.Period {
+		t.Errorf("scaled period = %v, must stay %v", p.Period, def.Period)
 	}
-	if p.Tick != NewDefaultParams().Tick/10 {
-		t.Errorf("scaled tick = %v", p.Tick)
+	if p.Tick != 10*def.Tick || p.CheckInterval != 10*def.CheckInterval || p.ReportInterval != 10*def.ReportInterval {
+		t.Errorf("scaled intervals = %v/%v/%v, want 10x", p.Tick, p.CheckInterval, p.ReportInterval)
+	}
+	if p.Batch != def.Batch/10 {
+		t.Errorf("scaled batch = %d, want %d", p.Batch, def.Batch/10)
 	}
 	if err := p.Validate(); err != nil {
 		t.Errorf("scaled params invalid: %v", err)
 	}
-	// Identity for non-positive factor.
-	q := NewDefaultParams().Scaled(0)
-	if q.Period != NewDefaultParams().Period {
-		t.Error("Scaled(0) changed period")
+	// Extreme scales cap the intervals at Period/10 and floor the batch at 1.
+	if q := def.Scaled(1e6); q.Tick != def.Period/10 || q.Batch != 1 {
+		t.Errorf("Scaled(1e6): tick %v batch %d, want %v and 1", q.Tick, q.Batch, def.Period/10)
+	}
+	// Identity at full scale and for non-positive factors.
+	if def.Scaled(1) != def || def.Scaled(0) != def {
+		t.Error("Scaled(<=1) changed the params")
 	}
 }
 

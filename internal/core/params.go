@@ -70,28 +70,33 @@ func NewDefaultParams() Params {
 	}
 }
 
-// Scaled returns params with the period (and the intervals, keeping their
-// ratio to the period) divided by factor; used with rdma.Config.Scaled to
-// run fast tests with identical protocol structure.
-func (p Params) Scaled(factor float64) Params {
-	if factor <= 0 {
+// Scaled returns the constants for a testbed whose fabric rates are
+// divided by scale (rdma.Config.Scaled): the control intervals are
+// multiplied, and the FAA batch divided, by the same factor. That keeps
+// every dimensionless ratio of the protocol — control-verb cost per unit
+// of capacity, tokens per batch relative to the pool, ticks per period —
+// equal to the paper's, so scaled runs reproduce full-scale shapes
+// quickly. The period is untouched and each interval is capped at a tenth
+// of it. A scale of 1 or less is the identity.
+func (p Params) Scaled(scale float64) Params {
+	if scale <= 1 {
 		return p
 	}
-	s := p
-	s.Period = sim.Time(float64(p.Period) / factor)
-	s.Tick = sim.Time(float64(p.Tick) / factor)
-	s.CheckInterval = sim.Time(float64(p.CheckInterval) / factor)
-	s.ReportInterval = sim.Time(float64(p.ReportInterval) / factor)
-	if s.Tick <= 0 {
-		s.Tick = 1
+	stretch := func(v sim.Time) sim.Time {
+		v = sim.Time(float64(v) * scale)
+		if v > p.Period/10 {
+			v = p.Period / 10
+		}
+		if v <= 0 {
+			v = 1
+		}
+		return v
 	}
-	if s.CheckInterval <= 0 {
-		s.CheckInterval = 1
-	}
-	if s.ReportInterval <= 0 {
-		s.ReportInterval = 1
-	}
-	return s
+	p.Tick = stretch(p.Tick)
+	p.CheckInterval = stretch(p.CheckInterval)
+	p.ReportInterval = stretch(p.ReportInterval)
+	p.Batch = max(1, int64(float64(p.Batch)/scale))
+	return p
 }
 
 // Validate reports the first invalid parameter, or nil.

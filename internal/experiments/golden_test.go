@@ -13,28 +13,37 @@ import (
 	"github.com/haechi-qos/haechi/internal/cluster"
 )
 
-// goldenIDs covers experiment Sets 1-5: saturation and latency curves
+// goldenCases covers experiment Sets 1-5: saturation and latency curves
 // (Set 1: fig6-8), reservation attainment and conversion (Set 2:
 // fig9-12), isolation (Set 3: fig13), over/under-provisioning (Set 4:
 // fig16/18) and the failure scenario (Set 5). Every cluster run each
 // experiment performs reports its Results through the Observe hook; the
 // concatenated, RunTag-ordered JSON is the byte-identity surface the
-// hot-path refactors must preserve.
-var goldenIDs = []string{
-	"fig6", "fig7", "fig8", // Set 1
-	"fig9", "fig10", "fig12", // Set 2
-	"fig13",          // Set 3
-	"fig16", "fig18", // Set 4
-	"set5", // Set 5
+// hot-path refactors must preserve. The last two cases pin the
+// multi-shard route (mailbox hops, per-shard tickers and flags) the same
+// way: their goldens were generated at the commit before the run loops
+// were merged, so the one Run is held to both the one-shard and the
+// three-shard evidence.
+var goldenCases = []struct {
+	id     string
+	shards int
+}{
+	{id: "fig6"}, {id: "fig7"}, {id: "fig8"}, // Set 1
+	{id: "fig9"}, {id: "fig10"}, {id: "fig12"}, // Set 2
+	{id: "fig13"},                // Set 3
+	{id: "fig16"}, {id: "fig18"}, // Set 4
+	{id: "set5"}, // Set 5
+	{id: "fig9", shards: 3}, {id: "set5", shards: 3},
 }
 
 // goldenOptions shrinks the runs (the shapes, not the dimensions, are
 // what the differential pins): high scale divisor, short windows, few
-// clients. Parallel exercises the sweep machinery; Shards stays 0 —
-// shard placement is part of the experiment definition and PR 10
-// deliberately changed it from insertion-order to stable-ID hashing.
-func goldenOptions(capture func(*cluster.Results)) Options {
+// clients. Parallel exercises the sweep machinery. Shard placement is
+// part of the experiment definition (stable-ID hashing since PR 10), so
+// each shard count has its own golden file.
+func goldenOptions(shards int, capture func(*cluster.Results)) Options {
 	return Options{
+		Shards:         shards,
 		Scale:          100,
 		WarmupPeriods:  1,
 		MeasurePeriods: 2,
@@ -56,18 +65,21 @@ func TestGoldenResultsByteIdentical(t *testing.T) {
 		t.Skip("golden differential is not -short")
 	}
 	update := os.Getenv("HAECHI_UPDATE_GOLDEN") != ""
-	for _, id := range goldenIDs {
-		id := id
-		t.Run(id, func(t *testing.T) {
+	for _, gc := range goldenCases {
+		name := gc.id
+		if gc.shards > 1 {
+			name = fmt.Sprintf("%s_shards%d", gc.id, gc.shards)
+		}
+		t.Run(name, func(t *testing.T) {
 			var mu sync.Mutex
 			var runs []*cluster.Results
-			opts := goldenOptions(func(res *cluster.Results) {
+			opts := goldenOptions(gc.shards, func(res *cluster.Results) {
 				mu.Lock()
 				runs = append(runs, res)
 				mu.Unlock()
 			})
-			if _, err := Run(id, opts); err != nil {
-				t.Fatalf("running %s: %v", id, err)
+			if _, err := Run(gc.id, opts); err != nil {
+				t.Fatalf("running %s: %v", name, err)
 			}
 			sort.SliceStable(runs, func(i, j int) bool { return runs[i].RunTag < runs[j].RunTag })
 			var buf bytes.Buffer
@@ -80,7 +92,7 @@ func TestGoldenResultsByteIdentical(t *testing.T) {
 				buf.Write(b)
 				buf.WriteByte('\n')
 			}
-			path := filepath.Join("testdata", "golden", id+".json")
+			path := filepath.Join("testdata", "golden", name+".json")
 			if update {
 				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 					t.Fatal(err)
@@ -96,10 +108,10 @@ func TestGoldenResultsByteIdentical(t *testing.T) {
 				t.Fatalf("missing golden %s (regenerate with HAECHI_UPDATE_GOLDEN=1): %v", path, err)
 			}
 			if !bytes.Equal(want, buf.Bytes()) {
-				got := filepath.Join(t.TempDir(), id+".json")
+				got := filepath.Join(t.TempDir(), name+".json")
 				os.WriteFile(got, buf.Bytes(), 0o644)
 				t.Fatalf("%s: Results diverged from the seed-commit golden (%d runs, got %d bytes want %d); inspect with diff %s %s",
-					id, len(runs), buf.Len(), len(want), path, got)
+					name, len(runs), buf.Len(), len(want), path, got)
 			}
 		})
 	}

@@ -42,8 +42,8 @@ type Options struct {
 	Observe *cluster.Observe
 	// Shards partitions every cluster the experiment builds onto
 	// per-shard simulation kernels (see cluster.Config.Shards). Like
-	// Scale, it is part of the experiment definition: sharded output is
-	// deterministic but differs from unsharded output.
+	// Scale, it is part of the experiment definition: multi-shard output
+	// is deterministic but differs from one-shard output.
 	Shards int
 	// ShardWorkers drives the sharded kernels concurrently (see
 	// cluster.Config.ShardWorkers). Pure concurrency — output is
@@ -149,11 +149,7 @@ func (o Options) baseConfig(mode cluster.Mode) cluster.Config {
 	cfg := cluster.NewDefaultConfig()
 	cfg.Mode = mode
 	cfg.Scale = o.Scale
-	storeCap := 1
-	for storeCap < o.Records {
-		storeCap <<= 1
-	}
-	cfg.Store = kvstore.Options{Capacity: storeCap, RecordSize: 4096}
+	cfg.Store = kvstore.Options{Capacity: kvstore.CapacityFor(o.Records), RecordSize: 4096}
 	cfg.Records = o.Records
 	cfg.Seed = o.Seed
 	cfg.Observe = o.Observe

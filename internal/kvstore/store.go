@@ -62,6 +62,16 @@ type Options struct {
 	RecordSize int
 }
 
+// CapacityFor returns the slot count of the smallest table that holds
+// the given number of records: the next power of two (at least 1).
+func CapacityFor(records int) int {
+	capacity := 1
+	for capacity < records {
+		capacity <<= 1
+	}
+	return capacity
+}
+
 // NewDefaultOptions returns a 64Ki-record store of 4 KB values.
 func NewDefaultOptions() Options {
 	return Options{Capacity: 1 << 16, RecordSize: rdma.DataIOSize}
@@ -116,10 +126,7 @@ func NewStore(node *rdma.Node, disp *rdma.Dispatcher, opts Options) (*Store, err
 	if opts.RecordSize <= 0 {
 		return nil, fmt.Errorf("kvstore: record size must be positive, got %d", opts.RecordSize)
 	}
-	cap := 1
-	for cap < opts.Capacity {
-		cap <<= 1
-	}
+	cap := CapacityFor(opts.Capacity)
 	opts.Capacity = cap
 
 	index, err := node.RegisterRegion(IndexRegionName, cap*slotSize)

@@ -33,8 +33,8 @@ type Config struct {
 	// zero values take the calibrated defaults.
 	Fabric rdma.Config
 	Params core.Params
-	// Scale divides fabric rates and rescales control constants, as
-	// cluster.Config.ApplyScale does.
+	// Scale divides fabric rates and rescales control constants
+	// (rdma.Config.Scaled, core.Params.Scaled).
 	Scale float64
 	// RecordsPerServer is the number of records populated on each shard.
 	RecordsPerServer int
@@ -117,21 +117,7 @@ func (c Config) normalize() (Config, error) {
 	}
 	if c.Scale > 1 {
 		c.Fabric = c.Fabric.Scaled(c.Scale)
-		if b := int64(float64(c.Params.Batch) / c.Scale); b >= 1 {
-			c.Params.Batch = b
-		} else {
-			c.Params.Batch = 1
-		}
-		stretch := func(v sim.Time) sim.Time {
-			v = sim.Time(float64(v) * c.Scale)
-			if v > c.Params.Period/10 {
-				v = c.Params.Period / 10
-			}
-			return v
-		}
-		c.Params.Tick = stretch(c.Params.Tick)
-		c.Params.CheckInterval = stretch(c.Params.CheckInterval)
-		c.Params.ReportInterval = stretch(c.Params.ReportInterval)
+		c.Params = c.Params.Scaled(c.Scale)
 	}
 	if c.RecordsPerServer == 0 {
 		c.RecordsPerServer = 1024
@@ -179,10 +165,7 @@ func New(cfg Config, specs []ClientSpec) (*Cluster, error) {
 
 	// Keep shard tables at most half full so probes of absent keys
 	// terminate quickly.
-	storeCap := 1
-	for storeCap < cfg.RecordsPerServer*2 {
-		storeCap <<= 1
-	}
+	storeCap := kvstore.CapacityFor(cfg.RecordsPerServer * 2)
 	for s := 0; s < cfg.Servers; s++ {
 		node, err := fabric.AddServer(fmt.Sprintf("datanode-%d", s))
 		if err != nil {

@@ -53,9 +53,8 @@ type Node struct {
 	// initiators included); it indexes fabric-wide per-node arrays.
 	id int
 
-	// k is the kernel every event local to this node runs on. Without
-	// sharding it is the fabric's kernel; under EnableSharding it is the
-	// node's shard kernel. All of the node's stations are built on it.
+	// k is the kernel every event local to this node runs on: the
+	// fabric's kernels[shard]. All of the node's stations are built on it.
 	k     *sim.Kernel
 	shard int
 
@@ -150,13 +149,12 @@ func (n *Node) Name() string { return n.name }
 // Fabric returns the fabric the node is attached to.
 func (n *Node) Fabric() *Fabric { return n.fabric }
 
-// Kernel returns the kernel the node's events run on: the fabric kernel,
-// or the node's shard kernel when sharding is enabled. Components owned
-// by one node (engines, generators, the monitor) must schedule on this
-// kernel, never on Fabric.Kernel directly.
+// Kernel returns the kernel the node's events run on (its shard's).
+// Components owned by one node (engines, generators, the monitor) must
+// schedule on this kernel, never on Fabric.Kernel directly.
 func (n *Node) Kernel() *sim.Kernel { return n.k }
 
-// Shard returns the node's shard index; 0 when sharding is disabled.
+// Shard returns the node's shard index (0 on a one-shard fabric).
 func (n *Node) Shard() int { return n.shard }
 
 // Kind returns the node kind.
@@ -201,7 +199,6 @@ func (n *Node) Region(name string) (*Region, bool) {
 // Fabric is the simulated network: it owns the nodes and the performance
 // model and schedules all verb processing on the simulation kernel.
 type Fabric struct {
-	k     *sim.Kernel
 	cfg   Config
 	nodes []*Node
 
@@ -218,16 +215,16 @@ type Fabric struct {
 	byName     map[string]*Node
 	qps        []*QP
 
-	// flights holds one flight recorder per shard (one entry when
-	// unsharded), or nil when recording is off. Each recorder receives
-	// spans only from code running on its shard's kernel — Begin on the
-	// initiator's shard, Finish on the shard of the stamping site — so
-	// concurrent shards never share a recorder. Recording only stamps
+	// flights holds one flight recorder per shard, or nil when recording
+	// is off. Each recorder receives spans only from code running on its
+	// shard's kernel — Begin on the initiator's shard, Finish on the shard
+	// of the stamping site — so concurrent shards never share a recorder.
+	// Recording only stamps
 	// timestamps inside callbacks the fabric executes anyway, so the
 	// kernel event sequence is unchanged (DESIGN.md §7, §11).
 	flights []*trace.FlightRecorder
-	// profs holds one attribution profile per shard (one entry when
-	// unsharded); always non-nil. See ExecProfile.
+	// profs holds one attribution profile per shard; always non-nil. See
+	// ExecProfile.
 	profs []*ExecProfile
 	// qpSeq numbers queue pairs in creation order; the id is the span
 	// track within the initiator's process in Chrome trace exports
@@ -235,12 +232,14 @@ type Fabric struct {
 	// directly).
 	qpSeq int
 
-	// Sharded mode (see EnableSharding): shardKernels[s] drives shard s,
-	// assign maps a node name to its shard, and post hands a cross-shard
-	// event to the coordinator's mailboxes. All nil when unsharded.
-	shardKernels []*sim.Kernel
-	assign       func(name string, kind NodeKind) int
-	post         func(src, dst int, at sim.Time, fn func())
+	// kernels[s] drives shard s, assign maps a node name to its shard,
+	// and post hands a cross-shard event to the coordinator's mailboxes.
+	// NewFabric starts with the one-shard topology ([k], everything on
+	// shard 0, no post: nothing can be cross-shard); EnableSharding
+	// replaces all three.
+	kernels []*sim.Kernel
+	assign  func(name string, kind NodeKind) int
+	post    func(src, dst int, at sim.Time, fn func())
 
 	// storms holds armed link-jitter windows (see AddLinkStorm).
 	// Immutable once the run starts; empty in every non-chaos run.
@@ -253,23 +252,20 @@ func NewFabric(k *sim.Kernel, cfg Config) (*Fabric, error) {
 		return nil, err
 	}
 	return &Fabric{
-		k:      k,
-		cfg:    cfg,
-		profs:  []*ExecProfile{{}},
-		byName: make(map[string]*Node),
-		qps:    []*QP{nil},
+		cfg:     cfg,
+		kernels: []*sim.Kernel{k},
+		assign:  func(string, NodeKind) int { return 0 },
+		profs:   []*ExecProfile{{}},
+		byName:  make(map[string]*Node),
+		qps:     []*QP{nil},
 	}, nil
 }
 
-// Kernel returns the simulation kernel driving this fabric. Under
-// sharding this is shard 0's kernel (the one NewFabric was given);
+// Kernel returns shard 0's kernel (the one NewFabric was given);
 // per-node work must use Node.Kernel instead.
-func (f *Fabric) Kernel() *sim.Kernel { return f.k }
+func (f *Fabric) Kernel() *sim.Kernel { return f.kernels[0] }
 
-// Sharded reports whether EnableSharding has been called.
-func (f *Fabric) Sharded() bool { return f.shardKernels != nil }
-
-// EnableSharding switches the fabric to sharded mode: each node is
+// EnableSharding sets the fabric's shard topology: each node is
 // built on the shard kernel assign selects for it, and cross-shard
 // verb traffic is routed through post (the shard coordinator's mailbox
 // Post) instead of being scheduled directly — the wire latency
@@ -285,10 +281,10 @@ func (f *Fabric) EnableSharding(kernels []*sim.Kernel, assign func(name string, 
 	if len(kernels) == 0 || assign == nil || post == nil {
 		return fmt.Errorf("rdma: EnableSharding requires kernels, an assignment, and a post function")
 	}
-	if kernels[0] != f.k {
+	if kernels[0] != f.kernels[0] {
 		return fmt.Errorf("rdma: EnableSharding: kernels[0] must be the fabric's kernel")
 	}
-	f.shardKernels = kernels
+	f.kernels = kernels
 	f.assign = assign
 	f.post = post
 	f.profs = make([]*ExecProfile, len(kernels))
@@ -298,42 +294,20 @@ func (f *Fabric) EnableSharding(kernels []*sim.Kernel, assign func(name string, 
 	return nil
 }
 
-// SetFlightRecorder attaches (or, with nil, detaches) a single flight
-// recorder that will receive a span for every verb initiated from now
-// on. On a sharded fabric with more than one shard this would give the
-// recorder concurrent writers; use SetFlightRecorders there.
-func (f *Fabric) SetFlightRecorder(fr *trace.FlightRecorder) {
-	if fr == nil {
-		f.flights = nil
-	} else {
-		f.flights = []*trace.FlightRecorder{fr}
-	}
-	f.reattachFlights()
-}
-
-// SetFlightRecorders attaches one flight recorder per shard. Each
-// recorder is only ever touched by code running on its shard's kernel
-// (spans begin on the initiator's recorder and finish on the recorder
-// of the shard executing the final stamp), so shards may run
-// concurrently without locks.
+// SetFlightRecorders attaches one flight recorder per shard; every verb
+// initiated from now on records a span. Each recorder is only ever
+// touched by code running on its shard's kernel (spans begin on the
+// initiator's recorder and finish on the recorder of the shard executing
+// the final stamp), so shards may run concurrently without locks.
 func (f *Fabric) SetFlightRecorders(frs []*trace.FlightRecorder) error {
-	want := 1
-	if f.shardKernels != nil {
-		want = len(f.shardKernels)
-	}
-	if len(frs) != want {
-		return fmt.Errorf("rdma: SetFlightRecorders: got %d recorders for %d shards", len(frs), want)
+	if len(frs) != len(f.kernels) {
+		return fmt.Errorf("rdma: SetFlightRecorders: got %d recorders for %d shards", len(frs), len(f.kernels))
 	}
 	f.flights = frs
-	f.reattachFlights()
-	return nil
-}
-
-// reattachFlights refreshes each node's cached shard recorder.
-func (f *Fabric) reattachFlights() {
 	for _, n := range f.nodes {
 		n.flight = f.flightFor(n.shard)
 	}
+	return nil
 }
 
 // flightFor returns shard s's recorder, or nil when recording is off.
@@ -341,25 +315,13 @@ func (f *Fabric) flightFor(s int) *trace.FlightRecorder {
 	if f.flights == nil {
 		return nil
 	}
-	if len(f.flights) == 1 {
-		return f.flights[0]
-	}
 	return f.flights[s]
 }
 
-// FlightRecorder returns the attached flight recorder (shard 0's in a
-// sharded run), or nil.
-func (f *Fabric) FlightRecorder() *trace.FlightRecorder {
-	if f.flights == nil {
-		return nil
-	}
-	return f.flights[0]
-}
-
 // ExecProfiles returns a copy of the per-shard attribution profiles in
-// shard order (a single entry when unsharded). The counters are always
-// on — they increment alongside event execution and are exactly as
-// deterministic as the event sequence itself.
+// shard order. The counters are always on — they increment alongside
+// event execution and are exactly as deterministic as the event sequence
+// itself.
 func (f *Fabric) ExecProfiles() []ExecProfile {
 	out := make([]ExecProfile, len(f.profs))
 	for s, p := range f.profs {
@@ -391,15 +353,9 @@ func (f *Fabric) addNode(name string, kind NodeKind) (*Node, error) {
 	if kind != ClientNode && kind != ServerNode {
 		return nil, fmt.Errorf("rdma: unknown node kind %v", kind)
 	}
-	shard := 0
-	k := f.k
-	if f.shardKernels != nil {
-		s := f.assign(name, kind)
-		if s < 0 || s >= len(f.shardKernels) {
-			return nil, fmt.Errorf("rdma: node %q assigned to shard %d, have %d shards", name, s, len(f.shardKernels))
-		}
-		shard = s
-		k = f.shardKernels[s]
+	shard := f.assign(name, kind)
+	if shard < 0 || shard >= len(f.kernels) {
+		return nil, fmt.Errorf("rdma: node %q assigned to shard %d, have %d shards", name, shard, len(f.kernels))
 	}
 	// Allocate the node out of the current slab chunk; chunks never grow
 	// past their fixed capacity, so &chunk[i] stays valid forever.
@@ -412,7 +368,7 @@ func (f *Fabric) addNode(name string, kind NodeKind) (*Node, error) {
 		name:    name,
 		kind:    kind,
 		id:      len(f.byName),
-		k:       k,
+		k:       f.kernels[shard],
 		shard:   shard,
 		regions: make(map[string]*Region),
 	})
@@ -453,17 +409,12 @@ func (f *Fabric) NodeByName(name string) (*Node, bool) {
 	return n, ok
 }
 
-// SetSanitizers attaches one invariant checker per shard (a single entry
-// when unsharded) to the fabric's structural checks, or detaches them
-// with nil. Must be called after the nodes exist and before the run
-// starts.
+// SetSanitizers attaches one invariant checker per shard to the fabric's
+// structural checks, or detaches them with nil. Must be called after the
+// nodes exist and before the run starts.
 func (f *Fabric) SetSanitizers(cs []*sanitize.Checker) error {
-	want := 1
-	if f.shardKernels != nil {
-		want = len(f.shardKernels)
-	}
-	if cs != nil && len(cs) != want {
-		return fmt.Errorf("rdma: SetSanitizers: got %d checkers for %d shards", len(cs), want)
+	if cs != nil && len(cs) != len(f.kernels) {
+		return fmt.Errorf("rdma: SetSanitizers: got %d checkers for %d shards", len(cs), len(f.kernels))
 	}
 	for _, n := range f.nodes {
 		if cs == nil {
@@ -497,7 +448,7 @@ func (f *Fabric) Connect(initiator, target *Node) (*QP, error) {
 		initiator: initiator,
 		target:    target,
 		window:    f.cfg.FlowControlWindow,
-		cross:     initiator.shard != target.shard && f.post != nil,
+		cross:     initiator.shard != target.shard,
 	})
 	qp := &(*chunk)[len(*chunk)-1]
 	qp.bindStages()

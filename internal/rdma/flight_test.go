@@ -17,9 +17,8 @@ func TestFlightSpansThroughPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.SetFlightRecorder(fr)
-	if f.FlightRecorder() != fr {
-		t.Fatal("FlightRecorder accessor disagrees")
+	if err := f.SetFlightRecorders([]*trace.FlightRecorder{fr}); err != nil {
+		t.Fatal(err)
 	}
 	r, err := server.RegisterRegion("data", DataIOSize)
 	if err != nil {
@@ -124,7 +123,9 @@ func TestFlightSendSpan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.SetFlightRecorder(fr)
+	if err := f.SetFlightRecorders([]*trace.FlightRecorder{fr}); err != nil {
+		t.Fatal(err)
+	}
 	var got int
 	server.SetRecvHandler(func(from *Node, payload any) { got++ })
 	qp, err := f.Connect(client, server)

@@ -26,7 +26,9 @@
 //     the final quantum's messages are queued (state is complete) but
 //     never fire.
 //  3. Horizon: h = min(GLB + Δ, t+1), capped so RunUntil(t) fires
-//     events at exactly t but nothing later.
+//     events at exactly t but nothing later. A group of one kernel has
+//     no peer that could post to it, so its lookahead is unbounded:
+//     h = t+1 and the whole RunUntil is a single quantum.
 //  4. Quantum: every shard runs Kernel.RunBefore(h), concurrently on
 //     the worker pool. Shards share no mutable state; cross-shard
 //     effects go through Post, whose per-(src,dst) outboxes are
@@ -107,12 +109,14 @@ func (g *Group) SetSanitizer(c *sanitize.Checker) { g.san = c }
 // New creates a coordinator over the given kernels with lookahead
 // delta (the minimum virtual-time latency of any cross-shard message)
 // and the given worker-pool size. Workers is pure concurrency: it
-// never affects results. workers <= 1 runs every quantum inline.
+// never affects results. workers <= 1 runs every quantum inline. A
+// single kernel exchanges no messages, so delta is not consulted (and
+// not validated) for a group of one.
 func New(kernels []*sim.Kernel, delta sim.Time, workers int) (*Group, error) {
 	if len(kernels) == 0 {
 		return nil, fmt.Errorf("shard: group needs at least one kernel")
 	}
-	if delta <= 0 {
+	if delta <= 0 && len(kernels) > 1 {
 		return nil, fmt.Errorf("shard: lookahead must be positive, got %v", delta)
 	}
 	if workers < 1 {
@@ -233,9 +237,9 @@ func (g *Group) RunUntil(t sim.Time) {
 		if !ok || glb > t {
 			break
 		}
-		h := glb + g.delta
-		if h > t+1 {
-			h = t + 1
+		h := t + 1
+		if len(g.kernels) > 1 && glb+g.delta < h {
+			h = glb + g.delta
 		}
 		g.horizon = h
 		g.running = true

@@ -392,9 +392,16 @@ func TestGroupDiagnosticsDeterministic(t *testing.T) {
 // the sharded run fires the same per-shard event sets. With no
 // cross-shard messages sharding is pure partitioning, so the traces
 // must agree exactly; this separates "the quantum loop perturbs local
-// order" bugs from mailbox bugs.
+// order" bugs from mailbox bugs. The one-shard case is the group every
+// unsharded cluster run uses: no lookahead to respect (delta 0 is
+// accepted), so the whole RunUntil must be a single quantum.
 func TestGroupAgainstSingleKernelUnion(t *testing.T) {
-	const shards = 3
+	for _, shards := range []int{1, 3} {
+		singleKernelUnion(t, shards)
+	}
+}
+
+func singleKernelUnion(t *testing.T, shards int) {
 	for seed := int64(1); seed <= 100; seed++ {
 		// Plain kernel: one kernel per "shard" still, but driven by
 		// RunUntil directly — the degenerate 1-worker, infinite-lookahead
@@ -426,10 +433,20 @@ func TestGroupAgainstSingleKernelUnion(t *testing.T) {
 		want := collectLogs(wantLogs)
 
 		ks = makeKernels(shards, seed)
-		g, _ := New(ks, sim.Microsecond, 4)
+		delta := sim.Microsecond
+		if shards == 1 {
+			delta = 0
+		}
+		g, err := New(ks, delta, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
 		gotLogs := localOnly(g, ks)
 		g.RunUntil(sim.Millisecond)
 		g.Close()
-		diffLogs(t, fmt.Sprintf("seed %d union", seed), collectLogs(gotLogs), want)
+		diffLogs(t, fmt.Sprintf("%d shards seed %d union", shards, seed), collectLogs(gotLogs), want)
+		if shards == 1 && g.Quanta() != 1 {
+			t.Fatalf("one-shard group ran %d quanta, want 1", g.Quanta())
+		}
 	}
 }
