@@ -215,7 +215,7 @@ func (r *Results) StageBreakdown() string {
 		return fmt.Sprintf("%v/%v", mean, p99)
 	}
 	cols := len(trace.StageNames) + 1
-	header := append([]string{"client"}, trace.StageNames...)
+	header := append([]string{"client"}, trace.StageNames[:]...)
 	rows := [][]string{header}
 	row := make([]string, 0, cols)
 	for _, sl := range r.Stages {

@@ -39,6 +39,7 @@ type pendingReq struct {
 type Engine struct {
 	params Params
 	id     int
+	actor  string // "engine-<id>": names the engine in trace events
 	limit  int64
 
 	k         *sim.Kernel
@@ -207,6 +208,7 @@ func NewEngine(params Params, grant ClientGrant, node *rdma.Node, disp *rdma.Dis
 		qos:       grant.QoSRegion,
 		reportOff: reportSlotOffset(grant.ID),
 		sender:    sender,
+		actor:     fmt.Sprintf("engine-%d", grant.ID),
 	}
 	// Handlers are scoped to this engine's data node, so several engines
 	// (one per server in a multi-server deployment) can share one client
@@ -351,7 +353,7 @@ func (e *Engine) Restart() error {
 	w := PackReport(0, clampUint32(e.completed)|recoveryFlag)
 	if err := e.qp.WriteUint64(e.qos, e.reportOff, w, nil); err == nil {
 		e.reportsSent++
-		e.Trace.Record(trace.Event{At: e.k.Now(), Kind: trace.Report, Actor: e.actor(),
+		e.Trace.Record(trace.Event{At: e.k.Now(), Kind: trace.Report, Actor: e.actor,
 			A: 0, B: e.completed})
 	}
 	return nil
@@ -450,7 +452,7 @@ func (e *Engine) drain() {
 		if e.limit > 0 && e.dispatched >= e.limit {
 			// Limit reached: throttle until the next period.
 			e.limitThrottled++
-			e.Trace.Record(trace.Event{At: e.k.Now(), Kind: trace.LimitThrottle, Actor: e.actor(), A: e.limit})
+			e.Trace.Record(trace.Event{At: e.k.Now(), Kind: trace.LimitThrottle, Actor: e.actor, A: e.limit})
 			return
 		}
 		switch {
@@ -594,13 +596,13 @@ func (e *Engine) onFAA(old int64) {
 		// the monitor to convert tokens or for the next period. The
 		// tick keeps probing while demand is pending.
 		e.poolExhausted = true
-		e.Trace.Record(trace.Event{At: e.k.Now(), Kind: trace.Probe, Actor: e.actor(), A: old})
+		e.Trace.Record(trace.Event{At: e.k.Now(), Kind: trace.Probe, Actor: e.actor, A: old})
 		return
 	}
 	if e.faaProbe {
 		// The probe found tokens: switch back to claiming.
 		e.poolExhausted = false
-		e.Trace.Record(trace.Event{At: e.k.Now(), Kind: trace.Probe, Actor: e.actor(), A: old})
+		e.Trace.Record(trace.Event{At: e.k.Now(), Kind: trace.Probe, Actor: e.actor, A: old})
 		e.ensureFAA()
 		return
 	}
@@ -615,7 +617,7 @@ func (e *Engine) onFAA(old int64) {
 		e.poolExhausted = true
 	}
 	e.localGlobal += granted
-	e.Trace.Record(trace.Event{At: e.k.Now(), Kind: trace.Claim, Actor: e.actor(), A: old, B: granted})
+	e.Trace.Record(trace.Event{At: e.k.Now(), Kind: trace.Claim, Actor: e.actor, A: old, B: granted})
 	e.drain()
 }
 
@@ -656,7 +658,7 @@ func (e *Engine) onTick() {
 			e.tokensReturned += y
 			returned = y
 		}
-		e.Trace.Record(trace.Event{At: e.k.Now(), Kind: trace.Yield, Actor: e.actor(), A: y, B: returned})
+		e.Trace.Record(trace.Event{At: e.k.Now(), Kind: trace.Yield, Actor: e.actor, A: y, B: returned})
 	}
 	if e.degraded {
 		if e.Pending() > 0 && e.k.Now() >= e.nextProbeAt {
@@ -706,7 +708,7 @@ func (e *Engine) probePool() {
 // onProbe completes a degraded-mode pool heartbeat.
 func (e *Engine) onProbe(old int64) {
 	e.faaInFlight = false
-	e.Trace.Record(trace.Event{At: e.k.Now(), Kind: trace.Probe, Actor: e.actor(), A: old})
+	e.Trace.Record(trace.Event{At: e.k.Now(), Kind: trace.Probe, Actor: e.actor, A: old})
 }
 
 // leaveDegraded closes a degraded-mode window and accounts its duration.
@@ -724,13 +726,10 @@ func (e *Engine) report() {
 	w := PackReport(clampUint32(e.resTokens), clampUint32(e.completed))
 	if err := e.qp.WriteUint64(e.qos, e.reportOff, w, nil); err == nil {
 		e.reportsSent++
-		e.Trace.Record(trace.Event{At: e.k.Now(), Kind: trace.Report, Actor: e.actor(),
+		e.Trace.Record(trace.Event{At: e.k.Now(), Kind: trace.Report, Actor: e.actor,
 			A: e.resTokens, B: e.completed})
 	}
 }
-
-// actor names the engine in trace events.
-func (e *Engine) actor() string { return fmt.Sprintf("engine-%d", e.id) }
 
 // SetSanitizer installs the invariant checker consulted at each period
 // rollover. Nil (the default) disables the checks; the event path then

@@ -192,7 +192,8 @@ func (c *Client) PrimeCache(n int) {
 
 // Get performs a one-sided GET: a cached key costs exactly one silent
 // 4 KB READ; an uncached key first probes the index with small one-sided
-// reads. The value passed to cb is a view valid at delivery time.
+// reads. The value passed to cb is valid only until cb returns (it is the
+// READ's view or pooled buffer, see rdma.QP.Read); copy it to keep it.
 func (c *Client) Get(key uint64, cb func(value []byte, err error)) error {
 	if cb == nil {
 		return fmt.Errorf("kvstore: Get requires a callback")

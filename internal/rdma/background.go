@@ -115,15 +115,21 @@ func (b *BackgroundJob) issue() {
 // assignment pins "bg/"-prefixed nodes there), so the hop is a plain
 // same-kernel schedule even in a sharded run.
 func (b *BackgroundJob) onInit() {
-	// onArrive enqueues a fresh flowOp rather than popping a FIFO, so a
-	// storm-jittered arrival needs no ordering horizon here.
+	// onArrive enqueues a record of its own rather than popping a FIFO, so
+	// a storm-jittered arrival needs no ordering horizon here.
 	b.initiator.k.Schedule(b.fabric.cfg.PropagationDelay+b.fabric.wireExtra(b.initiator.k), b.onArriveFn)
 }
 
 // onArrive: the I/O reached the target; queue it at the round-robin
-// scheduler as a raw unit-weight operation.
+// scheduler as a raw unit-weight operation. The record comes from the
+// target's freelist (the shared kernel's) and the scheduler returns it
+// there after service.
 func (b *BackgroundJob) onArrive() {
-	b.target.sched.enqueue(b.queue, flowOp{kind: opFunc, weight: 1, completeFn: b.onDoneFn})
+	op := b.target.pool.get()
+	op.kind = opFunc
+	op.weight = 1
+	op.completeFn = b.onDoneFn
+	b.target.sched.enqueue(b.queue, op)
 }
 
 // onDone: the target serviced the I/O and the completion propagated back.

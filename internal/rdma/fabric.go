@@ -84,6 +84,10 @@ type Node struct {
 	// san is this node's shard's invariant checker (nil when sanitizing
 	// is off); structural fabric invariants report here.
 	san *sanitize.Checker
+	// pool is this node's shard's freelists of verb records and payload
+	// buffers (always non-nil); verbs this node initiates are taken from
+	// and returned to it, on the node's kernel only.
+	pool *opPool
 
 	// qpCache models the NIC's connection cache (Config.QPCacheSize);
 	// disabled (zero capacity) by default.
@@ -226,6 +230,10 @@ type Fabric struct {
 	// profs holds one attribution profile per shard; always non-nil. See
 	// ExecProfile.
 	profs []*ExecProfile
+	// pools holds one pair of record/buffer freelists per shard, each
+	// touched only from its shard's kernel. They start empty: nothing is
+	// preallocated at setup. See opPool.
+	pools []*opPool
 	// qpSeq numbers queue pairs in creation order; the id is the span
 	// track within the initiator's process in Chrome trace exports
 	// (fabric-wide unique, so sharded exports can use it as a thread id
@@ -256,6 +264,7 @@ func NewFabric(k *sim.Kernel, cfg Config) (*Fabric, error) {
 		kernels: []*sim.Kernel{k},
 		assign:  func(string, NodeKind) int { return 0 },
 		profs:   []*ExecProfile{{}},
+		pools:   []*opPool{{}},
 		byName:  make(map[string]*Node),
 		qps:     []*QP{nil},
 	}, nil
@@ -288,8 +297,10 @@ func (f *Fabric) EnableSharding(kernels []*sim.Kernel, assign func(name string, 
 	f.assign = assign
 	f.post = post
 	f.profs = make([]*ExecProfile, len(kernels))
+	f.pools = make([]*opPool, len(kernels))
 	for s := range f.profs {
 		f.profs[s] = &ExecProfile{}
+		f.pools[s] = &opPool{}
 	}
 	return nil
 }
@@ -375,6 +386,7 @@ func (f *Fabric) addNode(name string, kind NodeKind) (*Node, error) {
 	n := &(*chunk)[len(*chunk)-1]
 	n.flight = f.flightFor(n.shard)
 	n.prof = f.profs[n.shard]
+	n.pool = f.pools[n.shard]
 	n.sched.node = n
 	n.sched.onServedFn = n.sched.onServed
 	n.qpCache.init(f.cfg.QPCacheSize, f.cfg.QPCacheMissPenalty)

@@ -1,0 +1,425 @@
+package rdma
+
+import (
+	"bytes"
+	"strings"
+	"testing"
+
+	"github.com/haechi-qos/haechi/internal/sim"
+	"github.com/haechi-qos/haechi/internal/sim/shard"
+	"github.com/haechi-qos/haechi/internal/trace"
+)
+
+// poolBed is a two-shard fabric; a node whose name starts with "s1/"
+// lives on shard 1, every other on shard 0. The server "dn" is on shard
+// 0 and the client "s1/c1" on shard 1, so qp (s1/c1 -> dn) is
+// cross-shard; local is a client on the server's shard, so localQP
+// (c0 -> dn) is same-shard.
+type poolBed struct {
+	group   *shard.Group
+	server  *Node
+	client  *Node
+	local   *Node
+	region  *Region
+	qp      *QP
+	localQP *QP
+	now     sim.Time
+}
+
+// Region layout: recA is what the overwrite test reads first, recB what
+// it reads second.
+const (
+	recA = 0
+	recB = DataIOSize
+)
+
+func newPoolBed(t *testing.T, workers int, observed bool, tune func(*Config)) *poolBed {
+	t.Helper()
+	cfg := NewDefaultConfig()
+	cfg.Jitter = 0
+	if tune != nil {
+		tune(&cfg)
+	}
+	kernels := []*sim.Kernel{sim.New(1), sim.New(2)}
+	g, err := shard.New(kernels, cfg.PropagationDelay, workers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(g.Close)
+	f, err := NewFabric(kernels[0], cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assign := func(name string, _ NodeKind) int {
+		if strings.HasPrefix(name, "s1/") {
+			return 1
+		}
+		return 0
+	}
+	if err := f.EnableSharding(kernels, assign, g.Post); err != nil {
+		t.Fatal(err)
+	}
+	b := &poolBed{group: g}
+	if b.server, err = f.AddServer("dn"); err != nil {
+		t.Fatal(err)
+	}
+	if b.client, err = f.AddClient("s1/c1"); err != nil {
+		t.Fatal(err)
+	}
+	if b.local, err = f.AddClient("c0"); err != nil {
+		t.Fatal(err)
+	}
+	if b.region, err = b.server.RegisterRegion("records", 4*DataIOSize); err != nil {
+		t.Fatal(err)
+	}
+	if b.qp, err = f.Connect(b.client, b.server); err != nil {
+		t.Fatal(err)
+	}
+	if b.localQP, err = f.Connect(b.local, b.server); err != nil {
+		t.Fatal(err)
+	}
+	if !b.qp.cross || b.localQP.cross {
+		t.Fatalf("bed placement: qp.cross=%v localQP.cross=%v, want true/false", b.qp.cross, b.localQP.cross)
+	}
+	if observed {
+		frs := make([]*trace.FlightRecorder, len(kernels))
+		for s := range frs {
+			if frs[s], err = trace.NewShardFlightRecorder(64, s); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := f.SetFlightRecorders(frs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return b
+}
+
+// advance runs both shards d further.
+func (b *poolBed) advance(d sim.Time) {
+	b.now += d
+	b.group.RunUntil(b.now)
+}
+
+// settle runs long enough for any handful of posted verbs to finish.
+func (b *poolBed) settle() { b.advance(sim.Millisecond) }
+
+func fill(v byte, n int) []byte { return bytes.Repeat([]byte{v}, n) }
+
+// TestVerbsSteadyStateNoAlloc pins the pooled-record data path: once the
+// freelists and FIFOs are warm, posting a verb and running it to
+// completion allocates nothing — no record, no payload, no mailbox
+// closure, no span — on a same-shard and on a cross-shard queue pair,
+// with the flight recorder off and on.
+func TestVerbsSteadyStateNoAlloc(t *testing.T) {
+	type verb struct {
+		name string
+		post func(t *testing.T, b *poolBed, qp *QP)
+		// crossWant is the expected objects/op on the cross-shard QP:
+		// newRecord for a verb that ends at the target with no hop back,
+		// whose record cannot be returned to the initiator's freelist
+		// from the target's kernel and is left to the collector.
+		crossWant float64
+	}
+	// A fresh record is three objects: the record and its two bound
+	// wire-hop continuations.
+	const newRecord = 3
+	payload := fill(0x5a, DataIOSize)
+	onRead := func([]byte) {}
+	onDone := func() {}
+	onOld := func(int64) {}
+	check := func(t *testing.T, err error) {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	verbs := []verb{
+		{"Read4K", func(t *testing.T, b *poolBed, qp *QP) { check(t, qp.Read(b.region, recA, DataIOSize, onRead)) }, 0},
+		{"ReadProbe", func(t *testing.T, b *poolBed, qp *QP) { check(t, qp.Read(b.region, recA, 64, onRead)) }, 0},
+		{"Write4KCompletion", func(t *testing.T, b *poolBed, qp *QP) { check(t, qp.Write(b.region, recB, payload, onDone)) }, 0},
+		{"Write4K", func(t *testing.T, b *poolBed, qp *QP) { check(t, qp.Write(b.region, recB, payload, nil)) }, 0},
+		{"WriteUint64Completion", func(t *testing.T, b *poolBed, qp *QP) { check(t, qp.WriteUint64(b.region, 8, 7, onDone)) }, 0},
+		{"WriteUint64", func(t *testing.T, b *poolBed, qp *QP) { check(t, qp.WriteUint64(b.region, 8, 7, nil)) }, newRecord},
+		{"FetchAdd", func(t *testing.T, b *poolBed, qp *QP) { check(t, qp.FetchAdd(b.region, 16, 1, onOld)) }, 0},
+	}
+	for _, observed := range []bool{false, true} {
+		for _, cross := range []bool{false, true} {
+			for _, v := range verbs {
+				name := v.name
+				if cross {
+					name += "/cross-shard"
+				} else {
+					name += "/same-shard"
+				}
+				if observed {
+					name += "/observed"
+				}
+				t.Run(name, func(t *testing.T) {
+					b := newPoolBed(t, 1, observed, nil)
+					qp, want := b.localQP, 0.0
+					if cross {
+						qp, want = b.qp, v.crossWant
+					}
+					one := func() {
+						v.post(t, b, qp)
+						b.settle()
+					}
+					for i := 0; i < 8; i++ { // warm freelists, FIFOs, stage histograms
+						one()
+					}
+					if got := testing.AllocsPerRun(200, one); got != want {
+						t.Errorf("%v objects allocated per verb, want %v", got, want)
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestCrossShardReadDeliversServeTimeBytes: a cross-shard READ copies the
+// record out at target service. A WRITE that lands on the record between
+// service and delivery must not show in the delivered bytes, and the next
+// READ, which recycles the same bounce buffer, must deliver its own
+// record.
+func TestCrossShardReadDeliversServeTimeBytes(t *testing.T) {
+	// A long wire leaves room for a whole loopback WRITE at the server
+	// between the READ's service and its delivery.
+	b := newPoolBed(t, 1, false, func(c *Config) { c.PropagationDelay = 20 * sim.Microsecond })
+	if err := b.region.CopyIn(recA, fill(0xaa, DataIOSize)); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.region.CopyIn(recB, fill(0xbb, DataIOSize)); err != nil {
+		t.Fatal(err)
+	}
+	loop, err := b.server.fabric.Connect(b.server, b.server)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var first *byte
+	delivered := false
+	err = b.qp.Read(b.region, recA, DataIOSize, func(data []byte) {
+		delivered = true
+		if !bytes.Equal(data, fill(0xaa, DataIOSize)) {
+			t.Errorf("READ delivered %#x.., want the serve-time record 0xaa..", data[:4])
+		}
+		if live, _ := b.region.CopyOut(recA, 4); !bytes.Equal(live, fill(0xcc, 4)) {
+			t.Errorf("region holds %#x at delivery, want the overwrite 0xcc..", live)
+		}
+		first = &data[0]
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	servedBefore := b.server.prof.Reads
+	for b.server.prof.Reads == servedBefore {
+		b.advance(sim.Microsecond)
+	}
+	written := false
+	if err := loop.Write(b.region, recA, fill(0xcc, DataIOSize), func() { written = true }); err != nil {
+		t.Fatal(err)
+	}
+	for !written {
+		b.advance(sim.Microsecond)
+		if delivered {
+			t.Fatal("READ delivered before the overwrite landed; the test's timing assumption broke")
+		}
+	}
+	b.settle()
+	if !delivered {
+		t.Fatal("first READ never delivered")
+	}
+
+	delivered = false
+	err = b.qp.Read(b.region, recB, DataIOSize, func(data []byte) {
+		delivered = true
+		if &data[0] != first {
+			t.Error("second READ did not recycle the first READ's buffer")
+		}
+		if !bytes.Equal(data, fill(0xbb, DataIOSize)) {
+			t.Errorf("recycled buffer delivered %#x.., want its own record 0xbb..", data[:4])
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.settle()
+	if !delivered {
+		t.Fatal("second READ never delivered")
+	}
+}
+
+// TestFreelistHighWater: payload buffers out are bounded by what is in
+// flight, not by what was posted — a cross-shard READ takes its buffer
+// only once it holds a flow-control credit and is leaving for the wire.
+func TestFreelistHighWater(t *testing.T) {
+	const reads = 10_000
+	t.Run("read burst", func(t *testing.T) {
+		b := newPoolBed(t, 1, false, nil)
+		done := 0
+		for i := 0; i < reads; i++ {
+			if err := b.qp.Read(b.region, recA, DataIOSize, func([]byte) { done++ }); err != nil {
+				t.Fatal(err)
+			}
+		}
+		b.advance(100 * sim.Millisecond)
+		if done != reads {
+			t.Fatalf("%d of %d READs delivered", done, reads)
+		}
+		b.checkPools(t, reads, b.qp.window)
+	})
+	t.Run("read closed loop", func(t *testing.T) {
+		b := newPoolBed(t, 1, false, nil)
+		posted, done := 0, 0
+		var next func([]byte)
+		post := func() {
+			posted++
+			if err := b.qp.Read(b.region, recA, DataIOSize, next); err != nil {
+				t.Fatal(err)
+			}
+		}
+		next = func([]byte) {
+			done++
+			if posted < reads {
+				post()
+			}
+		}
+		for i := 0; i < b.qp.window; i++ {
+			post()
+		}
+		b.advance(100 * sim.Millisecond)
+		if done != reads {
+			t.Fatalf("%d of %d READs delivered", done, reads)
+		}
+		// A callback posts the next READ before its own record is back.
+		b.checkPools(t, b.qp.window+1, b.qp.window)
+	})
+	t.Run("write burst", func(t *testing.T) {
+		const writes = 300
+		b := newPoolBed(t, 1, false, nil)
+		payload := fill(0x11, DataIOSize)
+		for i := 0; i < writes; i++ {
+			if err := b.qp.Write(b.region, recB, payload, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		b.advance(100 * sim.Millisecond)
+		if got := b.server.prof.Writes; got != writes {
+			t.Fatalf("%d of %d WRITEs served", got, writes)
+		}
+		b.checkPools(t, writes, writes)
+	})
+}
+
+// checkPools asserts the client's freelists after a drained run: every
+// record is back and at most maxRecords exist, at most maxBufs buffers
+// exist, and the server's kernel — which only ever saw the client's
+// records in passing — pooled none of them.
+func (b *poolBed) checkPools(t *testing.T, maxRecords, maxBufs int) {
+	t.Helper()
+	cp, sp := b.client.pool, b.server.pool
+	if n := len(cp.free); n == 0 || n > maxRecords {
+		t.Errorf("client freelist holds %d records, want 1..%d", n, maxRecords)
+	}
+	if n := len(cp.bufs); n == 0 || n > maxBufs {
+		t.Errorf("client freelist holds %d buffers, want 1..%d", n, maxBufs)
+	}
+	if len(sp.free) != 0 || len(sp.bufs) != 0 {
+		t.Errorf("server freelist holds %d records and %d buffers of a foreign kernel, want none",
+			len(sp.free), len(sp.bufs))
+	}
+	for _, op := range cp.free {
+		if op.buf != nil || op.qp != nil || op.readCB != nil || op.span != nil {
+			t.Fatal("pooled record still references its last verb")
+		}
+	}
+}
+
+// TestPooledRecordsTwoWorkers drives cross-shard traffic in both
+// directions with the two shard kernels on two goroutines. Under -race
+// this is the ownership rule's test: a freelist is only ever touched
+// from its own kernel, and a record between its wire hops only from the
+// kernel the mailbox handed it to.
+func TestPooledRecordsTwoWorkers(t *testing.T) {
+	b := newPoolBed(t, 2, true, nil)
+	f := b.server.fabric
+	// The mirror image of qp: a server on shard 1, targeted from shard 0.
+	far, err := f.AddServer("s1/dn")
+	if err != nil {
+		t.Fatal(err)
+	}
+	farRegion, err := far.RegisterRegion("records", 4*DataIOSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	farQP, err := f.Connect(b.local, far)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !farQP.cross {
+		t.Fatal("c0 -> s1/dn is not cross-shard")
+	}
+
+	// Each direction runs a closed loop of READs that check their bytes
+	// (recA is never written), beside WRITEs with and without completion
+	// and atomics on other offsets. The counters are per direction: each
+	// is written by one kernel only.
+	const perLoop = 2000
+	type dir struct {
+		qp     *QP
+		region *Region
+		want   []byte
+		reads  int
+		acks   int
+	}
+	dirs := []*dir{
+		{qp: b.qp, region: b.region, want: fill(0xa1, DataIOSize)},
+		{qp: farQP, region: farRegion, want: fill(0xb2, DataIOSize)},
+	}
+	payload := fill(0x33, DataIOSize)
+	for _, d := range dirs {
+		d := d
+		if err := d.region.CopyIn(recA, d.want); err != nil {
+			t.Fatal(err)
+		}
+		var onRead func([]byte)
+		onAck := func() { d.acks++ }
+		onRead = func(data []byte) {
+			if !bytes.Equal(data, d.want) {
+				t.Errorf("%s->%s: READ delivered %#x.., want %#x..",
+					d.qp.initiator.name, d.qp.target.name, data[:4], d.want[:4])
+			}
+			d.reads++
+			if d.reads >= perLoop {
+				return
+			}
+			errs := []error{
+				d.qp.Read(d.region, recA, DataIOSize, onRead),
+				d.qp.Write(d.region, recB, payload, nil),
+				d.qp.Write(d.region, 2*DataIOSize, payload, onAck),
+				d.qp.WriteUint64(d.region, 3*DataIOSize, uint64(d.reads), nil),
+				d.qp.FetchAdd(d.region, 3*DataIOSize+8, 1, nil),
+			}
+			for _, err := range errs {
+				if err != nil {
+					t.Error(err)
+				}
+			}
+		}
+		for i := 0; i < 8; i++ {
+			if err := d.qp.Read(d.region, recA, DataIOSize, onRead); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	b.advance(200 * sim.Millisecond)
+	for _, d := range dirs {
+		if d.reads < perLoop || d.acks == 0 {
+			t.Errorf("%s->%s: %d READs and %d WRITE completions, want at least %d and some",
+				d.qp.initiator.name, d.qp.target.name, d.reads, d.acks, perLoop)
+		}
+		if got, _ := d.region.Int64(3*DataIOSize + 8); got == 0 {
+			t.Errorf("%s: no FETCH_ADD applied", d.region.owner.name)
+		}
+	}
+}

@@ -18,14 +18,15 @@ import (
 // at its service-completion instant. Two-sided Sends are handed to the
 // target CPU (for servers) and delivered to the node's receive handler.
 //
-// Verbs are represented as plain flowOp values that move through per-QP
-// per-stage FIFOs; every pipeline stage completes through a callback
-// bound once at Connect. This exploits the FIFO ordering each stage
-// already guarantees (stations are FIFO within a class, the wire is a
-// constant delay, the kernel breaks ties by scheduling order), so posting
-// a verb allocates no per-operation closures — the only per-op
-// allocations left are the payload copy a WRITE semantically requires
-// and the optional flight-recorder span.
+// Verbs are represented as pooled flowOp records that move by pointer
+// through per-QP per-stage FIFOs; every pipeline stage completes through
+// a callback bound once at Connect. This exploits the FIFO ordering each
+// stage already guarantees (stations are FIFO within a class, the wire is
+// a constant delay, the kernel breaks ties by scheduling order), so in
+// steady state posting a verb allocates nothing: the record, its
+// flight-recorder span and its payload buffer all come from the
+// initiator kernel's freelists (see opPool) and return there when the
+// verb completes.
 type QP struct {
 	fabric    *Fabric
 	id        int
@@ -37,11 +38,11 @@ type QP struct {
 	// initiator-side stages run on the initiator's kernel, the
 	// target-side stages on the target's, and every wire hop (arrival,
 	// completion delivery, credit return) travels through the shard
-	// coordinator's mailboxes as a message carrying the flowOp by value
+	// coordinator's mailboxes as a message carrying the record's pointer
 	// — the shared per-stage wire/deliver FIFOs are bypassed, since two
-	// kernels may not touch one FIFO concurrently. The mailbox hop costs
-	// one closure allocation per wire crossing; same-shard QPs keep the
-	// allocation-free FIFO path unchanged.
+	// kernels may not touch one FIFO concurrently. The message is one of
+	// the record's two pre-bound continuations, so the hop allocates
+	// nothing either.
 	cross bool
 
 	// Credit-based flow control for bulk transfers (see
@@ -124,25 +125,35 @@ const (
 // tag packs this QP's id with a stage for station dispatch.
 func (qp *QP) tag(stage uint32) uint32 { return uint32(qp.id)<<stageBits | stage }
 
-// opKind tags the operation a flowOp value carries through the pipeline.
+// opKind tags the operation a flowOp record carries through the pipeline.
+// The verb kinds share trace.Op's numbering, so a verb's span op is
+// trace.Op(kind).
 type opKind uint8
 
 const (
-	// opFunc is a raw apply/complete pair used by injection paths (e.g.
-	// background jobs) that enqueue directly at a target scheduler.
-	opFunc opKind = iota
-	opRead
-	opWrite
-	opFetchAdd
-	opCompareSwap
-	opSend
+	// opFunc is a raw unit of target service used by injection paths
+	// (background jobs) that enqueue directly at a target scheduler.
+	opFunc        opKind = 0
+	opRead               = opKind(trace.OpRead)
+	opWrite              = opKind(trace.OpWrite)
+	opFetchAdd           = opKind(trace.OpFetchAdd)
+	opCompareSwap        = opKind(trace.OpCompareSwap)
+	opSend               = opKind(trace.OpSend)
 )
 
-// flowOp is one verb moving through the pipeline. It is a value type:
-// stage FIFOs copy it, so the struct carries everything a stage needs —
-// the routing class, the target memory range, the payload, the result of
-// an atomic, and the caller's completion callback. span, when non-nil, is
-// the flight-recorder span tracking the op.
+// flowOp is one verb moving through the pipeline: a pooled record that
+// stage FIFOs, the scheduler and the cross-shard mailbox all hold by
+// pointer. It carries everything a stage needs — the routing class, the
+// target memory range, the payload, the result of an atomic, the
+// caller's completion callback — plus what used to be allocated per I/O
+// beside it: the flight-recorder span and the two wire-hop continuations.
+//
+// Ownership: a record is taken from and returned to the freelist of the
+// initiator's kernel, and only code running on that kernel ever touches
+// the freelist. Between its two wire hops a cross-shard record belongs to
+// the mailbox message that carries it: the target's kernel stamps the
+// span, fills buf and result, and posts it back; the quantum barrier
+// orders those writes before the initiator's reads. See DESIGN.md §8.2.
 type flowOp struct {
 	kind    opKind
 	control bool
@@ -156,7 +167,10 @@ type flowOp struct {
 	region *Region
 	off    int
 	size   int
-	buf    []byte // WRITE payload, captured at call time (large writes)
+	// buf is a pooled payload buffer: a large WRITE's data captured at
+	// call time, or the bounce buffer a cross-shard READ's data is copied
+	// into at serve time. It returns to the freelist with the record.
+	buf []byte
 
 	// inline holds small WRITE payloads (up to 8 bytes — Haechi's silent
 	// reports and token pushes) by value, so the hot reporting path posts
@@ -176,11 +190,98 @@ type flowOp struct {
 	u64CB  func(old int64)
 	doneCB func()
 
-	applyFn    func() // opFunc only
-	completeFn func()
+	completeFn func() // opFunc only
 
-	span *trace.Span
+	// span is nil with recording off, else &spanStore.
+	span      *trace.Span
+	spanStore trace.Span
+
+	// Wire-hop continuations handed to the mailbox, bound once when the
+	// record is first created and kept across recycling.
+	toTargetFn    func()
+	toInitiatorFn func()
 }
+
+// opPool is one kernel's pair of freelists: verb records and payload
+// buffers. Both are plain LIFO slices that start empty and grow to the
+// run's high-water mark on demand. Every node caches its shard's pool;
+// get/put/getBuf run only on that shard's kernel, so there is a single
+// writer and no locking — which is also why this is not a sync.Pool:
+// that would put a concurrency primitive on the event path (the
+// noconcurrency lint), and its reuse depends on GC timing, while a verb's
+// allocation behaviour here depends on the event sequence alone.
+type opPool struct {
+	free []*flowOp
+	bufs [][]byte
+}
+
+// get returns a zeroed record with its continuations bound.
+func (p *opPool) get() *flowOp {
+	if last := len(p.free) - 1; last >= 0 {
+		op := p.free[last]
+		p.free[last] = nil
+		p.free = p.free[:last]
+		return op
+	}
+	op := &flowOp{}
+	op.toTargetFn = op.arriveAtTarget
+	op.toInitiatorFn = op.returnToInitiator
+	return op
+}
+
+// put recycles a finished record and its payload buffer. The reset drops
+// every reference the verb held (callbacks, payload, region).
+func (p *opPool) put(op *flowOp) {
+	if op.buf != nil {
+		p.bufs = append(p.bufs, op.buf)
+	}
+	*op = flowOp{toTargetFn: op.toTargetFn, toInitiatorFn: op.toInitiatorFn}
+	p.free = append(p.free, op)
+}
+
+// getBuf returns an n-byte payload buffer. Buffers are allocated in the
+// DataIOSize class (everything a 4 KB I/O or smaller needs fits any of
+// them); a larger request that the top buffer cannot hold gets a fresh
+// one of its own size, which is pooled like the rest afterwards.
+func (p *opPool) getBuf(n int) []byte {
+	if last := len(p.bufs) - 1; last >= 0 && cap(p.bufs[last]) >= n {
+		b := p.bufs[last]
+		p.bufs[last] = nil
+		p.bufs = p.bufs[:last]
+		return b[:n]
+	}
+	return make([]byte, n, max(n, DataIOSize))
+}
+
+// arriveAtTarget resumes a cross-shard op on the target's kernel after
+// the wire hop.
+func (op *flowOp) arriveAtTarget() {
+	if op.control {
+		op.qp.ctrlArriveOp(op)
+	} else {
+		op.qp.bulkArriveOp(op)
+	}
+}
+
+// returnToInitiator is a cross-shard op's return hop, on the initiator's
+// kernel: the flow-control credit first, then the completion; an op that
+// only came back for its credit ends here.
+func (op *flowOp) returnToInitiator() {
+	qp := op.qp
+	if op.holdsCredit() {
+		qp.releaseCredit()
+	}
+	if op.needsDeliver() {
+		qp.deliverOp(op)
+		return
+	}
+	qp.initiator.pool.put(op)
+}
+
+// holdsCredit reports whether the op was admitted through the QP's
+// flow-control window (every bulk one-sided verb; SENDs are not
+// flow-controlled).
+func (op *flowOp) holdsCredit() bool { return !op.control && op.kind != opSend }
 
 // needsDeliver reports whether the op schedules a completion delivery
 // back at the initiator after its memory effect is applied. READs and
@@ -223,10 +324,11 @@ func (op *flowOp) apply() {
 func (op *flowOp) invokeCB() {
 	switch op.kind {
 	case opRead:
-		// Cross-shard READs snapshot the target memory into buf at serve
-		// time (see serveOp): the live region view belongs to the target's
+		// Cross-shard READs copy the target memory into buf at serve time
+		// (see serveOp): the live region view belongs to the target's
 		// shard and must not be read a propagation later from the
-		// initiator's. Same-shard READs keep the zero-copy view.
+		// initiator's. Same-shard READs keep the zero-copy view. Either
+		// way the slice is the callback's only until it returns.
 		if op.buf != nil {
 			op.readCB(op.buf)
 		} else {
@@ -249,14 +351,30 @@ func (qp *QP) Initiator() *Node { return qp.initiator }
 // ID returns the queue pair's fabric-wide creation-order id.
 func (qp *QP) ID() int { return qp.id }
 
-// beginSpan starts a flight-recorder span for a verb posted on this QP,
-// or returns nil when recording is off.
-func (qp *QP) beginSpan(op trace.Op, control bool) *trace.Span {
-	fr := qp.initiator.flight // the initiator's shard begins the span
-	if fr == nil {
-		return nil
+// newOp takes a record from the initiator's freelist for a verb posted
+// on this QP and, when recording is on, begins its flight-recorder span
+// in the record's own storage.
+func (qp *QP) newOp(kind opKind, control bool) *flowOp {
+	n := qp.initiator
+	op := n.pool.get()
+	op.kind = kind
+	op.control = control
+	op.qp = qp
+	if fr := n.flight; fr != nil { // the initiator's shard begins the span
+		op.span = fr.Begin(&op.spanStore, trace.Op(kind), control, n.name, qp.target.name, qp.id, n.k.Now())
 	}
-	return fr.Begin(op, control, qp.initiator.name, qp.target.name, qp.id, qp.initiator.k.Now())
+	return op
+}
+
+// retire ends op at a target-side stage that owes the initiator nothing
+// more. Same-shard, one kernel runs both ends and the record goes back to
+// its freelist. Cross-shard, this is the target's kernel and the freelist
+// is not its to touch: the record is left to the collector (control
+// WRITEs and SENDs without completion — Haechi's reports and pushes).
+func (qp *QP) retire(op *flowOp) {
+	if !qp.cross {
+		qp.initiator.pool.put(op)
+	}
 }
 
 // Target returns the target node.
@@ -287,7 +405,7 @@ func (qp *QP) loopback() bool { return qp.initiator == qp.target }
 // anyway and the span is finished at the memory-effect instant when the
 // op needs no delivery — recording never schedules an event of its own,
 // so the kernel's event sequence is identical with tracing on or off.
-func (qp *QP) initiate(op flowOp) {
+func (qp *QP) initiate(op *flowOp) {
 	if qp.loopback() {
 		pen := qp.initiator.qpPenalty(qp.id)
 		if op.control {
@@ -309,7 +427,7 @@ func (qp *QP) initiate(op flowOp) {
 
 // ctrlInitDone: a control op finished initiator-NIC service; put it on
 // the wire. Cross-shard, the wire hop is a mailbox message carrying the
-// op by value to the target's kernel.
+// record to the target's kernel.
 func (qp *QP) ctrlInitDone() {
 	op := qp.ctrlInit.pop()
 	k := qp.initiator.k
@@ -319,7 +437,7 @@ func (qp *QP) ctrlInitDone() {
 	}
 	at := qp.wireAt(k, &qp.ctrlWireAt)
 	if qp.cross {
-		qp.postToTarget(op, at, (*QP).ctrlArriveOp)
+		qp.postToTarget(op, at)
 		return
 	}
 	qp.ctrlWire.push(op)
@@ -345,7 +463,7 @@ func (qp *QP) ctrlArrive() { qp.ctrlArriveOp(qp.ctrlWire.pop()) }
 
 // ctrlArriveOp charges the target NIC's priority path for an arrived
 // control op. Runs on the target's kernel.
-func (qp *QP) ctrlArriveOp(op flowOp) {
+func (qp *QP) ctrlArriveOp(op *flowOp) {
 	qp.target.prof.WireArrivals++
 	if op.span != nil {
 		op.span.Arrived = qp.target.k.Now()
@@ -363,7 +481,7 @@ func (qp *QP) ctrlArriveOp(op flowOp) {
 // QPs count at post time (the historical and still-default accounting
 // instant); cross-shard QPs must count here, on the target's shard, so
 // the counters have a single writer.
-func (qp *QP) noteArrival(op flowOp) {
+func (qp *QP) noteArrival(op *flowOp) {
 	if !qp.cross {
 		return
 	}
@@ -374,11 +492,17 @@ func (qp *QP) noteArrival(op flowOp) {
 	}
 }
 
-// postToTarget sends op across the wire to the target's shard; arrive
-// is the target-side stage to resume at.
-func (qp *QP) postToTarget(op flowOp, at sim.Time, arrive func(*QP, flowOp)) {
+// postToTarget sends op across the wire to the target's shard, where it
+// resumes at arriveAtTarget. This is the last instant the initiator's
+// kernel holds the record, so a READ takes its bounce buffer here: every
+// bulk READ past this point holds a flow-control credit, which bounds the
+// buffers a QP has out by FlowControlWindow.
+func (qp *QP) postToTarget(op *flowOp, at sim.Time) {
+	if op.kind == opRead {
+		op.buf = qp.initiator.pool.getBuf(op.size)
+	}
 	qp.initiator.prof.MailboxPosts++
-	qp.fabric.post(qp.initiator.shard, qp.target.shard, at, func() { arrive(qp, op) })
+	qp.fabric.post(qp.initiator.shard, qp.target.shard, at, op.toTargetFn)
 }
 
 // ctrlServed: the target NIC finished a control-class op — either a
@@ -397,7 +521,7 @@ func (qp *QP) ctrlServed() {
 // completion and schedules the completion delivery back to the initiator.
 // Shared by the control path, the bulk scheduler path, and (without the
 // propagation hop) the loopback path.
-func (qp *QP) serveOp(op flowOp) {
+func (qp *QP) serveOp(op *flowOp) {
 	k := qp.target.k
 	qp.target.prof.countKind(op.kind)
 	if op.span != nil {
@@ -409,59 +533,52 @@ func (qp *QP) serveOp(op flowOp) {
 		}
 	}
 	if qp.cross && op.kind == opRead {
-		// Snapshot the data now; invokeCB prefers buf (never otherwise
-		// set for a READ) over the live region view.
-		op.buf = append([]byte(nil), op.region.bytes(op.off, op.size)...)
+		// Copy the data out now, into the bounce buffer the op brought
+		// along; invokeCB prefers buf over the live region view.
+		copy(op.buf, op.region.bytes(op.off, op.size))
 	}
 	op.apply()
 	if qp.cross {
 		// One message back across the wire does both halves of the return
-		// hop: the flow-control credit (held by every non-control data op;
-		// same-shard QPs release it at the serve instant through the
-		// scheduler, but cross-shard the release must run on the
-		// initiator's kernel, one propagation later — the ACK travels the
-		// wire) and, when the op delivers, the completion callback.
-		holdsCredit := !op.control
-		deliver := op.needsDeliver()
-		if !holdsCredit && !deliver {
+		// hop: the flow-control credit (same-shard QPs release it at the
+		// serve instant through the scheduler, but cross-shard the release
+		// must run on the initiator's kernel, one propagation later — the
+		// ACK travels the wire) and, when the op delivers, the completion
+		// callback.
+		if op.holdsCredit() || op.needsDeliver() {
+			qp.postToInitiator(op, qp.wireAt(k, &qp.backWireAt))
 			return
 		}
-		qp.postToInitiator(op, qp.wireAt(k, &qp.backWireAt), holdsCredit, deliver)
-		return
-	}
-	if op.needsDeliver() {
+	} else if op.needsDeliver() {
 		qp.deliver.push(op)
 		k.At(qp.wireAt(k, &qp.backWireAt), qp.deliverFn)
+		return
 	}
+	qp.retire(op)
 }
 
 // postToInitiator sends the serviced op's return hop to the initiator's
-// shard.
-func (qp *QP) postToInitiator(op flowOp, at sim.Time, credit, deliver bool) {
+// shard, where it resumes at returnToInitiator.
+func (qp *QP) postToInitiator(op *flowOp, at sim.Time) {
 	qp.target.prof.MailboxPosts++
-	qp.fabric.post(qp.target.shard, qp.initiator.shard, at, func() {
-		if credit {
-			qp.releaseCredit()
-		}
-		if deliver {
-			qp.deliverOp(op)
-		}
-	})
+	qp.fabric.post(qp.target.shard, qp.initiator.shard, at, op.toInitiatorFn)
 }
 
 // deliverNext completes the oldest delivered op at the initiator
 // (same-shard FIFO path).
 func (qp *QP) deliverNext() { qp.deliverOp(qp.deliver.pop()) }
 
-// deliverOp completes op at the initiator. Runs on the initiator's
-// kernel.
-func (qp *QP) deliverOp(op flowOp) {
+// deliverOp completes op at the initiator and recycles its record; the
+// payload buffer goes back only after the callback has returned. Runs on
+// the initiator's kernel.
+func (qp *QP) deliverOp(op *flowOp) {
 	qp.initiator.prof.Deliveries++
 	if op.span != nil {
 		op.span.Done = qp.initiator.k.Now()
 		qp.initiator.flight.Finish(op.span)
 	}
 	op.invokeCB()
+	qp.initiator.pool.put(op)
 }
 
 // loopCtrlServed / loopBulkServed: a loopback op traversed the NIC once;
@@ -470,7 +587,7 @@ func (qp *QP) loopCtrlServed() { qp.loopServe(qp.loopCtrl.pop()) }
 
 func (qp *QP) loopBulkServed() { qp.loopServe(qp.loopBulk.pop()) }
 
-func (qp *QP) loopServe(op flowOp) {
+func (qp *QP) loopServe(op *flowOp) {
 	k := qp.initiator.k // loopback QPs are never cross-shard
 	qp.initiator.prof.Loopbacks++
 	qp.initiator.prof.countKind(op.kind)
@@ -488,6 +605,7 @@ func (qp *QP) loopServe(op flowOp) {
 		}
 		op.invokeCB()
 	}
+	qp.initiator.pool.put(op)
 }
 
 // admitData applies per-QP flow control at the initiator, before the
@@ -495,7 +613,7 @@ func (qp *QP) loopServe(op flowOp) {
 // credit is available, so late bursts of queued work still pay the
 // per-operation initiator cost (the local capacity C_L) when they finally
 // transmit — matching real credit-based flow control.
-func (qp *QP) admitData(op flowOp) {
+func (qp *QP) admitData(op *flowOp) {
 	if qp.serverQ == nil {
 		if qp.cross {
 			// The scheduler must not call back into initiator-side state
@@ -515,7 +633,7 @@ func (qp *QP) admitData(op flowOp) {
 
 // transmit runs the credit-holding pipeline: initiator NIC service, wire,
 // then the target's round-robin scheduler.
-func (qp *QP) transmit(op flowOp) {
+func (qp *QP) transmit(op *flowOp) {
 	qp.inFlight++
 	qp.initiator.prof.CreditGrants++
 	if op.span != nil {
@@ -536,7 +654,7 @@ func (qp *QP) bulkInitDone() {
 	}
 	at := qp.wireAt(k, &qp.bulkWireAt)
 	if qp.cross {
-		qp.postToTarget(op, at, (*QP).bulkArriveOp)
+		qp.postToTarget(op, at)
 		return
 	}
 	qp.bulkWire.push(op)
@@ -549,7 +667,7 @@ func (qp *QP) bulkArrive() { qp.bulkArriveOp(qp.bulkWire.pop()) }
 // bulkArriveOp routes an arrived bulk-class op: data ops queue at the
 // target's round-robin scheduler; bulk SENDs go to the target NIC
 // directly (they are not flow-controlled). Runs on the target's kernel.
-func (qp *QP) bulkArriveOp(op flowOp) {
+func (qp *QP) bulkArriveOp(op *flowOp) {
 	qp.target.prof.WireArrivals++
 	if op.span != nil {
 		op.span.Arrived = qp.target.k.Now()
@@ -575,7 +693,7 @@ func (qp *QP) releaseCredit() {
 // A server target processes the request header on its NIC priority path
 // and then hands the message to the CPU; a client target pays its NIC
 // the size-proportional cost and delivers directly.
-func (qp *QP) sendTargetSubmit(op flowOp) {
+func (qp *QP) sendTargetSubmit(op *flowOp) {
 	f := qp.fabric
 	pen := qp.target.qpPenalty(qp.id)
 	if qp.target.kind == ServerNode {
@@ -609,7 +727,7 @@ func (qp *QP) sendBulkServed() { qp.sendDeliver(qp.sendBulk.pop()) }
 // sendDeliver hands an arrived SEND to the target's receive handler and,
 // when the sender asked for a completion callback, schedules it back at
 // the initiator after propagation.
-func (qp *QP) sendDeliver(op flowOp) {
+func (qp *QP) sendDeliver(op *flowOp) {
 	k := qp.target.k
 	qp.target.prof.countKind(opSend)
 	if op.span != nil {
@@ -620,10 +738,11 @@ func (qp *QP) sendDeliver(op flowOp) {
 	}
 	qp.target.recv(qp.initiator, op.payload)
 	if op.doneCB == nil {
+		qp.retire(op)
 		return
 	}
 	if qp.cross {
-		qp.postToInitiator(op, qp.wireAt(k, &qp.backWireAt), false, true)
+		qp.postToInitiator(op, qp.wireAt(k, &qp.backWireAt))
 		return
 	}
 	qp.deliver.push(op)
@@ -631,8 +750,10 @@ func (qp *QP) sendDeliver(op flowOp) {
 }
 
 // Read performs a one-sided RDMA READ of size bytes at off in region r.
-// The callback receives a view of the target memory valid at delivery
-// time; callers that retain the data across further simulation must copy.
+// The slice the callback receives is valid only until the callback
+// returns: it is either a live view of the target memory or a pooled
+// bounce buffer the next READ reuses. Callers that keep the data must
+// copy it inside the callback.
 func (qp *QP) Read(r *Region, off, size int, cb func(data []byte)) error {
 	if err := qp.checkRegion(r); err != nil {
 		return err
@@ -646,19 +767,11 @@ func (qp *QP) Read(r *Region, off, size int, cb func(data []byte)) error {
 	if !qp.cross { // cross-shard: counted at arrival, on the target's shard
 		qp.target.stats.OneSidedTargeted++
 	}
-	control := qp.fabric.cfg.isControl(size)
-	qp.initiate(flowOp{
-		kind:       opRead,
-		control:    control,
-		qp:         qp,
-		weight:     w,
-		initWeight: w,
-		region:     r,
-		off:        off,
-		size:       size,
-		readCB:     cb,
-		span:       qp.beginSpan(trace.OpRead, control),
-	})
+	op := qp.newOp(opRead, qp.fabric.cfg.isControl(size))
+	op.weight, op.initWeight = w, w
+	op.region, op.off, op.size = r, off, size
+	op.readCB = cb
+	qp.initiate(op)
 	return nil
 }
 
@@ -678,24 +791,16 @@ func (qp *QP) Write(r *Region, off int, data []byte, cb func()) error {
 	if !qp.cross { // cross-shard: counted at arrival, on the target's shard
 		qp.target.stats.OneSidedTargeted++
 	}
-	control := qp.fabric.cfg.isControl(len(data))
-	op := flowOp{
-		kind:       opWrite,
-		control:    control,
-		qp:         qp,
-		weight:     w,
-		initWeight: w,
-		region:     r,
-		off:        off,
-		doneCB:     cb,
-		span:       qp.beginSpan(trace.OpWrite, control),
-	}
+	op := qp.newOp(opWrite, qp.fabric.cfg.isControl(len(data)))
+	op.weight, op.initWeight = w, w
+	op.region, op.off = r, off
+	op.doneCB = cb
 	// The payload is captured at call time either inline (small writes —
-	// the report/token hot path, no heap buffer) or into a fresh buffer.
+	// the report/token hot path) or into a pooled buffer.
 	if len(data) <= len(op.inline) {
 		op.inlineLen = uint8(copy(op.inline[:], data))
 	} else {
-		op.buf = make([]byte, len(data))
+		op.buf = qp.initiator.pool.getBuf(len(data))
 		copy(op.buf, data)
 	}
 	qp.initiate(op)
@@ -725,18 +830,12 @@ func (qp *QP) FetchAdd(r *Region, off int, delta int64, cb func(old int64)) erro
 	if !qp.cross { // cross-shard: counted at arrival, on the target's shard
 		qp.target.stats.OneSidedTargeted++
 	}
-	qp.initiate(flowOp{
-		kind:       opFetchAdd,
-		control:    true,
-		qp:         qp,
-		weight:     w,
-		initWeight: w,
-		region:     r,
-		off:        off,
-		delta:      delta,
-		u64CB:      cb,
-		span:       qp.beginSpan(trace.OpFetchAdd, true),
-	})
+	op := qp.newOp(opFetchAdd, true)
+	op.weight, op.initWeight = w, w
+	op.region, op.off = r, off
+	op.delta = delta
+	op.u64CB = cb
+	qp.initiate(op)
 	return nil
 }
 
@@ -756,19 +855,12 @@ func (qp *QP) CompareSwap(r *Region, off int, expect, swap int64, cb func(old in
 	if !qp.cross { // cross-shard: counted at arrival, on the target's shard
 		qp.target.stats.OneSidedTargeted++
 	}
-	qp.initiate(flowOp{
-		kind:       opCompareSwap,
-		control:    true,
-		qp:         qp,
-		weight:     w,
-		initWeight: w,
-		region:     r,
-		off:        off,
-		expect:     expect,
-		swap:       swap,
-		u64CB:      cb,
-		span:       qp.beginSpan(trace.OpCompareSwap, true),
-	})
+	op := qp.newOp(opCompareSwap, true)
+	op.weight, op.initWeight = w, w
+	op.region, op.off = r, off
+	op.expect, op.swap = expect, swap
+	op.u64CB = cb
+	qp.initiate(op)
 	return nil
 }
 
@@ -801,16 +893,11 @@ func (qp *QP) Send(payload any, size int, cb func()) error {
 	}
 
 	control := f.cfg.isControl(size)
-	op := flowOp{
-		kind:       opSend,
-		control:    control,
-		qp:         qp,
-		initWeight: initWeight,
-		size:       size,
-		payload:    payload,
-		doneCB:     cb,
-		span:       qp.beginSpan(trace.OpSend, control),
-	}
+	op := qp.newOp(opSend, control)
+	op.initWeight = initWeight
+	op.size = size
+	op.payload = payload
+	op.doneCB = cb
 	// SENDs are not flow-controlled: they enter the class's initiator-NIC
 	// stage directly.
 	pen := qp.initiator.qpPenalty(qp.id)

@@ -1,23 +1,24 @@
 package rdma
 
-// opFIFO is a queue of flow operations backed by a reusable slice; pop
+// opFIFO is a queue of flow-operation records backed by a reusable slice
+// of pointers (an entry is 8 bytes; the record itself never moves); pop
 // compacts lazily so steady-state traffic stops allocating once the
 // buffer reaches its high-water mark. It is the building block for the
 // per-QP pipeline-stage queues and the scheduler's per-initiator queues.
 type opFIFO struct {
-	ops  []flowOp
+	ops  []*flowOp
 	head int
 }
 
-func (q *opFIFO) push(op flowOp) { q.ops = append(q.ops, op) }
+func (q *opFIFO) push(op *flowOp) { q.ops = append(q.ops, op) }
 
 func (q *opFIFO) empty() bool { return q.head >= len(q.ops) }
 
 func (q *opFIFO) size() int { return len(q.ops) - q.head }
 
-func (q *opFIFO) pop() flowOp {
+func (q *opFIFO) pop() *flowOp {
 	op := q.ops[q.head]
-	q.ops[q.head] = flowOp{}
+	q.ops[q.head] = nil
 	q.head++
 	if q.head >= len(q.ops) {
 		q.ops = q.ops[:0]
@@ -44,7 +45,7 @@ type dataQueue struct {
 }
 
 // rrScheduler arbitrates a node's bulk service among per-initiator queues.
-// The operation in service is parked in current/currentQ and completed by
+// The record in service is parked in current/currentQ and completed by
 // the bound onServedFn callback, so dispatching allocates nothing per op.
 type rrScheduler struct {
 	node      *Node
@@ -52,7 +53,7 @@ type rrScheduler struct {
 	next      int
 	inService bool
 
-	current    flowOp
+	current    *flowOp
 	currentQ   *dataQueue
 	onServedFn func()
 }
@@ -63,7 +64,7 @@ func newDataQueue(release func()) *dataQueue {
 }
 
 // enqueue adds an operation and kicks the scheduler.
-func (s *rrScheduler) enqueue(q *dataQueue, op flowOp) {
+func (s *rrScheduler) enqueue(q *dataQueue, op *flowOp) {
 	q.push(op)
 	if !q.inRing {
 		q.inRing = true
@@ -111,13 +112,10 @@ func (s *rrScheduler) pump() {
 func (s *rrScheduler) onServed() {
 	op := s.current
 	q := s.currentQ
-	s.current = flowOp{}
+	s.current = nil
 	s.currentQ = nil
 	if op.kind == opFunc {
 		s.node.prof.countKind(opFunc)
-		if op.applyFn != nil {
-			op.applyFn()
-		}
 		if op.completeFn != nil {
 			// opFunc injectors (background jobs) are always same-shard:
 			// their private initiators are assigned to the target's shard.
@@ -126,6 +124,7 @@ func (s *rrScheduler) onServed() {
 			f := s.node.fabric
 			s.node.k.Schedule(f.cfg.PropagationDelay+f.wireExtra(s.node.k), op.completeFn)
 		}
+		s.node.pool.put(op) // the injector's kernel is this one, see above
 	} else {
 		op.qp.serveOp(op)
 	}

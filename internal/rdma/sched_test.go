@@ -132,7 +132,7 @@ func TestDataQueueCompaction(t *testing.T) {
 	pushed, popped := 0, 0
 	for i := 0; i < 10000; i++ {
 		if q.empty() || rng.Intn(2) == 0 {
-			q.push(flowOp{weight: float64(pushed)})
+			q.push(&flowOp{weight: float64(pushed)})
 			pushed++
 		} else {
 			op := q.pop()

@@ -50,8 +50,9 @@
 package shard
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"github.com/haechi-qos/haechi/internal/parallel"
 	"github.com/haechi-qos/haechi/internal/sanitize"
@@ -89,6 +90,10 @@ type Group struct {
 	horizon sim.Time
 	running bool
 	stopped bool
+
+	// runShardFn is g.runShard, bound once so a quantum hands the pool a
+	// ready func value.
+	runShardFn func(int)
 
 	// Diagnostics, all deterministic.
 	quanta  uint64
@@ -137,6 +142,7 @@ func New(kernels []*sim.Kernel, delta sim.Time, workers int) (*Group, error) {
 	for s := range g.outbox {
 		g.outbox[s] = make([][]message, n)
 	}
+	g.runShardFn = g.runShard
 	return g, nil
 }
 
@@ -243,7 +249,7 @@ func (g *Group) RunUntil(t sim.Time) {
 		}
 		g.horizon = h
 		g.running = true
-		g.pool.Run(len(g.kernels), g.runShard)
+		g.pool.Run(len(g.kernels), g.runShardFn)
 		g.running = false
 		g.quanta++
 	}
@@ -299,15 +305,9 @@ func (g *Group) inject() {
 		if len(pending) == 0 {
 			continue
 		}
-		sort.Slice(pending, func(a, b int) bool {
-			if pending[a].at != pending[b].at {
-				return pending[a].at < pending[b].at
-			}
-			if pending[a].seq != pending[b].seq {
-				return pending[a].seq < pending[b].seq
-			}
-			return pending[a].src < pending[b].src
-		})
+		if len(pending) > 1 { // almost every batch is a single message
+			slices.SortFunc(pending, compareMessages)
+		}
 		if g.san != nil {
 			g.checkMailbox(dst, pending)
 		}
@@ -318,6 +318,17 @@ func (g *Group) inject() {
 		g.cross += uint64(len(pending))
 		g.scratch = pending[:0]
 	}
+}
+
+// compareMessages is the mailbox delivery order: (at, seq, src).
+func compareMessages(a, b message) int {
+	if c := cmp.Compare(a.at, b.at); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.seq, b.seq); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.src, b.src)
 }
 
 // checkMailbox asserts that a destination's sorted mailbox batch is

@@ -188,6 +188,7 @@ type Ticker struct {
 	k        *Kernel
 	interval Time
 	fn       func()
+	tickFn   func() // t.tick, bound once: rescheduling allocates nothing
 	timer    Timer
 	stopped  bool
 }
@@ -199,7 +200,8 @@ func (k *Kernel) Every(start, interval Time, fn func()) (*Ticker, error) {
 		return nil, fmt.Errorf("sim: ticker interval must be positive, got %v", interval)
 	}
 	t := &Ticker{k: k, interval: interval, fn: fn}
-	t.timer = k.Schedule(start, t.tick)
+	t.tickFn = t.tick
+	t.timer = k.Schedule(start, t.tickFn)
 	return t, nil
 }
 
@@ -209,7 +211,7 @@ func (t *Ticker) tick() {
 	}
 	t.fn()
 	if !t.stopped { // fn may have stopped the ticker
-		t.timer = t.k.Schedule(t.interval, t.tick)
+		t.timer = t.k.Schedule(t.interval, t.tickFn)
 	}
 }
 

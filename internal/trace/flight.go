@@ -25,8 +25,8 @@ type StageStats struct {
 }
 
 // Histograms returns the stage histograms in StageNames order.
-func (s *StageStats) Histograms() []*metrics.Histogram {
-	return []*metrics.Histogram{
+func (s *StageStats) Histograms() [len(StageNames)]*metrics.Histogram {
+	return [...]*metrics.Histogram{
 		&s.CreditWait,
 		&s.InitNIC,
 		&s.Wire,
@@ -101,16 +101,18 @@ func NewShardFlightRecorder(capacity, s int) (*FlightRecorder, error) {
 	return fr, nil
 }
 
-// Begin starts a span for a verb posted at virtual time at. It returns
-// nil on a nil recorder, so instrumentation sites guard with a single
-// `if sp != nil` per stamp.
-func (f *FlightRecorder) Begin(op Op, control bool, initiator, target string, qp int, at sim.Time) *Span {
+// Begin starts a span for a verb posted at virtual time at, in storage
+// the caller owns (the fabric keeps it inside the verb's pooled record,
+// so recording allocates nothing per verb); every field of *sp is
+// overwritten. It returns sp, or nil on a nil recorder, so
+// instrumentation sites guard with a single `if sp != nil` per stamp.
+func (f *FlightRecorder) Begin(sp *Span, op Op, control bool, initiator, target string, qp int, at sim.Time) *Span {
 	if f == nil {
 		return nil
 	}
 	f.nextID++
 	f.started++
-	return &Span{
+	*sp = Span{
 		ID:        f.idBase + f.nextID,
 		Shard:     f.shard,
 		Op:        op,
@@ -126,10 +128,12 @@ func (f *FlightRecorder) Begin(op Op, control bool, initiator, target string, qp
 		Served:    Unset,
 		Done:      Unset,
 	}
+	return sp
 }
 
 // Finish records a completed span: it is copied into the ring and, for
-// data spans, its stage durations feed the initiator's histograms.
+// data spans, its stage durations feed the initiator's histograms. The
+// recorder keeps no reference to sp, whose storage may be reused at once.
 func (f *FlightRecorder) Finish(sp *Span) {
 	if f == nil || sp == nil {
 		return

@@ -20,7 +20,7 @@ func TestFlightRecorderValidation(t *testing.T) {
 
 func TestFlightRecorderNilSafe(t *testing.T) {
 	var fr *FlightRecorder
-	if sp := fr.Begin(OpRead, false, "a", "b", 1, 0); sp != nil {
+	if sp := fr.Begin(new(Span), OpRead, false, "a", "b", 1, 0); sp != nil {
 		t.Error("nil recorder returned a span")
 	}
 	fr.Finish(nil) // must not panic
@@ -38,7 +38,7 @@ func TestFlightRingEvictionKeepsHistogramsExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 6; i++ {
-		sp := fr.Begin(OpRead, false, "c1", "dn", 1, 0)
+		sp := fr.Begin(new(Span), OpRead, false, "c1", "dn", 1, 0)
 		sp.Done = 100
 		fr.Finish(sp)
 	}
@@ -70,11 +70,11 @@ func TestFlightStagesSortedAndControlExcluded(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, actor := range []string{"zeta", "alpha"} {
-		sp := fr.Begin(OpWrite, false, actor, "dn", 1, 0)
+		sp := fr.Begin(new(Span), OpWrite, false, actor, "dn", 1, 0)
 		sp.Done = 50
 		fr.Finish(sp)
 	}
-	ctrl := fr.Begin(OpFetchAdd, true, "omega", "dn", 2, 0)
+	ctrl := fr.Begin(new(Span), OpFetchAdd, true, "omega", "dn", 2, 0)
 	ctrl.Done = 10
 	fr.Finish(ctrl)
 	st := fr.Stages()
@@ -91,15 +91,9 @@ func TestSpanStageDurations(t *testing.T) {
 		Posted: 100, Credit: 110, InitDone: 150, Arrived: 160,
 		Service: 200, Served: 240, Done: 250,
 	}
-	want := []int64{10, 40, 10, 40, 40, 10, 150}
-	got := sp.StageDurations()
-	if len(got) != len(StageNames) {
-		t.Fatalf("StageDurations len %d != StageNames len %d", len(got), len(StageNames))
-	}
-	for i, w := range want {
-		if int64(got[i]) != w {
-			t.Errorf("%s = %d, want %d", StageNames[i], int64(got[i]), w)
-		}
+	want := [len(StageNames)]sim.Time{10, 40, 10, 40, 40, 10, 150}
+	if got := sp.StageDurations(); got != want {
+		t.Errorf("StageDurations = %v, want %v (stages %v)", got, want, StageNames)
 	}
 	// A control span (stages skipped) reports Unset for them and still
 	// has a total.
@@ -111,6 +105,40 @@ func TestSpanStageDurations(t *testing.T) {
 	if cp.Total() != 60 {
 		t.Errorf("control total = %d, want 60", int64(cp.Total()))
 	}
+	// End is the last stage stamped, whichever that is.
+	partial := Span{Posted: 5, Credit: Unset, InitDone: Unset, Arrived: Unset,
+		Service: Unset, Served: Unset, Done: Unset}
+	for _, step := range []struct {
+		stamp *sim.Time
+		at    sim.Time
+	}{
+		{&partial.Posted, 5}, {&partial.Credit, 6}, {&partial.InitDone, 7}, {&partial.Arrived, 8},
+		{&partial.Service, 9}, {&partial.Served, 10}, {&partial.Done, 11},
+	} {
+		*step.stamp = step.at
+		if got := partial.End(); got != step.at {
+			t.Errorf("End() = %d after stamping %d", int64(got), int64(step.at))
+		}
+	}
+}
+
+// TestFlightRecordingNoAlloc pins that a span begun in caller-owned
+// storage and finished into a warm recorder allocates nothing.
+func TestFlightRecordingNoAlloc(t *testing.T) {
+	fr, err := NewFlightRecorder(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var store Span
+	record := func() {
+		sp := fr.Begin(&store, OpRead, false, "c1", "dn", 1, 100)
+		sp.Credit, sp.InitDone, sp.Arrived, sp.Service, sp.Served, sp.Done = 110, 150, 160, 200, 240, 250
+		fr.Finish(sp)
+	}
+	record() // creates c1's StageStats
+	if n := testing.AllocsPerRun(100, record); n != 0 {
+		t.Errorf("Begin+Finish allocates %v objects per span, want 0", n)
+	}
 }
 
 func TestWriteChromeTrace(t *testing.T) {
@@ -118,10 +146,10 @@ func TestWriteChromeTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp := fr.Begin(OpRead, false, "c1", "dn", 1, 100)
+	sp := fr.Begin(new(Span), OpRead, false, "c1", "dn", 1, 100)
 	sp.Credit, sp.InitDone, sp.Arrived, sp.Service, sp.Served, sp.Done = 110, 150, 160, 200, 240, 250
 	fr.Finish(sp)
-	cp := fr.Begin(OpFetchAdd, true, "c1", "dn", 1, 300)
+	cp := fr.Begin(new(Span), OpFetchAdd, true, "c1", "dn", 1, 300)
 	cp.InitDone, cp.Arrived, cp.Served, cp.Done = 320, 330, 350, 360
 	fr.Finish(cp)
 	rec, err := NewRecorder(4)
@@ -254,7 +282,7 @@ func TestMergeFlightRecorders(t *testing.T) {
 		return fr
 	}
 	finish := func(fr *FlightRecorder, actor string, done int64) *Span {
-		sp := fr.Begin(OpRead, false, actor, "dn", 1, 0)
+		sp := fr.Begin(new(Span), OpRead, false, actor, "dn", 1, 0)
 		sp.Done = sim.Time(done)
 		fr.Finish(sp)
 		return sp
@@ -320,7 +348,7 @@ func TestFlightRecorderDropped(t *testing.T) {
 		t.Errorf("fresh recorder Dropped() = %d, want 0", fr.Dropped())
 	}
 	for i := 0; i < 5; i++ {
-		sp := fr.Begin(OpWrite, false, "c1", "dn", 1, 0)
+		sp := fr.Begin(new(Span), OpWrite, false, "c1", "dn", 1, 0)
 		sp.Done = 10
 		fr.Finish(sp)
 	}
@@ -342,10 +370,10 @@ func TestWriteChromeTraceSharded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp := fr0.Begin(OpRead, false, "c1", "dn", 7, 100)
+	sp := fr0.Begin(new(Span), OpRead, false, "c1", "dn", 7, 100)
 	sp.Done = 150
 	fr0.Finish(sp)
-	sp = fr1.Begin(OpWrite, false, "c2", "dn", 9, 120)
+	sp = fr1.Begin(new(Span), OpWrite, false, "c2", "dn", 9, 120)
 	sp.Done = 180
 	fr1.Finish(sp)
 	m := MergeFlightRecorders(fr0, fr1)

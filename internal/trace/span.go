@@ -79,9 +79,9 @@ type Span struct {
 }
 
 // StageNames lists the per-stage latency components of a data span, in
-// pipeline order, followed by the end-to-end total. The slice is
+// pipeline order, followed by the end-to-end total. The array is
 // parallel to Span.StageDurations and StageStats.Histograms.
-var StageNames = []string{
+var StageNames = [...]string{
 	"credit-wait",
 	"init-nic",
 	"wire",
@@ -93,10 +93,19 @@ var StageNames = []string{
 
 // End returns the last timestamp the span reached.
 func (s *Span) End() sim.Time {
-	for _, t := range []sim.Time{s.Done, s.Served, s.Service, s.Arrived, s.InitDone, s.Credit} {
-		if t >= 0 {
-			return t
-		}
+	switch {
+	case s.Done >= 0:
+		return s.Done
+	case s.Served >= 0:
+		return s.Served
+	case s.Service >= 0:
+		return s.Service
+	case s.Arrived >= 0:
+		return s.Arrived
+	case s.InitDone >= 0:
+		return s.InitDone
+	case s.Credit >= 0:
+		return s.Credit
 	}
 	return s.Posted
 }
@@ -137,8 +146,8 @@ func (s *Span) Total() sim.Time { return s.End() - s.Posted }
 
 // StageDurations returns the durations parallel to StageNames; entries
 // are Unset for stages the span did not traverse.
-func (s *Span) StageDurations() []sim.Time {
-	return []sim.Time{
+func (s *Span) StageDurations() [len(StageNames)]sim.Time {
+	return [...]sim.Time{
 		s.CreditWait(),
 		s.InitNIC(),
 		s.Wire(),
