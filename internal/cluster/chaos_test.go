@@ -215,6 +215,16 @@ func TestChaosRecoveryReport(t *testing.T) {
 	if v := cl.SanitizeViolations(); len(v) != 0 {
 		t.Errorf("sanitized run reported violations: %v", v)
 	}
+
+	// A request holds a completion slot only while it is posted, so through
+	// backlog, crash, outage and degradation no tenant's slot pool outgrows
+	// its engine's send queue — in particular the crashed tenant's: the
+	// thousands of arrivals its crash dropped left nothing behind.
+	for i, c := range cl.Clients() {
+		if peak := c.Gen.PeakOutstanding(); peak == 0 || peak > cfg.Params.SendQueueDepth {
+			t.Errorf("client %d: %d completion slots, want 1..%d (SendQueueDepth)", i, peak, cfg.Params.SendQueueDepth)
+		}
+	}
 }
 
 // TestChaosCatchesPostCrashCompletion proves the no-completion-after-

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -169,7 +170,14 @@ func New(cfg Config, specs []ClientSpec) (_ *Cluster, err error) {
 	if cfg.Records > cfg.Store.Capacity {
 		return nil, fmt.Errorf("cluster: %d records exceed store capacity %d", cfg.Records, cfg.Store.Capacity)
 	}
-	if err := store.Populate(cfg.Records, recordValue); err != nil {
+	// Every record is its key in the first 8 bytes and zeros after. Put
+	// copies the value into the store, so one buffer serves all of them.
+	value := make([]byte, rdma.DataIOSize)
+	err = store.Populate(cfg.Records, func(key uint64) []byte {
+		binary.LittleEndian.PutUint64(value, key)
+		return value
+	})
+	if err != nil {
 		return nil, err
 	}
 
@@ -253,15 +261,6 @@ func New(cfg Config, specs []ClientSpec) (_ *Cluster, err error) {
 		return nil, err
 	}
 	return c, nil
-}
-
-// recordValue deterministically fills a record from its key.
-func recordValue(key uint64) []byte {
-	v := make([]byte, rdma.DataIOSize)
-	for i := 0; i < 8; i++ {
-		v[i] = byte(key >> (8 * i))
-	}
-	return v
 }
 
 func (c *Cluster) addClient(i int, spec ClientSpec) error {
@@ -349,9 +348,17 @@ func (c *Cluster) addClient(i int, spec ClientSpec) error {
 		}
 	}
 
-	var submit workload.Submit
+	// The generator announces arrivals as counts and is asked for each
+	// request when it is posted. The QoS engine asks once it holds a token
+	// and a send-queue slot; Bare mode has no gate, so it asks on arrival.
+	k := node.Kernel()
+	var arrive workload.Arrive
 	if c.cfg.Mode == Bare {
-		submit = sender
+		arrive = func(n uint64) {
+			for now := k.Now(); n > 0; n-- {
+				sender(rt.Gen.Next(now))
+			}
+		}
 	} else {
 		grant, err := c.monitor.Admit(node, spec.Reservation)
 		if err != nil {
@@ -363,16 +370,19 @@ func (c *Cluster) addClient(i int, spec ClientSpec) error {
 		}
 		rt.Engine = engine
 		engine.SetSanitizer(c.sanFor(node.Shard()))
-		submit = engine.Request
+		arrive = engine.Arrive
 	}
 
 	// The generator lives on the client's own kernel so sharded runs keep
 	// each tenant's RNG stream and period events on its shard.
-	gen, err := workload.NewGenerator(node.Kernel(), c.cfg.Seed+int64(i)*7919, rt.Spec.Keys, rt.Spec.Pattern, c.cfg.Params.Period, submit)
+	gen, err := workload.NewGenerator(k, c.cfg.Seed+int64(i)*7919, rt.Spec.Keys, rt.Spec.Pattern, c.cfg.Params.Period, arrive)
 	if err != nil {
 		return err
 	}
 	rt.Gen = gen
+	if rt.Engine != nil {
+		rt.Engine.SetSource(gen.Next)
+	}
 
 	onPeriod := func(period int) {
 		c.harvest(rt, period)

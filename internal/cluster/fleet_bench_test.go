@@ -13,7 +13,7 @@ import (
 // BENCH_fleet.json: aggregate events per wall-second and resident bytes
 // per client at 10^3/10^4/10^5 clients, with the QP-context cache model
 // off and on. The committed baseline at the repo root is gated by
-// scripts/bench_gate.py on two machine-independent quantities:
+// scripts/bench_gate.py on three machine-independent quantities:
 //
 //   - events_per_client_ratio: events/sec at 10^5 clients relative to
 //     10^3 (cache off). Per-event cost must stay flat as the per-client
@@ -22,6 +22,8 @@ import (
 //   - the per-point simulated event counts, which are deterministic and
 //     must match the baseline exactly (any drift is a determinism
 //     regression, not noise).
+//   - bytes_per_client at 10^5 clients, against an absolute 16 KiB
+//     ceiling: a HeapAlloc difference, the same on any runner.
 //
 // Skips unless BENCH_FLEET_JSON names the output path, so normal `go
 // test` runs are unaffected.

@@ -12,7 +12,8 @@ import (
 
 // IOSender performs the actual one-sided data I/O once the engine has a
 // token for it (e.g. a kvstore one-sided GET). done must fire exactly once
-// at I/O completion.
+// at I/O completion, in post order. An engine passes the same done for
+// every I/O, so a sender may bind its completion callback once.
 type IOSender func(key uint64, done func())
 
 // ClientGrant is what admission hands a client: its identity and the
@@ -26,11 +27,11 @@ type ClientGrant struct {
 	QoSRegion *rdma.Region
 }
 
-// pendingReq is a request waiting for a token.
-type pendingReq struct {
-	key  uint64
-	done func()
-}
+// Source hands the engine its next request at the moment the engine posts
+// it: the key to read and the callback to invoke exactly once on
+// completion. arrivedAt is the instant that request was announced with
+// Arrive; requests are pulled in arrival order.
+type Source func(arrivedAt sim.Time) (key uint64, done func())
 
 // Engine is the client-side QoS engine (Section II-D): it admits
 // application requests only when backed by a token, manages the
@@ -48,6 +49,7 @@ type Engine struct {
 	qos       *rdma.Region
 	reportOff int
 	sender    IOSender
+	source    Source
 
 	// Period state.
 	periodIndex int
@@ -67,14 +69,14 @@ type Engine struct {
 	poolExhausted bool
 	reporting     bool
 
-	queue []pendingReq
-	head  int
-
-	// sendQ holds token-backed I/Os awaiting a send-queue slot; inflight
-	// counts I/Os posted to the NIC and not yet completed, bounded by
+	// Demand the engine has not posted yet is a count, not a list: waiting
+	// holds arrivals not yet backed by a token, backed those that consumed
+	// one and await a send-queue slot. A request becomes a key and a
+	// callback only when pump pulls it from the source. inflight counts
+	// I/Os posted to the NIC and not yet completed, bounded by
 	// Params.SendQueueDepth.
-	sendQ    []pendingReq
-	sendHead int
+	waiting  arrivals
+	backed   arrivals
 	inflight int
 
 	// inflightDone holds the completion callbacks of posted I/Os in post
@@ -237,20 +239,31 @@ func NewEngine(params Params, grant ClientGrant, node *rdma.Node, disp *rdma.Dis
 // ID returns the client's identity in the monitor's table.
 func (e *Engine) ID() int { return e.id }
 
-// Request submits one application I/O. It is served as soon as the engine
-// holds a token for it; otherwise it queues ("The I/O sender function in
-// the QoS engine will reject I/Os that are not backed by a token").
-func (e *Engine) Request(key uint64, done func()) {
+// SetSource installs the source the engine pulls requests from. It must be
+// set before the first Arrive.
+func (e *Engine) SetSource(src Source) { e.source = src }
+
+// Arrive announces n application I/Os arriving now. Each is posted as soon
+// as the engine holds a token for it; until then it waits as part of a
+// count ("The I/O sender function in the QoS engine will reject I/Os that
+// are not backed by a token"). The dispatch path runs once per arrival, as
+// if the n had been announced one by one, so claims, throttle counts and
+// posts are those of n single arrivals; what n arrivals do not cost is n
+// of anything stored.
+func (e *Engine) Arrive(n uint64) {
 	if e.crashed {
 		return
 	}
-	e.totalRequested++
-	e.queue = append(e.queue, pendingReq{key: key, done: done})
-	e.drain()
+	e.totalRequested += n
+	now := e.k.Now()
+	for ; n > 0; n-- {
+		e.waiting.push(now)
+		e.drain()
+	}
 }
 
 // Pending returns the number of requests waiting for tokens.
-func (e *Engine) Pending() int { return len(e.queue) - e.head }
+func (e *Engine) Pending() int { return int(e.waiting.n) }
 
 // ReservationTokens returns the current xi_reservation.
 func (e *Engine) ReservationTokens() int64 { return e.resTokens }
@@ -267,7 +280,8 @@ func (e *Engine) TotalCompleted() uint64 { return e.totalCompleted }
 // PeriodIndex returns the current QoS period number (0 before the first).
 func (e *Engine) PeriodIndex() int { return e.periodIndex }
 
-// Stop halts the engine's tickers; queued requests are abandoned.
+// Stop halts the engine's tickers. Arrivals still waiting stay counted in
+// Pending; without the tick nothing claims tokens for them any more.
 func (e *Engine) Stop() {
 	e.tick.Stop()
 	if e.reportTicker != nil {
@@ -278,12 +292,13 @@ func (e *Engine) Stop() {
 
 // Crash simulates a client failure for fault injection: the engine stops
 // all protocol activity (ticks, reports, claims) and silently drops its
-// queued and future requests. The monitor's failure detection should
-// reclaim the client's reservation after its grace window. Held tokens
-// move into quarantine so the conservation identity survives the crash
-// window; I/Os already posted to the NIC may still complete (they were on
-// the wire), but any completion beyond that count is a protocol violation
-// (the "post-crash-completion" invariant).
+// unposted and future arrivals — they were counts, so nothing of them
+// remains in the engine or its source. The monitor's failure detection
+// should reclaim the client's reservation after its grace window. Held
+// tokens move into quarantine so the conservation identity survives the
+// crash window; I/Os already posted to the NIC may still complete (they
+// were on the wire), but any completion beyond that count is a protocol
+// violation (the "post-crash-completion" invariant).
 func (e *Engine) Crash() {
 	if e.crashed {
 		return
@@ -302,8 +317,8 @@ func (e *Engine) Crash() {
 	e.localGlobal = 0
 	e.crashInflight = e.inflight
 	e.postCrashDone = 0
-	e.queue, e.head = nil, 0
-	e.sendQ, e.sendHead = nil, 0
+	e.waiting = arrivals{}
+	e.backed = arrivals{}
 	e.savedOnPeriodStart = e.OnPeriodStart
 	e.OnPeriodStart = nil
 	if e.san != nil && e.periodIndex > 0 {
@@ -442,13 +457,13 @@ func (e *Engine) Crashed() bool { return e.crashed }
 // Degraded reports whether the engine is currently in local-token mode.
 func (e *Engine) Degraded() bool { return e.degraded }
 
-// drain admits queued requests while tokens allow (Fig. 3 flowchart):
+// drain admits waiting arrivals while tokens allow (Fig. 3 flowchart):
 // each admitted request consumes one token — Example 1's accounting, where
 // the residual reservation is R minus the demand already admitted — and
-// moves to the send queue, which paces actual posting.
+// moves to the token-backed count, which pump posts at send-queue pace.
 func (e *Engine) drain() {
 	defer e.pump()
-	for e.head < len(e.queue) {
+	for e.waiting.n > 0 {
 		if e.limit > 0 && e.dispatched >= e.limit {
 			// Limit reached: throttle until the next period.
 			e.limitThrottled++
@@ -475,42 +490,21 @@ func (e *Engine) drain() {
 			}
 			return
 		}
-		req := e.queue[e.head]
-		e.queue[e.head] = pendingReq{} // release references
-		e.head++
 		e.dispatched++
-		e.sendQ = append(e.sendQ, req)
+		e.backed.push(e.waiting.pop())
 	}
-	e.queue, e.head = compact(e.queue, e.head)
 }
 
-// pump posts token-backed I/Os to the NIC up to the send-queue depth.
+// pump posts token-backed I/Os to the NIC up to the send-queue depth. This
+// is where a request materialises: the source draws its key and takes its
+// completion slot here, so both are bounded by the send-queue depth.
 func (e *Engine) pump() {
-	for e.inflight < e.params.SendQueueDepth && e.sendHead < len(e.sendQ) {
-		req := e.sendQ[e.sendHead]
-		e.sendQ[e.sendHead] = pendingReq{}
-		e.sendHead++
+	for e.inflight < e.params.SendQueueDepth && e.backed.n > 0 {
 		e.inflight++
-		e.fire(req)
+		key, done := e.source(e.backed.pop())
+		e.inflightDone.push(done)
+		e.sender(key, e.onIODoneFn)
 	}
-	e.sendQ, e.sendHead = compact(e.sendQ, e.sendHead)
-}
-
-// compact reclaims the consumed prefix of a FIFO slice.
-func compact(q []pendingReq, head int) ([]pendingReq, int) {
-	if head == len(q) {
-		return q[:0], 0
-	}
-	if head > 64 && head*2 > len(q) {
-		n := copy(q, q[head:])
-		return q[:n], 0
-	}
-	return q, head
-}
-
-func (e *Engine) fire(req pendingReq) {
-	e.inflightDone.push(req.done)
-	e.sender(req.key, e.onIODoneFn)
 }
 
 // onIODone completes the oldest in-flight I/O (IOSender completions are
@@ -854,6 +848,50 @@ func (e *Engine) handleAlert(_ *rdma.Node, body any) {
 	if e.OnAlert != nil {
 		e.OnAlert(m.ConsecutivePeriods)
 	}
+}
+
+// arrivals is a FIFO of requests known only by when they arrived, kept as
+// runs of (instant, count): a burst of any size announced at one instant
+// is one entry, so a backlog costs memory per distinct arrival time, not
+// per request.
+type arrivals struct {
+	runs []arrivalRun
+	head int
+	n    uint64 // requests across all runs
+}
+
+type arrivalRun struct {
+	at    sim.Time
+	count uint64
+}
+
+// push appends one request that arrived at at (never earlier than the
+// newest one queued).
+func (q *arrivals) push(at sim.Time) {
+	q.n++
+	if last := len(q.runs) - 1; last >= q.head && q.runs[last].at == at {
+		q.runs[last].count++
+		return
+	}
+	q.runs = append(q.runs, arrivalRun{at: at, count: 1})
+}
+
+// pop removes the oldest request and returns its arrival instant.
+func (q *arrivals) pop() sim.Time {
+	q.n--
+	r := &q.runs[q.head]
+	at := r.at
+	if r.count--; r.count > 0 {
+		return at
+	}
+	q.head++
+	if q.head == len(q.runs) {
+		q.runs, q.head = q.runs[:0], 0
+	} else if q.head > 64 && q.head*2 > len(q.runs) {
+		q.runs = q.runs[:copy(q.runs, q.runs[q.head:])]
+		q.head = 0
+	}
+	return at
 }
 
 // fnFIFO is a queue of callbacks backed by a reusable slice; pop compacts

@@ -52,6 +52,15 @@ type burstLoop struct {
 	target      int
 	issued      int
 	outstanding int
+	pulled      uint64
+}
+
+// drive attaches a burstLoop to e as its period hook and request source.
+func drive(e *Engine, window int, demand func(period int) int) *burstLoop {
+	b := &burstLoop{e: e, window: window, demand: demand}
+	e.OnPeriodStart = b.begin
+	e.SetSource(b.next)
+	return b
 }
 
 func (b *burstLoop) begin(period int) {
@@ -64,11 +73,19 @@ func (b *burstLoop) fill() {
 	for b.outstanding < b.window && b.issued < b.target {
 		b.issued++
 		b.outstanding++
-		b.e.Request(uint64(b.issued), func() {
-			b.outstanding--
-			b.fill()
-		})
+		b.e.Arrive(1)
 	}
+}
+
+// next is the engine's source: requests carry no state but their number.
+func (b *burstLoop) next(sim.Time) (uint64, func()) {
+	b.pulled++
+	return b.pulled, b.onDone
+}
+
+func (b *burstLoop) onDone() {
+	b.outstanding--
+	b.fill()
 }
 
 // newQoSHarness builds a data node plus one engine per reservation; each
@@ -133,8 +150,7 @@ func newQoSHarnessSigma(t *testing.T, params Params, reservations []int64, deman
 		if err != nil {
 			t.Fatal(err)
 		}
-		drv := &burstLoop{e: eng, window: 1 << 30, demand: func(p int) int { return demand(i, p) }}
-		eng.OnPeriodStart = drv.begin
+		drv := drive(eng, 1<<30, func(p int) int { return demand(i, p) })
 		h.engines = append(h.engines, eng)
 		h.drivers = append(h.drivers, drv)
 	}
@@ -396,8 +412,7 @@ func TestLimitEnforced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	drv := &burstLoop{e: eng, window: 1 << 30, demand: func(int) int { return 3000 }}
-	eng.OnPeriodStart = drv.begin
+	drive(eng, 1<<30, func(int) int { return 3000 })
 	if err := mon.Start(); err != nil {
 		t.Fatal(err)
 	}

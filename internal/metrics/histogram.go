@@ -20,13 +20,17 @@ const subBucketBits = 6
 const subBuckets = 1 << subBucketBits
 
 // Histogram records non-negative durations with logarithmic bucketing.
-// The zero value is ready to use.
+// The zero value is ready to use. Each power of two's sub-bucket row is
+// allocated on its first sample: latencies span a handful of octaves, so
+// an idle tenant's histogram costs the row table (512 B), not the 32 KB of
+// a dense bucket array. A Histogram holds pointers to its rows and must
+// not be copied by value once it has samples.
 type Histogram struct {
-	counts [64 * subBuckets]uint64
-	total  uint64
-	sum    float64
-	min    sim.Time
-	max    sim.Time
+	rows  [64]*[subBuckets]uint64 // rows[i>>subBucketBits][i&(subBuckets-1)] is bucket i
+	total uint64
+	sum   float64
+	min   sim.Time
+	max   sim.Time
 }
 
 func bucketIndex(v sim.Time) int {
@@ -48,6 +52,14 @@ func bucketLow(i int) sim.Time {
 	return sim.Time((uint64(subBuckets) + uint64(mant)) << uint(exp))
 }
 
+// row returns octave r's sub-bucket counters, allocating them on first use.
+func (h *Histogram) row(r int) *[subBuckets]uint64 {
+	if h.rows[r] == nil {
+		h.rows[r] = new([subBuckets]uint64)
+	}
+	return h.rows[r]
+}
+
 // Record adds one sample. Negative samples are clamped to zero.
 func (h *Histogram) Record(v sim.Time) {
 	if v < 0 {
@@ -59,7 +71,8 @@ func (h *Histogram) Record(v sim.Time) {
 	if v > h.max {
 		h.max = v
 	}
-	h.counts[bucketIndex(v)]++
+	i := bucketIndex(v)
+	h.row(i >> subBucketBits)[i&(subBuckets-1)]++
 	h.total++
 	h.sum += float64(v)
 }
@@ -100,21 +113,26 @@ func (h *Histogram) Percentile(p float64) sim.Time {
 		rank = 1
 	}
 	var seen uint64
-	for i, c := range h.counts {
-		seen += c
-		if seen >= rank {
-			if seen == h.total {
-				// The rank falls in the final occupied bucket; the true
-				// max is known exactly.
-				return h.max
+	for r, row := range h.rows {
+		if row == nil {
+			continue
+		}
+		for j, c := range row {
+			seen += c
+			if seen >= rank {
+				if seen == h.total {
+					// The rank falls in the final occupied bucket; the true
+					// max is known exactly.
+					return h.max
+				}
+				v := bucketLow(r<<subBucketBits | j)
+				// A bucket lower bound can undershoot the true smallest
+				// sample; clamp so results stay within [min, max].
+				if v < h.min {
+					v = h.min
+				}
+				return v
 			}
-			v := bucketLow(i)
-			// A bucket lower bound can undershoot the true smallest
-			// sample; clamp so results stay within [min, max].
-			if v < h.min {
-				v = h.min
-			}
-			return v
 		}
 	}
 	return h.max
@@ -131,8 +149,14 @@ func (h *Histogram) Merge(other *Histogram) {
 	if other.max > h.max {
 		h.max = other.max
 	}
-	for i, c := range other.counts {
-		h.counts[i] += c
+	for r, from := range other.rows {
+		if from == nil {
+			continue
+		}
+		to := h.row(r)
+		for j, c := range from {
+			to[j] += c
+		}
 	}
 	h.total += other.total
 	h.sum += other.sum

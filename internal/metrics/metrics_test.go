@@ -1,10 +1,12 @@
 package metrics
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"github.com/haechi-qos/haechi/internal/sim"
 )
@@ -218,4 +220,130 @@ func TestPeriodLog(t *testing.T) {
 	if p.Mean() != 100 {
 		t.Errorf("Mean = %v", p.Mean())
 	}
+}
+
+// denseHistogram is the reference the sparse Histogram must agree with: the
+// same bucketing over one flat counter array (the layout Histogram had
+// before its rows became lazy).
+type denseHistogram struct {
+	counts   [64 * subBuckets]uint64
+	total    uint64
+	sum      float64
+	min, max sim.Time
+}
+
+func (h *denseHistogram) record(v sim.Time) {
+	if h.total == 0 || v < h.min {
+		h.min = v
+	}
+	if v > h.max {
+		h.max = v
+	}
+	h.counts[bucketIndex(v)]++
+	h.total++
+	h.sum += float64(v)
+}
+
+func (h *denseHistogram) merge(o *denseHistogram) {
+	if o.total == 0 {
+		return
+	}
+	if h.total == 0 || o.min < h.min {
+		h.min = o.min
+	}
+	if o.max > h.max {
+		h.max = o.max
+	}
+	for i, c := range o.counts {
+		h.counts[i] += c
+	}
+	h.total += o.total
+	h.sum += o.sum
+}
+
+func (h *denseHistogram) percentile(p float64) sim.Time {
+	if h.total == 0 {
+		return 0
+	}
+	if p <= 0 {
+		return h.min
+	}
+	if p >= 100 {
+		return h.max
+	}
+	rank := uint64(math.Ceil(p / 100 * float64(h.total)))
+	if rank == 0 {
+		rank = 1
+	}
+	var seen uint64
+	for i, c := range h.counts {
+		seen += c
+		if seen >= rank {
+			if seen == h.total {
+				return h.max
+			}
+			v := bucketLow(i)
+			if v < h.min {
+				v = h.min
+			}
+			return v
+		}
+	}
+	return h.max
+}
+
+// TestHistogramSparseMatchesDense: allocating an octave's counters on its
+// first sample changes no answer. 10^5 log-uniform samples over 1 ns–10 s
+// cover every octave a simulated latency can land in.
+func TestHistogramSparseMatchesDense(t *testing.T) {
+	if sz := unsafe.Sizeof(Histogram{}); sz > 1024 {
+		t.Errorf("empty Histogram is %d bytes, want <= 1024", sz)
+	}
+	rng := rand.New(rand.NewSource(7))
+	draw := func() sim.Time {
+		return sim.Time(math.Exp(rng.Float64() * math.Log(1e10))) // 1 ns .. 10 s
+	}
+	agree := func(label string, h *Histogram, d *denseHistogram) {
+		t.Helper()
+		var mean sim.Time
+		if d.total > 0 {
+			mean = sim.Time(d.sum / float64(d.total))
+		}
+		if h.Count() != d.total || h.Mean() != mean || h.Min() != d.min || h.Max() != d.max {
+			t.Fatalf("%s: count/mean/min/max = %d/%v/%v/%v, dense %d/%v/%v/%v", label,
+				h.Count(), h.Mean(), h.Min(), h.Max(), d.total, mean, d.min, d.max)
+		}
+		for p := 0.0; p <= 100; p += 0.05 {
+			if got, want := h.Percentile(p), d.percentile(p); got != want {
+				t.Fatalf("%s: Percentile(%v) = %v, dense %v", label, p, got, want)
+			}
+		}
+	}
+	var a, b Histogram
+	var da, db denseHistogram
+	agree("empty", &a, &da)
+	for i := 0; i < 100_000; i++ {
+		v := draw()
+		if i%3 == 0 {
+			b.Record(v)
+			db.record(v)
+		} else {
+			a.Record(v)
+			da.record(v)
+		}
+	}
+	agree("a", &a, &da)
+	agree("b", &b, &db)
+	a.Merge(&b)
+	da.merge(&db)
+	agree("a+b", &a, &da)
+	var empty Histogram
+	empty.Merge(&b) // merging into a histogram with no rows allocates them
+	agree("0+b", &empty, &db)
+	a.Reset()
+	da = denseHistogram{}
+	agree("reset", &a, &da)
+	a.Record(5)
+	da.record(5)
+	agree("after reset", &a, &da)
 }

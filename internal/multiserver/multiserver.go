@@ -85,6 +85,9 @@ type client struct {
 	// routed counts requests routed to each server since the last
 	// rebalance round.
 	routed []uint64
+	// queues[s] holds the requests routed to server s that its engine has
+	// not posted yet; it is that engine's source.
+	queues []routedFIFO
 
 	// Periods logs total completions per period once measuring.
 	Periods   metrics.PeriodLog
@@ -234,6 +237,7 @@ func (mc *Cluster) addClient(i int, spec ClientSpec) error {
 		node:         node,
 		perServerRes: splitEqually(spec.TotalReservation, cfg.Servers),
 		routed:       make([]uint64, cfg.Servers),
+		queues:       make([]routedFIFO, cfg.Servers),
 	}
 	for s, srv := range mc.servers {
 		kv, err := kvstore.Attach(node, nil, srv.store)
@@ -245,8 +249,13 @@ func (mc *Cluster) addClient(i int, spec ClientSpec) error {
 		if err != nil {
 			return err
 		}
+		// The engine passes its one bound completion as done for every I/O
+		// (see core.IOSender), so the GET callback is built once.
+		var ioDone func()
+		onGet := func([]byte, error) { ioDone() }
 		sender := func(key uint64, done func()) {
-			_ = kv.Get(key, func([]byte, error) { done() })
+			ioDone = done
+			_ = kv.Get(key, onGet)
 		}
 		// Engines register sender-scoped handlers, so all S engines share
 		// this client node's dispatcher without clashing.
@@ -254,12 +263,17 @@ func (mc *Cluster) addClient(i int, spec ClientSpec) error {
 		if err != nil {
 			return err
 		}
+		queue := &cl.queues[s]
+		eng.SetSource(func(sim.Time) (uint64, func()) { return queue.pop() })
 		cl.engines = append(cl.engines, eng)
 		cl.kvs = append(cl.kvs, kv)
 	}
 
-	// The generator posts the client's whole demand; the submit function
-	// routes each key to its shard's engine.
+	// The generator announces the client's whole demand. Picking a server
+	// needs the key, so the router pulls every request as it arrives (which
+	// also stamps its latency start), queues it for its shard's engine and
+	// announces it there; the engine takes it back off the queue when it
+	// holds a token for it.
 	keys := spec.Keys
 	if keys == nil {
 		z, err := workload.NewScrambledZipfian(uint64(cfg.RecordsPerServer * cfg.Servers))
@@ -268,12 +282,16 @@ func (mc *Cluster) addClient(i int, spec ClientSpec) error {
 		}
 		keys = z
 	}
-	submit := func(key uint64, done func()) {
-		s := int(key % uint64(cfg.Servers))
-		cl.routed[s]++
-		cl.engines[s].Request(key, done)
+	route := func(n uint64) {
+		for now := mc.kernel.Now(); n > 0; n-- {
+			key, done := cl.gen.Next(now)
+			s := int(key % uint64(cfg.Servers))
+			cl.routed[s]++
+			cl.queues[s].push(routedReq{key: key, done: done})
+			cl.engines[s].Arrive(1)
+		}
 	}
-	gen, err := workload.NewGenerator(mc.kernel, cfg.Seed+int64(i)*104729, keys, workload.Burst{}, cfg.Params.Period, submit)
+	gen, err := workload.NewGenerator(mc.kernel, cfg.Seed+int64(i)*104729, keys, workload.Burst{}, cfg.Params.Period, route)
 	if err != nil {
 		return err
 	}
@@ -285,6 +303,35 @@ func (mc *Cluster) addClient(i int, spec ClientSpec) error {
 	}
 	mc.clients = append(mc.clients, cl)
 	return nil
+}
+
+// routedReq is a request whose key has been drawn and routed to a server
+// but which that server's engine has not posted yet.
+type routedReq struct {
+	key  uint64
+	done func()
+}
+
+// routedFIFO is a queue of routed requests backed by a reusable slice (the
+// pooled-FIFO idiom of core, sim and rdma).
+type routedFIFO struct {
+	reqs []routedReq
+	head int
+}
+
+func (q *routedFIFO) push(r routedReq) { q.reqs = append(q.reqs, r) }
+
+func (q *routedFIFO) pop() (uint64, func()) {
+	r := q.reqs[q.head]
+	q.reqs[q.head] = routedReq{}
+	q.head++
+	if q.head == len(q.reqs) {
+		q.reqs, q.head = q.reqs[:0], 0
+	} else if q.head > 64 && q.head*2 > len(q.reqs) {
+		q.reqs = q.reqs[:copy(q.reqs, q.reqs[q.head:])]
+		q.head = 0
+	}
+	return r.key, r.done
 }
 
 func splitEqually(total int64, n int) []int64 {

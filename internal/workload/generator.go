@@ -13,10 +13,11 @@ import (
 // profiling saturation throughput, Experiments 1A/1B).
 const InfiniteDemand = uint64(math.MaxUint32)
 
-// Submit delivers one request to the I/O path (the Haechi QoS engine, or
-// a bare sender). done must be invoked exactly once, when the I/O
-// completes.
-type Submit func(key uint64, done func())
+// Arrive announces that n requests arrived at the I/O path (the Haechi QoS
+// engine, or a bare sender) at the current instant. An arrival is only a
+// count: the I/O path owns its arrival time and calls Generator.Next once
+// per request, when it is ready to post it.
+type Arrive func(n uint64)
 
 // Pattern is a temporal request pattern: how a period's demand is spread
 // over the period.
@@ -43,13 +44,14 @@ var (
 // closed-loop form used for saturation profiling (Experiment 1A: "a
 // client sends an initial burst of 64 requests ... and subsequently keeps
 // 64 requests outstanding at all times"). With Window == 0 the entire
-// period demand is submitted at the start of the period, the form the QoS
+// period demand arrives at the start of the period, the form the QoS
 // experiments assume (Example 2: "all clients send a burst of R_i
-// requests at t = 0") — the QoS engine then owns the queueing. Window 0
-// requires finite demand (not InfiniteDemand).
+// requests at t = 0") — announced as one number, which the QoS engine
+// holds as a count until tokens back it. Window 0 requires finite demand
+// (not InfiniteDemand).
 type Burst struct {
-	// Window is the number of outstanding requests (0 = submit the whole
-	// demand up front).
+	// Window is the number of outstanding requests (0 = the whole demand
+	// arrives up front).
 	Window int
 }
 
@@ -68,15 +70,13 @@ func (b Burst) newDriver(g *Generator) driver {
 	return &burstDriver{g: g, window: b.Window}
 }
 
-// burstAllDriver submits the period's entire demand immediately.
+// burstAllDriver announces the period's entire demand in one call.
 type burstAllDriver struct {
 	g *Generator
 }
 
 func (d *burstAllDriver) beginPeriod(demand uint64) {
-	for i := uint64(0); i < demand; i++ {
-		d.g.issue()
-	}
+	d.g.announce(demand)
 }
 
 func (d *burstAllDriver) onCompletion() {}
@@ -101,7 +101,7 @@ func (d *burstDriver) fill() {
 	for d.outstanding < d.window && d.issued < d.target {
 		d.issued++
 		d.outstanding++
-		d.g.issue()
+		d.g.announce(1)
 	}
 }
 
@@ -147,7 +147,7 @@ func (d *constantRateDriver) beginPeriod(demand uint64) {
 			return
 		}
 		d.issued++
-		d.g.issue()
+		d.g.announce(1)
 	})
 	if err == nil {
 		d.ticker = t
@@ -163,28 +163,30 @@ func (d *constantRateDriver) stop() {
 	}
 }
 
-// Generator drives one client's workload: it draws keys, issues requests
-// according to its pattern, and records completion latency (submission to
-// completion, including any token-wait queueing at the QoS engine — the
-// paper's Fig. 15 latencies include client-side queueing).
+// Generator drives one client's workload: it announces arrivals according
+// to its pattern, hands the I/O path one request at a time on demand
+// (Next), and records completion latency (arrival to completion, including
+// any token-wait queueing at the QoS engine — the paper's Fig. 15
+// latencies include client-side queueing).
 type Generator struct {
 	k         *sim.Kernel
 	rng       *rand.Rand
 	keys      KeyChooser
-	submit    Submit
+	arrive    Arrive
 	periodLen sim.Time
 
 	drv driver
 
 	Latency metrics.Histogram
 
-	// In-flight requests live in a slot pool: each slot carries the
-	// submission time and a completion callback bound once to the slot
-	// index and reused for every request that later occupies the slot.
-	// Unlike a FIFO of start times this stays correct when completions
-	// cross (multiserver routes one generator's keys to independent
-	// engines), and the pool stops allocating once it reaches the
-	// high-water outstanding count.
+	// Requests the I/O path has pulled and not yet completed live in a
+	// slot pool: each slot carries the arrival time and a completion
+	// callback bound once to the slot index and reused for every request
+	// that later occupies the slot. Unlike a FIFO of start times this
+	// stays correct when completions cross (multiserver routes one
+	// generator's keys to independent engines). A request that has arrived
+	// but not been pulled holds no slot, so the pool is bounded by what the
+	// I/O path keeps posted, not by the backlog.
 	slots []genSlot
 	free  []int32
 
@@ -199,9 +201,9 @@ type genSlot struct {
 }
 
 // NewGenerator builds a generator. periodLen is the QoS period length T.
-func NewGenerator(k *sim.Kernel, seed int64, keys KeyChooser, pattern Pattern, periodLen sim.Time, submit Submit) (*Generator, error) {
-	if k == nil || keys == nil || pattern == nil || submit == nil {
-		return nil, fmt.Errorf("workload: NewGenerator requires kernel, keys, pattern and submit")
+func NewGenerator(k *sim.Kernel, seed int64, keys KeyChooser, pattern Pattern, periodLen sim.Time, arrive Arrive) (*Generator, error) {
+	if k == nil || keys == nil || pattern == nil || arrive == nil {
+		return nil, fmt.Errorf("workload: NewGenerator requires kernel, keys, pattern and arrive")
 	}
 	if periodLen <= 0 {
 		return nil, fmt.Errorf("workload: period length must be positive, got %v", periodLen)
@@ -210,7 +212,7 @@ func NewGenerator(k *sim.Kernel, seed int64, keys KeyChooser, pattern Pattern, p
 		k:         k,
 		rng:       rand.New(rand.NewSource(seed)),
 		keys:      keys,
-		submit:    submit,
+		arrive:    arrive,
 		periodLen: periodLen,
 	}
 	g.drv = pattern.newDriver(g)
@@ -223,14 +225,18 @@ func (g *Generator) BeginPeriod(demand uint64) {
 	g.drv.beginPeriod(demand)
 }
 
-// Stop ceases issuing.
+// Stop ceases announcing arrivals.
 func (g *Generator) Stop() { g.drv.stop() }
 
-// Issued returns the total number of requests submitted.
+// Issued returns the total number of requests announced as arrived.
 func (g *Generator) Issued() uint64 { return g.issuedTotal }
 
 // Completed returns the total number of requests completed.
 func (g *Generator) Completed() uint64 { return g.completedTotal }
+
+// PeakOutstanding returns the most requests that were ever pulled and not
+// yet completed at one time — the size the completion-slot pool grew to.
+func (g *Generator) PeakOutstanding() int { return len(g.slots) }
 
 // TakePeriodCompleted returns and resets the completions since the last
 // call; the cluster harvests it at each period boundary.
@@ -240,8 +246,18 @@ func (g *Generator) TakePeriodCompleted() uint64 {
 	return c
 }
 
-func (g *Generator) issue() {
-	key := g.keys.Next(g.rng)
+func (g *Generator) announce(n uint64) {
+	g.issuedTotal += n
+	g.arrive(n)
+}
+
+// Next hands out the generator's next request: the next key of its stream
+// and the callback to invoke exactly once when the I/O completes. The I/O
+// path calls it at the moment it posts the request and passes the instant
+// that request arrived, which is where its latency starts; requests are
+// handed out in arrival order, so the k-th call returns the k-th key.
+func (g *Generator) Next(arrivedAt sim.Time) (key uint64, done func()) {
+	key = g.keys.Next(g.rng)
 	var s int32
 	if n := len(g.free); n > 0 {
 		s = g.free[n-1]
@@ -253,9 +269,8 @@ func (g *Generator) issue() {
 		// so pool growth relocating the slab is harmless.
 		g.slots[s].doneFn = func() { g.complete(i) }
 	}
-	g.slots[s].start = g.k.Now()
-	g.issuedTotal++
-	g.submit(key, g.slots[s].doneFn)
+	g.slots[s].start = arrivedAt
+	return key, g.slots[s].doneFn
 }
 
 func (g *Generator) complete(slot int32) {
@@ -269,7 +284,11 @@ func (g *Generator) complete(slot int32) {
 // Poisson is an open-loop pattern with exponentially distributed
 // inter-arrival times at rate demand/T — an extension beyond the paper's
 // two patterns, for workloads without periodic structure. The period's
-// demand sets the mean rate; the actual count per period varies.
+// demand sets the mean rate; the actual count per period varies. Gaps and
+// keys are drawn from the generator's one rand.Rand, and a key is drawn
+// when its request is pulled: behind a sink that pulls later than arrival
+// (a QoS engine waiting for a token) the interleaving of the two kinds of
+// draw, and with it the arrival instants, depends on when tokens came.
 type Poisson struct{}
 
 // String names the pattern.
@@ -305,7 +324,7 @@ func (d *poissonDriver) schedule() {
 		if d.stopped {
 			return
 		}
-		d.g.issue()
+		d.g.announce(1)
 		d.schedule()
 	})
 }

@@ -236,17 +236,32 @@ func TestZipfGroupSplitSumProperty(t *testing.T) {
 	}
 }
 
-// instantSubmit completes every request after a fixed simulated delay.
-func instantSubmit(k *sim.Kernel, delay sim.Time) Submit {
+// send posts one request; done must be called once when it completes.
+type send func(key uint64, done func())
+
+// instantSend completes every request after a fixed simulated delay.
+func instantSend(k *sim.Kernel, delay sim.Time) send {
 	return func(key uint64, done func()) {
 		k.Schedule(delay, done)
 	}
 }
 
+// newPulledGenerator builds a generator behind a gate-less sink: every
+// arrival is pulled and posted the instant it is announced.
+func newPulledGenerator(k *sim.Kernel, seed int64, keys KeyChooser, pattern Pattern, periodLen sim.Time, post send) (*Generator, error) {
+	var g *Generator
+	g, err := NewGenerator(k, seed, keys, pattern, periodLen, func(n uint64) {
+		for now := k.Now(); n > 0; n-- {
+			post(g.Next(now))
+		}
+	})
+	return g, err
+}
+
 func TestGeneratorValidation(t *testing.T) {
 	k := sim.New(1)
 	keys := &SequentialKeys{N: 10}
-	sub := instantSubmit(k, 1)
+	sub := func(uint64) {}
 	if _, err := NewGenerator(nil, 1, keys, Burst{64}, sim.Second, sub); err == nil {
 		t.Error("nil kernel accepted")
 	}
@@ -260,7 +275,7 @@ func TestGeneratorValidation(t *testing.T) {
 		t.Error("zero period accepted")
 	}
 	if _, err := NewGenerator(k, 1, keys, Burst{64}, sim.Second, nil); err == nil {
-		t.Error("nil submit accepted")
+		t.Error("nil arrive accepted")
 	}
 }
 
@@ -277,7 +292,7 @@ func TestBurstKeepsWindowOutstanding(t *testing.T) {
 			done()
 		})
 	}
-	g, err := NewGenerator(k, 1, &SequentialKeys{N: 100}, Burst{Window: 8}, sim.Second, sub)
+	g, err := newPulledGenerator(k, 1, &SequentialKeys{N: 100}, Burst{Window: 8}, sim.Second, sub)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +308,7 @@ func TestBurstKeepsWindowOutstanding(t *testing.T) {
 
 func TestBurstDefaultWindow(t *testing.T) {
 	k := sim.New(1)
-	g, err := NewGenerator(k, 1, &SequentialKeys{N: 10}, Burst{}, sim.Second, instantSubmit(k, 1))
+	g, err := newPulledGenerator(k, 1, &SequentialKeys{N: 10}, Burst{}, sim.Second, instantSend(k, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +321,7 @@ func TestBurstDefaultWindow(t *testing.T) {
 
 func TestBurstIdlesAfterDemand(t *testing.T) {
 	k := sim.New(1)
-	g, _ := NewGenerator(k, 1, &SequentialKeys{N: 100}, Burst{Window: 4}, sim.Second, instantSubmit(k, sim.Microsecond))
+	g, _ := newPulledGenerator(k, 1, &SequentialKeys{N: 100}, Burst{Window: 4}, sim.Second, instantSend(k, sim.Microsecond))
 	g.BeginPeriod(20)
 	k.Run()
 	if g.Issued() != 20 {
@@ -321,7 +336,7 @@ func TestConstantRateSpacing(t *testing.T) {
 		submitTimes = append(submitTimes, k.Now())
 		k.Schedule(1, done)
 	}
-	g, err := NewGenerator(k, 1, &SequentialKeys{N: 100}, ConstantRate{}, sim.Second, sub)
+	g, err := newPulledGenerator(k, 1, &SequentialKeys{N: 100}, ConstantRate{}, sim.Second, sub)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,7 +356,7 @@ func TestConstantRateSpacing(t *testing.T) {
 
 func TestConstantRateZeroDemand(t *testing.T) {
 	k := sim.New(1)
-	g, _ := NewGenerator(k, 1, &SequentialKeys{N: 100}, ConstantRate{}, sim.Second, instantSubmit(k, 1))
+	g, _ := newPulledGenerator(k, 1, &SequentialKeys{N: 100}, ConstantRate{}, sim.Second, instantSend(k, 1))
 	g.BeginPeriod(0)
 	k.RunUntil(sim.Second)
 	if g.Issued() != 0 {
@@ -351,7 +366,7 @@ func TestConstantRateZeroDemand(t *testing.T) {
 
 func TestConstantRateNewPeriodResets(t *testing.T) {
 	k := sim.New(1)
-	g, _ := NewGenerator(k, 1, &SequentialKeys{N: 100}, ConstantRate{}, 10*sim.Millisecond, instantSubmit(k, 1))
+	g, _ := newPulledGenerator(k, 1, &SequentialKeys{N: 100}, ConstantRate{}, 10*sim.Millisecond, instantSend(k, 1))
 	g.BeginPeriod(5)
 	k.RunUntil(10 * sim.Millisecond)
 	g.BeginPeriod(5)
@@ -370,7 +385,7 @@ func TestConstantRateNewPeriodResets(t *testing.T) {
 
 func TestGeneratorLatencyRecorded(t *testing.T) {
 	k := sim.New(1)
-	g, _ := NewGenerator(k, 1, &SequentialKeys{N: 10}, Burst{Window: 1}, sim.Second, instantSubmit(k, 5*sim.Microsecond))
+	g, _ := newPulledGenerator(k, 1, &SequentialKeys{N: 10}, Burst{Window: 1}, sim.Second, instantSend(k, 5*sim.Microsecond))
 	g.BeginPeriod(4)
 	k.Run()
 	if g.Latency.Count() != 4 {
@@ -383,7 +398,7 @@ func TestGeneratorLatencyRecorded(t *testing.T) {
 
 func TestGeneratorStop(t *testing.T) {
 	k := sim.New(1)
-	g, _ := NewGenerator(k, 1, &SequentialKeys{N: 100}, ConstantRate{}, sim.Second, instantSubmit(k, 1))
+	g, _ := newPulledGenerator(k, 1, &SequentialKeys{N: 100}, ConstantRate{}, sim.Second, instantSend(k, 1))
 	g.BeginPeriod(1000)
 	k.RunUntil(100 * sim.Millisecond)
 	issued := g.Issued()
@@ -405,7 +420,7 @@ func TestPatternStrings(t *testing.T) {
 
 func TestPoissonRate(t *testing.T) {
 	k := sim.New(8)
-	g, err := NewGenerator(k, 3, &SequentialKeys{N: 100}, Poisson{}, sim.Second, instantSubmit(k, 1))
+	g, err := newPulledGenerator(k, 3, &SequentialKeys{N: 100}, Poisson{}, sim.Second, instantSend(k, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -419,7 +434,7 @@ func TestPoissonRate(t *testing.T) {
 
 func TestPoissonZeroDemandAndStop(t *testing.T) {
 	k := sim.New(8)
-	g, _ := NewGenerator(k, 3, &SequentialKeys{N: 10}, Poisson{}, sim.Second, instantSubmit(k, 1))
+	g, _ := newPulledGenerator(k, 3, &SequentialKeys{N: 10}, Poisson{}, sim.Second, instantSend(k, 1))
 	g.BeginPeriod(0)
 	k.RunUntil(sim.Second / 2)
 	if g.Issued() != 0 {
@@ -437,7 +452,7 @@ func TestPoissonZeroDemandAndStop(t *testing.T) {
 
 func TestPoissonNewPeriodRestarts(t *testing.T) {
 	k := sim.New(8)
-	g, _ := NewGenerator(k, 3, &SequentialKeys{N: 10}, Poisson{}, 100*sim.Millisecond, instantSubmit(k, 1))
+	g, _ := newPulledGenerator(k, 3, &SequentialKeys{N: 10}, Poisson{}, 100*sim.Millisecond, instantSend(k, 1))
 	g.BeginPeriod(1000)
 	k.RunUntil(100 * sim.Millisecond)
 	first := g.Issued()
@@ -460,7 +475,7 @@ func TestPoissonInterArrivalProperty(t *testing.T) {
 		times = append(times, k.Now())
 		k.Schedule(1, done)
 	}
-	g, _ := NewGenerator(k, 9, &SequentialKeys{N: 10}, Poisson{}, sim.Second, sub)
+	g, _ := newPulledGenerator(k, 9, &SequentialKeys{N: 10}, Poisson{}, sim.Second, sub)
 	g.BeginPeriod(20_000)
 	k.RunUntil(sim.Second)
 	if len(times) < 1000 {
@@ -481,5 +496,123 @@ func TestPoissonInterArrivalProperty(t *testing.T) {
 	cv := math.Sqrt(varsum/float64(len(gaps))) / mean
 	if cv < 0.8 || cv > 1.2 {
 		t.Errorf("inter-arrival CV = %.2f, want ≈1 (exponential)", cv)
+	}
+}
+
+// TestDriversKeepPushContractArrivals pins the open-loop and windowed
+// drivers, behind a sink that pulls on arrival, to the arrival instants
+// and key sequence they produced when every request was pushed as a
+// (key, done) pair the moment it was wanted. The table is the first twelve
+// requests of each pattern recorded from that implementation (seed 42,
+// scrambled zipfian over 1000 keys, 24 requests per 1 ms period, 5 µs
+// service).
+func TestDriversKeepPushContractArrivals(t *testing.T) {
+	type arrival struct {
+		at  sim.Time
+		key uint64
+	}
+	cases := []struct {
+		pattern Pattern
+		issued  uint64
+		want    []arrival
+	}{
+		{ConstantRate{}, 24, []arrival{
+			{0, 61}, {41666, 405}, {83332, 684}, {124998, 223}, {166664, 405}, {208330, 61},
+			{249996, 817}, {291662, 61}, {333328, 61}, {374994, 633}, {416660, 290}, {458326, 223},
+		}},
+		{Poisson{}, 22, []arrival{
+			{20655, 405}, {27039, 223}, {31870, 61}, {67662, 61}, {125903, 633}, {271043, 223},
+			{317020, 405}, {330753, 717}, {338841, 321}, {388805, 139}, {394593, 587}, {415916, 223},
+		}},
+		{Burst{Window: 8}, 24, []arrival{
+			{0, 61}, {0, 405}, {0, 684}, {0, 223}, {0, 405}, {0, 61},
+			{0, 817}, {0, 61}, {5000, 61}, {5000, 633}, {5000, 290}, {5000, 223},
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.pattern.String(), func(t *testing.T) {
+			k := sim.New(1)
+			keys, err := NewScrambledZipfian(1000)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got []arrival
+			g, err := newPulledGenerator(k, 42, keys, tc.pattern, sim.Millisecond, func(key uint64, done func()) {
+				if len(got) < len(tc.want) {
+					got = append(got, arrival{k.Now(), key})
+				}
+				k.Schedule(5*sim.Microsecond, done)
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			g.BeginPeriod(24)
+			k.RunUntil(sim.Millisecond)
+			g.Stop()
+			if len(got) != len(tc.want) {
+				t.Fatalf("%d arrivals, want at least %d", len(got), len(tc.want))
+			}
+			for i := range got {
+				if got[i] != tc.want[i] {
+					t.Errorf("arrival %d = %+v, want %+v", i, got[i], tc.want[i])
+				}
+			}
+			if g.Issued() != tc.issued || g.Completed() != tc.issued || g.Latency.Mean() != 5*sim.Microsecond {
+				t.Errorf("issued/completed/mean latency = %d/%d/%v, want %d/%d/5µs",
+					g.Issued(), g.Completed(), g.Latency.Mean(), tc.issued, tc.issued)
+			}
+		})
+	}
+}
+
+// TestBacklogHoldsNoSlot: an arrival the I/O path has not pulled is only a
+// number. A post-all burst behind a sink that never pulls counts as issued
+// but draws no key and takes no completion slot; each request pulled later
+// gets the next key of the stream and its own arrival instant as latency
+// start, whatever the instant it is pulled at.
+func TestBacklogHoldsNoSlot(t *testing.T) {
+	k := sim.New(1)
+	var announced uint64
+	g, err := NewGenerator(k, 1, &SequentialKeys{N: 100}, Burst{}, sim.Second, func(n uint64) { announced += n })
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 1 << 20
+	if allocs := testing.AllocsPerRun(1, func() { g.BeginPeriod(n) }); allocs != 0 {
+		t.Errorf("announcing 2^20 arrivals allocated %v times", allocs)
+	}
+	if announced != 2*n || g.Issued() != 2*n { // AllocsPerRun(1, f) calls f twice
+		t.Errorf("announced %d, Issued %d, want %d", announced, g.Issued(), 2*n)
+	}
+	if g.PeakOutstanding() != 0 {
+		t.Errorf("%d completion slots taken before any request was pulled", g.PeakOutstanding())
+	}
+
+	k.RunUntil(10 * sim.Microsecond)
+	arrivedAt := []sim.Time{0, 3 * sim.Microsecond, 7 * sim.Microsecond}
+	var dones []func()
+	for i, at := range arrivedAt {
+		key, done := g.Next(at)
+		if key != uint64(i) {
+			t.Errorf("request %d got key %d", i, key)
+		}
+		dones = append(dones, done)
+	}
+	for i := len(dones) - 1; i >= 0; i-- { // completions may cross
+		dones[i]()
+	}
+	if g.Completed() != 3 || g.PeakOutstanding() != 3 {
+		t.Errorf("completed %d with %d slots, want 3 and 3", g.Completed(), g.PeakOutstanding())
+	}
+	if g.Latency.Min() != 3*sim.Microsecond || g.Latency.Max() != 10*sim.Microsecond {
+		t.Errorf("latency min/max = %v/%v, want 3µs/10µs (measured from each request's arrival)",
+			g.Latency.Min(), g.Latency.Max())
+	}
+	// Slots are reused: three more requests in flight need no new ones.
+	for i := 0; i < 3; i++ {
+		g.Next(k.Now())
+	}
+	if g.PeakOutstanding() != 3 {
+		t.Errorf("slot pool grew to %d for 3 requests in flight", g.PeakOutstanding())
 	}
 }

@@ -25,7 +25,11 @@ machine-independent quantities instead:
     process so runner speed cancels, and the ratio falling means
     per-event cost grows with fleet size — the SoA hot path regressing;
   - the fleet bench's per-point simulated event counts, which are
-    deterministic and must match the baseline exactly.
+    deterministic and must match the baseline exactly;
+  - the fleet bench's resident bytes per client at 10^5 clients, gated
+    against an absolute ceiling (16 KiB) rather than the baseline: it is
+    a HeapAlloc difference divided by the client count, so it does not
+    depend on the runner's speed.
 
 A ratio more than 20% below its baseline fails. Refresh the committed
 baselines deliberately (rerun the TestWrite*BenchJSON hooks) when the
@@ -35,6 +39,7 @@ import json
 import sys
 
 FLOOR = 0.8  # fail on >20% regression
+MAX_BYTES_PER_CLIENT = 16384  # resident state per tenant at 10^5 clients
 
 
 def gate(name, got, want):
@@ -79,6 +84,15 @@ def main():
                 sys.exit(f"FAIL: fleet bench determinism drift at "
                          f"clients={p['clients']} qp_cache={p['qp_cache']}: "
                          f"{p['events']} events != baseline {bp['events']}")
+            if p["clients"] >= 100_000:
+                print(f"fleet bytes/client at {p['clients']} clients "
+                      f"(qp_cache={p['qp_cache']}): {p['bytes_per_client']:.0f} "
+                      f"(ceiling {MAX_BYTES_PER_CLIENT})")
+                if p["bytes_per_client"] > MAX_BYTES_PER_CLIENT:
+                    sys.exit(f"FAIL: {p['bytes_per_client']:.0f} resident bytes "
+                             f"per client at clients={p['clients']} "
+                             f"qp_cache={p['qp_cache']} exceed "
+                             f"{MAX_BYTES_PER_CLIENT}")
 
     print("bench gate passed")
 
