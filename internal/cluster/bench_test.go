@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/haechi-qos/haechi/internal/kvstore"
 	"github.com/haechi-qos/haechi/internal/workload"
 )
 
@@ -96,4 +97,39 @@ func TestWriteObserveBenchJSON(t *testing.T) {
 	}
 	t.Logf("blind %.2fM ev/s, observed %.2fM ev/s, observe_overhead %.3f (median of %d reps)",
 		blind/1e6, observed/1e6, ratios[reps/2], reps)
+}
+
+// BenchmarkClusterNew times cluster.New alone, at the two shapes whose
+// setup differs: the paper's record store under ten clients (the store
+// load dominates) and a small store under a fleet (per-client state does).
+// It is the way to profile setup without a run in the picture:
+//
+//	go test ./internal/cluster -run '^$' -bench ClusterNew -benchtime 20x \
+//	    -cpuprofile /tmp/new.prof -o /tmp/cluster.test
+//	go tool pprof -top /tmp/cluster.test /tmp/new.prof
+func BenchmarkClusterNew(b *testing.B) {
+	for _, shape := range []struct {
+		name             string
+		records, clients int
+	}{
+		{"records=65536/clients=10", 1 << 16, 10},
+		{"records=4096/clients=2500", 1 << 12, 2500},
+	} {
+		b.Run(shape.name, func(b *testing.B) {
+			cfg := testConfig(Haechi)
+			cfg.Scale = 10
+			cfg.Store.Capacity = kvstore.CapacityFor(shape.records)
+			cfg.Records = shape.records
+			specs := make([]ClientSpec, shape.clients)
+			for i := range specs {
+				specs[i] = ClientSpec{Demand: ConstantDemand(1)}
+			}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := New(cfg, specs); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }

@@ -1,19 +1,70 @@
 package cluster
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"os"
 	"runtime"
 	"sort"
 	"testing"
 	"time"
+
+	"github.com/haechi-qos/haechi/internal/kvstore"
+	"github.com/haechi-qos/haechi/internal/rdma"
+	"github.com/haechi-qos/haechi/internal/sim"
 )
+
+// storeLoadNsPerRecord times what cluster.New spends on the record store
+// — NewStore, Populate and the first client's PrimeCache (which is
+// primeShared) — for `records` 4 KB records at the load factor every
+// experiment uses (capacity = CapacityFor(records): 100 % for a power of
+// two).
+func storeLoadNsPerRecord(t *testing.T, records int) float64 {
+	t.Helper()
+	f, err := rdma.NewFabric(sim.New(1), rdma.NewDefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	server, err := f.AddServer("datanode")
+	if err != nil {
+		t.Fatal(err)
+	}
+	client, err := f.AddClient("client")
+	if err != nil {
+		t.Fatal(err)
+	}
+	value := make([]byte, rdma.DataIOSize)
+	runtime.GC()
+	start := time.Now()
+	store, err := kvstore.NewStore(server, nil, kvstore.Options{
+		Capacity: kvstore.CapacityFor(records), RecordSize: rdma.DataIOSize})
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = store.Populate(records, func(key uint64) []byte {
+		binary.LittleEndian.PutUint64(value, key)
+		return value
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	kv, err := kvstore.Attach(client, nil, store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kv.PrimeCache(records)
+	elapsed := time.Since(start)
+	if kv.CacheLen() != records {
+		t.Fatalf("primed %d of %d records", kv.CacheLen(), records)
+	}
+	return float64(elapsed.Nanoseconds()) / float64(records)
+}
 
 // TestWriteFleetBenchJSON measures the fleet-scale hot path and writes
 // BENCH_fleet.json: aggregate events per wall-second and resident bytes
 // per client at 10^3/10^4/10^5 clients, with the QP-context cache model
 // off and on. The committed baseline at the repo root is gated by
-// scripts/bench_gate.py on three machine-independent quantities:
+// scripts/bench_gate.py on four machine-independent quantities:
 //
 //   - events_per_client_ratio: events/sec at 10^5 clients relative to
 //     10^3 (cache off). Per-event cost must stay flat as the per-client
@@ -24,6 +75,13 @@ import (
 //     regression, not noise).
 //   - bytes_per_client at 10^5 clients, against an absolute 16 KiB
 //     ceiling: a HeapAlloc difference, the same on any runner.
+//   - store_load_ratio: ns per record of loading and priming the store
+//     at 2^16 records relative to 2^12, against an absolute ceiling of 2.
+//     A loader that re-probes its own full table pays the probe chain,
+//     which grows with the table, per record and twice (ratio 2.7-3.0
+//     before the one-pass loader, 1.4-1.7 after); what is left of the
+//     ratio is one walk of the longer chain and a 256 MB region that no
+//     cache holds. Same process, interleaved, so runner speed cancels.
 //
 // Skips unless BENCH_FLEET_JSON names the output path, so normal `go
 // test` runs are unaffected.
@@ -103,9 +161,24 @@ func TestWriteFleetBenchJSON(t *testing.T) {
 	}
 	sort.Float64s(ratios)
 
+	// The store load, small and large interleaved like the pair above. One
+	// untimed load of each first: the 256 MB region's first allocation is
+	// page faults, every later one reuses the span.
+	const loadReps = 9
+	storeLoadNsPerRecord(t, 1<<12)
+	storeLoadNsPerRecord(t, 1<<16)
+	var loadRatios []float64
+	for rep := 0; rep < loadReps; rep++ {
+		small := storeLoadNsPerRecord(t, 1<<12)
+		big := storeLoadNsPerRecord(t, 1<<16)
+		loadRatios = append(loadRatios, big/small)
+	}
+	sort.Float64s(loadRatios)
+
 	doc := map[string]any{
 		"points":                  points,
 		"events_per_client_ratio": ratios[reps/2],
+		"store_load_ratio":        loadRatios[loadReps/2],
 	}
 	b, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {
@@ -119,4 +192,5 @@ func TestWriteFleetBenchJSON(t *testing.T) {
 			p.Clients, p.QPCache, p.Events, p.EventsPerSec/1e6, p.BytesPerClient)
 	}
 	t.Logf("events_per_client_ratio %.3f (median of %d interleaved reps)", ratios[reps/2], reps)
+	t.Logf("store_load_ratio %.3f (median of %d interleaved reps; all %.3f)", loadRatios[loadReps/2], loadReps, loadRatios)
 }

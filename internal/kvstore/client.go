@@ -34,11 +34,11 @@ type Client struct {
 	mask       uint64
 
 	// Key-location cache, split for fleet scale: primed is a read-only
-	// prefix shared with every other client of the store ([0, primedN),
-	// -1 when absent; primedFound counts the hits), and cache is a lazy
-	// per-client overlay holding only locations learned by probing.
+	// prefix shared with every other client of the store (keys
+	// [0, len(primed)), -1 when absent; primedFound counts the hits), and
+	// cache is a lazy per-client overlay holding only locations learned by
+	// probing.
 	primed      []int64
-	primedN     int
 	primedFound int
 	cache       map[uint64]int
 
@@ -155,7 +155,7 @@ func (c *Client) lookup(key uint64) (int, bool) {
 	if off, ok := c.cache[key]; ok {
 		return off, true
 	}
-	if key < uint64(c.primedN) {
+	if key < uint64(len(c.primed)) {
 		if loc := c.primed[key]; loc >= 0 {
 			return int(loc), true
 		}
@@ -175,19 +175,14 @@ func (c *Client) learn(key uint64, off int) {
 // store's index, modelling a client in steady state (the paper's
 // measurement phase starts after 30 s of warm-up, by which point every hot
 // key's location is cached and a GET is a single one-sided READ).
-// The slab itself lives on the Store and is shared by all clients.
+// The slab itself lives on the Store and is shared by all clients, and so
+// does the count of keys it locates: priming a client costs nothing per
+// record.
 func (c *Client) PrimeCache(n int) {
-	c.primed = c.store.primeShared(n)
-	if n > len(c.primed) {
-		n = len(c.primed)
+	if n < 0 {
+		n = 0
 	}
-	c.primedN = n
-	c.primedFound = 0
-	for k := 0; k < n; k++ {
-		if c.primed[k] >= 0 {
-			c.primedFound++
-		}
-	}
+	c.primed, c.primedFound = c.store.primeShared(n)
 }
 
 // Get performs a one-sided GET: a cached key costs exactly one silent

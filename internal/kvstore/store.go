@@ -19,6 +19,7 @@
 package kvstore
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"github.com/haechi-qos/haechi/internal/rdma"
@@ -87,34 +88,59 @@ type Store struct {
 	count   int
 	puts    uint64
 	getRPCs uint64
-	scratch []byte
+
+	// indexView and dataView are the owner-side views of the two regions
+	// (rdma.Region.View), taken once: the store's own CPU walks and fills
+	// the same bytes clients reach with one-sided verbs.
+	indexView []byte
+	dataView  []byte
 
 	// primedLoc is the shared prefix of primed key locations (-1 when the
-	// key was absent at build time), built on the first PrimeCache call and
-	// extended append-only; see primeShared. Sharing one slab across every
-	// attached client replaces 10^5 identical per-client maps at fleet
-	// scale with a single read-only array.
-	primedLoc []int64
+	// key was absent when its entry was built) and primedFound the number
+	// of entries that hold a location. Put appends the location of the key
+	// that extends the prefix as it places it, so a store loaded in key
+	// order (Populate) has the whole slab by the time a client asks;
+	// primeShared probes only for what placement could not record. Sharing
+	// one slab across every attached client replaces 10^5 identical
+	// per-client maps at fleet scale with a single read-only array.
+	primedLoc   []int64
+	primedFound int
 }
 
 // primeShared returns the shared primed-location slab covering keys
-// [0, n), building the missing suffix from the live index on first use.
-// Entries are never rewritten after they are built: a location is stable
-// once a record exists (updates are in-place), and a key absent at build
-// time stays -1 so later clients resolve it with the same probe sequence
-// an early client would have used. Extension appends, so clients holding
-// a shorter prefix keep their original backing array.
-func (s *Store) primeShared(n int) []int64 {
+// [0, n) and the number of those keys that have a location. The suffix
+// placement did not record (keys put out of order, or never) is built
+// from the live index. Entries are never rewritten after they are built:
+// a location is stable once a record exists (updates are in-place), and a
+// key absent at build time stays -1 so later clients resolve it with the
+// same probe sequence an early client would have used. Extension appends,
+// so clients holding a shorter prefix keep their original backing array.
+func (s *Store) primeShared(n int) (locs []int64, found int) {
 	for len(s.primedLoc) < n {
-		key := uint64(len(s.primedLoc))
 		loc := int64(-1)
-		if slot, ok, _, _ := s.findSlot(key); ok {
-			_, state := s.slotState(slot)
-			loc = int64(state &^ occupiedBit)
+		if slot, present, _ := s.findSlot(uint64(len(s.primedLoc))); present {
+			loc = s.dataOff(slot)
 		}
-		s.primedLoc = append(s.primedLoc, loc)
+		s.appendPrimed(loc)
 	}
-	return s.primedLoc
+	if n == len(s.primedLoc) {
+		return s.primedLoc, s.primedFound
+	}
+	locs = s.primedLoc[:n]
+	for _, loc := range locs {
+		if loc >= 0 {
+			found++
+		}
+	}
+	return locs, found
+}
+
+// appendPrimed extends the primed slab by one entry.
+func (s *Store) appendPrimed(loc int64) {
+	s.primedLoc = append(s.primedLoc, loc)
+	if loc >= 0 {
+		s.primedFound++
+	}
 }
 
 // NewStore registers the store's regions on node and, if disp is non-nil,
@@ -144,6 +170,12 @@ func NewStore(node *rdma.Node, disp *rdma.Dispatcher, opts Options) (*Store, err
 		index: index,
 		data:  data,
 	}
+	if s.indexView, err = index.View(0, index.Size()); err != nil {
+		return nil, err
+	}
+	if s.dataView, err = data.View(0, data.Size()); err != nil {
+		return nil, err
+	}
 	if disp != nil {
 		if err := disp.Handle(msgGet, s.handleGet); err != nil {
 			return nil, err
@@ -170,81 +202,66 @@ func (s *Store) IndexRegion() *rdma.Region { return s.index }
 // DataRegion returns the data region capability for client attach.
 func (s *Store) DataRegion() *rdma.Region { return s.data }
 
-// slotState reads the state word of slot i.
-func (s *Store) slotState(i uint64) (key uint64, state uint64) {
-	off := int(i) * slotSize
-	key, _ = s.index.Uint64(off)
-	state, _ = s.index.Uint64(off + 8)
-	return key, state
+// findSlot walks key's probe path over the index bytes and returns the
+// slot holding key (found), or else the first free slot on the path. ok is
+// false when the path covers the whole table without either.
+func (s *Store) findSlot(key uint64) (slot uint64, found, ok bool) {
+	i := hashKey(key) & s.mask
+	for probe := uint64(0); probe <= s.mask; probe++ {
+		cell := s.indexView[i*slotSize : i*slotSize+slotSize]
+		if binary.LittleEndian.Uint64(cell[8:])&occupiedBit == 0 {
+			return i, false, true
+		}
+		if binary.LittleEndian.Uint64(cell) == key {
+			return i, true, true
+		}
+		i = (i + 1) & s.mask
+	}
+	return 0, false, false
 }
 
-// findSlot returns the slot index holding key, or the first free slot on
-// its probe path. ok reports whether the key was found.
-func (s *Store) findSlot(key uint64) (slot uint64, ok bool, free uint64, hasFree bool) {
-	start := hashKey(key) & s.mask
-	for probe := uint64(0); probe <= s.mask; probe++ {
-		i := (start + probe) & s.mask
-		k, state := s.slotState(i)
-		if state&occupiedBit == 0 {
-			return 0, false, i, true
-		}
-		if k == key {
-			return i, true, 0, false
-		}
-	}
-	return 0, false, 0, false
+// dataOff is the data-region offset of slot's record: the location the
+// slot's state word advertises and clients cache.
+func (s *Store) dataOff(slot uint64) int64 { return int64(slot) * int64(s.opts.RecordSize) }
+
+// record returns the data-region bytes of the record in slot.
+func (s *Store) record(slot uint64) []byte {
+	off := s.dataOff(slot)
+	return s.dataView[off : off+int64(s.opts.RecordSize)]
 }
 
 // Put stores value under key, server-side (used to populate the store and
-// by the PUT RPC). The value is copied.
+// by the PUT RPC). The value is copied, zero-padded to the record size.
 func (s *Store) Put(key uint64, value []byte) error {
 	if len(value) > s.opts.RecordSize {
 		return fmt.Errorf("kvstore: value of %d bytes exceeds record size %d", len(value), s.opts.RecordSize)
 	}
-	slot, ok, free, hasFree := s.findSlot(key)
+	slot, found, ok := s.findSlot(key)
 	if !ok {
-		if !hasFree {
-			return fmt.Errorf("kvstore: table full (%d records)", s.count)
-		}
-		slot = free
+		return fmt.Errorf("kvstore: table full (%d records)", s.count)
+	}
+	if !found {
+		cell := s.indexView[slot*slotSize : slot*slotSize+slotSize]
+		binary.LittleEndian.PutUint64(cell, key)
+		binary.LittleEndian.PutUint64(cell[8:], occupiedBit|uint64(s.dataOff(slot)))
 		s.count++
+		if key == uint64(len(s.primedLoc)) {
+			s.appendPrimed(s.dataOff(slot))
+		}
 	}
-	dataOff := int(slot) * s.opts.RecordSize
-	off := int(slot) * slotSize
-	if err := s.index.PutUint64(off, key); err != nil {
-		return err
-	}
-	if err := s.index.PutUint64(off+8, occupiedBit|uint64(dataOff)); err != nil {
-		return err
-	}
-	// Store the value zero-padded to the fixed record size.
-	if s.scratch == nil {
-		s.scratch = make([]byte, s.opts.RecordSize)
-	}
-	copy(s.scratch, value)
-	for i := len(value); i < s.opts.RecordSize; i++ {
-		s.scratch[i] = 0
-	}
-	if err := s.data.CopyIn(dataOff, s.scratch); err != nil {
-		return err
-	}
+	rec := s.record(slot)
+	clear(rec[copy(rec, value):])
 	s.puts++
 	return nil
 }
 
 // Get returns a copy of the record stored under key, server-side.
 func (s *Store) Get(key uint64) ([]byte, bool) {
-	slot, ok, _, _ := s.findSlot(key)
-	if !ok {
+	slot, found, _ := s.findSlot(key)
+	if !found {
 		return nil, false
 	}
-	_, state := s.slotState(slot)
-	dataOff := int(state &^ occupiedBit)
-	v, err := s.data.CopyOut(dataOff, s.opts.RecordSize)
-	if err != nil {
-		return nil, false
-	}
-	return v, true
+	return append([]byte(nil), s.record(slot)...), true
 }
 
 // Populate fills the store with n records whose values are produced by

@@ -1,6 +1,8 @@
 package rdma
 
 import (
+	"encoding/binary"
+	"math"
 	"testing"
 
 	"github.com/haechi-qos/haechi/internal/sim"
@@ -339,6 +341,81 @@ func TestRegionLocalAccessors(t *testing.T) {
 	}
 	if r.Size() != 32 || r.Owner() != server {
 		t.Error("Size/Owner wrong")
+	}
+}
+
+// An offset near math.MaxInt makes off+size wrap negative; the range
+// check must reject it as an error, not let it through to a slice panic.
+func TestRegionRangeOverflow(t *testing.T) {
+	_, _, _, server := testFabric(t)
+	r, _ := server.RegisterRegion("data", 32)
+	for _, off := range []int{math.MaxInt, math.MaxInt - 7, math.MaxInt - 8, 33} {
+		if _, err := r.Uint64(off); err == nil {
+			t.Errorf("Uint64 at offset %d accepted", off)
+		}
+		if err := r.PutInt64(off, 1); err == nil {
+			t.Errorf("PutInt64 at offset %d accepted", off)
+		}
+		if err := r.CopyIn(off, make([]byte, 8)); err == nil {
+			t.Errorf("CopyIn at offset %d accepted", off)
+		}
+		if _, err := r.View(off, 8); err == nil {
+			t.Errorf("View at offset %d accepted", off)
+		}
+	}
+	if _, err := r.CopyOut(8, math.MaxInt); err == nil {
+		t.Error("CopyOut of MaxInt bytes accepted")
+	}
+	// The last cell and the empty window at the end stay legal.
+	if _, err := r.Uint64(24); err != nil {
+		t.Errorf("last cell rejected: %v", err)
+	}
+	if v, err := r.View(32, 0); err != nil || len(v) != 0 {
+		t.Errorf("empty view at the end = %v, %v", v, err)
+	}
+}
+
+// The owner-side view aliases the region: what the owner stores through it
+// is what a one-sided READ returns, a remote WRITE shows through it once
+// applied, and it cannot grow into the bytes behind it.
+func TestRegionView(t *testing.T) {
+	k, f, client, server := testFabric(t)
+	r, _ := server.RegisterRegion("data", 64)
+	for _, w := range [][2]int{{-1, 8}, {0, -1}, {60, 8}, {0, 65}} {
+		if _, err := r.View(w[0], w[1]); err == nil {
+			t.Errorf("View(%d, %d) accepted", w[0], w[1])
+		}
+	}
+	v, err := r.View(16, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(v) != 16 || cap(v) != 16 {
+		t.Fatalf("view len %d cap %d, want 16/16", len(v), cap(v))
+	}
+	binary.LittleEndian.PutUint64(v, 77)
+	if got, _ := r.Uint64(16); got != 77 {
+		t.Errorf("store through the view not in the region: cell = %d", got)
+	}
+	_ = append(v, 0xff) // reallocates: capacity ends with the window
+	if got, _ := r.CopyOut(32, 1); got[0] != 0 {
+		t.Error("append to a view wrote past its window")
+	}
+
+	qp, _ := f.Connect(client, server)
+	var read []byte
+	if err := qp.Read(r, 16, 8, func(b []byte) { read = append(read, b...) }); err != nil {
+		t.Fatal(err)
+	}
+	if err := qp.WriteUint64(r, 24, 99, nil); err != nil {
+		t.Fatal(err)
+	}
+	k.Run()
+	if len(read) != 8 || binary.LittleEndian.Uint64(read) != 77 {
+		t.Errorf("one-sided READ of an owner-stored cell = %v", read)
+	}
+	if got := binary.LittleEndian.Uint64(v[8:]); got != 99 {
+		t.Errorf("remote WRITE not visible through the view: %d", got)
 	}
 }
 

@@ -25,11 +25,13 @@ func (r *Region) Size() int { return len(r.buf) }
 // Owner returns the node the region is registered on.
 func (r *Region) Owner() *Node { return r.owner }
 
-// checkRange validates an access window.
+// checkRange validates an access window. The bound is tested as
+// size > len-off, which cannot wrap: off+size can, for off near
+// math.MaxInt, and would let the access through to a slice panic.
 func (r *Region) checkRange(off, size int) error {
-	if off < 0 || size < 0 || off+size > len(r.buf) {
-		return fmt.Errorf("rdma: region %q: access [%d,%d) outside [0,%d)",
-			r.name, off, off+size, len(r.buf))
+	if off < 0 || size < 0 || size > len(r.buf)-off {
+		return fmt.Errorf("rdma: region %q: access of %d bytes at offset %d outside [0,%d)",
+			r.name, size, off, len(r.buf))
 	}
 	return nil
 }
@@ -37,6 +39,22 @@ func (r *Region) checkRange(off, size int) error {
 // bytes returns a view of the region. Callers must not retain the view
 // across simulation events if the region may be concurrently written.
 func (r *Region) bytes(off, size int) []byte { return r.buf[off : off+size] }
+
+// View returns the region's own bytes [off, off+size) to code running on
+// the owner node: a local (owner-side CPU) access with no simulated cost,
+// like the cell accessors below, for an owner that walks or fills its
+// region in bulk. The view aliases the region: the owner sees a remote
+// WRITE or atomic once the fabric has applied it, and what the owner
+// stores is what a later one-sided READ returns. It must not leave the
+// owner — a remote node's access through it would cost nothing in the
+// model — and its capacity ends at off+size, so an append cannot spill
+// into the bytes behind it.
+func (r *Region) View(off, size int) ([]byte, error) {
+	if err := r.checkRange(off, size); err != nil {
+		return nil, err
+	}
+	return r.buf[off : off+size : off+size], nil
+}
 
 // Int64 reads the 8-byte little-endian cell at off. It is a local
 // (owner-side CPU) access with no simulated cost; remote access must go

@@ -47,6 +47,45 @@ func TestZipfianRangeAndSkew(t *testing.T) {
 	}
 }
 
+// referenceZipfianNext is Zipfian.Next as it stood before the rank-1
+// threshold was hoisted into NewZipfian, kept verbatim (theta passed in,
+// since the chooser no longer stores it): the pin for "same expression,
+// same float64".
+func referenceZipfianNext(z *Zipfian, theta float64, rng *rand.Rand) uint64 {
+	u := rng.Float64()
+	uz := u * z.zetan
+	if uz < 1 {
+		return 0
+	}
+	if uz < 1+math.Pow(0.5, theta) {
+		return 1
+	}
+	v := uint64(float64(z.n) * math.Pow(z.eta*u-z.eta+1, z.alpha))
+	if v >= z.n {
+		v = z.n - 1
+	}
+	return v
+}
+
+func TestZipfianNextMatchesReference(t *testing.T) {
+	const draws = 10000
+	for _, n := range []uint64{1, 2, 3, 4096, 65536} {
+		for _, seed := range []int64{1, 42} {
+			z, err := NewZipfian(n, zipfTheta)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, want := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+			for i := 0; i < draws; i++ {
+				g, w := z.Next(got), referenceZipfianNext(z, zipfTheta, want)
+				if g != w {
+					t.Fatalf("n=%d seed=%d draw %d: Next = %d, reference = %d", n, seed, i, g, w)
+				}
+			}
+		}
+	}
+}
+
 func TestScrambledZipfianSpreads(t *testing.T) {
 	const n = 1 << 12
 	s, err := NewScrambledZipfian(n)

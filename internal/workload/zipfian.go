@@ -19,11 +19,13 @@ const zipfTheta = 0.99
 // billion-record synthetic databases", SIGMOD '94).
 type Zipfian struct {
 	n     uint64
-	theta float64
 	alpha float64
 	zetan float64
 	eta   float64
 	zeta2 float64
+	// rank1 is 1 + 0.5^theta: Next returns rank 1 for u*zetan below it.
+	// It depends on theta alone, so it is computed once, not per draw.
+	rank1 float64
 }
 
 // NewZipfian creates a zipfian chooser over [0, n) with skew theta in
@@ -35,11 +37,12 @@ func NewZipfian(n uint64, theta float64) (*Zipfian, error) {
 	if theta <= 0 || theta >= 1 {
 		return nil, fmt.Errorf("workload: zipfian theta must be in (0,1), got %v", theta)
 	}
-	z := &Zipfian{n: n, theta: theta}
+	z := &Zipfian{n: n}
 	z.zetan = zeta(n, theta)
 	z.zeta2 = zeta(2, theta)
 	z.alpha = 1 / (1 - theta)
 	z.eta = (1 - math.Pow(2/float64(n), 1-theta)) / (1 - z.zeta2/z.zetan)
+	z.rank1 = 1 + math.Pow(0.5, theta)
 	return z, nil
 }
 
@@ -59,7 +62,7 @@ func (z *Zipfian) Next(rng *rand.Rand) uint64 {
 	if uz < 1 {
 		return 0
 	}
-	if uz < 1+math.Pow(0.5, z.theta) {
+	if uz < z.rank1 {
 		return 1
 	}
 	v := uint64(float64(z.n) * math.Pow(z.eta*u-z.eta+1, z.alpha))

@@ -29,7 +29,13 @@ machine-independent quantities instead:
   - the fleet bench's resident bytes per client at 10^5 clients, gated
     against an absolute ceiling (16 KiB) rather than the baseline: it is
     a HeapAlloc difference divided by the client count, so it does not
-    depend on the runner's speed.
+    depend on the runner's speed;
+  - the fleet bench's store load ratio (ns per record of NewStore +
+    Populate + the first PrimeCache at 2^16 records relative to 2^12,
+    same process, interleaved), gated against an absolute ceiling (2.0):
+    a loader that probes its own full table again pays the probe chain,
+    which grows with the table, on every record (2.7-3.0 before the
+    one-pass loader, 1.4-1.7 after).
 
 A ratio more than 20% below its baseline fails. Refresh the committed
 baselines deliberately (rerun the TestWrite*BenchJSON hooks) when the
@@ -40,6 +46,7 @@ import sys
 
 FLOOR = 0.8  # fail on >20% regression
 MAX_BYTES_PER_CLIENT = 16384  # resident state per tenant at 10^5 clients
+MAX_STORE_LOAD_RATIO = 2.0  # ns/record loading 2^16 records vs 2^12
 
 
 def gate(name, got, want):
@@ -75,6 +82,12 @@ def main():
         ci_f = json.load(open(sys.argv[3]))
         gate("fleet events-per-client ratio", ci_f["events_per_client_ratio"],
              base_f["events_per_client_ratio"])
+        print(f"store load ratio: {ci_f['store_load_ratio']:.3f} "
+              f"(ceiling {MAX_STORE_LOAD_RATIO})")
+        if ci_f["store_load_ratio"] > MAX_STORE_LOAD_RATIO:
+            sys.exit(f"FAIL: store load ratio {ci_f['store_load_ratio']:.3f} "
+                     f"exceeds {MAX_STORE_LOAD_RATIO}: the loader's cost per "
+                     f"record grows with the table")
         for p, bp in zip(ci_f["points"], base_f["points"]):
             if (p["clients"], p["qp_cache"]) != (bp["clients"], bp["qp_cache"]):
                 sys.exit(f"FAIL: fleet bench point mismatch: "
