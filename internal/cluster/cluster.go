@@ -167,11 +167,9 @@ func New(cfg Config, specs []ClientSpec) (_ *Cluster, err error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Records > cfg.Store.Capacity {
-		return nil, fmt.Errorf("cluster: %d records exceed store capacity %d", cfg.Records, cfg.Store.Capacity)
-	}
-	// Every record is its key in the first 8 bytes and zeros after. Put
-	// copies the value into the store, so one buffer serves all of them.
+	// Every record is its key in the first 8 bytes and zeros after — the
+	// value the store's paged data region holds without memory — so one
+	// buffer serves all of them and loading writes the index only.
 	value := make([]byte, rdma.DataIOSize)
 	err = store.Populate(cfg.Records, func(key uint64) []byte {
 		binary.LittleEndian.PutUint64(value, key)
@@ -179,6 +177,14 @@ func New(cfg Config, specs []ClientSpec) (_ *Cluster, err error) {
 	})
 	if err != nil {
 		return nil, err
+	}
+	for _, spec := range specs {
+		if spec.UpdateFraction > 0 {
+			// A tenant that WRITEs records would allocate the region a page
+			// at a time inside the run; pay for its footprint here instead.
+			store.DataRegion().Materialize()
+			break
+		}
 	}
 
 	c := &Cluster{

@@ -1,10 +1,15 @@
 package cluster
 
 import (
+	"bytes"
+	"encoding/binary"
+	"math/rand"
+	"runtime"
 	"testing"
 
 	"github.com/haechi-qos/haechi/internal/core"
 	"github.com/haechi-qos/haechi/internal/kvstore"
+	"github.com/haechi-qos/haechi/internal/rdma"
 	"github.com/haechi-qos/haechi/internal/sim"
 	"github.com/haechi-qos/haechi/internal/trace"
 	"github.com/haechi-qos/haechi/internal/workload"
@@ -83,10 +88,23 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(testConfig(Haechi), nil); err == nil {
 		t.Error("empty specs accepted")
 	}
+	// A record count the store cannot hold is refused before any region
+	// is registered: rejecting it allocates nothing the size of a page,
+	// let alone the 1 MB index it used to.
 	cfg := testConfig(Haechi)
-	cfg.Records = 1 << 20
-	if _, err := New(cfg, []ClientSpec{{Reservation: 10}}); err == nil {
-		t.Error("records beyond capacity accepted")
+	cfg.Store.Capacity = 1 << 16
+	for _, records := range []int{1<<16 + 1, -1} {
+		cfg.Records = records
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := New(cfg, []ClientSpec{{Reservation: 10}})
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%d records in a store of %d accepted", records, cfg.Store.Capacity)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got >= rdma.DataIOSize {
+			t.Errorf("rejecting %d records allocated %d bytes", records, got)
+		}
 	}
 	// Admission failure surfaces from New.
 	cfg = testConfig(Haechi)
@@ -643,5 +661,87 @@ func TestGoldenDeterminism(t *testing.T) {
 		if a.Clients[i].Latency.P99 != b.Clients[i].Latency.P99 {
 			t.Fatalf("client %d latency diverges", i)
 		}
+	}
+}
+
+// TestPaperScaleStoreIsCheap loads the paper's store — 1 M records of
+// 4 KB, 4 GB as a flat region — for ten readers. Records nobody wrote cost
+// no bytes, so the cluster fits in what the index, the page table and the
+// primed locations need, and a GET still returns the key plus zeros. A
+// tenant that updates records gets the flat region instead, paid for in
+// New and not inside the run.
+func TestPaperScaleStoreIsCheap(t *testing.T) {
+	const records = 1 << 20
+	cfg := testConfig(Haechi)
+	cfg.Store = kvstore.Options{Capacity: records, RecordSize: rdma.DataIOSize}
+	cfg.Records = records
+	specs := make([]ClientSpec, 10)
+	for i := range specs {
+		specs[i] = ClientSpec{Reservation: 100, Demand: ConstantDemand(200)}
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	cl, err := New(cfg, specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	grown := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	t.Logf("HeapAlloc grew %.1f MB across New", float64(grown)/(1<<20))
+	if grown > 64<<20 {
+		t.Errorf("a %d-record cluster holds %d MB of heap, want at most 64", records, grown>>20)
+	}
+	data := cl.Store().DataRegion()
+	if !data.Paged() || data.Resident() != 0 || data.Size() != records*rdma.DataIOSize {
+		t.Errorf("kv/data: paged = %v, %d of %d bytes resident", data.Paged(), data.Resident(), data.Size())
+	}
+
+	// The hottest key is the mode of the shared chooser's draws.
+	rng, draws := rand.New(rand.NewSource(1)), map[uint64]int{}
+	hot := uint64(0)
+	for i := 0; i < 2000; i++ {
+		key := cl.sharedKeys.Next(rng)
+		if draws[key]++; draws[key] > draws[hot] {
+			hot = key
+		}
+	}
+	if draws[hot] < 50 {
+		t.Fatalf("no hot key among 2000 draws (mode %d drawn %d times)", hot, draws[hot])
+	}
+	want := make([]byte, rdma.DataIOSize)
+	for _, key := range []uint64{0, records - 1, hot} {
+		key, got := key, false
+		err := cl.Clients()[0].KV.Get(key, func(v []byte, err error) {
+			got = true
+			binary.LittleEndian.PutUint64(want, key)
+			if err != nil || !bytes.Equal(v, want) {
+				t.Errorf("GET %d = %x.. (%d bytes), %v; want the key plus zeros", key, v[:min(len(v), 16)], len(v), err)
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cl.Kernel().RunUntil(cl.Kernel().Now() + 10*sim.Millisecond)
+		if !got {
+			t.Errorf("GET %d did not complete", key)
+		}
+	}
+	if data.Resident() != 0 {
+		t.Errorf("GETs left %d bytes resident", data.Resident())
+	}
+
+	cfg.Store.Capacity, cfg.Records = 1<<12, 1<<12
+	specs[3].UpdateFraction = 0.1
+	if cl, err = New(cfg, specs); err != nil {
+		t.Fatal(err)
+	}
+	if data := cl.Store().DataRegion(); data.Paged() || data.Resident() != data.Size() {
+		t.Errorf("with a writing tenant kv/data is paged = %v, %d of %d bytes resident after New",
+			data.Paged(), data.Resident(), data.Size())
+	}
+	if v, ok := cl.Store().Get(1<<12 - 1); !ok || binary.LittleEndian.Uint64(v) != 1<<12-1 {
+		t.Errorf("materialised record %d = %x.., %v", 1<<12-1, v[:8], ok)
 	}
 }

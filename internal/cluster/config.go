@@ -202,6 +202,9 @@ func (c Config) ApplyScale() (Config, error) {
 	if c.Records == 0 {
 		c.Records = c.Store.Capacity / 2
 	}
+	if c.Records < 0 || c.Records > c.Store.Capacity {
+		return c, fmt.Errorf("cluster: %d records outside a store of capacity %d", c.Records, c.Store.Capacity)
+	}
 	if c.ProfiledCapacity == 0 {
 		c.ProfiledCapacity = int64(c.Fabric.ServerOneSidedRate * c.Params.Period.Seconds())
 	}

@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"encoding/json"
+	"runtime"
 	"testing"
 )
 
@@ -193,6 +194,13 @@ func TestFleetSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The CI step runs this under -race on a 16 GB box: put the live heap
+	// the fleet starts from in its log, so the memory margin is a number.
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	t.Logf("HeapAlloc after New: %.1f MB for %d clients (kv/data holds %d of %d bytes)",
+		float64(ms.HeapAlloc)/(1<<20), clients, cl.Store().DataRegion().Resident(), cl.Store().DataRegion().Size())
 	res, err := cl.Run(1, 1)
 	if err != nil {
 		t.Fatal(err)

@@ -2,6 +2,7 @@ package kvstore
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -375,5 +376,124 @@ func TestLayoutClientView(t *testing.T) {
 					capacity, n, kv.CacheLen(), scanned)
 			}
 		}
+	}
+}
+
+// synthetic is the value every experiment loads: the key, then zeros.
+func synthetic(key uint64, size int) []byte {
+	v := make([]byte, size)
+	binary.LittleEndian.PutUint64(v, key)
+	return v
+}
+
+// The data region is paged: a record that reads as its key plus zeros
+// holds no memory, anything else holds exactly its page, and through every
+// path that stores a value the bytes stay the reference's.
+func TestLayoutPagedRecords(t *testing.T) {
+	const size = 32
+	opts := Options{Capacity: 64, RecordSize: size}
+	k, _, store, kv := testStore(t, opts)
+	p := &layoutPair{t: t, ref: newRefStore(t, opts), got: store}
+	data := store.DataRegion()
+	check := func(what string, pages int) {
+		t.Helper()
+		k.Run()
+		p.same()
+		if got := data.Resident(); !data.Paged() || got != pages*size {
+			t.Fatalf("after %s: paged = %v with %d bytes resident, want %d pages", what, data.Paged(), got, pages)
+		}
+	}
+	get := func(key uint64) []byte {
+		t.Helper()
+		var value []byte
+		err := kv.Get(key, func(v []byte, err error) {
+			if err != nil {
+				t.Errorf("Get(%d): %v", key, err)
+			}
+			value = append(value, v...)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		k.Run()
+		if server, ok := store.Get(key); !ok || !bytes.Equal(server, value) {
+			t.Fatalf("Get(%d): one-sided %x, server-side %x (%v)", key, value, server, ok)
+		}
+		return value
+	}
+
+	// Synthetic Puts: full-size, key-only (padded), and key 0 with no
+	// value at all, which is its key plus zeros too.
+	for key := uint64(1); key < 20; key++ {
+		p.put(key, synthetic(key, size))
+	}
+	p.put(40, synthetic(40, 8))
+	p.put(0, nil)
+	check("synthetic Puts", 0)
+	if v := get(7); !bytes.Equal(v, synthetic(7, size)) {
+		t.Fatalf("Get(7) = %x", v)
+	}
+	check("GETs", 0)
+
+	// Non-synthetic Puts, on a fresh key and over an unwritten record; an
+	// empty value is not key 41 plus zeros.
+	p.put(30, layoutValue(30, size))
+	p.put(7, layoutValue(7, 5))
+	p.put(41, nil)
+	check("non-synthetic Puts", 3)
+
+	// A synthetic value over a written record is stored, not skipped.
+	p.put(7, synthetic(7, size))
+	check("synthetic re-Put", 3)
+	if v := get(7); !bytes.Equal(v, synthetic(7, size)) {
+		t.Fatalf("Get(7) after re-Put = %x", v)
+	}
+
+	// One-sided Update of an unwritten record, then GET.
+	upd := layoutValue(99, 11)
+	if err := kv.Update(9, upd, func(err error) {
+		if err != nil {
+			t.Error(err)
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.ref.Put(9, upd); err != nil {
+		t.Fatal(err)
+	}
+	check("Update", 4)
+	if v := get(9); !bytes.Equal(v[:len(upd)], upd) || !bytes.Equal(v[len(upd):], make([]byte, size-len(upd))) {
+		t.Fatalf("Get(9) after Update = %x", v)
+	}
+
+	// Two-sided PUTs reach the same Put.
+	for _, put := range []struct {
+		key   uint64
+		value []byte
+	}{{50, synthetic(50, size)}, {51, layoutValue(51, size)}} {
+		if err := kv.PutTwoSided(put.key, put.value, func(err error) {
+			if err != nil {
+				t.Error(err)
+			}
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if err := p.ref.Put(put.key, put.value); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("PutTwoSided", 5)
+	p.prime(64)
+}
+
+// A record too small to hold its key is stored in a flat region.
+func TestLayoutTinyRecordsAreFlat(t *testing.T) {
+	p := newLayoutPair(t, Options{Capacity: 16, RecordSize: 4})
+	for key := uint64(0); key < 12; key++ {
+		p.put(key, layoutValue(key, int(key%5)))
+	}
+	p.same()
+	if data := p.got.DataRegion(); data.Paged() || data.Resident() != data.Size() {
+		t.Errorf("4-byte records: paged = %v, %d of %d bytes resident", data.Paged(), data.Resident(), data.Size())
 	}
 }

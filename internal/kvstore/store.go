@@ -8,7 +8,13 @@
 //     an occupied bit and the record's data offset), open addressing with
 //     linear probing;
 //   - a data region of fixed-size records (4 KB by default, the size used
-//     throughout the paper's evaluation).
+//     throughout the paper's evaluation), record s belonging to index slot
+//     s. The index is a wire format clients probe and is always in memory;
+//     the data region is paged (rdma.RegisterPagedRegion), one page per
+//     record: a record whose value is its key in the first 8 bytes and
+//     zeros after — what every experiment loads — is served from the key
+//     in its index slot and holds no memory until something else is
+//     written over it.
 //
 // Clients locate a record with one-sided reads of index slots, cache the
 // key -> offset mapping (a location cache in the style of FaRM/Telepathy),
@@ -57,7 +63,9 @@ type Options struct {
 	// Capacity is the number of record slots (rounded up to a power of
 	// two). The paper populates 1M records; experiments here default to a
 	// smaller table because table size does not influence the fabric
-	// timing model (see DESIGN.md).
+	// timing model and loading one is setup time every run pays. A slot
+	// costs 16 index bytes and a page-table entry, not a record, until its
+	// record is written (DESIGN.md §13.1).
 	Capacity int
 	// RecordSize is the value size in bytes; the paper uses 4 KB.
 	RecordSize int
@@ -89,11 +97,14 @@ type Store struct {
 	puts    uint64
 	getRPCs uint64
 
-	// indexView and dataView are the owner-side views of the two regions
+	// indexView is the owner-side view of the index region
 	// (rdma.Region.View), taken once: the store's own CPU walks and fills
-	// the same bytes clients reach with one-sided verbs.
+	// the same bytes clients reach with one-sided verbs. It is also where
+	// the data region finds the prefix of an unwritten record.
 	indexView []byte
-	dataView  []byte
+	// padding is RecordSize zeros, the tail Put writes behind a short
+	// value; allocated by the first Put that needs it.
+	padding []byte
 
 	// primedLoc is the shared prefix of primed key locations (-1 when the
 	// key was absent when its entry was built) and primedFound the number
@@ -159,22 +170,23 @@ func NewStore(node *rdma.Node, disp *rdma.Dispatcher, opts Options) (*Store, err
 	if err != nil {
 		return nil, fmt.Errorf("kvstore: registering index: %w", err)
 	}
-	data, err := node.RegisterRegion(DataRegionName, cap*opts.RecordSize)
-	if err != nil {
-		return nil, fmt.Errorf("kvstore: registering data: %w", err)
-	}
 	s := &Store{
 		node:  node,
 		opts:  opts,
 		mask:  uint64(cap - 1),
 		index: index,
-		data:  data,
 	}
 	if s.indexView, err = index.View(0, index.Size()); err != nil {
 		return nil, err
 	}
-	if s.dataView, err = data.View(0, data.Size()); err != nil {
-		return nil, err
+	if opts.RecordSize >= 8 {
+		s.data, err = node.RegisterPagedRegion(DataRegionName, cap, opts.RecordSize, s.slotKey)
+	} else {
+		// A record too short to hold its key has no synthetic value.
+		s.data, err = node.RegisterRegion(DataRegionName, cap*opts.RecordSize)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("kvstore: registering data: %w", err)
 	}
 	if disp != nil {
 		if err := disp.Handle(msgGet, s.handleGet); err != nil {
@@ -224,14 +236,19 @@ func (s *Store) findSlot(key uint64) (slot uint64, found, ok bool) {
 // slot's state word advertises and clients cache.
 func (s *Store) dataOff(slot uint64) int64 { return int64(slot) * int64(s.opts.RecordSize) }
 
-// record returns the data-region bytes of the record in slot.
-func (s *Store) record(slot uint64) []byte {
-	off := s.dataOff(slot)
-	return s.dataView[off : off+int64(s.opts.RecordSize)]
+// slotKey is the data region's page prefix: the key field of the page's
+// index slot. A free slot's key field is zero, so its record reads as
+// zeros; placing a key (Put) makes the record read as that key plus zeros
+// without touching the data region.
+func (s *Store) slotKey(slot int) uint64 {
+	return binary.LittleEndian.Uint64(s.indexView[slot*slotSize:])
 }
 
 // Put stores value under key, server-side (used to populate the store and
-// by the PUT RPC). The value is copied, zero-padded to the record size.
+// by the PUT RPC). The value is copied, zero-padded to the record size. A
+// record that already reads as the padded value — a fresh key whose value
+// is the key plus zeros — stays unwritten (rdma.Region.CopyIn allocates a
+// page only for bytes that change it).
 func (s *Store) Put(key uint64, value []byte) error {
 	if len(value) > s.opts.RecordSize {
 		return fmt.Errorf("kvstore: value of %d bytes exceeds record size %d", len(value), s.opts.RecordSize)
@@ -249,8 +266,18 @@ func (s *Store) Put(key uint64, value []byte) error {
 			s.appendPrimed(s.dataOff(slot))
 		}
 	}
-	rec := s.record(slot)
-	clear(rec[copy(rec, value):])
+	off := int(s.dataOff(slot))
+	if err := s.data.CopyIn(off, value); err != nil {
+		return err
+	}
+	if pad := s.opts.RecordSize - len(value); pad > 0 {
+		if s.padding == nil {
+			s.padding = make([]byte, s.opts.RecordSize)
+		}
+		if err := s.data.CopyIn(off+len(value), s.padding[:pad]); err != nil {
+			return err
+		}
+	}
 	s.puts++
 	return nil
 }
@@ -261,7 +288,8 @@ func (s *Store) Get(key uint64) ([]byte, bool) {
 	if !found {
 		return nil, false
 	}
-	return append([]byte(nil), s.record(slot)...), true
+	rec, err := s.data.CopyOut(int(s.dataOff(slot)), s.opts.RecordSize)
+	return rec, err == nil
 }
 
 // Populate fills the store with n records whose values are produced by

@@ -2,6 +2,7 @@ package rdma
 
 import (
 	"fmt"
+	"math"
 
 	"github.com/haechi-qos/haechi/internal/sanitize"
 	"github.com/haechi-qos/haechi/internal/sim"
@@ -183,15 +184,48 @@ func (n *Node) SetRecvHandler(h func(from *Node, payload any)) { n.recv = h }
 // RegisterRegion registers size bytes of memory under name and returns the
 // region capability. Registering a duplicate name is an error.
 func (n *Node) RegisterRegion(name string, size int) (*Region, error) {
-	if size <= 0 {
-		return nil, fmt.Errorf("rdma: node %s: region %q size must be positive, got %d", n.name, name, size)
+	if err := n.checkRegistration(name, size); err != nil {
+		return nil, err
 	}
-	if _, ok := n.regions[name]; ok {
-		return nil, fmt.Errorf("rdma: node %s: region %q already registered", n.name, name)
-	}
-	r := &Region{name: name, owner: n, buf: make([]byte, size)}
+	r := &Region{name: name, owner: n, size: size, buf: make([]byte, size)}
 	n.regions[name] = r
 	return r, nil
+}
+
+// RegisterPagedRegion registers pages*pageSize bytes under name as a paged
+// region (see Region): no page holds memory until it is written, and an
+// unwritten page reads as the 8-byte little-endian prefix(page) followed
+// by zeros. prefix runs on the owner's kernel on every access to an
+// unwritten page, so it must be cheap and, like any owner-side store,
+// change its answer for a page only when the owner means to write it.
+func (n *Node) RegisterPagedRegion(name string, pages, pageSize int, prefix func(page int) uint64) (*Region, error) {
+	if pageSize < prefixSize || prefix == nil {
+		return nil, fmt.Errorf("rdma: node %s: paged region %q needs a prefix function and pages of at least %d bytes, got %d",
+			n.name, name, prefixSize, pageSize)
+	}
+	if pages > 0 && pageSize > math.MaxInt/pages {
+		return nil, fmt.Errorf("rdma: node %s: region %q of %d pages of %d bytes overflows", n.name, name, pages, pageSize)
+	}
+	if err := n.checkRegistration(name, pages*pageSize); err != nil {
+		return nil, err
+	}
+	r := &Region{
+		name: name, owner: n, size: pages * pageSize,
+		pageSize: pageSize, pages: make([][]byte, pages), prefix: prefix,
+		scratch: make([]byte, pageSize),
+	}
+	n.regions[name] = r
+	return r, nil
+}
+
+func (n *Node) checkRegistration(name string, size int) error {
+	if size <= 0 {
+		return fmt.Errorf("rdma: node %s: region %q size must be positive, got %d", n.name, name, size)
+	}
+	if _, ok := n.regions[name]; ok {
+		return fmt.Errorf("rdma: node %s: region %q already registered", n.name, name)
+	}
+	return nil
 }
 
 // Region looks up a registered region by name.

@@ -303,18 +303,18 @@ func (op *flowOp) apply() {
 	switch op.kind {
 	case opWrite:
 		if op.inlineLen > 0 {
-			copy(op.region.buf[op.off:], op.inline[:op.inlineLen])
+			op.region.write(op.off, op.inline[:op.inlineLen])
 		} else {
-			copy(op.region.buf[op.off:], op.buf)
+			op.region.write(op.off, op.buf)
 		}
 	case opFetchAdd:
-		old := int64(binary.LittleEndian.Uint64(op.region.buf[op.off:]))
-		binary.LittleEndian.PutUint64(op.region.buf[op.off:], uint64(old+op.delta))
+		old := int64(op.region.load64(op.off))
+		op.region.store64(op.off, uint64(old+op.delta))
 		op.result = old
 	case opCompareSwap:
-		old := int64(binary.LittleEndian.Uint64(op.region.buf[op.off:]))
+		old := int64(op.region.load64(op.off))
 		if old == op.expect {
-			binary.LittleEndian.PutUint64(op.region.buf[op.off:], uint64(op.swap))
+			op.region.store64(op.off, uint64(op.swap))
 		}
 		op.result = old
 	}
@@ -332,7 +332,7 @@ func (op *flowOp) invokeCB() {
 		if op.buf != nil {
 			op.readCB(op.buf)
 		} else {
-			op.readCB(op.region.bytes(op.off, op.size))
+			op.readCB(op.region.window(op.off, op.size))
 		}
 	case opFetchAdd, opCompareSwap:
 		if op.u64CB != nil {
@@ -534,8 +534,10 @@ func (qp *QP) serveOp(op *flowOp) {
 	}
 	if qp.cross && op.kind == opRead {
 		// Copy the data out now, into the bounce buffer the op brought
-		// along; invokeCB prefers buf over the live region view.
-		copy(op.buf, op.region.bytes(op.off, op.size))
+		// along; invokeCB prefers buf over the live region view. An
+		// unwritten page of a paged region is a prefix and a clear, not a
+		// copy out of cold memory.
+		op.region.read(op.buf, op.off)
 	}
 	op.apply()
 	if qp.cross {

@@ -1,44 +1,235 @@
 package rdma
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 )
+
+// prefixSize is the length of the owner-supplied prefix that opens every
+// unwritten page of a paged region.
+const prefixSize = 8
 
 // Region is a registered memory region on a node, addressable by remote
 // one-sided verbs. In a real system the owner would exchange an rkey with
 // its peers; in the simulation the *Region value itself is the capability.
 //
 // All multi-byte cells use little-endian layout, matching x86 hosts.
+//
+// A region is flat — one slab, buf — or paged (RegisterPagedRegion). A
+// paged region holds memory only for the pages something has written.
+// A page nobody wrote still has defined contents: the 8-byte
+// little-endian prefix its owner supplies for it, zeros after. Every
+// accessor and every verb sees exactly those bytes, so a paged region
+// and the flat region Materialize turns it into are indistinguishable
+// through this API; only their footprint differs.
 type Region struct {
 	name  string
 	owner *Node
-	buf   []byte
+	size  int
+
+	// buf is the whole region when it is flat and nil while it is paged.
+	buf []byte
+
+	// Paged state, all zero on a flat region. pages[p] is nil until page p
+	// is first written. prefix(p) is consulted on every access to an
+	// unwritten page, so an owner that changes what it returns has stored
+	// to that page. scratch is the page a same-shard READ of an unwritten
+	// page is served from: only its first prefixSize bytes are ever
+	// rewritten, the tail stays zero for the region's lifetime.
+	pageSize int
+	pages    [][]byte
+	prefix   func(page int) uint64
+	scratch  []byte
 }
 
 // Name returns the region's diagnostic name.
 func (r *Region) Name() string { return r.name }
 
 // Size returns the region length in bytes.
-func (r *Region) Size() int { return len(r.buf) }
+func (r *Region) Size() int { return r.size }
 
 // Owner returns the node the region is registered on.
 func (r *Region) Owner() *Node { return r.owner }
+
+// Paged reports whether unwritten pages of the region still cost no
+// memory: false for a flat region and after Materialize.
+func (r *Region) Paged() bool { return r.buf == nil }
+
+// Resident returns the bytes of memory that back the region: its size
+// when flat, the written pages while paged.
+func (r *Region) Resident() int {
+	if r.buf != nil {
+		return len(r.buf)
+	}
+	n := 0
+	for _, pg := range r.pages {
+		n += len(pg)
+	}
+	return n
+}
+
+// Materialize turns a paged region into a flat one holding the same bytes:
+// one slab, the page table and scratch page dropped, every later access on
+// the flat path. An owner calls it before a run that will write most of
+// the region anyway, so the pages are paid for at setup and not one
+// allocation at a time inside the run. Like the cell accessors it is an
+// owner-side operation with no simulated cost; on a flat region it does
+// nothing.
+func (r *Region) Materialize() {
+	if r.buf != nil {
+		return
+	}
+	buf := make([]byte, r.size)
+	for p, pg := range r.pages {
+		dst := buf[p*r.pageSize:]
+		if pg != nil {
+			copy(dst, pg)
+		} else if v := r.prefix(p); v != 0 {
+			binary.LittleEndian.PutUint64(dst, v)
+		}
+	}
+	*r = Region{name: r.name, owner: r.owner, size: r.size, buf: buf}
+}
 
 // checkRange validates an access window. The bound is tested as
 // size > len-off, which cannot wrap: off+size can, for off near
 // math.MaxInt, and would let the access through to a slice panic.
 func (r *Region) checkRange(off, size int) error {
-	if off < 0 || size < 0 || size > len(r.buf)-off {
+	if off < 0 || size < 0 || size > r.size-off {
 		return fmt.Errorf("rdma: region %q: access of %d bytes at offset %d outside [0,%d)",
-			r.name, size, off, len(r.buf))
+			r.name, size, off, r.size)
 	}
 	return nil
 }
 
-// bytes returns a view of the region. Callers must not retain the view
-// across simulation events if the region may be concurrently written.
-func (r *Region) bytes(off, size int) []byte { return r.buf[off : off+size] }
+// split locates off in a paged region: its page and the offset inside it.
+func (r *Region) split(off int) (page, in int) {
+	page = off / r.pageSize
+	return page, off - page*r.pageSize
+}
+
+// prefixBytes returns the eight bytes that open unwritten page p.
+func (r *Region) prefixBytes(p int) (pre [prefixSize]byte) {
+	binary.LittleEndian.PutUint64(pre[:], r.prefix(p))
+	return pre
+}
+
+// unwritten fills dst with bytes [in, in+len(dst)) of unwritten page p.
+func (r *Region) unwritten(dst []byte, p, in int) {
+	n := 0
+	if in < prefixSize {
+		pre := r.prefixBytes(p)
+		n = copy(dst, pre[in:])
+	}
+	clear(dst[n:])
+}
+
+// isUnwritten reports whether src equals bytes [in, in+len(src)) of
+// unwritten page p. The zeros are compared against scratch's invariant
+// tail, never its prefix, so a READ view of scratch stays undisturbed.
+func (r *Region) isUnwritten(src []byte, p, in int) bool {
+	n := 0
+	if in < prefixSize {
+		pre := r.prefixBytes(p)
+		n = min(len(src), prefixSize-in)
+		if !bytes.Equal(src[:n], pre[in:in+n]) {
+			return false
+		}
+	}
+	return bytes.Equal(src[n:], r.scratch[in+n:in+len(src)])
+}
+
+// read copies the bytes at [off, off+len(dst)) into dst. The range must
+// have been checked.
+func (r *Region) read(dst []byte, off int) {
+	if r.buf != nil {
+		copy(dst, r.buf[off:])
+		return
+	}
+	for len(dst) > 0 {
+		p, in := r.split(off)
+		n := min(len(dst), r.pageSize-in)
+		if pg := r.pages[p]; pg != nil {
+			copy(dst[:n], pg[in:])
+		} else {
+			r.unwritten(dst[:n], p, in)
+		}
+		dst, off = dst[n:], off+n
+	}
+}
+
+// write stores src at off. The range must have been checked. On a paged
+// region a page is allocated by the first write that changes it; bytes
+// equal to what an unwritten page already holds leave it unwritten.
+func (r *Region) write(off int, src []byte) {
+	if r.buf != nil {
+		copy(r.buf[off:], src)
+		return
+	}
+	for len(src) > 0 {
+		p, in := r.split(off)
+		n := min(len(src), r.pageSize-in)
+		pg := r.pages[p]
+		if pg == nil && !r.isUnwritten(src[:n], p, in) {
+			pg = make([]byte, r.pageSize)
+			binary.LittleEndian.PutUint64(pg, r.prefix(p))
+			r.pages[p] = pg
+		}
+		if pg != nil {
+			copy(pg[in:], src[:n])
+		}
+		src, off = src[n:], off+n
+	}
+}
+
+// window returns the bytes at [off, off+size) for a same-shard READ's
+// callback, without copying where they are contiguous: the flat slab, a
+// written page, or scratch with the page's prefix stored into it (eight
+// bytes per READ; the zero tail is never touched). Only a window that
+// straddles pages of a paged region is assembled in a buffer of its own.
+// The slice is valid until the next window call and must not be written
+// through. The range must have been checked.
+func (r *Region) window(off, size int) []byte {
+	if r.buf != nil {
+		return r.buf[off : off+size]
+	}
+	if size == 0 {
+		return r.scratch[:0]
+	}
+	p, in := r.split(off)
+	if in+size <= r.pageSize {
+		if pg := r.pages[p]; pg != nil {
+			return pg[in : in+size]
+		}
+		binary.LittleEndian.PutUint64(r.scratch, r.prefix(p))
+		return r.scratch[in : in+size]
+	}
+	out := make([]byte, size)
+	r.read(out, off)
+	return out
+}
+
+// load64 reads the 8-byte cell at off; store64 writes it. The range must
+// have been checked.
+func (r *Region) load64(off int) uint64 {
+	if r.buf != nil {
+		return binary.LittleEndian.Uint64(r.buf[off:])
+	}
+	var cell [8]byte
+	r.read(cell[:], off)
+	return binary.LittleEndian.Uint64(cell[:])
+}
+
+func (r *Region) store64(off int, v uint64) {
+	if r.buf != nil {
+		binary.LittleEndian.PutUint64(r.buf[off:], v)
+		return
+	}
+	var cell [8]byte
+	binary.LittleEndian.PutUint64(cell[:], v)
+	r.write(off, cell[:])
+}
 
 // View returns the region's own bytes [off, off+size) to code running on
 // the owner node: a local (owner-side CPU) access with no simulated cost,
@@ -48,10 +239,14 @@ func (r *Region) bytes(off, size int) []byte { return r.buf[off : off+size] }
 // stores is what a later one-sided READ returns. It must not leave the
 // owner — a remote node's access through it would cost nothing in the
 // model — and its capacity ends at off+size, so an append cannot spill
-// into the bytes behind it.
+// into the bytes behind it. Only a flat region has bytes to alias: on a
+// paged one View is an error until Materialize has run.
 func (r *Region) View(off, size int) ([]byte, error) {
 	if err := r.checkRange(off, size); err != nil {
 		return nil, err
+	}
+	if r.buf == nil {
+		return nil, fmt.Errorf("rdma: region %q: no view of a paged region", r.name)
 	}
 	return r.buf[off : off+size : off+size], nil
 }
@@ -60,27 +255,19 @@ func (r *Region) View(off, size int) ([]byte, error) {
 // (owner-side CPU) access with no simulated cost; remote access must go
 // through a QP verb.
 func (r *Region) Int64(off int) (int64, error) {
-	if err := r.checkRange(off, 8); err != nil {
-		return 0, err
-	}
-	return int64(binary.LittleEndian.Uint64(r.buf[off:])), nil
+	v, err := r.Uint64(off)
+	return int64(v), err
 }
 
 // PutInt64 writes the 8-byte little-endian cell at off locally.
-func (r *Region) PutInt64(off int, v int64) error {
-	if err := r.checkRange(off, 8); err != nil {
-		return err
-	}
-	binary.LittleEndian.PutUint64(r.buf[off:], uint64(v))
-	return nil
-}
+func (r *Region) PutInt64(off int, v int64) error { return r.PutUint64(off, uint64(v)) }
 
 // Uint64 reads the 8-byte cell at off as unsigned.
 func (r *Region) Uint64(off int) (uint64, error) {
 	if err := r.checkRange(off, 8); err != nil {
 		return 0, err
 	}
-	return binary.LittleEndian.Uint64(r.buf[off:]), nil
+	return r.load64(off), nil
 }
 
 // PutUint64 writes the 8-byte cell at off as unsigned.
@@ -88,7 +275,7 @@ func (r *Region) PutUint64(off int, v uint64) error {
 	if err := r.checkRange(off, 8); err != nil {
 		return err
 	}
-	binary.LittleEndian.PutUint64(r.buf[off:], v)
+	r.store64(off, v)
 	return nil
 }
 
@@ -97,7 +284,7 @@ func (r *Region) CopyIn(off int, data []byte) error {
 	if err := r.checkRange(off, len(data)); err != nil {
 		return err
 	}
-	copy(r.buf[off:], data)
+	r.write(off, data)
 	return nil
 }
 
@@ -107,6 +294,6 @@ func (r *Region) CopyOut(off, size int) ([]byte, error) {
 		return nil, err
 	}
 	out := make([]byte, size)
-	copy(out, r.buf[off:])
+	r.read(out, off)
 	return out, nil
 }

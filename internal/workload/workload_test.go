@@ -48,9 +48,10 @@ func TestZipfianRangeAndSkew(t *testing.T) {
 }
 
 // referenceZipfianNext is Zipfian.Next as it stood before the rank-1
-// threshold was hoisted into NewZipfian, kept verbatim (theta passed in,
-// since the chooser no longer stores it): the pin for "same expression,
-// same float64".
+// threshold was hoisted into NewZipfian and before integer skews stopped
+// calling math.Pow per draw, kept verbatim (theta passed in, since the
+// chooser no longer stores it): the pin for "same expression, same
+// float64" and for "same rank from either power".
 func referenceZipfianNext(z *Zipfian, theta float64, rng *rand.Rand) uint64 {
 	u := rng.Float64()
 	uz := u * z.zetan
@@ -67,22 +68,84 @@ func referenceZipfianNext(z *Zipfian, theta float64, rng *rand.Rand) uint64 {
 	return v
 }
 
+// fixedDraw is a rand.Source whose every Float64 is u = bits / 2^53 (Float64
+// is Int63 / 2^63), so a test can hand Next the exact uniform draw it wants
+// to probe.
+type fixedDraw struct{ bits int64 }
+
+func (f *fixedDraw) Int63() int64 { return f.bits << 10 }
+func (f *fixedDraw) Seed(int64)   {}
+
 func TestZipfianNextMatchesReference(t *testing.T) {
-	const draws = 10000
-	for _, n := range []uint64{1, 2, 3, 4096, 65536} {
-		for _, seed := range []int64{1, 42} {
-			z, err := NewZipfian(n, zipfTheta)
+	draws := 10_000_000
+	if testing.Short() {
+		draws = 1_000_000
+	}
+	// 1/(1-theta) is 100 and 2 to within the tolerance, so those skews
+	// multiply; 0.7 (alpha 3.33) has only math.Pow.
+	for _, skew := range []struct {
+		theta float64
+		ipow  uint
+	}{{zipfTheta, 100}, {0.5, 2}, {0.7, 0}} {
+		theta, ipow := skew.theta, skew.ipow
+		for _, n := range []uint64{1, 2, 3, 1 << 10, 1 << 12, 1 << 16, 1 << 20} {
+			z, err := NewZipfian(n, theta)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, want := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
-			for i := 0; i < draws; i++ {
-				g, w := z.Next(got), referenceZipfianNext(z, zipfTheta, want)
-				if g != w {
-					t.Fatalf("n=%d seed=%d draw %d: Next = %d, reference = %d", n, seed, i, g, w)
+			if n > 3 && z.ipow != ipow { // n = 2 has eta = 0/0 and never multiplies
+				t.Fatalf("theta=%v n=%d: ipow = %d, want %d", theta, n, z.ipow, ipow)
+			}
+			per := draws / 4
+			if theta != zipfTheta || n < 1<<10 {
+				per = 10_000
+			}
+			for _, seed := range []int64{1, 42} {
+				got, want := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+				for i := 0; i < per/2; i++ {
+					g, w := z.Next(got), referenceZipfianNext(z, theta, want)
+					if g != w {
+						t.Fatalf("theta=%v n=%d seed=%d draw %d: Next = %d, reference = %d", theta, n, seed, i, g, w)
+					}
 				}
 			}
 		}
+	}
+}
+
+// Where the two powers could disagree is a draw whose n*base^alpha lands
+// on an integer: walk every rank boundary of the 2^16-key chooser the
+// benchmarks use, sixteen representable draws to either side of it.
+func TestZipfianNextRankBoundaries(t *testing.T) {
+	const n = 1 << 16
+	z, err := NewZipfian(n, zipfTheta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var src fixedDraw
+	rng := rand.New(&src)
+	guarded := 0
+	for rank := 2; rank <= n; rank++ {
+		// Invert the rank formula: n * (eta*u - eta + 1)^alpha = rank.
+		u := (math.Pow(float64(rank)/n, 1/z.alpha) - 1 + z.eta) / z.eta
+		center := int64(u * (1 << 53))
+		for bits := center - 16; bits <= center+16; bits++ {
+			if bits < 0 || bits >= 1<<53 {
+				continue
+			}
+			src.bits = bits
+			g, w := z.Next(rng), referenceZipfianNext(z, zipfTheta, rng)
+			if g != w {
+				t.Fatalf("rank %d, u = %d/2^53: Next = %d, reference = %d", rank, bits, g, w)
+			}
+			if int(w) == rank || int(w) == rank-1 {
+				guarded++
+			}
+		}
+	}
+	// The sweep must really straddle the boundaries it claims to visit.
+	if guarded < 30*(n-2) {
+		t.Errorf("only %d of %d probes landed beside their boundary", guarded, 33*(n-1))
 	}
 }
 

@@ -26,7 +26,16 @@ type Zipfian struct {
 	// rank1 is 1 + 0.5^theta: Next returns rank 1 for u*zetan below it.
 	// It depends on theta alone, so it is computed once, not per draw.
 	rank1 float64
+	// ipow is alpha as an integer when raising to it by repeated
+	// multiplication is as good as math.Pow to within Next's guard band
+	// (theta = 0.99 gives 100), else 0. See Next.
+	ipow uint
 }
+
+// maxIntPow caps ipow: square-and-multiply to the k-th power accumulates
+// about k roundings of 2^-53, which has to stay far inside Next's 1e-12
+// guard band.
+const maxIntPow = 1 << 10
 
 // NewZipfian creates a zipfian chooser over [0, n) with skew theta in
 // (0, 1); use zipfTheta for YCSB defaults.
@@ -43,6 +52,12 @@ func NewZipfian(n uint64, theta float64) (*Zipfian, error) {
 	z.alpha = 1 / (1 - theta)
 	z.eta = (1 - math.Pow(2/float64(n), 1-theta)) / (1 - z.zeta2/z.zetan)
 	z.rank1 = 1 + math.Pow(0.5, theta)
+	// Next raises a base in [1-eta, 1] to alpha. With k the nearest integer,
+	// base^k is off from base^alpha by a factor within |alpha-k|*|ln(1-eta)|
+	// of 1. A degenerate eta makes the bound NaN or Inf and fails the test.
+	if k := math.Round(z.alpha); k <= maxIntPow && math.Abs(z.alpha-k)*math.Abs(math.Log(1-z.eta)) <= 1e-13 {
+		z.ipow = uint(k)
+	}
 	return z, nil
 }
 
@@ -64,6 +79,24 @@ func (z *Zipfian) Next(rng *rand.Rand) uint64 {
 	}
 	if uz < z.rank1 {
 		return 1
+	}
+	if z.ipow != 0 {
+		// The rank is the integer part of n*base^alpha. The product below
+		// differs from math.Pow's by less than 1e-12 of itself (see
+		// NewZipfian), so the two truncate alike unless an integer lies
+		// that close; then math.Pow decides, as it does for any other theta.
+		base, pow := z.eta*u-z.eta+1, 1.0
+		for e := z.ipow; e != 0; e >>= 1 {
+			if e&1 != 0 {
+				pow *= base
+			}
+			base *= base
+		}
+		x := float64(z.n) * pow
+		v := uint64(x)
+		if d, guard := x-float64(v), 1e-12*x; d > guard && 1-d > guard {
+			return v // x < n: pow <= 1 and x is no integer
+		}
 	}
 	v := uint64(float64(z.n) * math.Pow(z.eta*u-z.eta+1, z.alpha))
 	if v >= z.n {
