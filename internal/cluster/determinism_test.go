@@ -3,6 +3,8 @@ package cluster
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"sort"
 	"testing"
 
 	"github.com/haechi-qos/haechi/internal/workload"
@@ -138,8 +140,8 @@ func TestObservabilityInert(t *testing.T) {
 	}
 }
 
-// reportDivergence fails the test showing context around the first
-// differing byte of two serialized Results.
+// reportDivergence fails the test naming the first differing field of two
+// serialized Results and showing context around the first differing byte.
 func reportDivergence(t *testing.T, a, b []byte) {
 	t.Helper()
 	i := 0
@@ -153,8 +155,54 @@ func reportDivergence(t *testing.T, a, b []byte) {
 		}
 		return string(s[lo:min(hi, len(s))])
 	}
-	t.Fatalf("observability/seed mismatch: different serialized results (lengths %d vs %d); first divergence at byte %d:\n  run A: …%s…\n  run B: …%s…",
-		len(a), len(b), i, ctx(a), ctx(b))
+	t.Fatalf("observability/seed mismatch: different serialized results (lengths %d vs %d); first differing field %s, at byte %d:\n  run A: …%s…\n  run B: …%s…",
+		len(a), len(b), firstDifferingField(a, b), i, ctx(a), ctx(b))
+}
+
+// firstDifferingField names the first place two JSON documents differ, as
+// a path from the root ("Clients[3].Latency.P99"); "" when they are equal.
+func firstDifferingField(a, b []byte) string {
+	var va, vb any
+	if json.Unmarshal(a, &va) != nil || json.Unmarshal(b, &vb) != nil {
+		return "(not JSON)"
+	}
+	return diffJSON("Results", va, vb)
+}
+
+func diffJSON(path string, a, b any) string {
+	switch x := a.(type) {
+	case map[string]any:
+		y, ok := b.(map[string]any)
+		if !ok || len(x) != len(y) {
+			return path
+		}
+		keys := make([]string, 0, len(x))
+		for k := range x {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		for _, k := range keys {
+			if d := diffJSON(path+"."+k, x[k], y[k]); d != "" {
+				return d
+			}
+		}
+		return ""
+	case []any:
+		y, ok := b.([]any)
+		if !ok || len(x) != len(y) {
+			return path
+		}
+		for i := range x {
+			if d := diffJSON(fmt.Sprintf("%s[%d]", path, i), x[i], y[i]); d != "" {
+				return d
+			}
+		}
+		return ""
+	}
+	if a != b { // string, float64, bool or nil
+		return fmt.Sprintf("%s (%v vs %v)", path, a, b)
+	}
+	return ""
 }
 
 // TestProfileShardedWorkerInvariant pins the parallel sweeper's
@@ -186,5 +234,83 @@ func TestProfileShardedWorkerInvariant(t *testing.T) {
 	}
 	if plain != oneShard {
 		t.Errorf("shards=1 diverged from ProfileCapacity: %+v vs %+v", plain, oneShard)
+	}
+}
+
+// TestKeysDoNotSteerTime is the licence for drawing keys from a stream no
+// golden pins (DESIGN.md §6): which record a request names never decides
+// when anything happens. Every record is primed into the location cache,
+// the same size and one READ or WRITE away, so the same tenants under
+// three key choosers as unlike as they come must produce the same Results
+// to the byte — completions, latencies, timelines, verb and event counts,
+// fault accounting — gated or bare, reading or half writing, on one kernel
+// or three, with faults injected or not.
+func TestKeysDoNotSteerTime(t *testing.T) {
+	choosers := []struct {
+		name string
+		new  func(n uint64) workload.KeyChooser
+	}{
+		{"zipfian", func(n uint64) workload.KeyChooser {
+			z, err := workload.NewScrambledZipfian(n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return z
+		}},
+		{"uniform", func(n uint64) workload.KeyChooser { return &workload.UniformKeys{N: n} }},
+		{"sequential", func(n uint64) workload.KeyChooser { return &workload.SequentialKeys{N: n} }},
+	}
+	burst := ClientSpec{Reservation: 1200, Demand: ConstantDemand(2500)}
+	paced := ClientSpec{Demand: ConstantDemand(2500), Pattern: workload.ConstantRate{}, UpdateFraction: 0.5}
+	for _, tc := range []struct {
+		name    string
+		mode    Mode
+		spec    ClientSpec
+		shards  int
+		chaos   string
+		measure int
+	}{
+		{"haechi burst", Haechi, burst, 1, "", 3},
+		{"haechi burst, 3 shards", Haechi, burst, 3, "", 3},
+		{"bare paced half-writes", Bare, paced, 1, "", 3},
+		{"bare paced half-writes, 3 shards", Bare, paced, 3, "", 3},
+		{"haechi burst, 3 shards, set5 chaos, sanitized", Haechi, burst, 3, "set5", 13},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var base []byte
+			for _, ch := range choosers {
+				cfg := testConfig(tc.mode)
+				cfg.Seed = 42
+				cfg.Shards = tc.shards
+				cfg.Chaos = tc.chaos
+				cfg.Sanitize = tc.chaos != ""
+				specs := make([]ClientSpec, 6)
+				for i := range specs {
+					specs[i] = tc.spec
+					specs[i].Keys = ch.new(uint64(cfg.Records)) // sequential keeps a cursor: one per tenant
+				}
+				cl, err := New(cfg, specs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := cl.Run(1, tc.measure)
+				if err != nil {
+					t.Fatalf("%s keys: %v", ch.name, err)
+				}
+				if res.TotalCompleted == 0 {
+					t.Fatalf("%s keys: nothing completed", ch.name)
+				}
+				b, err := json.Marshal(res)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if base == nil {
+					base = b
+				} else if !bytes.Equal(base, b) {
+					t.Errorf("%s keys steer time (run A: %s keys, run B: %s keys)", ch.name, choosers[0].name, ch.name)
+					reportDivergence(t, base, b)
+				}
+			}
+		})
 	}
 }

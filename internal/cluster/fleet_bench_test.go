@@ -73,7 +73,7 @@ func storeLoadNsPerRecord(t *testing.T, records int) float64 {
 //   - the per-point simulated event counts, which are deterministic and
 //     must match the baseline exactly (any drift is a determinism
 //     regression, not noise).
-//   - bytes_per_client at 10^5 clients, against an absolute 16 KiB
+//   - bytes_per_client at 10^5 clients, against an absolute 8 KiB
 //     ceiling: a HeapAlloc difference, the same on any runner.
 //   - store_load_ratio: ns per record of loading and priming the store
 //     at 2^16 records relative to 2^12, against an absolute ceiling of 2.
@@ -100,29 +100,19 @@ func TestWriteFleetBenchJSON(t *testing.T) {
 	}
 
 	run := func(clients int, cache bool) point {
-		specs := make([]ClientSpec, clients)
-		for i := range specs {
-			r := int64(0)
-			if i < clients/10 {
-				r = 1 // thin reserved tier, like Set 6's fleet regime
-			}
-			specs[i] = ClientSpec{Reservation: r, Demand: ConstantDemand(1)}
-		}
+		specs := fleetSpecs(clients, clients/10)
 		cfg := testConfig(Haechi)
 		cfg.Seed = 6
 		if cache {
 			cfg.Fabric.QPCacheSize = 1024
 			cfg.Fabric.QPCacheMissPenalty = 0.25
 		}
-		runtime.GC()
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
+		before := heapAlloc()
 		cl, err := New(cfg, specs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		runtime.GC()
-		runtime.ReadMemStats(&after)
+		after := heapAlloc()
 		start := time.Now()
 		res, err := cl.Run(1, 1)
 		if err != nil {
@@ -133,7 +123,7 @@ func TestWriteFleetBenchJSON(t *testing.T) {
 			QPCache:        cache,
 			Events:         res.EventsExecuted,
 			EventsPerSec:   float64(res.EventsExecuted) / time.Since(start).Seconds(),
-			BytesPerClient: float64(after.HeapAlloc-before.HeapAlloc) / float64(clients),
+			BytesPerClient: float64(after-before) / float64(clients),
 		}
 	}
 

@@ -169,6 +169,53 @@ func TestQPCacheRepeatable(t *testing.T) {
 	}
 }
 
+// fleetSpecs is the fleet regime of Set 6: a thin reserved tier of the
+// first `reserved` tenants, the rest best-effort, one request per period
+// each.
+func fleetSpecs(clients, reserved int) []ClientSpec {
+	specs := make([]ClientSpec, clients)
+	for i := range specs {
+		r := int64(0)
+		if i < reserved {
+			r = 1
+		}
+		specs[i] = ClientSpec{Reservation: r, Demand: ConstantDemand(1)}
+	}
+	return specs
+}
+
+// heapAlloc is the live heap after a collection.
+func heapAlloc() uint64 {
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
+// TestTenantResidentBytes holds what a tenant costs before it has sent
+// anything — node, QP pair, dispatcher, kv client, engine, monitor row,
+// generator — under 6.5 KiB, so the 10^5-tenant fleet starts from about
+// 0.6 GB. Haechi's own per-client state is a handful of token counters
+// (paper §II-D); a tenant was 12 KB while its generator drew keys from a
+// 607-word math/rand table and its five message routes lived in five maps.
+func TestTenantResidentBytes(t *testing.T) {
+	const tenants, limit = 2000, 6.5 * 1024
+	cfg := testConfig(Haechi)
+	cfg.Seed = 6
+	specs := fleetSpecs(tenants, tenants/10)
+	before := heapAlloc()
+	cl, err := New(cfg, specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	per := float64(heapAlloc()-before) / tenants
+	runtime.KeepAlive(cl)
+	t.Logf("%.0f resident bytes per tenant after New", per)
+	if per > limit {
+		t.Errorf("a tenant holds %.0f B after New, want <= %.0f", per, limit)
+	}
+}
+
 // TestFleetSmoke drives Set 6's 10^5-client configuration end to end —
 // sharded onto 2 kernels, sanitized — and checks the run completes and
 // conserves per-client completions. It is the CI "Fleet smoke" target;
@@ -178,29 +225,23 @@ func TestFleetSmoke(t *testing.T) {
 		t.Skip("fleet smoke is not -short")
 	}
 	const clients = 100_000
-	specs := make([]ClientSpec, clients)
-	for i := range specs {
-		r := int64(0)
-		if i < 9000 {
-			r = 1 // reserved tier; the rest are best-effort
-		}
-		specs[i] = ClientSpec{Reservation: r, Demand: ConstantDemand(1)}
-	}
 	cfg := testConfig(Haechi)
 	cfg.Seed = 6
 	cfg.Shards = 2
 	cfg.Sanitize = true
-	cl, err := New(cfg, specs)
+	cl, err := New(cfg, fleetSpecs(clients, 9000))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The CI step runs this under -race on a 16 GB box: put the live heap
-	// the fleet starts from in its log, so the memory margin is a number.
-	var ms runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&ms)
+	// The CI step runs this under -race on a 16 GB box, where the detector
+	// multiplies whatever the fleet starts from: hold the live heap after
+	// New (the whole process's, not a delta) under 700 MB.
+	heapMB := float64(heapAlloc()) / (1 << 20)
 	t.Logf("HeapAlloc after New: %.1f MB for %d clients (kv/data holds %d of %d bytes)",
-		float64(ms.HeapAlloc)/(1<<20), clients, cl.Store().DataRegion().Resident(), cl.Store().DataRegion().Size())
+		heapMB, clients, cl.Store().DataRegion().Resident(), cl.Store().DataRegion().Size())
+	if heapMB > 700 {
+		t.Errorf("HeapAlloc after New = %.1f MB, want <= 700", heapMB)
+	}
 	res, err := cl.Run(1, 1)
 	if err != nil {
 		t.Fatal(err)

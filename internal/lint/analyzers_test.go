@@ -44,10 +44,11 @@ func TestAnalyzersOnFixtures(t *testing.T) {
 		{
 			analyzer: lint.Globalrand,
 			want: []want{
-				{9, "math/rand.Intn draws from the process-global source and is not replayable; use the kernel RNG (sim.Kernel.Rand) or a seeded *rand.Rand"},
-				{10, "math/rand.Shuffle draws from the process-global source and is not replayable; use the kernel RNG (sim.Kernel.Rand) or a seeded *rand.Rand"},
-				{11, "math/rand.Int63 draws from the process-global source and is not replayable; use the kernel RNG (sim.Kernel.Rand) or a seeded *rand.Rand"},
-				{16, "rand.New without a direct rand.NewSource(seed) argument hides the seed; construct the source inline from an explicit seed"},
+				{13, "math/rand.Intn draws from the process-global source and is not replayable; use the kernel RNG (sim.Kernel.Rand) or a seeded *rand.Rand"},
+				{14, "math/rand.Shuffle draws from the process-global source and is not replayable; use the kernel RNG (sim.Kernel.Rand) or a seeded *rand.Rand"},
+				{15, "math/rand.Int63 draws from the process-global source and is not replayable; use the kernel RNG (sim.Kernel.Rand) or a seeded *rand.Rand"},
+				{20, "rand.New without a direct rand.NewSource(seed) argument hides the seed; construct the source inline from an explicit seed"},
+				{44, "rand.New without a direct rand.NewSource(seed) argument hides the seed; construct the source inline from an explicit seed"},
 			},
 		},
 		{

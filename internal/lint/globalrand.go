@@ -17,11 +17,17 @@ var Globalrand = &Analyzer{
 }
 
 // sourceConstructors are the explicit-seed source builders accepted as
-// the direct argument of rand.New.
+// the direct argument of rand.New, by package path and name.
 var sourceConstructors = map[string]bool{
-	"NewSource":  true,
-	"NewPCG":     true, // math/rand/v2
-	"NewChaCha8": true, // math/rand/v2
+	"math/rand.NewSource":     true,
+	"math/rand/v2.NewPCG":     true,
+	"math/rand/v2.NewChaCha8": true,
+	// The per-tenant key stream (DESIGN.md §6).
+	"github.com/haechi-qos/haechi/internal/workload.NewKeySource": true,
+}
+
+func isSourceConstructor(fn *types.Func) bool {
+	return fn.Pkg() != nil && sourceConstructors[fn.Pkg().Path()+"."+fn.Name()]
 }
 
 func runGlobalrand(p *Package) []Diagnostic {
@@ -45,7 +51,7 @@ func runGlobalrand(p *Package) []Diagnostic {
 				return true // methods on a plumbed *rand.Rand are the approved path
 			}
 			switch name := fn.Name(); {
-			case sourceConstructors[name] || name == "NewZipf":
+			case isSourceConstructor(fn) || name == "NewZipf":
 				// NewZipf takes the *rand.Rand it will draw from.
 			case name == "New":
 				if !seededRandNew(p, sel, parents) {
@@ -76,12 +82,15 @@ func seededRandNew(p *Package, sel *ast.SelectorExpr, parents map[ast.Node]ast.N
 	if !ok {
 		return false
 	}
-	argSel, ok := argCall.Fun.(*ast.SelectorExpr)
-	if !ok {
+	var id *ast.Ident
+	switch f := argCall.Fun.(type) {
+	case *ast.Ident: // the constructor's own package calls it unqualified
+		id = f
+	case *ast.SelectorExpr:
+		id = f.Sel
+	default:
 		return false
 	}
-	fn, ok := p.Info.Uses[argSel.Sel].(*types.Func)
-	return ok && fn.Pkg() != nil &&
-		(fn.Pkg().Path() == "math/rand" || fn.Pkg().Path() == "math/rand/v2") &&
-		sourceConstructors[fn.Name()]
+	fn, ok := p.Info.Uses[id].(*types.Func)
+	return ok && isSourceConstructor(fn)
 }

@@ -2,7 +2,11 @@
 // analyzer.
 package fixture
 
-import "math/rand"
+import (
+	"math/rand"
+
+	"github.com/haechi-qos/haechi/internal/workload"
+)
 
 // Bad draws from the process-global source.
 func Bad(n int) int {
@@ -25,4 +29,17 @@ func Good(seed int64) int {
 // GoodParam draws from a generator the caller seeded.
 func GoodParam(rng *rand.Rand) float64 {
 	return rng.Float64()
+}
+
+// GoodKeys seeds the compact key stream inline, the form NewSource takes.
+func GoodKeys(seed int64) int {
+	rng := rand.New(workload.NewKeySource(seed))
+	return rng.Intn(10)
+}
+
+// BadKeys builds the key source on an earlier line: by the time rand.New
+// runs, the seed is out of sight.
+func BadKeys(seed int64) *rand.Rand {
+	src := workload.NewKeySource(seed)
+	return rand.New(src)
 }

@@ -362,7 +362,7 @@ func isTaintSource(p *Package, call *ast.CallExpr) bool {
 			return false // methods on a plumbed, seeded *rand.Rand
 		}
 		name := fn.Name()
-		return !sourceConstructors[name] && name != "NewZipf" && name != "New"
+		return !isSourceConstructor(fn) && name != "NewZipf" && name != "New"
 	}
 	return false
 }

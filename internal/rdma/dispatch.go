@@ -1,6 +1,9 @@
 package rdma
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Message is the envelope for two-sided SENDs when several protocols share
 // one node (e.g. the KV store RPC handler and the Haechi QoS monitor both
@@ -14,31 +17,54 @@ type Message struct {
 // scoped by sender (a multi-server client runs one QoS engine per data
 // node on the same client node; each engine handles only its own
 // monitor's messages). Bind it to a node once; register handlers before
-// or after binding.
+// or after binding. A node has a handful of routes and a fleet has one
+// dispatcher per tenant, so the table is one slice scanned in order.
 type Dispatcher struct {
-	node     *Node
-	handlers map[string]func(from *Node, body any)
-	scoped   map[string]map[*Node]func(from *Node, body any)
+	node   *Node
+	routes []route
+}
+
+// route delivers messages of one kind, from one sender or (from == nil)
+// from any, to handler. A (kind, from) pair appears at most once.
+type route struct {
+	kind    string
+	from    *Node
+	handler func(from *Node, body any)
 }
 
 // NewDispatcher creates a dispatcher bound to n.
 func NewDispatcher(n *Node) *Dispatcher {
-	d := &Dispatcher{
-		node:     n,
-		handlers: make(map[string]func(from *Node, body any)),
-		scoped:   make(map[string]map[*Node]func(from *Node, body any)),
-	}
+	d := &Dispatcher{node: n}
 	n.SetRecvHandler(d.dispatch)
 	return d
+}
+
+// find returns the index of the (kind, from) route, or -1.
+func (d *Dispatcher) find(kind string, from *Node) int {
+	for i := range d.routes {
+		if d.routes[i].from == from && d.routes[i].kind == kind {
+			return i
+		}
+	}
+	return -1
+}
+
+func (d *Dispatcher) remove(kind string, from *Node) bool {
+	i := d.find(kind, from)
+	if i < 0 {
+		return false
+	}
+	d.routes = slices.Delete(d.routes, i, i+1)
+	return true
 }
 
 // Handle registers a handler for messages of the given kind from any
 // sender. Registering a duplicate kind is an error.
 func (d *Dispatcher) Handle(kind string, h func(from *Node, body any)) error {
-	if _, ok := d.handlers[kind]; ok {
+	if d.find(kind, nil) >= 0 {
 		return fmt.Errorf("rdma: node %s: handler for %q already registered", d.node.name, kind)
 	}
-	d.handlers[kind] = h
+	d.routes = append(d.routes, route{kind: kind, handler: h})
 	return nil
 }
 
@@ -49,44 +75,24 @@ func (d *Dispatcher) HandleFrom(kind string, from *Node, h func(from *Node, body
 	if from == nil {
 		return fmt.Errorf("rdma: node %s: HandleFrom requires a sender", d.node.name)
 	}
-	byFrom, ok := d.scoped[kind]
-	if !ok {
-		byFrom = make(map[*Node]func(from *Node, body any))
-		d.scoped[kind] = byFrom
-	}
-	if _, dup := byFrom[from]; dup {
+	if d.find(kind, from) >= 0 {
 		return fmt.Errorf("rdma: node %s: handler for %q from %s already registered", d.node.name, kind, from.name)
 	}
-	byFrom[from] = h
+	d.routes = append(d.routes, route{kind: kind, from: from, handler: h})
 	return nil
 }
 
 // Unhandle removes the catch-all handler for kind. It reports whether a
 // handler was registered. Sender-scoped handlers are unaffected.
 func (d *Dispatcher) Unhandle(kind string) bool {
-	if _, ok := d.handlers[kind]; !ok {
-		return false
-	}
-	delete(d.handlers, kind)
-	return true
+	return d.remove(kind, nil)
 }
 
 // UnhandleFrom removes the sender-scoped handler for kind from the given
 // node (e.g. a multi-server client tearing down one per-server QoS
 // engine). It reports whether a handler was registered.
 func (d *Dispatcher) UnhandleFrom(kind string, from *Node) bool {
-	byFrom, ok := d.scoped[kind]
-	if !ok {
-		return false
-	}
-	if _, ok := byFrom[from]; !ok {
-		return false
-	}
-	delete(byFrom, from)
-	if len(byFrom) == 0 {
-		delete(d.scoped, kind)
-	}
-	return true
+	return from != nil && d.remove(kind, from)
 }
 
 func (d *Dispatcher) dispatch(from *Node, payload any) {
@@ -96,13 +102,23 @@ func (d *Dispatcher) dispatch(from *Node, payload any) {
 		// recv with an unknown-format buffer the application ignores.
 		return
 	}
-	if byFrom, ok := d.scoped[msg.Kind]; ok {
-		if h, ok := byFrom[from]; ok {
-			h(from, msg.Body)
-			return
+	// The handler runs after the scan: it may register or remove routes,
+	// its own included.
+	var h func(from *Node, body any)
+	for i := range d.routes {
+		r := &d.routes[i]
+		if r.kind != msg.Kind {
+			continue
+		}
+		if r.from == from {
+			h = r.handler
+			break
+		}
+		if r.from == nil {
+			h = r.handler
 		}
 	}
-	if h, ok := d.handlers[msg.Kind]; ok {
+	if h != nil {
 		h(from, msg.Body)
 	}
 }

@@ -1,6 +1,7 @@
 package rdma
 
 import (
+	"runtime"
 	"testing"
 
 	"github.com/haechi-qos/haechi/internal/sim"
@@ -42,22 +43,128 @@ func dispatchBed(t *testing.T) (*sim.Kernel, *Dispatcher, *Node, *Node, *QP, *QP
 }
 
 // TestDispatcherScopedPrecedence: a sender-scoped handler wins over the
-// catch-all for the same kind; unscoped senders fall through to it.
+// catch-all for the same kind, whichever was registered first; unscoped
+// senders fall through to it.
 func TestDispatcherScopedPrecedence(t *testing.T) {
-	k, d, s1, _, qp1, qp2 := dispatchBed(t)
+	for _, scopedFirst := range []bool{true, false} {
+		k, d, s1, _, qp1, qp2 := dispatchBed(t)
+		var scoped, catchall int
+		handleAny := func() {
+			if err := d.Handle("x", func(*Node, any) { catchall++ }); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !scopedFirst {
+			handleAny()
+		}
+		if err := d.HandleFrom("x", s1, func(*Node, any) { scoped++ }); err != nil {
+			t.Fatal(err)
+		}
+		if scopedFirst {
+			handleAny()
+		}
+		_ = qp1.Send(Message{Kind: "x", Body: 1}, 8, nil) // scoped wins
+		_ = qp2.Send(Message{Kind: "x", Body: 2}, 8, nil) // falls through
+		k.Run()
+		if scoped != 1 || catchall != 1 {
+			t.Errorf("scoped registered first = %v: scoped/catchall = %d/%d, want 1/1", scopedFirst, scoped, catchall)
+		}
+	}
+}
+
+// TestDispatcherDuplicates: a (kind, sender) pair registers once; the same
+// kind may have a catch-all and one route per sender side by side.
+func TestDispatcherDuplicates(t *testing.T) {
+	_, d, s1, s2, _, _ := dispatchBed(t)
+	h := func(*Node, any) {}
+	for _, reg := range []func() error{
+		func() error { return d.Handle("x", h) },
+		func() error { return d.HandleFrom("x", s1, h) },
+		func() error { return d.HandleFrom("x", s2, h) },
+		func() error { return d.Handle("y", h) },
+	} {
+		if err := reg(); err != nil {
+			t.Fatalf("first registration: %v", err)
+		}
+		if err := reg(); err == nil {
+			t.Error("duplicate registration accepted")
+		}
+	}
+	if err := d.HandleFrom("x", nil, h); err == nil {
+		t.Error("HandleFrom without a sender accepted")
+	}
+	if d.UnhandleFrom("x", nil) {
+		t.Error("UnhandleFrom without a sender removed the catch-all")
+	}
+}
+
+// TestDispatcherHandlerRemovesItself: a handler may unregister itself (and
+// others) while it runs; the message in hand is still delivered to it once,
+// later ones follow the routes it left.
+func TestDispatcherHandlerRemovesItself(t *testing.T) {
+	k, d, s1, _, qp1, _ := dispatchBed(t)
 	var scoped, catchall int
-	if err := d.HandleFrom("x", s1, func(*Node, any) { scoped++ }); err != nil {
+	if err := d.Handle("pad", func(*Node, any) {}); err != nil {
+		t.Fatal(err)
+	}
+	err := d.HandleFrom("x", s1, func(*Node, any) {
+		scoped++
+		if !d.UnhandleFrom("x", s1) || !d.Unhandle("pad") {
+			t.Error("handler could not remove routes from inside dispatch")
+		}
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
 	if err := d.Handle("x", func(*Node, any) { catchall++ }); err != nil {
 		t.Fatal(err)
 	}
-	_ = qp1.Send(Message{Kind: "x", Body: 1}, 8, nil) // scoped wins
-	_ = qp2.Send(Message{Kind: "x", Body: 2}, 8, nil) // falls through
-	k.Run()
-	if scoped != 1 || catchall != 1 {
-		t.Errorf("scoped/catchall = %d/%d, want 1/1", scoped, catchall)
+	for i := 0; i < 3; i++ {
+		_ = qp1.Send(Message{Kind: "x"}, 8, nil)
 	}
+	k.Run()
+	if scoped != 1 || catchall != 2 {
+		t.Errorf("scoped/catchall = %d/%d, want 1/2", scoped, catchall)
+	}
+}
+
+// TestDispatcherFootprint: a fleet has one dispatcher per tenant and routes
+// every control message through it, so routing allocates nothing and a
+// tenant's table (an engine's three scoped routes) stays a few words.
+func TestDispatcherFootprint(t *testing.T) {
+	_, d, s1, _, _, _ := dispatchBed(t)
+	var handled int
+	h := func(*Node, any) { handled++ }
+	kinds := []string{"period-start", "report-on", "alert"}
+	for _, kind := range kinds {
+		if err := d.HandleFrom(kind, s1, h); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var payload any = Message{Kind: "alert"}
+	if allocs := testing.AllocsPerRun(100, func() { d.dispatch(s1, payload) }); allocs != 0 || handled != 101 {
+		t.Errorf("dispatch allocated %v times per message, handled %d of 101", allocs, handled)
+	}
+
+	const n = 4096
+	keep := make([]*Dispatcher, n)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := range keep {
+		keep[i] = NewDispatcher(d.node)
+		for _, kind := range kinds {
+			if err := keep[i].HandleFrom(kind, s1, h); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if per := float64(after.HeapAlloc-before.HeapAlloc) / n; per > 320 {
+		t.Errorf("a 3-handler dispatcher holds %.0f B, want <= 320", per)
+	}
+	runtime.KeepAlive(keep)
 }
 
 // TestDispatcherUnhandle covers catch-all unregistration: delivery

@@ -603,11 +603,13 @@ func TestPoissonInterArrivalProperty(t *testing.T) {
 
 // TestDriversKeepPushContractArrivals pins the open-loop and windowed
 // drivers, behind a sink that pulls on arrival, to the arrival instants
-// and key sequence they produced when every request was pushed as a
-// (key, done) pair the moment it was wanted. The table is the first twelve
-// requests of each pattern recorded from that implementation (seed 42,
-// scrambled zipfian over 1000 keys, 24 requests per 1 ms period, 5 µs
-// service).
+// they produced when every request was pushed as a (key, done) pair the
+// moment it was wanted. The table is the first twelve requests of each
+// pattern (seed 42, scrambled zipfian over 1000 keys, 24 requests per 1 ms
+// period, 5 µs service): the instants of all three and the Poisson keys
+// (drawn from math/rand between its gaps) recorded from that
+// implementation, the constant-rate and burst keys from the KeySource
+// stream of the same seed.
 func TestDriversKeepPushContractArrivals(t *testing.T) {
 	type arrival struct {
 		at  sim.Time
@@ -619,16 +621,16 @@ func TestDriversKeepPushContractArrivals(t *testing.T) {
 		want    []arrival
 	}{
 		{ConstantRate{}, 24, []arrival{
-			{0, 61}, {41666, 405}, {83332, 684}, {124998, 223}, {166664, 405}, {208330, 61},
-			{249996, 817}, {291662, 61}, {333328, 61}, {374994, 633}, {416660, 290}, {458326, 223},
+			{0, 587}, {41666, 862}, {83332, 126}, {124998, 405}, {166664, 147}, {208330, 405},
+			{249996, 223}, {291662, 699}, {333328, 405}, {374994, 523}, {416660, 244}, {458326, 996},
 		}},
 		{Poisson{}, 22, []arrival{
 			{20655, 405}, {27039, 223}, {31870, 61}, {67662, 61}, {125903, 633}, {271043, 223},
 			{317020, 405}, {330753, 717}, {338841, 321}, {388805, 139}, {394593, 587}, {415916, 223},
 		}},
 		{Burst{Window: 8}, 24, []arrival{
-			{0, 61}, {0, 405}, {0, 684}, {0, 223}, {0, 405}, {0, 61},
-			{0, 817}, {0, 61}, {5000, 61}, {5000, 633}, {5000, 290}, {5000, 223},
+			{0, 587}, {0, 862}, {0, 126}, {0, 405}, {0, 147}, {0, 405},
+			{0, 223}, {0, 699}, {5000, 405}, {5000, 523}, {5000, 244}, {5000, 996},
 		}},
 	}
 	for _, tc := range cases {

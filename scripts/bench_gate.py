@@ -27,7 +27,7 @@ machine-independent quantities instead:
   - the fleet bench's per-point simulated event counts, which are
     deterministic and must match the baseline exactly;
   - the fleet bench's resident bytes per client at 10^5 clients, gated
-    against an absolute ceiling (16 KiB) rather than the baseline: it is
+    against an absolute ceiling (8 KiB) rather than the baseline: it is
     a HeapAlloc difference divided by the client count, so it does not
     depend on the runner's speed;
   - the fleet bench's store load ratio (ns per record of NewStore +
@@ -45,7 +45,7 @@ import json
 import sys
 
 FLOOR = 0.8  # fail on >20% regression
-MAX_BYTES_PER_CLIENT = 16384  # resident state per tenant at 10^5 clients
+MAX_BYTES_PER_CLIENT = 8192  # resident state per tenant at 10^5 clients
 MAX_STORE_LOAD_RATIO = 2.0  # ns/record loading 2^16 records vs 2^12
 
 
