@@ -194,12 +194,14 @@ func heapAlloc() uint64 {
 
 // TestTenantResidentBytes holds what a tenant costs before it has sent
 // anything — node, QP pair, dispatcher, kv client, engine, monitor row,
-// generator — under 6.5 KiB, so the 10^5-tenant fleet starts from about
-// 0.6 GB. Haechi's own per-client state is a handful of token counters
+// generator — under 5.5 KiB, so the 10^5-tenant fleet starts from about
+// 0.5 GB. Haechi's own per-client state is a handful of token counters
 // (paper §II-D); a tenant was 12 KB while its generator drew keys from a
-// 607-word math/rand table and its five message routes lived in five maps.
+// 607-word math/rand table and its five message routes lived in five
+// maps, and 5.8 KB while each of its QPs' twelve stage queues was a slice
+// header.
 func TestTenantResidentBytes(t *testing.T) {
-	const tenants, limit = 2000, 6.5 * 1024
+	const tenants, limit = 2000, 5.5 * 1024
 	cfg := testConfig(Haechi)
 	cfg.Seed = 6
 	specs := fleetSpecs(tenants, tenants/10)

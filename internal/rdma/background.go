@@ -128,7 +128,7 @@ func (b *BackgroundJob) onArrive() {
 	op := b.target.pool.get()
 	op.kind = opFunc
 	op.weight = 1
-	op.completeFn = b.onDoneFn
+	op.doneCB = b.onDoneFn
 	b.target.sched.enqueue(b.queue, op)
 }
 

@@ -98,24 +98,46 @@ type Node struct {
 // ID returns the node's dense creation-order index.
 func (n *Node) ID() int { return n.id }
 
-// qpPenalty charges one QP-context touch at this node's NIC and returns
-// the extra service weight the touch costs: 0 on a cache hit (or with
-// the model disabled), the configured miss penalty when the context must
-// be fetched from host memory.
-func (n *Node) qpPenalty(qpID int) float64 {
+// ctxEnd returns which end of qp this node is, as an index into
+// QP.ctxSlot: 0 for the initiator — a loopback QP's one context on its
+// one NIC — and 1 for the target.
+func (n *Node) ctxEnd(qp *QP) uint8 {
+	if qp.initiator != n {
+		return 1
+	}
+	return 0
+}
+
+// qpPenalty charges one touch of qp's context at this node's NIC and
+// returns the extra service weight the touch costs: 0 on a cache hit (or
+// with the model disabled), the configured miss penalty when the context
+// must be fetched from host memory.
+func (n *Node) qpPenalty(qp *QP) float64 {
 	c := &n.qpCache
 	if c.cap == 0 {
 		return 0
 	}
-	if c.touch(qpID) {
+	end := n.ctxEnd(qp)
+	hit, evicted := c.touch(qp, end)
+	if hit {
 		n.prof.QPCacheHits++
 		return 0
 	}
 	n.prof.QPCacheMisses++
-	if n.san != nil && (c.used > c.cap || len(c.slot) != c.used) {
-		n.san.Reportf("qp-cache", int64(n.k.Now()),
-			"node %s: qp cache occupancy %d (map %d) exceeds capacity %d",
-			n.name, c.used, len(c.slot), c.cap)
+	if n.san != nil {
+		switch {
+		case c.used > c.cap:
+			n.san.Reportf("qp-cache", int64(n.k.Now()),
+				"node %s: qp cache occupancy %d exceeds capacity %d", n.name, c.used, c.cap)
+		case !c.holds(qp, end):
+			n.san.Reportf("qp-cache", int64(n.k.Now()),
+				"node %s: qp %d missed into slot word %d, whose slot does not point back",
+				n.name, qp.id, qp.ctxSlot[end])
+		case evicted != nil && evicted.ctxSlot[n.ctxEnd(evicted)] != 0:
+			n.san.Reportf("qp-cache", int64(n.k.Now()),
+				"node %s: evicted qp %d still holds slot word %d",
+				n.name, evicted.id, evicted.ctxSlot[n.ctxEnd(evicted)])
+		}
 	}
 	return c.penalty
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"github.com/haechi-qos/haechi/internal/sim"
 	"github.com/haechi-qos/haechi/internal/sim/shard"
@@ -115,15 +116,16 @@ func TestVerbsSteadyStateNoAlloc(t *testing.T) {
 	type verb struct {
 		name string
 		post func(t *testing.T, b *poolBed, qp *QP)
-		// crossWant is the expected objects/op on the cross-shard QP:
-		// newRecord for a verb that ends at the target with no hop back,
-		// whose record cannot be returned to the initiator's freelist
-		// from the target's kernel and is left to the collector.
-		crossWant float64
+		// crossFresh marks a verb that ends at the target with no hop back:
+		// on the cross-shard QP its record cannot be returned to the
+		// initiator's freelist from the target's kernel and is left to the
+		// collector, so every post takes a fresh one.
+		crossFresh bool
 	}
-	// A fresh record is three objects: the record and its two bound
-	// wire-hop continuations.
-	const newRecord = 3
+	// A fresh record that crosses once is two objects — the record and the
+	// one continuation that hop binds — and a third, its span, under a
+	// recorder.
+	const newRecord = 2
 	payload := fill(0x5a, DataIOSize)
 	onRead := func([]byte) {}
 	onDone := func() {}
@@ -134,13 +136,13 @@ func TestVerbsSteadyStateNoAlloc(t *testing.T) {
 		}
 	}
 	verbs := []verb{
-		{"Read4K", func(t *testing.T, b *poolBed, qp *QP) { check(t, qp.Read(b.region, recA, DataIOSize, onRead)) }, 0},
-		{"ReadProbe", func(t *testing.T, b *poolBed, qp *QP) { check(t, qp.Read(b.region, recA, 64, onRead)) }, 0},
-		{"Write4KCompletion", func(t *testing.T, b *poolBed, qp *QP) { check(t, qp.Write(b.region, recB, payload, onDone)) }, 0},
-		{"Write4K", func(t *testing.T, b *poolBed, qp *QP) { check(t, qp.Write(b.region, recB, payload, nil)) }, 0},
-		{"WriteUint64Completion", func(t *testing.T, b *poolBed, qp *QP) { check(t, qp.WriteUint64(b.region, 8, 7, onDone)) }, 0},
-		{"WriteUint64", func(t *testing.T, b *poolBed, qp *QP) { check(t, qp.WriteUint64(b.region, 8, 7, nil)) }, newRecord},
-		{"FetchAdd", func(t *testing.T, b *poolBed, qp *QP) { check(t, qp.FetchAdd(b.region, 16, 1, onOld)) }, 0},
+		{"Read4K", func(t *testing.T, b *poolBed, qp *QP) { check(t, qp.Read(b.region, recA, DataIOSize, onRead)) }, false},
+		{"ReadProbe", func(t *testing.T, b *poolBed, qp *QP) { check(t, qp.Read(b.region, recA, 64, onRead)) }, false},
+		{"Write4KCompletion", func(t *testing.T, b *poolBed, qp *QP) { check(t, qp.Write(b.region, recB, payload, onDone)) }, false},
+		{"Write4K", func(t *testing.T, b *poolBed, qp *QP) { check(t, qp.Write(b.region, recB, payload, nil)) }, false},
+		{"WriteUint64Completion", func(t *testing.T, b *poolBed, qp *QP) { check(t, qp.WriteUint64(b.region, 8, 7, onDone)) }, false},
+		{"WriteUint64", func(t *testing.T, b *poolBed, qp *QP) { check(t, qp.WriteUint64(b.region, 8, 7, nil)) }, true},
+		{"FetchAdd", func(t *testing.T, b *poolBed, qp *QP) { check(t, qp.FetchAdd(b.region, 16, 1, onOld)) }, false},
 	}
 	for _, observed := range []bool{false, true} {
 		for _, cross := range []bool{false, true} {
@@ -158,7 +160,13 @@ func TestVerbsSteadyStateNoAlloc(t *testing.T) {
 					b := newPoolBed(t, 1, observed, nil)
 					qp, want := b.localQP, 0.0
 					if cross {
-						qp, want = b.qp, v.crossWant
+						qp = b.qp
+						if v.crossFresh {
+							want = newRecord
+							if observed {
+								want++
+							}
+						}
 					}
 					one := func() {
 						v.post(t, b, qp)
@@ -329,9 +337,25 @@ func (b *poolBed) checkPools(t *testing.T, maxRecords, maxBufs int) {
 			len(sp.free), len(sp.bufs))
 	}
 	for _, op := range cp.free {
-		if op.buf != nil || op.qp != nil || op.readCB != nil || op.span != nil {
+		if op.buf != nil || op.qp != nil || op.readCB != nil || op.span != nil || op.next != nil {
 			t.Fatal("pooled record still references its last verb")
 		}
+	}
+	if b.client.flight == nil && len(cp.spans) != 0 {
+		t.Errorf("client freelist holds %d spans with no recorder attached, want none", len(cp.spans))
+	}
+}
+
+// TestRecordFootprint pins what a verb in flight and a connection cost:
+// the record fills the 176-byte allocation class exactly (one more word
+// is the 192-byte class), and a QP is twelve two-word queues, not twelve
+// slice headers.
+func TestRecordFootprint(t *testing.T) {
+	if got := unsafe.Sizeof(flowOp{}); got > 176 {
+		t.Errorf("flowOp is %d bytes, want <= 176", got)
+	}
+	if got := unsafe.Sizeof(QP{}); got > 320 {
+		t.Errorf("QP is %d bytes, want <= 320", got)
 	}
 }
 

@@ -19,14 +19,14 @@ import (
 // target CPU (for servers) and delivered to the node's receive handler.
 //
 // Verbs are represented as pooled flowOp records that move by pointer
-// through per-QP per-stage FIFOs; every pipeline stage completes through
-// a callback bound once at Connect. This exploits the FIFO ordering each
-// stage already guarantees (stations are FIFO within a class, the wire is
-// a constant delay, the kernel breaks ties by scheduling order), so in
-// steady state posting a verb allocates nothing: the record, its
-// flight-recorder span and its payload buffer all come from the
-// initiator kernel's freelists (see opPool) and return there when the
-// verb completes.
+// through per-QP per-stage FIFOs, each a head and a tail linked through
+// the records; every pipeline stage completes through a callback bound
+// once at Connect. This exploits the FIFO ordering each stage already
+// guarantees (stations are FIFO within a class, the wire is a constant
+// delay, the kernel breaks ties by scheduling order), so in steady state
+// posting a verb allocates nothing: the record, its flight-recorder span
+// and its payload buffer all come from the initiator kernel's freelists
+// (see opPool) and return there when the verb completes.
 type QP struct {
 	fabric    *Fabric
 	id        int
@@ -41,9 +41,16 @@ type QP struct {
 	// coordinator's mailboxes as a message carrying the record's pointer
 	// — the shared per-stage wire/deliver FIFOs are bypassed, since two
 	// kernels may not touch one FIFO concurrently. The message is one of
-	// the record's two pre-bound continuations, so the hop allocates
-	// nothing either.
+	// the record's two continuations, bound the first time the record
+	// makes that hop, so a recycled record's hop allocates nothing either.
 	cross bool
+
+	// ctxSlot is this QP's place in the QP-context caches of its two ends
+	// (see qpCache): slot+1 in the initiator NIC's cache at [0] and in the
+	// target NIC's at [1], zero while the context is not cached there. A
+	// loopback QP has one end and uses [0]. Each word is written only by
+	// the cache of its own end, on that end's kernel.
+	ctxSlot [2]int32
 
 	// Credit-based flow control for bulk transfers (see
 	// Config.FlowControlWindow): inFlight counts data operations admitted
@@ -145,8 +152,10 @@ const (
 // stage FIFOs, the scheduler and the cross-shard mailbox all hold by
 // pointer. It carries everything a stage needs — the routing class, the
 // target memory range, the payload, the result of an atomic, the
-// caller's completion callback — plus what used to be allocated per I/O
-// beside it: the flight-recorder span and the two wire-hop continuations.
+// caller's completion callback — and the link of the one stage queue it
+// is in. A verb in flight is this record and nothing beside it: 176
+// bytes, a size class of its own (TestRecordFootprint; one more word
+// would land it in the 192-byte class).
 //
 // Ownership: a record is taken from and returned to the freelist of the
 // initiator's kernel, and only code running on that kernel ever touches
@@ -155,9 +164,17 @@ const (
 // span, fills buf and result, and posts it back; the quantum barrier
 // orders those writes before the initiator's reads. See DESIGN.md §8.2.
 type flowOp struct {
+	// next links the record into the stage queue holding it (see opFIFO);
+	// nil outside a queue.
+	next *flowOp
+	qp   *QP
+
 	kind    opKind
 	control bool
-	qp      *QP
+	// inlineLen > 0 marks a small WRITE whose payload (up to 8 bytes —
+	// Haechi's silent reports and token pushes) travels by value in delta,
+	// so the hot reporting path posts no heap buffer; buf is nil then.
+	inlineLen uint8
 
 	// weight is the target-side service weight; initWeight the
 	// initiator-side one.
@@ -172,50 +189,48 @@ type flowOp struct {
 	// into at serve time. It returns to the freelist with the record.
 	buf []byte
 
-	// inline holds small WRITE payloads (up to 8 bytes — Haechi's silent
-	// reports and token pushes) by value, so the hot reporting path posts
-	// no heap buffer; inlineLen > 0 means inline is the payload and buf
-	// is nil.
-	inline    [8]byte
-	inlineLen uint8
-
-	delta  int64 // FETCH_ADD
-	expect int64 // CMP_SWAP
-	swap   int64
+	// delta is the verb's 8-byte immediate: FETCH_ADD's addend, CMP_SWAP's
+	// expected value, or an inline WRITE's payload in little-endian order.
+	delta  int64
+	swap   int64 // CMP_SWAP
 	result int64 // atomic result, filled at apply time
 
 	payload any // SEND payload
 
 	readCB func(data []byte)
 	u64CB  func(old int64)
+	// doneCB completes a WRITE or a SEND at the initiator, and an opFunc
+	// injection at its injector.
 	doneCB func()
 
-	completeFn func() // opFunc only
+	// span is nil with recording off, else pooled storage taken with the
+	// record and returned with it.
+	span *trace.Span
 
-	// span is nil with recording off, else &spanStore.
-	span      *trace.Span
-	spanStore trace.Span
-
-	// Wire-hop continuations handed to the mailbox, bound once when the
-	// record is first created and kept across recycling.
+	// Wire-hop continuations handed to the mailbox. Each is bound the
+	// first time the record makes that hop and kept across recycling; a
+	// record that never leaves its shard has neither.
 	toTargetFn    func()
 	toInitiatorFn func()
 }
 
-// opPool is one kernel's pair of freelists: verb records and payload
-// buffers. Both are plain LIFO slices that start empty and grow to the
-// run's high-water mark on demand. Every node caches its shard's pool;
-// get/put/getBuf run only on that shard's kernel, so there is a single
-// writer and no locking — which is also why this is not a sync.Pool:
-// that would put a concurrency primitive on the event path (the
-// noconcurrency lint), and its reuse depends on GC timing, while a verb's
-// allocation behaviour here depends on the event sequence alone.
+// opPool is one kernel's freelists: verb records, flight-recorder spans
+// and payload buffers. All are plain LIFO slices that start empty and
+// grow to the run's high-water mark on demand; spans is touched only
+// while a flight recorder is attached. Every node caches its shard's
+// pool; get/put/getSpan/getBuf run only on that shard's kernel, so there
+// is a single writer and no locking — which is also why this is not a
+// sync.Pool: that would put a concurrency primitive on the event path
+// (the noconcurrency lint), and its reuse depends on GC timing, while a
+// verb's allocation behaviour here depends on the event sequence alone.
 type opPool struct {
-	free []*flowOp
-	bufs [][]byte
+	free  []*flowOp
+	spans []*trace.Span
+	bufs  [][]byte
 }
 
-// get returns a zeroed record with its continuations bound.
+// get returns a zeroed record, keeping whatever continuations its
+// earlier hops bound.
 func (p *opPool) get() *flowOp {
 	if last := len(p.free) - 1; last >= 0 {
 		op := p.free[last]
@@ -223,20 +238,32 @@ func (p *opPool) get() *flowOp {
 		p.free = p.free[:last]
 		return op
 	}
-	op := &flowOp{}
-	op.toTargetFn = op.arriveAtTarget
-	op.toInitiatorFn = op.returnToInitiator
-	return op
+	return &flowOp{}
 }
 
-// put recycles a finished record and its payload buffer. The reset drops
-// every reference the verb held (callbacks, payload, region).
+// put recycles a finished record with its span and payload buffer. The
+// reset drops every reference the verb held (callbacks, payload, region).
 func (p *opPool) put(op *flowOp) {
 	if op.buf != nil {
 		p.bufs = append(p.bufs, op.buf)
 	}
+	if op.span != nil {
+		p.spans = append(p.spans, op.span)
+	}
 	*op = flowOp{toTargetFn: op.toTargetFn, toInitiatorFn: op.toInitiatorFn}
 	p.free = append(p.free, op)
+}
+
+// getSpan returns span storage for a verb posted under a flight recorder;
+// Begin overwrites every field.
+func (p *opPool) getSpan() *trace.Span {
+	if last := len(p.spans) - 1; last >= 0 {
+		sp := p.spans[last]
+		p.spans[last] = nil
+		p.spans = p.spans[:last]
+		return sp
+	}
+	return &trace.Span{}
 }
 
 // getBuf returns an n-byte payload buffer. Buffers are allocated in the
@@ -303,7 +330,9 @@ func (op *flowOp) apply() {
 	switch op.kind {
 	case opWrite:
 		if op.inlineLen > 0 {
-			op.region.write(op.off, op.inline[:op.inlineLen])
+			var cell [8]byte
+			binary.LittleEndian.PutUint64(cell[:], uint64(op.delta))
+			op.region.write(op.off, cell[:op.inlineLen])
 		} else {
 			op.region.write(op.off, op.buf)
 		}
@@ -313,7 +342,7 @@ func (op *flowOp) apply() {
 		op.result = old
 	case opCompareSwap:
 		old := int64(op.region.load64(op.off))
-		if old == op.expect {
+		if old == op.delta {
 			op.region.store64(op.off, uint64(op.swap))
 		}
 		op.result = old
@@ -353,7 +382,7 @@ func (qp *QP) ID() int { return qp.id }
 
 // newOp takes a record from the initiator's freelist for a verb posted
 // on this QP and, when recording is on, begins its flight-recorder span
-// in the record's own storage.
+// in storage from the same pool.
 func (qp *QP) newOp(kind opKind, control bool) *flowOp {
 	n := qp.initiator
 	op := n.pool.get()
@@ -361,7 +390,7 @@ func (qp *QP) newOp(kind opKind, control bool) *flowOp {
 	op.control = control
 	op.qp = qp
 	if fr := n.flight; fr != nil { // the initiator's shard begins the span
-		op.span = fr.Begin(&op.spanStore, trace.Op(kind), control, n.name, qp.target.name, qp.id, n.k.Now())
+		op.span = fr.Begin(n.pool.getSpan(), trace.Op(kind), control, n.name, qp.target.name, qp.id, n.k.Now())
 	}
 	return op
 }
@@ -407,7 +436,7 @@ func (qp *QP) loopback() bool { return qp.initiator == qp.target }
 // so the kernel's event sequence is identical with tracing on or off.
 func (qp *QP) initiate(op *flowOp) {
 	if qp.loopback() {
-		pen := qp.initiator.qpPenalty(qp.id)
+		pen := qp.initiator.qpPenalty(qp)
 		if op.control {
 			qp.loopCtrl.push(op)
 			qp.initiator.nic.SubmitPriorityTagged(op.weight+pen, qp.tag(stageLoopCtrl))
@@ -419,7 +448,7 @@ func (qp *QP) initiate(op *flowOp) {
 	}
 	if op.control {
 		qp.ctrlInit.push(op)
-		qp.initiator.nic.SubmitPriorityTagged(op.initWeight+qp.initiator.qpPenalty(qp.id), qp.tag(stageCtrlInit))
+		qp.initiator.nic.SubmitPriorityTagged(op.initWeight+qp.initiator.qpPenalty(qp), qp.tag(stageCtrlInit))
 		return
 	}
 	qp.admitData(op)
@@ -474,7 +503,7 @@ func (qp *QP) ctrlArriveOp(op *flowOp) {
 		return
 	}
 	qp.ctrlServe.push(op)
-	qp.target.nic.SubmitPriorityTagged(op.weight+qp.target.qpPenalty(qp.id), qp.tag(stageCtrlServe))
+	qp.target.nic.SubmitPriorityTagged(op.weight+qp.target.qpPenalty(qp), qp.tag(stageCtrlServe))
 }
 
 // noteArrival counts an op against the target's verb stats. Same-shard
@@ -500,6 +529,9 @@ func (qp *QP) noteArrival(op *flowOp) {
 func (qp *QP) postToTarget(op *flowOp, at sim.Time) {
 	if op.kind == opRead {
 		op.buf = qp.initiator.pool.getBuf(op.size)
+	}
+	if op.toTargetFn == nil {
+		op.toTargetFn = op.arriveAtTarget
 	}
 	qp.initiator.prof.MailboxPosts++
 	qp.fabric.post(qp.initiator.shard, qp.target.shard, at, op.toTargetFn)
@@ -562,6 +594,9 @@ func (qp *QP) serveOp(op *flowOp) {
 // postToInitiator sends the serviced op's return hop to the initiator's
 // shard, where it resumes at returnToInitiator.
 func (qp *QP) postToInitiator(op *flowOp, at sim.Time) {
+	if op.toInitiatorFn == nil {
+		op.toInitiatorFn = op.returnToInitiator
+	}
 	qp.target.prof.MailboxPosts++
 	qp.fabric.post(qp.target.shard, qp.initiator.shard, at, op.toInitiatorFn)
 }
@@ -642,7 +677,7 @@ func (qp *QP) transmit(op *flowOp) {
 		op.span.Credit = qp.initiator.k.Now()
 	}
 	qp.bulkInit.push(op)
-	qp.initiator.nic.SubmitTagged(op.initWeight+qp.initiator.qpPenalty(qp.id), qp.tag(stageBulkInit))
+	qp.initiator.nic.SubmitTagged(op.initWeight+qp.initiator.qpPenalty(qp), qp.tag(stageBulkInit))
 }
 
 // bulkInitDone: a bulk-class op (data transfer or bulk SEND) finished
@@ -697,7 +732,7 @@ func (qp *QP) releaseCredit() {
 // the size-proportional cost and delivers directly.
 func (qp *QP) sendTargetSubmit(op *flowOp) {
 	f := qp.fabric
-	pen := qp.target.qpPenalty(qp.id)
+	pen := qp.target.qpPenalty(qp)
 	if qp.target.kind == ServerNode {
 		qp.sendSrv.push(op)
 		qp.target.nic.SubmitPriorityTagged(f.cfg.SendRequestWeight+pen, qp.tag(stageSendSrv))
@@ -799,8 +834,10 @@ func (qp *QP) Write(r *Region, off int, data []byte, cb func()) error {
 	op.doneCB = cb
 	// The payload is captured at call time either inline (small writes —
 	// the report/token hot path) or into a pooled buffer.
-	if len(data) <= len(op.inline) {
-		op.inlineLen = uint8(copy(op.inline[:], data))
+	var cell [8]byte
+	if len(data) <= len(cell) {
+		op.inlineLen = uint8(copy(cell[:], data))
+		op.delta = int64(binary.LittleEndian.Uint64(cell[:]))
 	} else {
 		op.buf = qp.initiator.pool.getBuf(len(data))
 		copy(op.buf, data)
@@ -860,7 +897,7 @@ func (qp *QP) CompareSwap(r *Region, off int, expect, swap int64, cb func(old in
 	op := qp.newOp(opCompareSwap, true)
 	op.weight, op.initWeight = w, w
 	op.region, op.off = r, off
-	op.expect, op.swap = expect, swap
+	op.delta, op.swap = expect, swap
 	op.u64CB = cb
 	qp.initiate(op)
 	return nil
@@ -902,7 +939,7 @@ func (qp *QP) Send(payload any, size int, cb func()) error {
 	op.doneCB = cb
 	// SENDs are not flow-controlled: they enter the class's initiator-NIC
 	// stage directly.
-	pen := qp.initiator.qpPenalty(qp.id)
+	pen := qp.initiator.qpPenalty(qp)
 	if control {
 		qp.ctrlInit.push(op)
 		qp.initiator.nic.SubmitPriorityTagged(initWeight+pen, qp.tag(stageCtrlInit))

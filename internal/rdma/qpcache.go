@@ -9,19 +9,23 @@ package rdma
 // cache — which the calibrated small-testbed model otherwise lacks.
 //
 // The cache is struct-of-arrays: the recency list is an intrusive doubly
-// linked list over pre-allocated slot arrays, with a single map from QP
-// id to slot. Touches are O(1) and allocation-free in steady state, and
-// every touch happens on the owning node's kernel, so per-node caches
-// need no locks even when shards run concurrently and the hit/miss
-// sequence is exactly as deterministic as the event sequence.
+// linked list over slot arrays, and the way from a QP to its slot is a
+// word on the QP itself (QP.ctxSlot, one per end), so a touch looks
+// nothing up: the verb path holds the *QP already. Touches are O(1) and
+// allocation-free in steady state. Every touch happens on the owning
+// node's kernel and writes only that node's end of the ctxSlot words —
+// the touched QP's and, on eviction, the victim's, which is cached here
+// because this node is that same end of it — so per-node caches need no
+// locks even when shards run concurrently and the hit/miss sequence is
+// exactly as deterministic as the event sequence.
 type qpCache struct {
 	cap     int
 	penalty float64
 	used    int
 
-	slot map[int]int32 // qp id -> slot
-	ids  []int         // slot -> qp id
-	prev []int32       // recency list, -1 terminated
+	qps  []*QP   // slot -> cached QP
+	ends []uint8 // slot -> which of that QP's ctxSlot words is this cache's
+	prev []int32 // recency list, -1 terminated
 	next []int32
 	head int32 // most recently used
 	tail int32 // least recently used
@@ -39,41 +43,51 @@ func (c *qpCache) init(capacity int, penalty float64) {
 	if capacity <= 0 {
 		return
 	}
-	c.slot = make(map[int]int32)
 	c.head, c.tail = -1, -1
 }
 
-// touch marks the QP's context used now and reports whether it was
-// already cached.
-func (c *qpCache) touch(id int) bool {
-	if s, ok := c.slot[id]; ok {
+// touch marks the context of qp, whose end-th end is this cache's node,
+// used now and reports whether it was already cached; on a miss that
+// evicted another QP's context it also returns that QP.
+func (c *qpCache) touch(qp *QP, end uint8) (hit bool, evicted *QP) {
+	if s := qp.ctxSlot[end] - 1; s >= 0 {
 		if s != c.head {
 			c.unlink(s)
 			c.pushFront(s)
 		}
-		return true
+		return true, nil
 	}
 	var s int32
 	if c.used < c.cap {
 		s = int32(c.used)
 		c.used++
-		if int(s) == len(c.ids) {
+		if int(s) == len(c.qps) {
 			// Grows only while the working set grows; steady state —
 			// whether all-resident or thrashing through evictions —
 			// stays allocation-free.
-			c.ids = append(c.ids, 0)
+			c.qps = append(c.qps, nil)
+			c.ends = append(c.ends, 0)
 			c.prev = append(c.prev, 0)
 			c.next = append(c.next, 0)
 		}
 	} else {
 		s = c.tail
 		c.unlink(s)
-		delete(c.slot, c.ids[s])
+		evicted = c.qps[s]
+		evicted.ctxSlot[c.ends[s]] = 0
 	}
-	c.ids[s] = id
-	c.slot[id] = s
+	c.qps[s], c.ends[s] = qp, end
+	qp.ctxSlot[end] = s + 1
 	c.pushFront(s)
-	return false
+	return false, evicted
+}
+
+// holds reports whether slot and QP agree that the cache holds qp's
+// end-th end: the QP's word names a slot in use and that slot names the
+// QP and the end back.
+func (c *qpCache) holds(qp *QP, end uint8) bool {
+	s := int(qp.ctxSlot[end]) - 1
+	return s >= 0 && s < c.used && c.qps[s] == qp && c.ends[s] == end
 }
 
 func (c *qpCache) unlink(s int32) {

@@ -1,33 +1,33 @@
 package rdma
 
-// opFIFO is a queue of flow-operation records backed by a reusable slice
-// of pointers (an entry is 8 bytes; the record itself never moves); pop
-// compacts lazily so steady-state traffic stops allocating once the
-// buffer reaches its high-water mark. It is the building block for the
-// per-QP pipeline-stage queues and the scheduler's per-initiator queues.
-type opFIFO struct {
-	ops  []*flowOp
-	head int
+// opFIFO is a queue of flow-operation records threaded through the
+// records themselves: a record is in exactly one stage queue at a time,
+// so its next field is the only link any queue needs, and pushing or
+// popping touches the queue's two words and the record it already holds.
+// It is the building block for the per-QP pipeline-stage queues and the
+// scheduler's per-initiator queues.
+type opFIFO struct{ head, tail *flowOp }
+
+func (q *opFIFO) push(op *flowOp) {
+	if q.tail == nil {
+		q.head = op
+	} else {
+		q.tail.next = op
+	}
+	q.tail = op
 }
 
-func (q *opFIFO) push(op *flowOp) { q.ops = append(q.ops, op) }
+func (q *opFIFO) empty() bool { return q.head == nil }
 
-func (q *opFIFO) empty() bool { return q.head >= len(q.ops) }
-
-func (q *opFIFO) size() int { return len(q.ops) - q.head }
-
+// pop removes the oldest record; its link is cleared, so a record
+// outside a queue never points into one.
 func (q *opFIFO) pop() *flowOp {
-	op := q.ops[q.head]
-	q.ops[q.head] = nil
-	q.head++
-	if q.head >= len(q.ops) {
-		q.ops = q.ops[:0]
-		q.head = 0
-	} else if q.head > 64 && q.head*2 > len(q.ops) {
-		n := copy(q.ops, q.ops[q.head:])
-		q.ops = q.ops[:n]
-		q.head = 0
+	op := q.head
+	q.head = op.next
+	if q.head == nil {
+		q.tail = nil
 	}
+	op.next = nil
 	return op
 }
 
@@ -101,7 +101,7 @@ func (s *rrScheduler) pump() {
 	// injections carry no QP context and touch nothing).
 	w := op.weight
 	if op.kind != opFunc {
-		w += s.node.qpPenalty(op.qp.id)
+		w += s.node.qpPenalty(op.qp)
 	}
 	s.node.nic.SubmitWeighted(w, s.onServedFn)
 }
@@ -116,13 +116,13 @@ func (s *rrScheduler) onServed() {
 	s.currentQ = nil
 	if op.kind == opFunc {
 		s.node.prof.countKind(opFunc)
-		if op.completeFn != nil {
+		if op.doneCB != nil {
 			// opFunc injectors (background jobs) are always same-shard:
 			// their private initiators are assigned to the target's shard.
 			// The per-op bound completion needs no arrival horizon under a
 			// link storm: nothing pops a FIFO on this path.
 			f := s.node.fabric
-			s.node.k.Schedule(f.cfg.PropagationDelay+f.wireExtra(s.node.k), op.completeFn)
+			s.node.k.Schedule(f.cfg.PropagationDelay+f.wireExtra(s.node.k), op.doneCB)
 		}
 		s.node.pool.put(op) // the injector's kernel is this one, see above
 	} else {

@@ -124,33 +124,82 @@ func TestControlBypassesDataBacklog(t *testing.T) {
 	}
 }
 
-// TestDataQueueCompaction exercises the ring queue's pop/compact paths
-// with random push/pop interleavings.
-func TestDataQueueCompaction(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	q := newDataQueue(nil)
-	pushed, popped := 0, 0
-	for i := 0; i < 10000; i++ {
-		if q.empty() || rng.Intn(2) == 0 {
-			q.push(&flowOp{weight: float64(pushed)})
-			pushed++
-		} else {
-			op := q.pop()
-			if int(op.weight) != popped {
-				t.Fatalf("FIFO violated: got %v want %d", op.weight, popped)
+// size counts the records queued in q by walking its links.
+func (q *opFIFO) size() int {
+	n := 0
+	for op := q.head; op != nil; op = op.next {
+		n++
+	}
+	return n
+}
+
+// TestStageQueueMatchesSliceFIFO moves records at random between several
+// linked queues — a verb's life: one stage queue after another, never two
+// at once — and holds each against a slice FIFO: same order, same
+// emptiness, same length, and every popped record leaves with its link
+// cleared.
+func TestStageQueueMatchesSliceFIFO(t *testing.T) {
+	const queues, records, steps = 5, 64, 20_000
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		var qs [queues]opFIFO
+		var ref [queues][]*flowOp
+		// Records outside every queue, as the pool or a wire hop holds them.
+		idle := make([]*flowOp, records)
+		for i := range idle {
+			idle[i] = &flowOp{off: i}
+		}
+		check := func(step int) {
+			for i := range qs {
+				if qs[i].empty() != (len(ref[i]) == 0) {
+					t.Fatalf("seed %d step %d: queue %d empty=%v with %d records in the reference",
+						seed, step, i, qs[i].empty(), len(ref[i]))
+				}
+				if got := qs[i].size(); got != len(ref[i]) {
+					t.Fatalf("seed %d step %d: queue %d links %d records, reference holds %d",
+						seed, step, i, got, len(ref[i]))
+				}
 			}
-			popped++
 		}
-	}
-	for !q.empty() {
-		op := q.pop()
-		if int(op.weight) != popped {
-			t.Fatalf("FIFO violated in drain: got %v want %d", op.weight, popped)
+		for step := 0; step < steps; step++ {
+			from := rng.Intn(queues + 1) // queues = take an idle record
+			var op *flowOp
+			switch {
+			case from == queues && len(idle) > 0:
+				op, idle = idle[len(idle)-1], idle[:len(idle)-1]
+			case from < queues && !qs[from].empty():
+				op = qs[from].pop()
+				if want := ref[from][0]; op != want {
+					t.Fatalf("seed %d step %d: queue %d popped record %d, reference %d",
+						seed, step, from, op.off, want.off)
+				}
+				ref[from] = ref[from][1:]
+			default:
+				continue
+			}
+			if op.next != nil {
+				t.Fatalf("seed %d step %d: record %d outside a queue still links to record %d",
+					seed, step, op.off, op.next.off)
+			}
+			if to := rng.Intn(queues + 1); to == queues {
+				idle = append(idle, op)
+			} else {
+				qs[to].push(op)
+				ref[to] = append(ref[to], op)
+			}
+			check(step)
 		}
-		popped++
-	}
-	if popped != pushed {
-		t.Errorf("popped %d != pushed %d", popped, pushed)
+		// Drain: a queue emptied and refilled must still be FIFO.
+		for i := range qs {
+			for _, want := range ref[i] {
+				if op := qs[i].pop(); op != want || op.next != nil {
+					t.Fatalf("seed %d drain: queue %d popped record %d (linked: %v), reference %d",
+						seed, i, op.off, op.next != nil, want.off)
+				}
+			}
+			ref[i] = nil
+		}
+		check(steps)
 	}
 }
 

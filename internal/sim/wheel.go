@@ -5,18 +5,23 @@ import "math/bits"
 // The kernel's event queue is a hierarchical timing wheel: four levels of
 // 64 slots each, with geometrically coarser granularity per level, backed
 // by a small "near" heap for events at or behind the wheel cursor and an
-// overflow heap for events beyond the wheel horizon (~17 s of virtual
+// overflow heap for events beyond the wheel horizon (~68.7 s of virtual
 // time). The structure delivers events in exactly the same total order as
 // a single binary heap keyed on (at, seq) — DESIGN.md §8 gives the
 // argument — while making the common push O(1) instead of O(log n).
 //
 // Layout. Level l covers times whose quotient q_l(t) = t >> shift(l)
-// differs from the cursor's by 1..63, where shift(l) = 10 + 6*l; the slot
-// index is q_l(t) & 63. Level 0 buckets are therefore 1024 ns wide, level
-// 3 buckets ~268 ms. Events at or behind the cursor's level-0 bucket go
-// to the near heap, which is the only part ordered eagerly. Each level
-// keeps a 64-bit occupancy bitmap so the next non-empty slot is one
-// rotate + trailing-zeros away.
+// differs from the cursor's by 1..63, where shift(l) = 12 + 6*l; the slot
+// index is q_l(t) & 63. Level 0 buckets are therefore 4096 ns wide, level
+// 3 buckets ~1.07 s, and the levels span 262 µs, 16.8 ms, 1.07 s and
+// 68.7 s. The base is sized to the time base the simulator runs at:
+// every experiment scales rates down by 10 or more, so modelled delays
+// are several µs and up and a finer bucket orders nothing the near heap
+// does not, while each level an event starts above is one more routing
+// on its way down (DESIGN.md §8.1 has the counts). Events at or behind
+// the cursor's level-0 bucket go to the near heap, which is the only
+// part ordered eagerly. Each level keeps a 64-bit occupancy bitmap so
+// the next non-empty slot is one rotate + trailing-zeros away.
 //
 // Invariants maintained between operations:
 //
@@ -42,7 +47,7 @@ const (
 	wheelSlotBits  = 6
 	wheelSlots     = 1 << wheelSlotBits
 	wheelSlotMask  = wheelSlots - 1
-	wheelBaseShift = 10
+	wheelBaseShift = 12
 )
 
 func wheelShift(level int) uint { return uint(wheelBaseShift + level*wheelSlotBits) }

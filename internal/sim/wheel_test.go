@@ -197,27 +197,44 @@ var traceDelays = []Time{
 	Second / 4, Second, 19 * Second, 120 * Second,
 }
 
+// boundaryDelays straddles every level boundary of the wheel: one bucket
+// of level 0 (4 096 ns) and the spans of levels 0 to 3 (2^18 ns = 262 µs,
+// 2^24 = 16.8 ms, 2^30 = 1.07 s, 2^36 = 68.7 s, the last being the
+// horizon past which an event waits in the overflow heap), each one
+// nanosecond short, exact and — where the far side is another structure
+// — one past. Scheduled from cursors at arbitrary phases, the same delay
+// lands on either side of its boundary from one event to the next.
+var boundaryDelays = []Time{
+	0, 1, 4095, 4096, 4097,
+	1<<18 - 1, 1 << 18,
+	1<<24 - 1, 1 << 24, 1<<24 + 1,
+	1<<30 - 1, 1 << 30, 1<<30 + 1,
+	1<<36 - 1, 1 << 36, 1<<36 + 1, 1<<36 + 1<<30,
+}
+
 // runTrace executes one randomized schedule/cancel/run-until program
-// against k and returns the fired (id, time) log. The same seed always
-// produces the same program, so the log from the wheel kernel and from
-// the reference heap must match exactly.
-func runTrace(k traceKernel, seed int64) []fireRec {
+// against k, drawing its delays from the given table, and returns the
+// fired (id, time) log. The same seed always produces the same program,
+// so the log from the wheel kernel and from the reference heap must
+// match exactly.
+func runTrace(k traceKernel, seed int64, delays []Time) []fireRec {
 	rng := rand.New(rand.NewSource(seed))
 	var log []fireRec
 	var cancels []func() bool
 	nextID := 0
 
-	// A dense 1 s tick chain spanning ~40 s keeps wheel slots occupied
-	// all the way across the ~17 s overflow horizon, so the far-future
-	// events scheduled below (19 s, 120 s delays) still coexist with
-	// occupied slots when the cursor reaches them — the interaction
-	// between the overflow heap and a populated slot is exercised on
-	// every seed, not just when the wheel happens to drain empty first.
+	// A dense 1 s tick chain spanning ~140 s keeps wheel slots occupied
+	// all the way across the ~68.7 s overflow horizon, so the far-future
+	// events scheduled below (120 s delays, and the ones a nanosecond
+	// either side of the horizon) still coexist with occupied slots when
+	// the cursor reaches them — the interaction between the overflow heap
+	// and a populated slot is exercised on every seed, not just when the
+	// wheel happens to drain empty first.
 	ticks := 0
 	var tick func()
 	tick = func() {
 		log = append(log, fireRec{id: -1 - ticks, at: k.Now()})
-		if ticks < 40 {
+		if ticks < 140 {
 			ticks++
 			k.Schedule(Second, tick)
 		}
@@ -228,7 +245,7 @@ func runTrace(k traceKernel, seed int64) []fireRec {
 	schedule = func(depth int) {
 		id := nextID
 		nextID++
-		d := traceDelays[rng.Intn(len(traceDelays))]
+		d := delays[rng.Intn(len(delays))]
 		if rng.Intn(4) == 0 {
 			d += Time(rng.Intn(5000))
 		}
@@ -252,35 +269,49 @@ func runTrace(k traceKernel, seed int64) []fireRec {
 		for i := 0; i < 5; i++ {
 			cancels[rng.Intn(len(cancels))]()
 		}
-		k.RunUntil(k.Now() + traceDelays[rng.Intn(len(traceDelays))])
+		k.RunUntil(k.Now() + delays[rng.Intn(len(delays))])
 	}
 	k.Run()
 	return log
 }
 
 // TestWheelMatchesReferenceHeap replays randomized traces on the timing
-// wheel and on the old binary heap and requires identical delivery.
+// wheel and on the old binary heap and requires identical delivery: 300
+// seeds at the simulator's own time scales, and 300 whose delays sit on
+// the wheel's level boundaries.
 func TestWheelMatchesReferenceHeap(t *testing.T) {
-	for seed := int64(1); seed <= 300; seed++ {
-		got := runTrace(wheelAdapter{New(seed)}, seed)
-		want := runTrace(refAdapter{newRefKernel()}, seed)
-		if err := compareTraces(got, want); err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
+	for _, tc := range []struct {
+		name   string
+		delays []Time
+	}{
+		{"time scales", traceDelays},
+		{"level boundaries", boundaryDelays},
+	} {
+		for seed := int64(1); seed <= 300; seed++ {
+			got := runTrace(wheelAdapter{New(seed)}, seed, tc.delays)
+			want := runTrace(refAdapter{newRefKernel()}, seed, tc.delays)
+			if err := compareTraces(got, want); err != nil {
+				t.Fatalf("%s, seed %d: %v", tc.name, seed, err)
+			}
 		}
 	}
 }
+
+// overflowSlotBase is ~137 s: well past the wheel horizon, slot-aligned
+// at every level.
+const overflowSlotBase = Time(1) << 37
 
 // overflowSlotTrace pins the interleaving the randomized programs
 // almost never produced: an event parked in the overflow heap whose
 // time falls *inside* the span of an occupied wheel slot — past the
 // slot's start — when the cursor reaches it. A self-rescheduling 1 s
-// tick keeps the wheel continuously occupied across the ~17 s horizon;
+// tick keeps the wheel continuously occupied across the ~68.7 s horizon;
 // once the far-future instant is within a second, a second event is
 // landed 300 ns after the overflow event, in the same level-0 bucket.
 // Draining that bucket's slot must not let the later event overtake the
 // overflow event.
 func overflowSlotTrace(k traceKernel) []fireRec {
-	const base = Time(1) << 35 // ~34 s: well past the wheel horizon, slot-aligned at every level
+	const base = overflowSlotBase
 	var log []fireRec
 	k.Schedule(base+100, func() { log = append(log, fireRec{id: 1, at: k.Now()}) })
 	var tick func()
@@ -310,7 +341,7 @@ func TestWheelOverflowInsideOccupiedSlot(t *testing.T) {
 	// Belt and braces, independent of the reference engine: the overflow
 	// event (id 1, base+100) must fire before the wheel event (id 2,
 	// base+400).
-	const base = Time(1) << 35
+	const base = overflowSlotBase
 	n := len(got)
 	if n < 2 || got[n-2] != (fireRec{id: 1, at: base + 100}) || got[n-1] != (fireRec{id: 2, at: base + 400}) {
 		t.Fatalf("overflow event overtaken: trace tail %v", got[max(0, n-3):])

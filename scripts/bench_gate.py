@@ -27,32 +27,41 @@ machine-independent quantities instead:
   - the fleet bench's per-point simulated event counts, which are
     deterministic and must match the baseline exactly;
   - the fleet bench's resident bytes per client at 10^5 clients, gated
-    against an absolute ceiling (8 KiB) rather than the baseline: it is
+    against an absolute ceiling (6 KiB) rather than the baseline: it is
     a HeapAlloc difference divided by the client count, so it does not
     depend on the runner's speed;
   - the fleet bench's store load ratio (ns per record of NewStore +
     Populate + the first PrimeCache at 2^16 records relative to 2^12,
-    same process, interleaved), gated against an absolute ceiling (2.0):
-    a loader that probes its own full table again pays the probe chain,
-    which grows with the table, on every record (2.7-3.0 before the
-    one-pass loader, 1.4-1.7 after).
+    same process, interleaved; lower is better), gated against the
+    committed baseline like the other ratios: a loader that probes its
+    own full table again pays the probe chain, which grows with the
+    table, on every record, and the ratio rises. The number itself
+    depends on what else a record costs to load: 2.7-3.0 before the
+    one-pass loader and 1.4-1.7 after while Put copied 4 KB per record,
+    2.9 since the paged data region took that copy off both sides.
 
-A ratio more than 20% below its baseline fails. Refresh the committed
-baselines deliberately (rerun the TestWrite*BenchJSON hooks) when the
-kernels genuinely change.
+A ratio more than 20% worse than its baseline fails. Refresh the
+committed baselines deliberately (rerun the TestWrite*BenchJSON hooks)
+when the kernels genuinely change.
 """
 import json
 import sys
 
-FLOOR = 0.8  # fail on >20% regression
-MAX_BYTES_PER_CLIENT = 8192  # resident state per tenant at 10^5 clients
-MAX_STORE_LOAD_RATIO = 2.0  # ns/record loading 2^16 records vs 2^12
+FLOOR = 0.8  # higher-is-better ratios fail on >20% regression
+CEILING = 1.2  # lower-is-better ratios likewise
+MAX_BYTES_PER_CLIENT = 6144  # resident state per tenant at 10^5 clients
 
 
 def gate(name, got, want):
     print(f"{name}: {got:.3f} (baseline {want:.3f}, floor {FLOOR * want:.3f})")
     if got < FLOOR * want:
         sys.exit(f"FAIL: {name} regressed >20%: {got:.3f} < {FLOOR:.1f}*{want:.3f}")
+
+
+def gate_lower(name, got, want):
+    print(f"{name}: {got:.3f} (baseline {want:.3f}, ceiling {CEILING * want:.3f})")
+    if got > CEILING * want:
+        sys.exit(f"FAIL: {name} regressed >20%: {got:.3f} > {CEILING:.1f}*{want:.3f}")
 
 
 def main():
@@ -82,12 +91,8 @@ def main():
         ci_f = json.load(open(sys.argv[3]))
         gate("fleet events-per-client ratio", ci_f["events_per_client_ratio"],
              base_f["events_per_client_ratio"])
-        print(f"store load ratio: {ci_f['store_load_ratio']:.3f} "
-              f"(ceiling {MAX_STORE_LOAD_RATIO})")
-        if ci_f["store_load_ratio"] > MAX_STORE_LOAD_RATIO:
-            sys.exit(f"FAIL: store load ratio {ci_f['store_load_ratio']:.3f} "
-                     f"exceeds {MAX_STORE_LOAD_RATIO}: the loader's cost per "
-                     f"record grows with the table")
+        gate_lower("store load ratio", ci_f["store_load_ratio"],
+                   base_f["store_load_ratio"])
         for p, bp in zip(ci_f["points"], base_f["points"]):
             if (p["clients"], p["qp_cache"]) != (bp["clients"], bp["qp_cache"]):
                 sys.exit(f"FAIL: fleet bench point mismatch: "
