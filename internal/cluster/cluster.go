@@ -167,24 +167,11 @@ func New(cfg Config, specs []ClientSpec) (_ *Cluster, err error) {
 	if err != nil {
 		return nil, err
 	}
-	// Every record is its key in the first 8 bytes and zeros after — the
-	// value the store's paged data region holds without memory — so one
-	// buffer serves all of them and loading writes the index only.
+	// One buffer serves every record, and loading writes the index only.
 	value := make([]byte, rdma.DataIOSize)
-	err = store.Populate(cfg.Records, func(key uint64) []byte {
-		binary.LittleEndian.PutUint64(value, key)
-		return value
-	})
+	err = store.Populate(cfg.Records, func(key uint64) []byte { return recordValue(value, key) })
 	if err != nil {
 		return nil, err
-	}
-	for _, spec := range specs {
-		if spec.UpdateFraction > 0 {
-			// A tenant that WRITEs records would allocate the region a page
-			// at a time inside the run; pay for its footprint here instead.
-			store.DataRegion().Materialize()
-			break
-		}
 	}
 
 	c := &Cluster{
@@ -269,6 +256,15 @@ func New(cfg Config, specs []ClientSpec) (_ *Cluster, err error) {
 	return c, nil
 }
 
+// recordValue stores key's record in buf: the key in the first 8 bytes,
+// zeros after — what the store's paged data region holds without memory.
+// The loader and the update senders share it, so a one-sided UPDATE writes
+// the bytes its record already reads as and the record stays unwritten.
+func recordValue(buf []byte, key uint64) []byte {
+	binary.LittleEndian.PutUint64(buf, key)
+	return buf
+}
+
 func (c *Cluster) addClient(i int, spec ClientSpec) error {
 	node, err := c.fabric.AddClient(fmt.Sprintf("client-%02d", i))
 	if err != nil {
@@ -331,7 +327,7 @@ func (c *Cluster) addClient(i int, spec ClientSpec) error {
 	var updateValue []byte
 	if spec.UpdateFraction > 0 {
 		rng = rand.New(rand.NewSource(c.cfg.Seed ^ int64(i)<<17))
-		updateValue = make([]byte, c.cfg.Store.RecordSize)
+		updateValue = make([]byte, rdma.DataIOSize) // the loader's value, see New
 	}
 	sender := func(key uint64, done func()) {
 		ad.push(done)
@@ -340,8 +336,7 @@ func (c *Cluster) addClient(i int, spec ClientSpec) error {
 		case c.cfg.TwoSided:
 			err = kv.GetTwoSided(key, ad.onGetFn)
 		case updateValue != nil && rng.Float64() < spec.UpdateFraction:
-			updateValue[0] = byte(key)
-			err = kv.Update(key, updateValue, ad.onPutFn)
+			err = kv.Update(key, recordValue(updateValue, key), ad.onPutFn)
 		default:
 			err = kv.Get(key, ad.onGetFn)
 		}

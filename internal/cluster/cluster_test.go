@@ -665,11 +665,11 @@ func TestGoldenDeterminism(t *testing.T) {
 }
 
 // TestPaperScaleStoreIsCheap loads the paper's store — 1 M records of
-// 4 KB, 4 GB as a flat region — for ten readers. Records nobody wrote cost
-// no bytes, so the cluster fits in what the index, the page table and the
-// primed locations need, and a GET still returns the key plus zeros. A
-// tenant that updates records gets the flat region instead, paid for in
-// New and not inside the run.
+// 4 KB, 4 GB as a flat region — for nine readers and a tenant that updates
+// records. Records nobody changed cost no bytes, and an update writes the
+// record it replaces, so the cluster fits in what the index and the primed
+// locations need, before and after a measured window, and a GET still
+// returns the key plus zeros.
 func TestPaperScaleStoreIsCheap(t *testing.T) {
 	const records = 1 << 20
 	cfg := testConfig(Haechi)
@@ -679,6 +679,7 @@ func TestPaperScaleStoreIsCheap(t *testing.T) {
 	for i := range specs {
 		specs[i] = ClientSpec{Reservation: 100, Demand: ConstantDemand(200)}
 	}
+	specs[3].UpdateFraction = 0.5
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
@@ -690,8 +691,8 @@ func TestPaperScaleStoreIsCheap(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	grown := int64(after.HeapAlloc) - int64(before.HeapAlloc)
 	t.Logf("HeapAlloc grew %.1f MB across New", float64(grown)/(1<<20))
-	if grown > 64<<20 {
-		t.Errorf("a %d-record cluster holds %d MB of heap, want at most 64", records, grown>>20)
+	if grown > 32<<20 {
+		t.Errorf("a %d-record cluster holds %d MB of heap, want at most 32", records, grown>>20)
 	}
 	data := cl.Store().DataRegion()
 	if !data.Paged() || data.Resident() != 0 || data.Size() != records*rdma.DataIOSize {
@@ -732,16 +733,97 @@ func TestPaperScaleStoreIsCheap(t *testing.T) {
 		t.Errorf("GETs left %d bytes resident", data.Resident())
 	}
 
-	cfg.Store.Capacity, cfg.Records = 1<<12, 1<<12
-	specs[3].UpdateFraction = 0.1
-	if cl, err = New(cfg, specs); err != nil {
+	if _, err := cl.Run(0, 2); err != nil {
 		t.Fatal(err)
 	}
-	if data := cl.Store().DataRegion(); data.Paged() || data.Resident() != data.Size() {
-		t.Errorf("with a writing tenant kv/data is paged = %v, %d of %d bytes resident after New",
-			data.Paged(), data.Resident(), data.Size())
+	if puts := cl.Clients()[3].KV.OneSidedPuts(); puts < 100 {
+		t.Fatalf("the updating tenant issued %d WRITEs", puts)
 	}
-	if v, ok := cl.Store().Get(1<<12 - 1); !ok || binary.LittleEndian.Uint64(v) != 1<<12-1 {
-		t.Errorf("materialised record %d = %x.., %v", 1<<12-1, v[:8], ok)
+	if !data.Paged() || data.Resident() != 0 {
+		t.Errorf("after a measured window with a writer kv/data is paged = %v, %d bytes resident", data.Paged(), data.Resident())
+	}
+}
+
+// TestUpdateWritesTheRecord: a one-sided UPDATE stores the record it
+// replaces — the key in 8 bytes plus zeros, where the sender used to write
+// byte(key) plus zeros and clear bytes 1–7 of the key field of every key
+// past 255 — so a half-update run leaves every record as loaded and the
+// data region unwritten.
+func TestUpdateWritesTheRecord(t *testing.T) {
+	cfg := testConfig(Bare)
+	specs := make([]ClientSpec, 4)
+	for i := range specs {
+		specs[i] = ClientSpec{
+			Demand: ConstantDemand(2500), Pattern: workload.ConstantRate{}, UpdateFraction: 0.5,
+			Keys: &workload.SequentialKeys{N: uint64(cfg.Records)},
+		}
+	}
+	cl, err := New(cfg, specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.Run(0, 2); err != nil {
+		t.Fatal(err)
+	}
+	var puts uint64
+	for _, c := range cl.Clients() {
+		puts += c.KV.OneSidedPuts()
+	}
+	if puts < 16*uint64(cfg.Records) {
+		t.Fatalf("%d WRITEs over %d keys", puts, cfg.Records)
+	}
+	want := make([]byte, cfg.Store.RecordSize)
+	for key := uint64(0); key < uint64(cfg.Records); key++ {
+		binary.LittleEndian.PutUint64(want, key)
+		if v, ok := cl.Store().Get(key); !ok || !bytes.Equal(v, want) {
+			t.Fatalf("record %d = %x.. after the run, %v; want the key plus zeros", key, v[:min(len(v), 16)], ok)
+		}
+	}
+	if data := cl.Store().DataRegion(); !data.Paged() || data.Resident() != 0 {
+		t.Errorf("kv/data: paged = %v, %d bytes resident after %d WRITEs", data.Paged(), data.Resident(), puts)
+	}
+}
+
+// TestUpdateWindowNoAlloc is what holds bare_mixed_rw's run_alloc_mb: the
+// store stays paged under writers, and a WRITE that stores the record it
+// replaces must not cost a page, or anything else, per operation. Six more
+// steady periods of a half-update Bare run over 64 Ki uniformly drawn
+// records allocate under 0.01 objects per WRITE they add.
+func TestUpdateWindowNoAlloc(t *testing.T) {
+	run := func(measure int) (mallocs, writes uint64) {
+		cfg := testConfig(Bare)
+		cfg.Store.Capacity, cfg.Records = 1<<16, 1<<16
+		specs := make([]ClientSpec, 6)
+		for i := range specs {
+			specs[i] = ClientSpec{
+				Demand: ConstantDemand(2500), Pattern: workload.ConstantRate{}, UpdateFraction: 0.5,
+				Keys: &workload.UniformKeys{N: uint64(cfg.Records)},
+			}
+		}
+		cl, err := New(cfg, specs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := cl.Run(1, measure); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		for _, c := range cl.Clients() {
+			writes += c.KV.OneSidedPuts()
+		}
+		if got := cl.Store().DataRegion().Resident(); got != 0 {
+			t.Errorf("%d bytes resident after %d WRITEs", got, writes)
+		}
+		return after.Mallocs - before.Mallocs, writes
+	}
+	m3, w3 := run(3)
+	m9, w9 := run(9)
+	if w9-w3 < 40_000 {
+		t.Fatalf("six periods added only %d WRITEs", w9-w3)
+	}
+	if perOp := float64(int64(m9-m3)) / float64(w9-w3); perOp > 0.01 {
+		t.Errorf("steady state allocates %.4f objects per WRITE (%d over %d WRITEs)", perOp, int64(m9-m3), w9-w3)
 	}
 }

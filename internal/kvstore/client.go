@@ -54,6 +54,9 @@ type Client struct {
 	onDataReadFn  func([]byte)
 	onProbeFn     func([]byte)
 	onWriteDoneFn func()
+	// pad is the record a short Update value is zero-padded in; allocated
+	// by the first Update that needs it.
+	pad []byte
 
 	// oneSidedGets counts one-sided data reads issued (probe reads are
 	// counted separately); oneSidedPuts counts one-sided record writes.
@@ -307,9 +310,13 @@ func (c *Client) Update(key uint64, value []byte, cb func(error)) error {
 func (c *Client) writeData(off int, value []byte, cb func(error)) error {
 	buf := value
 	if len(buf) < c.recordSize {
-		padded := make([]byte, c.recordSize)
-		copy(padded, buf)
-		buf = padded
+		// QP.Write captures the payload before it returns, so one buffer
+		// pads every short value.
+		if c.pad == nil {
+			c.pad = make([]byte, c.recordSize)
+		}
+		clear(c.pad[copy(c.pad, value):])
+		buf = c.pad
 	}
 	err := c.qp.Write(c.data, off, buf, c.onWriteDoneFn)
 	if err == nil {

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"github.com/haechi-qos/haechi/internal/rdma"
@@ -152,8 +153,14 @@ func newLayoutPair(t *testing.T, opts Options) *layoutPair {
 func (p *layoutPair) put(key uint64, value []byte) {
 	p.t.Helper()
 	want, got := p.ref.Put(key, value), p.got.Put(key, value)
-	if (want == nil) != (got == nil) || (want != nil && want.Error() != got.Error()) {
-		p.t.Fatalf("Put(%d, %d bytes) = %v, reference %v", key, len(value), got, want)
+	p.sameErr(fmt.Sprintf("Put(%d, %d bytes)", key, len(value)), got, want)
+}
+
+// sameErr requires the store's outcome to be the reference's.
+func (p *layoutPair) sameErr(what string, got, want error) {
+	p.t.Helper()
+	if (got == nil) != (want == nil) || (got != nil && got.Error() != want.Error()) {
+		p.t.Fatalf("%s = %v, reference %v", what, got, want)
 	}
 }
 
@@ -235,6 +242,32 @@ func TestLayoutDenseFullLoad(t *testing.T) {
 			p.put(5, []byte{1})
 			p.same()
 		})
+	}
+}
+
+// Populate reserves the primed slab once: an in-order load of n synthetic
+// records allocates the slab's 8 bytes per key and nothing that grows with
+// n beside it (append's doubling cost 4.9 times the slab).
+func TestPopulateReservesPrimedSlab(t *testing.T) {
+	const n = 1 << 14
+	_, _, store, _ := testStore(t, Options{Capacity: n, RecordSize: 16})
+	value := make([]byte, 16)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err := store.Populate(n, func(key uint64) []byte {
+		binary.LittleEndian.PutUint64(value, key)
+		return value
+	})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// (Twice the slab under -race, where slices.Grow's temporary is real.)
+	if got := after.TotalAlloc - before.TotalAlloc; got < 8*n || got > 2*8*n+1024 {
+		t.Errorf("loading %d records allocated %d bytes, want the %d-byte slab", n, got, 8*n)
+	}
+	if locs, found := store.primeShared(n); len(locs) != n || found != n {
+		t.Errorf("primed slab after the load: %d entries, %d located", len(locs), found)
 	}
 }
 

@@ -27,6 +27,7 @@ package kvstore
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"github.com/haechi-qos/haechi/internal/rdma"
 )
@@ -64,8 +65,8 @@ type Options struct {
 	// two). The paper populates 1M records; experiments here default to a
 	// smaller table because table size does not influence the fabric
 	// timing model and loading one is setup time every run pays. A slot
-	// costs 16 index bytes and a page-table entry, not a record, until its
-	// record is written (DESIGN.md §13.1).
+	// costs 16 index bytes, not a record, until its record is written
+	// (DESIGN.md §13.1).
 	Capacity int
 	// RecordSize is the value size in bytes; the paper uses 4 KB.
 	RecordSize int
@@ -295,6 +296,8 @@ func (s *Store) Get(key uint64) ([]byte, bool) {
 // Populate fills the store with n records whose values are produced by
 // valueFn(key); keys are 0..n-1 as in the paper's YCSB load phase.
 func (s *Store) Populate(n int, valueFn func(key uint64) []byte) error {
+	// A load in key order extends the primed slab once per key: reserve it.
+	s.primedLoc = slices.Grow(s.primedLoc, max(n-len(s.primedLoc), 0))
 	for k := 0; k < n; k++ {
 		if err := s.Put(uint64(k), valueFn(uint64(k))); err != nil {
 			return fmt.Errorf("kvstore: populating key %d: %w", k, err)

@@ -104,3 +104,41 @@ func TestUpdateThenGet(t *testing.T) {
 		t.Errorf("got %q want %q", got, want)
 	}
 }
+
+// A short value is zero-padded in the client's one pad buffer (QP.Write
+// captures it before returning): a warm Update of any length allocates
+// nothing in steady state, and a short value after a long one still reads
+// back with a zero tail.
+func TestUpdateShortValueNoAlloc(t *testing.T) {
+	k, _, store, kv := testStore(t, smallOpts())
+	if err := store.Populate(50, valFor); err != nil {
+		t.Fatal(err)
+	}
+	kv.PrimeCache(50)
+	done := func(err error) {
+		if err != nil {
+			t.Error(err)
+		}
+	}
+	values := [][]byte{bytes.Repeat([]byte{0xff}, 40), []byte("short")}
+	i := 0
+	one := func() {
+		if err := kv.Update(7, values[i%2], done); err != nil {
+			t.Fatal(err)
+		}
+		i++
+		k.Run()
+	}
+	one() // first use: the pad buffer, the pooled verb record and its payload
+	one()
+	if allocs := testing.AllocsPerRun(100, one); allocs != 0 {
+		t.Errorf("a short-value Update allocates %v objects in steady state", allocs)
+	}
+	if i%2 == 1 {
+		one() // end on the short value
+	}
+	want := append([]byte("short"), make([]byte, 64-5)...)
+	if v, ok := store.Get(7); !ok || !bytes.Equal(v, want) {
+		t.Errorf("record after a 40-byte then a 5-byte Update = %x", v)
+	}
+}

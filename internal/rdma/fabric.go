@@ -233,7 +233,8 @@ func (n *Node) RegisterPagedRegion(name string, pages, pageSize int, prefix func
 	}
 	r := &Region{
 		name: name, owner: n, size: pages * pageSize,
-		pageSize: pageSize, pages: make([][]byte, pages), prefix: prefix,
+		pageSize: pageSize, prefix: prefix,
+		dir:     make([]*[chunkPages][]byte, (pages+chunkPages-1)/chunkPages),
 		scratch: make([]byte, pageSize),
 	}
 	n.regions[name] = r

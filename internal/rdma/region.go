@@ -6,9 +6,14 @@ import (
 	"fmt"
 )
 
-// prefixSize is the length of the owner-supplied prefix that opens every
-// unwritten page of a paged region.
-const prefixSize = 8
+const (
+	// prefixSize is the length of the owner-supplied prefix that opens every
+	// unwritten page of a paged region.
+	prefixSize = 8
+	// chunkPages is the number of pages one chunk of a paged region's page
+	// directory maps.
+	chunkPages = 256
+)
 
 // Region is a registered memory region on a node, addressable by remote
 // one-sided verbs. In a real system the owner would exchange an rkey with
@@ -21,24 +26,26 @@ const prefixSize = 8
 // A page nobody wrote still has defined contents: the 8-byte
 // little-endian prefix its owner supplies for it, zeros after. Every
 // accessor and every verb sees exactly those bytes, so a paged region
-// and the flat region Materialize turns it into are indistinguishable
-// through this API; only their footprint differs.
+// and a flat one filled with them are indistinguishable through this
+// API; only their footprint differs.
 type Region struct {
 	name  string
 	owner *Node
 	size  int
 
-	// buf is the whole region when it is flat and nil while it is paged.
+	// buf is the whole region when it is flat and nil when it is paged.
 	buf []byte
 
-	// Paged state, all zero on a flat region. pages[p] is nil until page p
-	// is first written. prefix(p) is consulted on every access to an
-	// unwritten page, so an owner that changes what it returns has stored
-	// to that page. scratch is the page a same-shard READ of an unwritten
-	// page is served from: only its first prefixSize bytes are ever
-	// rewritten, the tail stays zero for the region's lifetime.
+	// Paged state, all zero on a flat region. The page table is a directory
+	// of chunkPages-page chunks; a chunk, and a page's entry in it, is nil
+	// until first written (page, setPage). prefix(p) is consulted on every
+	// access to an unwritten page, so an owner that changes what it returns
+	// has stored to that page. scratch is the page a same-shard READ of an
+	// unwritten page is served from: only its first prefixSize bytes are
+	// ever rewritten, the tail stays zero for the region's lifetime.
 	pageSize int
-	pages    [][]byte
+	dir      []*[chunkPages][]byte
+	written  int // pages allocated so far
 	prefix   func(page int) uint64
 	scratch  []byte
 }
@@ -52,8 +59,8 @@ func (r *Region) Size() int { return r.size }
 // Owner returns the node the region is registered on.
 func (r *Region) Owner() *Node { return r.owner }
 
-// Paged reports whether unwritten pages of the region still cost no
-// memory: false for a flat region and after Materialize.
+// Paged reports whether unwritten pages of the region cost no memory:
+// false for a flat region.
 func (r *Region) Paged() bool { return r.buf == nil }
 
 // Resident returns the bytes of memory that back the region: its size
@@ -62,34 +69,7 @@ func (r *Region) Resident() int {
 	if r.buf != nil {
 		return len(r.buf)
 	}
-	n := 0
-	for _, pg := range r.pages {
-		n += len(pg)
-	}
-	return n
-}
-
-// Materialize turns a paged region into a flat one holding the same bytes:
-// one slab, the page table and scratch page dropped, every later access on
-// the flat path. An owner calls it before a run that will write most of
-// the region anyway, so the pages are paid for at setup and not one
-// allocation at a time inside the run. Like the cell accessors it is an
-// owner-side operation with no simulated cost; on a flat region it does
-// nothing.
-func (r *Region) Materialize() {
-	if r.buf != nil {
-		return
-	}
-	buf := make([]byte, r.size)
-	for p, pg := range r.pages {
-		dst := buf[p*r.pageSize:]
-		if pg != nil {
-			copy(dst, pg)
-		} else if v := r.prefix(p); v != 0 {
-			binary.LittleEndian.PutUint64(dst, v)
-		}
-	}
-	*r = Region{name: r.name, owner: r.owner, size: r.size, buf: buf}
+	return r.written * r.pageSize
 }
 
 // checkRange validates an access window. The bound is tested as
@@ -107,6 +87,29 @@ func (r *Region) checkRange(off, size int) error {
 func (r *Region) split(off int) (page, in int) {
 	page = off / r.pageSize
 	return page, off - page*r.pageSize
+}
+
+// page returns written page p, nil while it is unwritten.
+func (r *Region) page(p int) []byte {
+	if c := r.dir[p/chunkPages]; c != nil {
+		return c[p%chunkPages]
+	}
+	return nil
+}
+
+// setPage allocates page p — and its chunk, for the chunk's first page —
+// holding the bytes the unwritten page defined.
+func (r *Region) setPage(p int) []byte {
+	c := r.dir[p/chunkPages]
+	if c == nil {
+		c = new([chunkPages][]byte)
+		r.dir[p/chunkPages] = c
+	}
+	pg := make([]byte, r.pageSize)
+	binary.LittleEndian.PutUint64(pg, r.prefix(p))
+	c[p%chunkPages] = pg
+	r.written++
+	return pg
 }
 
 // prefixBytes returns the eight bytes that open unwritten page p.
@@ -150,7 +153,7 @@ func (r *Region) read(dst []byte, off int) {
 	for len(dst) > 0 {
 		p, in := r.split(off)
 		n := min(len(dst), r.pageSize-in)
-		if pg := r.pages[p]; pg != nil {
+		if pg := r.page(p); pg != nil {
 			copy(dst[:n], pg[in:])
 		} else {
 			r.unwritten(dst[:n], p, in)
@@ -170,11 +173,9 @@ func (r *Region) write(off int, src []byte) {
 	for len(src) > 0 {
 		p, in := r.split(off)
 		n := min(len(src), r.pageSize-in)
-		pg := r.pages[p]
+		pg := r.page(p)
 		if pg == nil && !r.isUnwritten(src[:n], p, in) {
-			pg = make([]byte, r.pageSize)
-			binary.LittleEndian.PutUint64(pg, r.prefix(p))
-			r.pages[p] = pg
+			pg = r.setPage(p)
 		}
 		if pg != nil {
 			copy(pg[in:], src[:n])
@@ -199,7 +200,7 @@ func (r *Region) window(off, size int) []byte {
 	}
 	p, in := r.split(off)
 	if in+size <= r.pageSize {
-		if pg := r.pages[p]; pg != nil {
+		if pg := r.page(p); pg != nil {
 			return pg[in : in+size]
 		}
 		binary.LittleEndian.PutUint64(r.scratch, r.prefix(p))
@@ -213,19 +214,12 @@ func (r *Region) window(off, size int) []byte {
 // load64 reads the 8-byte cell at off; store64 writes it. The range must
 // have been checked.
 func (r *Region) load64(off int) uint64 {
-	if r.buf != nil {
-		return binary.LittleEndian.Uint64(r.buf[off:])
-	}
 	var cell [8]byte
 	r.read(cell[:], off)
 	return binary.LittleEndian.Uint64(cell[:])
 }
 
 func (r *Region) store64(off int, v uint64) {
-	if r.buf != nil {
-		binary.LittleEndian.PutUint64(r.buf[off:], v)
-		return
-	}
 	var cell [8]byte
 	binary.LittleEndian.PutUint64(cell[:], v)
 	r.write(off, cell[:])
@@ -240,7 +234,7 @@ func (r *Region) store64(off int, v uint64) {
 // owner — a remote node's access through it would cost nothing in the
 // model — and its capacity ends at off+size, so an append cannot spill
 // into the bytes behind it. Only a flat region has bytes to alias: on a
-// paged one View is an error until Materialize has run.
+// paged one View is an error.
 func (r *Region) View(off, size int) ([]byte, error) {
 	if err := r.checkRange(off, size); err != nil {
 		return nil, err

@@ -5,8 +5,10 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 // Test geometry: pages small enough that an 8-byte cell or a short window
@@ -16,6 +18,16 @@ const (
 	fuzzPageSize = 24
 	fuzzSize     = fuzzPages * fuzzPageSize
 )
+
+// fuzzGeometries are the regions FuzzPagedRegion runs on: a page count, and
+// the page at which the window its offsets decode into opens (the window
+// runs to the region's end and a little past it).
+var fuzzGeometries = []struct{ pages, base int }{
+	{fuzzPages, 0},                     // every page in reach
+	{1, 0},                             // one page in one chunk
+	{chunkPages + 2, chunkPages - 3},   // pages 253..257: a chunk boundary, then the end of a 2-page last chunk
+	{2 * chunkPages, 2*chunkPages - 4}, // the region ends where its last chunk does
+}
 
 func fuzzPrefix(page int) uint64 {
 	if page%3 == 2 {
@@ -29,25 +41,29 @@ func fuzzPrefix(page int) uint64 {
 type regionPair struct {
 	bed         *poolBed
 	paged, flat *Region
+	size        int
+	// dirty[p]: page p of the flat region has differed from its prefix plus
+	// zeros after some step — exactly the pages the paged region must hold.
+	dirty []bool
 }
 
-func newRegionPair(t *testing.T) *regionPair {
+func newRegionPair(t *testing.T, pages int) *regionPair {
 	t.Helper()
 	b := newPoolBed(t, 1, false, nil)
-	paged, err := b.server.RegisterPagedRegion("paged", fuzzPages, fuzzPageSize, fuzzPrefix)
+	paged, err := b.server.RegisterPagedRegion("paged", pages, fuzzPageSize, fuzzPrefix)
 	if err != nil {
 		t.Fatal(err)
 	}
-	flat, err := b.server.RegisterRegion("flat", fuzzSize)
+	flat, err := b.server.RegisterRegion("flat", pages*fuzzPageSize)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for p := 0; p < fuzzPages; p++ {
+	for p := 0; p < pages; p++ {
 		if err := flat.PutUint64(p*fuzzPageSize, fuzzPrefix(p)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	return &regionPair{bed: b, paged: paged, flat: flat}
+	return &regionPair{bed: b, paged: paged, flat: flat, size: pages * fuzzPageSize, dirty: make([]bool, pages)}
 }
 
 // sameErr compares the outcome of one call on each region; the messages
@@ -64,36 +80,56 @@ func (rp *regionPair) sameErr(t *testing.T, what string, paged, flat error) bool
 	return false
 }
 
-// same compares everything readable: the bytes, and while the region is
-// still paged the invariants its READ path rests on.
+// same compares everything readable — the bytes — and the paged region's
+// footprint: it holds a page exactly where the flat region has ever
+// differed from the unwritten contents, a chunk exactly where it holds a
+// page, and its scratch page still ends in zeros.
 func (rp *regionPair) same(t *testing.T, what string) {
 	t.Helper()
-	got, err := rp.paged.CopyOut(0, fuzzSize)
+	got, err := rp.paged.CopyOut(0, rp.size)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _ := rp.flat.CopyOut(0, fuzzSize)
+	want, _ := rp.flat.CopyOut(0, rp.size)
 	if !bytes.Equal(got, want) {
 		t.Fatalf("after %s the regions differ:\npaged %x\nflat  %x", what, got, want)
-	}
-	if !rp.paged.Paged() {
-		if rp.paged.pages != nil || rp.paged.scratch != nil || rp.paged.Resident() != fuzzSize {
-			t.Fatalf("after %s: materialised region kept paged state", what)
-		}
-		return
 	}
 	if !bytes.Equal(rp.paged.scratch[prefixSize:], make([]byte, fuzzPageSize-prefixSize)) {
 		t.Fatalf("after %s: scratch tail is no longer zero: %x", what, rp.paged.scratch)
 	}
-	for p, pg := range rp.paged.pages {
-		if pg != nil && len(pg) != fuzzPageSize {
-			t.Fatalf("after %s: page %d holds %d bytes", what, p, len(pg))
+	unwritten, resident := make([]byte, fuzzPageSize), 0
+	inChunk := make([]bool, len(rp.paged.dir))
+	for p := range rp.dirty {
+		clear(unwritten)
+		binary.LittleEndian.PutUint64(unwritten, fuzzPrefix(p))
+		if !bytes.Equal(want[p*fuzzPageSize:(p+1)*fuzzPageSize], unwritten) {
+			rp.dirty[p] = true
 		}
+		pg := rp.paged.page(p)
+		if (pg != nil) != rp.dirty[p] || (pg != nil && len(pg) != fuzzPageSize) {
+			t.Fatalf("after %s: page %d holds %d bytes, written = %v", what, p, len(pg), rp.dirty[p])
+		}
+		if rp.dirty[p] {
+			resident += fuzzPageSize
+			inChunk[p/chunkPages] = true
+		}
+	}
+	for c, chunk := range rp.paged.dir {
+		if (chunk != nil) != inChunk[c] {
+			t.Fatalf("after %s: chunk %d allocated = %v, holds a written page = %v", what, c, chunk != nil, inChunk[c])
+		}
+	}
+	if got := rp.paged.Resident(); got != resident || !rp.paged.Paged() {
+		t.Fatalf("after %s: %d bytes resident, want %d; paged = %v", what, got, resident, rp.paged.Paged())
 	}
 }
 
-// program decodes a fuzz input into operations.
-type program struct{ b []byte }
+// program decodes a fuzz input into operations on a window of the region:
+// span bytes from base, and ten past them.
+type program struct {
+	b          []byte
+	base, span int
+}
 
 func (p *program) next() byte {
 	if len(p.b) == 0 {
@@ -104,8 +140,8 @@ func (p *program) next() byte {
 	return v
 }
 
-// off decodes an offset: mostly in or just past the region, sometimes one
-// of the values a wrapping range check lets through.
+// off decodes an offset: mostly in the window or just past the region,
+// sometimes one of the values a wrapping range check lets through.
 func (p *program) off() int {
 	switch v := int(p.next()); v {
 	case 255:
@@ -117,7 +153,7 @@ func (p *program) off() int {
 	case 252:
 		return -1
 	default:
-		return v % (fuzzSize + 10)
+		return p.base + v%(p.span+10)
 	}
 }
 
@@ -158,32 +194,41 @@ func (p *program) payload(flat *Region, off, n int) []byte {
 	return data
 }
 
-// FuzzPagedRegion drives a paged region and a flat one through the same
-// owner-side accesses and one-sided verbs — page-straddling and
-// out-of-range windows included, same-shard and cross-shard, with
-// Materialize at an arbitrary step — and requires equal bytes, equal
-// errors and equal callback payloads at every step.
+// FuzzPagedRegion drives a paged region and a flat one filled from the same
+// prefix function through the same owner-side accesses and one-sided verbs
+// — page- and chunk-straddling and out-of-range windows included,
+// same-shard and cross-shard — and requires equal bytes, equal errors,
+// equal callback payloads and a page held only where one was written, at
+// every step. The input's first byte picks the geometry.
 func FuzzPagedRegion(f *testing.F) {
 	// TestRegionRangeOverflow's offsets, through every accessor and verb.
 	for _, off := range []byte{255, 254, 253, 252} {
-		f.Add([]byte{9, 0, off, 8, 2, 1, off, 8, 2, off, 3, off, 1, 2, 3, 4, 5, 6, 7, 8,
+		f.Add([]byte{0, 0, off, 8, 2, 1, off, 8, 2, off, 3, off, 1, 2, 3, 4, 5, 6, 7, 8,
 			4, off, 8, 5, off, 8, 2, 6, off, 1, 0, 0, 0, 0, 0, 0, 0, 7, off, 0})
 	}
 	f.Add([]byte{0, 1, 8, 255})                                  // CopyOut(8, MaxInt)
-	f.Add([]byte{2, 0, 20, 8, 7, 4, 16, 30, 12, 16, 30})         // straddling CopyIn, then READs both ways
-	f.Add([]byte{1, 6, 20, 5, 0, 0, 0, 0, 0, 0, 0, 8, 4, 0, 24}) // straddling FETCH_ADD, Materialize, READ
-	f.Add([]byte{30, 0, 0, 24, 1, 6, 0, 0, 0, 0, 0, 0, 0, 0, 0}) // rewrite what is there; FETCH_ADD of 0
-	f.Add([]byte{30, 1, 27, 8, 4, 3, 10, 12, 28, 4, 2, 4})       // windows that open inside a prefix
+	f.Add([]byte{0, 0, 20, 8, 7, 4, 16, 30, 12, 16, 30})         // straddling CopyIn, then READs both ways
+	f.Add([]byte{0, 6, 20, 5, 0, 0, 0, 0, 0, 0, 0, 8, 4, 0, 24}) // straddling FETCH_ADD, READ
+	f.Add([]byte{0, 0, 0, 24, 1, 6, 0, 0, 0, 0, 0, 0, 0, 0, 0})  // rewrite what is there; FETCH_ADD of 0
+	f.Add([]byte{0, 1, 27, 8, 4, 3, 10, 12, 28, 4, 2, 4})        // windows that open inside a prefix
+	// One page: every access ends at the region's end or past it.
+	f.Add([]byte{1, 1, 0, 24, 3, 16, 1, 2, 3, 4, 5, 6, 7, 8, 5, 20, 8, 2, 4, 0, 24, 14, 16, 1, 0, 0, 0, 0, 0, 0, 0, 7, 0, 1, 9, 0, 0, 0, 0, 0, 0, 0})
+	// Pages 253..257 of 258 (the window opens at page 253): WRITE page 255,
+	// READ across the chunk boundary, CopyIn page 256, FETCH_ADD across
+	// 256/257 in the 2-page last chunk, a cross-shard WRITE past the end,
+	// a cross-shard READ of page 257.
+	f.Add([]byte{2, 5, 48, 24, 2, 4, 60, 24, 0, 72, 10, 3, 6, 92, 1, 0, 0, 0, 0, 1, 0, 0, 13, 100, 30, 2, 12, 96, 24})
+	// A cell and a WRITE that straddle the chunk boundary itself.
+	f.Add([]byte{2, 3, 68, 1, 2, 3, 4, 5, 6, 7, 8, 13, 50, 40, 6, 15, 68, 1, 9, 9, 9, 9, 9, 9, 9, 9})
+	// 512 pages, the window on the last four: the region ends with its chunk.
+	f.Add([]byte{3, 5, 72, 24, 2, 14, 68, 0, 0, 0, 0, 0, 1, 0, 0, 4, 90, 12, 0, 94, 2, 2, 12, 72, 24})
 	f.Fuzz(func(t *testing.T, input []byte) {
-		rp := newRegionPair(t)
-		b := rp.bed
 		p := &program{b: input}
-		materializeAt := int(p.next()) % 40
+		g := fuzzGeometries[int(p.next())%len(fuzzGeometries)]
+		p.base, p.span = g.base*fuzzPageSize, (g.pages-g.base)*fuzzPageSize
+		rp := newRegionPair(t, g.pages)
+		b := rp.bed
 		for step := 0; step < 48 && len(p.b) > 0; step++ {
-			if step == materializeAt {
-				rp.paged.Materialize()
-				rp.same(t, "Materialize")
-			}
 			op := p.next() % 16
 			qp := b.localQP
 			if op >= 8 { // the verbs again, across the shard boundary
@@ -202,7 +247,7 @@ func FuzzPagedRegion(f *testing.F) {
 				func(v int64) { log[1] = binary.LittleEndian.AppendUint64(log[1], uint64(v)) },
 			}
 			var errs [2]error
-			switch op {
+			switch op % 8 {
 			case 0: // CopyIn
 				off, n := p.off(), p.size()
 				data := p.payload(rp.flat, off, n)
@@ -224,23 +269,23 @@ func FuzzPagedRegion(f *testing.F) {
 			case 3: // PutUint64
 				off, v := p.off(), p.u64()
 				rp.sameErr(t, what, rp.paged.PutUint64(off, v), rp.flat.PutUint64(off, v))
-			case 4, 12: // READ
+			case 4: // READ
 				off, n := p.off(), p.size()
 				for i, r := range regions {
 					errs[i] = qp.Read(r, off, n, onRead[i])
 				}
-			case 5, 13: // WRITE
+			case 5: // WRITE
 				off, n := p.off(), p.size()
 				data := p.payload(rp.flat, off, n)
 				for i, r := range regions {
 					errs[i] = qp.Write(r, off, data, nil)
 				}
-			case 6, 14: // FETCH_ADD
+			case 6: // FETCH_ADD
 				off, delta := p.off(), int64(p.u64())
 				for i, r := range regions {
 					errs[i] = qp.FetchAdd(r, off, delta, onOld[i])
 				}
-			case 7, 15: // CMP_SWAP against the cell's value or a wild guess
+			case 7: // CMP_SWAP against the cell's value or a wild guess
 				off, guess, swap := p.off(), p.next(), int64(p.u64())
 				expect, err := rp.flat.Int64(off)
 				if err != nil || guess%2 == 0 {
@@ -248,10 +293,6 @@ func FuzzPagedRegion(f *testing.F) {
 				}
 				for i, r := range regions {
 					errs[i] = qp.CompareSwap(r, off, expect, swap, onOld[i])
-				}
-			default: // 8..11: Materialize early (idempotent)
-				if op == 9 {
-					rp.paged.Materialize()
 				}
 			}
 			rp.sameErr(t, what, errs[0], errs[1])
@@ -267,7 +308,7 @@ func FuzzPagedRegion(f *testing.F) {
 // What the paged region is for: a page costs memory only once a write
 // changes it, whichever path the write takes, and reading never does.
 func TestPagedRegionFootprint(t *testing.T) {
-	rp := newRegionPair(t)
+	rp := newRegionPair(t, fuzzPages)
 	b, r := rp.bed, rp.paged
 	resident := func(what string, pages int) {
 		t.Helper()
@@ -335,14 +376,60 @@ func TestPagedRegionFootprint(t *testing.T) {
 	}
 	resident("a WRITE over page 0 into written page 1", 4)
 
-	r.Materialize()
-	if r.Paged() {
-		t.Fatal("Materialize left the region paged")
+	// The page table costs nothing until a page is written: the first write
+	// into a chunk pays for the page and the chunk's 256 entries, the next
+	// one in that chunk for its page alone, a rewrite for nothing.
+	const pages = 2*chunkPages + 10
+	big, err := b.server.RegisterPagedRegion("big", pages, DataIOSize, fuzzPrefix)
+	if err != nil {
+		t.Fatal(err)
 	}
-	resident("Materialize", fuzzPages)
-	v, err := r.View(0, fuzzSize)
-	if flat, _ := rp.flat.CopyOut(0, fuzzSize); err != nil || !bytes.Equal(v, flat) {
-		t.Fatalf("view of the materialised region: %x, %v", v, err)
+	if got := len(big.dir); got != 3 {
+		t.Fatalf("%d pages are mapped by %d chunks, want 3", pages, got)
+	}
+	chunk := int(unsafe.Sizeof([chunkPages][]byte{}))
+	for _, c := range []struct {
+		what  string
+		page  int
+		alloc int
+	}{
+		{"the first write into chunk 1", chunkPages + 44, DataIOSize + chunk},
+		{"a second page of chunk 1", chunkPages + 45, DataIOSize},
+		{"a rewrite", chunkPages + 44, 0},
+		{"the first write into the 10-page last chunk", pages - 1, DataIOSize + chunk},
+		{"the first write into chunk 0", chunkPages - 1, DataIOSize + chunk},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := big.PutUint64(c.page*DataIOSize+64, uint64(c.page))
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The runtime rounds the chunk up to a size class (6 144 → 6 528 B
+		// with go1.24's allocation header); a page is a class of its own.
+		slack := 0
+		if c.alloc > DataIOSize {
+			slack = chunk / 8
+		}
+		if got := int(after.TotalAlloc - before.TotalAlloc); got < c.alloc || got > c.alloc+slack {
+			t.Errorf("%s allocated %d bytes, want %d (+%d)", c.what, got, c.alloc, slack)
+		}
+	}
+	if got := big.Resident(); got != 4*DataIOSize {
+		t.Errorf("%d bytes resident after writing 4 pages", got)
+	}
+	for _, page := range []int{0, chunkPages - 1, chunkPages, chunkPages + 44, pages - 1} {
+		want := uint64(0)
+		if page == chunkPages+44 || page == chunkPages-1 || page == pages-1 {
+			want = uint64(page)
+		}
+		if v, err := big.Uint64(page*DataIOSize + 64); err != nil || v != want {
+			t.Errorf("page %d cell = %d, %v; want %d", page, v, err, want)
+		}
+		if v, err := big.Uint64(page * DataIOSize); err != nil || v != fuzzPrefix(page) {
+			t.Errorf("page %d prefix = %#x, %v", page, v, err)
+		}
 	}
 }
 
