@@ -11,7 +11,9 @@ import (
 	"log"
 	"math/rand"
 
-	"github.com/haechi-qos/haechi/internal/multiserver"
+	"github.com/haechi-qos/haechi/internal/cluster"
+	"github.com/haechi-qos/haechi/internal/kvstore"
+	"github.com/haechi-qos/haechi/internal/rdma"
 	"github.com/haechi-qos/haechi/internal/workload"
 )
 
@@ -22,29 +24,31 @@ func (h *hotShardKeys) Next(rng *rand.Rand) uint64 {
 	return uint64(rng.Intn(h.records)) * 2 // even keys live on server 0
 }
 
-func run(rebalanceEvery int) *multiserver.Results {
-	cfg := multiserver.Config{
-		Servers:          2,
-		Scale:            10, // each server ~157K IOPS
-		RecordsPerServer: 512,
-		RebalanceEvery:   rebalanceEvery,
-		Seed:             11,
+func run(rebalanceEvery int) *cluster.Results {
+	cfg := cluster.Config{
+		Servers:        2,
+		Scale:          10, // each server ~157K IOPS
+		Store:          kvstore.Options{Capacity: 1024, RecordSize: rdma.DataIOSize},
+		Records:        1024, // 512 per server
+		RebalanceEvery: rebalanceEvery,
+		Seed:           11,
+		Sanitize:       true,
 	}
-	specs := []multiserver.ClientSpec{
+	specs := []cluster.ClientSpec{
 		// The skewed tenant: all demand on server 0.
-		{TotalReservation: 30_000, DemandPerPeriod: 33_000, Keys: &hotShardKeys{records: 512}},
+		{Reservation: 30_000, Demand: cluster.ConstantDemand(33_000), Keys: &hotShardKeys{records: 512}},
 	}
 	// Pressure tenants reserve most of both servers so the global pools
 	// cannot silently cover the skewed tenant's shortfall. Each tenant's
 	// total reservation is bounded by its own NIC (C_L = 40K here).
 	for p := 0; p < 6; p++ {
-		specs = append(specs, multiserver.ClientSpec{
-			TotalReservation: 40_000, // 20K per server
-			DemandPerPeriod:  157_000,
-			Keys:             &workload.UniformKeys{N: 1024},
+		specs = append(specs, cluster.ClientSpec{
+			Reservation: 40_000, // 20K per server
+			Demand:      cluster.ConstantDemand(157_000),
+			Keys:        &workload.UniformKeys{N: 1024},
 		})
 	}
-	mc, err := multiserver.New(cfg, specs)
+	mc, err := cluster.New(cfg, specs)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -59,12 +63,12 @@ func main() {
 	static := run(0)
 	dynamic := run(2)
 
-	s, d := static.PerClient[0], dynamic.PerClient[0]
+	s, d := static.Clients[0], dynamic.Clients[0]
 	fmt.Println("skewed tenant, total reservation 30K, all demand on server 0:")
 	fmt.Printf("  static equal split %v:  min %d/period  (reservation met: %v)\n",
-		s.FinalSplit, s.MinPeriod, s.MetReservation)
+		s.Split, s.MinPeriod, s.MetReservation)
 	fmt.Printf("  with rebalancing  %v:  last period %d  (converges to the hot shard)\n",
-		d.FinalSplit, d.Periods[len(d.Periods)-1])
+		d.Split, d.Periods[len(d.Periods)-1])
 	fmt.Println()
 	fmt.Println("with a static split, half the tenant's reservation is stranded on the")
 	fmt.Println("cold server; periodic pTrans-style shifts move it to where the demand is.")

@@ -36,9 +36,9 @@ func (c *Cluster) armChaos(start sim.Time) error {
 			c.clients[ev.Client].Node.Kernel().At(at(ev.At), func() { _ = eng.Restart() })
 		case chaos.MonitorOutage:
 			d := sim.Time(ev.Duration * float64(T))
-			c.kernel.At(at(ev.At), func() { c.monitor.Outage(d) })
+			c.kernel.At(at(ev.At), func() { c.Monitor().Outage(d) })
 		case chaos.DegradeNIC:
-			node := c.server
+			node := c.Server()
 			if ev.Client >= 0 {
 				node = c.clients[ev.Client].Node
 			}
@@ -153,12 +153,12 @@ func (c *Cluster) buildFaults() *FaultReport {
 		ScenarioName: sc.Name,
 		Injected:     sc.Count(),
 	}
-	if c.monitor != nil {
-		n, ns := c.monitor.OutageStats()
+	if c.Monitor() != nil {
+		n, ns := c.Monitor().OutageStats()
 		fr.MonitorOutages = n
 		fr.MonitorOutageTime = sim.Time(ns)
-		fr.Suspicions = c.monitor.FailureSuspicions
-		fr.Recoveries = c.monitor.FailureRecoveries
+		fr.Suspicions = c.Monitor().FailureSuspicions
+		fr.Recoveries = c.Monitor().FailureRecoveries
 	}
 	for i, rt := range c.clients {
 		cf := ClientFaults{Index: i}
@@ -177,9 +177,9 @@ func (c *Cluster) buildFaults() *FaultReport {
 			cf.DegradedSpells = fs.DegradedSpells
 			cf.DegradedTime = sim.Time(fs.DegradedNs)
 			cf.DegradedProbes = fs.DegradedProbes
-			if c.monitor != nil {
-				cf.SuspectedAt = c.monitor.SuspectedAt(i)
-				cf.ReinstatedAt = c.monitor.ReinstatedAt(i)
+			if c.Monitor() != nil {
+				cf.SuspectedAt = c.Monitor().SuspectedAt(i)
+				cf.ReinstatedAt = c.Monitor().ReinstatedAt(i)
 				if cf.SuspectedAt > cf.CrashAt && cf.CrashAt > 0 {
 					cf.ReclamationLatency = cf.SuspectedAt - cf.CrashAt
 				}

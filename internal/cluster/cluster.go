@@ -20,11 +20,17 @@ import (
 
 // Client is one tenant's runtime state in the cluster.
 type Client struct {
-	Spec   ClientSpec
-	Node   *rdma.Node
+	Spec ClientSpec
+	Node *rdma.Node
+	Gen  *workload.Generator
+	// KV and Engine (nil in Bare mode) are the tenant's link to data node 0
+	// — at Servers == 1, its only link.
 	KV     *kvstore.Client
-	Gen    *workload.Generator
-	Engine *core.Engine // nil in Bare mode
+	Engine *core.Engine
+	// links holds the tenant's link to every data node, node 0's included,
+	// when there are several; nil at Servers == 1, so a single-server
+	// tenant pays one pointer for the topology.
+	links *[]link
 
 	// Periods logs completions per period inside the measure window.
 	Periods metrics.PeriodLog
@@ -51,9 +57,7 @@ type Cluster struct {
 	cfg     Config
 	kernel  *sim.Kernel
 	fabric  *rdma.Fabric
-	server  *rdma.Node
-	store   *kvstore.Store
-	monitor *core.Monitor // nil in Bare mode
+	nodes   []dataNode // Config.Servers of them, all on shard 0
 	clients []*Client
 
 	// kernels[s] drives shard s (kernels[0] == kernel, the data node's),
@@ -63,6 +67,10 @@ type Cluster struct {
 	kernels []*sim.Kernel
 	group   *shard.Group
 	byShard [][]*Client
+
+	// skipHandBack makes the rebalancer lose what no hot node accepted;
+	// only the sanitizer's mutation test sets it.
+	skipHandBack bool
 
 	bgJobs map[string]*rdma.BackgroundJob
 	// ran guards Run, which consumes the cluster.
@@ -158,28 +166,10 @@ func New(cfg Config, specs []ClientSpec) (_ *Cluster, err error) {
 	if err := fabric.EnableSharding(kernels, assign, group.Post); err != nil {
 		return nil, err
 	}
-	server, err := fabric.AddServer("datanode")
-	if err != nil {
-		return nil, err
-	}
-	serverDisp := rdma.NewDispatcher(server)
-	store, err := kvstore.NewStore(server, serverDisp, cfg.Store)
-	if err != nil {
-		return nil, err
-	}
-	// One buffer serves every record, and loading writes the index only.
-	value := make([]byte, rdma.DataIOSize)
-	err = store.Populate(cfg.Records, func(key uint64) []byte { return recordValue(value, key) })
-	if err != nil {
-		return nil, err
-	}
-
 	c := &Cluster{
 		cfg:     cfg,
 		kernel:  k,
 		fabric:  fabric,
-		server:  server,
-		store:   store,
 		bgJobs:  make(map[string]*rdma.BackgroundJob),
 		kernels: kernels,
 		group:   group,
@@ -197,6 +187,10 @@ func New(cfg Config, specs []ClientSpec) (_ *Cluster, err error) {
 		group.SetSanitizer(c.san[0])
 	}
 
+	var monitorOpts []core.MonitorOption
+	if cfg.Mode == BasicHaechi {
+		monitorOpts = append(monitorOpts, core.WithoutConversion())
+	}
 	if cfg.Chaos != "" {
 		sc, err := chaos.Parse(cfg.Chaos)
 		if err != nil {
@@ -206,38 +200,18 @@ func New(cfg Config, specs []ClientSpec) (_ *Cluster, err error) {
 			return nil, err
 		}
 		c.chaos = sc
-		if sc.Count().Crashes > 0 && cfg.FailureGrace == 0 {
-			// Crash injection needs failure detection or the crashed
-			// reservation stays stranded; default to the shortest grace
-			// that tolerates one missed end-of-period report.
-			cfg.FailureGrace = 2
-			c.cfg.FailureGrace = 2
+		if sc.Count().Crashes > 0 {
+			// See Config.Chaos: without detection a crashed reservation
+			// stays stranded.
+			monitorOpts = append(monitorOpts, core.WithFailureDetection(2))
 		}
 	}
 
-	if cfg.Mode != Bare {
-		est, err := core.NewCapacityEstimator(cfg.Params, cfg.ProfiledCapacity, cfg.Sigma)
-		if err != nil {
+	for s := 0; s < cfg.Servers; s++ {
+		if err := c.addDataNode(s, monitorOpts); err != nil {
 			return nil, err
 		}
-		adm, err := core.NewAdmissionController(cfg.ProfiledCapacity, cfg.LocalCapacityPerPeriod())
-		if err != nil {
-			return nil, err
-		}
-		var opts []core.MonitorOption
-		if cfg.Mode == BasicHaechi {
-			opts = append(opts, core.WithoutConversion())
-		}
-		if cfg.FailureGrace > 0 {
-			opts = append(opts, core.WithFailureDetection(cfg.FailureGrace))
-		}
-		c.monitor, err = core.NewMonitor(cfg.Params, server, est, adm, opts...)
-		if err != nil {
-			return nil, err
-		}
-		c.monitor.SetSanitizer(c.sanFor(0))
 	}
-
 	for i, spec := range specs {
 		if err := c.addClient(i, spec); err != nil {
 			return nil, fmt.Errorf("cluster: client %d: %w", i, err)
@@ -256,6 +230,62 @@ func New(cfg Config, specs []ClientSpec) (_ *Cluster, err error) {
 	return c, nil
 }
 
+// dataNode is one data node: the store holding its shard of the records
+// and, in QoS modes, an unmodified Haechi monitor over its own capacity.
+type dataNode struct {
+	node    *rdma.Node
+	store   *kvstore.Store
+	monitor *core.Monitor // nil in Bare mode
+}
+
+// nth names the s-th of several like-named things: the first keeps the
+// bare name, so one data node (or one link) is named as it always was.
+func nth(name string, s int) string {
+	if s == 0 {
+		return name
+	}
+	return fmt.Sprintf("%s-%d", name, s)
+}
+
+// addDataNode builds data node s: its store, loaded with the records whose
+// key ≡ s mod Servers under their global keys, and in QoS modes its
+// estimator, admission controller and monitor.
+func (c *Cluster) addDataNode(s int, monitorOpts []core.MonitorOption) error {
+	cfg := c.cfg
+	node, err := c.fabric.AddServer(nth("datanode", s))
+	if err != nil {
+		return err
+	}
+	store, err := kvstore.NewStore(node, rdma.NewDispatcher(node), cfg.Store)
+	if err != nil {
+		return err
+	}
+	// One buffer serves every record, and loading writes the index only.
+	value := make([]byte, rdma.DataIOSize)
+	err = store.PopulateShard(s, cfg.Servers, cfg.Records, func(key uint64) []byte { return recordValue(value, key) })
+	if err != nil {
+		return err
+	}
+	dn := dataNode{node: node, store: store}
+	if cfg.Mode != Bare {
+		est, err := core.NewCapacityEstimator(cfg.Params, cfg.ProfiledCapacityPerPeriod(), cfg.Sigma)
+		if err != nil {
+			return err
+		}
+		adm, err := core.NewAdmissionController(cfg.ProfiledCapacityPerPeriod(), cfg.LocalCapacityPerPeriod())
+		if err != nil {
+			return err
+		}
+		dn.monitor, err = core.NewMonitor(cfg.Params, node, est, adm, monitorOpts...)
+		if err != nil {
+			return err
+		}
+		dn.monitor.SetSanitizer(c.sanFor(0))
+	}
+	c.nodes = append(c.nodes, dn)
+	return nil
+}
+
 // recordValue stores key's record in buf: the key in the first 8 bytes,
 // zeros after — what the store's paged data region holds without memory.
 // The loader and the update senders share it, so a one-sided UPDATE writes
@@ -265,19 +295,70 @@ func recordValue(buf []byte, key uint64) []byte {
 	return buf
 }
 
+// link is a tenant's path to one data node: its KV client, the sender
+// that posts a request there and, in QoS modes, the engine holding that
+// node's slice of the tenant's reservation.
+type link struct {
+	kv     *kvstore.Client
+	engine *core.Engine
+	send   core.IOSender
+	// queue holds the requests the key router sent this way that the engine
+	// has not posted yet; it is that engine's source. Unlike the pulled
+	// source of Servers == 1, which holds a backlog as counts, a routed
+	// request has drawn its key: it costs 24 bytes while it waits.
+	queue sim.FIFO[routedReq]
+	// routed counts the requests routed this way since the last rebalance
+	// round: the tenant's observed demand split.
+	routed uint64
+}
+
+// routedReq is a request whose key has been drawn and routed to a data
+// node but which that node's engine has not posted yet.
+type routedReq struct {
+	key  uint64
+	done func()
+}
+
+// link returns the tenant's KV client and engine (nil in Bare mode) at
+// data node s.
+func (rt *Client) link(s int) (*kvstore.Client, *core.Engine) {
+	if rt.links == nil {
+		return rt.KV, rt.Engine
+	}
+	return (*rt.links)[s].kv, (*rt.links)[s].engine
+}
+
+// slice is data node s's share of total split equally over n nodes, the
+// remainder going to the first nodes.
+func slice(total int64, n, s int) int64 {
+	share := total / int64(n)
+	if int64(s) < total%int64(n) {
+		share++
+	}
+	return share
+}
+
 func (c *Cluster) addClient(i int, spec ClientSpec) error {
+	servers := len(c.nodes)
+	if servers > 1 && c.cfg.Mode != Bare {
+		// A tenant initiates all its I/O through one NIC however many data
+		// nodes it spans, so C_L*T bounds its total reservation — the
+		// multi-server form of Definition 2's local constraint. The
+		// per-node admission controllers only ever see a slice.
+		if local := c.cfg.LocalCapacityPerPeriod(); spec.Reservation < 0 || spec.Reservation > local {
+			return fmt.Errorf("total reservation %d outside [0, %d] (the client's local capacity C_L*T)", spec.Reservation, local)
+		}
+		if spec.Limit != 0 {
+			return fmt.Errorf("a limit is enforced by one engine; Limit needs Servers == 1, got %d", servers)
+		}
+	}
 	node, err := c.fabric.AddClient(fmt.Sprintf("client-%02d", i))
 	if err != nil {
 		return err
 	}
 	disp := rdma.NewDispatcher(node)
-	kv, err := kvstore.Attach(node, disp, c.store)
-	if err != nil {
-		return err
-	}
-	kv.PrimeCache(c.cfg.Records) // steady-state location cache (post warm-up)
 
-	rt := &Client{Spec: spec, Node: node, KV: kv}
+	rt := &Client{Spec: spec, Node: node}
 	rt.Timeline.Name = fmt.Sprintf("client-%02d", i)
 
 	if spec.Keys == nil {
@@ -313,65 +394,72 @@ func (c *Cluster) addClient(i int, spec ClientSpec) error {
 		return fmt.Errorf("unlimited demand cannot use the post-all burst pattern; set Burst{Window: n}")
 	}
 
-	// The data path: one-sided GET (or two-sided RPC for the comparison
-	// curves), with a fraction of one-sided record WRITEs when the spec
-	// requests a YCSB-style update mix. The per-client adapter queues the
-	// done callback and hands kv a completion method bound once, so a
-	// steady-state I/O allocates no closure. Update state is lazy: a pure
-	// GET tenant (the fleet default) carries no per-client RNG or value
-	// buffer.
-	ad := &ioAdapter{}
-	ad.onGetFn = func([]byte, error) { ad.complete() }
-	ad.onPutFn = func(error) { ad.complete() }
+	// Update state is lazy and per tenant: a pure GET tenant (the fleet
+	// default) carries no RNG or value buffer.
 	var rng *rand.Rand
 	var updateValue []byte
 	if spec.UpdateFraction > 0 {
 		rng = rand.New(rand.NewSource(c.cfg.Seed ^ int64(i)<<17))
-		updateValue = make([]byte, rdma.DataIOSize) // the loader's value, see New
+		updateValue = make([]byte, rdma.DataIOSize) // the loader's value, see addDataNode
 	}
-	sender := func(key uint64, done func()) {
-		ad.push(done)
-		var err error
-		switch {
-		case c.cfg.TwoSided:
-			err = kv.GetTwoSided(key, ad.onGetFn)
-		case updateValue != nil && rng.Float64() < spec.UpdateFraction:
-			err = kv.Update(key, recordValue(updateValue, key), ad.onPutFn)
-		default:
-			err = kv.Get(key, ad.onGetFn)
+	first, err := c.connect(rt, disp, 0, rng, updateValue)
+	if err != nil {
+		return err
+	}
+	rt.KV, rt.Engine = first.kv, first.engine
+	if servers > 1 {
+		links := make([]link, servers)
+		links[0] = first
+		for s := 1; s < servers; s++ {
+			if links[s], err = c.connect(rt, disp, s, rng, updateValue); err != nil {
+				return err
+			}
 		}
-		if err != nil {
-			// The kv layer never invokes the callback when it returns an
-			// error, so the just-pushed done is still the newest entry.
-			// Dropping it preserves the old behaviour (errors cannot occur
-			// for primed in-range keys).
-			ad.unpush()
-		}
+		rt.links = &links
 	}
 
 	// The generator announces arrivals as counts and is asked for each
-	// request when it is posted. The QoS engine asks once it holds a token
-	// and a send-queue slot; Bare mode has no gate, so it asks on arrival.
+	// request when it is posted. With one data node the QoS engine asks
+	// once it holds a token and a send-queue slot; Bare mode has no gate,
+	// so it asks on arrival. With several, picking the node needs the key,
+	// so the router asks on arrival (which also stamps the latency start),
+	// queues the request for its node's engine and announces it there; that
+	// engine takes it back off the queue when it holds a token for it.
 	k := node.Kernel()
 	var arrive workload.Arrive
-	if c.cfg.Mode == Bare {
+	switch {
+	case servers > 1:
+		links := *rt.links
 		arrive = func(n uint64) {
 			for now := k.Now(); n > 0; n-- {
-				sender(rt.Gen.Next(now))
+				key, done := rt.Gen.Next(now)
+				ln := &links[key%uint64(servers)]
+				ln.routed++
+				if ln.engine == nil {
+					ln.send(key, done)
+					continue
+				}
+				ln.queue.Push(routedReq{key: key, done: done})
+				ln.engine.Arrive(1)
 			}
 		}
-	} else {
-		grant, err := c.monitor.Admit(node, spec.Reservation)
-		if err != nil {
-			return err
+		for s := range links {
+			if ln := &links[s]; ln.engine != nil {
+				ln.engine.SetSource(func(sim.Time) (uint64, func()) {
+					r := ln.queue.Pop()
+					return r.key, r.done
+				})
+			}
 		}
-		engine, err := core.NewEngine(c.cfg.Params, grant, node, disp, spec.Limit, core.IOSender(sender))
-		if err != nil {
-			return err
+	case rt.Engine == nil:
+		send := first.send
+		arrive = func(n uint64) {
+			for now := k.Now(); n > 0; n-- {
+				send(rt.Gen.Next(now))
+			}
 		}
-		rt.Engine = engine
-		engine.SetSanitizer(c.sanFor(node.Shard()))
-		arrive = engine.Arrive
+	default:
+		arrive = rt.Engine.Arrive
 	}
 
 	// The generator lives on the client's own kernel so sharded runs keep
@@ -382,19 +470,78 @@ func (c *Cluster) addClient(i int, spec ClientSpec) error {
 	}
 	rt.Gen = gen
 	if rt.Engine != nil {
-		rt.Engine.SetSource(gen.Next)
-	}
-
-	onPeriod := func(period int) {
-		c.harvest(rt, period)
-		rt.Gen.BeginPeriod(rt.Spec.Demand(period))
-	}
-	if c.cfg.Mode != Bare { // Bare clients are driven by Run's per-shard period tickers
-		rt.Engine.OnPeriodStart = onPeriod
+		if servers == 1 {
+			rt.Engine.SetSource(gen.Next)
+		}
+		// Bare clients are driven by Run's per-shard period tickers; a QoS
+		// tenant's periods are those of its engine at data node 0.
+		rt.Engine.OnPeriodStart = func(period int) {
+			c.harvest(rt, period)
+			rt.Gen.BeginPeriod(rt.Spec.Demand(period))
+		}
 	}
 	c.clients = append(c.clients, rt)
 	c.byShard[node.Shard()] = append(c.byShard[node.Shard()], rt)
 	return nil
+}
+
+// connect builds tenant rt's link to data node s: a KV client on the
+// tenant's dispatcher, the data-path sender and, in QoS modes, admission
+// at that node's monitor for the node's slice of the reservation and the
+// engine that holds it. Engines and KV clients register handlers scoped to
+// their data node, so a tenant's links share its dispatcher, as they share
+// its update draw rng and the value an UPDATE writes (nil for a pure
+// reader).
+func (c *Cluster) connect(rt *Client, disp *rdma.Dispatcher, s int, rng *rand.Rand, updateValue []byte) (link, error) {
+	dn := &c.nodes[s]
+	kv, err := kvstore.Attach(rt.Node, disp, dn.store)
+	if err != nil {
+		return link{}, err
+	}
+	kv.PrimeCache(c.cfg.Records) // steady-state location cache (post warm-up)
+
+	// The data path: one-sided GET (or two-sided RPC for the comparison
+	// curves), with a fraction of one-sided record WRITEs when the spec
+	// requests a YCSB-style update mix. All of a link's data I/Os ride one
+	// QP in one service class (GETs and record WRITEs are both bulk;
+	// two-sided responses are served FIFO by the server CPU), so
+	// completions arrive in issue order and the oldest pending done always
+	// matches: the completions handed to kv are bound once, and a
+	// steady-state I/O allocates no closure.
+	pending := new(sim.FIFO[func()])
+	onGet := func([]byte, error) { pending.Pop()() }
+	onPut := func(error) { pending.Pop()() }
+	ln := link{kv: kv}
+	ln.send = func(key uint64, done func()) {
+		var err error
+		switch {
+		case c.cfg.TwoSided:
+			err = kv.GetTwoSided(key, onGet)
+		case updateValue != nil && rng.Float64() < rt.Spec.UpdateFraction:
+			err = kv.Update(key, recordValue(updateValue, key), onPut)
+		default:
+			err = kv.Get(key, onGet)
+		}
+		// A completion is a kernel event, never a call from inside the
+		// issue, so queueing done after a successful issue is in time. On
+		// an error kv never calls back and done is dropped (errors cannot
+		// occur for primed in-range keys).
+		if err == nil {
+			pending.Push(done)
+		}
+	}
+	if dn.monitor != nil {
+		grant, err := dn.monitor.Admit(rt.Node, slice(rt.Spec.Reservation, len(c.nodes), s))
+		if err != nil {
+			return link{}, err
+		}
+		ln.engine, err = core.NewEngine(c.cfg.Params, grant, rt.Node, disp, rt.Spec.Limit, ln.send)
+		if err != nil {
+			return link{}, err
+		}
+		ln.engine.SetSanitizer(c.sanFor(rt.Node.Shard()))
+	}
+	return ln, nil
 }
 
 // harvest folds the previous period's completions into the client's logs.
@@ -428,14 +575,14 @@ func (c *Cluster) Kernel() *sim.Kernel { return c.kernel }
 // Fabric exposes the fabric.
 func (c *Cluster) Fabric() *rdma.Fabric { return c.fabric }
 
-// Server returns the data node.
-func (c *Cluster) Server() *rdma.Node { return c.server }
+// Server returns the data node (the first of Config.Servers).
+func (c *Cluster) Server() *rdma.Node { return c.nodes[0].node }
 
-// Store returns the KV store.
-func (c *Cluster) Store() *kvstore.Store { return c.store }
+// Store returns the first data node's KV store.
+func (c *Cluster) Store() *kvstore.Store { return c.nodes[0].store }
 
-// Monitor returns the QoS monitor (nil in Bare mode).
-func (c *Cluster) Monitor() *core.Monitor { return c.monitor }
+// Monitor returns the first data node's QoS monitor (nil in Bare mode).
+func (c *Cluster) Monitor() *core.Monitor { return c.nodes[0].monitor }
 
 // Clients returns the tenants.
 func (c *Cluster) Clients() []*Client { return c.clients }
@@ -444,12 +591,12 @@ func (c *Cluster) Clients() []*Client { return c.clients }
 func (c *Cluster) Config() Config { return c.cfg }
 
 // AddBackgroundJob registers a named closed-loop background load against
-// the data node (stopped; schedule Start/Stop with At).
+// the first data node (stopped; schedule Start/Stop with At).
 func (c *Cluster) AddBackgroundJob(name string, window int) (*rdma.BackgroundJob, error) {
 	if _, ok := c.bgJobs[name]; ok {
 		return nil, fmt.Errorf("cluster: background job %q exists", name)
 	}
-	job, err := rdma.NewBackgroundJob(c.fabric, name, c.server, window)
+	job, err := rdma.NewBackgroundJob(c.fabric, name, c.Server(), window)
 	if err != nil {
 		return nil, err
 	}
@@ -539,13 +686,13 @@ func (c *Cluster) Metrics() *metrics.Registry {
 }
 
 // EnableTrace attaches a shared protocol-event recorder (ring of the
-// given capacity) to the monitor and every engine, and returns it. QoS
+// given capacity) to every monitor and engine, and returns it. QoS
 // modes only, and one shard only: the recorder is one ring shared by
 // every engine, which a worker pool driving several shards cannot write
 // without races (the public haechi.go API never shards, so this never
 // constrains it).
 func (c *Cluster) EnableTrace(capacity int) (*trace.Recorder, error) {
-	if c.monitor == nil {
+	if c.cfg.Mode == Bare {
 		return nil, fmt.Errorf("cluster: tracing requires a QoS mode")
 	}
 	if len(c.kernels) > 1 {
@@ -555,45 +702,14 @@ func (c *Cluster) EnableTrace(capacity int) (*trace.Recorder, error) {
 	if err != nil {
 		return nil, err
 	}
-	c.monitor.Trace = rec
-	for _, rt := range c.clients {
-		if rt.Engine != nil {
-			rt.Engine.Trace = rec
+	for s, dn := range c.nodes {
+		dn.monitor.Trace = rec
+		for _, rt := range c.clients {
+			_, engine := rt.link(s)
+			engine.Trace = rec
 		}
 	}
 	return rec, nil
-}
-
-// ioAdapter bridges one client's kv completions back to workload done
-// callbacks without a per-I/O closure. All of a client's data I/Os ride
-// one QP in one service class (GETs and record WRITEs are both bulk;
-// two-sided responses are served FIFO by the server CPU), so completions
-// arrive in issue order and the oldest pending done always matches.
-type ioAdapter struct {
-	pending []func()
-	head    int
-	onGetFn func([]byte, error)
-	onPutFn func(error)
-}
-
-func (a *ioAdapter) push(done func()) { a.pending = append(a.pending, done) }
-
-// unpush removes the most recently pushed entry (issue-error path only).
-func (a *ioAdapter) unpush() { a.pending = a.pending[:len(a.pending)-1] }
-
-func (a *ioAdapter) complete() {
-	done := a.pending[a.head]
-	a.pending[a.head] = nil
-	a.head++
-	if a.head >= len(a.pending) {
-		a.pending = a.pending[:0]
-		a.head = 0
-	} else if a.head > 64 && a.head*2 > len(a.pending) {
-		n := copy(a.pending, a.pending[a.head:])
-		a.pending = a.pending[:n]
-		a.head = 0
-	}
-	done()
 }
 
 // fnv32 is FNV-1a over the node name, used for stable shard placement.

@@ -38,8 +38,8 @@ func TestApplyScaleDefaults(t *testing.T) {
 	if cfg.Mode != Haechi || cfg.Scale != 1 {
 		t.Errorf("defaults not applied: %+v", cfg.Mode)
 	}
-	if cfg.ProfiledCapacity != 1_570_000 {
-		t.Errorf("derived profiled capacity = %d, want 1570000", cfg.ProfiledCapacity)
+	if cfg.ProfiledCapacityPerPeriod() != 1_570_000 {
+		t.Errorf("derived profiled capacity = %d, want 1570000", cfg.ProfiledCapacityPerPeriod())
 	}
 	if cfg.Sigma != 15_700 {
 		t.Errorf("derived sigma = %v", cfg.Sigma)
@@ -66,8 +66,8 @@ func TestApplyScaleRescalesControlPlane(t *testing.T) {
 	if scaled.Params.Batch != 10 {
 		t.Errorf("batch = %d, want 10", scaled.Params.Batch)
 	}
-	if scaled.ProfiledCapacity != 15_700 {
-		t.Errorf("profiled = %d", scaled.ProfiledCapacity)
+	if scaled.ProfiledCapacityPerPeriod() != 15_700 {
+		t.Errorf("profiled = %d", scaled.ProfiledCapacityPerPeriod())
 	}
 }
 

@@ -1,7 +1,10 @@
 // Package cluster wires the full testbed the paper evaluates: one data
 // node running the KV store (and, in QoS modes, the Haechi monitor), N
 // client nodes each running a workload generator (and, in QoS modes, a
-// QoS engine), connected by the simulated RDMA fabric. It runs
+// QoS engine), connected by the simulated RDMA fabric. Config.Servers
+// makes the data node several — the paper's stated future work (§V) —
+// with the records sharded key mod S, an unmodified monitor per node and
+// each tenant's reservation split into per-node slices. It runs
 // warm-up/measure windows and harvests per-period completions, latency
 // histograms, throughput timelines and protocol-overhead counters — the
 // raw material for every figure in the paper.
@@ -54,9 +57,11 @@ func UnlimitedDemand() DemandFn { return func(int) uint64 { return workload.Infi
 
 // ClientSpec describes one tenant.
 type ClientSpec struct {
-	// Reservation is R_i per period (QoS modes only).
+	// Reservation is R_i per period (QoS modes only): the tenant's total
+	// across the data nodes, split equally between them at admission.
 	Reservation int64
-	// Limit is L_i per period; 0 = unlimited.
+	// Limit is L_i per period; 0 = unlimited. One engine enforces it, so
+	// it needs Servers == 1.
 	Limit int64
 	// Demand is the per-period request target; nil means unlimited.
 	Demand DemandFn
@@ -86,27 +91,29 @@ type Config struct {
 	// scale) and rescales the control-plane constants to preserve the
 	// paper's control:data cost ratios (see core.Params.Scaled).
 	Scale float64
-	// Store configures the KV store; zero value means defaults.
+	// Servers is the number of data nodes (0 means 1). Data node s holds
+	// the records whose key ≡ s mod Servers and runs its own monitor; a
+	// tenant holds one engine per data node and a key picks which one
+	// posts its request.
+	Servers int
+	// RebalanceEvery moves each tenant's per-node reservation slices
+	// toward its observed demand split every this many periods (see
+	// rebalance.go); 0 keeps the equal split. Needs Servers > 1 to do
+	// anything and one shard to read the demand counts.
+	RebalanceEvery int
+	// Store configures each data node's KV store; zero value means
+	// defaults.
 	Store kvstore.Options
-	// Records is the number of records populated (and the keyspace of
-	// the default chooser); 0 means the store capacity / 2.
+	// Records is the number of records populated across the data nodes
+	// (and the keyspace of the default chooser); 0 fills every store to
+	// half its capacity.
 	Records int
 	// TwoSided switches the data path to two-sided RPC GETs (the
 	// comparison curves of Figs. 6-7). QoS modes require one-sided.
 	TwoSided bool
-	// ProfiledCapacity is Omega_prof in I/Os per period; 0 derives it
-	// from the fabric's server rate.
-	ProfiledCapacity int64
 	// Sigma is the profiled capacity's standard deviation; 0 derives 1%
 	// of the profiled capacity.
 	Sigma float64
-	// FailureGrace enables the monitor's client failure detection: a
-	// client whose report slot stays static for this many consecutive
-	// periods is suspected crashed and its reservation returns to the
-	// pool until it reports again (core.WithFailureDetection). 0 = off,
-	// except that a Chaos scenario containing a crash defaults it to 2 —
-	// crash injection without detection would strand the reservation.
-	FailureGrace int
 	// Seed drives all randomness.
 	Seed int64
 	// Observe enables the observability layer (flight-recorder spans
@@ -121,7 +128,11 @@ type Config struct {
 	// recovery accounting; with Sanitize on, the failure-aware invariants
 	// (crash quarantine, post-crash completions, reservation floor for
 	// surviving clients, rejoin monotonicity, reclamation conservation)
-	// are enforced throughout.
+	// are enforced throughout. A scenario that crashes a client also
+	// turns on the monitor's failure detection with the shortest grace
+	// that tolerates one missed end-of-period report (2 periods):
+	// without it the crashed reservation would stay stranded. The
+	// grammar has no server selector, so Chaos needs Servers == 1.
 	Chaos string
 	// Sanitize enables the runtime invariant sanitizer
 	// (internal/sanitize): token conservation per engine period, the
@@ -199,23 +210,32 @@ func (c Config) ApplyScale() (Config, error) {
 		c.Fabric = c.Fabric.Scaled(c.Scale)
 		c.Params = c.Params.Scaled(c.Scale)
 	}
+	if c.Servers == 0 {
+		c.Servers = 1
+	}
+	if c.Servers < 0 || c.RebalanceEvery < 0 {
+		return c, fmt.Errorf("cluster: Servers and RebalanceEvery must be >= 0, got %d and %d", c.Servers, c.RebalanceEvery)
+	}
 	if c.Records == 0 {
-		c.Records = c.Store.Capacity / 2
+		c.Records = c.Store.Capacity / 2 * c.Servers
 	}
-	if c.Records < 0 || c.Records > c.Store.Capacity {
-		return c, fmt.Errorf("cluster: %d records outside a store of capacity %d", c.Records, c.Store.Capacity)
-	}
-	if c.ProfiledCapacity == 0 {
-		c.ProfiledCapacity = int64(c.Fabric.ServerOneSidedRate * c.Params.Period.Seconds())
+	if perNode := (c.Records + c.Servers - 1) / c.Servers; c.Records < 0 || perNode > c.Store.Capacity {
+		return c, fmt.Errorf("cluster: %d records outside %d store(s) of capacity %d", c.Records, c.Servers, c.Store.Capacity)
 	}
 	if c.Sigma == 0 {
-		c.Sigma = 0.01 * float64(c.ProfiledCapacity)
+		c.Sigma = 0.01 * float64(c.ProfiledCapacityPerPeriod())
 	}
 	if c.TwoSided && c.Mode != Bare {
 		return c, fmt.Errorf("cluster: QoS modes require one-sided I/O (Haechi's premise); TwoSided is bare-only")
 	}
 	if c.Shards < 0 {
 		return c, fmt.Errorf("cluster: Shards must be >= 0, got %d", c.Shards)
+	}
+	if c.Chaos != "" && c.Servers > 1 {
+		return c, fmt.Errorf("cluster: the chaos grammar has no server selector (an outage or a data-node NIC fault names no data node); Chaos needs Servers == 1, got %d", c.Servers)
+	}
+	if c.RebalanceEvery > 0 && c.Shards > 1 {
+		return c, fmt.Errorf("cluster: the rebalancer reads every tenant's routed counts from the data nodes' kernel; RebalanceEvery needs Shards <= 1, got %d", c.Shards)
 	}
 	if err := c.Fabric.Validate(); err != nil {
 		return c, err
@@ -229,4 +249,11 @@ func (c Config) ApplyScale() (Config, error) {
 // LocalCapacityPerPeriod returns C_L*T for the config's fabric.
 func (c Config) LocalCapacityPerPeriod() int64 {
 	return int64(c.Fabric.ClientOneSidedRate * c.Params.Period.Seconds())
+}
+
+// ProfiledCapacityPerPeriod returns Omega_prof, one data node's C_G*T for
+// the config's fabric: what its capacity estimator starts from and its
+// admission controller bounds the admitted reservations by.
+func (c Config) ProfiledCapacityPerPeriod() int64 {
+	return int64(c.Fabric.ServerOneSidedRate * c.Params.Period.Seconds())
 }

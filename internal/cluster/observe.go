@@ -127,12 +127,16 @@ func (c *Cluster) registerMetrics() error {
 			}
 		}
 	}
-	if c.monitor != nil {
-		reg := c.registries[0] // the monitor lives on the data node's shard
-		if err := reg.Register("monitor/omega", func() float64 { return float64(c.monitor.Estimator().Current()) }); err != nil {
+	for s, dn := range c.nodes {
+		if dn.monitor == nil {
+			break
+		}
+		reg := c.registries[0] // monitors live on the data nodes' shard
+		mon, name := dn.monitor, nth("monitor", s)
+		if err := reg.Register(name+"/omega", func() float64 { return float64(mon.Estimator().Current()) }); err != nil {
 			return err
 		}
-		if err := reg.Register("monitor/conversions", func() float64 { return float64(c.monitor.ConversionCount) }); err != nil {
+		if err := reg.Register(name+"/conversions", func() float64 { return float64(mon.ConversionCount) }); err != nil {
 			return err
 		}
 	}
@@ -140,24 +144,25 @@ func (c *Cluster) registerMetrics() error {
 		rt := rt
 		reg := c.registries[rt.Node.Shard()]
 		name := rt.Node.Name()
-		if rt.Engine != nil {
-			if err := reg.Register(name+"/engine/pending", func() float64 { return float64(rt.Engine.Pending()) }); err != nil {
-				return err
-			}
-			if err := reg.Register(name+"/engine/res-tokens", func() float64 { return float64(rt.Engine.ReservationTokens()) }); err != nil {
-				return err
-			}
-			if err := reg.Register(name+"/engine/local-global-tokens", func() float64 { return float64(rt.Engine.LocalGlobalTokens()) }); err != nil {
-				return err
+		var err error
+		register := func(gauge string, fn func() float64) {
+			if err == nil {
+				err = reg.Register(name+"/"+gauge, fn)
 			}
 		}
-		if err := reg.Register(name+"/kv/one-sided-gets", func() float64 { return float64(rt.KV.OneSidedGets()) }); err != nil {
-			return err
+		for s := range c.nodes {
+			kv, engine := rt.link(s)
+			if engine != nil {
+				e := nth("engine", s)
+				register(e+"/pending", func() float64 { return float64(engine.Pending()) })
+				register(e+"/res-tokens", func() float64 { return float64(engine.ReservationTokens()) })
+				register(e+"/local-global-tokens", func() float64 { return float64(engine.LocalGlobalTokens()) })
+			}
+			register(nth("kv", s)+"/one-sided-gets", func() float64 { return float64(kv.OneSidedGets()) })
+			register(nth("kv", s)+"/probe-reads", func() float64 { return float64(kv.ProbeReads()) })
 		}
-		if err := reg.Register(name+"/kv/probe-reads", func() float64 { return float64(rt.KV.ProbeReads()) }); err != nil {
-			return err
-		}
-		if err := reg.Register(name+"/workload/inflight", func() float64 { return float64(rt.Gen.Issued() - rt.Gen.Completed()) }); err != nil {
+		register("workload/inflight", func() float64 { return float64(rt.Gen.Issued() - rt.Gen.Completed()) })
+		if err != nil {
 			return err
 		}
 	}

@@ -13,6 +13,9 @@ import (
 type ClientResult struct {
 	Index       int
 	Reservation int64
+	// Split is the reservation's per-data-node slices at run end (after
+	// any rebalancing); absent with one data node.
+	Split []int64 `json:",omitempty"`
 	// Periods are completions in each measured period.
 	Periods []uint64
 	// Total is the sum over the measured periods.
@@ -57,13 +60,15 @@ type Results struct {
 	ThroughputPerPeriod float64
 	// AggregateLatency merges all clients' latency histograms.
 	AggregateLatency metrics.Summary
-	// OmegaTimeline and UsageTimeline are the monitor's per-period
-	// estimated capacity and reported usage (QoS modes only).
+	// OmegaTimeline and UsageTimeline are the (first data node's)
+	// monitor's per-period estimated capacity and reported usage (QoS
+	// modes only).
 	OmegaTimeline metrics.Series
 	UsageTimeline metrics.Series
-	// ServerStats is the data node's verb-counter delta over the window.
+	// ServerStats is the data nodes' summed verb-counter delta over the
+	// window.
 	ServerStats rdma.Stats
-	// Overhead quantifies QoS control cost.
+	// Overhead quantifies QoS control cost, summed over the data nodes.
 	Overhead OverheadReport
 	// Scale echoes the config's scale factor, so latency renderings can
 	// convert back to full-scale equivalents.
@@ -146,6 +151,7 @@ func (c *Cluster) buildResults(measurePeriods int, serverStats rdma.Stats) (*Res
 		}
 		res.Metrics = m
 	}
+	res.Clients = make([]ClientResult, 0, len(c.clients))
 	var agg metrics.Histogram
 	var totalFAA, totalReports, totalSends uint64
 	for i, rt := range c.clients {
@@ -163,22 +169,34 @@ func (c *Cluster) buildResults(measurePeriods int, serverStats rdma.Stats) (*Res
 		agg.Merge(&rt.Gen.Latency)
 		res.TotalCompleted += cr.Total
 		res.Clients = append(res.Clients, cr)
-		if rt.Engine != nil {
-			st := rt.Engine.Stats()
+		for s, dn := range c.nodes {
+			_, engine := rt.link(s)
+			if engine == nil {
+				break
+			}
+			st := engine.Stats()
 			totalFAA += st.FAAIssued
 			totalReports += st.ReportsSent
+			if rt.links != nil {
+				res.Clients[i].Split = append(res.Clients[i].Split, dn.monitor.Reservation(engine.ID()))
+			}
 		}
 	}
 	res.ThroughputPerPeriod = float64(res.TotalCompleted) / float64(measurePeriods)
 	res.AggregateLatency = agg.Summarize()
-	if c.monitor != nil {
-		res.OmegaTimeline = c.monitor.OmegaSeries
-		res.UsageTimeline = c.monitor.UsageSeries
+	if mon := c.Monitor(); mon != nil {
+		res.OmegaTimeline = mon.OmegaSeries
+		res.UsageTimeline = mon.UsageSeries
 		totalSends = serverStats.SendsSent // token pushes + signals
-		checks := uint64(float64(measurePeriods) * float64(c.cfg.Params.Period/c.cfg.Params.CheckInterval))
+		servers := uint64(len(c.nodes))
+		checks := servers * uint64(float64(measurePeriods)*float64(c.cfg.Params.Period/c.cfg.Params.CheckInterval))
+		var conversions uint64
+		for _, dn := range c.nodes {
+			conversions += dn.monitor.ConversionCount
+		}
 		res.Overhead = OverheadReport{
 			FAAs:          totalFAA + checks,
-			ControlWrites: totalReports + c.monitor.ConversionCount,
+			ControlWrites: totalReports + conversions,
 			ControlSends:  totalSends,
 		}
 		// The control counts are whole-run engine counters plus an estimated
@@ -192,7 +210,7 @@ func (c *Cluster) buildResults(measurePeriods int, serverStats rdma.Stats) (*Res
 		weighted := float64(res.Overhead.FAAs)*f.AtomicWeight +
 			float64(res.Overhead.ControlWrites)*f.MinVerbWeight +
 			float64(res.Overhead.ControlSends)*f.SendRequestWeight
-		capacityUnits := f.ServerOneSidedRate * c.cfg.Params.Period.Seconds() * float64(measurePeriods)
+		capacityUnits := f.ServerOneSidedRate * c.cfg.Params.Period.Seconds() * float64(measurePeriods) * float64(servers)
 		res.Overhead.NICFraction = weighted / capacityUnits
 	}
 	return res, nil

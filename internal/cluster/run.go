@@ -60,7 +60,12 @@ func (c *Cluster) Run(warmupPeriods, measurePeriods int) (*Results, error) {
 			tickers = append(tickers, tick)
 		}
 	} else {
-		if err := c.monitor.Start(); err != nil {
+		for _, dn := range c.nodes {
+			if err := dn.monitor.Start(); err != nil {
+				return nil, err
+			}
+		}
+		if err := c.armRebalancer(); err != nil {
 			return nil, err
 		}
 	}
@@ -91,7 +96,7 @@ func (c *Cluster) Run(warmupPeriods, measurePeriods int) (*Results, error) {
 		if s == 0 || len(list) > 0 {
 			c.kernels[s].At(warmEnd, func() {
 				if s == 0 {
-					serverStat0 = c.server.Stats()
+					serverStat0 = c.serverStats()
 				}
 				for _, rt := range list {
 					rt.Gen.Latency.Reset()
@@ -113,18 +118,22 @@ func (c *Cluster) Run(warmupPeriods, measurePeriods int) (*Results, error) {
 	}
 
 	c.group.RunUntil(measureEnd + 3*T/4)
-	serverStats := c.server.Stats().Sub(serverStat0)
+	serverStats := c.serverStats().Sub(serverStat0)
 
 	for _, tick := range tickers {
 		tick.Stop()
 	}
-	if c.monitor != nil {
-		c.monitor.Stop()
+	for _, dn := range c.nodes {
+		if dn.monitor != nil {
+			dn.monitor.Stop()
+		}
 	}
 	for _, rt := range c.clients {
 		rt.Gen.Stop()
-		if rt.Engine != nil {
-			rt.Engine.Stop()
+		for s := range c.nodes {
+			if _, engine := rt.link(s); engine != nil {
+				engine.Stop()
+			}
 		}
 	}
 	res, err := c.buildResults(measurePeriods, serverStats)
@@ -135,7 +144,17 @@ func (c *Cluster) Run(warmupPeriods, measurePeriods int) (*Results, error) {
 		ob.OnResults(res)
 	}
 	c.checkChaosInvariants(res)
+	c.checkReservationSplit()
 	// A sanitized run that broke an invariant fails loudly; the results
 	// are returned alongside so diagnostics can still inspect them.
 	return res, c.sanErr()
+}
+
+// serverStats sums the data nodes' verb counters.
+func (c *Cluster) serverStats() rdma.Stats {
+	var sum rdma.Stats
+	for _, dn := range c.nodes {
+		sum = sum.Add(dn.node.Stats())
+	}
+	return sum
 }

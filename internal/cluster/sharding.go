@@ -31,7 +31,7 @@ type ShardingReport struct {
 	// the deterministic proxy for barrier stall: a high count means the
 	// shard mostly waited on its peers at the quantum barrier.
 	IdleQuanta []uint64
-	// Nodes maps cluster nodes to shards (data node first, then clients
+	// Nodes maps cluster nodes to shards (data nodes first, then clients
 	// in index order).
 	Nodes []ShardAssignment
 	// Attribution is the per-shard executed-work profile (shard order);
@@ -55,7 +55,9 @@ func (c *Cluster) shardingReport() *ShardingReport {
 		IdleQuanta:     c.group.IdleQuanta(),
 		Attribution:    c.fabric.ExecProfiles(),
 	}
-	sr.Nodes = append(sr.Nodes, ShardAssignment{Name: c.server.Name(), Shard: c.server.Shard()})
+	for _, dn := range c.nodes {
+		sr.Nodes = append(sr.Nodes, ShardAssignment{Name: dn.node.Name(), Shard: dn.node.Shard()})
+	}
 	for _, rt := range c.clients {
 		sr.Nodes = append(sr.Nodes, ShardAssignment{Name: rt.Node.Name(), Shard: rt.Node.Shard()})
 	}

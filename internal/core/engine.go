@@ -85,7 +85,7 @@ type Engine struct {
 	// completion pops the oldest callback through the bound onIODoneFn —
 	// posting an I/O allocates nothing. The FIFO deliberately survives
 	// Crash: in-flight I/Os were on the wire and may legally complete.
-	inflightDone fnFIFO
+	inflightDone sim.FIFO[func()]
 	onIODoneFn   func()
 
 	// Bound callbacks and their per-issue state, created once so the
@@ -502,7 +502,7 @@ func (e *Engine) pump() {
 	for e.inflight < e.params.SendQueueDepth && e.backed.n > 0 {
 		e.inflight++
 		key, done := e.source(e.backed.pop())
-		e.inflightDone.push(done)
+		e.inflightDone.Push(done)
 		e.sender(key, e.onIODoneFn)
 	}
 }
@@ -510,7 +510,7 @@ func (e *Engine) pump() {
 // onIODone completes the oldest in-flight I/O (IOSender completions are
 // FIFO per engine: all data I/Os ride one QP in one service class).
 func (e *Engine) onIODone() {
-	done := e.inflightDone.pop()
+	done := e.inflightDone.Pop()
 	e.inflight--
 	if e.crashed {
 		// I/Os on the wire at crash time complete at the server
@@ -855,8 +855,7 @@ func (e *Engine) handleAlert(_ *rdma.Node, body any) {
 // is one entry, so a backlog costs memory per distinct arrival time, not
 // per request.
 type arrivals struct {
-	runs []arrivalRun
-	head int
+	runs sim.FIFO[arrivalRun]
 	n    uint64 // requests across all runs
 }
 
@@ -869,52 +868,22 @@ type arrivalRun struct {
 // newest one queued).
 func (q *arrivals) push(at sim.Time) {
 	q.n++
-	if last := len(q.runs) - 1; last >= q.head && q.runs[last].at == at {
-		q.runs[last].count++
-		return
+	if n := q.runs.Len(); n > 0 {
+		if last := q.runs.Peek(n - 1); last.at == at {
+			last.count++
+			return
+		}
 	}
-	q.runs = append(q.runs, arrivalRun{at: at, count: 1})
+	q.runs.Push(arrivalRun{at: at, count: 1})
 }
 
 // pop removes the oldest request and returns its arrival instant.
 func (q *arrivals) pop() sim.Time {
 	q.n--
-	r := &q.runs[q.head]
+	r := q.runs.Peek(0)
 	at := r.at
-	if r.count--; r.count > 0 {
-		return at
-	}
-	q.head++
-	if q.head == len(q.runs) {
-		q.runs, q.head = q.runs[:0], 0
-	} else if q.head > 64 && q.head*2 > len(q.runs) {
-		q.runs = q.runs[:copy(q.runs, q.runs[q.head:])]
-		q.head = 0
+	if r.count--; r.count == 0 {
+		q.runs.Pop()
 	}
 	return at
-}
-
-// fnFIFO is a queue of callbacks backed by a reusable slice; pop compacts
-// lazily so steady-state traffic stops allocating once the buffer reaches
-// its high-water mark (the pooled-FIFO idiom shared with sim and rdma).
-type fnFIFO struct {
-	fns  []func()
-	head int
-}
-
-func (q *fnFIFO) push(fn func()) { q.fns = append(q.fns, fn) }
-
-func (q *fnFIFO) pop() func() {
-	fn := q.fns[q.head]
-	q.fns[q.head] = nil
-	q.head++
-	if q.head >= len(q.fns) {
-		q.fns = q.fns[:0]
-		q.head = 0
-	} else if q.head > 64 && q.head*2 > len(q.fns) {
-		n := copy(q.fns, q.fns[q.head:])
-		q.fns = q.fns[:n]
-		q.head = 0
-	}
-	return fn
 }

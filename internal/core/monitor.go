@@ -236,6 +236,15 @@ func (m *Monitor) SetReservation(id int, reservation int64) error {
 	return nil
 }
 
+// Reservation returns client id's admitted reservation (0 for an unknown
+// id): what the next period's token push will carry.
+func (m *Monitor) Reservation(id int) int64 {
+	if id < 0 || id >= len(m.clients) {
+		return 0
+	}
+	return m.clients[id].reservation
+}
+
 // Start begins the first QoS period and the check-interval loop.
 func (m *Monitor) Start() error {
 	if m.running {

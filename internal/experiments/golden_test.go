@@ -92,27 +92,46 @@ func TestGoldenResultsByteIdentical(t *testing.T) {
 				buf.Write(b)
 				buf.WriteByte('\n')
 			}
-			path := filepath.Join("testdata", "golden", name+".json")
-			if update {
-				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-					t.Fatal(err)
-				}
-				t.Logf("wrote %s (%d runs, %d bytes)", path, len(runs), buf.Len())
-				return
-			}
-			want, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatalf("missing golden %s (regenerate with HAECHI_UPDATE_GOLDEN=1): %v", path, err)
-			}
-			if !bytes.Equal(want, buf.Bytes()) {
-				got := filepath.Join(t.TempDir(), name+".json")
-				os.WriteFile(got, buf.Bytes(), 0o644)
-				t.Fatalf("%s: Results diverged from the seed-commit golden (%d runs, got %d bytes want %d); inspect with diff %s %s",
-					name, len(runs), buf.Len(), len(want), path, got)
-			}
+			checkGolden(t, name+".json", buf.Bytes(), update)
 		})
+	}
+	// The multi-server golden is the rendered report: it was generated
+	// from the separate assembler this experiment used to run on (given
+	// cluster's generator seed stride), whose results had another shape,
+	// before that assembler was folded into cluster.Config.Servers.
+	const multi = "multiserver"
+	t.Run(multi, func(t *testing.T) {
+		rep, err := Run(multi, goldenOptions(0, nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkGolden(t, multi+".txt", []byte(rep.String()), update)
+	})
+}
+
+// checkGolden compares got with testdata/golden/<file>, or rewrites the
+// file when update is set.
+func checkGolden(t *testing.T, file string, got []byte, update bool) {
+	t.Helper()
+	path := filepath.Join("testdata", "golden", file)
+	if update {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("wrote %s (%d bytes)", path, len(got))
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden %s (regenerate with HAECHI_UPDATE_GOLDEN=1): %v", path, err)
+	}
+	if !bytes.Equal(want, got) {
+		out := filepath.Join(t.TempDir(), file)
+		os.WriteFile(out, got, 0o644)
+		t.Fatalf("%s diverged from its golden (got %d bytes want %d); inspect with diff %s %s",
+			file, len(got), len(want), path, out)
 	}
 }

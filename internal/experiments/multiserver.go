@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"math/rand"
 
-	"github.com/haechi-qos/haechi/internal/multiserver"
+	"github.com/haechi-qos/haechi/internal/cluster"
+	"github.com/haechi-qos/haechi/internal/kvstore"
 	"github.com/haechi-qos/haechi/internal/parallel"
+	"github.com/haechi-qos/haechi/internal/rdma"
 	"github.com/haechi-qos/haechi/internal/workload"
 )
 
@@ -30,10 +32,28 @@ func (h *hotShardKeys) Next(rng *rand.Rand) uint64 {
 // a static equal reservation split vs. pTrans-style periodic rebalancing:
 // static strands half the reservation on the cold shard; rebalancing
 // follows the demand.
+//
+// Every run is sanitized: the reservation-split invariant holds across
+// the rebalance rounds.
 func MultiServer(o Options) (*Report, error) {
 	o, err := o.validate()
 	if err != nil {
 		return nil, err
+	}
+	// 512 records per data node in tables kept at most half full, so the
+	// probes for the keys a small cluster does not hold end quickly.
+	const recordsPerServer = 512
+	config := func(run, servers, rebalanceEvery int) cluster.Config {
+		return cluster.Config{
+			Observe:        o.tagged(run).Observe,
+			Servers:        servers,
+			RebalanceEvery: rebalanceEvery,
+			Scale:          o.Scale,
+			Store:          kvstore.Options{Capacity: 2 * recordsPerServer, RecordSize: rdma.DataIOSize},
+			Records:        recordsPerServer * servers,
+			Seed:           o.Seed,
+			Sanitize:       true,
+		}
 	}
 	rep := &Report{
 		ID:      "multiserver",
@@ -51,26 +71,20 @@ func MultiServer(o Options) (*Report, error) {
 		Header: []string{"servers", "total reservation", "throughput/period", "all reservations met"},
 	}
 	serverCounts := []int{1, 2, 4}
-	scaleOuts, err := parallel.Map(o.workers(), len(serverCounts), func(si int) (*multiserver.Results, error) {
+	perTenant := func(servers int) int64 {
+		return min(perServer*int64(servers)*7/(10*tenants), perClientCap*55/100)
+	}
+	scaleOuts, err := parallel.Map(o.workers(), len(serverCounts), func(si int) (*cluster.Results, error) {
 		servers := serverCounts[si]
-		perTenant := perServer * int64(servers) * 7 / (10 * tenants)
-		if cap := perClientCap * 55 / 100; perTenant > cap {
-			perTenant = cap
-		}
-		specs := make([]multiserver.ClientSpec, tenants)
+		specs := make([]cluster.ClientSpec, tenants)
 		for i := range specs {
-			specs[i] = multiserver.ClientSpec{
-				TotalReservation: perTenant,
-				DemandPerPeriod:  uint64(perClientCap), // saturate the client NIC
-				Keys:             &workload.UniformKeys{N: 1024},
+			specs[i] = cluster.ClientSpec{
+				Reservation: perTenant(servers),
+				Demand:      cluster.ConstantDemand(uint64(perClientCap)), // saturate the client NIC
+				Keys:        &workload.UniformKeys{N: 1024},
 			}
 		}
-		mc, err := multiserver.New(multiserver.Config{
-			Servers:          servers,
-			Scale:            o.Scale,
-			RecordsPerServer: 512,
-			Seed:             o.Seed,
-		}, specs)
+		mc, err := cluster.New(config(si, servers, 0), specs)
 		if err != nil {
 			return nil, err
 		}
@@ -80,20 +94,16 @@ func MultiServer(o Options) (*Report, error) {
 		return nil, err
 	}
 	for si, servers := range serverCounts {
-		perTenant := perServer * int64(servers) * 7 / (10 * tenants)
-		if cap := perClientCap * 55 / 100; perTenant > cap {
-			perTenant = cap
-		}
 		out := scaleOuts[si]
 		met := "yes"
-		for _, cr := range out.PerClient {
-			if float64(cr.MinPeriod) < 0.97*float64(cr.TotalReservation) {
-				met = fmt.Sprintf("MISS (min %d of %d)", cr.MinPeriod, cr.TotalReservation)
+		for _, cr := range out.Clients {
+			if float64(cr.MinPeriod) < 0.97*float64(cr.Reservation) {
+				met = fmt.Sprintf("MISS (min %d of %d)", cr.MinPeriod, cr.Reservation)
 				break
 			}
 		}
 		t1.AddRow(fmt.Sprintf("%d", servers),
-			count(float64(perTenant)*tenants, o.Scale),
+			count(float64(perTenant(servers))*tenants, o.Scale),
 			count(float64(out.TotalCompleted)/float64(o.MeasurePeriods), o.Scale),
 			met)
 	}
@@ -107,30 +117,24 @@ func MultiServer(o Options) (*Report, error) {
 	}
 	skewRes := perClientCap * 3 / 4
 	rebalances := []int{0, 2}
-	skewOuts, err := parallel.Map(o.workers(), len(rebalances), func(ri int) (*multiserver.Results, error) {
-		specs := []multiserver.ClientSpec{
+	skewOuts, err := parallel.Map(o.workers(), len(rebalances), func(ri int) (*cluster.Results, error) {
+		specs := []cluster.ClientSpec{
 			{
-				TotalReservation: skewRes,
-				DemandPerPeriod:  uint64(skewRes) + uint64(skewRes)/10,
-				Keys:             &hotShardKeys{servers: 2, records: 512},
+				Reservation: skewRes,
+				Demand:      cluster.ConstantDemand(uint64(skewRes) + uint64(skewRes)/10),
+				Keys:        &hotShardKeys{servers: 2, records: recordsPerServer},
 			},
 		}
 		// Six pressure tenants, each at its NIC-bound maximum reservation
 		// (C_L), fill the hot shard so its pool cannot cover the skew.
 		for p := 0; p < 6; p++ {
-			specs = append(specs, multiserver.ClientSpec{
-				TotalReservation: perClientCap,
-				DemandPerPeriod:  uint64(perServer),
-				Keys:             &workload.UniformKeys{N: 1024},
+			specs = append(specs, cluster.ClientSpec{
+				Reservation: perClientCap,
+				Demand:      cluster.ConstantDemand(uint64(perServer)),
+				Keys:        &workload.UniformKeys{N: 1024},
 			})
 		}
-		mc, err := multiserver.New(multiserver.Config{
-			Servers:          2,
-			Scale:            o.Scale,
-			RecordsPerServer: 512,
-			RebalanceEvery:   rebalances[ri],
-			Seed:             o.Seed,
-		}, specs)
+		mc, err := cluster.New(config(len(serverCounts)+ri, 2, rebalances[ri]), specs)
 		if err != nil {
 			return nil, err
 		}
@@ -141,13 +145,13 @@ func MultiServer(o Options) (*Report, error) {
 	}
 	for ri, rebalance := range rebalances {
 		out := skewOuts[ri]
-		cr := out.PerClient[0]
+		cr := out.Clients[0]
 		label := "off"
 		if rebalance > 0 {
 			label = fmt.Sprintf("every %d periods", rebalance)
 		}
 		t2.AddRow(label,
-			fmt.Sprintf("%v", cr.FinalSplit),
+			fmt.Sprintf("%v", cr.Split),
 			count(float64(cr.MinPeriod), o.Scale),
 			meets(cr.Periods[len(cr.Periods)-1], skewRes))
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"github.com/haechi-qos/haechi/internal/rdma"
+	"github.com/haechi-qos/haechi/internal/sim"
 )
 
 // ErrNotFound is returned when a key has no record.
@@ -48,9 +49,9 @@ type Client struct {
 
 	// Pending one-sided completions, FIFO per I/O kind, with the bound
 	// completion methods handed to the fabric.
-	dataPending   fifo[func([]byte, error)]
-	probePending  fifo[probeState]
-	writePending  fifo[func(error)]
+	dataPending   sim.FIFO[func([]byte, error)]
+	probePending  sim.FIFO[probeState]
+	writePending  sim.FIFO[func(error)]
 	onDataReadFn  func([]byte)
 	onProbeFn     func([]byte)
 	onWriteDoneFn func()
@@ -72,32 +73,6 @@ type probeState struct {
 	depth uint64
 	n     uint64
 	cb    func([]byte, error)
-}
-
-// fifo is a generic queue backed by a reusable slice; pop compacts lazily
-// so steady-state traffic stops allocating once the buffer reaches its
-// high-water mark.
-type fifo[T any] struct {
-	items []T
-	head  int
-}
-
-func (q *fifo[T]) push(v T) { q.items = append(q.items, v) }
-
-func (q *fifo[T]) pop() T {
-	var zero T
-	v := q.items[q.head]
-	q.items[q.head] = zero
-	q.head++
-	if q.head >= len(q.items) {
-		q.items = q.items[:0]
-		q.head = 0
-	} else if q.head > 64 && q.head*2 > len(q.items) {
-		n := copy(q.items, q.items[q.head:])
-		q.items = q.items[:n]
-		q.head = 0
-	}
-	return v
 }
 
 // Attach connects node to store over the fabric. disp is the client-side
@@ -125,10 +100,12 @@ func Attach(node *rdma.Node, disp *rdma.Dispatcher, store *Store) (*Client, erro
 	c.onProbeFn = c.onProbe
 	c.onWriteDoneFn = c.onWriteDone
 	if disp != nil {
-		if err := disp.Handle(msgGetResp, c.handleGetResp); err != nil {
+		// Scoped to this store's node: a tenant of several data nodes
+		// attaches one client per store to the same dispatcher.
+		if err := disp.HandleFrom(msgGetResp, store.node, c.handleGetResp); err != nil {
 			return nil, err
 		}
-		if err := disp.Handle(msgPutResp, c.handlePutResp); err != nil {
+		if err := disp.HandleFrom(msgPutResp, store.node, c.handlePutResp); err != nil {
 			return nil, err
 		}
 	}
@@ -206,7 +183,7 @@ func (c *Client) Get(key uint64, cb func(value []byte, err error)) error {
 func (c *Client) readData(off int, cb func([]byte, error)) error {
 	err := c.qp.Read(c.data, off, c.recordSize, c.onDataReadFn)
 	if err == nil {
-		c.dataPending.push(cb)
+		c.dataPending.Push(cb)
 		c.oneSidedGets++
 	}
 	return err
@@ -216,7 +193,7 @@ func (c *Client) readData(off int, cb func([]byte, error)) error {
 // QP complete in issue order, so the head of the FIFO is the matching
 // callback. A READ never fails after issue, so push/pop counts balance.
 func (c *Client) onDataRead(data []byte) {
-	cb := c.dataPending.pop()
+	cb := c.dataPending.Pop()
 	cb(data, nil)
 }
 
@@ -240,14 +217,14 @@ func (c *Client) probe(key uint64, pos, depth uint64, cb func([]byte, error)) er
 	size := int(n) * slotSize
 	err := c.qp.Read(c.index, off, size, c.onProbeFn)
 	if err == nil {
-		c.probePending.push(probeState{key: key, pos: pos, depth: depth, n: n, cb: cb})
+		c.probePending.Push(probeState{key: key, pos: pos, depth: depth, n: n, cb: cb})
 		c.probeReads++
 	}
 	return err
 }
 
 func (c *Client) onProbe(raw []byte) {
-	st := c.probePending.pop()
+	st := c.probePending.Pop()
 	for i := uint64(0); i < st.n; i++ {
 		k := leUint64(raw[i*slotSize:])
 		state := leUint64(raw[i*slotSize+8:])
@@ -320,7 +297,7 @@ func (c *Client) writeData(off int, value []byte, cb func(error)) error {
 	}
 	err := c.qp.Write(c.data, off, buf, c.onWriteDoneFn)
 	if err == nil {
-		c.writePending.push(cb)
+		c.writePending.Push(cb)
 		c.oneSidedPuts++
 	}
 	return err
@@ -330,7 +307,7 @@ func (c *Client) writeData(off int, value []byte, cb func(error)) error {
 // all carry the same size, hence the same class, and complete in issue
 // order on the QP).
 func (c *Client) onWriteDone() {
-	cb := c.writePending.pop()
+	cb := c.writePending.Pop()
 	cb(nil)
 }
 

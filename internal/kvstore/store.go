@@ -296,9 +296,17 @@ func (s *Store) Get(key uint64) ([]byte, bool) {
 // Populate fills the store with n records whose values are produced by
 // valueFn(key); keys are 0..n-1 as in the paper's YCSB load phase.
 func (s *Store) Populate(n int, valueFn func(key uint64) []byte) error {
-	// A load in key order extends the primed slab once per key: reserve it.
+	return s.PopulateShard(0, 1, n, valueFn)
+}
+
+// PopulateShard loads one data node's share of an n-record keyspace
+// sharded key mod of: the keys below n congruent to shard. Populate is the
+// one-shard case.
+func (s *Store) PopulateShard(shard, of, n int, valueFn func(key uint64) []byte) error {
+	// The primed slab grows to n entries — by placement when keys arrive in
+	// order, by the first PrimeCache otherwise: reserve it once.
 	s.primedLoc = slices.Grow(s.primedLoc, max(n-len(s.primedLoc), 0))
-	for k := 0; k < n; k++ {
+	for k := shard; k < n; k += of {
 		if err := s.Put(uint64(k), valueFn(uint64(k))); err != nil {
 			return fmt.Errorf("kvstore: populating key %d: %w", k, err)
 		}

@@ -203,7 +203,6 @@ var KernelPackages = []string{
 	"internal/kvstore",
 	"internal/workload",
 	"internal/experiments",
-	"internal/multiserver",
 	"internal/metrics",
 	"internal/cluster",
 	"internal/trace",

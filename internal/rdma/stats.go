@@ -26,6 +26,22 @@ func (s Stats) Initiated() uint64 {
 	return s.Reads + s.Writes + s.FetchAdds + s.CompareSwaps + s.SendsSent
 }
 
+// Add returns the counter-wise sum s + other, e.g. over the data nodes of
+// a multi-server cluster.
+func (s Stats) Add(other Stats) Stats {
+	return Stats{
+		Reads:            s.Reads + other.Reads,
+		Writes:           s.Writes + other.Writes,
+		FetchAdds:        s.FetchAdds + other.FetchAdds,
+		CompareSwaps:     s.CompareSwaps + other.CompareSwaps,
+		SendsSent:        s.SendsSent + other.SendsSent,
+		BytesRead:        s.BytesRead + other.BytesRead,
+		BytesWritten:     s.BytesWritten + other.BytesWritten,
+		OneSidedTargeted: s.OneSidedTargeted + other.OneSidedTargeted,
+		SendsReceived:    s.SendsReceived + other.SendsReceived,
+	}
+}
+
 // Sub returns the counter-wise difference s - other; use it to measure a
 // window between two snapshots.
 func (s Stats) Sub(other Stats) Stats {

@@ -21,7 +21,11 @@
 //     increasing lexicographic order;
 //   - shard mailbox ordering: cross-shard injections are unique,
 //     sorted by (at, seq, src), and never in the destination's past;
-//   - background-job window bounds: 0 <= outstanding <= window.
+//   - background-job window bounds: 0 <= outstanding <= window;
+//   - reservation split (several data nodes): after every rebalance
+//     round and at run end, each tenant's per-node slices sum to its
+//     reservation ("reservation-split"); each node's admitted sum within
+//     its bound is that node's reservation floor above.
 //
 // Chaos runs (cluster.Config.Chaos, DESIGN.md §12) add failure-aware
 // invariants on top:
@@ -55,7 +59,7 @@ import (
 type Violation struct {
 	// Check names the invariant ("token-conservation", "kernel-order",
 	// "pool-floor", "reservation-floor", "shard-mailbox", "bg-window",
-	// and under chaos "crash-quarantine", "post-crash-completion",
+	// "reservation-split", and under chaos "crash-quarantine", "post-crash-completion",
 	// "rejoin-monotonic", "reclamation-conservation",
 	// "reservation-floor-survivor").
 	Check string

@@ -60,8 +60,8 @@ type Station struct {
 	// Per class, sched counts outstanding kernel wakeups and lastAt is the
 	// latest scheduled wakeup instant: a submission completing exactly at
 	// lastAt rides the already-scheduled wakeup.
-	bulkDone     entryFIFO
-	prioDone     entryFIFO
+	bulkDone     FIFO[entry]
+	prioDone     FIFO[entry]
 	bulkSched    int
 	prioSched    int
 	bulkLastAt   Time
@@ -178,7 +178,7 @@ func (s *Station) submitBulk(weight float64, done func(), tag uint32) Time {
 	}
 	completion := start + svc
 	s.busyUntil = completion
-	s.bulkDone.push(entry{at: completion, fn: done, tag: tag})
+	s.bulkDone.Push(entry{at: completion, fn: done, tag: tag})
 	if s.bulkSched == 0 || completion != s.bulkLastAt {
 		s.k.At(completion, s.completeBulk)
 		s.bulkSched++
@@ -202,7 +202,7 @@ func (s *Station) submitPrio(weight float64, done func(), tag uint32) Time {
 	}
 	completion := start + svc
 	s.prioBusyUntil = completion
-	s.prioDone.push(entry{at: completion, fn: done, tag: tag})
+	s.prioDone.Push(entry{at: completion, fn: done, tag: tag})
 	if s.prioSched == 0 || completion != s.prioLastAt {
 		s.k.At(completion, s.completePrio)
 		s.prioSched++
@@ -219,8 +219,8 @@ func (s *Station) submitPrio(weight float64, done func(), tag uint32) Time {
 func (s *Station) onBulkComplete() {
 	s.bulkSched--
 	now := s.k.Now()
-	for n := s.bulkDone.dueCount(now); n > 0; n-- {
-		e := s.bulkDone.pop()
+	for n := dueCount(&s.bulkDone, now); n > 0; n-- {
+		e := s.bulkDone.Pop()
 		s.served++
 		if e.tag != noTag {
 			s.dispatch(e.tag)
@@ -233,8 +233,8 @@ func (s *Station) onBulkComplete() {
 func (s *Station) onPrioComplete() {
 	s.prioSched--
 	now := s.k.Now()
-	for n := s.prioDone.dueCount(now); n > 0; n-- {
-		e := s.prioDone.pop()
+	for n := dueCount(&s.prioDone, now); n > 0; n-- {
+		e := s.prioDone.Pop()
 		s.served++
 		if e.tag != noTag {
 			s.dispatch(e.tag)
@@ -252,37 +252,12 @@ type entry struct {
 	tag uint32
 }
 
-// entryFIFO is a queue of completion entries backed by a reusable slice;
-// pop compacts lazily so steady-state traffic stops allocating once the
-// buffer has grown to the high-water mark.
-type entryFIFO struct {
-	es   []entry
-	head int
-}
-
-func (q *entryFIFO) push(e entry) { q.es = append(q.es, e) }
-
-// dueCount returns how many consecutive entries from the head are due at
+// dueCount returns how many consecutive entries from q's head are due at
 // or before now.
-func (q *entryFIFO) dueCount(now Time) int {
+func dueCount(q *FIFO[entry], now Time) int {
 	n := 0
-	for i := q.head; i < len(q.es) && q.es[i].at <= now; i++ {
+	for n < q.Len() && q.Peek(n).at <= now {
 		n++
 	}
 	return n
-}
-
-func (q *entryFIFO) pop() entry {
-	e := q.es[q.head]
-	q.es[q.head] = entry{}
-	q.head++
-	if q.head >= len(q.es) {
-		q.es = q.es[:0]
-		q.head = 0
-	} else if q.head > 64 && q.head*2 > len(q.es) {
-		n := copy(q.es, q.es[q.head:])
-		q.es = q.es[:n]
-		q.head = 0
-	}
-	return e
 }

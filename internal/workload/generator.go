@@ -183,10 +183,10 @@ type Generator struct {
 	// slot pool: each slot carries the arrival time and a completion
 	// callback bound once to the slot index and reused for every request
 	// that later occupies the slot. Unlike a FIFO of start times this
-	// stays correct when completions cross (multiserver routes one
-	// generator's keys to independent engines). A request that has arrived
-	// but not been pulled holds no slot, so the pool is bounded by what the
-	// I/O path keeps posted, not by the backlog.
+	// stays correct when completions cross (with several data nodes the
+	// cluster routes one generator's keys to independent engines). A
+	// request that has arrived but not been pulled holds no slot, so the
+	// pool is bounded by what the I/O path keeps posted, not by the backlog.
 	slots []genSlot
 	free  []int32
 
