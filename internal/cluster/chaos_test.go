@@ -216,13 +216,15 @@ func TestChaosRecoveryReport(t *testing.T) {
 		t.Errorf("sanitized run reported violations: %v", v)
 	}
 
-	// A request holds a completion slot only while it is posted, so through
-	// backlog, crash, outage and degradation no tenant's slot pool outgrows
-	// its engine's send queue — in particular the crashed tenant's: the
+	// A posted request is one arrival instant waiting on its link, and the
+	// sanitizer's completion-cookie check — clean, above — held that count
+	// within the engine's send queue at every completion through backlog,
+	// crash, outage and degradation. In particular the crashed tenant's: the
 	// thousands of arrivals its crash dropped left nothing behind.
 	for i, c := range cl.Clients() {
-		if peak := c.Gen.PeakOutstanding(); peak == 0 || peak > cfg.Params.SendQueueDepth {
-			t.Errorf("client %d: %d completion slots, want 1..%d (SendQueueDepth)", i, peak, cfg.Params.SendQueueDepth)
+		if n := c.wire.pending.Len(); c.Gen.Completed() == 0 || n > cfg.Params.SendQueueDepth {
+			t.Errorf("client %d: completed %d, %d I/Os left posted, want at most %d (SendQueueDepth)",
+				i, c.Gen.Completed(), n, cfg.Params.SendQueueDepth)
 		}
 	}
 }

@@ -31,6 +31,8 @@ type Client struct {
 	// when there are several; nil at Servers == 1, so a single-server
 	// tenant pays one pointer for the topology.
 	links *[]link
+	// wire is what the link to data node 0 has posted and not seen complete.
+	wire *wire
 
 	// Periods logs completions per period inside the measure window.
 	Periods metrics.PeriodLog
@@ -296,27 +298,60 @@ func recordValue(buf []byte, key uint64) []byte {
 }
 
 // link is a tenant's path to one data node: its KV client, the sender
-// that posts a request there and, in QoS modes, the engine holding that
-// node's slice of the tenant's reservation.
+// that posts a request there, what it has posted and, in QoS modes, the
+// engine holding that node's slice of the tenant's reservation.
 type link struct {
 	kv     *kvstore.Client
 	engine *core.Engine
 	send   core.IOSender
-	// queue holds the requests the key router sent this way that the engine
+	wire   *wire
+	// queue holds the keys the router drew and sent this way that the engine
 	// has not posted yet; it is that engine's source. Unlike the pulled
 	// source of Servers == 1, which holds a backlog as counts, a routed
-	// request has drawn its key: it costs 24 bytes while it waits.
-	queue sim.FIFO[routedReq]
+	// request has drawn its key: it costs 8 bytes while it waits.
+	queue sim.FIFO[uint64]
 	// routed counts the requests routed this way since the last rebalance
 	// round: the tenant's observed demand split.
 	routed uint64
 }
 
-// routedReq is a request whose key has been drawn and routed to a data
-// node but which that node's engine has not posted yet.
-type routedReq struct {
-	key  uint64
-	done func()
+// wire is the one place a posted request's completion cookie waits: the
+// arrival instants of the I/Os a link has on the wire, oldest first. A
+// link's data I/Os ride one QP in one service class (GETs and record
+// WRITEs are both bulk; two-sided responses are served FIFO by the server
+// CPU), so they complete in issue order and the oldest instant is the
+// completing request's — per link, so completions that cross between a
+// tenant's links to several data nodes stay matched.
+type wire struct {
+	pending sim.FIFO[sim.Time]
+	// complete is the engine's OnIODone in QoS modes, the generator's
+	// Complete in Bare; depth the engine's send-queue depth, which bounds
+	// pending (0 in Bare mode, where nothing does).
+	complete func(arrivedAt sim.Time)
+	depth    int
+	node     *rdma.Node        // the tenant's, for its name and clock
+	san      *sanitize.Checker // nil unless Config.Sanitize
+}
+
+// done completes the link's oldest posted I/O. Under the sanitizer it
+// first checks the "completion-cookie" invariant: the request's arrival
+// instant is waiting and not ahead of the clock, and no more wait than the
+// engine may keep posted (a queue's high-water mark lasts until its next
+// pop, so a completion sees it).
+func (w *wire) done() {
+	if w.san != nil {
+		now, n := w.node.Kernel().Now(), w.pending.Len()
+		switch {
+		case n == 0:
+			w.san.Reportf("completion-cookie", int64(now), "%s: a data I/O completed with none posted", w.node.Name())
+			return
+		case w.depth > 0 && n > w.depth:
+			w.san.Reportf("completion-cookie", int64(now), "%s: %d I/Os posted, send queue depth %d", w.node.Name(), n, w.depth)
+		case *w.pending.Peek(0) > now:
+			w.san.Reportf("completion-cookie", int64(now), "%s: the completing request arrived at t=%d, after now", w.node.Name(), int64(*w.pending.Peek(0)))
+		}
+	}
+	w.complete(w.pending.Pop())
 }
 
 // link returns the tenant's KV client and engine (nil in Bare mode) at
@@ -406,7 +441,7 @@ func (c *Cluster) addClient(i int, spec ClientSpec) error {
 	if err != nil {
 		return err
 	}
-	rt.KV, rt.Engine = first.kv, first.engine
+	rt.KV, rt.Engine, rt.wire = first.kv, first.engine, first.wire
 	if servers > 1 {
 		links := make([]link, servers)
 		links[0] = first
@@ -419,12 +454,12 @@ func (c *Cluster) addClient(i int, spec ClientSpec) error {
 	}
 
 	// The generator announces arrivals as counts and is asked for each
-	// request when it is posted. With one data node the QoS engine asks
+	// request's key when it is posted. With one data node the QoS engine asks
 	// once it holds a token and a send-queue slot; Bare mode has no gate,
 	// so it asks on arrival. With several, picking the node needs the key,
-	// so the router asks on arrival (which also stamps the latency start),
-	// queues the request for its node's engine and announces it there; that
-	// engine takes it back off the queue when it holds a token for it.
+	// so the router asks on arrival, queues the key for its node's engine
+	// and announces the request there; that engine takes the key back off
+	// the queue when it holds a token for it.
 	k := node.Kernel()
 	var arrive workload.Arrive
 	switch {
@@ -432,30 +467,22 @@ func (c *Cluster) addClient(i int, spec ClientSpec) error {
 		links := *rt.links
 		arrive = func(n uint64) {
 			for now := k.Now(); n > 0; n-- {
-				key, done := rt.Gen.Next(now)
+				key := rt.Gen.Next(now)
 				ln := &links[key%uint64(servers)]
 				ln.routed++
 				if ln.engine == nil {
-					ln.send(key, done)
+					ln.send(key, now)
 					continue
 				}
-				ln.queue.Push(routedReq{key: key, done: done})
+				ln.queue.Push(key)
 				ln.engine.Arrive(1)
-			}
-		}
-		for s := range links {
-			if ln := &links[s]; ln.engine != nil {
-				ln.engine.SetSource(func(sim.Time) (uint64, func()) {
-					r := ln.queue.Pop()
-					return r.key, r.done
-				})
 			}
 		}
 	case rt.Engine == nil:
 		send := first.send
 		arrive = func(n uint64) {
 			for now := k.Now(); n > 0; n-- {
-				send(rt.Gen.Next(now))
+				send(rt.Gen.Next(now), now)
 			}
 		}
 	default:
@@ -469,10 +496,25 @@ func (c *Cluster) addClient(i int, spec ClientSpec) error {
 		return err
 	}
 	rt.Gen = gen
-	if rt.Engine != nil {
-		if servers == 1 {
-			rt.Engine.SetSource(gen.Next)
+	// Completions end at the generator: straight off the wire in Bare mode,
+	// through the engine that posted the I/O otherwise.
+	complete := gen.Complete
+	switch {
+	case servers > 1:
+		for s := range *rt.links {
+			ln := &(*rt.links)[s]
+			if ln.engine == nil {
+				ln.wire.complete = complete
+				continue
+			}
+			ln.engine.SetSource(func(sim.Time) uint64 { return ln.queue.Pop() }, complete)
 		}
+	case rt.Engine == nil:
+		rt.wire.complete = complete
+	default:
+		rt.Engine.SetSource(gen.Next, complete)
+	}
+	if rt.Engine != nil {
 		// Bare clients are driven by Run's per-shard period tickers; a QoS
 		// tenant's periods are those of its engine at data node 0.
 		rt.Engine.OnPeriodStart = func(period int) {
@@ -502,17 +544,13 @@ func (c *Cluster) connect(rt *Client, disp *rdma.Dispatcher, s int, rng *rand.Ra
 
 	// The data path: one-sided GET (or two-sided RPC for the comparison
 	// curves), with a fraction of one-sided record WRITEs when the spec
-	// requests a YCSB-style update mix. All of a link's data I/Os ride one
-	// QP in one service class (GETs and record WRITEs are both bulk;
-	// two-sided responses are served FIFO by the server CPU), so
-	// completions arrive in issue order and the oldest pending done always
-	// matches: the completions handed to kv are bound once, and a
-	// steady-state I/O allocates no closure.
-	pending := new(sim.FIFO[func()])
-	onGet := func([]byte, error) { pending.Pop()() }
-	onPut := func(error) { pending.Pop()() }
-	ln := link{kv: kv}
-	ln.send = func(key uint64, done func()) {
+	// requests a YCSB-style update mix. The completions handed to kv are
+	// bound once, so a steady-state I/O allocates no closure.
+	w := &wire{node: rt.Node, san: c.sanFor(rt.Node.Shard())}
+	onGet := func([]byte, error) { w.done() }
+	onPut := func(error) { w.done() }
+	ln := link{kv: kv, wire: w}
+	ln.send = func(key uint64, arrivedAt sim.Time) {
 		var err error
 		switch {
 		case c.cfg.TwoSided:
@@ -523,11 +561,11 @@ func (c *Cluster) connect(rt *Client, disp *rdma.Dispatcher, s int, rng *rand.Ra
 			err = kv.Get(key, onGet)
 		}
 		// A completion is a kernel event, never a call from inside the
-		// issue, so queueing done after a successful issue is in time. On
-		// an error kv never calls back and done is dropped (errors cannot
-		// occur for primed in-range keys).
+		// issue, so queueing the cookie after a successful issue is in time. On
+		// an error kv never calls back and the request is dropped (errors
+		// cannot occur for primed in-range keys).
 		if err == nil {
-			pending.Push(done)
+			w.pending.Push(arrivedAt)
 		}
 	}
 	if dn.monitor != nil {
@@ -539,7 +577,8 @@ func (c *Cluster) connect(rt *Client, disp *rdma.Dispatcher, s int, rng *rand.Ra
 		if err != nil {
 			return link{}, err
 		}
-		ln.engine.SetSanitizer(c.sanFor(rt.Node.Shard()))
+		ln.engine.SetSanitizer(w.san)
+		w.complete, w.depth = ln.engine.OnIODone, c.cfg.Params.SendQueueDepth
 	}
 	return ln, nil
 }

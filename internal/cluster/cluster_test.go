@@ -827,3 +827,32 @@ func TestUpdateWindowNoAlloc(t *testing.T) {
 		t.Errorf("steady state allocates %.4f objects per WRITE (%d over %d WRITEs)", perOp, int64(m9-m3), w9-w3)
 	}
 }
+
+// TestOpenLoopArrivalsNoAlloc: in Bare mode an open-loop arrival — the
+// driver's timer, the key, the posted GET, its cookie on the link, the
+// completion — allocates nothing once the pools and queues have grown.
+// The Poisson driver built a closure per arrival: 100 mallocs per 1000
+// events, and all the bytes a Bare run allocated.
+func TestOpenLoopArrivalsNoAlloc(t *testing.T) {
+	for _, pattern := range []workload.Pattern{workload.Poisson{}, workload.ConstantRate{}} {
+		t.Run(pattern.String(), func(t *testing.T) {
+			cl, err := New(testConfig(Bare), []ClientSpec{{Pattern: pattern}, {Pattern: pattern}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			k, T := cl.Kernel(), cl.Config().Params.Period
+			for _, c := range cl.Clients() {
+				c.Gen.BeginPeriod(2000) // half what a client's NIC carries; never renewed
+			}
+			k.RunUntil(T / 2)
+			done := cl.Clients()[0].Gen.Completed()
+			step := T / 100
+			if allocs := testing.AllocsPerRun(20, func() { k.RunUntil(k.Now() + step) }); allocs != 0 {
+				t.Errorf("%v objects allocated per %v of steady arrivals", allocs, step)
+			}
+			if got := cl.Clients()[0].Gen.Completed() - done; got < 20*15 {
+				t.Errorf("only %d requests completed while measuring", got)
+			}
+		})
+	}
+}

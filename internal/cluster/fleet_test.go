@@ -194,14 +194,15 @@ func heapAlloc() uint64 {
 
 // TestTenantResidentBytes holds what a tenant costs before it has sent
 // anything — node, QP pair, dispatcher, kv client, engine, monitor row,
-// generator — under 5.5 KiB, so the 10^5-tenant fleet starts from about
+// generator — under 5.1 KiB, so the 10^5-tenant fleet starts from about
 // 0.5 GB. Haechi's own per-client state is a handful of token counters
 // (paper §II-D); a tenant was 12 KB while its generator drew keys from a
 // 607-word math/rand table and its five message routes lived in five
-// maps, and 5.8 KB while each of its QPs' twelve stage queues was a slice
-// header.
+// maps, 5.8 KB while each of its QPs' twelve stage queues was a slice
+// header, and 5.3 KB while its generator and engine kept pools and queues
+// of completion callbacks.
 func TestTenantResidentBytes(t *testing.T) {
-	const tenants, limit = 2000, 5.5 * 1024
+	const tenants, limit = 2000, 5.1 * 1024
 	cfg := testConfig(Haechi)
 	cfg.Seed = 6
 	specs := fleetSpecs(tenants, tenants/10)
@@ -215,6 +216,42 @@ func TestTenantResidentBytes(t *testing.T) {
 	t.Logf("%.0f resident bytes per tenant after New", per)
 	if per > limit {
 		t.Errorf("a tenant holds %.0f B after New, want <= %.0f", per, limit)
+	}
+}
+
+// TestTenantRunGrowthBytes holds what a tenant allocates over a run the
+// way TestTenantResidentBytes holds what it starts from. The shape is the
+// control-plane wall: 60% of C_G reserved evenly, and every tenant's
+// demand — 62 a period, its reservation and some of the pool — posted at
+// once and inside its send queue, over one warm-up and one measured
+// period. What grows is then what one posted I/O costs the host: its verb
+// record, one arrival instant on the link, and the rings those wait in.
+// 25.8 KB; 30.8 KB while each layer queued a callback per I/O in slices
+// that grew to twice what they held.
+func TestTenantRunGrowthBytes(t *testing.T) {
+	const tenants, limit = 2000, 28 * 1024
+	cfg := testConfig(Haechi)
+	cfg.Seed = 6
+	cfg.Scale = 10 // C_G = 157 000 a period
+	cfg.Sigma = 0  // derive it from that
+	specs := make([]ClientSpec, tenants)
+	for i := range specs {
+		specs[i] = ClientSpec{Reservation: 47, Demand: ConstantDemand(62)}
+	}
+	cl, err := New(cfg, specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := cl.Run(1, 1); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	per := float64(after.TotalAlloc-before.TotalAlloc) / tenants
+	t.Logf("%.0f bytes allocated per tenant over Run(1, 1)", per)
+	if per > limit {
+		t.Errorf("a tenant allocates %.0f B over the run, want <= %d", per, limit)
 	}
 }
 

@@ -3,6 +3,9 @@ package cluster
 import (
 	"strings"
 	"testing"
+
+	"github.com/haechi-qos/haechi/internal/sim"
+	"github.com/haechi-qos/haechi/internal/workload"
 )
 
 // TestSanitizerCatchesTokenLeak proves the sanitizer's token-conservation
@@ -45,5 +48,62 @@ func TestSanitizerCatchesTokenLeak(t *testing.T) {
 	}
 	if !found {
 		t.Errorf("no token-conservation violation attributed to engine-0: %v", cl.SanitizeViolations())
+	}
+}
+
+// TestSanitizerCatchesBrokenCookie proves completion-cookie is live. A
+// link's pending queue is the only place a posted request's arrival
+// instant waits, so each way of corrupting it — a Push dropped, an instant
+// from the future, more queued than the send queue holds — must fail the
+// sanitized run naming the invariant and the tenant, and the first must be
+// a report, not an index panic on the empty queue.
+func TestSanitizerCatchesBrokenCookie(t *testing.T) {
+	mutations := []struct {
+		name, want string
+		mutate     func(w *wire, now sim.Time)
+	}{
+		{"a push dropped", "none posted", func(w *wire, _ sim.Time) { w.pending.Pop() }},
+		{"an instant from the future", "after now", func(w *wire, now sim.Time) { *w.pending.Peek(0) = now + sim.Second }},
+		{"more posted than the send queue holds", "send queue depth", func(w *wire, now sim.Time) {
+			for i := 0; i <= w.depth; i++ {
+				w.pending.Push(now)
+			}
+		}},
+	}
+	for _, m := range mutations {
+		t.Run(m.name, func(t *testing.T) {
+			specs := make([]ClientSpec, 2)
+			for i := range specs {
+				// Paced demand below the reservation: the link drains between
+				// requests, so a missing cookie is missed.
+				specs[i] = ClientSpec{Reservation: 1200, Demand: ConstantDemand(1000), Pattern: workload.ConstantRate{}}
+			}
+			cfg := testConfig(Haechi)
+			cfg.Seed = 11
+			cfg.Sanitize = true
+			cl, err := New(cfg, specs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w := cl.Clients()[1].wire
+			var strike func()
+			strike = func() { // at the first instant an I/O is on the wire
+				if w.pending.Len() == 0 {
+					cl.Kernel().Schedule(sim.Microsecond, strike)
+					return
+				}
+				m.mutate(w, cl.Kernel().Now())
+			}
+			T := cl.Config().Params.Period
+			cl.At(T+T/2, strike)
+			_, err = cl.Run(1, 2)
+			if err == nil || !strings.Contains(err.Error(), "completion-cookie") {
+				t.Fatalf("run with %s returned %v, want a completion-cookie violation", m.name, err)
+			}
+			v := cl.SanitizeViolations()[0]
+			if v.Check != "completion-cookie" || !strings.Contains(v.Detail, "client-01") || !strings.Contains(v.Detail, m.want) {
+				t.Errorf("first violation = %v, want completion-cookie naming client-01 and %q", v, m.want)
+			}
+		})
 	}
 }

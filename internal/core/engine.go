@@ -11,10 +11,10 @@ import (
 )
 
 // IOSender performs the actual one-sided data I/O once the engine has a
-// token for it (e.g. a kvstore one-sided GET). done must fire exactly once
-// at I/O completion, in post order. An engine passes the same done for
-// every I/O, so a sender may bind its completion callback once.
-type IOSender func(key uint64, done func())
+// token for it (e.g. a kvstore one-sided GET). arrivedAt is the request's
+// completion cookie: when the I/O completes the sender's owner hands it to
+// Engine.OnIODone, exactly once per I/O and in post order.
+type IOSender func(key uint64, arrivedAt sim.Time)
 
 // ClientGrant is what admission hands a client: its identity and the
 // capabilities needed to participate in the protocol.
@@ -27,11 +27,10 @@ type ClientGrant struct {
 	QoSRegion *rdma.Region
 }
 
-// Source hands the engine its next request at the moment the engine posts
-// it: the key to read and the callback to invoke exactly once on
-// completion. arrivedAt is the instant that request was announced with
+// Source hands the engine the key of its next request at the moment the
+// engine posts it. arrivedAt is the instant that request was announced with
 // Arrive; requests are pulled in arrival order.
-type Source func(arrivedAt sim.Time) (key uint64, done func())
+type Source func(arrivedAt sim.Time) (key uint64)
 
 // Engine is the client-side QoS engine (Section II-D): it admits
 // application requests only when backed by a token, manages the
@@ -50,6 +49,7 @@ type Engine struct {
 	reportOff int
 	sender    IOSender
 	source    Source
+	complete  func(arrivedAt sim.Time) // the source's completion entry point
 
 	// Period state.
 	periodIndex int
@@ -71,22 +71,15 @@ type Engine struct {
 
 	// Demand the engine has not posted yet is a count, not a list: waiting
 	// holds arrivals not yet backed by a token, backed those that consumed
-	// one and await a send-queue slot. A request becomes a key and a
-	// callback only when pump pulls it from the source. inflight counts
-	// I/Os posted to the NIC and not yet completed, bounded by
-	// Params.SendQueueDepth.
+	// one and await a send-queue slot. A request becomes a key only when
+	// pump pulls it from the source; once posted, the engine keeps nothing of
+	// it but the count inflight (bounded by Params.SendQueueDepth) — its
+	// arrival instant rides down with the I/O and comes back in OnIODone.
+	// The count deliberately survives Crash: in-flight I/Os were on the wire
+	// and may legally complete.
 	waiting  arrivals
 	backed   arrivals
 	inflight int
-
-	// inflightDone holds the completion callbacks of posted I/Os in post
-	// order. The engine's data I/Os all ride one queue pair in one service
-	// class, so completions are FIFO (the IOSender contract) and each
-	// completion pops the oldest callback through the bound onIODoneFn —
-	// posting an I/O allocates nothing. The FIFO deliberately survives
-	// Crash: in-flight I/Os were on the wire and may legally complete.
-	inflightDone sim.FIFO[func()]
-	onIODoneFn   func()
 
 	// Bound callbacks and their per-issue state, created once so the
 	// steady-state token path (claims, probes, retries, reports) schedules
@@ -224,7 +217,6 @@ func NewEngine(params Params, grant ClientGrant, node *rdma.Node, disp *rdma.Dis
 	if err := disp.HandleFrom(msgAlert, grant.ServerNode, e.handleAlert); err != nil {
 		return nil, err
 	}
-	e.onIODoneFn = e.onIODone
 	e.reportFn = e.report
 	e.onFAAFn = e.onFAA
 	e.onProbeFn = e.onProbe
@@ -239,9 +231,12 @@ func NewEngine(params Params, grant ClientGrant, node *rdma.Node, disp *rdma.Dis
 // ID returns the client's identity in the monitor's table.
 func (e *Engine) ID() int { return e.id }
 
-// SetSource installs the source the engine pulls requests from. It must be
-// set before the first Arrive.
-func (e *Engine) SetSource(src Source) { e.source = src }
+// SetSource installs the source the engine pulls keys from and the
+// function it reports each completed request to (by arrival instant). Both
+// must be set before the first Arrive.
+func (e *Engine) SetSource(next Source, complete func(arrivedAt sim.Time)) {
+	e.source, e.complete = next, complete
+}
 
 // Arrive announces n application I/Os arriving now. Each is posted as soon
 // as the engine holds a token for it; until then it waits as part of a
@@ -496,21 +491,19 @@ func (e *Engine) drain() {
 }
 
 // pump posts token-backed I/Os to the NIC up to the send-queue depth. This
-// is where a request materialises: the source draws its key and takes its
-// completion slot here, so both are bounded by the send-queue depth.
+// is where a request materialises: the source draws its key here, so what
+// is held per posted request is bounded by the send-queue depth.
 func (e *Engine) pump() {
 	for e.inflight < e.params.SendQueueDepth && e.backed.n > 0 {
 		e.inflight++
-		key, done := e.source(e.backed.pop())
-		e.inflightDone.Push(done)
-		e.sender(key, e.onIODoneFn)
+		at := e.backed.pop()
+		e.sender(e.source(at), at)
 	}
 }
 
-// onIODone completes the oldest in-flight I/O (IOSender completions are
-// FIFO per engine: all data I/Os ride one QP in one service class).
-func (e *Engine) onIODone() {
-	done := e.inflightDone.Pop()
+// OnIODone completes the in-flight I/O whose request arrived at arrivedAt
+// (the cookie its IOSender call carried).
+func (e *Engine) OnIODone(arrivedAt sim.Time) {
 	e.inflight--
 	if e.crashed {
 		// I/Os on the wire at crash time complete at the server
@@ -518,12 +511,12 @@ func (e *Engine) onIODone() {
 		// completion beyond that in-flight count is a protocol
 		// violation.
 		e.noteCrashedCompletion()
-		done()
+		e.complete(arrivedAt)
 		return
 	}
 	e.completed++
 	e.totalCompleted++
-	done()
+	e.complete(arrivedAt)
 	e.pump()
 }
 

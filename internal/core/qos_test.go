@@ -59,7 +59,7 @@ type burstLoop struct {
 func drive(e *Engine, window int, demand func(period int) int) *burstLoop {
 	b := &burstLoop{e: e, window: window, demand: demand}
 	e.OnPeriodStart = b.begin
-	e.SetSource(b.next)
+	e.SetSource(b.next, b.onDone)
 	return b
 }
 
@@ -78,12 +78,12 @@ func (b *burstLoop) fill() {
 }
 
 // next is the engine's source: requests carry no state but their number.
-func (b *burstLoop) next(sim.Time) (uint64, func()) {
+func (b *burstLoop) next(sim.Time) uint64 {
 	b.pulled++
-	return b.pulled, b.onDone
+	return b.pulled
 }
 
-func (b *burstLoop) onDone() {
+func (b *burstLoop) onDone(sim.Time) {
 	b.outstanding--
 	b.fill()
 }
@@ -141,12 +141,13 @@ func newQoSHarnessSigma(t *testing.T, params Params, reservations []int64, deman
 		if err != nil {
 			t.Fatal(err)
 		}
-		sender := func(key uint64, done func()) {
-			if err := qp.Read(data, 0, rdma.DataIOSize, func([]byte) { done() }); err != nil {
+		var eng *Engine
+		sender := func(key uint64, arrivedAt sim.Time) {
+			if err := qp.Read(data, 0, rdma.DataIOSize, func([]byte) { eng.OnIODone(arrivedAt) }); err != nil {
 				t.Fatalf("read failed: %v", err)
 			}
 		}
-		eng, err := NewEngine(params, grant, node, disp, 0, sender)
+		eng, err = NewEngine(params, grant, node, disp, 0, sender)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -187,7 +188,7 @@ func TestEngineValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sender := func(uint64, func()) {}
+	sender := func(uint64, sim.Time) {}
 	if _, err := NewEngine(NewDefaultParams(), grant, nil, disp, 0, sender); err == nil {
 		t.Error("nil node accepted")
 	}
@@ -404,11 +405,12 @@ func TestLimitEnforced(t *testing.T) {
 		t.Fatal(err)
 	}
 	qp, _ := f.Connect(node, server)
-	sender := func(key uint64, done func()) {
-		_ = qp.Read(data, 0, rdma.DataIOSize, func([]byte) { done() })
+	var eng *Engine
+	sender := func(key uint64, arrivedAt sim.Time) {
+		_ = qp.Read(data, 0, rdma.DataIOSize, func([]byte) { eng.OnIODone(arrivedAt) })
 	}
 	const limit = 1200
-	eng, err := NewEngine(params, grant, node, disp, limit, sender)
+	eng, err = NewEngine(params, grant, node, disp, limit, sender)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,6 +26,10 @@
 //     round and at run end, each tenant's per-node slices sum to its
 //     reservation ("reservation-split"); each node's admitted sum within
 //     its bound is that node's reservation floor above.
+//   - completion cookie: every data I/O completion on a tenant's link
+//     finds the arrival instant its request was posted with, not one
+//     ahead of the clock, and no more instants wait there than the
+//     engine's send queue holds ("completion-cookie").
 //
 // Chaos runs (cluster.Config.Chaos, DESIGN.md §12) add failure-aware
 // invariants on top:
@@ -59,7 +63,8 @@ import (
 type Violation struct {
 	// Check names the invariant ("token-conservation", "kernel-order",
 	// "pool-floor", "reservation-floor", "shard-mailbox", "bg-window",
-	// "reservation-split", and under chaos "crash-quarantine", "post-crash-completion",
+	// "reservation-split", "completion-cookie", and under chaos
+	// "crash-quarantine", "post-crash-completion",
 	// "rejoin-monotonic", "reclamation-conservation",
 	// "reservation-floor-survivor").
 	Check string

@@ -15,8 +15,8 @@ const InfiniteDemand = uint64(math.MaxUint32)
 
 // Arrive announces that n requests arrived at the I/O path (the Haechi QoS
 // engine, or a bare sender) at the current instant. An arrival is only a
-// count: the I/O path owns its arrival time and calls Generator.Next once
-// per request, when it is ready to post it.
+// count: the I/O path owns its arrival time, calls Generator.Next once per
+// request when it is ready to post it, and Generator.Complete when it is done.
 type Arrive func(n uint64)
 
 // Pattern is a temporal request pattern: how a period's demand is spread
@@ -164,10 +164,12 @@ func (d *constantRateDriver) stop() {
 }
 
 // Generator drives one client's workload: it announces arrivals according
-// to its pattern, hands the I/O path one request at a time on demand
-// (Next), and records completion latency (arrival to completion, including
-// any token-wait queueing at the QoS engine — the paper's Fig. 15
-// latencies include client-side queueing).
+// to its pattern, hands the I/O path one key at a time on demand (Next),
+// and records completion latency (Complete: arrival to completion,
+// including any token-wait queueing at the QoS engine — the paper's Fig. 15
+// latencies include client-side queueing). It keeps nothing per request: the
+// arrival instant is the request's whole identity, and the I/O path carries
+// it from Arrive to Complete.
 type Generator struct {
 	k         *sim.Kernel
 	rng       *rand.Rand
@@ -179,25 +181,9 @@ type Generator struct {
 
 	Latency metrics.Histogram
 
-	// Requests the I/O path has pulled and not yet completed live in a
-	// slot pool: each slot carries the arrival time and a completion
-	// callback bound once to the slot index and reused for every request
-	// that later occupies the slot. Unlike a FIFO of start times this
-	// stays correct when completions cross (with several data nodes the
-	// cluster routes one generator's keys to independent engines). A
-	// request that has arrived but not been pulled holds no slot, so the
-	// pool is bounded by what the I/O path keeps posted, not by the backlog.
-	slots []genSlot
-	free  []int32
-
 	issuedTotal         uint64
 	completedTotal      uint64
 	completedThisPeriod uint64
-}
-
-type genSlot struct {
-	start  sim.Time
-	doneFn func()
 }
 
 // NewGenerator builds a generator. periodLen is the QoS period length T.
@@ -242,10 +228,6 @@ func (g *Generator) Issued() uint64 { return g.issuedTotal }
 // Completed returns the total number of requests completed.
 func (g *Generator) Completed() uint64 { return g.completedTotal }
 
-// PeakOutstanding returns the most requests that were ever pulled and not
-// yet completed at one time — the size the completion-slot pool grew to.
-func (g *Generator) PeakOutstanding() int { return len(g.slots) }
-
 // TakePeriodCompleted returns and resets the completions since the last
 // call; the cluster harvests it at each period boundary.
 func (g *Generator) TakePeriodCompleted() uint64 {
@@ -259,31 +241,19 @@ func (g *Generator) announce(n uint64) {
 	g.arrive(n)
 }
 
-// Next hands out the generator's next request: the next key of its stream
-// and the callback to invoke exactly once when the I/O completes. The I/O
-// path calls it at the moment it posts the request and passes the instant
-// that request arrived, which is where its latency starts; requests are
-// handed out in arrival order, so the k-th call returns the k-th key.
-func (g *Generator) Next(arrivedAt sim.Time) (key uint64, done func()) {
-	key = g.keys.Next(g.rng)
-	var s int32
-	if n := len(g.free); n > 0 {
-		s = g.free[n-1]
-		g.free = g.free[:n-1]
-	} else {
-		s = int32(len(g.slots))
-		g.slots = append(g.slots, genSlot{})
-		i := s // the bound callback captures the index, not a slot pointer,
-		// so pool growth relocating the slab is harmless.
-		g.slots[s].doneFn = func() { g.complete(i) }
-	}
-	g.slots[s].start = arrivedAt
-	return key, g.slots[s].doneFn
+// Next hands out the key of the generator's next request. The I/O path
+// calls it at the moment it posts the request; requests are handed out in
+// arrival order, so the k-th call returns the k-th key. arrivedAt, the
+// instant that request was announced, is where its latency starts: the
+// I/O path hands it back to Complete.
+func (g *Generator) Next(arrivedAt sim.Time) (key uint64) {
+	return g.keys.Next(g.rng)
 }
 
-func (g *Generator) complete(slot int32) {
-	g.Latency.Record(g.k.Now() - g.slots[slot].start)
-	g.free = append(g.free, slot)
+// Complete records the completion, now, of a request that arrived at
+// arrivedAt. The I/O path calls it exactly once per request Next handed out.
+func (g *Generator) Complete(arrivedAt sim.Time) {
+	g.Latency.Record(g.k.Now() - arrivedAt)
 	g.completedTotal++
 	g.completedThisPeriod++
 	g.drv.onCompletion()
@@ -303,7 +273,9 @@ type Poisson struct{}
 func (Poisson) String() string { return "poisson" }
 
 func (Poisson) newDriver(g *Generator) driver {
-	return &poissonDriver{g: g}
+	d := &poissonDriver{g: g}
+	d.fireFn = d.fire
+	return d
 }
 
 type poissonDriver struct {
@@ -311,6 +283,7 @@ type poissonDriver struct {
 	timer   sim.Timer
 	rate    float64 // arrivals per nanosecond
 	stopped bool
+	fireFn  func() // d.fire, bound once: an arrival allocates nothing
 }
 
 func (d *poissonDriver) beginPeriod(demand uint64) {
@@ -328,13 +301,15 @@ func (d *poissonDriver) schedule() {
 	if gap < 1 {
 		gap = 1
 	}
-	d.timer = d.g.k.Schedule(gap, func() {
-		if d.stopped {
-			return
-		}
-		d.g.announce(1)
-		d.schedule()
-	})
+	d.timer = d.g.k.Schedule(gap, d.fireFn)
+}
+
+func (d *poissonDriver) fire() {
+	if d.stopped {
+		return
+	}
+	d.g.announce(1)
+	d.schedule()
 }
 
 func (d *poissonDriver) onCompletion() {}

@@ -349,12 +349,13 @@ func instantSend(k *sim.Kernel, delay sim.Time) send {
 }
 
 // newPulledGenerator builds a generator behind a gate-less sink: every
-// arrival is pulled and posted the instant it is announced.
+// arrival is pulled and posted the instant it is announced, and its done
+// hands the arrival instant back.
 func newPulledGenerator(k *sim.Kernel, seed int64, keys KeyChooser, pattern Pattern, periodLen sim.Time, post send) (*Generator, error) {
 	var g *Generator
 	g, err := NewGenerator(k, seed, keys, pattern, periodLen, func(n uint64) {
 		for now := k.Now(); n > 0; n-- {
-			post(g.Next(now))
+			post(g.Next(now), func() { g.Complete(now) })
 		}
 	})
 	return g, err
@@ -670,10 +671,11 @@ func TestDriversKeepPushContractArrivals(t *testing.T) {
 }
 
 // TestBacklogHoldsNoSlot: an arrival the I/O path has not pulled is only a
-// number. A post-all burst behind a sink that never pulls counts as issued
-// but draws no key and takes no completion slot; each request pulled later
-// gets the next key of the stream and its own arrival instant as latency
-// start, whatever the instant it is pulled at.
+// number, and one it has pulled is only its arrival instant. A post-all
+// burst behind a sink that never pulls counts as issued but draws no key;
+// each request pulled later gets the next key of the stream, and completing
+// it with its own arrival instant — in any order — starts its latency
+// there, whatever the instant it was pulled at. None of it allocates.
 func TestBacklogHoldsNoSlot(t *testing.T) {
 	k := sim.New(1)
 	var announced uint64
@@ -688,35 +690,29 @@ func TestBacklogHoldsNoSlot(t *testing.T) {
 	if announced != 2*n || g.Issued() != 2*n { // AllocsPerRun(1, f) calls f twice
 		t.Errorf("announced %d, Issued %d, want %d", announced, g.Issued(), 2*n)
 	}
-	if g.PeakOutstanding() != 0 {
-		t.Errorf("%d completion slots taken before any request was pulled", g.PeakOutstanding())
-	}
 
 	k.RunUntil(10 * sim.Microsecond)
 	arrivedAt := []sim.Time{0, 3 * sim.Microsecond, 7 * sim.Microsecond}
-	var dones []func()
-	for i, at := range arrivedAt {
-		key, done := g.Next(at)
-		if key != uint64(i) {
-			t.Errorf("request %d got key %d", i, key)
+	three := func() {
+		for _, at := range arrivedAt {
+			g.Next(at)
 		}
-		dones = append(dones, done)
+		for i := len(arrivedAt) - 1; i >= 0; i-- { // completions may cross
+			g.Complete(arrivedAt[i])
+		}
 	}
-	for i := len(dones) - 1; i >= 0; i-- { // completions may cross
-		dones[i]()
+	three() // the histogram allocates a row per octave on its first sample there
+	if allocs := testing.AllocsPerRun(1, three); allocs != 0 {
+		t.Errorf("pulling and completing three requests allocated %v times", allocs)
 	}
-	if g.Completed() != 3 || g.PeakOutstanding() != 3 {
-		t.Errorf("completed %d with %d slots, want 3 and 3", g.Completed(), g.PeakOutstanding())
+	if key := g.Next(0); key != 9 { // three runs of three came before
+		t.Errorf("the tenth request got key %d", key)
+	}
+	if g.Completed() != 9 {
+		t.Errorf("completed %d, want 9", g.Completed())
 	}
 	if g.Latency.Min() != 3*sim.Microsecond || g.Latency.Max() != 10*sim.Microsecond {
 		t.Errorf("latency min/max = %v/%v, want 3µs/10µs (measured from each request's arrival)",
 			g.Latency.Min(), g.Latency.Max())
-	}
-	// Slots are reused: three more requests in flight need no new ones.
-	for i := 0; i < 3; i++ {
-		g.Next(k.Now())
-	}
-	if g.PeakOutstanding() != 3 {
-		t.Errorf("slot pool grew to %d for 3 requests in flight", g.PeakOutstanding())
 	}
 }
