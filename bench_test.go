@@ -18,14 +18,10 @@ import (
 // benchOptions are sized so each figure regenerates in roughly a second.
 func benchOptions(b *testing.B) experiments.Options {
 	b.Helper()
-	return experiments.Options{
-		Scale:          50,
-		WarmupPeriods:  1,
-		MeasurePeriods: 3,
-		Clients:        10,
-		Records:        1024,
-		Seed:           42,
-	}
+	o := experiments.NewDefaultOptions()
+	o.Base.Scale, o.Base.Records, o.Base.Seed = 50, 1024, 42
+	o.WarmupPeriods, o.MeasurePeriods, o.Clients = 1, 3, 10
+	return o
 }
 
 // cell parses a report cell like "1.57M", "400K", "93%" or "830".

@@ -36,23 +36,28 @@ func main() {
 }
 
 func run(args []string) int {
+	// The sizing flags write straight into opts and show the laptop
+	// preset's values as their defaults. -paper swaps in the paper preset
+	// after parsing, and a second parse lays the flags given explicitly
+	// back over it.
+	opts := experiments.NewDefaultOptions()
 	fs := flag.NewFlagSet("haechibench", flag.ContinueOnError)
+	fs.Float64Var(&opts.Base.Scale, "scale", opts.Base.Scale, "fabric scale divisor (1 = full scale)")
+	fs.IntVar(&opts.WarmupPeriods, "warmup", opts.WarmupPeriods, "warm-up periods")
+	fs.IntVar(&opts.MeasurePeriods, "periods", opts.MeasurePeriods, "measured periods")
+	fs.IntVar(&opts.Clients, "clients", opts.Clients, "client nodes")
+	fs.IntVar(&opts.Base.Records, "records", opts.Base.Records, "records populated in the KV store")
+	fs.Int64Var(&opts.Base.Seed, "seed", opts.Base.Seed, "random seed")
+	fs.IntVar(&opts.Parallel, "parallel", runtime.GOMAXPROCS(0), "concurrent cluster runs per experiment sweep (output is identical at any value)")
+	fs.IntVar(&opts.Base.Shards, "shards", 0, "partition each cluster onto this many shard kernels (0/1 = single kernel; changes output like -scale does)")
+	fs.IntVar(&opts.Base.ShardWorkers, "shard-workers", 0, "worker pool driving the shard kernels (0 or 1 = inline, no goroutines; output is identical at any value)")
+	fs.BoolVar(&opts.Base.Sanitize, "sanitize", false, "enable runtime invariant checks (token conservation, pool floor, event order; output is identical, violations fail the run)")
+	fs.StringVar(&opts.Base.Chaos, "chaos", "", "inject a fault scenario into every cluster run (a preset such as set5, or a grammar string like 'crash@2.25:c=0;restart@5.5:c=0'; deterministic, and sanitized)")
 	var (
 		experiment = fs.String("experiment", "", "experiment id to run (see -list)")
 		all        = fs.Bool("all", false, "run every experiment")
 		list       = fs.Bool("list", false, "list experiment ids and exit")
-		paper      = fs.Bool("paper", false, "paper dimensions: full scale, 30+30 periods (slow)")
-		scale      = fs.Float64("scale", 0, "fabric scale divisor (default 10; 1 = full scale)")
-		warmup     = fs.Int("warmup", 0, "warm-up periods (default 2; paper uses 30)")
-		periods    = fs.Int("periods", 0, "measured periods (default 5; paper uses 30)")
-		clients    = fs.Int("clients", 0, "client nodes (default 10)")
-		records    = fs.Int("records", 0, "records populated in the KV store (default 4096)")
-		seed       = fs.Int64("seed", 0, "random seed (default 42)")
-		par        = fs.Int("parallel", runtime.GOMAXPROCS(0), "concurrent cluster runs per experiment sweep (output is identical at any value)")
-		shards     = fs.Int("shards", 0, "partition each cluster onto this many shard kernels (0/1 = single kernel; changes output like -scale does)")
-		shardWork  = fs.Int("shard-workers", 0, "worker pool driving the shard kernels (0 or 1 = inline, no goroutines; output is identical at any value)")
-		sanitize   = fs.Bool("sanitize", false, "enable runtime invariant checks (token conservation, pool floor, event order; output is identical, violations fail the run)")
-		chaosSpec  = fs.String("chaos", "", "inject a fault scenario into every cluster run (a preset such as set5, or a grammar string like 'crash@2.25:c=0;restart@5.5:c=0'; deterministic)")
+		paper      = fs.Bool("paper", false, "start from the paper preset: full scale, 30+30 periods, 65536 records (slow); other flags given override it")
 		csvDir     = fs.String("csv", "", "also write each table as CSV into this directory")
 		traceOut   = fs.String("trace", "", "write per-I/O spans as Chrome trace_event JSON (open in Perfetto); multi-run experiments get -NN suffixes")
 		traceSpans = fs.Int("trace-spans", 10000, "span ring capacity for -trace (histograms always cover every span)")
@@ -62,6 +67,12 @@ func run(args []string) int {
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
+	}
+	if *paper {
+		parallel := opts.Parallel
+		opts = experiments.PaperOptions()
+		opts.Parallel = parallel
+		_ = fs.Parse(args) // parsed once already
 	}
 	if *list {
 		fmt.Println("experiments:", strings.Join(experiments.Known(), " "))
@@ -100,34 +111,6 @@ func run(args []string) int {
 		}()
 	}
 
-	opts := experiments.NewDefaultOptions()
-	if *paper {
-		opts = experiments.PaperOptions()
-	}
-	if *scale != 0 {
-		opts.Scale = *scale
-	}
-	if *warmup != 0 {
-		opts.WarmupPeriods = *warmup
-	}
-	if *periods != 0 {
-		opts.MeasurePeriods = *periods
-	}
-	if *clients != 0 {
-		opts.Clients = *clients
-	}
-	if *records != 0 {
-		opts.Records = *records
-	}
-	if *seed != 0 {
-		opts.Seed = *seed
-	}
-	opts.Parallel = *par
-	opts.Shards = *shards
-	opts.ShardWorkers = *shardWork
-	opts.Sanitize = *sanitize
-	opts.Chaos = *chaosSpec
-
 	exp := &exporter{traceOut: *traceOut, metricsOut: *metricsOut}
 	if *traceOut != "" || *metricsOut != "" {
 		// Artifact export works at any -parallel and -shard-workers value:
@@ -142,13 +125,13 @@ func run(args []string) int {
 		if *metricsOut != "" {
 			ob.MetricsInterval = cluster.DefaultMetricsInterval(core.NewDefaultParams().Period)
 		}
-		opts.Observe = ob
+		opts.Base.Observe = ob
 	} else {
 		// Events-per-wall-second accounting: every cluster run reports its
 		// deterministic kernel event count; the sum is divided by the
 		// experiment's wall time. The counter is atomic because parallel
 		// sweeps complete runs concurrently.
-		opts.Observe = &cluster.Observe{OnResults: func(res *cluster.Results) {
+		opts.Base.Observe = &cluster.Observe{OnResults: func(res *cluster.Results) {
 			atomic.AddUint64(&exp.events, res.EventsExecuted)
 		}}
 	}
@@ -195,7 +178,7 @@ func runOne(id string, opts experiments.Options, csvDir string, exp *exporter) e
 	}
 	elapsed := time.Since(start)
 	status := fmt.Sprintf("[%s completed in %v at scale %.0f, %d+%d periods",
-		rep.ID, elapsed.Round(time.Millisecond), opts.Scale, opts.WarmupPeriods, opts.MeasurePeriods)
+		rep.ID, elapsed.Round(time.Millisecond), opts.Base.Scale, opts.WarmupPeriods, opts.MeasurePeriods)
 	if ev := atomic.LoadUint64(&exp.events); ev > 0 {
 		status += fmt.Sprintf("; %d kernel events, %.1fM events/wall-sec",
 			ev, float64(ev)/elapsed.Seconds()/1e6)

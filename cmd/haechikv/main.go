@@ -13,28 +13,31 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
 
 	haechi "github.com/haechi-qos/haechi"
+	"github.com/haechi-qos/haechi/internal/cluster"
 )
 
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout))
 }
 
-func run(args []string, out *os.File) int {
+func run(args []string, out io.Writer) int {
+	laptop := cluster.Laptop()
 	fs := flag.NewFlagSet("haechikv", flag.ContinueOnError)
 	var (
 		tenantsFlag = fs.String("tenants", "gold:30000:0:45000,silver:15000:0:30000,bronze:8000:0:20000",
 			"comma-separated tenants: name:reservation[:limit[:demand]]")
 		mode      = fs.String("mode", "haechi", "haechi | basic | bare")
-		scale     = fs.Float64("scale", 10, "fabric scale divisor (1 = full scale)")
-		warmup    = fs.Int("warmup", 2, "warm-up periods")
-		periods   = fs.Int("periods", 5, "measured periods")
-		records   = fs.Int("records", 4096, "records populated")
-		seed      = fs.Int64("seed", 1, "random seed")
+		scale     = fs.Float64("scale", laptop.Scale, "fabric scale divisor (1 = full scale)")
+		warmup    = fs.Int("warmup", cluster.LaptopWarmup, "warm-up periods")
+		periods   = fs.Int("periods", cluster.LaptopMeasure, "measured periods")
+		records   = fs.Int("records", laptop.Records, "records populated")
+		seed      = fs.Int64("seed", laptop.Seed, "random seed")
 		congest   = fs.Int("congest-at", 0, "start background congestion at this measured period (0 = none)")
 		chaosSpec = fs.String("chaos", "", "inject a deterministic fault scenario (a preset such as set5, or e.g. 'crash@2.25:c=0;restart@5.5:c=0'; times in periods from run start, clients in tenant order)")
 		traceCap  = fs.Int("trace", 0, "record and dump the last N protocol events (QoS modes)")

@@ -1,6 +1,11 @@
 package main
 
-import "testing"
+import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"testing"
+)
 
 func TestParseTenants(t *testing.T) {
 	tenants, err := parseTenants("gold:40000:0:60000,silver:20000, probe:0:5000:30000")
@@ -49,5 +54,36 @@ func TestRunBadFlags(t *testing.T) {
 	}
 	if code := run([]string{"-bogus-flag"}, nil); code != 2 {
 		t.Errorf("bad flag exit = %d, want 2", code)
+	}
+}
+
+// TestRunOutputPinned holds the demo's stdout to the committed text, so
+// a config refactor that moves any default (scale, windows, records,
+// seed) shows up as a diff. Regenerate with HAECHI_UPDATE_GOLDEN=1 after
+// an intentional change.
+func TestRunOutputPinned(t *testing.T) {
+	for name, args := range map[string][]string{
+		"default":    nil,
+		"chaos_set5": {"-chaos", "set5"},
+	} {
+		t.Run(name, func(t *testing.T) {
+			var out bytes.Buffer
+			if code := run(args, &out); code != 0 {
+				t.Fatalf("exit %d", code)
+			}
+			path := filepath.Join("testdata", name+".txt")
+			if os.Getenv("HAECHI_UPDATE_GOLDEN") != "" {
+				if err := os.WriteFile(path, out.Bytes(), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(out.Bytes(), want) {
+				t.Errorf("output diverged from %s:\n%s", path, out.Bytes())
+			}
+		})
 	}
 }

@@ -13,7 +13,6 @@ import (
 	"runtime/pprof"
 
 	"github.com/haechi-qos/haechi/internal/cluster"
-	"github.com/haechi-qos/haechi/internal/kvstore"
 )
 
 func main() {
@@ -21,13 +20,14 @@ func main() {
 }
 
 func run(args []string) int {
+	laptop := cluster.Laptop()
 	fs := flag.NewFlagSet("haechiprofile", flag.ContinueOnError)
 	var (
 		clients = fs.Int("clients", 10, "saturating clients (the paper uses 10)")
 		periods = fs.Int("periods", 50, "profiled QoS periods (the paper uses 1000 one-period runs)")
-		scale   = fs.Float64("scale", 10, "fabric scale divisor (1 = full scale)")
+		scale   = fs.Float64("scale", laptop.Scale, "fabric scale divisor (1 = full scale)")
 		sigmaK  = fs.Float64("k", 3, "lower-bound multiplier on sigma")
-		seed    = fs.Int64("seed", 1, "random seed")
+		seed    = fs.Int64("seed", laptop.Seed, "random seed")
 		shards  = fs.Int("shards", 1, "independent profiling runs splitting the periods (seeds seed..seed+shards-1; part of the result)")
 		par     = fs.Int("parallel", runtime.GOMAXPROCS(0), "concurrent kernels for sharded profiling (never changes the result)")
 		clShard = fs.Int("cluster-shards", 0, "shard kernels inside each profiled cluster (0/1 = single kernel; part of the result, unlike -shard-workers)")
@@ -74,7 +74,7 @@ func run(args []string) int {
 	cfg.Mode = cluster.Bare
 	cfg.Scale = *scale
 	cfg.Seed = *seed
-	cfg.Store = kvstore.Options{Capacity: 1 << 12, RecordSize: 4096}
+	cfg.Store.Capacity = 1 << 12
 	cfg.Records = 1 << 11
 	cfg.Shards = *clShard
 	cfg.ShardWorkers = *clWork

@@ -30,12 +30,12 @@
 package haechi
 
 import (
+	"cmp"
 	"fmt"
 	"io"
 	"time"
 
 	"github.com/haechi-qos/haechi/internal/cluster"
-	"github.com/haechi-qos/haechi/internal/kvstore"
 	"github.com/haechi-qos/haechi/internal/sim"
 	"github.com/haechi-qos/haechi/internal/trace"
 	"github.com/haechi-qos/haechi/internal/workload"
@@ -94,20 +94,20 @@ type Tenant struct {
 	UpdateFraction float64
 }
 
-// Config assembles a Haechi system.
+// Config assembles a Haechi system. It is a view of the laptop preset
+// (scale 10, 2 + 5 periods, 4096 records, seed 1): each field left zero
+// keeps the preset's value.
 type Config struct {
 	// Mode selects haechi/basic/bare; empty means ModeHaechi.
 	Mode Mode
-	// Scale divides the paper-calibrated fabric rates (1 = full scale;
-	// 0 defaults to 10 for laptop-fast runs).
+	// Scale divides the paper-calibrated fabric rates (1 = full scale).
 	Scale float64
-	// WarmupPeriods and MeasurePeriods set the run windows; zero values
-	// default to 2 and 5.
+	// WarmupPeriods and MeasurePeriods set the run windows.
 	WarmupPeriods  int
 	MeasurePeriods int
-	// Records is the KV store population (default 4096).
+	// Records is the KV store population.
 	Records int
-	// Seed drives all randomness (default 1).
+	// Seed drives all randomness.
 	Seed int64
 	// TraceEvents, when positive, records the last N protocol events
 	// (token pushes, claims, yields, pool caps, reports, capacity
@@ -132,28 +132,6 @@ type Config struct {
 	Chaos string
 }
 
-func (c Config) withDefaults() Config {
-	if c.Mode == "" {
-		c.Mode = ModeHaechi
-	}
-	if c.Scale == 0 {
-		c.Scale = 10
-	}
-	if c.WarmupPeriods == 0 {
-		c.WarmupPeriods = 2
-	}
-	if c.MeasurePeriods == 0 {
-		c.MeasurePeriods = 5
-	}
-	if c.Records == 0 {
-		c.Records = 4096
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	return c
-}
-
 // System is an assembled cluster ready to run.
 type System struct {
 	cfg     Config
@@ -168,14 +146,13 @@ type System struct {
 // modes each tenant passes admission control (aggregate and local
 // capacity constraints); a violation fails construction.
 func New(cfg Config, tenants []Tenant) (*System, error) {
-	cfg = cfg.withDefaults()
 	if len(tenants) == 0 {
 		return nil, fmt.Errorf("haechi: at least one tenant required")
 	}
-	ccfg := cluster.NewDefaultConfig()
+	ccfg := cluster.Laptop()
 	switch cfg.Mode {
-	case ModeHaechi:
-		ccfg.Mode = cluster.Haechi
+	case "", ModeHaechi:
+		cfg.Mode = ModeHaechi
 	case ModeBasic:
 		ccfg.Mode = cluster.BasicHaechi
 	case ModeBare:
@@ -183,22 +160,17 @@ func New(cfg Config, tenants []Tenant) (*System, error) {
 	default:
 		return nil, fmt.Errorf("haechi: unknown mode %q", cfg.Mode)
 	}
-	ccfg.Scale = cfg.Scale
-	ccfg.Seed = cfg.Seed
-	ccfg.Store = kvstore.Options{Capacity: kvstore.CapacityFor(cfg.Records), RecordSize: 4096}
-	ccfg.Records = cfg.Records
+	ccfg.Scale = cmp.Or(cfg.Scale, ccfg.Scale)
+	ccfg.Records = cmp.Or(cfg.Records, ccfg.Records)
+	ccfg.Seed = cmp.Or(cfg.Seed, ccfg.Seed)
+	ccfg.Chaos = cfg.Chaos
+	cfg.WarmupPeriods = cmp.Or(cfg.WarmupPeriods, cluster.LaptopWarmup)
+	cfg.MeasurePeriods = cmp.Or(cfg.MeasurePeriods, cluster.LaptopMeasure)
 	if cfg.FlightSpans > 0 || cfg.MetricsInterval > 0 {
 		ccfg.Observe = &cluster.Observe{
 			FlightSpans:     cfg.FlightSpans,
 			MetricsInterval: sim.Time(cfg.MetricsInterval),
 		}
-	}
-	if cfg.Chaos != "" {
-		// Chaos runs always sanitize: fault injection without the
-		// failure-aware invariants would hide exactly the bugs the
-		// scenarios exist to expose.
-		ccfg.Chaos = cfg.Chaos
-		ccfg.Sanitize = true
 	}
 
 	var names []string
@@ -209,7 +181,7 @@ func New(cfg Config, tenants []Tenant) (*System, error) {
 			name = fmt.Sprintf("tenant-%d", i+1)
 		}
 		names = append(names, name)
-		spec, err := tenantSpec(t, cfg)
+		spec, err := tenantSpec(t, ccfg.Records)
 		if err != nil {
 			return nil, fmt.Errorf("haechi: tenant %q: %w", name, err)
 		}
@@ -248,7 +220,7 @@ func (s *System) DumpTrace(w io.Writer) error {
 	return s.rec.Dump(w)
 }
 
-func tenantSpec(t Tenant, cfg Config) (cluster.ClientSpec, error) {
+func tenantSpec(t Tenant, records int) (cluster.ClientSpec, error) {
 	spec := cluster.ClientSpec{
 		Reservation:    t.Reservation,
 		Limit:          t.Limit,
@@ -290,7 +262,7 @@ func tenantSpec(t Tenant, cfg Config) (cluster.ClientSpec, error) {
 		return spec, fmt.Errorf("unknown pattern %q", pattern)
 	}
 	if t.KeyDistribution != "" {
-		keys, err := workload.NewChooser(t.KeyDistribution, uint64(cfg.Records))
+		keys, err := workload.NewChooser(t.KeyDistribution, uint64(records))
 		if err != nil {
 			return spec, err
 		}
@@ -512,7 +484,7 @@ type Capacity struct {
 // scale, for sizing reservations.
 func DefaultCapacity(scale float64) Capacity {
 	if scale <= 0 {
-		scale = 10
+		scale = cluster.Laptop().Scale
 	}
 	return Capacity{
 		PerClientOneSided: 400e3 / scale,

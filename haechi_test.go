@@ -3,6 +3,9 @@ package haechi
 import (
 	"strings"
 	"testing"
+
+	"github.com/haechi-qos/haechi/internal/cluster"
+	"github.com/haechi-qos/haechi/internal/experiments"
 )
 
 // fastConfig keeps public-API tests quick: 1/100 capacity.
@@ -225,10 +228,53 @@ func TestDefaultCapacity(t *testing.T) {
 	}
 }
 
+// TestConfigDefaults pins what cluster.Config.ApplyScale, the one place
+// a zero becomes a value, resolves for the bare config, each preset and
+// the public API's zero Config.
 func TestConfigDefaults(t *testing.T) {
-	c := (Config{}).withDefaults()
-	if c.Mode != ModeHaechi || c.Scale != 10 || c.WarmupPeriods != 2 || c.MeasurePeriods != 5 || c.Records != 4096 || c.Seed != 1 {
-		t.Errorf("defaults wrong: %+v", c)
+	apply := func(cfg cluster.Config) cluster.Config {
+		cfg, err := cfg.ApplyScale()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cfg
+	}
+	// New resolves the public Config through ApplyScale.
+	public := func(cfg Config) cluster.Config {
+		sys, err := New(cfg, []Tenant{{Reservation: 1000, DemandPerPeriod: 1000}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sys.cfg.WarmupPeriods != cluster.LaptopWarmup || sys.cfg.MeasurePeriods != cluster.LaptopMeasure {
+			t.Errorf("public windows %d+%d", sys.cfg.WarmupPeriods, sys.cfg.MeasurePeriods)
+		}
+		return sys.cluster.Config()
+	}
+	for _, tc := range []struct {
+		name     string
+		got      cluster.Config
+		scale    float64
+		seed     int64
+		records  int
+		capacity int
+		sanitize bool
+	}{
+		{"Config{}", apply(cluster.Config{}), 1, 1, 1 << 15, 1 << 16, false},
+		{"Config{Chaos}", apply(cluster.Config{Chaos: "set5"}), 1, 1, 1 << 15, 1 << 16, true},
+		{"Config{Records, Servers}", apply(cluster.Config{Records: 1000, Servers: 3}), 1, 1, 1000, 512, false},
+		{"Laptop", apply(cluster.Laptop()), 10, 1, 4096, 4096, false},
+		{"Paper", apply(cluster.Paper()), 1, 1, 1 << 16, 1 << 16, false},
+		{"experiments.NewDefaultOptions", apply(experiments.NewDefaultOptions().Base), 10, 42, 4096, 4096, false},
+		{"experiments.PaperOptions", apply(experiments.PaperOptions().Base), 1, 42, 1 << 16, 1 << 16, false},
+		{"haechi.Config{}", public(Config{}), 10, 1, 4096, 4096, false},
+		{"haechi.Config{Chaos}", public(Config{Chaos: "set5"}), 10, 1, 4096, 4096, true},
+	} {
+		if got := tc.got; got.Scale != tc.scale || got.Seed != tc.seed || got.Records != tc.records ||
+			got.Store.Capacity != tc.capacity || got.Sanitize != tc.sanitize {
+			t.Errorf("%s resolved to scale %v, seed %d, %d records in %d slots, sanitize %v; want %v, %d, %d, %d, %v",
+				tc.name, got.Scale, got.Seed, got.Records, got.Store.Capacity, got.Sanitize,
+				tc.scale, tc.seed, tc.records, tc.capacity, tc.sanitize)
+		}
 	}
 }
 

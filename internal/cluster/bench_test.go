@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/haechi-qos/haechi/internal/kvstore"
 	"github.com/haechi-qos/haechi/internal/workload"
 )
 
@@ -118,7 +117,7 @@ func BenchmarkClusterNew(b *testing.B) {
 		b.Run(shape.name, func(b *testing.B) {
 			cfg := testConfig(Haechi)
 			cfg.Scale = 10
-			cfg.Store.Capacity = kvstore.CapacityFor(shape.records)
+			cfg.Store.Capacity = 0 // ApplyScale sizes it for Records
 			cfg.Records = shape.records
 			specs := make([]ClientSpec, shape.clients)
 			for i := range specs {

@@ -83,6 +83,8 @@ type MissWindow struct {
 	Reservation int64
 	// Excused reports whether the scenario excuses the miss.
 	Excused bool
+	// end is the instant the period was harvested.
+	end sim.Time
 }
 
 // ClientFaults is one client's fault and recovery accounting.
@@ -219,7 +221,7 @@ func (c *Cluster) missWindows(rt *Client, fs core.FaultStats) []MissWindow {
 			from = rt.periodFrom[j]
 			to = rt.periodTo[j]
 		}
-		mw := MissWindow{Period: p, Completed: done, Reservation: R}
+		mw := MissWindow{Period: p, Completed: done, Reservation: R, end: to}
 		switch {
 		case rt.Spec.Demand(p) < uint64(R):
 			// The client did not ask for its floor this period.
@@ -270,7 +272,7 @@ func (c *Cluster) checkChaosInvariants(res *Results) {
 			if mw.Excused {
 				continue
 			}
-			san.Reportf("reservation-floor-survivor", int64(mw.Period),
+			san.Reportf("reservation-floor-survivor", int64(mw.end),
 				"client %d period %d: completed %d < reservation %d with no excusing fault window",
 				cf.Index, mw.Period, mw.Completed, mw.Reservation)
 		}

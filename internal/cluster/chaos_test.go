@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"github.com/haechi-qos/haechi/internal/sim"
+	"github.com/haechi-qos/haechi/internal/workload"
 )
 
 // chaosSpecs builds the standard 4-tenant mix used by the chaos tests:
@@ -253,5 +254,39 @@ func TestChaosCatchesPostCrashCompletion(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "post-crash-completion") {
 		t.Errorf("error does not name the broken invariant: %v", err)
+	}
+}
+
+// TestSubPeriodOutageKeepsPeriod: a monitor outage that ends before the
+// period's scheduled end leaves that end in place. Rolling the period at
+// resume instead cut it to 0.75 T, and survivors reserving 0.9 C_G in
+// aggregate completed 5/6 of R_i, tripping reservation-floor-survivor.
+// A 10-client closed loop at two scales, the outage at four starts.
+func TestSubPeriodOutageKeepsPeriod(t *testing.T) {
+	for _, scale := range []float64{40, 400} {
+		for _, start := range []string{"1.25", "3.25", "5.25", "6.25"} {
+			cfg := NewDefaultConfig()
+			cfg.Scale = scale
+			cfg.Records = 4096
+			cfg.Chaos = "outage@" + start + "+0.5"
+			cfg.Sanitize = true
+			specs := make([]ClientSpec, 10)
+			res := workload.UniformSplit(uint64(0.9*float64(1_570_000/scale)), len(specs))
+			for i := range specs {
+				specs[i] = ClientSpec{Reservation: int64(res[i]), Pattern: workload.Burst{Window: 64}}
+			}
+			cl, err := New(cfg, specs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := cl.Run(1, 6); err != nil {
+				t.Errorf("scale %v, %s: %v", scale, cfg.Chaos, err)
+			}
+			for _, v := range cl.SanitizeViolations() {
+				if v.At < int64(cfg.Params.Period) {
+					t.Errorf("%s reported at t=%dns, not an instant in the run", v.Check, v.At)
+				}
+			}
+		}
 	}
 }

@@ -101,8 +101,9 @@ type Config struct {
 	// rebalance.go); 0 keeps the equal split. Needs Servers > 1 to do
 	// anything and one shard to read the demand counts.
 	RebalanceEvery int
-	// Store configures each data node's KV store; zero value means
-	// defaults.
+	// Store configures each data node's KV store. A zero Capacity is the
+	// smallest table that holds each node's share of Records (64Ki slots
+	// when Records is 0 too); a zero RecordSize is 4 KB.
 	Store kvstore.Options
 	// Records is the number of records populated across the data nodes
 	// (and the keyspace of the default chooser); 0 fills every store to
@@ -114,7 +115,7 @@ type Config struct {
 	// Sigma is the profiled capacity's standard deviation; 0 derives 1%
 	// of the profiled capacity.
 	Sigma float64
-	// Seed drives all randomness.
+	// Seed drives all randomness; 0 means 1.
 	Seed int64
 	// Observe enables the observability layer (flight-recorder spans
 	// and metrics sampling); nil disables it. See Observe.
@@ -125,13 +126,13 @@ type Config struct {
 	// owning components' kernels at setup, so a chaos run is exactly as
 	// deterministic — and, under sharding, as worker-count-independent —
 	// as a fault-free one. Results.Faults reports the injection and
-	// recovery accounting; with Sanitize on, the failure-aware invariants
-	// (crash quarantine, post-crash completions, reservation floor for
-	// surviving clients, rejoin monotonicity, reclamation conservation)
-	// are enforced throughout. A scenario that crashes a client also
-	// turns on the monitor's failure detection with the shortest grace
-	// that tolerates one missed end-of-period report (2 periods):
-	// without it the crashed reservation would stay stranded. The
+	// recovery accounting. Chaos turns Sanitize on, so the failure-aware
+	// invariants (crash quarantine, post-crash completions, reservation
+	// floor for surviving clients, rejoin monotonicity, reclamation
+	// conservation) are enforced throughout. A scenario that crashes a
+	// client also turns on the monitor's failure detection with the
+	// shortest grace that tolerates one missed end-of-period report (2
+	// periods): without it the crashed reservation would stay stranded. The
 	// grammar has no server selector, so Chaos needs Servers == 1.
 	Chaos string
 	// Sanitize enables the runtime invariant sanitizer
@@ -171,22 +172,47 @@ type Config struct {
 	ShardWorkers int
 }
 
-// NewDefaultConfig returns a full-scale Haechi testbed configuration.
+// NewDefaultConfig returns a full-scale Haechi testbed configuration
+// with the paper-calibrated fabric and protocol constants filled in.
 func NewDefaultConfig() Config {
 	return Config{
 		Mode:   Haechi,
 		Fabric: rdma.NewDefaultConfig(),
 		Params: core.NewDefaultParams(),
 		Scale:  1,
-		Store:  kvstore.NewDefaultOptions(),
 		Seed:   1,
 	}
 }
 
-// ApplyScale normalizes the config: fills zero values with defaults and,
-// when Scale > 1, divides the fabric rates by Scale and rescales the
-// control-plane constants to match (rdma.Config.Scaled,
-// core.Params.Scaled).
+// The two run sizes the repo uses, as presets over NewDefaultConfig.
+// Laptop keeps every shape of the paper's figures at a tenth of its rates
+// and runs LaptopWarmup + LaptopMeasure periods; Paper is the paper's own
+// size (§III): full rates, PaperWarmup + PaperMeasure periods.
+const (
+	LaptopWarmup, LaptopMeasure = 2, 5
+	PaperWarmup, PaperMeasure   = 30, 30
+)
+
+// Laptop returns the laptop preset: scale 10 over 4096 records.
+func Laptop() Config {
+	c := NewDefaultConfig()
+	c.Scale, c.Records = 10, 4096
+	return c
+}
+
+// Paper returns the paper preset: full rates over 1<<16 records.
+func Paper() Config {
+	c := NewDefaultConfig()
+	c.Records = 1 << 16
+	return c
+}
+
+// ApplyScale normalizes the config. It is the one place a zero field
+// becomes a value: the defaults named on each field, the store capacity
+// derived from Records, and Sanitize under Chaos. When Scale > 1 it also
+// divides the fabric rates by Scale and rescales the control-plane
+// constants to match (rdma.Config.Scaled, core.Params.Scaled), so it
+// applies once, to a config that has not been through it.
 func (c Config) ApplyScale() (Config, error) {
 	if c.Mode == 0 {
 		c.Mode = Haechi
@@ -197,11 +223,11 @@ func (c Config) ApplyScale() (Config, error) {
 	if c.Params == (core.Params{}) {
 		c.Params = core.NewDefaultParams()
 	}
-	if c.Store == (kvstore.Options{}) {
-		c.Store = kvstore.NewDefaultOptions()
-	}
 	if c.Scale == 0 {
 		c.Scale = 1
+	}
+	if c.Seed == 0 {
+		c.Seed = 1
 	}
 	if c.Scale < 1 {
 		return c, fmt.Errorf("cluster: Scale must be >= 1, got %v", c.Scale)
@@ -216,8 +242,21 @@ func (c Config) ApplyScale() (Config, error) {
 	if c.Servers < 0 || c.RebalanceEvery < 0 {
 		return c, fmt.Errorf("cluster: Servers and RebalanceEvery must be >= 0, got %d and %d", c.Servers, c.RebalanceEvery)
 	}
+	if c.Store.RecordSize == 0 {
+		c.Store.RecordSize = rdma.DataIOSize
+	}
+	switch {
+	case c.Store.Capacity != 0:
+	case c.Records > 0:
+		c.Store.Capacity = kvstore.CapacityFor((c.Records + c.Servers - 1) / c.Servers)
+	default:
+		c.Store.Capacity = 1 << 16
+	}
 	if c.Records == 0 {
 		c.Records = c.Store.Capacity / 2 * c.Servers
+	}
+	if c.Chaos != "" {
+		c.Sanitize = true
 	}
 	if perNode := (c.Records + c.Servers - 1) / c.Servers; c.Records < 0 || perNode > c.Store.Capacity {
 		return c, fmt.Errorf("cluster: %d records outside %d store(s) of capacity %d", c.Records, c.Servers, c.Store.Capacity)

@@ -273,9 +273,10 @@ func (m *Monitor) Stop() {
 // injection): the period machine and the check loop stop, so no tokens
 // are pushed, no conversion runs and no liveness is observed until the
 // window ends. One-sided client I/O and claims against the data node's
-// memory keep being served — only the monitor is down. On resume the
-// stale period is closed (harvest, liveness, capacity update) and a
-// fresh one starts, resynchronizing every engine's token state.
+// memory keep being served — only the monitor is down. On resume an
+// overdue period is closed (harvest, liveness, capacity update) and a
+// fresh one starts, resynchronizing every engine's token state; a period
+// whose end has not come yet runs to it.
 func (m *Monitor) Outage(d sim.Time) {
 	if !m.running || m.paused || d <= 0 {
 		return
@@ -292,7 +293,7 @@ func (m *Monitor) Outage(d sim.Time) {
 }
 
 // resume ends an outage window: restart the check loop and roll the
-// overdue period.
+// period if its end passed during the outage, else re-arm its end.
 func (m *Monitor) resume() {
 	if !m.running || !m.paused {
 		return
@@ -302,6 +303,10 @@ func (m *Monitor) resume() {
 	t, err := m.k.Every(m.params.CheckInterval, m.params.CheckInterval, m.check)
 	if err == nil {
 		m.checkTicker = t
+	}
+	if end := m.periodStart + m.params.Period; m.k.Now() < end {
+		m.periodTimer = m.k.At(end, m.endPeriod)
+		return
 	}
 	m.endPeriod()
 }

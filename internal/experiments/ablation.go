@@ -21,8 +21,7 @@ import (
 //   - the engine's RNIC send-queue depth (64 outstanding in the paper);
 //   - the fabric's per-QP flow-control window.
 func Ablation(o Options) (*Report, error) {
-	o, err := o.validate()
-	if err != nil {
+	if _, err := o.validate(); err != nil {
 		return nil, err
 	}
 	res, err := o.reservations("zipf", 0.9)
@@ -51,7 +50,7 @@ func Ablation(o Options) (*Report, error) {
 			}
 		}
 		t.AddRow(label,
-			count(out.ThroughputPerPeriod, o.Scale),
+			count(out.ThroughputPerPeriod, o.Base.Scale),
 			fmt.Sprintf("%.0f%%", 100*worstHungry),
 			fmt.Sprintf("%.3f%%", 100*out.Overhead.NICFraction),
 			fmt.Sprintf("%d", out.Overhead.FAAs))
@@ -68,7 +67,7 @@ func Ablation(o Options) (*Report, error) {
 	// cluster.New applies the scale divisor to Batch, so setting the
 	// full-scale value here sweeps the intended effective batch.
 	tb := &Table{Title: "FAA batch size B, full-scale value (paper: 1000)", Header: header}
-	batches := []int64{1 * int64(o.Scale), 100, 1000, 10000}
+	batches := []int64{1 * int64(o.Base.Scale), 100, 1000, 10000}
 	batchOuts, err := parallel.Map(o.workers(), len(batches), func(i int) (*cluster.Results, error) {
 		b := batches[i]
 		return run(i, func(c *cluster.Config) { c.Params.Batch = b })
@@ -99,7 +98,7 @@ func Ablation(o Options) (*Report, error) {
 		return nil, err
 	}
 	for i, iv := range intervals {
-		effective := sim.Time(float64(iv) * o.Scale)
+		effective := sim.Time(float64(iv) * o.Base.Scale)
 		if cap := core.NewDefaultParams().Period / 10; effective > cap {
 			effective = cap
 		}
@@ -159,7 +158,7 @@ func Ablation(o Options) (*Report, error) {
 	for i, combo := range combos {
 		out := comboOuts[i]
 		tf.AddRow(fmt.Sprintf("depth=%d window=%d", combo.depth, combo.window),
-			count(out.ThroughputPerPeriod, o.Scale),
+			count(out.ThroughputPerPeriod, o.Base.Scale),
 			fmt.Sprintf("%.0f%%", 100*float64(out.Clients[0].MinPeriod)/float64(spikeRes[0])),
 			fmt.Sprintf("%.3f%%", 100*out.Overhead.NICFraction),
 			fmt.Sprintf("%d", out.Overhead.FAAs))

@@ -11,32 +11,37 @@ import (
 // fastOptions shrinks every experiment for CI: heavy scaling, short
 // windows, fewer clients where the shape survives.
 func fastOptions() Options {
-	return Options{
-		Scale:          100,
-		WarmupPeriods:  1,
-		MeasurePeriods: 3,
-		Clients:        10,
-		Records:        256,
-		Seed:           7,
-	}
+	o := NewDefaultOptions()
+	o.Base.Scale, o.Base.Records, o.Base.Seed = 100, 256, 7
+	o.WarmupPeriods, o.MeasurePeriods, o.Clients = 1, 3, 10
+	return o
 }
 
+// TestOptionsValidate: validate fills nothing in. The presets pass and
+// resolve through cluster.Config.ApplyScale; the zero Options and a
+// fractional scale are refused.
 func TestOptionsValidate(t *testing.T) {
-	o, err := (Options{}).validate()
+	cfg, err := NewDefaultOptions().validate()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o.Scale != 10 || o.Clients != 10 || o.MeasurePeriods != 5 {
-		t.Errorf("defaults wrong: %+v", o)
+	if cfg.Scale != 10 || cfg.Seed != 42 || cfg.Records != 4096 || cfg.Store.Capacity != 4096 {
+		t.Errorf("laptop preset resolved to scale %v, seed %d, %d records in %d slots",
+			cfg.Scale, cfg.Seed, cfg.Records, cfg.Store.Capacity)
 	}
-	if _, err := (Options{Scale: 0.5}).validate(); err == nil {
+	if _, err := (Options{}).validate(); err == nil {
+		t.Error("zero options accepted")
+	}
+	o := fastOptions()
+	o.Base.Scale = 0.5
+	if _, err := o.validate(); err == nil {
 		t.Error("fractional scale accepted")
 	}
 }
 
 func TestPaperOptions(t *testing.T) {
 	o := PaperOptions()
-	if o.Scale != 1 || o.WarmupPeriods != 30 || o.MeasurePeriods != 30 {
+	if o.Base.Scale != 1 || o.WarmupPeriods != 30 || o.MeasurePeriods != 30 || o.Base.Records != 1<<16 {
 		t.Errorf("paper options wrong: %+v", o)
 	}
 }

@@ -42,17 +42,12 @@ var goldenCases = []struct {
 // part of the experiment definition (stable-ID hashing since PR 10), so
 // each shard count has its own golden file.
 func goldenOptions(shards int, capture func(*cluster.Results)) Options {
-	return Options{
-		Shards:         shards,
-		Scale:          100,
-		WarmupPeriods:  1,
-		MeasurePeriods: 2,
-		Clients:        10, // the paper's testbed width; reservations are sized per client against C_L
-		Records:        512,
-		Seed:           42,
-		Parallel:       4,
-		Observe:        &cluster.Observe{OnResults: capture},
-	}
+	o := NewDefaultOptions()
+	o.Base.Shards, o.Base.Scale, o.Base.Records, o.Base.Seed = shards, 100, 512, 42
+	o.Base.Observe = &cluster.Observe{OnResults: capture}
+	o.WarmupPeriods, o.MeasurePeriods, o.Parallel = 1, 2, 4
+	o.Clients = 10 // the paper's testbed width; reservations are sized per client against C_L
+	return o
 }
 
 // TestGoldenResultsByteIdentical replays Sets 1-5 and compares every

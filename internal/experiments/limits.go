@@ -11,8 +11,7 @@ import (
 // runaway tenant is swept through limit values while a victim tenant's
 // attainment is recorded. This is an extension experiment.
 func Limits(o Options) (*Report, error) {
-	o, err := o.validate()
-	if err != nil {
+	if _, err := o.validate(); err != nil {
 		return nil, err
 	}
 	capacity := o.capacityPerPeriod()
@@ -54,14 +53,14 @@ func Limits(o Options) (*Report, error) {
 		out := outs[i]
 		label := "none"
 		if limit > 0 {
-			label = count(float64(limit), o.Scale)
+			label = count(float64(limit), o.Base.Scale)
 		}
 		t.AddRow(label,
-			count(out.Clients[0].MeanPeriod, o.Scale),
-			count(out.Clients[1].MeanPeriod, o.Scale),
+			count(out.Clients[0].MeanPeriod, o.Base.Scale),
+			count(out.Clients[1].MeanPeriod, o.Base.Scale),
 			meets(out.Clients[1].MinPeriod, victimRes),
-			count(out.Clients[2].MeanPeriod, o.Scale),
-			count(out.ThroughputPerPeriod, o.Scale))
+			count(out.Clients[2].MeanPeriod, o.Base.Scale),
+			count(out.ThroughputPerPeriod, o.Base.Scale))
 	}
 	return &Report{
 		ID:      "limits",

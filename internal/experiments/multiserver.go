@@ -36,8 +36,7 @@ func (h *hotShardKeys) Next(rng *rand.Rand) uint64 {
 // Every run is sanitized: the reservation-split invariant holds across
 // the rebalance rounds.
 func MultiServer(o Options) (*Report, error) {
-	o, err := o.validate()
-	if err != nil {
+	if _, err := o.validate(); err != nil {
 		return nil, err
 	}
 	// 512 records per data node in tables kept at most half full, so the
@@ -45,13 +44,13 @@ func MultiServer(o Options) (*Report, error) {
 	const recordsPerServer = 512
 	config := func(run, servers, rebalanceEvery int) cluster.Config {
 		return cluster.Config{
-			Observe:        o.tagged(run).Observe,
+			Observe:        o.tagged(run).Base.Observe,
 			Servers:        servers,
 			RebalanceEvery: rebalanceEvery,
-			Scale:          o.Scale,
+			Scale:          o.Base.Scale,
 			Store:          kvstore.Options{Capacity: 2 * recordsPerServer, RecordSize: rdma.DataIOSize},
 			Records:        recordsPerServer * servers,
-			Seed:           o.Seed,
+			Seed:           o.Base.Seed,
 			Sanitize:       true,
 		}
 	}
@@ -103,8 +102,8 @@ func MultiServer(o Options) (*Report, error) {
 			}
 		}
 		t1.AddRow(fmt.Sprintf("%d", servers),
-			count(float64(perTenant(servers))*tenants, o.Scale),
-			count(float64(out.TotalCompleted)/float64(o.MeasurePeriods), o.Scale),
+			count(float64(perTenant(servers))*tenants, o.Base.Scale),
+			count(float64(out.TotalCompleted)/float64(o.MeasurePeriods), o.Base.Scale),
 			met)
 	}
 	rep.Tables = append(rep.Tables, t1)
@@ -152,7 +151,7 @@ func MultiServer(o Options) (*Report, error) {
 		}
 		t2.AddRow(label,
 			fmt.Sprintf("%v", cr.Split),
-			count(float64(cr.MinPeriod), o.Scale),
+			count(float64(cr.MinPeriod), o.Base.Scale),
 			meets(cr.Periods[len(cr.Periods)-1], skewRes))
 	}
 	rep.Tables = append(rep.Tables, t2)

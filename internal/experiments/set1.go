@@ -11,11 +11,7 @@ import (
 // TableI reports the simulated testbed configuration, standing in for the
 // paper's Table I (Chameleon hardware).
 func TableI(o Options) (*Report, error) {
-	o, err := o.validate()
-	if err != nil {
-		return nil, err
-	}
-	cfg, err := o.baseConfig(cluster.Bare).ApplyScale()
+	cfg, err := o.validate()
 	if err != nil {
 		return nil, err
 	}
@@ -26,11 +22,11 @@ func TableI(o Options) (*Report, error) {
 	f := cfg.Fabric
 	t.AddRow("paper testbed", "11x Chameleon servers, Xeon E5-2670v3, ConnectX-3, InfiniBand")
 	t.AddRow("substitute", "discrete-event simulated fabric (internal/rdma)")
-	t.AddRow("scale divisor", fmt.Sprintf("%.0f", o.Scale))
-	t.AddRow("client 1-sided rate (C_L)", fmt.Sprintf("%.0f IOPS (full-scale %.0fK)", f.ClientOneSidedRate, f.ClientOneSidedRate*o.Scale/1000))
-	t.AddRow("client 2-sided rate", fmt.Sprintf("%.0f IOPS (full-scale %.0fK)", f.ClientTwoSidedRate, f.ClientTwoSidedRate*o.Scale/1000))
-	t.AddRow("server 1-sided rate (C_G)", fmt.Sprintf("%.0f IOPS (full-scale %.0fK)", f.ServerOneSidedRate, f.ServerOneSidedRate*o.Scale/1000))
-	t.AddRow("server 2-sided rate", fmt.Sprintf("%.0f IOPS (full-scale %.0fK)", f.ServerTwoSidedRate, f.ServerTwoSidedRate*o.Scale/1000))
+	t.AddRow("scale divisor", fmt.Sprintf("%.0f", o.Base.Scale))
+	t.AddRow("client 1-sided rate (C_L)", fmt.Sprintf("%.0f IOPS (full-scale %.0fK)", f.ClientOneSidedRate, f.ClientOneSidedRate*o.Base.Scale/1000))
+	t.AddRow("client 2-sided rate", fmt.Sprintf("%.0f IOPS (full-scale %.0fK)", f.ClientTwoSidedRate, f.ClientTwoSidedRate*o.Base.Scale/1000))
+	t.AddRow("server 1-sided rate (C_G)", fmt.Sprintf("%.0f IOPS (full-scale %.0fK)", f.ServerOneSidedRate, f.ServerOneSidedRate*o.Base.Scale/1000))
+	t.AddRow("server 2-sided rate", fmt.Sprintf("%.0f IOPS (full-scale %.0fK)", f.ServerTwoSidedRate, f.ServerTwoSidedRate*o.Base.Scale/1000))
 	t.AddRow("propagation delay", f.PropagationDelay.String())
 	t.AddRow("service jitter", fmt.Sprintf("%.1f%%", 100*f.Jitter))
 	t.AddRow("record size", "4096 B")
@@ -48,8 +44,7 @@ func TableI(o Options) (*Report, error) {
 // Fig6 reproduces Experiment 1A: the saturation throughput of each client
 // run one at a time, one-sided vs two-sided.
 func Fig6(o Options) (*Report, error) {
-	o, err := o.validate()
-	if err != nil {
+	if _, err := o.validate(); err != nil {
 		return nil, err
 	}
 	t := &Table{
@@ -57,11 +52,11 @@ func Fig6(o Options) (*Report, error) {
 		Header: []string{"client", "1-sided", "2-sided", "2-sided/1-sided"},
 	}
 	points, err := parallel.Map(o.workers(), o.Clients, func(c int) ([2]float64, error) {
-		one, err := o.tagged(2*c).saturationRun(1, false, o.Seed+int64(c))
+		one, err := o.tagged(2*c).saturationRun(1, false, o.Base.Seed+int64(c))
 		if err != nil {
 			return [2]float64{}, err
 		}
-		two, err := o.tagged(2*c+1).saturationRun(1, true, o.Seed+int64(c))
+		two, err := o.tagged(2*c+1).saturationRun(1, true, o.Base.Seed+int64(c))
 		if err != nil {
 			return [2]float64{}, err
 		}
@@ -75,7 +70,7 @@ func Fig6(o Options) (*Report, error) {
 		one, two := pt[0], pt[1]
 		sum1 += one
 		sum2 += two
-		t.AddRow(fmt.Sprintf("C%d", c+1), kiops(one, o.Scale), kiops(two, o.Scale),
+		t.AddRow(fmt.Sprintf("C%d", c+1), kiops(one, o.Base.Scale), kiops(two, o.Base.Scale),
 			fmt.Sprintf("%.2f", two/one))
 	}
 	return &Report{
@@ -84,7 +79,7 @@ func Fig6(o Options) (*Report, error) {
 		Tables:  []*Table{t},
 		Notes: []string{
 			fmt.Sprintf("mean 1-sided %s, mean 2-sided %s (paper: ~400K and ~327K, 2-sided ~20%% lower)",
-				kiops(sum1/float64(o.Clients), o.Scale), kiops(sum2/float64(o.Clients), o.Scale)),
+				kiops(sum1/float64(o.Clients), o.Base.Scale), kiops(sum2/float64(o.Clients), o.Base.Scale)),
 		},
 	}, nil
 }
@@ -92,8 +87,7 @@ func Fig6(o Options) (*Report, error) {
 // Fig7 reproduces Experiment 1B: system throughput versus the number of
 // concurrently active clients.
 func Fig7(o Options) (*Report, error) {
-	o, err := o.validate()
-	if err != nil {
+	if _, err := o.validate(); err != nil {
 		return nil, err
 	}
 	t := &Table{
@@ -102,11 +96,11 @@ func Fig7(o Options) (*Report, error) {
 	}
 	points, err := parallel.Map(o.workers(), o.Clients, func(i int) ([2]float64, error) {
 		n := i + 1
-		one, err := o.tagged(2*i).saturationRun(n, false, o.Seed)
+		one, err := o.tagged(2*i).saturationRun(n, false, o.Base.Seed)
 		if err != nil {
 			return [2]float64{}, err
 		}
-		two, err := o.tagged(2*i+1).saturationRun(n, true, o.Seed)
+		two, err := o.tagged(2*i+1).saturationRun(n, true, o.Base.Seed)
 		if err != nil {
 			return [2]float64{}, err
 		}
@@ -116,7 +110,7 @@ func Fig7(o Options) (*Report, error) {
 		return nil, err
 	}
 	for i, pt := range points {
-		t.AddRow(fmt.Sprintf("%d", i+1), kiops(pt[0], o.Scale), kiops(pt[1], o.Scale))
+		t.AddRow(fmt.Sprintf("%d", i+1), kiops(pt[0], o.Base.Scale), kiops(pt[1], o.Base.Scale))
 	}
 	return &Report{
 		ID:      "fig7",
@@ -132,7 +126,7 @@ func Fig7(o Options) (*Report, error) {
 // saturationRun measures bare-system throughput per period with n
 // saturating burst-64 clients.
 func (o Options) saturationRun(n int, twoSided bool, seed int64) (float64, error) {
-	cfg := o.baseConfig(cluster.Bare)
+	cfg := o.config(cluster.Bare)
 	cfg.TwoSided = twoSided
 	cfg.Seed = seed
 	specs := make([]cluster.ClientSpec, n)
@@ -153,15 +147,14 @@ func (o Options) saturationRun(n int, twoSided bool, seed int64) (float64, error
 // Fig8 reproduces Experiment 1C: bare-system I/O completions under three
 // demand-distribution x request-pattern combinations.
 func Fig8(o Options) (*Report, error) {
-	o, err := o.validate()
-	if err != nil {
+	if _, err := o.validate(); err != nil {
 		return nil, err
 	}
-	total := uint64(1_580_000 / o.Scale) // the paper's 1580K total demand
+	total := uint64(1_580_000 / o.Base.Scale) // the paper's 1580K total demand
 	uniform := workload.UniformSplit(total, o.Clients)
 	high := o.Clients * 3 / 10
-	spikeHigh := uint64(340_000 / o.Scale)
-	spikeLow := uint64(80_000 / o.Scale)
+	spikeHigh := uint64(340_000 / o.Base.Scale)
+	spikeLow := uint64(80_000 / o.Base.Scale)
 	spike, err := workload.SpikeSplit(o.Clients, high, spikeHigh, spikeLow)
 	if err != nil {
 		return nil, err
@@ -191,7 +184,7 @@ func Fig8(o Options) (*Report, error) {
 				Pattern: tc.pattern,
 			}
 		}
-		cl, err := cluster.New(o.tagged(ci).baseConfig(cluster.Bare), specs)
+		cl, err := cluster.New(o.tagged(ci).config(cluster.Bare), specs)
 		if err != nil {
 			return nil, err
 		}
@@ -208,11 +201,11 @@ func Fig8(o Options) (*Report, error) {
 		}
 		for i, cr := range res.Clients {
 			t.AddRow(fmt.Sprintf("C%d", i+1),
-				count(float64(tc.demands[i]), o.Scale),
-				count(cr.MeanPeriod, o.Scale),
+				count(float64(tc.demands[i]), o.Base.Scale),
+				count(cr.MeanPeriod, o.Base.Scale),
 				fmt.Sprintf("%.0f%%", 100*cr.MeanPeriod/float64(tc.demands[i])))
 		}
-		t.AddRow("total", count(float64(total), o.Scale), count(res.ThroughputPerPeriod, o.Scale),
+		t.AddRow("total", count(float64(total), o.Base.Scale), count(res.ThroughputPerPeriod, o.Base.Scale),
 			fmt.Sprintf("%.0f%%", 100*res.ThroughputPerPeriod/float64(total)))
 		rep.Tables = append(rep.Tables, t)
 	}

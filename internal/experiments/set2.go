@@ -87,7 +87,7 @@ func sumInt64(v []int64) int64 {
 
 // runQoS builds and runs a cluster in the given mode.
 func (o Options) runQoS(mode cluster.Mode, specs []cluster.ClientSpec, mutate func(*cluster.Config)) (*cluster.Results, error) {
-	cfg := o.baseConfig(mode)
+	cfg := o.config(mode)
 	if mutate != nil {
 		mutate(&cfg)
 	}
@@ -101,8 +101,7 @@ func (o Options) runQoS(mode cluster.Mode, specs []cluster.ClientSpec, mutate fu
 // Fig9 reproduces Experiment 2A: Haechi vs the bare system with all
 // clients sufficiently backlogged, under Uniform and Zipf reservations.
 func Fig9(o Options) (*Report, error) {
-	o, err := o.validate()
-	if err != nil {
+	if _, err := o.validate(); err != nil {
 		return nil, err
 	}
 	rep := &Report{
@@ -145,14 +144,14 @@ func Fig9(o Options) (*Report, error) {
 		}
 		for i := range res {
 			t.AddRow(fmt.Sprintf("C%d", i+1),
-				count(float64(res[i]), o.Scale),
-				count(qos.Clients[i].MeanPeriod, o.Scale),
-				count(bare.Clients[i].MeanPeriod, o.Scale),
+				count(float64(res[i]), o.Base.Scale),
+				count(qos.Clients[i].MeanPeriod, o.Base.Scale),
+				count(bare.Clients[i].MeanPeriod, o.Base.Scale),
 				meets(qos.Clients[i].MinPeriod, res[i]))
 		}
-		t.AddRow("total", count(float64(sumInt64(res)), o.Scale),
-			count(qos.ThroughputPerPeriod, o.Scale),
-			count(bare.ThroughputPerPeriod, o.Scale),
+		t.AddRow("total", count(float64(sumInt64(res)), o.Base.Scale),
+			count(qos.ThroughputPerPeriod, o.Base.Scale),
+			count(bare.ThroughputPerPeriod, o.Base.Scale),
 			fmt.Sprintf("loss %.2f%%", 100*(1-qos.ThroughputPerPeriod/bare.ThroughputPerPeriod)))
 		rep.Tables = append(rep.Tables, t)
 	}
@@ -177,8 +176,7 @@ func meets(minPeriod uint64, reservation int64) string {
 // Fig10and11 reproduces Experiment 2B: clients C1 and C2 have demand below
 // their reservation; token conversion (Haechi) vs Basic Haechi vs bare.
 func Fig10and11(o Options) (*Report, error) {
-	o, err := o.validate()
-	if err != nil {
+	if _, err := o.validate(); err != nil {
 		return nil, err
 	}
 	rep := &Report{
@@ -233,10 +231,10 @@ func Fig10and11(o Options) (*Report, error) {
 		for i := range res {
 			gain := haechi.Clients[i].MeanPeriod - basic.Clients[i].MeanPeriod
 			t.AddRow(fmt.Sprintf("C%d", i+1),
-				count(float64(res[i]), o.Scale),
-				count(basic.Clients[i].MeanPeriod, o.Scale),
-				count(haechi.Clients[i].MeanPeriod, o.Scale),
-				count(gain, o.Scale))
+				count(float64(res[i]), o.Base.Scale),
+				count(basic.Clients[i].MeanPeriod, o.Base.Scale),
+				count(haechi.Clients[i].MeanPeriod, o.Base.Scale),
+				count(gain, o.Base.Scale))
 		}
 		rep.Tables = append(rep.Tables, t)
 
@@ -244,9 +242,9 @@ func Fig10and11(o Options) (*Report, error) {
 			Title:  fmt.Sprintf("Fig. 11 — total throughput (%s)", dist),
 			Header: []string{"system", "throughput/period"},
 		}
-		t11.AddRow("basic haechi", count(basic.ThroughputPerPeriod, o.Scale))
-		t11.AddRow("haechi", count(haechi.ThroughputPerPeriod, o.Scale))
-		t11.AddRow("bare", count(bare.ThroughputPerPeriod, o.Scale))
+		t11.AddRow("basic haechi", count(basic.ThroughputPerPeriod, o.Base.Scale))
+		t11.AddRow("haechi", count(haechi.ThroughputPerPeriod, o.Base.Scale))
+		t11.AddRow("bare", count(bare.ThroughputPerPeriod, o.Base.Scale))
 		rep.Tables = append(rep.Tables, t11)
 	}
 	rep.Notes = append(rep.Notes,
@@ -258,8 +256,7 @@ func Fig10and11(o Options) (*Report, error) {
 // Fig12 reproduces Experiment 2C: throughput as the reserved fraction of
 // capacity sweeps 50-90% under Uniform and Zipf reservations.
 func Fig12(o Options) (*Report, error) {
-	o, err := o.validate()
-	if err != nil {
+	if _, err := o.validate(); err != nil {
 		return nil, err
 	}
 	t := &Table{
@@ -287,7 +284,7 @@ func Fig12(o Options) (*Report, error) {
 	for fi, frac := range fracs {
 		row := []string{fmt.Sprintf("%.0f%%", 100*frac)}
 		for di := range dists {
-			row = append(row, count(points[fi*len(dists)+di], o.Scale))
+			row = append(row, count(points[fi*len(dists)+di], o.Base.Scale))
 		}
 		t.AddRow(row...)
 	}

@@ -17,7 +17,7 @@ func (o Options) spikeReservations() ([]int64, error) {
 		high = 1
 	}
 	parts, err := workload.SpikeSplit(o.Clients, high,
-		uint64(285_000/o.Scale), uint64(80_000/o.Scale))
+		uint64(285_000/o.Base.Scale), uint64(80_000/o.Base.Scale))
 	if err != nil {
 		return nil, err
 	}
@@ -28,8 +28,7 @@ func (o Options) spikeReservations() ([]int64, error) {
 // burst and constant-rate request patterns — per-client completions
 // (Fig. 13), data-node throughput (Fig. 14), and read latency (Fig. 15).
 func Fig13to15(o Options) (*Report, error) {
-	o, err := o.validate()
-	if err != nil {
+	if _, err := o.validate(); err != nil {
 		return nil, err
 	}
 	res, err := o.spikeReservations()
@@ -71,9 +70,9 @@ func Fig13to15(o Options) (*Report, error) {
 	}
 	for i := range res {
 		t13.AddRow(fmt.Sprintf("C%d", i+1),
-			count(float64(res[i]), o.Scale),
-			count(outcomes[0].res.Clients[i].MeanPeriod, o.Scale),
-			count(outcomes[1].res.Clients[i].MeanPeriod, o.Scale),
+			count(float64(res[i]), o.Base.Scale),
+			count(outcomes[0].res.Clients[i].MeanPeriod, o.Base.Scale),
+			count(outcomes[1].res.Clients[i].MeanPeriod, o.Base.Scale),
 			meets(outcomes[0].res.Clients[i].MinPeriod, res[i]),
 			meets(outcomes[1].res.Clients[i].MinPeriod, res[i]))
 	}
@@ -84,7 +83,7 @@ func Fig13to15(o Options) (*Report, error) {
 		Header: []string{"pattern", "throughput/period", "drop vs capacity"},
 	}
 	for _, oc := range outcomes {
-		t14.AddRow(oc.name, count(oc.res.ThroughputPerPeriod, o.Scale),
+		t14.AddRow(oc.name, count(oc.res.ThroughputPerPeriod, o.Base.Scale),
 			fmt.Sprintf("%.1f%%", 100*(1-oc.res.ThroughputPerPeriod/capacity)))
 	}
 
@@ -94,7 +93,7 @@ func Fig13to15(o Options) (*Report, error) {
 	}
 	for _, oc := range outcomes {
 		lat := oc.res.AggregateLatency
-		t15.AddRow(oc.name, scaledLatency(lat.Mean, o.Scale), scaledLatency(lat.P99, o.Scale), scaledLatency(lat.P999, o.Scale))
+		t15.AddRow(oc.name, scaledLatency(lat.Mean, o.Base.Scale), scaledLatency(lat.P99, o.Base.Scale), scaledLatency(lat.P999, o.Base.Scale))
 	}
 
 	return &Report{

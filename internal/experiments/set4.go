@@ -36,7 +36,7 @@ func (o Options) congestionRun(dist string, startCongested bool) (*cluster.Resul
 		return nil, 0, err
 	}
 	specs := o.qosSpecs(res, o.demandRPlusPool(res))
-	cfg := o.baseConfig(cluster.Haechi)
+	cfg := o.config(cluster.Haechi)
 	// The adaptation experiments need a capacity lower bound loose enough
 	// to admit the congested operating point; the paper's sigma from 1000
 	// hardware profiling runs plays this role (see DESIGN.md).
@@ -111,9 +111,9 @@ func (o Options) timelineTable(title string, out *cluster.Results, switchAt sim.
 		}
 		om := ""
 		if v, ok := omega[i]; ok {
-			om = count(v, o.Scale)
+			om = count(v, o.Base.Scale)
 		}
-		t.AddRow(p.T.String(), count(totals[i], o.Scale), count(p.V, o.Scale), om, phase)
+		t.AddRow(p.T.String(), count(totals[i], o.Base.Scale), count(p.V, o.Base.Scale), om, phase)
 	}
 	return t
 }
@@ -154,8 +154,7 @@ func phaseMeans(out *cluster.Results, switchAt sim.Time) (before, after float64)
 // congestion begins mid-run; the estimator adjusts downward and
 // high-reservation clients recover their QoS (Figs. 16, 17).
 func Fig16and17(o Options) (*Report, error) {
-	o, err := o.validate()
-	if err != nil {
+	if _, err := o.validate(); err != nil {
 		return nil, err
 	}
 	rep := &Report{
@@ -177,7 +176,7 @@ func Fig16and17(o Options) (*Report, error) {
 		before, after := phaseMeans(out, switchAt)
 		rep.Notes = append(rep.Notes, fmt.Sprintf(
 			"%s: mean throughput %s -> %s after congestion onset", dist,
-			count(before, o.Scale), count(after, o.Scale)))
+			count(before, o.Base.Scale), count(after, o.Base.Scale)))
 	}
 	rep.Notes = append(rep.Notes,
 		"expected: throughput steps down at onset; with Zipf reservations C1 initially misses its",
@@ -189,8 +188,7 @@ func Fig16and17(o Options) (*Report, error) {
 // congestion disappears mid-run; the estimator climbs by eta per period
 // (Figs. 18, 19).
 func Fig18and19(o Options) (*Report, error) {
-	o, err := o.validate()
-	if err != nil {
+	if _, err := o.validate(); err != nil {
 		return nil, err
 	}
 	rep := &Report{
@@ -212,7 +210,7 @@ func Fig18and19(o Options) (*Report, error) {
 		before, after := phaseMeans(out, switchAt)
 		rep.Notes = append(rep.Notes, fmt.Sprintf(
 			"%s: mean throughput %s -> %s after congestion stops", dist,
-			count(before, o.Scale), count(after, o.Scale)))
+			count(before, o.Base.Scale), count(after, o.Base.Scale)))
 	}
 	rep.Notes = append(rep.Notes,
 		"expected: throughput ramps up after the congestion stops as Omega climbs by eta per period;",

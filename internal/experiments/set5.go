@@ -37,8 +37,8 @@ func (o Options) shiftScenario(spec string) (string, error) {
 	return shifted.String(), nil
 }
 
-// chaosRun runs full Haechi under a fault scenario with the sanitizer
-// forced on: the run fails loudly unless every failure-aware invariant —
+// chaosRun runs full Haechi under a fault scenario, which turns the
+// sanitizer on: the run fails loudly unless every failure-aware invariant —
 // crash quarantine conservation, no completions after crash, rejoin
 // monotonicity, reclamation conservation, and the reservation floor for
 // surviving clients — holds throughout.
@@ -48,13 +48,12 @@ func (o Options) chaosRun(scenario string) (*cluster.Results, error) {
 		return nil, err
 	}
 	specs := o.qosSpecs(res, o.demandRPlusPool(res))
-	cfg := o.baseConfig(cluster.Haechi)
+	cfg := o.config(cluster.Haechi)
 	shifted, err := o.shiftScenario(scenario)
 	if err != nil {
 		return nil, err
 	}
 	cfg.Chaos = shifted
-	cfg.Sanitize = true
 	cl, err := cluster.New(cfg, specs)
 	if err != nil {
 		return nil, err
@@ -86,7 +85,7 @@ func (o Options) faultTable(title string, out *cluster.Results) *Table {
 		}
 		t.AddRow(
 			fmt.Sprintf("C%d", cf.Index+1),
-			count(float64(out.Clients[cf.Index].Reservation), o.Scale),
+			count(float64(out.Clients[cf.Index].Reservation), o.Base.Scale),
 			fmt.Sprintf("%d", cf.Crashes),
 			reclaim,
 			rejoin,
@@ -148,7 +147,7 @@ func survivorMeans(out *cluster.Results, crashed int, switchAt sim.Time) (before
 // wire-disturbance run (link storm plus congestion burst) proving the
 // floor holds through fabric-level chaos.
 func Set5(o Options) (*Report, error) {
-	o, err := o.validate()
+	base, err := o.validate()
 	if err != nil {
 		return nil, err
 	}
@@ -167,7 +166,7 @@ func Set5(o Options) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	T := o.baseConfig(cluster.Haechi).Params.Period
+	T := base.Params.Period
 	for i, sc := range scenarios {
 		out := points[i]
 		fr := out.Faults
@@ -190,7 +189,7 @@ func Set5(o Options) (*Report, error) {
 	before, after := survivorMeans(points[1], 0, crashAt)
 	rep.Notes = append(rep.Notes, fmt.Sprintf(
 		"reclamation: surviving clients' throughput %s -> %s after the crash (reclaimed reservation redistributed)",
-		count(before, o.Scale), count(after, o.Scale)))
+		count(before, o.Base.Scale), count(after, o.Base.Scale)))
 	rep.Notes = append(rep.Notes,
 		"every run is sanitized: crash quarantine conservation, no completions after crash, rejoin",
 		"monotonicity, reclamation conservation and the surviving-client reservation floor held throughout")

@@ -45,8 +45,7 @@ func fleetCounts(max int) []int {
 // Set6 runs the fleet-scale sweep: client counts from fleetCounts, each
 // with the QP-context cache off and on.
 func Set6(o Options) (*Report, error) {
-	o, err := o.validate()
-	if err != nil {
+	if _, err := o.validate(); err != nil {
 		return nil, err
 	}
 	counts := fleetCounts(o.Clients)
@@ -105,7 +104,7 @@ func Set6(o Options) (*Report, error) {
 	for _, pt := range points {
 		t.AddRow(fmt.Sprintf("%d", pt.clients),
 			onOff(pt.cache),
-			count(pt.out.ThroughputPerPeriod, o.Scale),
+			count(pt.out.ThroughputPerPeriod, o.Base.Scale),
 			fmt.Sprintf("%.1f%%", 100*reservationMissRate(pt.res, pt.out)),
 			fmt.Sprintf("%.3f", bestEffortFairness(pt.res, pt.out)),
 			fmt.Sprintf("%.2f", controlVerbsPerIO(pt.out)),

@@ -82,11 +82,6 @@ func CapacityFor(records int) int {
 	return capacity
 }
 
-// NewDefaultOptions returns a 64Ki-record store of 4 KB values.
-func NewDefaultOptions() Options {
-	return Options{Capacity: 1 << 16, RecordSize: rdma.DataIOSize}
-}
-
 // Store is the server-side key-value store.
 type Store struct {
 	node    *rdma.Node
