@@ -1,9 +1,6 @@
 package core
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // CapacityEstimator implements Algorithm 1, Adaptive Capacity Estimation:
 // it maintains the per-period token budget Omega_t from the completed-I/O
@@ -28,9 +25,10 @@ type CapacityEstimator struct {
 	windowSize int
 	history    []int64
 	current    int64
-	// underuse tracks Algorithm 1's per-client counters: consecutive
-	// periods in which a client used less than its reservation.
-	underuse map[int]int
+	// underuse tracks Algorithm 1's per-client counters, indexed by client
+	// id: consecutive periods in which a client used less than its
+	// reservation.
+	underuse []int
 }
 
 // NewCapacityEstimator builds an estimator from a profiling run: profiled
@@ -59,7 +57,6 @@ func NewCapacityEstimator(p Params, profiled int64, sigma float64) (*CapacityEst
 		eta:        eta,
 		windowSize: p.HistoryWindow,
 		current:    profiled,
-		underuse:   make(map[int]int),
 	}, nil
 }
 
@@ -97,27 +94,28 @@ func (e *CapacityEstimator) Update(total int64) int64 {
 	return e.current
 }
 
-// ObserveClientUsage updates Algorithm 1's under-use counters: increment
-// for clients whose completed I/Os fell below their reservation, clear
-// for the rest. It returns the clients whose streak just reached
-// alertAfter (their QoS engines are alerted that they may have
-// over-reserved).
-func (e *CapacityEstimator) ObserveClientUsage(used map[int]int64, reserved map[int]int64, alertAfter int) []int {
-	var alerts []int
-	for id, r := range reserved {
-		if used[id] < r {
-			e.underuse[id]++
-			if alertAfter > 0 && e.underuse[id] == alertAfter {
-				alerts = append(alerts, id)
-			}
-		} else {
-			e.underuse[id] = 0
-		}
+// ObserveClientUsage updates client id's Algorithm 1 under-use counter
+// with one period's completed I/Os: incremented when used fell below the
+// reservation, cleared otherwise. It returns the new streak; the monitor
+// alerts the client's QoS engine, which may have over-reserved, when it
+// reaches the configured length.
+func (e *CapacityEstimator) ObserveClientUsage(id int, used, reserved int64) int {
+	if id >= len(e.underuse) {
+		e.underuse = append(e.underuse, make([]int, id+1-len(e.underuse))...)
 	}
-	sort.Ints(alerts) // alert delivery order must not depend on map iteration
-	return alerts
+	if used < reserved {
+		e.underuse[id]++
+	} else {
+		e.underuse[id] = 0
+	}
+	return e.underuse[id]
 }
 
 // UnderuseStreak returns the current consecutive under-use count for a
 // client.
-func (e *CapacityEstimator) UnderuseStreak(id int) int { return e.underuse[id] }
+func (e *CapacityEstimator) UnderuseStreak(id int) int {
+	if id < 0 || id >= len(e.underuse) {
+		return 0
+	}
+	return e.underuse[id]
+}

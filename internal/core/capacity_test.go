@@ -231,22 +231,22 @@ func TestEstimatorClimbsWhenFreed(t *testing.T) {
 
 func TestEstimatorUnderuseCounters(t *testing.T) {
 	e := newTestEstimator(t, 1000, 0)
-	reserved := map[int]int64{1: 100, 2: 100}
-	used := map[int]int64{1: 50, 2: 100}
-	var alerts []int
-	for i := 0; i < 3; i++ {
-		alerts = e.ObserveClientUsage(used, reserved, 3)
-	}
-	if len(alerts) != 1 || alerts[0] != 1 {
-		t.Errorf("alerts = %v, want [1]", alerts)
+	for i := 1; i <= 3; i++ {
+		if got := e.ObserveClientUsage(1, 50, 100); got != i {
+			t.Errorf("period %d: client 1 streak %d, want %d", i, got, i)
+		}
+		if got := e.ObserveClientUsage(2, 100, 100); got != 0 {
+			t.Errorf("period %d: client 2 streak %d, want 0", i, got)
+		}
 	}
 	if e.UnderuseStreak(1) != 3 || e.UnderuseStreak(2) != 0 {
 		t.Errorf("streaks = %d,%d", e.UnderuseStreak(1), e.UnderuseStreak(2))
 	}
+	if e.UnderuseStreak(0) != 0 || e.UnderuseStreak(9) != 0 {
+		t.Error("a client never observed has a streak")
+	}
 	// Recovery clears the streak.
-	used[1] = 100
-	e.ObserveClientUsage(used, reserved, 3)
-	if e.UnderuseStreak(1) != 0 {
+	if got := e.ObserveClientUsage(1, 100, 100); got != 0 || e.UnderuseStreak(1) != 0 {
 		t.Error("streak not cleared on recovery")
 	}
 }

@@ -87,13 +87,14 @@ type Engine struct {
 	// claim/probe outstanding, so faaPI/faaProbe are unambiguous; the
 	// jittered retry fires within its own tick, so at most one is
 	// outstanding and retryPI is likewise single-slotted.
-	reportFn  func()
-	onFAAFn   func(int64)
-	onProbeFn func(int64)
-	retryFn   func()
-	faaPI     int
-	faaProbe  bool
-	retryPI   int
+	reportFn     func()
+	reportTickFn func()
+	onFAAFn      func(int64)
+	onProbeFn    func(int64)
+	retryFn      func()
+	faaPI        int
+	faaProbe     bool
+	retryPI      int
 
 	// convert mirrors the monitor's conversion mode: when true, tokens
 	// yielded by the X-counter decay are returned to the global pool
@@ -101,8 +102,10 @@ type Engine struct {
 	// are wasted.
 	convert bool
 
-	tick             *sim.Ticker
-	reportTicker     *sim.Ticker
+	tick *sim.Ticker
+	// reportTimer is the next periodic report once the monitor has asked
+	// for them (see reportTick); finalReportTimer the end-of-period one.
+	reportTimer      sim.Timer
 	finalReportTimer sim.Timer
 
 	// Crash/restart state (fault injection). Tokens held at crash time are
@@ -218,6 +221,7 @@ func NewEngine(params Params, grant ClientGrant, node *rdma.Node, disp *rdma.Dis
 		return nil, err
 	}
 	e.reportFn = e.report
+	e.reportTickFn = e.reportTick
 	e.onFAAFn = e.onFAA
 	e.onProbeFn = e.onProbe
 	e.retryFn = e.retryClaim
@@ -279,9 +283,7 @@ func (e *Engine) PeriodIndex() int { return e.periodIndex }
 // Pending; without the tick nothing claims tokens for them any more.
 func (e *Engine) Stop() {
 	e.tick.Stop()
-	if e.reportTicker != nil {
-		e.reportTicker.Stop()
-	}
+	e.reportTimer.Cancel()
 	e.finalReportTimer.Cancel()
 }
 
@@ -797,10 +799,7 @@ func (e *Engine) handlePeriodStart(_ *rdma.Node, body any) {
 	e.periodYielded = 0
 	e.completed = 0
 	e.reporting = false
-	if e.reportTicker != nil {
-		e.reportTicker.Stop()
-		e.reportTicker = nil
-	}
+	e.reportTimer.Cancel()
 	// Schedule the end-of-period report that feeds Algorithm 1 (see
 	// DESIGN.md note 1) one check interval before the period closes.
 	e.finalReportTimer.Cancel()
@@ -819,18 +818,19 @@ func (e *Engine) handleReportOn(_ *rdma.Node, body any) {
 	}
 	e.reporting = true
 	e.report()
-	t, err := e.k.Every(e.params.ReportInterval, e.params.ReportInterval, func() {
-		// Suppress periodic reports in the final check interval: the
-		// scheduled end-of-period report covers it, and a tick racing the
-		// next period's token push must not overwrite the monitor's
-		// freshly seeded report slot with stale last-period statistics.
-		if e.reporting && e.k.Now() < e.periodEnd-e.params.CheckInterval {
-			e.report()
-		}
-	})
-	if err == nil {
-		e.reportTicker = t
+	e.reportTimer = e.k.Schedule(e.params.ReportInterval, e.reportTickFn)
+}
+
+// reportTick is one periodic report, re-armed every ReportInterval until
+// the next period start or Stop cancels it. Reports are suppressed in the
+// final check interval: the scheduled end-of-period report covers it, and
+// a tick racing the next period's token push must not overwrite the
+// monitor's freshly seeded report slot with stale last-period statistics.
+func (e *Engine) reportTick() {
+	if e.reporting && e.k.Now() < e.periodEnd-e.params.CheckInterval {
+		e.report()
 	}
+	e.reportTimer = e.k.Schedule(e.params.ReportInterval, e.reportTickFn)
 }
 
 func (e *Engine) handleAlert(_ *rdma.Node, body any) {

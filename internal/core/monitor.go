@@ -566,8 +566,7 @@ func (m *Monitor) endPeriod() {
 		return
 	}
 	var total int64
-	used := make(map[int]int64, len(m.clients))
-	reserved := make(map[int]int64, len(m.clients))
+	var alerts []int // clients whose under-use streak just reached alertAfter
 	for i := range m.clients {
 		c := &m.clients[i]
 		if !c.active {
@@ -587,8 +586,9 @@ func (m *Monitor) endPeriod() {
 		// using the count.
 		completed := liveCompleted(raw)
 		c.lastUsage = int64(completed)
-		used[c.id] = int64(completed)
-		reserved[c.id] = c.reservation
+		if n := m.est.ObserveClientUsage(c.id, c.lastUsage, c.reservation); m.alertAfter > 0 && n == m.alertAfter {
+			alerts = append(alerts, c.id)
+		}
 		total += int64(completed)
 	}
 	m.UsageSeries.Add(m.k.Now(), float64(total))
@@ -596,15 +596,10 @@ func (m *Monitor) endPeriod() {
 	m.est.Update(total)
 	m.Trace.Record(trace.Event{At: m.k.Now(), Kind: trace.CapacityUpdate, Actor: "monitor",
 		A: total, B: m.est.Current()})
-	if m.alertAfter > 0 {
-		for _, id := range m.est.ObserveClientUsage(used, reserved, m.alertAfter) {
-			c := &m.clients[id]
-			_ = c.qp.Send(rdma.Message{Kind: msgAlert, Body: alertMsg{
-				ConsecutivePeriods: m.est.UnderuseStreak(id),
-			}}, alertMsgSize, nil)
-		}
-	} else {
-		m.est.ObserveClientUsage(used, reserved, 0)
+	for _, id := range alerts { // ascending: the harvest runs in id order
+		_ = m.clients[id].qp.Send(rdma.Message{Kind: msgAlert, Body: alertMsg{
+			ConsecutivePeriods: m.est.UnderuseStreak(id),
+		}}, alertMsgSize, nil)
 	}
 	m.startPeriod()
 }

@@ -21,12 +21,18 @@ const subBuckets = 1 << subBucketBits
 
 // Histogram records non-negative durations with logarithmic bucketing.
 // The zero value is ready to use. Each power of two's sub-bucket row is
-// allocated on its first sample: latencies span a handful of octaves, so
-// an idle tenant's histogram costs the row table (512 B), not the 32 KB of
-// a dense bucket array. A Histogram holds pointers to its rows and must
-// not be copied by value once it has samples.
+// allocated on its first sample, and the row table spans only the octaves
+// between the lowest and the highest seen: latencies span a handful of
+// octaves, so an idle tenant's histogram is its 64-byte header and a busy
+// one a few 256-byte rows, not the 32 KB of a dense bucket array. Bucket
+// counters are 32-bit; a bucket reaching 2^32-1 panics (see add). A
+// Histogram holds pointers to its rows and must not be copied by value
+// once it has samples.
 type Histogram struct {
-	rows  [64]*[subBuckets]uint64 // rows[i>>subBucketBits][i&(subBuckets-1)] is bucket i
+	// rows[r] holds octave lo+r's counters, nil until its first sample:
+	// bucket i is rows[i>>subBucketBits-lo][i&(subBuckets-1)].
+	rows  []*[subBuckets]uint32
+	lo    int
 	total uint64
 	sum   float64
 	min   sim.Time
@@ -52,12 +58,35 @@ func bucketLow(i int) sim.Time {
 	return sim.Time((uint64(subBuckets) + uint64(mant)) << uint(exp))
 }
 
-// row returns octave r's sub-bucket counters, allocating them on first use.
-func (h *Histogram) row(r int) *[subBuckets]uint64 {
-	if h.rows[r] == nil {
-		h.rows[r] = new([subBuckets]uint64)
+// row returns octave r's sub-bucket counters, allocating them — and
+// widening the row table to reach r — on first use.
+func (h *Histogram) row(r int) *[subBuckets]uint32 {
+	switch {
+	case len(h.rows) == 0:
+		h.rows, h.lo = make([]*[subBuckets]uint32, 1), r
+	case r < h.lo:
+		rows := make([]*[subBuckets]uint32, h.lo-r+len(h.rows))
+		copy(rows[h.lo-r:], h.rows)
+		h.rows, h.lo = rows, r
+	case r >= h.lo+len(h.rows):
+		h.rows = append(h.rows, make([]*[subBuckets]uint32, r-h.lo-len(h.rows)+1)...)
 	}
-	return h.rows[r]
+	p := &h.rows[r-h.lo]
+	if *p == nil {
+		*p = new([subBuckets]uint32)
+	}
+	return *p
+}
+
+// add adds n samples to bucket counter c. Reaching 2^32-1 panics instead
+// of wrapping: a paper-scale run records about 10^8 samples in all, so the
+// limit is unreachable, and a wrapped bucket would corrupt every
+// percentile above it.
+func add(c *uint32, n uint32) {
+	if n >= math.MaxUint32-*c {
+		panic("metrics: histogram bucket reached 2^32-1 samples")
+	}
+	*c += n
 }
 
 // Record adds one sample. Negative samples are clamped to zero.
@@ -72,7 +101,7 @@ func (h *Histogram) Record(v sim.Time) {
 		h.max = v
 	}
 	i := bucketIndex(v)
-	h.row(i >> subBucketBits)[i&(subBuckets-1)]++
+	add(&h.row(i >> subBucketBits)[i&(subBuckets-1)], 1)
 	h.total++
 	h.sum += float64(v)
 }
@@ -118,14 +147,14 @@ func (h *Histogram) Percentile(p float64) sim.Time {
 			continue
 		}
 		for j, c := range row {
-			seen += c
+			seen += uint64(c)
 			if seen >= rank {
 				if seen == h.total {
 					// The rank falls in the final occupied bucket; the true
 					// max is known exactly.
 					return h.max
 				}
-				v := bucketLow(r<<subBucketBits | j)
+				v := bucketLow((h.lo+r)<<subBucketBits | j)
 				// A bucket lower bound can undershoot the true smallest
 				// sample; clamp so results stay within [min, max].
 				if v < h.min {
@@ -153,9 +182,9 @@ func (h *Histogram) Merge(other *Histogram) {
 		if from == nil {
 			continue
 		}
-		to := h.row(r)
+		to := h.row(other.lo + r)
 		for j, c := range from {
-			to[j] += c
+			add(&to[j], c)
 		}
 	}
 	h.total += other.total

@@ -296,8 +296,8 @@ func (h *denseHistogram) percentile(p float64) sim.Time {
 // first sample changes no answer. 10^5 log-uniform samples over 1 ns–10 s
 // cover every octave a simulated latency can land in.
 func TestHistogramSparseMatchesDense(t *testing.T) {
-	if sz := unsafe.Sizeof(Histogram{}); sz > 1024 {
-		t.Errorf("empty Histogram is %d bytes, want <= 1024", sz)
+	if sz := unsafe.Sizeof(Histogram{}); sz > 64 {
+		t.Errorf("empty Histogram is %d bytes, want <= 64", sz)
 	}
 	rng := rand.New(rand.NewSource(7))
 	draw := func() sim.Time {
@@ -346,4 +346,34 @@ func TestHistogramSparseMatchesDense(t *testing.T) {
 	a.Record(5)
 	da.record(5)
 	agree("after reset", &a, &da)
+}
+
+// TestHistogramBucketOverflowPanics: bucket counters are 32-bit, and a
+// bucket reaching 2^32-1 — by Record or by Merge — panics instead of
+// wrapping.
+func TestHistogramBucketOverflowPanics(t *testing.T) {
+	mustPanic := func(label string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s: no panic", label)
+			}
+		}()
+		f()
+	}
+	var h Histogram
+	h.Record(5)
+	h.rows[0][5] = math.MaxUint32 - 2
+	h.Record(5) // 2^32-2: still counts
+	if h.rows[0][5] != math.MaxUint32-1 {
+		t.Fatalf("bucket = %d, want 2^32-2", h.rows[0][5])
+	}
+	mustPanic("Record", func() { h.Record(5) })
+
+	var a, b Histogram
+	a.Record(7)
+	b.Record(7)
+	a.rows[0][7] = math.MaxUint32 / 2
+	b.rows[0][7] = math.MaxUint32/2 + 1
+	mustPanic("Merge", func() { a.Merge(&b) })
 }

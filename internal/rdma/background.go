@@ -28,8 +28,10 @@ type BackgroundJob struct {
 	// Pipeline-stage callbacks, bound once at construction. Background
 	// I/Os all take the same three-stage path (initiator NIC, wire,
 	// target scheduler) and each stage is FIFO, so the job needs no
-	// per-operation state and issuing an I/O allocates nothing.
-	onInitFn   func()
+	// per-operation state and issuing an I/O allocates nothing. The
+	// initiator NIC stage completes through the private initiator's
+	// dispatch, which resolves every tag to onInit: nothing else runs on
+	// that NIC.
 	onArriveFn func()
 	onDoneFn   func()
 
@@ -76,7 +78,7 @@ func NewBackgroundJob(f *Fabric, name string, target *Node, window int) (*Backgr
 		queue:     newDataQueue(nil),
 		window:    window,
 	}
-	b.onInitFn = b.onInit
+	initiator.nic.SetDispatch(func(uint32) { b.onInit() })
 	b.onArriveFn = b.onArrive
 	b.onDoneFn = b.onDone
 	return b, nil
@@ -107,7 +109,7 @@ func (b *BackgroundJob) issue() {
 	if b.san != nil {
 		b.checkWindow()
 	}
-	b.initiator.nic.SubmitWeighted(1, b.onInitFn)
+	b.initiator.nic.SubmitTagged(1, 0)
 }
 
 // onInit: the initiator NIC transmitted one background I/O; cross the
@@ -127,7 +129,6 @@ func (b *BackgroundJob) onInit() {
 func (b *BackgroundJob) onArrive() {
 	op := b.target.pool.get()
 	op.kind = opFunc
-	op.weight = 1
 	op.doneCB = b.onDoneFn
 	b.target.sched.enqueue(b.queue, op)
 }

@@ -143,11 +143,12 @@ func (n *Node) qpPenalty(qp *QP) float64 {
 }
 
 // dispatchTag resolves a station completion tag — (queue pair, stage)
-// packed into 32 bits — to the tagged stage handler. One bound instance
-// per node replaces the eight per-QP completion closures the pipeline
-// stages used to hold, so connecting a queue pair no longer allocates
-// per-stage callbacks and station completions dispatch through a dense
-// table instead of per-object funcs.
+// packed into 32 bits, or stageSched for the node's own scheduler — to
+// the tagged stage handler. One bound instance per node replaces the
+// eight per-QP completion closures the pipeline stages used to hold, so
+// connecting a queue pair no longer allocates per-stage callbacks and
+// station completions dispatch through a dense table instead of
+// per-object funcs.
 func (n *Node) dispatchTag(tag uint32) {
 	qp := n.fabric.qps[tag>>stageBits]
 	switch tag & stageMask {
@@ -167,6 +168,8 @@ func (n *Node) dispatchTag(tag uint32) {
 		qp.loopCtrlServed()
 	case stageLoopBulk:
 		qp.loopBulkServed()
+	case stageSched:
+		n.sched.onServed()
 	}
 }
 
@@ -445,7 +448,6 @@ func (f *Fabric) addNode(name string, kind NodeKind) (*Node, error) {
 	n.prof = f.profs[n.shard]
 	n.pool = f.pools[n.shard]
 	n.sched.node = n
-	n.sched.onServedFn = n.sched.onServed
 	n.qpCache.init(f.cfg.QPCacheSize, f.cfg.QPCacheMissPenalty)
 	var err error
 	switch kind {

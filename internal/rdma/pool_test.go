@@ -347,12 +347,13 @@ func (b *poolBed) checkPools(t *testing.T, maxRecords, maxBufs int) {
 }
 
 // TestRecordFootprint pins what a verb in flight and a connection cost:
-// the record fills the 176-byte allocation class exactly (one more word
-// is the 192-byte class), and a QP is twelve two-word queues, not twelve
-// slice headers.
+// the record fits the 128-byte allocation class (its weights derived, an
+// atomic's result in its operand, one hop continuation, size packed with
+// the flag bytes, the payload buffer a pooled pointer), and a QP is
+// twelve two-word queues, not twelve slice headers.
 func TestRecordFootprint(t *testing.T) {
-	if got := unsafe.Sizeof(flowOp{}); got > 176 {
-		t.Errorf("flowOp is %d bytes, want <= 176", got)
+	if got := unsafe.Sizeof(flowOp{}); got > 128 {
+		t.Errorf("flowOp is %d bytes, want <= 128", got)
 	}
 	if got := unsafe.Sizeof(QP{}); got > 320 {
 		t.Errorf("QP is %d bytes, want <= 320", got)

@@ -3,6 +3,7 @@ package rdma
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 
 	"github.com/haechi-qos/haechi/internal/sim"
 	"github.com/haechi-qos/haechi/internal/trace"
@@ -40,9 +41,9 @@ type QP struct {
 	// completion delivery, credit return) travels through the shard
 	// coordinator's mailboxes as a message carrying the record's pointer
 	// — the shared per-stage wire/deliver FIFOs are bypassed, since two
-	// kernels may not touch one FIFO concurrently. The message is one of
-	// the record's two continuations, bound the first time the record
-	// makes that hop, so a recycled record's hop allocates nothing either.
+	// kernels may not touch one FIFO concurrently. The message is the
+	// record's one continuation, bound the first time the record crosses,
+	// so a recycled record's hop allocates nothing either.
 	cross bool
 
 	// ctxSlot is this QP's place in the QP-context caches of its two ends
@@ -122,6 +123,7 @@ const (
 	stageSendCPU                 // server target CPU finished a SEND
 	stageLoopCtrl                // loopback control op traversed the NIC
 	stageLoopBulk                // loopback bulk op traversed the NIC
+	stageSched                   // the node's scheduler finished its op (no QP in the tag)
 )
 
 const (
@@ -150,18 +152,20 @@ const (
 
 // flowOp is one verb moving through the pipeline: a pooled record that
 // stage FIFOs, the scheduler and the cross-shard mailbox all hold by
-// pointer. It carries everything a stage needs — the routing class, the
-// target memory range, the payload, the result of an atomic, the
-// caller's completion callback — and the link of the one stage queue it
-// is in. A verb in flight is this record and nothing beside it: 176
-// bytes, a size class of its own (TestRecordFootprint; one more word
-// would land it in the 192-byte class).
+// pointer. It carries what no stage can work out — the routing class,
+// the target memory range, the payload, the caller's completion callback
+// — and the link of the one stage queue it is in. Everything derivable
+// is derived: a stage computes the service weight from kind and size
+// (see weight), an atomic's result overwrites its operand, and the two
+// cross-shard hops share one continuation. A verb in flight is this
+// record and nothing beside it: 120 bytes, in the 128-byte size class
+// (TestRecordFootprint).
 //
 // Ownership: a record is taken from and returned to the freelist of the
 // initiator's kernel, and only code running on that kernel ever touches
 // the freelist. Between its two wire hops a cross-shard record belongs to
 // the mailbox message that carries it: the target's kernel stamps the
-// span, fills buf and result, and posts it back; the quantum barrier
+// span, fills buf and the result, and posts it back; the quantum barrier
 // orders those writes before the initiator's reads. See DESIGN.md §8.2.
 type flowOp struct {
 	// next links the record into the stage queue holding it (see opFIFO);
@@ -171,29 +175,27 @@ type flowOp struct {
 
 	kind    opKind
 	control bool
-	// inlineLen > 0 marks a small WRITE whose payload (up to 8 bytes —
-	// Haechi's silent reports and token pushes) travels by value in delta,
-	// so the hot reporting path posts no heap buffer; buf is nil then.
-	inlineLen uint8
-
-	// weight is the target-side service weight; initWeight the
-	// initiator-side one.
-	weight     float64
-	initWeight float64
+	// back marks a cross-shard record on its return hop (see hop).
+	back bool
+	// size is the verb's length in bytes: a READ's or WRITE's range, a
+	// SEND's wire size. A WRITE of at most 8 bytes — Haechi's silent
+	// reports and token pushes — travels by value in delta, so the hot
+	// reporting path posts no heap buffer; buf is nil then.
+	size uint32
 
 	region *Region
 	off    int
-	size   int
 	// buf is a pooled payload buffer: a large WRITE's data captured at
 	// call time, or the bounce buffer a cross-shard READ's data is copied
 	// into at serve time. It returns to the freelist with the record.
-	buf []byte
+	buf *[]byte
 
 	// delta is the verb's 8-byte immediate: FETCH_ADD's addend, CMP_SWAP's
 	// expected value, or an inline WRITE's payload in little-endian order.
-	delta  int64
-	swap   int64 // CMP_SWAP
-	result int64 // atomic result, filled at apply time
+	// An atomic's apply replaces it with the pre-operation value, the
+	// result its completion delivers.
+	delta int64
+	swap  int64 // CMP_SWAP
 
 	payload any // SEND payload
 
@@ -207,11 +209,24 @@ type flowOp struct {
 	// record and returned with it.
 	span *trace.Span
 
-	// Wire-hop continuations handed to the mailbox. Each is bound the
-	// first time the record makes that hop and kept across recycling; a
-	// record that never leaves its shard has neither.
-	toTargetFn    func()
-	toInitiatorFn func()
+	// hopFn is the wire-hop continuation handed to the mailbox: op.hop,
+	// bound the first time the record crosses and kept across recycling;
+	// a record that never leaves its shard has none.
+	hopFn func()
+}
+
+// weight is the op's service weight at every station that charges it by
+// kind and size: each stage of a one-sided verb, and the target
+// scheduler for an opFunc unit. A SEND's weights depend on its endpoints
+// and are worked out where they are charged.
+func (op *flowOp) weight(cfg *Config) float64 {
+	switch op.kind {
+	case opFetchAdd, opCompareSwap:
+		return cfg.AtomicWeight
+	case opFunc:
+		return 1
+	}
+	return cfg.sizeWeight(int(op.size))
 }
 
 // opPool is one kernel's freelists: verb records, flight-recorder spans
@@ -226,11 +241,11 @@ type flowOp struct {
 type opPool struct {
 	free  []*flowOp
 	spans []*trace.Span
-	bufs  [][]byte
+	bufs  []*[]byte
 }
 
-// get returns a zeroed record, keeping whatever continuations its
-// earlier hops bound.
+// get returns a zeroed record, keeping the continuation an earlier hop
+// bound.
 func (p *opPool) get() *flowOp {
 	if last := len(p.free) - 1; last >= 0 {
 		op := p.free[last]
@@ -250,7 +265,7 @@ func (p *opPool) put(op *flowOp) {
 	if op.span != nil {
 		p.spans = append(p.spans, op.span)
 	}
-	*op = flowOp{toTargetFn: op.toTargetFn, toInitiatorFn: op.toInitiatorFn}
+	*op = flowOp{hopFn: op.hopFn}
 	p.free = append(p.free, op)
 }
 
@@ -270,31 +285,32 @@ func (p *opPool) getSpan() *trace.Span {
 // DataIOSize class (everything a 4 KB I/O or smaller needs fits any of
 // them); a larger request that the top buffer cannot hold gets a fresh
 // one of its own size, which is pooled like the rest afterwards.
-func (p *opPool) getBuf(n int) []byte {
-	if last := len(p.bufs) - 1; last >= 0 && cap(p.bufs[last]) >= n {
+func (p *opPool) getBuf(n int) *[]byte {
+	if last := len(p.bufs) - 1; last >= 0 && cap(*p.bufs[last]) >= n {
 		b := p.bufs[last]
 		p.bufs[last] = nil
 		p.bufs = p.bufs[:last]
-		return b[:n]
+		*b = (*b)[:n]
+		return b
 	}
-	return make([]byte, n, max(n, DataIOSize))
+	b := make([]byte, n, max(n, DataIOSize))
+	return &b
 }
 
-// arriveAtTarget resumes a cross-shard op on the target's kernel after
-// the wire hop.
-func (op *flowOp) arriveAtTarget() {
-	if op.control {
-		op.qp.ctrlArriveOp(op)
-	} else {
-		op.qp.bulkArriveOp(op)
-	}
-}
-
-// returnToInitiator is a cross-shard op's return hop, on the initiator's
-// kernel: the flow-control credit first, then the completion; an op that
-// only came back for its credit ends here.
-func (op *flowOp) returnToInitiator() {
+// hop is a cross-shard op's wire hop. Outbound it resumes on the target's
+// kernel at the target NIC; on the way back (back set) it runs on the
+// initiator's kernel: the flow-control credit first, then the completion,
+// and an op that only came back for its credit ends here.
+func (op *flowOp) hop() {
 	qp := op.qp
+	if !op.back {
+		if op.control {
+			qp.ctrlArriveOp(op)
+		} else {
+			qp.bulkArriveOp(op)
+		}
+		return
+	}
 	if op.holdsCredit() {
 		qp.releaseCredit()
 	}
@@ -325,27 +341,27 @@ func (op *flowOp) needsDeliver() bool {
 }
 
 // apply performs the op's memory effect at the target; for atomics the
-// pre-operation value is stored in op.result for delivery.
+// pre-operation value replaces delta, for delivery.
 func (op *flowOp) apply() {
 	switch op.kind {
 	case opWrite:
-		if op.inlineLen > 0 {
+		if op.buf == nil {
 			var cell [8]byte
 			binary.LittleEndian.PutUint64(cell[:], uint64(op.delta))
-			op.region.write(op.off, cell[:op.inlineLen])
+			op.region.write(op.off, cell[:op.size])
 		} else {
-			op.region.write(op.off, op.buf)
+			op.region.write(op.off, *op.buf)
 		}
 	case opFetchAdd:
 		old := int64(op.region.load64(op.off))
 		op.region.store64(op.off, uint64(old+op.delta))
-		op.result = old
+		op.delta = old
 	case opCompareSwap:
 		old := int64(op.region.load64(op.off))
 		if old == op.delta {
 			op.region.store64(op.off, uint64(op.swap))
 		}
-		op.result = old
+		op.delta = old
 	}
 }
 
@@ -359,13 +375,13 @@ func (op *flowOp) invokeCB() {
 		// initiator's. Same-shard READs keep the zero-copy view. Either
 		// way the slice is the callback's only until it returns.
 		if op.buf != nil {
-			op.readCB(op.buf)
+			op.readCB(*op.buf)
 		} else {
-			op.readCB(op.region.window(op.off, op.size))
+			op.readCB(op.region.window(op.off, int(op.size)))
 		}
 	case opFetchAdd, opCompareSwap:
 		if op.u64CB != nil {
-			op.u64CB(op.result)
+			op.u64CB(op.delta)
 		}
 	case opWrite, opSend:
 		if op.doneCB != nil {
@@ -409,13 +425,22 @@ func (qp *QP) retire(op *flowOp) {
 // Target returns the target node.
 func (qp *QP) Target() *Node { return qp.target }
 
-func (qp *QP) checkRegion(r *Region) error {
+// checkAccess validates a one-sided verb's target: r must be a region of
+// the QP's target and [off, off+size) inside it, and size must fit the
+// record's 32-bit length.
+func (qp *QP) checkAccess(r *Region, off, size int) error {
 	if r == nil {
 		return fmt.Errorf("rdma: %s->%s: nil region", qp.initiator.name, qp.target.name)
 	}
 	if r.owner != qp.target {
 		return fmt.Errorf("rdma: %s->%s: region %q is owned by %s, not the QP target",
 			qp.initiator.name, qp.target.name, r.name, r.owner.name)
+	}
+	if err := r.checkRange(off, size); err != nil {
+		return err
+	}
+	if uint64(size) > math.MaxUint32 {
+		return fmt.Errorf("rdma: %s->%s: verb size %d does not fit in 32 bits", qp.initiator.name, qp.target.name, size)
 	}
 	return nil
 }
@@ -439,16 +464,16 @@ func (qp *QP) initiate(op *flowOp) {
 		pen := qp.initiator.qpPenalty(qp)
 		if op.control {
 			qp.loopCtrl.push(op)
-			qp.initiator.nic.SubmitPriorityTagged(op.weight+pen, qp.tag(stageLoopCtrl))
+			qp.initiator.nic.SubmitPriorityTagged(op.weight(&qp.fabric.cfg)+pen, qp.tag(stageLoopCtrl))
 		} else {
 			qp.loopBulk.push(op)
-			qp.initiator.nic.SubmitTagged(op.weight+pen, qp.tag(stageLoopBulk))
+			qp.initiator.nic.SubmitTagged(op.weight(&qp.fabric.cfg)+pen, qp.tag(stageLoopBulk))
 		}
 		return
 	}
 	if op.control {
 		qp.ctrlInit.push(op)
-		qp.initiator.nic.SubmitPriorityTagged(op.initWeight+qp.initiator.qpPenalty(qp), qp.tag(stageCtrlInit))
+		qp.initiator.nic.SubmitPriorityTagged(op.weight(&qp.fabric.cfg)+qp.initiator.qpPenalty(qp), qp.tag(stageCtrlInit))
 		return
 	}
 	qp.admitData(op)
@@ -503,7 +528,7 @@ func (qp *QP) ctrlArriveOp(op *flowOp) {
 		return
 	}
 	qp.ctrlServe.push(op)
-	qp.target.nic.SubmitPriorityTagged(op.weight+qp.target.qpPenalty(qp), qp.tag(stageCtrlServe))
+	qp.target.nic.SubmitPriorityTagged(op.weight(&qp.fabric.cfg)+qp.target.qpPenalty(qp), qp.tag(stageCtrlServe))
 }
 
 // noteArrival counts an op against the target's verb stats. Same-shard
@@ -522,19 +547,25 @@ func (qp *QP) noteArrival(op *flowOp) {
 }
 
 // postToTarget sends op across the wire to the target's shard, where it
-// resumes at arriveAtTarget. This is the last instant the initiator's
-// kernel holds the record, so a READ takes its bounce buffer here: every
-// bulk READ past this point holds a flow-control credit, which bounds the
-// buffers a QP has out by FlowControlWindow.
+// resumes at hop. This is the last instant the initiator's kernel holds
+// the record, so a READ takes its bounce buffer here: every bulk READ
+// past this point holds a flow-control credit, which bounds the buffers a
+// QP has out by FlowControlWindow.
 func (qp *QP) postToTarget(op *flowOp, at sim.Time) {
 	if op.kind == opRead {
-		op.buf = qp.initiator.pool.getBuf(op.size)
-	}
-	if op.toTargetFn == nil {
-		op.toTargetFn = op.arriveAtTarget
+		op.buf = qp.initiator.pool.getBuf(int(op.size))
 	}
 	qp.initiator.prof.MailboxPosts++
-	qp.fabric.post(qp.initiator.shard, qp.target.shard, at, op.toTargetFn)
+	qp.post(op, qp.initiator.shard, qp.target.shard, at)
+}
+
+// post hands op's wire hop from shard src to shard dst, binding the
+// record's continuation on its first crossing.
+func (qp *QP) post(op *flowOp, src, dst int, at sim.Time) {
+	if op.hopFn == nil {
+		op.hopFn = op.hop
+	}
+	qp.fabric.post(src, dst, at, op.hopFn)
 }
 
 // ctrlServed: the target NIC finished a control-class op — either a
@@ -569,7 +600,7 @@ func (qp *QP) serveOp(op *flowOp) {
 		// along; invokeCB prefers buf over the live region view. An
 		// unwritten page of a paged region is a prefix and a clear, not a
 		// copy out of cold memory.
-		op.region.read(op.buf, op.off)
+		op.region.read(*op.buf, op.off)
 	}
 	op.apply()
 	if qp.cross {
@@ -592,13 +623,11 @@ func (qp *QP) serveOp(op *flowOp) {
 }
 
 // postToInitiator sends the serviced op's return hop to the initiator's
-// shard, where it resumes at returnToInitiator.
+// shard, where it resumes at hop.
 func (qp *QP) postToInitiator(op *flowOp, at sim.Time) {
-	if op.toInitiatorFn == nil {
-		op.toInitiatorFn = op.returnToInitiator
-	}
+	op.back = true
 	qp.target.prof.MailboxPosts++
-	qp.fabric.post(qp.target.shard, qp.initiator.shard, at, op.toInitiatorFn)
+	qp.post(op, qp.target.shard, qp.initiator.shard, at)
 }
 
 // deliverNext completes the oldest delivered op at the initiator
@@ -677,7 +706,7 @@ func (qp *QP) transmit(op *flowOp) {
 		op.span.Credit = qp.initiator.k.Now()
 	}
 	qp.bulkInit.push(op)
-	qp.initiator.nic.SubmitTagged(op.initWeight+qp.initiator.qpPenalty(qp), qp.tag(stageBulkInit))
+	qp.initiator.nic.SubmitTagged(op.weight(&qp.fabric.cfg)+qp.initiator.qpPenalty(qp), qp.tag(stageBulkInit))
 }
 
 // bulkInitDone: a bulk-class op (data transfer or bulk SEND) finished
@@ -740,7 +769,7 @@ func (qp *QP) sendTargetSubmit(op *flowOp) {
 	}
 	// A client receiving a SEND pays its NIC the size-proportional cost
 	// (a 4 KB RPC reply is real work; a token push is nearly free).
-	w := f.cfg.sizeWeight(op.size) + pen
+	w := f.cfg.sizeWeight(int(op.size)) + pen
 	if op.control {
 		qp.ctrlServe.push(op)
 		qp.target.nic.SubmitPriorityTagged(w, qp.tag(stageCtrlServe))
@@ -792,21 +821,16 @@ func (qp *QP) sendDeliver(op *flowOp) {
 // bounce buffer the next READ reuses. Callers that keep the data must
 // copy it inside the callback.
 func (qp *QP) Read(r *Region, off, size int, cb func(data []byte)) error {
-	if err := qp.checkRegion(r); err != nil {
+	if err := qp.checkAccess(r, off, size); err != nil {
 		return err
 	}
-	if err := r.checkRange(off, size); err != nil {
-		return err
-	}
-	w := qp.fabric.cfg.sizeWeight(size)
 	qp.initiator.stats.Reads++
 	qp.initiator.stats.BytesRead += uint64(size)
 	if !qp.cross { // cross-shard: counted at arrival, on the target's shard
 		qp.target.stats.OneSidedTargeted++
 	}
 	op := qp.newOp(opRead, qp.fabric.cfg.isControl(size))
-	op.weight, op.initWeight = w, w
-	op.region, op.off, op.size = r, off, size
+	op.region, op.off, op.size = r, off, uint32(size)
 	op.readCB = cb
 	qp.initiate(op)
 	return nil
@@ -816,31 +840,26 @@ func (qp *QP) Read(r *Region, off, size int, cb func(data []byte)) error {
 // data is captured at call time; cb (optional) fires when the initiator
 // observes completion. Haechi's silent reports are 8-byte Writes.
 func (qp *QP) Write(r *Region, off int, data []byte, cb func()) error {
-	if err := qp.checkRegion(r); err != nil {
+	if err := qp.checkAccess(r, off, len(data)); err != nil {
 		return err
 	}
-	if err := r.checkRange(off, len(data)); err != nil {
-		return err
-	}
-	w := qp.fabric.cfg.sizeWeight(len(data))
 	qp.initiator.stats.Writes++
 	qp.initiator.stats.BytesWritten += uint64(len(data))
 	if !qp.cross { // cross-shard: counted at arrival, on the target's shard
 		qp.target.stats.OneSidedTargeted++
 	}
 	op := qp.newOp(opWrite, qp.fabric.cfg.isControl(len(data)))
-	op.weight, op.initWeight = w, w
-	op.region, op.off = r, off
+	op.region, op.off, op.size = r, off, uint32(len(data))
 	op.doneCB = cb
 	// The payload is captured at call time either inline (small writes —
 	// the report/token hot path) or into a pooled buffer.
 	var cell [8]byte
 	if len(data) <= len(cell) {
-		op.inlineLen = uint8(copy(cell[:], data))
+		copy(cell[:], data)
 		op.delta = int64(binary.LittleEndian.Uint64(cell[:]))
 	} else {
 		op.buf = qp.initiator.pool.getBuf(len(data))
-		copy(op.buf, data)
+		copy(*op.buf, data)
 	}
 	qp.initiate(op)
 	return nil
@@ -858,19 +877,14 @@ func (qp *QP) WriteUint64(r *Region, off int, v uint64, cb func()) error {
 // off: the callback receives the value before the add. Haechi clients
 // claim batched global tokens with FetchAdd(-B).
 func (qp *QP) FetchAdd(r *Region, off int, delta int64, cb func(old int64)) error {
-	if err := qp.checkRegion(r); err != nil {
+	if err := qp.checkAccess(r, off, 8); err != nil {
 		return err
 	}
-	if err := r.checkRange(off, 8); err != nil {
-		return err
-	}
-	w := qp.fabric.cfg.AtomicWeight
 	qp.initiator.stats.FetchAdds++
 	if !qp.cross { // cross-shard: counted at arrival, on the target's shard
 		qp.target.stats.OneSidedTargeted++
 	}
 	op := qp.newOp(opFetchAdd, true)
-	op.weight, op.initWeight = w, w
 	op.region, op.off = r, off
 	op.delta = delta
 	op.u64CB = cb
@@ -883,19 +897,14 @@ func (qp *QP) FetchAdd(r *Region, off int, delta int64, cb func(old int64)) erro
 // the value before the operation. The QoS monitor samples the global token
 // cell with CompareSwap(v, v) loopbacks.
 func (qp *QP) CompareSwap(r *Region, off int, expect, swap int64, cb func(old int64)) error {
-	if err := qp.checkRegion(r); err != nil {
+	if err := qp.checkAccess(r, off, 8); err != nil {
 		return err
 	}
-	if err := r.checkRange(off, 8); err != nil {
-		return err
-	}
-	w := qp.fabric.cfg.AtomicWeight
 	qp.initiator.stats.CompareSwaps++
 	if !qp.cross { // cross-shard: counted at arrival, on the target's shard
 		qp.target.stats.OneSidedTargeted++
 	}
 	op := qp.newOp(opCompareSwap, true)
-	op.weight, op.initWeight = w, w
 	op.region, op.off = r, off
 	op.delta, op.swap = expect, swap
 	op.u64CB = cb
@@ -911,8 +920,8 @@ func (qp *QP) CompareSwap(r *Region, off int, expect, swap int64, cb func(old in
 // wire and the initiator-side costs only. cb (optional) fires at the
 // initiator once the message has been delivered.
 func (qp *QP) Send(payload any, size int, cb func()) error {
-	if size < 0 {
-		return fmt.Errorf("rdma: %s->%s: negative send size %d", qp.initiator.name, qp.target.name, size)
+	if size < 0 || uint64(size) > math.MaxUint32 {
+		return fmt.Errorf("rdma: %s->%s: send size %d outside [0, 2^32)", qp.initiator.name, qp.target.name, size)
 	}
 	if qp.target.recv == nil {
 		return fmt.Errorf("rdma: %s->%s: target has no receive handler", qp.initiator.name, qp.target.name)
@@ -933,8 +942,7 @@ func (qp *QP) Send(payload any, size int, cb func()) error {
 
 	control := f.cfg.isControl(size)
 	op := qp.newOp(opSend, control)
-	op.initWeight = initWeight
-	op.size = size
+	op.size = uint32(size)
 	op.payload = payload
 	op.doneCB = cb
 	// SENDs are not flow-controlled: they enter the class's initiator-NIC

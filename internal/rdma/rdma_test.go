@@ -310,6 +310,20 @@ func TestVerbValidation(t *testing.T) {
 	if err := qp.Send("x", 8, nil); err == nil {
 		t.Error("Send to node without recv handler accepted")
 	}
+	// A record keeps a verb's length in 32 bits: a READ that its region
+	// could hold but the record could not is refused, not truncated. The
+	// region is paged, so its 8 GiB cost a page directory, not memory.
+	huge, err := server.RegisterPagedRegion("huge", 1<<21, 4096, func(int) uint64 { return 0 })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := qp.Read(huge, 0, 1<<32, func([]byte) {}); err == nil {
+		t.Error("Read of 4 GiB accepted")
+	}
+	server.SetRecvHandler(func(*Node, any) {})
+	if err := qp.Send("x", 1<<32, nil); err == nil {
+		t.Error("Send of 4 GiB accepted")
+	}
 	k.Run()
 }
 

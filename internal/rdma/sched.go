@@ -45,17 +45,17 @@ type dataQueue struct {
 }
 
 // rrScheduler arbitrates a node's bulk service among per-initiator queues.
-// The record in service is parked in current/currentQ and completed by
-// the bound onServedFn callback, so dispatching allocates nothing per op.
+// The record in service is parked in current/currentQ and completed
+// through the node's stageSched tag, so dispatching allocates nothing per
+// op.
 type rrScheduler struct {
 	node      *Node
 	ring      []*dataQueue
 	next      int
 	inService bool
 
-	current    *flowOp
-	currentQ   *dataQueue
-	onServedFn func()
+	current  *flowOp
+	currentQ *dataQueue
 }
 
 // newDataQueue creates a queue to be served by this node's scheduler.
@@ -99,11 +99,11 @@ func (s *rrScheduler) pump() {
 	s.currentQ = q
 	// Service begins now, so the QP-context touch happens here (opFunc
 	// injections carry no QP context and touch nothing).
-	w := op.weight
+	w := op.weight(&s.node.fabric.cfg)
 	if op.kind != opFunc {
 		w += s.node.qpPenalty(op.qp)
 	}
-	s.node.nic.SubmitWeighted(w, s.onServedFn)
+	s.node.nic.SubmitTagged(w, stageSched)
 }
 
 // onServed completes the operation in service: it applies the memory

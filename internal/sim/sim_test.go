@@ -354,9 +354,10 @@ func TestStationFIFOAndRate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	cb := newOnDone(st)
 	var completions []Time
 	for i := 0; i < 5; i++ {
-		st.Submit(func() { completions = append(completions, k.Now()) })
+		st.SubmitTagged(1, cb.tag(func() { completions = append(completions, k.Now()) }))
 	}
 	k.Run()
 	for i, c := range completions {
@@ -376,10 +377,11 @@ func TestStationIdleGap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	cb := newOnDone(st)
 	var first, second Time
-	st.Submit(func() { first = k.Now() })
+	st.SubmitTagged(1, cb.tag(func() { first = k.Now() }))
 	k.Schedule(10*Microsecond, func() {
-		st.Submit(func() { second = k.Now() })
+		st.SubmitTagged(1, cb.tag(func() { second = k.Now() }))
 	})
 	k.Run()
 	if first != Microsecond {
@@ -396,8 +398,9 @@ func TestStationWeighted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	cb := newOnDone(st)
 	var done Time
-	st.SubmitWeighted(0.5, func() { done = k.Now() })
+	st.SubmitTagged(0.5, cb.tag(func() { done = k.Now() }))
 	k.Run()
 	if done != 500*Nanosecond {
 		t.Errorf("weighted op completed at %v, want 500ns", done)
@@ -407,9 +410,10 @@ func TestStationWeighted(t *testing.T) {
 func TestStationZeroAndNegativeWeight(t *testing.T) {
 	k := New(1)
 	st, _ := NewStation(k, "nic", 1e6, 0)
+	cb := newOnDone(st)
 	var times []Time
-	st.SubmitWeighted(0, func() { times = append(times, k.Now()) })
-	st.SubmitWeighted(-3, func() { times = append(times, k.Now()) })
+	st.SubmitTagged(0, cb.tag(func() { times = append(times, k.Now()) }))
+	st.SubmitTagged(-3, cb.tag(func() { times = append(times, k.Now()) }))
 	k.Run()
 	for _, tm := range times {
 		if tm != 0 {
@@ -421,11 +425,12 @@ func TestStationZeroAndNegativeWeight(t *testing.T) {
 func TestStationSetRate(t *testing.T) {
 	k := New(1)
 	st, _ := NewStation(k, "nic", 1e6, 0)
+	cb := newOnDone(st)
 	if err := st.SetRate(2e6); err != nil {
 		t.Fatal(err)
 	}
 	var done Time
-	st.Submit(func() { done = k.Now() })
+	st.SubmitTagged(1, cb.tag(func() { done = k.Now() }))
 	k.Run()
 	if done != 500*Nanosecond {
 		t.Errorf("op after SetRate completed at %v, want 500ns", done)
@@ -454,11 +459,12 @@ func TestStationJitterBounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	cb := newOnDone(st)
 	var prev Time
 	n := 1000
 	var last Time
 	for i := 0; i < n; i++ {
-		st.Submit(func() { last = k.Now() })
+		st.SubmitTagged(1, cb.tag(func() { last = k.Now() }))
 	}
 	k.Run()
 	_ = prev
@@ -473,11 +479,12 @@ func TestStationJitterBounds(t *testing.T) {
 func TestStationQueueDelay(t *testing.T) {
 	k := New(1)
 	st, _ := NewStation(k, "nic", 1e6, 0)
+	cb := newOnDone(st)
 	if st.QueueDelay() != 0 {
 		t.Error("idle station reports nonzero queue delay")
 	}
-	st.Submit(nil)
-	st.Submit(nil)
+	st.SubmitTagged(1, cb.tag(nil))
+	st.SubmitTagged(1, cb.tag(nil))
 	if st.QueueDelay() != 2*Microsecond {
 		t.Errorf("QueueDelay = %v, want 2µs", st.QueueDelay())
 	}
@@ -498,9 +505,10 @@ func TestStationThroughputProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
+		cb := newOnDone(st)
 		var last Time
 		for i := 0; i < n; i++ {
-			st.Submit(func() { last = k.Now() })
+			st.SubmitTagged(1, cb.tag(func() { last = k.Now() }))
 		}
 		k.Run()
 		got := float64(n) / last.Seconds()
@@ -532,11 +540,12 @@ func TestStationAccessors(t *testing.T) {
 func TestSubmitPriorityChargesCapacity(t *testing.T) {
 	k := New(1)
 	st, _ := NewStation(k, "nic", 1e6, 0) // 1µs/op
+	cb := newOnDone(st)
 	// A priority op completes after its own service time...
 	var prioAt, bulkAt Time
-	st.SubmitPriority(1, func() { prioAt = k.Now() })
+	st.SubmitPriorityTagged(1, cb.tag(func() { prioAt = k.Now() }))
 	// ...but still pushes back bulk work submitted after it.
-	st.Submit(func() { bulkAt = k.Now() })
+	st.SubmitTagged(1, cb.tag(func() { bulkAt = k.Now() }))
 	k.Run()
 	if prioAt != Microsecond {
 		t.Errorf("priority completed at %v, want 1µs", prioAt)
@@ -549,9 +558,10 @@ func TestSubmitPriorityChargesCapacity(t *testing.T) {
 func TestSubmitPrioritySerializesAmongPriorities(t *testing.T) {
 	k := New(1)
 	st, _ := NewStation(k, "nic", 1e6, 0)
+	cb := newOnDone(st)
 	var times []Time
 	for i := 0; i < 3; i++ {
-		st.SubmitPriority(0.5, func() { times = append(times, k.Now()) })
+		st.SubmitPriorityTagged(0.5, cb.tag(func() { times = append(times, k.Now()) }))
 	}
 	k.Run()
 	want := []Time{500, 1000, 1500}
@@ -565,8 +575,9 @@ func TestSubmitPrioritySerializesAmongPriorities(t *testing.T) {
 func TestSubmitPriorityNegativeWeight(t *testing.T) {
 	k := New(1)
 	st, _ := NewStation(k, "nic", 1e6, 0)
+	cb := newOnDone(st)
 	var at Time = -1
-	st.SubmitPriority(-2, func() { at = k.Now() })
+	st.SubmitPriorityTagged(-2, cb.tag(func() { at = k.Now() }))
 	k.Run()
 	if at != 0 {
 		t.Errorf("negative-weight priority op at %v, want 0", at)
@@ -576,9 +587,10 @@ func TestSubmitPriorityNegativeWeight(t *testing.T) {
 func TestSubmitPriorityJitterBounds(t *testing.T) {
 	k := New(7)
 	st, _ := NewStation(k, "nic", 1e6, 0.1)
+	cb := newOnDone(st)
 	var last Time
 	for i := 0; i < 500; i++ {
-		st.SubmitPriority(1, func() { last = k.Now() })
+		st.SubmitPriorityTagged(1, cb.tag(func() { last = k.Now() }))
 	}
 	k.Run()
 	lo := Time(float64(500) * 0.9 * float64(Microsecond))
@@ -586,4 +598,24 @@ func TestSubmitPriorityJitterBounds(t *testing.T) {
 	if last < lo || last > hi {
 		t.Errorf("jittered priority total %v outside [%v, %v]", last, lo, hi)
 	}
+}
+
+// onDone adapts closure-style test code to the station's one completion
+// form: tag registers fn under a fresh tag, which the dispatch installed
+// on the station resolves back to it.
+type onDone struct{ fns []func() }
+
+func newOnDone(st *Station) *onDone {
+	d := &onDone{}
+	st.SetDispatch(func(tag uint32) {
+		if fn := d.fns[tag]; fn != nil {
+			fn()
+		}
+	})
+	return d
+}
+
+func (d *onDone) tag(fn func()) uint32 {
+	d.fns = append(d.fns, fn)
+	return uint32(len(d.fns) - 1)
 }
