@@ -697,33 +697,6 @@ func armEventOrder(k *sim.Kernel, shard int, san *sanitize.Checker) {
 // more than one shard fn must not mutate client-shard state.
 func (c *Cluster) At(t sim.Time, fn func()) { c.kernel.At(t, fn) }
 
-// FlightRecorder returns the per-I/O span recorder, nil unless enabled
-// via Config.Observe. The per-shard recorders are merged on each call
-// (deterministically; see trace.MergeFlightRecorders), so read it after
-// Run, not per quantum.
-func (c *Cluster) FlightRecorder() *trace.FlightRecorder {
-	if c.flights == nil {
-		return nil
-	}
-	return trace.MergeFlightRecorders(c.flights...)
-}
-
-// Metrics returns the sampled metrics registry, nil unless enabled via
-// Config.Observe. The per-shard registries are merged on each call; read
-// it after Run, when every shard has sampled the same instants.
-func (c *Cluster) Metrics() *metrics.Registry {
-	if c.registries == nil {
-		return nil
-	}
-	m, err := metrics.MergeSharded(c.registries)
-	if err != nil {
-		// Shard sample timelines can only diverge mid-quantum; after Run
-		// they coincide by construction (identical tickers, one horizon).
-		return nil
-	}
-	return m
-}
-
 // EnableTrace attaches a shared protocol-event recorder (ring of the
 // given capacity) to every monitor and engine, and returns it. QoS
 // modes only, and one shard only: the recorder is one ring shared by

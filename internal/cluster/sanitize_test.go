@@ -8,46 +8,63 @@ import (
 	"github.com/haechi-qos/haechi/internal/workload"
 )
 
-// TestSanitizerCatchesTokenLeak proves the sanitizer's token-conservation
-// check is live, not vacuous: silently discarding reservation tokens
+// TestSanitizerCatchesTokenLeak proves the sanitizer's conservation
+// checks are live, not vacuous: silently discarding reservation tokens
 // mid-period (Engine.DebugDropReservationTokens, a hook that exists only
 // for this test) breaks the per-period identity
-// used + held + yielded == reservation, and the sanitized run must fail
-// with a token-conservation violation at the next period rollover.
+// used + held + yielded + quarantined == reservation. The sanitized run
+// must fail with a token-conservation violation at the next period
+// rollover or, when the engine crashes right after the leak, with a
+// crash-quarantine violation at the crash.
 func TestSanitizerCatchesTokenLeak(t *testing.T) {
-	specs := make([]ClientSpec, 2)
-	for i := range specs {
-		// Demand far below the reservation keeps tokens held mid-period,
-		// so there is something to leak.
-		specs[i] = ClientSpec{Reservation: 1200, Demand: ConstantDemand(100)}
-	}
-	cfg := testConfig(Haechi)
-	cfg.Seed = 11
-	cfg.Sanitize = true
-	cl, err := New(cfg, specs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// ApplyScale ran inside New; use the normalized period.
-	T := cl.Config().Params.Period
-	cl.At(T+T/2, func() {
-		cl.Clients()[0].Engine.DebugDropReservationTokens(5)
-	})
-	_, err = cl.Run(1, 2)
-	if err == nil {
-		t.Fatal("sanitized run with an injected token leak returned no error")
-	}
-	if !strings.Contains(err.Error(), "token-conservation") {
-		t.Errorf("error does not name the broken invariant: %v", err)
-	}
-	found := false
-	for _, v := range cl.SanitizeViolations() {
-		if v.Check == "token-conservation" && strings.Contains(v.Detail, "engine-0") {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("no token-conservation violation attributed to engine-0: %v", cl.SanitizeViolations())
+	for _, tc := range []struct {
+		name  string
+		crash bool
+		check string
+	}{
+		{"rollover", false, "token-conservation"},
+		{"crash", true, "crash-quarantine"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			specs := make([]ClientSpec, 2)
+			for i := range specs {
+				// Demand far below the reservation keeps tokens held
+				// mid-period, so there is something to leak.
+				specs[i] = ClientSpec{Reservation: 1200, Demand: ConstantDemand(100)}
+			}
+			cfg := testConfig(Haechi)
+			cfg.Seed = 11
+			cfg.Sanitize = true
+			cl, err := New(cfg, specs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// ApplyScale ran inside New; use the normalized period.
+			T := cl.Config().Params.Period
+			cl.At(T+T/2, func() {
+				eng := cl.Clients()[0].Engine
+				eng.DebugDropReservationTokens(5)
+				if tc.crash {
+					eng.Crash()
+				}
+			})
+			_, err = cl.Run(1, 2)
+			if err == nil {
+				t.Fatal("sanitized run with an injected token leak returned no error")
+			}
+			if !strings.Contains(err.Error(), tc.check) {
+				t.Errorf("error does not name %s: %v", tc.check, err)
+			}
+			found := false
+			for _, v := range cl.SanitizeViolations() {
+				if v.Check == tc.check && strings.Contains(v.Detail, "engine-0") {
+					found = true
+				}
+			}
+			if !found {
+				t.Errorf("no %s violation attributed to engine-0: %v", tc.check, cl.SanitizeViolations())
+			}
+		})
 	}
 }
 

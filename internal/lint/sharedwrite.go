@@ -19,7 +19,7 @@ var Sharedwrite = NewSharedwrite(SharedWriteAllowlist)
 // SharedWriteAllowlist declares single-writer ownership for
 // package-level variables that are legitimately written from
 // worker-reachable code. Key format: "<module-relative package>.<var>",
-// e.g. "internal/core.DebugConversion"; the value is the rationale.
+// e.g. "internal/core.Verbose"; the value is the rationale.
 // Every entry must match at least one reachable write — stale entries
 // are themselves findings. Currently empty: the module keeps all
 // worker-reachable state in struct fields owned by a single kernel.

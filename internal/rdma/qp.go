@@ -542,8 +542,17 @@ func (qp *QP) noteArrival(op *flowOp) {
 	if op.kind == opSend {
 		qp.target.stats.SendsReceived++
 	} else {
-		qp.target.stats.OneSidedTargeted++
+		qp.land(op.kind, op.region)
 	}
+}
+
+// land counts a one-sided verb against its target node and the region it
+// lands on. It runs on the target's kernel: at post time for a same-shard
+// QP (the verb methods), at wire arrival for a cross-shard one
+// (noteArrival).
+func (qp *QP) land(kind opKind, r *Region) {
+	qp.target.stats.OneSidedTargeted++
+	r.landed.count(kind)
 }
 
 // postToTarget sends op across the wire to the target's shard, where it
@@ -827,7 +836,7 @@ func (qp *QP) Read(r *Region, off, size int, cb func(data []byte)) error {
 	qp.initiator.stats.Reads++
 	qp.initiator.stats.BytesRead += uint64(size)
 	if !qp.cross { // cross-shard: counted at arrival, on the target's shard
-		qp.target.stats.OneSidedTargeted++
+		qp.land(opRead, r)
 	}
 	op := qp.newOp(opRead, qp.fabric.cfg.isControl(size))
 	op.region, op.off, op.size = r, off, uint32(size)
@@ -846,7 +855,7 @@ func (qp *QP) Write(r *Region, off int, data []byte, cb func()) error {
 	qp.initiator.stats.Writes++
 	qp.initiator.stats.BytesWritten += uint64(len(data))
 	if !qp.cross { // cross-shard: counted at arrival, on the target's shard
-		qp.target.stats.OneSidedTargeted++
+		qp.land(opWrite, r)
 	}
 	op := qp.newOp(opWrite, qp.fabric.cfg.isControl(len(data)))
 	op.region, op.off, op.size = r, off, uint32(len(data))
@@ -882,7 +891,7 @@ func (qp *QP) FetchAdd(r *Region, off int, delta int64, cb func(old int64)) erro
 	}
 	qp.initiator.stats.FetchAdds++
 	if !qp.cross { // cross-shard: counted at arrival, on the target's shard
-		qp.target.stats.OneSidedTargeted++
+		qp.land(opFetchAdd, r)
 	}
 	op := qp.newOp(opFetchAdd, true)
 	op.region, op.off = r, off
@@ -902,7 +911,7 @@ func (qp *QP) CompareSwap(r *Region, off int, expect, swap int64, cb func(old in
 	}
 	qp.initiator.stats.CompareSwaps++
 	if !qp.cross { // cross-shard: counted at arrival, on the target's shard
-		qp.target.stats.OneSidedTargeted++
+		qp.land(opCompareSwap, r)
 	}
 	op := qp.newOp(opCompareSwap, true)
 	op.region, op.off = r, off

@@ -48,7 +48,14 @@ type Region struct {
 	written  int // pages allocated so far
 	prefix   func(page int) uint64
 	scratch  []byte
+
+	// landed is written only on the owner's kernel (see QP.land).
+	landed Landed
 }
+
+// Landed returns the counts of one-sided verbs that have landed on the
+// region.
+func (r *Region) Landed() Landed { return r.landed }
 
 // Name returns the region's diagnostic name.
 func (r *Region) Name() string { return r.name }
