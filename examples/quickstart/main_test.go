@@ -37,3 +37,25 @@ func TestOutputPinned(t *testing.T) {
 		t.Errorf("output diverged from %s:\n%s", path, got)
 	}
 }
+
+// TestReadmeTranscript holds the repository README's quickstart transcript
+// to the pinned output, so the numbers it shows cannot go stale.
+func TestReadmeTranscript(t *testing.T) {
+	readme, err := os.ReadFile(filepath.Join("..", "..", "README.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const prompt = "$ go run ./examples/quickstart\n"
+	_, transcript, ok := bytes.Cut(readme, []byte(prompt))
+	if !ok {
+		t.Fatalf("README.md has no %q transcript", prompt)
+	}
+	transcript, _, _ = bytes.Cut(transcript, []byte("```\n"))
+	want, err := os.ReadFile(filepath.Join("testdata", "stdout.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(transcript, want) {
+		t.Errorf("README.md's quickstart transcript differs from testdata/stdout.txt; paste the file in verbatim:\n%s", transcript)
+	}
+}

@@ -377,8 +377,8 @@ type Report struct {
 	// TotalCompleted and ThroughputPerPeriod aggregate all tenants.
 	TotalCompleted      uint64
 	ThroughputPerPeriod float64
-	// QoSOverheadFraction estimates the share of data-node NIC time spent
-	// on token management (QoS modes only).
+	// QoSOverheadFraction is the share of data-node NIC capacity spent
+	// serving token-management verbs (QoS modes only).
 	QoSOverheadFraction float64
 	// EstimatedCapacity is the monitor's final per-period capacity
 	// estimate (QoS modes only).

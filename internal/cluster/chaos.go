@@ -87,15 +87,12 @@ type MissWindow struct {
 	end sim.Time
 }
 
-// ClientFaults is one client's fault and recovery accounting.
+// ClientFaults is one client's fault and recovery accounting: its
+// engine's own counters, and what the monitor and the measured periods
+// saw of it.
 type ClientFaults struct {
 	Index int
-	// Crashes/Restarts count injected transitions; the At fields are the
-	// most recent transition instants (0 = never).
-	Crashes   int
-	Restarts  int
-	CrashAt   sim.Time
-	RestartAt sim.Time
+	core.FaultStats
 	// SuspectedAt/ReinstatedAt are the monitor's failure-detection
 	// instants for this client (0 = never). ReclamationLatency is
 	// SuspectedAt-CrashAt: how long the crashed reservation stayed
@@ -103,23 +100,6 @@ type ClientFaults struct {
 	SuspectedAt        sim.Time
 	ReinstatedAt       sim.Time
 	ReclamationLatency sim.Time
-	// RejoinPeriod is the period in which the restarted engine received
-	// its first post-restart token push; RejoinAt its instant.
-	RejoinPeriod int
-	RejoinAt     sim.Time
-	// QuarantineReleased counts crash-quarantined tokens released back
-	// through period rollover; QuarantinedRes/Global are tokens still
-	// held at run end (a run that ends mid-crash).
-	QuarantineReleased int64
-	QuarantinedRes     int64
-	QuarantinedGlobal  int64
-	// PostCrashCompletions counts completions delivered while crashed
-	// (legal up to the crash-time in-flight window).
-	PostCrashCompletions int64
-	// Degraded* account local-token mode during monitor outages.
-	DegradedSpells int
-	DegradedTime   sim.Time
-	DegradedProbes uint64
 	// MissWindows lists measured periods below the reservation floor.
 	MissWindows []MissWindow `json:",omitempty"`
 }
@@ -134,9 +114,9 @@ type FaultReport struct {
 	ScenarioName string
 	// Injected tallies scheduled fault events by kind.
 	Injected chaos.Counts
-	// MonitorOutages/MonitorOutageTime aggregate completed outage
-	// windows; Suspicions/Recoveries are the monitor's failure-detection
-	// counters over the whole run.
+	// MonitorOutages/MonitorOutageTime aggregate the outage windows (one
+	// still open at run end counts up to the end); Suspicions/Recoveries
+	// are the monitor's failure-detection counters over the whole run.
 	MonitorOutages    int
 	MonitorOutageTime sim.Time
 	Suspicions        uint64
@@ -165,20 +145,7 @@ func (c *Cluster) buildFaults() *FaultReport {
 	for i, rt := range c.clients {
 		cf := ClientFaults{Index: i}
 		if rt.Engine != nil {
-			fs := rt.Engine.FaultStats()
-			cf.Crashes = fs.Crashes
-			cf.Restarts = fs.Restarts
-			cf.CrashAt = fs.CrashAt
-			cf.RestartAt = fs.RestartAt
-			cf.RejoinPeriod = fs.RejoinIndex
-			cf.RejoinAt = fs.RejoinAt
-			cf.QuarantineReleased = fs.QuarantineReleased
-			cf.QuarantinedRes = fs.QuarantinedRes
-			cf.QuarantinedGlobal = fs.QuarantinedGlobal
-			cf.PostCrashCompletions = fs.PostCrashDone
-			cf.DegradedSpells = fs.DegradedSpells
-			cf.DegradedTime = sim.Time(fs.DegradedNs)
-			cf.DegradedProbes = fs.DegradedProbes
+			cf.FaultStats = rt.Engine.FaultStats()
 			if c.Monitor() != nil {
 				cf.SuspectedAt = c.Monitor().SuspectedAt(i)
 				cf.ReinstatedAt = c.Monitor().ReinstatedAt(i)
@@ -186,7 +153,7 @@ func (c *Cluster) buildFaults() *FaultReport {
 					cf.ReclamationLatency = cf.SuspectedAt - cf.CrashAt
 				}
 			}
-			cf.MissWindows = c.missWindows(rt, fs)
+			cf.MissWindows = c.missWindows(rt, cf.FaultStats)
 		}
 		fr.Clients = append(fr.Clients, cf)
 	}

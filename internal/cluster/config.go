@@ -127,22 +127,19 @@ type Config struct {
 	// deterministic — and, under sharding, as worker-count-independent —
 	// as a fault-free one. Results.Faults reports the injection and
 	// recovery accounting. Chaos turns Sanitize on, so the failure-aware
-	// invariants (crash quarantine, post-crash completions, reservation
-	// floor for surviving clients, rejoin monotonicity, reclamation
-	// conservation) are enforced throughout. A scenario that crashes a
-	// client also turns on the monitor's failure detection with the
-	// shortest grace that tolerates one missed end-of-period report (2
-	// periods): without it the crashed reservation would stay stranded. The
-	// grammar has no server selector, so Chaos needs Servers == 1.
+	// invariants (internal/sanitize's package doc) are enforced
+	// throughout. A scenario that crashes a client also turns on the
+	// monitor's failure detection with the shortest grace that tolerates
+	// one missed end-of-period report (2 periods): without it the crashed
+	// reservation would stay stranded. The grammar has no server
+	// selector, so Chaos needs Servers == 1.
 	Chaos string
-	// Sanitize enables the runtime invariant sanitizer
-	// (internal/sanitize): token conservation per engine period, the
-	// global-pool floor, admission headroom, per-kernel (at, seq) event
-	// monotonicity, shard mailbox ordering, and background-job window
-	// bounds. The checks are passive reads — a sanitized run is
-	// byte-identical to an unsanitized one (TestObservabilityInert) —
-	// and violations surface as an error from Run. Off (false), the
-	// hooks are nil and the hot path pays one pointer comparison.
+	// Sanitize enables the runtime invariant sanitizer; its package doc
+	// (internal/sanitize) lists the invariants. The checks are passive
+	// reads — a sanitized run is byte-identical to an unsanitized one
+	// (TestObservabilityInert) — and violations surface as an error from
+	// Run. Off (false), the hooks are nil and the hot path pays one
+	// pointer comparison.
 	Sanitize bool
 
 	// Shards partitions the cluster onto per-shard simulation kernels

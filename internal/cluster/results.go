@@ -6,6 +6,7 @@ import (
 
 	"github.com/haechi-qos/haechi/internal/metrics"
 	"github.com/haechi-qos/haechi/internal/rdma"
+	"github.com/haechi-qos/haechi/internal/sim"
 	"github.com/haechi-qos/haechi/internal/trace"
 )
 
@@ -33,19 +34,26 @@ type ClientResult struct {
 	Timeline metrics.Series
 }
 
-// OverheadReport quantifies Haechi's token-management cost at the data
-// node over the measure window (the paper's "negligible overhead" claim).
+// OverheadReport is Haechi's token-management cost at the data nodes (the
+// paper's "negligible overhead" claim): what the fabric counted landing on
+// their QoS regions over the window ServerStats covers, from the warm-up's
+// end to the end of the run.
 type OverheadReport struct {
-	// FAAs is the number of global-token claims plus monitor pool reads.
+	// FAAs counts atomics on the QoS region: claims, probes, yield
+	// returns and monitor checks.
 	FAAs uint64
-	// ControlWrites counts client reports and monitor pool rewrites.
+	// ControlWrites counts WRITEs to the QoS region: client reports and
+	// monitor pool writes.
 	ControlWrites uint64
-	// ControlSends counts two-sided control messages.
+	// ControlSends counts the data nodes' SENDs: token pushes and
+	// signals.
 	ControlSends uint64
-	// DataReads counts one-sided data READs.
+	// DataReads counts every other one-sided verb the data nodes served
+	// (ServerStats.OneSidedTargeted − FAAs − ControlWrites): the data path,
+	// READs and record WRITEs alike.
 	DataReads uint64
-	// NICFraction estimates the fraction of data-node NIC service time
-	// spent on QoS verbs rather than data I/O.
+	// NICFraction is the share of the data nodes' NIC capacity over the
+	// window spent serving the control verbs above.
 	NICFraction float64
 }
 
@@ -115,7 +123,10 @@ type Results struct {
 	RunTag int `json:"-"`
 }
 
-func (c *Cluster) buildResults(measurePeriods int, serverStats rdma.Stats) (*Results, error) {
+// buildResults assembles the run's Results; serverStats and qos are the
+// data nodes' counts over window, the span from warm-up's end to the end
+// of the run.
+func (c *Cluster) buildResults(measurePeriods int, serverStats rdma.Stats, qos rdma.Landed, window sim.Time) (*Results, error) {
 	res := &Results{
 		Mode:            c.cfg.Mode,
 		MeasuredPeriods: measurePeriods,
@@ -153,7 +164,6 @@ func (c *Cluster) buildResults(measurePeriods int, serverStats rdma.Stats) (*Res
 	}
 	res.Clients = make([]ClientResult, 0, len(c.clients))
 	var agg metrics.Histogram
-	var totalFAA, totalReports, totalSends uint64
 	for i, rt := range c.clients {
 		cr := ClientResult{
 			Index:       i,
@@ -166,52 +176,33 @@ func (c *Cluster) buildResults(measurePeriods int, serverStats rdma.Stats) (*Res
 			Timeline:    rt.Timeline,
 		}
 		cr.MetReservation = len(cr.Periods) > 0 && int64(cr.MinPeriod) >= rt.Spec.Reservation
+		if rt.links != nil && rt.Engine != nil {
+			for s, dn := range c.nodes {
+				_, engine := rt.link(s)
+				cr.Split = append(cr.Split, dn.monitor.Reservation(engine.ID()))
+			}
+		}
 		agg.Merge(&rt.Gen.Latency)
 		res.TotalCompleted += cr.Total
 		res.Clients = append(res.Clients, cr)
-		for s, dn := range c.nodes {
-			_, engine := rt.link(s)
-			if engine == nil {
-				break
-			}
-			st := engine.Stats()
-			totalFAA += st.FAAIssued
-			totalReports += st.ReportsSent
-			if rt.links != nil {
-				res.Clients[i].Split = append(res.Clients[i].Split, dn.monitor.Reservation(engine.ID()))
-			}
-		}
 	}
 	res.ThroughputPerPeriod = float64(res.TotalCompleted) / float64(measurePeriods)
 	res.AggregateLatency = agg.Summarize()
 	if mon := c.Monitor(); mon != nil {
 		res.OmegaTimeline = mon.OmegaSeries
 		res.UsageTimeline = mon.UsageSeries
-		totalSends = serverStats.SendsSent // token pushes + signals
-		servers := uint64(len(c.nodes))
-		checks := servers * uint64(float64(measurePeriods)*float64(c.cfg.Params.Period/c.cfg.Params.CheckInterval))
-		var conversions uint64
-		for _, dn := range c.nodes {
-			conversions += dn.monitor.ConversionCount
+		o := OverheadReport{
+			FAAs:          qos.Atomics,
+			ControlWrites: qos.Writes,
+			ControlSends:  serverStats.SendsSent,
 		}
-		res.Overhead = OverheadReport{
-			FAAs:          totalFAA + checks,
-			ControlWrites: totalReports + conversions,
-			ControlSends:  totalSends,
-		}
-		// The control counts are whole-run engine counters plus an estimated
-		// check count; the one-sided total is the measure window's. On a
-		// control-plane-bound run the former exceeds the latter, so saturate
-		// instead of wrapping (root cause and the real fix: DESIGN.md §4 item 16).
-		if ctrl := res.Overhead.FAAs + res.Overhead.ControlWrites; serverStats.OneSidedTargeted > ctrl {
-			res.Overhead.DataReads = serverStats.OneSidedTargeted - ctrl
-		}
+		o.DataReads = serverStats.OneSidedTargeted - o.FAAs - o.ControlWrites
 		f := c.cfg.Fabric
-		weighted := float64(res.Overhead.FAAs)*f.AtomicWeight +
-			float64(res.Overhead.ControlWrites)*f.MinVerbWeight +
-			float64(res.Overhead.ControlSends)*f.SendRequestWeight
-		capacityUnits := f.ServerOneSidedRate * c.cfg.Params.Period.Seconds() * float64(measurePeriods) * float64(servers)
-		res.Overhead.NICFraction = weighted / capacityUnits
+		weighted := float64(o.FAAs)*f.AtomicWeight +
+			float64(o.ControlWrites)*f.MinVerbWeight +
+			float64(o.ControlSends)*f.SendRequestWeight
+		o.NICFraction = weighted / (f.ServerOneSidedRate * window.Seconds() * float64(len(c.nodes)))
+		res.Overhead = o
 	}
 	return res, nil
 }

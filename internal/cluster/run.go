@@ -89,14 +89,18 @@ func (c *Cluster) Run(warmupPeriods, measurePeriods int) (*Results, error) {
 
 	warmEnd := start + sim.Time(warmupPeriods)*T
 	measureEnd := warmEnd + sim.Time(measurePeriods)*T
-	var serverStat0 rdma.Stats
+	end := measureEnd + 3*T/4
+	var warm struct { // the server counters at warm-end
+		stats rdma.Stats
+		qos   rdma.Landed
+	}
 	for s, list := range c.byShard {
 		// Shard 0 always gets a warm-end event, clients or not: it owns
 		// the data node, so that event also snapshots the server counters.
 		if s == 0 || len(list) > 0 {
 			c.kernels[s].At(warmEnd, func() {
 				if s == 0 {
-					serverStat0 = c.serverStats()
+					warm.stats, warm.qos = c.serverStats()
 				}
 				for _, rt := range list {
 					rt.Gen.Latency.Reset()
@@ -117,8 +121,9 @@ func (c *Cluster) Run(warmupPeriods, measurePeriods int) (*Results, error) {
 		}
 	}
 
-	c.group.RunUntil(measureEnd + 3*T/4)
-	serverStats := c.serverStats().Sub(serverStat0)
+	c.group.RunUntil(end)
+	serverStats, qos := c.serverStats()
+	serverStats, qos = serverStats.Sub(warm.stats), qos.Sub(warm.qos)
 
 	for _, tick := range tickers {
 		tick.Stop()
@@ -136,7 +141,7 @@ func (c *Cluster) Run(warmupPeriods, measurePeriods int) (*Results, error) {
 			}
 		}
 	}
-	res, err := c.buildResults(measurePeriods, serverStats)
+	res, err := c.buildResults(measurePeriods, serverStats, qos, end-warmEnd)
 	if err != nil {
 		return nil, err
 	}
@@ -150,11 +155,14 @@ func (c *Cluster) Run(warmupPeriods, measurePeriods int) (*Results, error) {
 	return res, c.sanErr()
 }
 
-// serverStats sums the data nodes' verb counters.
-func (c *Cluster) serverStats() rdma.Stats {
-	var sum rdma.Stats
+// serverStats sums the data nodes' verb counters and what landed on
+// their QoS regions (nothing in Bare mode, which has none).
+func (c *Cluster) serverStats() (sum rdma.Stats, qos rdma.Landed) {
 	for _, dn := range c.nodes {
 		sum = sum.Add(dn.node.Stats())
+		if dn.monitor != nil {
+			qos = qos.Add(dn.monitor.QoSRegion().Landed())
+		}
 	}
-	return sum
+	return sum, qos
 }

@@ -68,7 +68,7 @@ func TestEngineRestartRecovery(t *testing.T) {
 	if fs.Crashes != 1 || fs.Restarts != 1 {
 		t.Errorf("fault transitions: %+v", fs)
 	}
-	if fs.RejoinIndex == 0 || fs.RejoinAt < fs.RestartAt {
+	if fs.RejoinPeriod == 0 || fs.RejoinAt < fs.RestartAt {
 		t.Errorf("rejoin not recorded: %+v", fs)
 	}
 	if victim.TotalCompleted() <= beforeRestart {
@@ -183,7 +183,7 @@ func TestMonitorOutageDegradedMode(t *testing.T) {
 	}
 	for i, e := range h.engines {
 		fs := e.FaultStats()
-		if e.Degraded() || fs.DegradedSpells == 0 || fs.DegradedNs == 0 {
+		if e.Degraded() || fs.DegradedSpells == 0 || fs.DegradedTime == 0 {
 			t.Errorf("engine %d degraded window not closed: %+v", i, fs)
 		}
 		if fs.DegradedProbes == 0 {
@@ -192,6 +192,34 @@ func TestMonitorOutageDegradedMode(t *testing.T) {
 	}
 	if err := san.Err(); err != nil {
 		t.Errorf("invariant violations through outage: %v", err)
+	}
+}
+
+// TestOutageOpenAtStop: an outage window still open when the monitor
+// stops is timed up to the stop, not counted with no duration, and the
+// resume it scheduled changes nothing afterwards.
+func TestOutageOpenAtStop(t *testing.T) {
+	res := []int64{1000}
+	demand := func(client, period int) int { return 500 }
+	h := newQoSHarness(t, testParams(), res, demand)
+	if err := h.mon.Start(); err != nil {
+		t.Fatal(err)
+	}
+	P := testParams().Period
+	h.k.RunUntil(P + P/4)
+	h.mon.Outage(2 * P)
+	h.k.RunUntil(2 * P)
+	h.mon.Stop()
+	want := int64(2*P - (P + P/4))
+	if n, ns := h.mon.OutageStats(); n != 1 || ns != want {
+		t.Errorf("outage stats at stop (%d, %d), want (1, %d)", n, ns, want)
+	}
+	if h.mon.Paused() {
+		t.Error("monitor still paused after Stop")
+	}
+	h.k.RunUntil(4 * P) // past the scheduled resume
+	if n, ns := h.mon.OutageStats(); n != 1 || ns != want {
+		t.Errorf("outage stats after the resume instant (%d, %d), want (1, %d)", n, ns, want)
 	}
 }
 

@@ -6,11 +6,13 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"regexp"
 	"sort"
 	"sync"
 	"testing"
 
 	"github.com/haechi-qos/haechi/internal/cluster"
+	"github.com/haechi-qos/haechi/internal/rdma"
 )
 
 // goldenCases covers experiment Sets 1-5: saturation and latency curves
@@ -102,6 +104,52 @@ func TestGoldenResultsByteIdentical(t *testing.T) {
 		}
 		checkGolden(t, multi+".txt", []byte(rep.String()), update)
 	})
+}
+
+// TestGoldenOverheadCounted decodes every committed golden and checks
+// that each QoS-mode run's Overhead partitions the one-sided verbs its
+// data nodes served over the same window:
+// DataReads + FAAs + ControlWrites == ServerStats.OneSidedTargeted.
+func TestGoldenOverheadCounted(t *testing.T) {
+	files, err := filepath.Glob(filepath.Join("testdata", "golden", "*.json"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no golden JSON files (%v)", err)
+	}
+	header := regexp.MustCompile(`(?m)^run (\d+) mode=\S+\n`)
+	checked := 0
+	for _, file := range files {
+		b, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runs := header.FindAllSubmatchIndex(b, -1)
+		for i, loc := range runs {
+			end := len(b)
+			if i+1 < len(runs) {
+				end = runs[i+1][0]
+			}
+			var run struct {
+				Mode        cluster.Mode
+				ServerStats rdma.Stats
+				Overhead    cluster.OverheadReport
+			}
+			if err := json.Unmarshal(b[loc[1]:end], &run); err != nil {
+				t.Fatalf("%s run %s: %v", file, b[loc[2]:loc[3]], err)
+			}
+			if run.Mode == cluster.Bare {
+				continue
+			}
+			checked++
+			o := run.Overhead
+			if sum := o.DataReads + o.FAAs + o.ControlWrites; sum != run.ServerStats.OneSidedTargeted {
+				t.Errorf("%s run %s: DataReads %d + FAAs %d + ControlWrites %d = %d, want OneSidedTargeted %d",
+					file, b[loc[2]:loc[3]], o.DataReads, o.FAAs, o.ControlWrites, sum, run.ServerStats.OneSidedTargeted)
+			}
+		}
+	}
+	if checked == 0 {
+		t.Error("no QoS-mode run in the goldens")
+	}
 }
 
 // checkGolden compares got with testdata/golden/<file>, or rewrites the

@@ -9,44 +9,46 @@
 // that the run already computes and never schedule events, mutate
 // state, or allocate on the event path — which is why a sanitized run
 // stays byte-identical to an unsanitized one (extended
-// TestObservabilityInert). Checked invariants:
+// TestObservabilityInert). This is the one list of the checked
+// invariants; a Violation's Check is one of the quoted names.
 //
-//   - token conservation per engine period: used + remaining + yielded
-//     reservation tokens always equal the admitted reservation;
-//   - global-pool floor: the shared pool may only go negative by the
+//   - "token-conservation": at every engine period rollover the
+//     period's reservation tokens are all used, held, yielded or
+//     quarantined, and no token balance is negative;
+//   - "pool-floor": the shared pool may only go negative by the
 //     in-flight claim window (one batch per client);
-//   - reservation floor under admission: aggregate headroom never
-//     negative;
-//   - (at, seq) monotonicity per kernel: events fire in strictly
-//     increasing lexicographic order;
-//   - shard mailbox ordering: cross-shard injections are unique,
-//     sorted by (at, seq, src), and never in the destination's past;
-//   - background-job window bounds: 0 <= outstanding <= window;
-//   - reservation split (several data nodes): after every rebalance
+//   - "reservation-floor": admission headroom is never negative, nor is
+//     either half of a period's budget split;
+//   - "reclamation-conservation": at every period start the issued
+//     reservations plus those withheld from suspected clients equal the
+//     admitted total;
+//   - "kernel-order": events fire in strictly increasing (at, seq)
+//     order per kernel;
+//   - "shard-mailbox": cross-shard injections are unique, sorted by
+//     (at, seq, src), and never in the destination's past;
+//   - "bg-window": a background job keeps 0 <= outstanding <= window;
+//   - "qp-cache": a NIC's connection cache stays within its capacity
+//     and its slots and queue pairs point at each other;
+//   - "reservation-split" (several data nodes): after every rebalance
 //     round and at run end, each tenant's per-node slices sum to its
-//     reservation ("reservation-split"); each node's admitted sum within
-//     its bound is that node's reservation floor above.
-//   - completion cookie: every data I/O completion on a tenant's link
+//     reservation;
+//   - "completion-cookie": every data I/O completion on a tenant's link
 //     finds the arrival instant its request was posted with, not one
 //     ahead of the clock, and no more instants wait there than the
-//     engine's send queue holds ("completion-cookie").
+//     engine's send queue holds.
 //
-// Chaos runs (cluster.Config.Chaos, DESIGN.md §12) add failure-aware
-// invariants on top:
+// Faults (cluster.Config.Chaos, DESIGN.md §12) exercise the
+// failure-aware ones:
 //
-//   - crash-quarantine conservation: tokens held by a crashed client
-//     are quarantined, never spent, and released exactly once on
-//     restart ("crash-quarantine");
-//   - no completion after crash: a crashed engine observes no further
-//     I/O completions until it restarts ("post-crash-completion");
-//   - rejoin monotonicity: a restarted client's period index resumes
-//     strictly past its crash point ("rejoin-monotonic");
-//   - reclamation conservation: reservation reclaimed by the failure
-//     detector equals what the crashed client held
-//     ("reclamation-conservation");
-//   - surviving-client reservation floor: clients that did not crash
-//     meet their reservation in every window not excused by an
-//     injected fault ("reservation-floor-survivor").
+//   - "crash-quarantine": at a crash the period's reservation tokens are
+//     all used, yielded or quarantined;
+//   - "post-crash-completion": a crashed engine observes no more I/O
+//     completions than it had in flight;
+//   - "rejoin-monotonic": a period push never repeats or regresses the
+//     engine's period index;
+//   - "reservation-floor-survivor": every measured period below a
+//     reservation is excused by the client's own demand, its crash or an
+//     injected fault window.
 //
 // Violations are collected (capped), never panic mid-run, and surface
 // as an error from cluster.Run — so the deliberately-injected token
@@ -61,12 +63,7 @@ import (
 
 // Violation is one detected invariant breach.
 type Violation struct {
-	// Check names the invariant ("token-conservation", "kernel-order",
-	// "pool-floor", "reservation-floor", "shard-mailbox", "bg-window",
-	// "reservation-split", "completion-cookie", and under chaos
-	// "crash-quarantine", "post-crash-completion",
-	// "rejoin-monotonic", "reclamation-conservation",
-	// "reservation-floor-survivor").
+	// Check names the invariant, as listed in the package doc.
 	Check string
 	// At is the virtual time (ns) when the breach was observed.
 	At int64
