@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"encoding/json"
+	"math"
 	"os"
 	"sort"
 	"testing"
@@ -98,31 +99,27 @@ func TestWriteObserveBenchJSON(t *testing.T) {
 		blind/1e6, observed/1e6, ratios[reps/2], reps)
 }
 
-// BenchmarkClusterNew times cluster.New alone, at the two shapes whose
-// setup differs: the paper's record store under ten clients (the store
-// load dominates) and a small store under a fleet (per-client state does).
-// It is the way to profile setup without a run in the picture:
+// BenchmarkClusterNew times cluster.New alone, at the shapes whose setup
+// differs: the paper's record store under ten clients (the store load
+// dominates), the same records over four data nodes (each node loads a
+// quarter and primes the whole keyspace) and a small store under a fleet
+// (per-client state does). It is the way to profile setup without a run
+// in the picture:
 //
 //	go test ./internal/cluster -run '^$' -bench ClusterNew -benchtime 20x \
 //	    -cpuprofile /tmp/new.prof -o /tmp/cluster.test
 //	go tool pprof -top /tmp/cluster.test /tmp/new.prof
 func BenchmarkClusterNew(b *testing.B) {
 	for _, shape := range []struct {
-		name             string
-		records, clients int
+		name                      string
+		records, servers, clients int
 	}{
-		{"records=65536/clients=10", 1 << 16, 10},
-		{"records=4096/clients=2500", 1 << 12, 2500},
+		{"records=65536/clients=10", 1 << 16, 1, 10},
+		{"records=65536/servers=4", 1 << 16, 4, 10},
+		{"records=4096/clients=2500", 1 << 12, 1, 2500},
 	} {
 		b.Run(shape.name, func(b *testing.B) {
-			cfg := testConfig(Haechi)
-			cfg.Scale = 10
-			cfg.Store.Capacity = 0 // ApplyScale sizes it for Records
-			cfg.Records = shape.records
-			specs := make([]ClientSpec, shape.clients)
-			for i := range specs {
-				specs[i] = ClientSpec{Demand: ConstantDemand(1)}
-			}
+			cfg, specs := newShape(shape.records, shape.servers, shape.clients)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := New(cfg, specs); err != nil {
@@ -130,5 +127,47 @@ func BenchmarkClusterNew(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// newShape is the configuration BenchmarkClusterNew and
+// TestClusterNewServersLinear build: records over servers data nodes,
+// each table sized by ApplyScale, and clients tenants.
+func newShape(records, servers, clients int) (Config, []ClientSpec) {
+	cfg := testConfig(Haechi)
+	cfg.Scale = 10
+	cfg.Store.Capacity = 0 // ApplyScale sizes it for Records
+	cfg.Records = records
+	cfg.Servers = servers
+	specs := make([]ClientSpec, clients)
+	for i := range specs {
+		specs[i] = ClientSpec{Demand: ConstantDemand(1)}
+	}
+	return cfg, specs
+}
+
+// TestClusterNewServersLinear: a store is loaded and primed without
+// walking its probe chains, so spreading the records over more data nodes
+// costs about what one node costs. Priming used to walk the whole full
+// table for every key a node does not hold — about 100 times the
+// one-server build at two and four servers.
+func TestClusterNewServersLinear(t *testing.T) {
+	build := func(servers int) time.Duration {
+		cfg, specs := newShape(1<<15, servers, 10)
+		best := time.Duration(math.MaxInt64)
+		for range 3 {
+			start := time.Now()
+			if _, err := New(cfg, specs); err != nil {
+				t.Fatal(err)
+			}
+			best = min(best, time.Since(start))
+		}
+		return best
+	}
+	one := build(1)
+	for _, servers := range []int{2, 4} {
+		if got := build(servers); got > 4*one {
+			t.Errorf("cluster.New over %d servers took %v, more than 4 times the one-server %v", servers, got, one)
+		}
 	}
 }

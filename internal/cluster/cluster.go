@@ -262,10 +262,9 @@ func (c *Cluster) addDataNode(s int, monitorOpts []core.MonitorOption) error {
 	if err != nil {
 		return err
 	}
-	// One buffer serves every record, and loading writes the index only.
-	value := make([]byte, rdma.DataIOSize)
-	err = store.PopulateShard(s, cfg.Servers, cfg.Records, func(key uint64) []byte { return recordValue(value, key) })
-	if err != nil {
+	// A nil value function loads recordValue's record, which the paged data
+	// region serves without a write: loading writes the index only.
+	if err := store.PopulateShard(s, cfg.Servers, cfg.Records, nil); err != nil {
 		return err
 	}
 	dn := dataNode{node: node, store: store}
@@ -289,9 +288,10 @@ func (c *Cluster) addDataNode(s int, monitorOpts []core.MonitorOption) error {
 }
 
 // recordValue stores key's record in buf: the key in the first 8 bytes,
-// zeros after — what the store's paged data region holds without memory.
-// The loader and the update senders share it, so a one-sided UPDATE writes
-// the bytes its record already reads as and the record stays unwritten.
+// zeros after — what the store's paged data region holds without memory
+// and what PopulateShard loads without a value function. The update
+// senders write it, so a one-sided UPDATE writes the bytes its record
+// already reads as and the record stays unwritten.
 func recordValue(buf []byte, key uint64) []byte {
 	binary.LittleEndian.PutUint64(buf, key)
 	return buf

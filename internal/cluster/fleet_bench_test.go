@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"os"
 	"runtime"
@@ -15,10 +14,10 @@ import (
 )
 
 // storeLoadNsPerRecord times what cluster.New spends on the record store
-// — NewStore, Populate and the first client's PrimeCache (which is
-// primeShared) — for `records` 4 KB records at the load factor every
-// experiment uses (capacity = CapacityFor(records): 100 % for a power of
-// two).
+// — NewStore, Populate without a value function and the first client's
+// PrimeCache (which is primeShared) — for `records` 4 KB records at the
+// load factor every experiment uses (capacity = CapacityFor(records):
+// 100 % for a power of two).
 func storeLoadNsPerRecord(t *testing.T, records int) float64 {
 	t.Helper()
 	f, err := rdma.NewFabric(sim.New(1), rdma.NewDefaultConfig())
@@ -33,7 +32,6 @@ func storeLoadNsPerRecord(t *testing.T, records int) float64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	value := make([]byte, rdma.DataIOSize)
 	runtime.GC()
 	start := time.Now()
 	store, err := kvstore.NewStore(server, nil, kvstore.Options{
@@ -41,11 +39,7 @@ func storeLoadNsPerRecord(t *testing.T, records int) float64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = store.Populate(records, func(key uint64) []byte {
-		binary.LittleEndian.PutUint64(value, key)
-		return value
-	})
-	if err != nil {
+	if err := store.Populate(records, nil); err != nil {
 		t.Fatal(err)
 	}
 	kv, err := kvstore.Attach(client, nil, store)
@@ -77,13 +71,12 @@ func storeLoadNsPerRecord(t *testing.T, records int) float64 {
 //     ceiling: a HeapAlloc difference, the same on any runner.
 //   - store_load_ratio: ns per record of loading and priming the store
 //     at 2^16 records relative to 2^12, against the committed baseline
-//     (fails more than 20% above it). A loader that re-probes its own
-//     full table pays the probe chain, which grows with the table, per
-//     record and twice, and the ratio rises. Its level depends on what
-//     else loading a record costs: 2.7-3.0 before the one-pass loader
-//     and 1.4-1.7 after while Put copied 4 KB per record, 2.9 since the
-//     paged data region took that copy off both sides and one walk of
-//     the longer chain is most of what is left. Same process,
+//     (fails more than 20% above it). A loader that walks its own full
+//     table's probe chains, which grow with the table, pays them per
+//     record, and the ratio rises: it read 2.5-3.1 while each key's chain
+//     was walked once. Placing through the next-free table walks none,
+//     so per-record cost is flat and the ratio reads 0.7-1.0, the fixed
+//     cost of a store spread over fewer records at 2^12. Same process,
 //     interleaved, so runner speed cancels.
 //
 // Skips unless BENCH_FLEET_JSON names the output path, so normal `go

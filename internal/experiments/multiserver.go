@@ -39,8 +39,8 @@ func MultiServer(o Options) (*Report, error) {
 	if _, err := o.validate(); err != nil {
 		return nil, err
 	}
-	// 512 records per data node in tables kept at most half full, so the
-	// probes for the keys a small cluster does not hold end quickly.
+	// 512 records per data node in tables kept at most half full: the
+	// sizing testdata/golden/multiserver.txt was recorded at.
 	const recordsPerServer = 512
 	config := func(run, servers, rebalanceEvery int) cluster.Config {
 		return cluster.Config{

@@ -55,14 +55,21 @@ func (s *storeFuzz) refRecord(key uint64) ([]byte, bool) {
 	return rec, true
 }
 
+// opPopulate and the op bytes above it are a PopulateShard step. They are
+// kept out of the other ops' modulus so that older inputs decode as they
+// did.
+const opPopulate = 252
+
 // FuzzStoreLayout drives the store and layout_test.go's reference loader
 // through one random sequence of server-side Puts, one-sided Updates,
-// two-sided PUTs, one-sided GETs and prime requests — fresh keys and
-// re-Puts, synthetic values (the key plus zeros: full, key-only, empty for
-// key 0) and others, short, full and oversize, into tables that fill up —
-// and checks storeFuzz.check's oracles after every step. The input's first
-// byte picks capacity and record size; then each step is an op byte, a key
-// byte and, for the storing ops, a value byte.
+// two-sided PUTs, one-sided GETs, prime requests and sharded loads — fresh
+// keys and re-Puts, synthetic values (the key plus zeros: full, key-only,
+// empty for key 0) and others, short, full and oversize, into tables that
+// fill up — and checks storeFuzz.check's oracles after every step. The
+// input's first byte picks capacity and record size; then each step is an
+// op byte, a key byte and, for the storing ops, a value byte, or an op
+// byte of at least opPopulate, a shard count, shard, key count and value
+// function byte.
 func FuzzStoreLayout(f *testing.F) {
 	// An in-order synthetic load, GETs, then a synthetic Update: nothing is
 	// written. (Geometry 0: 16 slots of 24 bytes.)
@@ -76,6 +83,13 @@ func FuzzStoreLayout(f *testing.F) {
 	// Four slots: the table fills, later Puts and PUTs are refused alike and
 	// existing keys still overwrite. (Geometry 2: 4 slots of 8 bytes.)
 	f.Add([]byte{2, 0, 0, 0, 0, 1, 4, 0, 2, 0, 0, 3, 3, 0, 4, 0, 3, 5, 4, 0, 1, 0, 2, 3, 3, 4, 3, 5, 7})
+	// The odd keys fill an empty table without a value function, a GET, a
+	// skipped key refused, primes, then a load over the full table.
+	f.Add([]byte{0, 252, 1, 1, 33, 0, 4, 5, 0, 2, 0, 5, 31, 6, 20, 252, 0, 0, 10, 1})
+	// A third of the keys with short values, a skipped key Put before the
+	// first prime, a load without a value function into the non-empty
+	// table, a GET. (Geometry 3: 64 slots of 16 bytes.)
+	f.Add([]byte{3, 252, 2, 2, 150, 2, 0, 0, 3, 6, 127, 252, 0, 0, 100, 0, 4, 10})
 	f.Fuzz(func(t *testing.T, input []byte) {
 		p := &program{b: input}
 		g := []Options{
@@ -88,7 +102,15 @@ func FuzzStoreLayout(f *testing.F) {
 			k:          k, kv: kv, written: make([]bool, g.Capacity),
 		}
 		for step := 0; step < 64 && len(p.b) > 0; step++ {
-			op, key := p.next()%7, p.key(g.Capacity)
+			b := p.next()
+			if b >= opPopulate {
+				of := 1 + int(p.next()%4)
+				shard, n := int(p.next())%of, int(p.next())%(of*(g.Capacity+2)+1)
+				s.populate(shard, of, n, p.valueFn(g.RecordSize))
+				s.check(fmt.Sprintf("step %d (PopulateShard(%d, %d, %d))", step, shard, of, n))
+				continue
+			}
+			op, key := b%7, p.key(g.Capacity)
 			switch op {
 			case 0, 1: // server-side Put
 				s.put(key, p.value(key, g.RecordSize))
@@ -182,5 +204,21 @@ func (p *program) value(key uint64, size int) []byte {
 		return layoutValue(key+uint64(kind), size)
 	default:
 		return layoutValue(key, size+1)
+	}
+}
+
+// valueFn decodes a load's value function: none (the key plus zeros), the
+// key plus zeros spelled out, short values that are not, or one that
+// refuses the first key.
+func (p *program) valueFn(size int) func(key uint64) []byte {
+	switch p.next() % 4 {
+	case 0:
+		return nil
+	case 1:
+		return func(key uint64) []byte { return synthetic(key, size) }
+	case 2:
+		return func(key uint64) []byte { return layoutValue(key, size/2) }
+	default:
+		return func(key uint64) []byte { return layoutValue(key, size+1) }
 	}
 }

@@ -156,6 +156,31 @@ func (p *layoutPair) put(key uint64, value []byte) {
 	p.sameErr(fmt.Sprintf("Put(%d, %d bytes)", key, len(value)), got, want)
 }
 
+// populate loads the keys below n congruent to shard mod of: the store
+// through PopulateShard, the reference one Put per key in key order,
+// stopping at the first refusal, with the record a nil valueFn stands for.
+func (p *layoutPair) populate(shard, of, n int, valueFn func(key uint64) []byte) {
+	p.t.Helper()
+	var want error
+	for k := shard; k < n && want == nil; k += of {
+		value := loadedRecord(uint64(k), p.ref.opts.RecordSize)
+		if valueFn != nil {
+			value = valueFn(uint64(k))
+		}
+		if err := p.ref.Put(uint64(k), value); err != nil {
+			want = fmt.Errorf("kvstore: populating key %d: %w", k, err)
+		}
+	}
+	got := p.got.PopulateShard(shard, of, n, valueFn)
+	p.sameErr(fmt.Sprintf("PopulateShard(%d, %d, %d)", shard, of, n), got, want)
+}
+
+// loadedRecord is what a load without a value function stores under key:
+// the key's little-endian bytes, cut to the record size, then zeros.
+func loadedRecord(key uint64, size int) []byte {
+	return synthetic(key, 8)[:min(8, size)]
+}
+
 // sameErr requires the store's outcome to be the reference's.
 func (p *layoutPair) sameErr(what string, got, want error) {
 	p.t.Helper()
@@ -224,15 +249,7 @@ func TestLayoutDenseFullLoad(t *testing.T) {
 	for _, capacity := range []int{1 << 4, 1 << 10, 1 << 16} {
 		t.Run(fmt.Sprint(capacity), func(t *testing.T) {
 			p := newLayoutPair(t, Options{Capacity: capacity, RecordSize: 16})
-			for k := 0; k < capacity; k++ {
-				if err := p.ref.Put(uint64(k), layoutValue(uint64(k), 16)); err != nil {
-					t.Fatal(err)
-				}
-			}
-			err := p.got.Populate(capacity, func(key uint64) []byte { return layoutValue(key, 16) })
-			if err != nil {
-				t.Fatal(err)
-			}
+			p.populate(0, 1, capacity, func(key uint64) []byte { return layoutValue(key, 16) })
 			p.same()
 			p.prime(capacity / 2)
 			p.prime(capacity)
@@ -245,26 +262,118 @@ func TestLayoutDenseFullLoad(t *testing.T) {
 	}
 }
 
-// Populate reserves the primed slab once: an in-order load of n synthetic
-// records allocates the slab's 8 bytes per key and nothing that grows with
-// n beside it (append's doubling cost 4.9 times the slab).
+// Data nodes of a sharded keyspace, each loaded to exactly 100 % occupancy
+// with and without a value function — the shape of every Servers > 1
+// cluster — then primed over the whole keyspace as the node's clients
+// are, where most keys belong to other nodes; then loaded again, over the
+// records already there.
+func TestLayoutShardedFullLoad(t *testing.T) {
+	for _, capacity := range []int{1 << 4, 1 << 10} {
+		for _, of := range []int{2, 3, 4} {
+			for shard := 0; shard < of; shard++ {
+				for _, valueFn := range []func(uint64) []byte{nil, func(key uint64) []byte { return layoutValue(key, 13) }} {
+					t.Run(fmt.Sprintf("%d/%d-of-%d/nil=%v", capacity, shard, of, valueFn == nil), func(t *testing.T) {
+						p := newLayoutPair(t, Options{Capacity: capacity, RecordSize: 16})
+						n := of * capacity
+						p.populate(shard, of, n, valueFn)
+						p.same()
+						p.prime(n / 2)
+						p.prime(n)
+						p.prime(n + 5)
+						p.populate(shard, of, n+of, nil) // refused at the first new key
+						p.same()
+					})
+				}
+			}
+		}
+	}
+}
+
+// A load into a store that already holds records is a Put per key: keys
+// already there are overwritten in place, and the slab finds the keys
+// placed before the load, inside and past its range.
+func TestLayoutPopulateNonEmpty(t *testing.T) {
+	p := newLayoutPair(t, Options{Capacity: 64, RecordSize: 16})
+	for _, key := range []uint64{5, 70, 1 << 40, 12} {
+		p.put(key, layoutValue(key, 16))
+	}
+	p.prime(3) // built while [0, 3) was absent: -1 for good
+	p.populate(0, 1, 40, nil)
+	p.same()
+	p.put(45, nil) // past the range the load covered
+	p.prime(80)
+	p.populate(1, 2, 60, func(key uint64) []byte { return layoutValue(key, 9) })
+	p.prime(100)
+	p.same()
+}
+
+// Keys a shard skips can be Put between its load and the first prime: the
+// slab built afterwards locates them as a probe of the table would, and a
+// key Put after its entry was built stays -1.
+func TestLayoutPutSkippedKeyBeforePrime(t *testing.T) {
+	p := newLayoutPair(t, Options{Capacity: 64, RecordSize: 16})
+	p.populate(1, 3, 120, nil)
+	for _, key := range []uint64{0, 3, 119, 2, 130} {
+		p.put(key, layoutValue(key, 16))
+	}
+	p.prime(120)
+	p.put(6, nil)
+	p.prime(140)
+	p.same()
+}
+
+// A load that cannot finish stops where Put would have: at an oversize
+// value, and at the first key of a full table.
+func TestLayoutPopulateRefused(t *testing.T) {
+	p := newLayoutPair(t, Options{Capacity: 16, RecordSize: 16})
+	p.populate(0, 1, 8, func(key uint64) []byte { return layoutValue(key, 16+int(key/5)) })
+	p.same()
+	p = newLayoutPair(t, Options{Capacity: 16, RecordSize: 16})
+	p.populate(2, 3, 60, nil)
+	p.same()
+	p.prime(60)
+}
+
+func TestPopulateShardRejectsBadShape(t *testing.T) {
+	for _, c := range []struct {
+		shard, of, n int
+		want         string
+	}{
+		{0, 0, 10, "kvstore: populating shard 0 of 0: the shard count must be positive"},
+		{0, -2, 10, "kvstore: populating shard 0 of -2: the shard count must be positive"},
+		{-1, 3, 10, "kvstore: populating shard -1 of 3: no such shard"},
+		{3, 3, 10, "kvstore: populating shard 3 of 3: no such shard"},
+		{0, 1, -1, "kvstore: populating -1 records: the count must not be negative"},
+	} {
+		_, _, store, _ := testStore(t, Options{Capacity: 16, RecordSize: 8})
+		if err := store.PopulateShard(c.shard, c.of, c.n, nil); err == nil || err.Error() != c.want {
+			t.Errorf("PopulateShard(%d, %d, %d) = %v, want %q", c.shard, c.of, c.n, err, c.want)
+		}
+		if store.Len() != 0 {
+			t.Errorf("PopulateShard(%d, %d, %d) stored %d records", c.shard, c.of, c.n, store.Len())
+		}
+	}
+}
+
+// Populate reserves the primed slab once: an in-order load of n records
+// without a value function allocates the slab's 8 bytes per key, the
+// 4-byte-per-slot next-free table that is garbage once it returns, and
+// nothing else that grows with n (append's doubling cost 4.9 times the
+// slab).
 func TestPopulateReservesPrimedSlab(t *testing.T) {
 	const n = 1 << 14
 	_, _, store, _ := testStore(t, Options{Capacity: n, RecordSize: 16})
-	value := make([]byte, 16)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	err := store.Populate(n, func(key uint64) []byte {
-		binary.LittleEndian.PutUint64(value, key)
-		return value
-	})
+	err := store.Populate(n, nil)
 	runtime.ReadMemStats(&after)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// (Twice the slab under -race, where slices.Grow's temporary is real.)
-	if got := after.TotalAlloc - before.TotalAlloc; got < 8*n || got > 2*8*n+1024 {
-		t.Errorf("loading %d records allocated %d bytes, want the %d-byte slab", n, got, 8*n)
+	slab, table := uint64(8*n), uint64(4*n)
+	if got := after.TotalAlloc - before.TotalAlloc; got < slab+table || got > 2*slab+table+1024 {
+		t.Errorf("loading %d records allocated %d bytes, want the %d-byte slab and the %d-byte table", n, got, slab, table)
 	}
 	if locs, found := store.primeShared(n); len(locs) != n || found != n {
 		t.Errorf("primed slab after the load: %d entries, %d located", len(locs), found)
@@ -519,9 +628,13 @@ func TestLayoutPagedRecords(t *testing.T) {
 	p.prime(64)
 }
 
-// A record too small to hold its key is stored in a flat region.
+// A record too small to hold its key is stored in a flat region, and a
+// load without a value function writes as much of the key as fits.
 func TestLayoutTinyRecordsAreFlat(t *testing.T) {
 	p := newLayoutPair(t, Options{Capacity: 16, RecordSize: 4})
+	p.populate(1, 2, 16, nil)
+	p.same()
+	p = newLayoutPair(t, Options{Capacity: 16, RecordSize: 4})
 	for key := uint64(0); key < 12; key++ {
 		p.put(key, layoutValue(key, int(key%5)))
 	}

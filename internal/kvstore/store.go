@@ -27,6 +27,7 @@ package kvstore
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"slices"
 
 	"github.com/haechi-qos/haechi/internal/rdma"
@@ -84,14 +85,12 @@ func CapacityFor(records int) int {
 
 // Store is the server-side key-value store.
 type Store struct {
-	node    *rdma.Node
-	opts    Options
-	mask    uint64
-	index   *rdma.Region
-	data    *rdma.Region
-	count   int
-	puts    uint64
-	getRPCs uint64
+	node  *rdma.Node
+	opts  Options
+	mask  uint64
+	index *rdma.Region
+	data  *rdma.Region
+	count int
 
 	// indexView is the owner-side view of the index region
 	// (rdma.Region.View), taken once: the store's own CPU walks and fills
@@ -102,38 +101,40 @@ type Store struct {
 	// value; allocated by the first Put that needs it.
 	padding []byte
 
-	// primedLoc is the shared prefix of primed key locations (-1 when the
-	// key was absent when its entry was built) and primedFound the number
-	// of entries that hold a location. Put appends the location of the key
-	// that extends the prefix as it places it, so a store loaded in key
-	// order (Populate) has the whole slab by the time a client asks;
-	// primeShared probes only for what placement could not record. Sharing
-	// one slab across every attached client replaces 10^5 identical
-	// per-client maps at fleet scale with a single read-only array.
-	primedLoc   []int64
+	// locs is the primed-location slab, shared by every attached client
+	// (one read-only array instead of 10^5 identical per-client maps at
+	// fleet scale). Its first primed entries are built: handed out, never
+	// rewritten, -1 where the key was absent at build time, primedFound of
+	// them holding a location. The rest are pending: the entry of a key in
+	// [primed, len(locs)) is its location while the key is in the index and
+	// -1 while it is not, kept so by place. Building an entry is therefore
+	// taking it, and nothing probes.
+	locs        []int64
+	primed      int
 	primedFound int
 }
 
 // primeShared returns the shared primed-location slab covering keys
-// [0, n) and the number of those keys that have a location. The suffix
-// placement did not record (keys put out of order, or never) is built
-// from the live index. Entries are never rewritten after they are built:
-// a location is stable once a record exists (updates are in-place), and a
-// key absent at build time stays -1 so later clients resolve it with the
-// same probe sequence an early client would have used. Extension appends,
-// so clients holding a shorter prefix keep their original backing array.
+// [0, n) and the number of those keys that have a location. Entries are
+// never rewritten after they are built: a location is stable once a
+// record exists (updates are in-place), and a key absent at build time
+// stays -1 so later clients resolve it with the same probe sequence an
+// early client would have used. Growing the slab may move it, so clients
+// holding a shorter prefix keep their original backing array.
 func (s *Store) primeShared(n int) (locs []int64, found int) {
-	for len(s.primedLoc) < n {
-		loc := int64(-1)
-		if slot, present, _ := s.findSlot(uint64(len(s.primedLoc))); present {
-			loc = s.dataOff(slot)
+	if n > s.primed {
+		s.track(n)
+		for _, loc := range s.locs[s.primed:n] {
+			if loc >= 0 {
+				s.primedFound++
+			}
 		}
-		s.appendPrimed(loc)
+		s.primed = n
 	}
-	if n == len(s.primedLoc) {
-		return s.primedLoc, s.primedFound
+	locs = s.locs[:n]
+	if n == s.primed {
+		return locs, s.primedFound
 	}
-	locs = s.primedLoc[:n]
 	for _, loc := range locs {
 		if loc >= 0 {
 			found++
@@ -142,11 +143,27 @@ func (s *Store) primeShared(n int) (locs []int64, found int) {
 	return locs, found
 }
 
-// appendPrimed extends the primed slab by one entry.
-func (s *Store) appendPrimed(loc int64) {
-	s.primedLoc = append(s.primedLoc, loc)
-	if loc >= 0 {
-		s.primedFound++
+// track extends the pending part of the slab to keys below n. An empty
+// store holds none of the new keys; any other finds the ones it holds in
+// one scan of the index, not one probe walk per key.
+func (s *Store) track(n int) {
+	from := len(s.locs)
+	if n <= from {
+		return
+	}
+	s.locs = slices.Grow(s.locs, n-from)[:n]
+	for k := from; k < n; k++ {
+		s.locs[k] = -1
+	}
+	if s.count == 0 {
+		return
+	}
+	for slot := uint64(0); slot <= s.mask; slot++ {
+		cell := s.indexView[slot*slotSize : slot*slotSize+slotSize]
+		key := binary.LittleEndian.Uint64(cell)
+		if binary.LittleEndian.Uint64(cell[8:])&occupiedBit != 0 && key >= uint64(from) && key < uint64(n) {
+			s.locs[key] = s.dataOff(slot)
+		}
 	}
 }
 
@@ -246,22 +263,43 @@ func (s *Store) slotKey(slot int) uint64 {
 // is the key plus zeros — stays unwritten (rdma.Region.CopyIn allocates a
 // page only for bytes that change it).
 func (s *Store) Put(key uint64, value []byte) error {
-	if len(value) > s.opts.RecordSize {
-		return fmt.Errorf("kvstore: value of %d bytes exceeds record size %d", len(value), s.opts.RecordSize)
+	if err := s.checkValue(value); err != nil {
+		return err
 	}
 	slot, found, ok := s.findSlot(key)
 	if !ok {
-		return fmt.Errorf("kvstore: table full (%d records)", s.count)
+		return s.errFull()
 	}
 	if !found {
-		cell := s.indexView[slot*slotSize : slot*slotSize+slotSize]
-		binary.LittleEndian.PutUint64(cell, key)
-		binary.LittleEndian.PutUint64(cell[8:], occupiedBit|uint64(s.dataOff(slot)))
-		s.count++
-		if key == uint64(len(s.primedLoc)) {
-			s.appendPrimed(s.dataOff(slot))
-		}
+		s.place(slot, key)
 	}
+	return s.writeRecord(slot, value)
+}
+
+func (s *Store) checkValue(value []byte) error {
+	if len(value) > s.opts.RecordSize {
+		return fmt.Errorf("kvstore: value of %d bytes exceeds record size %d", len(value), s.opts.RecordSize)
+	}
+	return nil
+}
+
+func (s *Store) errFull() error { return fmt.Errorf("kvstore: table full (%d records)", s.count) }
+
+// place stores key in free slot and, while the key's slab entry is
+// pending, its location there.
+func (s *Store) place(slot, key uint64) {
+	cell := s.indexView[slot*slotSize : slot*slotSize+slotSize]
+	binary.LittleEndian.PutUint64(cell, key)
+	binary.LittleEndian.PutUint64(cell[8:], occupiedBit|uint64(s.dataOff(slot)))
+	s.count++
+	if key >= uint64(s.primed) && key < uint64(len(s.locs)) {
+		s.locs[key] = s.dataOff(slot)
+	}
+}
+
+// writeRecord stores value, zero-padded to the record size, as slot's
+// record.
+func (s *Store) writeRecord(slot uint64, value []byte) error {
 	off := int(s.dataOff(slot))
 	if err := s.data.CopyIn(off, value); err != nil {
 		return err
@@ -270,11 +308,8 @@ func (s *Store) Put(key uint64, value []byte) error {
 		if s.padding == nil {
 			s.padding = make([]byte, s.opts.RecordSize)
 		}
-		if err := s.data.CopyIn(off+len(value), s.padding[:pad]); err != nil {
-			return err
-		}
+		return s.data.CopyIn(off+len(value), s.padding[:pad])
 	}
-	s.puts++
 	return nil
 }
 
@@ -289,7 +324,9 @@ func (s *Store) Get(key uint64) ([]byte, bool) {
 }
 
 // Populate fills the store with n records whose values are produced by
-// valueFn(key); keys are 0..n-1 as in the paper's YCSB load phase.
+// valueFn(key); keys are 0..n-1 as in the paper's YCSB load phase. A nil
+// valueFn loads the record every experiment reads: the key's eight
+// little-endian bytes, then zeros (cut short by a record under 8 bytes).
 func (s *Store) Populate(n int, valueFn func(key uint64) []byte) error {
 	return s.PopulateShard(0, 1, n, valueFn)
 }
@@ -297,16 +334,83 @@ func (s *Store) Populate(n int, valueFn func(key uint64) []byte) error {
 // PopulateShard loads one data node's share of an n-record keyspace
 // sharded key mod of: the keys below n congruent to shard. Populate is the
 // one-shard case.
+//
+// Into an empty store every key is new, and linear probing would place it
+// in the first free slot at or after its hash. A next-free table finds
+// that slot without walking the occupied run before it: a union-find over
+// the slots in which a free slot is its own root and an occupied one
+// points at its successor, halving each path it walks. Any other load is
+// a Put per key. Either way the index and data bytes are the ones Put
+// would have written.
 func (s *Store) PopulateShard(shard, of, n int, valueFn func(key uint64) []byte) error {
-	// The primed slab grows to n entries — by placement when keys arrive in
-	// order, by the first PrimeCache otherwise: reserve it once.
-	s.primedLoc = slices.Grow(s.primedLoc, max(n-len(s.primedLoc), 0))
+	switch {
+	case of <= 0:
+		return fmt.Errorf("kvstore: populating shard %d of %d: the shard count must be positive", shard, of)
+	case shard < 0 || shard >= of:
+		return fmt.Errorf("kvstore: populating shard %d of %d: no such shard", shard, of)
+	case n < 0:
+		return fmt.Errorf("kvstore: populating %d records: the count must not be negative", n)
+	}
+	// Every key placed from here on records its location in the slab.
+	s.track(n)
+	var keyBytes [8]byte
+	value := func(key uint64) []byte {
+		if valueFn != nil {
+			return valueFn(key)
+		}
+		binary.LittleEndian.PutUint64(keyBytes[:], key)
+		return keyBytes[:min(len(keyBytes), s.opts.RecordSize)]
+	}
+	put := s.Put
+	if s.count == 0 && s.mask <= math.MaxUint32 {
+		put = s.newKeyPut(valueFn == nil)
+	}
 	for k := shard; k < n; k += of {
-		if err := s.Put(uint64(k), valueFn(uint64(k))); err != nil {
+		if err := put(uint64(k), value(uint64(k))); err != nil {
 			return fmt.Errorf("kvstore: populating key %d: %w", k, err)
 		}
 	}
 	return nil
+}
+
+// newKeyPut returns a Put for keys the store does not hold, into a store
+// that holds none yet: it places a key through a next-free table instead
+// of findSlot, and leaves the data region alone when a record is its key
+// plus zeros and no page is written, since that is what the record reads
+// as once the key is placed. The table is the returned function's own, so
+// it is garbage once the load is done.
+func (s *Store) newKeyPut(keyRecords bool) func(key uint64, value []byte) error {
+	unwritten := keyRecords && s.data.Paged() && s.data.Resident() == 0
+	next := make([]uint32, s.mask+1)
+	for i := range next {
+		next[i] = uint32(i)
+	}
+	return func(key uint64, value []byte) error {
+		if err := s.checkValue(value); err != nil {
+			return err
+		}
+		if s.count > int(s.mask) {
+			return s.errFull()
+		}
+		slot := uint64(nextFree(next, uint32(hashKey(key)&s.mask)))
+		next[slot] = uint32((slot + 1) & s.mask)
+		s.place(slot, key)
+		if unwritten {
+			return nil
+		}
+		return s.writeRecord(slot, value)
+	}
+}
+
+// nextFree returns the first free slot at or after slot i, wrapping at the
+// table's end, in newKeyPut's next-free table, halving the path it walks.
+// Some slot must be free.
+func nextFree(next []uint32, i uint32) uint32 {
+	for next[i] != i {
+		next[i] = next[next[i]]
+		i = next[i]
+	}
+	return i
 }
 
 // getRequest is the two-sided GET wire format.
@@ -339,7 +443,6 @@ func (s *Store) handleGet(from *rdma.Node, body any) {
 		return
 	}
 	v, found := s.Get(req.key)
-	s.getRPCs++
 	qp, err := s.node.Fabric().Connect(s.node, from)
 	if err != nil {
 		return

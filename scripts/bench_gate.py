@@ -33,12 +33,11 @@ machine-independent quantities instead:
   - the fleet bench's store load ratio (ns per record of NewStore +
     Populate + the first PrimeCache at 2^16 records relative to 2^12,
     same process, interleaved; lower is better), gated against the
-    committed baseline like the other ratios: a loader that probes its
-    own full table again pays the probe chain, which grows with the
-    table, on every record, and the ratio rises. The number itself
-    depends on what else a record costs to load: 2.7-3.0 before the
-    one-pass loader and 1.4-1.7 after while Put copied 4 KB per record,
-    2.9 since the paged data region took that copy off both sides.
+    committed baseline like the other ratios: a loader that walks its
+    own full table's probe chains, which grow with the table, pays them
+    on every record, and the ratio rises. It read 2.5-3.1 while each
+    chain was walked once and 0.7-1.0 since the next-free table walks
+    none.
 
 A ratio more than 20% worse than its baseline fails. Refresh the
 committed baselines deliberately (rerun the TestWrite*BenchJSON hooks)
