@@ -235,7 +235,7 @@ func (e *exporter) flush() error {
 		if e.traceOut != "" && res.Flight != nil {
 			path := suffixed(e.traceOut, e.written)
 			if err := writeFile(path, func(f *os.File) error {
-				return trace.WriteChromeTrace(f, res.Flight, nil)
+				return trace.WriteChromeTrace(f, res.Flight)
 			}); err != nil {
 				return err
 			}

@@ -40,8 +40,8 @@ func run(args []string, out io.Writer) int {
 		seed      = fs.Int64("seed", laptop.Seed, "random seed")
 		congest   = fs.Int("congest-at", 0, "start background congestion at this measured period (0 = none)")
 		chaosSpec = fs.String("chaos", "", "inject a deterministic fault scenario (a preset such as set5, or e.g. 'crash@2.25:c=0;restart@5.5:c=0'; times in periods from run start, clients in tenant order)")
-		traceCap  = fs.Int("trace", 0, "record and dump the last N protocol events (QoS modes)")
-		traceDump = fs.String("trace-dump", "", "record per-I/O spans and write them as Chrome trace_event JSON to this file (open in Perfetto)")
+		traceCap  = fs.Int("trace", 0, "record I/O spans and protocol events, print exact per-kind event totals, and dump the last N spans and events")
+		traceDump = fs.String("trace-dump", "", "record I/O spans and protocol events and write them as Chrome trace_event JSON to this file (open in Perfetto); keeps the last -trace entries, or 10000")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -58,10 +58,10 @@ func run(args []string, out io.Writer) int {
 		MeasurePeriods: *periods,
 		Records:        *records,
 		Seed:           *seed,
-		TraceEvents:    *traceCap,
+		FlightSpans:    *traceCap,
 		Chaos:          *chaosSpec,
 	}
-	if *traceDump != "" {
+	if *traceDump != "" && cfg.FlightSpans == 0 {
 		cfg.FlightSpans = 10000
 	}
 	sys, err := haechi.New(cfg, tenants)

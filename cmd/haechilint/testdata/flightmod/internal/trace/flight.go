@@ -19,22 +19,22 @@ type Span struct {
 	Done   sim.Time
 }
 
-// Recorder accumulates finished spans per actor.
-type Recorder struct {
+// FlightRecorder accumulates finished spans per actor.
+type FlightRecorder struct {
 	stats map[string]int
 	spans []Span
 }
 
-// NewRecorder returns an empty recorder.
-func NewRecorder() *Recorder {
-	return &Recorder{stats: make(map[string]int)}
+// NewFlightRecorder returns an empty recorder.
+func NewFlightRecorder() *FlightRecorder {
+	return &FlightRecorder{stats: make(map[string]int)}
 }
 
 // Track runs op on the kernel with its service stamped at serve time and
 // its completion callback wrapped to stamp the finish — the idiom the
 // real fabric uses: timestamps are taken inside callbacks the kernel
 // executes anyway, never from the wall clock.
-func (r *Recorder) Track(k *sim.Kernel, actor string, serviceTime sim.Time, complete func()) {
+func (r *FlightRecorder) Track(k *sim.Kernel, actor string, serviceTime sim.Time, complete func()) {
 	sp := Span{Actor: actor, Posted: k.Now()}
 	k.Schedule(serviceTime, func() {
 		sp.Served = k.Now()
@@ -48,14 +48,14 @@ func (r *Recorder) Track(k *sim.Kernel, actor string, serviceTime sim.Time, comp
 	})
 }
 
-func (r *Recorder) finish(sp Span) {
+func (r *FlightRecorder) finish(sp Span) {
 	r.spans = append(r.spans, sp)
 	r.stats[sp.Actor]++
 }
 
 // Actors returns the recorded actors in deterministic order: collect
 // the keys, sort, iterate the slice.
-func (r *Recorder) Actors() []string {
+func (r *FlightRecorder) Actors() []string {
 	actors := make([]string, 0, len(r.stats))
 	for a := range r.stats {
 		actors = append(actors, a)
@@ -65,7 +65,7 @@ func (r *Recorder) Actors() []string {
 }
 
 // Counts renders per-actor span counts in sorted-actor order.
-func (r *Recorder) Counts() []int {
+func (r *FlightRecorder) Counts() []int {
 	out := make([]int, 0, len(r.stats))
 	for _, a := range r.Actors() {
 		out = append(out, r.stats[a])

@@ -25,9 +25,10 @@ func main() {
 			DemandPerPeriod: 31_000,
 		}
 	}
-	// Record protocol events so the run is not blind: the summary line
-	// at the end shows capacity updates and token traffic.
-	sys, err := haechi.New(haechi.Config{Scale: scale, MeasurePeriods: periods, TraceEvents: 4096}, tenants)
+	// Record into the flight recorder so the run is not blind: the
+	// summary line at the end counts every capacity update and token
+	// push of the run, not only those the 4096-entry ring still holds.
+	sys, err := haechi.New(haechi.Config{Scale: scale, MeasurePeriods: periods, FlightSpans: 4096}, tenants)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -109,13 +109,12 @@ type Config struct {
 	Records int
 	// Seed drives all randomness.
 	Seed int64
-	// TraceEvents, when positive, records the last N protocol events
-	// (token pushes, claims, yields, pool caps, reports, capacity
-	// updates); inspect them after Run with TraceSummary and DumpTrace.
-	TraceEvents int
 	// FlightSpans, when positive, records a pipeline span for every
-	// I/O (the last N are retained for WriteChromeTrace; the per-stage
-	// breakdown covers all of them). Works in every mode.
+	// I/O and, in the QoS modes, every protocol event (token pushes,
+	// claims, yields, pool caps, reports, capacity updates) into one
+	// ring. The last N entries are retained for DumpTrace and
+	// WriteChromeTrace; the per-stage breakdown and TraceSummary's
+	// per-kind totals cover all of them. Works in every mode.
 	FlightSpans int
 	// MetricsInterval, when positive, samples a metrics registry
 	// (kernel, NIC, engine, KV gauges) every interval of virtual time;
@@ -137,7 +136,6 @@ type System struct {
 	cfg     Config
 	names   []string
 	cluster *cluster.Cluster
-	rec     *trace.Recorder
 	results *cluster.Results
 	ran     bool
 }
@@ -191,33 +189,30 @@ func New(cfg Config, tenants []Tenant) (*System, error) {
 	if err != nil {
 		return nil, fmt.Errorf("haechi: %w", err)
 	}
-	sys := &System{cfg: cfg, names: names, cluster: cl}
-	if cfg.TraceEvents > 0 {
-		if cfg.Mode == ModeBare {
-			return nil, fmt.Errorf("haechi: tracing requires a QoS mode")
-		}
-		rec, err := cl.EnableTrace(cfg.TraceEvents)
-		if err != nil {
-			return nil, fmt.Errorf("haechi: %w", err)
-		}
-		sys.rec = rec
-	}
-	return sys, nil
+	return &System{cfg: cfg, names: names, cluster: cl}, nil
 }
 
-// TraceSummary returns per-kind counts of the recorded protocol events
-// ("trace: empty" when tracing is off or nothing ran yet).
-func (s *System) TraceSummary() string {
-	return s.rec.Summary()
-}
-
-// DumpTrace writes the retained protocol events to w, one per line.
-// A no-op when tracing is off.
-func (s *System) DumpTrace(w io.Writer) error {
-	if s.rec == nil {
+// flight returns the run's merged flight recorder, nil before Run or
+// when FlightSpans is off.
+func (s *System) flight() *trace.FlightRecorder {
+	if s.results == nil {
 		return nil
 	}
-	return s.rec.Dump(w)
+	return s.results.Flight
+}
+
+// TraceSummary returns exact per-kind counts of the protocol events
+// recorded over the whole run ("trace: empty" when FlightSpans is off,
+// in Bare mode, or before Run).
+func (s *System) TraceSummary() string {
+	return s.flight().Summary()
+}
+
+// DumpTrace writes the retained timeline — I/O spans and protocol
+// events together, oldest first — to w, one per line. A no-op when
+// FlightSpans is off or before Run.
+func (s *System) DumpTrace(w io.Writer) error {
+	return s.flight().Dump(w)
 }
 
 func tenantSpec(t Tenant, records int) (cluster.ClientSpec, error) {
@@ -312,15 +307,15 @@ func (s *System) Run() (*Report, error) {
 	return buildReport(s, res), nil
 }
 
-// WriteChromeTrace writes the recorded I/O spans (and protocol events,
-// when TraceEvents is on) as Chrome trace_event JSON — open the file in
-// Perfetto (ui.perfetto.dev) or chrome://tracing. Requires FlightSpans
-// and a completed Run.
+// WriteChromeTrace writes the recorded I/O spans and protocol events as
+// Chrome trace_event JSON — open the file in Perfetto (ui.perfetto.dev)
+// or chrome://tracing. Requires FlightSpans and a completed Run.
 func (s *System) WriteChromeTrace(w io.Writer) error {
-	if s.results == nil || s.results.Flight == nil {
+	fr := s.flight()
+	if fr == nil {
 		return fmt.Errorf("haechi: no spans recorded (set Config.FlightSpans and call Run first)")
 	}
-	return trace.WriteChromeTrace(w, s.results.Flight, s.rec)
+	return trace.WriteChromeTrace(w, fr)
 }
 
 // WriteMetricsCSV writes the sampled metrics registry as CSV. Requires

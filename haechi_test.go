@@ -280,7 +280,7 @@ func TestConfigDefaults(t *testing.T) {
 
 func TestPublicTracing(t *testing.T) {
 	cfg := fastConfig(ModeHaechi)
-	cfg.TraceEvents = 2048
+	cfg.FlightSpans = 2048
 	sys, err := New(cfg, []Tenant{
 		{Name: "a", Reservation: 2000, DemandPerPeriod: 4000},
 		{Name: "b", Reservation: 2000, DemandPerPeriod: 600},
@@ -290,6 +290,9 @@ func TestPublicTracing(t *testing.T) {
 	}
 	if sys.TraceSummary() != "trace: empty" {
 		t.Errorf("pre-run summary = %q", sys.TraceSummary())
+	}
+	if err := sys.DumpTrace(nil); err != nil {
+		t.Errorf("pre-run DumpTrace is not a no-op: %v", err)
 	}
 	if _, err := sys.Run(); err != nil {
 		t.Fatal(err)
@@ -306,22 +309,6 @@ func TestPublicTracing(t *testing.T) {
 	}
 	if len(b.String()) == 0 {
 		t.Error("empty trace dump")
-	}
-}
-
-func TestTracingRequiresQoS(t *testing.T) {
-	cfg := fastConfig(ModeBare)
-	cfg.TraceEvents = 128
-	if _, err := New(cfg, []Tenant{{}}); err == nil {
-		t.Error("bare-mode tracing accepted")
-	}
-	// DumpTrace without tracing is a no-op.
-	sys, err := New(fastConfig(ModeBare), []Tenant{{}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.DumpTrace(nil); err != nil {
-		t.Errorf("no-op DumpTrace errored: %v", err)
 	}
 }
 

@@ -697,33 +697,6 @@ func armEventOrder(k *sim.Kernel, shard int, san *sanitize.Checker) {
 // more than one shard fn must not mutate client-shard state.
 func (c *Cluster) At(t sim.Time, fn func()) { c.kernel.At(t, fn) }
 
-// EnableTrace attaches a shared protocol-event recorder (ring of the
-// given capacity) to every monitor and engine, and returns it. QoS
-// modes only, and one shard only: the recorder is one ring shared by
-// every engine, which a worker pool driving several shards cannot write
-// without races (the public haechi.go API never shards, so this never
-// constrains it).
-func (c *Cluster) EnableTrace(capacity int) (*trace.Recorder, error) {
-	if c.cfg.Mode == Bare {
-		return nil, fmt.Errorf("cluster: tracing requires a QoS mode")
-	}
-	if len(c.kernels) > 1 {
-		return nil, fmt.Errorf("cluster: the protocol-event recorder is shared across engines and unsupported in sharded runs; use Observe span recording instead")
-	}
-	rec, err := trace.NewRecorder(capacity)
-	if err != nil {
-		return nil, err
-	}
-	for s, dn := range c.nodes {
-		dn.monitor.Trace = rec
-		for _, rt := range c.clients {
-			_, engine := rt.link(s)
-			engine.Trace = rec
-		}
-	}
-	return rec, nil
-}
-
 // fnv32 is FNV-1a over the node name, used for stable shard placement.
 func fnv32(name string) uint32 {
 	h := uint32(2166136261)

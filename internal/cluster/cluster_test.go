@@ -576,46 +576,40 @@ func TestPoissonPatternInCluster(t *testing.T) {
 	}
 }
 
-// TestTracing: the shared recorder captures the protocol's event flow.
+// TestTracing: the flight recorder captures the protocol's event flow
+// beside the verb spans, with exact per-kind totals.
 func TestTracing(t *testing.T) {
 	specs := []ClientSpec{
 		{Reservation: 2000, Demand: ConstantDemand(4000)},
 		{Reservation: 2000, Demand: ConstantDemand(500)}, // yields
 	}
-	cl, err := New(testConfig(Haechi), specs)
+	cfg := testConfig(Haechi)
+	cfg.Observe = &Observe{FlightSpans: 4096}
+	cl, err := New(cfg, specs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, err := cl.EnableTrace(4096)
+	res, err := cl.Run(1, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cl.EnableTrace(0); err == nil {
-		t.Error("zero-capacity trace accepted")
-	}
-	if _, err := cl.Run(1, 3); err != nil {
-		t.Fatal(err)
-	}
-	counts := rec.Counts()
+	fr := res.Flight
 	for _, k := range []trace.Kind{trace.PeriodStart, trace.TokenPush, trace.Report,
 		trace.CapacityUpdate, trace.Claim, trace.Yield} {
-		if counts[k] == 0 {
-			t.Errorf("no %v events recorded (counts: %v)", k, counts)
+		if fr.Count(k) == 0 {
+			t.Errorf("no %v events recorded (%s)", k, fr.Summary())
 		}
 	}
-	if rec.Summary() == "trace: empty" {
-		t.Error("summary empty")
+	// The per-kind totals are exact even once the ring has wrapped.
+	var reports uint64
+	for _, rt := range cl.clients {
+		reports += rt.Engine.Stats().ReportsSent
 	}
-}
-
-// TestTraceBareModeRejected: tracing needs a monitor.
-func TestTraceBareModeRejected(t *testing.T) {
-	cl, err := New(testConfig(Bare), []ClientSpec{{}})
-	if err != nil {
-		t.Fatal(err)
+	if got := fr.Count(trace.Report); got != reports {
+		t.Errorf("%d report events counted, engines sent %d reports", got, reports)
 	}
-	if _, err := cl.EnableTrace(128); err == nil {
-		t.Error("bare-mode tracing accepted")
+	if fr.Dropped() == 0 || len(fr.Events(trace.Report)) >= int(reports) {
+		t.Errorf("ring never wrapped (%d dropped); the exact-count check proves nothing", fr.Dropped())
 	}
 }
 

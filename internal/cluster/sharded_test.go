@@ -162,8 +162,8 @@ func TestShardedReportShape(t *testing.T) {
 
 // observedShardedRun executes a figure-scale observed+sanitized sharded
 // run and returns the serialized Results, the exported Chrome trace
-// bytes, and the exported metrics CSV bytes.
-func observedShardedRun(t *testing.T, shards, workers int) (resJSON, traceB, csvB []byte) {
+// bytes, the exported metrics CSV bytes, and the merged flight recorder.
+func observedShardedRun(t *testing.T, shards, workers int) (resJSON, traceB, csvB []byte, fr *trace.FlightRecorder) {
 	t.Helper()
 	specs := make([]ClientSpec, 6)
 	for i := range specs {
@@ -196,14 +196,14 @@ func observedShardedRun(t *testing.T, shards, workers int) (resJSON, traceB, csv
 		t.Fatal(err)
 	}
 	var tb bytes.Buffer
-	if err := trace.WriteChromeTrace(&tb, res.Flight, nil); err != nil {
+	if err := trace.WriteChromeTrace(&tb, res.Flight); err != nil {
 		t.Fatal(err)
 	}
 	var cb bytes.Buffer
 	if err := res.Metrics.WriteCSV(&cb); err != nil {
 		t.Fatal(err)
 	}
-	return resJSON, tb.Bytes(), cb.Bytes()
+	return resJSON, tb.Bytes(), cb.Bytes(), res.Flight
 }
 
 // TestObservedShardedByteIdentical is the tentpole property of
@@ -215,9 +215,22 @@ func observedShardedRun(t *testing.T, shards, workers int) (resJSON, traceB, csv
 // not just the Results — carry no trace of how many workers drove the
 // quanta.
 func TestObservedShardedByteIdentical(t *testing.T) {
-	baseRes, baseTrace, baseCSV := observedShardedRun(t, 4, 1)
+	baseRes, baseTrace, baseCSV, fr := observedShardedRun(t, 4, 1)
 	if !bytes.Contains(baseTrace, []byte("shard-1")) {
 		t.Error("sharded Chrome trace has no shard-1 process track")
+	}
+	// Protocol events land in the ring of the shard that marked them: the
+	// monitor's on shard 0 with the data node, the engines' on their
+	// clients' shards.
+	eventShards := map[int]bool{}
+	for _, ev := range fr.Events() {
+		eventShards[ev.Shard()] = true
+	}
+	if !eventShards[0] || len(eventShards) < 2 {
+		t.Errorf("protocol events recorded on shards %v, want shard 0 and a client shard", eventShards)
+	}
+	if !bytes.Contains(baseTrace, []byte(`"cat":"protocol"`)) {
+		t.Error("sharded Chrome trace has no protocol instants")
 	}
 	if !bytes.Contains(baseCSV, []byte("shard1/sim/pending-events")) {
 		t.Error("merged metrics CSV has no per-shard sim/ column")
@@ -226,7 +239,7 @@ func TestObservedShardedByteIdentical(t *testing.T) {
 		t.Error("merged metrics CSV has no trace/spans-dropped column")
 	}
 	for _, workers := range []int{2, 8} {
-		res, traceB, csvB := observedShardedRun(t, 4, workers)
+		res, traceB, csvB, _ := observedShardedRun(t, 4, workers)
 		if !bytes.Equal(baseRes, res) {
 			t.Errorf("workers=%d: Results diverged from workers=1", workers)
 			reportDivergence(t, baseRes, res)

@@ -37,8 +37,11 @@ func TestArriveBacklogIsACount(t *testing.T) {
 // arrivalOutcome is everything an observer outside the engine can see of
 // how a run's demand was served.
 type arrivalOutcome struct {
-	spans       []trace.Span  // every verb any client posted: kind, QP, post and completion times
-	events      []trace.Event // every protocol event, LimitThrottle records included
+	// timeline is every verb any client posted (kind, QP, post and
+	// completion times) and every protocol event, LimitThrottle records
+	// included, in record order.
+	timeline    []trace.Span
+	probes      uint64
 	stats       []EngineStats
 	completions [][]sim.Time
 	degraded    int
@@ -76,16 +79,10 @@ func TestArriveBulkEqualsSingles(t *testing.T) {
 				if err := h.f.SetFlightRecorders([]*trace.FlightRecorder{fr}); err != nil {
 					t.Fatal(err)
 				}
-				rec, err := trace.NewRecorder(1 << 18)
-				if err != nil {
-					t.Fatal(err)
-				}
-				h.mon.Trace = rec
 				P := testParams().Period
 				out := arrivalOutcome{completions: make([][]sim.Time, len(h.engines))}
 				for i, e := range h.engines {
 					i, e := i, e
-					e.Trace = rec
 					e.limit = tc.limit
 					e.OnPeriodStart = nil
 					e.SetSource(func(sim.Time) uint64 { return 0 },
@@ -110,11 +107,10 @@ func TestArriveBulkEqualsSingles(t *testing.T) {
 				}
 				h.k.RunUntil(7 * P)
 				h.mon.Stop()
-				out.spans = fr.Spans()
-				out.events = rec.Events()
-				if fr.Dropped() > 0 || rec.Total() != uint64(len(out.events)) {
-					t.Fatalf("recorders overflowed: %d spans dropped, %d of %d events kept",
-						fr.Dropped(), len(out.events), rec.Total())
+				out.timeline = fr.Spans()
+				out.probes = fr.Count(trace.Probe)
+				if fr.Dropped() > 0 {
+					t.Fatalf("recorder overflowed: %d spans and events dropped", fr.Dropped())
 				}
 				for _, e := range h.engines {
 					out.stats = append(out.stats, e.Stats())
@@ -129,11 +125,8 @@ func TestArriveBulkEqualsSingles(t *testing.T) {
 			if !reflect.DeepEqual(singles.completions, bulk.completions) {
 				t.Error("completion times differ")
 			}
-			if !reflect.DeepEqual(singles.spans, bulk.spans) {
-				t.Errorf("verb sequences differ (%d vs %d spans)", len(singles.spans), len(bulk.spans))
-			}
-			if !reflect.DeepEqual(singles.events, bulk.events) {
-				t.Errorf("protocol events differ (%d vs %d)", len(singles.events), len(bulk.events))
+			if !reflect.DeepEqual(singles.timeline, bulk.timeline) {
+				t.Errorf("verb and protocol-event timelines differ (%d vs %d entries)", len(singles.timeline), len(bulk.timeline))
 			}
 
 			// The scenario must reach the state it is named for.
@@ -152,13 +145,7 @@ func TestArriveBulkEqualsSingles(t *testing.T) {
 			if tc.outage != (bulk.degraded > 0) {
 				t.Errorf("outage %v but %d degraded spells", tc.outage, bulk.degraded)
 			}
-			probes := 0
-			for _, ev := range bulk.events {
-				if ev.Kind == trace.Probe {
-					probes++
-				}
-			}
-			if tc.name == "pool exhausted" && probes == 0 {
+			if tc.name == "pool exhausted" && bulk.probes == 0 {
 				t.Error("pool never ran dry")
 			}
 		})

@@ -138,10 +138,6 @@ type Engine struct {
 	// PeriodLog records completed I/Os per finished period.
 	PeriodLog metrics.PeriodLog
 
-	// Trace, when non-nil, records protocol events (claims, probes,
-	// yields, reports, throttling).
-	Trace *trace.Recorder
-
 	// san, when non-nil, checks token conservation (see conserved) at
 	// crashes and period rollovers (internal/sanitize). periodYielded
 	// tracks reservation tokens yielded within the current period so the
@@ -160,6 +156,15 @@ type Engine struct {
 	globalConsumed  int64
 	reservationUsed int64
 	tokensReturned  int64
+}
+
+// mark records a protocol event (claims, probes, yields, reports,
+// throttling) in the client node's shard's flight recorder, when
+// recording is on.
+func (e *Engine) mark(k trace.Kind, a, b int64) {
+	if fr := e.node.Flight(); fr != nil {
+		fr.Mark(e.k.Now(), k, e.actor, a, b)
+	}
 }
 
 // NewEngine creates and starts a QoS engine on node for the admitted
@@ -358,8 +363,7 @@ func (e *Engine) Restart() error {
 	w := PackReport(0, clampUint32(e.completed)|recoveryFlag)
 	if err := e.qp.WriteUint64(e.qos, e.reportOff, w, nil); err == nil {
 		e.reportsSent++
-		e.Trace.Record(trace.Event{At: e.k.Now(), Kind: trace.Report, Actor: e.actor,
-			A: 0, B: e.completed})
+		e.mark(trace.Report, 0, e.completed)
 	}
 	return nil
 }
@@ -442,7 +446,7 @@ func (e *Engine) drain() {
 		if e.limit > 0 && e.dispatched >= e.limit {
 			// Limit reached: throttle until the next period.
 			e.limitThrottled++
-			e.Trace.Record(trace.Event{At: e.k.Now(), Kind: trace.LimitThrottle, Actor: e.actor, A: e.limit})
+			e.mark(trace.LimitThrottle, e.limit, 0)
 			return
 		}
 		switch {
@@ -563,13 +567,13 @@ func (e *Engine) onFAA(old int64) {
 		// the monitor to convert tokens or for the next period. The
 		// tick keeps probing while demand is pending.
 		e.poolExhausted = true
-		e.Trace.Record(trace.Event{At: e.k.Now(), Kind: trace.Probe, Actor: e.actor, A: old})
+		e.mark(trace.Probe, old, 0)
 		return
 	}
 	if e.faaProbe {
 		// The probe found tokens: switch back to claiming.
 		e.poolExhausted = false
-		e.Trace.Record(trace.Event{At: e.k.Now(), Kind: trace.Probe, Actor: e.actor, A: old})
+		e.mark(trace.Probe, old, 0)
 		e.ensureFAA()
 		return
 	}
@@ -584,7 +588,7 @@ func (e *Engine) onFAA(old int64) {
 		e.poolExhausted = true
 	}
 	e.localGlobal += granted
-	e.Trace.Record(trace.Event{At: e.k.Now(), Kind: trace.Claim, Actor: e.actor, A: old, B: granted})
+	e.mark(trace.Claim, old, granted)
 	e.drain()
 }
 
@@ -625,7 +629,7 @@ func (e *Engine) onTick() {
 			e.tokensReturned += y
 			returned = y
 		}
-		e.Trace.Record(trace.Event{At: e.k.Now(), Kind: trace.Yield, Actor: e.actor, A: y, B: returned})
+		e.mark(trace.Yield, y, returned)
 	}
 	if e.degraded {
 		if e.Pending() > 0 && e.k.Now() >= e.nextProbeAt {
@@ -675,7 +679,7 @@ func (e *Engine) probePool() {
 // onProbe completes a degraded-mode pool heartbeat.
 func (e *Engine) onProbe(old int64) {
 	e.faaInFlight = false
-	e.Trace.Record(trace.Event{At: e.k.Now(), Kind: trace.Probe, Actor: e.actor, A: old})
+	e.mark(trace.Probe, old, 0)
 }
 
 // leaveDegraded closes a degraded-mode window and accounts its duration.
@@ -693,8 +697,7 @@ func (e *Engine) report() {
 	w := PackReport(clampUint32(e.resTokens), clampUint32(e.completed))
 	if err := e.qp.WriteUint64(e.qos, e.reportOff, w, nil); err == nil {
 		e.reportsSent++
-		e.Trace.Record(trace.Event{At: e.k.Now(), Kind: trace.Report, Actor: e.actor,
-			A: e.resTokens, B: e.completed})
+		e.mark(trace.Report, e.resTokens, e.completed)
 	}
 }
 

@@ -119,12 +119,17 @@ type Monitor struct {
 	// burst-pattern reservation misses (Figs. 8(b), 13).
 	LocalViolations uint64
 
-	// Trace, when non-nil, records protocol events.
-	Trace *trace.Recorder
-
 	// san, when non-nil, checks the pool floor and admission headroom
 	// invariants (internal/sanitize). Nil in production runs.
 	san *sanitize.Checker
+}
+
+// mark records a protocol event in the data node's shard's flight
+// recorder, when recording is on.
+func (m *Monitor) mark(k trace.Kind, a, b int64) {
+	if fr := m.node.Flight(); fr != nil {
+		fr.Mark(m.k.Now(), k, "monitor", a, b)
+	}
 }
 
 // SetSanitizer installs the invariant checker consulted at period starts
@@ -388,8 +393,7 @@ func (m *Monitor) startPeriod() {
 				m.periodIndex, m.sumRes, suspended, m.adm.Reserved())
 		}
 	}
-	m.Trace.Record(trace.Event{At: m.k.Now(), Kind: trace.PeriodStart, Actor: "monitor",
-		A: int64(m.periodIndex), B: m.omega})
+	m.mark(trace.PeriodStart, int64(m.periodIndex), m.omega)
 
 	// Seed the report table with (R_i, 0) so conversion before the first
 	// client report is conservative, then publish the pool and push
@@ -421,8 +425,7 @@ func (m *Monitor) startPeriod() {
 			EndAt:       int64(endAt),
 			Convert:     m.convert,
 		}}, periodStartMsgSize, nil)
-		m.Trace.Record(trace.Event{At: m.k.Now(), Kind: trace.TokenPush, Actor: "monitor",
-			A: int64(c.id), B: c.reservation})
+		m.mark(trace.TokenPush, int64(c.id), c.reservation)
 	}
 	m.periodTimer = m.k.At(endAt, m.endPeriod)
 }
@@ -452,8 +455,7 @@ func (m *Monitor) check() {
 		if !m.reporting && old < m.initialGlobal {
 			m.reporting = true
 			m.ReportSignals++
-			m.Trace.Record(trace.Event{At: m.k.Now(), Kind: trace.ReportSignal, Actor: "monitor",
-				A: int64(pi)})
+			m.mark(trace.ReportSignal, int64(pi), 0)
 			for i := range m.clients {
 				if c := &m.clients[i]; c.active {
 					_ = c.qp.Send(rdma.Message{Kind: msgReportOn, Body: reportOnMsg{Index: pi}}, reportOnMsgSize, nil)
@@ -510,8 +512,7 @@ func (m *Monitor) detectLocalViolations() {
 		if v := m.adm.LocalViolation(c.reservation, int64(completed), elapsed); v > 0 {
 			c.violated = true
 			m.LocalViolations++
-			m.Trace.Record(trace.Event{At: m.k.Now(), Kind: trace.LocalViolation,
-				Actor: "monitor", A: int64(c.id), B: v})
+			m.mark(trace.LocalViolation, int64(c.id), v)
 		}
 	}
 }
@@ -555,8 +556,7 @@ func (m *Monitor) capPool(current int64) {
 	}
 	if current > bound {
 		m.ConversionCount++
-		m.Trace.Record(trace.Event{At: m.k.Now(), Kind: trace.PoolCap, Actor: "monitor",
-			A: current, B: bound})
+		m.mark(trace.PoolCap, current, bound)
 		_ = m.loop.WriteUint64(m.region, globalTokenOff, uint64(bound), nil)
 	}
 }
@@ -596,8 +596,7 @@ func (m *Monitor) endPeriod() {
 	m.UsageSeries.Add(m.k.Now(), float64(total))
 	m.OmegaSeries.Add(m.k.Now(), float64(m.omega))
 	m.est.Update(total)
-	m.Trace.Record(trace.Event{At: m.k.Now(), Kind: trace.CapacityUpdate, Actor: "monitor",
-		A: total, B: m.est.Current()})
+	m.mark(trace.CapacityUpdate, total, m.est.Current())
 	for _, id := range alerts { // ascending: the harvest runs in id order
 		_ = m.clients[id].qp.Send(rdma.Message{Kind: msgAlert, Body: alertMsg{
 			ConsecutivePeriods: m.est.UnderuseStreak(id),
@@ -636,8 +635,7 @@ func (m *Monitor) observeLiveness(c *monitorClient, word uint64) {
 			c.suspected = false
 			c.reinstatedAt = m.k.Now()
 			m.FailureRecoveries++
-			m.Trace.Record(trace.Event{At: m.k.Now(), Kind: trace.FailureRecover, Actor: "monitor",
-				A: int64(c.id)})
+			m.mark(trace.FailureRecover, int64(c.id), 0)
 		}
 		return
 	}
@@ -654,8 +652,7 @@ func (m *Monitor) observeLiveness(c *monitorClient, word uint64) {
 		// scans, so the tombstone only ever feeds this comparison.
 		_ = m.region.PutUint64(reportSlotOffset(c.id), tombstoneWord)
 		c.lastWord = tombstoneWord
-		m.Trace.Record(trace.Event{At: m.k.Now(), Kind: trace.FailureSuspect, Actor: "monitor",
-			A: int64(c.id)})
+		m.mark(trace.FailureSuspect, int64(c.id), 0)
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 
 	"github.com/haechi-qos/haechi/internal/rdma"
 	"github.com/haechi-qos/haechi/internal/sim"
+	"github.com/haechi-qos/haechi/internal/trace"
 )
 
 func testStore(t *testing.T, opts Options) (*sim.Kernel, *rdma.Fabric, *Store, *Client) {
@@ -293,6 +294,39 @@ func TestTwoSidedUsesServerCPU(t *testing.T) {
 	k.Run()
 	if n := store.Node().Stats().SendsReceived; n != 5 {
 		t.Errorf("server received %d sends, want 5", n)
+	}
+}
+
+// TestTwoSidedRepliesShareOneQP: the store answers every two-sided
+// request from one client on the same QP, connected on the first
+// request, instead of opening a QP per reply.
+func TestTwoSidedRepliesShareOneQP(t *testing.T) {
+	k, f, store, kv := testStore(t, smallOpts())
+	fr, err := trace.NewFlightRecorder(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.SetFlightRecorders([]*trace.FlightRecorder{fr}); err != nil {
+		t.Fatal(err)
+	}
+	for i := uint64(0); i < 3; i++ {
+		_ = kv.PutTwoSided(i, valFor(i), func(error) {})
+		_ = kv.GetTwoSided(i, func([]byte, error) {})
+	}
+	k.Run()
+	var qps []int32
+	for _, sp := range fr.Spans() {
+		if sp.Op == trace.OpSend && sp.Initiator == store.Node().Name() && sp.Target == kv.Node().Name() {
+			qps = append(qps, sp.QP)
+		}
+	}
+	if len(qps) != 6 {
+		t.Fatalf("recorded %d store-to-client SENDs, want 6", len(qps))
+	}
+	for _, qp := range qps[1:] {
+		if qp != qps[0] {
+			t.Fatalf("replies used QPs %v, want one", qps)
+		}
 	}
 }
 

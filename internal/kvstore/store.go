@@ -112,6 +112,10 @@ type Store struct {
 	locs        []int64
 	primed      int
 	primedFound int
+
+	// replies holds the one QP two-sided responses take to each client,
+	// connected on that client's first request.
+	replies map[*rdma.Node]*rdma.QP
 }
 
 // primeShared returns the shared primed-location slab covering keys
@@ -437,13 +441,30 @@ type putResponse struct {
 	err   string
 }
 
+// reply returns the QP responses to client take, connecting it on the
+// client's first request.
+func (s *Store) reply(client *rdma.Node) (*rdma.QP, error) {
+	if qp := s.replies[client]; qp != nil {
+		return qp, nil
+	}
+	qp, err := s.node.Fabric().Connect(s.node, client)
+	if err != nil {
+		return nil, err
+	}
+	if s.replies == nil {
+		s.replies = make(map[*rdma.Node]*rdma.QP)
+	}
+	s.replies[client] = qp
+	return qp, nil
+}
+
 func (s *Store) handleGet(from *rdma.Node, body any) {
 	req, ok := body.(getRequest)
 	if !ok {
 		return
 	}
 	v, found := s.Get(req.key)
-	qp, err := s.node.Fabric().Connect(s.node, from)
+	qp, err := s.reply(from)
 	if err != nil {
 		return
 	}
@@ -463,7 +484,7 @@ func (s *Store) handlePut(from *rdma.Node, body any) {
 	if err := s.Put(req.key, req.value); err != nil {
 		errStr = err.Error()
 	}
-	qp, err := s.node.Fabric().Connect(s.node, from)
+	qp, err := s.reply(from)
 	if err != nil {
 		return
 	}

@@ -187,6 +187,12 @@ func (n *Node) Kernel() *sim.Kernel { return n.k }
 // Shard returns the node's shard index (0 on a one-shard fabric).
 func (n *Node) Shard() int { return n.shard }
 
+// Flight returns the node's shard's flight recorder, or nil when
+// recording is off. Code running on the node's kernel — its monitor or
+// engines — marks protocol events there, keeping the recorder
+// single-writer at any worker count.
+func (n *Node) Flight() *trace.FlightRecorder { return n.flight }
+
 // Kind returns the node kind.
 func (n *Node) Kind() NodeKind { return n.kind }
 

@@ -61,7 +61,7 @@ func TestFlightSpansThroughPipeline(t *testing.T) {
 	if data.Op != trace.OpRead || ctrl.Op != trace.OpFetchAdd {
 		t.Errorf("ops = %v/%v, want read/fetch-add", data.Op, ctrl.Op)
 	}
-	if data.Initiator != "c1" || data.Target != "dn" || data.QP != qp.ID() {
+	if data.Initiator != "c1" || data.Target != "dn" || int(data.QP) != qp.ID() {
 		t.Errorf("data span endpoints = %s→%s qp=%d", data.Initiator, data.Target, data.QP)
 	}
 

@@ -52,21 +52,22 @@ func (p *pidTable) id(name string) int {
 	return id
 }
 
-// WriteChromeTrace renders the recorder's retained spans (and, when rec
-// is non-nil, its protocol events as instant markers) as Chrome
-// trace_event JSON. Each initiator node becomes a process track and
-// each QP a thread within it; every data span emits one enclosing slice
-// for the whole verb plus one nested slice per pipeline stage, so a
-// burst tenant's widening target-queue slices are directly visible in
-// Perfetto. Control spans emit a single slice.
+// WriteChromeTrace renders the recorder's retained timeline as Chrome
+// trace_event JSON: spans as slices, protocol events as instant markers
+// on one process track per actor ("monitor", "engine-3"). Each initiator
+// node becomes a process track and each QP a thread within it; every
+// data span emits one enclosing slice for the whole verb plus one nested
+// slice per pipeline stage, so a burst tenant's widening target-queue
+// slices are directly visible in Perfetto. Control spans emit a single
+// slice.
 //
 // For a merged sharded recorder (MergeFlightRecorders over > 1 shard)
-// the layout changes: each shard becomes a process track ("shard-K",
-// pid K+1) and each QP a named thread within it (QP ids are
+// the span layout changes: each shard becomes a process track
+// ("shard-K", pid K+1) and each QP a named thread within it (QP ids are
 // fabric-unique), so quantum-parallel shards render side by side and
 // cross-shard verbs are visible as slices whose target lives on another
-// track. Unsharded output is unchanged.
-func WriteChromeTrace(w io.Writer, fr *FlightRecorder, rec *Recorder) error {
+// track. Protocol events keep their per-actor tracks in both layouts.
+func WriteChromeTrace(w io.Writer, fr *FlightRecorder) error {
 	sharded := fr.Sharded()
 	var pids pidTable
 	if sharded {
@@ -77,17 +78,30 @@ func WriteChromeTrace(w io.Writer, fr *FlightRecorder, rec *Recorder) error {
 	seenThread := make(map[threadKey]bool)
 	var events []chromeEvent
 	for _, sp := range fr.Spans() {
+		if sp.Kind != 0 {
+			events = append(events, chromeEvent{
+				Name: sp.Kind.String(),
+				Cat:  "protocol",
+				Ph:   "i",
+				S:    "t",
+				Ts:   chromeUS(sp.Posted),
+				Pid:  pids.id(sp.Initiator),
+				Args: map[string]any{"A": sp.A, "B": sp.B},
+			})
+			continue
+		}
 		var pid int
+		tid := int(sp.QP)
 		if sharded {
-			pid = sp.Shard + 1
-			tk := threadKey{pid, sp.QP}
+			pid = sp.Shard() + 1
+			tk := threadKey{pid, tid}
 			if !seenThread[tk] {
 				seenThread[tk] = true
 				threadMeta = append(threadMeta, chromeEvent{
 					Name: "thread_name",
 					Ph:   "M",
 					Pid:  pid,
-					Tid:  sp.QP,
+					Tid:  tid,
 					Args: map[string]any{"name": sp.Initiator},
 				})
 			}
@@ -105,7 +119,7 @@ func WriteChromeTrace(w io.Writer, fr *FlightRecorder, rec *Recorder) error {
 			Ts:   chromeUS(sp.Posted),
 			Dur:  chromeUS(sp.End() - sp.Posted),
 			Pid:  pid,
-			Tid:  sp.QP,
+			Tid:  tid,
 			Args: map[string]any{"span": sp.ID, "target": sp.Target},
 		})
 		if sp.Control {
@@ -133,20 +147,7 @@ func WriteChromeTrace(w io.Writer, fr *FlightRecorder, rec *Recorder) error {
 				Ts:   chromeUS(st.from),
 				Dur:  chromeUS(st.to - st.from),
 				Pid:  pid,
-				Tid:  sp.QP,
-			})
-		}
-	}
-	if rec != nil {
-		for _, ev := range rec.Events() {
-			events = append(events, chromeEvent{
-				Name: ev.Kind.String(),
-				Cat:  "protocol",
-				Ph:   "i",
-				S:    "t",
-				Ts:   chromeUS(ev.At),
-				Pid:  pids.id(ev.Actor),
-				Args: map[string]any{"A": ev.A, "B": ev.B},
+				Tid:  tid,
 			})
 		}
 	}

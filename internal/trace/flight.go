@@ -2,7 +2,10 @@ package trace
 
 import (
 	"fmt"
+	"io"
+	"slices"
 	"sort"
+	"strings"
 
 	"github.com/haechi-qos/haechi/internal/metrics"
 	"github.com/haechi-qos/haechi/internal/sim"
@@ -46,12 +49,13 @@ func (s *StageStats) record(sp *Span) {
 	}
 }
 
-// FlightRecorder collects finished spans into a bounded ring and folds
-// every finished data span into per-initiator stage histograms. All
-// methods are nil-safe so instrumented code needs no recorder checks at
-// call sites, and nothing here ever touches the kernel's event queue:
-// a run with a recorder attached executes the exact same event
-// sequence as a run without one.
+// FlightRecorder collects finished spans and protocol events into one
+// bounded ring, in the order they happen, folds every finished data span
+// into per-initiator stage histograms, and counts every event by kind.
+// All methods are nil-safe so instrumented code needs no recorder checks
+// at call sites, and nothing here ever touches the kernel's event queue:
+// a run with a recorder attached executes the exact same event sequence
+// as a run without one.
 type FlightRecorder struct {
 	ring     []Span
 	next     int
@@ -59,12 +63,15 @@ type FlightRecorder struct {
 	nextID   uint64
 	started  uint64
 	finished uint64
+	// recorded counts every ring write (finished spans and marked
+	// events), evicted or not; marks counts events by kind, exactly.
+	recorded uint64
+	marks    [256]uint64
 	stats    map[string]*StageStats
 
-	// shard/idBase identify a per-shard recorder: span IDs are offset by
-	// idBase so they stay unique after merging, and every span is stamped
-	// with the shard it began on. Both zero on the unsharded path.
-	shard  int
+	// idBase identifies a per-shard recorder: span IDs are offset by it
+	// (shard<<56) so they stay unique after merging and name the shard
+	// they began on. Zero on the unsharded path.
 	idBase uint64
 	// shards > 1 marks a recorder produced by MergeFlightRecorders; the
 	// Chrome exporter switches to one process track per shard.
@@ -72,7 +79,7 @@ type FlightRecorder struct {
 }
 
 // NewFlightRecorder creates a recorder keeping the last capacity
-// finished spans.
+// finished spans and protocol events.
 func NewFlightRecorder(capacity int) (*FlightRecorder, error) {
 	if capacity <= 0 {
 		return nil, fmt.Errorf("trace: flight recorder capacity must be positive, got %d", capacity)
@@ -96,7 +103,6 @@ func NewShardFlightRecorder(capacity, s int) (*FlightRecorder, error) {
 	if err != nil {
 		return nil, err
 	}
-	fr.shard = s
 	fr.idBase = uint64(s) << 56
 	return fr, nil
 }
@@ -114,12 +120,11 @@ func (f *FlightRecorder) Begin(sp *Span, op Op, control bool, initiator, target 
 	f.started++
 	*sp = Span{
 		ID:        f.idBase + f.nextID,
-		Shard:     f.shard,
 		Op:        op,
 		Control:   control,
 		Initiator: initiator,
 		Target:    target,
-		QP:        qp,
+		QP:        int32(qp),
 		Posted:    at,
 		Credit:    Unset,
 		InitDone:  Unset,
@@ -139,12 +144,7 @@ func (f *FlightRecorder) Finish(sp *Span) {
 		return
 	}
 	f.finished++
-	f.ring[f.next] = *sp
-	f.next++
-	if f.next == len(f.ring) {
-		f.next = 0
-		f.wrapped = true
-	}
+	*f.slot() = *sp
 	if !sp.Control {
 		st := f.stats[sp.Initiator]
 		if st == nil {
@@ -153,6 +153,43 @@ func (f *FlightRecorder) Finish(sp *Span) {
 		}
 		st.record(sp)
 	}
+}
+
+// Mark records a protocol event of kind k by actor at virtual time at:
+// it takes the next ring slot, beside the verb spans, and counts in the
+// exact per-kind totals. Safe on a nil receiver.
+func (f *FlightRecorder) Mark(at sim.Time, k Kind, actor string, a, b int64) {
+	if f == nil {
+		return
+	}
+	f.marks[k]++
+	*f.slot() = Span{
+		ID:        f.idBase,
+		Kind:      k,
+		Initiator: actor,
+		A:         a,
+		B:         b,
+		Posted:    at,
+		Credit:    Unset,
+		InitDone:  Unset,
+		Arrived:   Unset,
+		Service:   Unset,
+		Served:    Unset,
+		Done:      Unset,
+	}
+}
+
+// slot returns the ring entry the next record overwrites, evicting the
+// oldest when the ring is full.
+func (f *FlightRecorder) slot() *Span {
+	sp := &f.ring[f.next]
+	f.recorded++
+	f.next++
+	if f.next == len(f.ring) {
+		f.next = 0
+		f.wrapped = true
+	}
+	return sp
 }
 
 // Started returns the number of spans begun.
@@ -165,7 +202,7 @@ func (f *FlightRecorder) Started() uint64 {
 
 // Finished returns the number of spans finished (spans still in flight
 // when the simulation ends are never finished and stay out of the
-// ring).
+// ring). Protocol events are not spans and are not counted here.
 func (f *FlightRecorder) Finished() uint64 {
 	if f == nil {
 		return 0
@@ -173,9 +210,10 @@ func (f *FlightRecorder) Finished() uint64 {
 	return f.finished
 }
 
-// Dropped returns the number of finished spans evicted from the ring
-// (finished minus retained). Histograms still cover evicted spans; only
-// the per-span export window loses them.
+// Dropped returns the number of ring entries — finished spans and
+// events — evicted from the ring (recorded minus retained). Histograms
+// and per-kind totals still cover evicted entries; only the export
+// window loses them.
 func (f *FlightRecorder) Dropped() uint64 {
 	if f == nil {
 		return 0
@@ -184,16 +222,16 @@ func (f *FlightRecorder) Dropped() uint64 {
 	if f.wrapped {
 		retained = uint64(len(f.ring))
 	}
-	return f.finished - retained
+	return f.recorded - retained
 }
 
-// Shard returns the shard index this recorder records for (0 on the
-// unsharded path).
-func (f *FlightRecorder) Shard() int {
+// Count returns the number of protocol events of kind k ever marked,
+// evicted ones included.
+func (f *FlightRecorder) Count(k Kind) uint64 {
 	if f == nil {
 		return 0
 	}
-	return f.shard
+	return f.marks[k]
 }
 
 // Sharded reports whether this recorder was produced by merging more
@@ -217,7 +255,8 @@ func (f *FlightRecorder) Capacity() int {
 	return len(f.ring)
 }
 
-// Spans returns the retained spans in finish order, oldest first.
+// Spans returns the retained spans and events in record order, oldest
+// first.
 func (f *FlightRecorder) Spans() []Span {
 	if f == nil {
 		return nil
@@ -233,6 +272,47 @@ func (f *FlightRecorder) Spans() []Span {
 	return out
 }
 
+// Events returns the retained protocol events of the given kinds (of
+// every kind when none is given), oldest first.
+func (f *FlightRecorder) Events(kinds ...Kind) []Span {
+	var out []Span
+	for _, sp := range f.Spans() {
+		if sp.Kind != 0 && (len(kinds) == 0 || slices.Contains(kinds, sp.Kind)) {
+			out = append(out, sp)
+		}
+	}
+	return out
+}
+
+// Dump writes the retained timeline — spans and events together — to w,
+// one per line, oldest first.
+func (f *FlightRecorder) Dump(w io.Writer) error {
+	for _, sp := range f.Spans() {
+		if _, err := fmt.Fprintln(w, sp.String()); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Summary renders the exact per-kind event totals on one line, in Kind
+// order; every Kind value is visited, so a kind declared after
+// LocalViolation (or not declared at all) still appears.
+func (f *FlightRecorder) Summary() string {
+	var parts []string
+	if f != nil {
+		for k, n := range f.marks {
+			if n > 0 {
+				parts = append(parts, fmt.Sprintf("%s=%d", Kind(k), n))
+			}
+		}
+	}
+	if len(parts) == 0 {
+		return "trace: empty"
+	}
+	return "trace: " + strings.Join(parts, " ")
+}
+
 // merge folds another actor's stage statistics into s.
 func (s *StageStats) merge(o *StageStats) {
 	hs := s.Histograms()
@@ -245,17 +325,19 @@ func (s *StageStats) merge(o *StageStats) {
 // recorder, deterministically and independent of the worker count that
 // drove the shards:
 //
-//   - retained spans are k-way merged in (End, shard) order — End is
-//     nondecreasing within a shard because Finish runs at the span's
-//     final stamp, so preserving each shard's finish order and breaking
-//     cross-shard ties by shard index yields a total order;
+//   - retained spans and events are k-way merged in (End, shard) order —
+//     End is nondecreasing within a shard because Finish runs at the
+//     span's final stamp and Mark at the event's instant, so preserving
+//     each shard's record order and breaking cross-shard ties by shard
+//     index yields a total order;
 //   - per-actor stage histograms merge via Histogram.Merge (an actor's
 //     spans may finish on different shards: delivery finishes on the
 //     initiator's recorder, serve-only completions on the target's);
-//   - started/finished counters sum across shards.
+//   - started/finished counters and per-kind event totals sum across
+//     shards.
 //
-// The result must not receive further Begin/Finish calls; it exists for
-// export (Spans, Stages, Chrome trace). A single recorder is returned
+// The result must not receive further Begin/Finish/Mark calls; it exists
+// for export (Spans, Stages, Summary, Chrome trace). A single recorder is returned
 // unchanged.
 func MergeFlightRecorders(frs ...*FlightRecorder) *FlightRecorder {
 	if len(frs) == 1 {
@@ -272,6 +354,10 @@ func MergeFlightRecorders(frs ...*FlightRecorder) *FlightRecorder {
 		total += len(spans[i])
 		m.started += f.Started()
 		m.finished += f.Finished()
+		m.recorded += f.recorded
+		for k, n := range f.marks {
+			m.marks[k] += n
+		}
 	}
 	ring := make([]Span, 0, total)
 	idx := make([]int, len(frs))

@@ -123,7 +123,8 @@ func TestSpanStageDurations(t *testing.T) {
 }
 
 // TestFlightRecordingNoAlloc pins that a span begun in caller-owned
-// storage and finished into a warm recorder allocates nothing.
+// storage and finished into a warm recorder, and a marked protocol
+// event, allocate nothing.
 func TestFlightRecordingNoAlloc(t *testing.T) {
 	fr, err := NewFlightRecorder(8)
 	if err != nil {
@@ -134,10 +135,11 @@ func TestFlightRecordingNoAlloc(t *testing.T) {
 		sp := fr.Begin(&store, OpRead, false, "c1", "dn", 1, 100)
 		sp.Credit, sp.InitDone, sp.Arrived, sp.Service, sp.Served, sp.Done = 110, 150, 160, 200, 240, 250
 		fr.Finish(sp)
+		fr.Mark(250, Claim, "engine-0", 1, 2)
 	}
 	record() // creates c1's StageStats
 	if n := testing.AllocsPerRun(100, record); n != 0 {
-		t.Errorf("Begin+Finish allocates %v objects per span, want 0", n)
+		t.Errorf("Begin+Finish+Mark allocates %v objects per span, want 0", n)
 	}
 }
 
@@ -152,14 +154,10 @@ func TestWriteChromeTrace(t *testing.T) {
 	cp := fr.Begin(new(Span), OpFetchAdd, true, "c1", "dn", 1, 300)
 	cp.InitDone, cp.Arrived, cp.Served, cp.Done = 320, 330, 350, 360
 	fr.Finish(cp)
-	rec, err := NewRecorder(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec.Record(Event{At: 500, Kind: Claim, Actor: "engine-0", A: 1, B: 2})
+	fr.Mark(500, Claim, "engine-0", 1, 2)
 
 	var buf bytes.Buffer
-	if err := WriteChromeTrace(&buf, fr, rec); err != nil {
+	if err := WriteChromeTrace(&buf, fr); err != nil {
 		t.Fatal(err)
 	}
 	var out struct {
@@ -211,7 +209,7 @@ func TestWriteChromeTrace(t *testing.T) {
 	}
 	// Export is deterministic: a second render is byte-identical.
 	var buf2 bytes.Buffer
-	if err := WriteChromeTrace(&buf2, fr, rec); err != nil {
+	if err := WriteChromeTrace(&buf2, fr); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
@@ -219,29 +217,22 @@ func TestWriteChromeTrace(t *testing.T) {
 	}
 }
 
-// TestKindsRoundTrip guards trace.Kinds() and Kind.String() against a
-// Kind constant added without a name or without a Kinds() entry.
+// TestKindsRoundTrip guards Kind.String() against a Kind constant added
+// without a name: the declared kinds PeriodStart..LocalViolation all have
+// distinct names, and no value outside that range is named.
 func TestKindsRoundTrip(t *testing.T) {
-	kinds := Kinds()
-	if len(kinds) == 0 {
-		t.Fatal("no kinds declared")
-	}
 	seen := map[string]bool{}
-	for _, k := range kinds {
+	for v := 0; v < 256; v++ {
+		k := Kind(v)
 		s := k.String()
-		if strings.HasPrefix(s, "Kind(") {
-			t.Errorf("kind %d has no String() name", uint8(k))
+		declared := k >= PeriodStart && k <= LocalViolation
+		if strings.HasPrefix(s, "Kind(") == declared {
+			t.Errorf("kind %d = %q, declared %v", v, s, declared)
 		}
-		if seen[s] {
+		if declared && seen[s] {
 			t.Errorf("duplicate kind name %q", s)
 		}
 		seen[s] = true
-	}
-	// The value one past the last declared kind must hit the fallback;
-	// if it doesn't, a named Kind exists that Kinds() fails to list.
-	next := kinds[len(kinds)-1] + 1
-	if !strings.HasPrefix(next.String(), "Kind(") {
-		t.Errorf("Kind %d = %q is named but missing from Kinds()", uint8(next), next.String())
 	}
 }
 
@@ -249,14 +240,14 @@ func TestKindsRoundTrip(t *testing.T) {
 // kind beyond the last declared constant must still be counted (the old
 // loop `for k := PeriodStart; k <= LocalViolation; k++` dropped them).
 func TestSummaryIncludesAllObservedKinds(t *testing.T) {
-	r, err := NewRecorder(8)
+	fr, err := NewFlightRecorder(1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	future := LocalViolation + 1
-	r.Record(Event{Kind: future})
-	r.Record(Event{Kind: Claim})
-	sum := r.Summary()
+	fr.Mark(0, future, "engine-0", 0, 0)
+	fr.Mark(0, Claim, "engine-0", 0, 0) // evicts the future-kind event
+	sum := fr.Summary()
 	if !strings.Contains(sum, "claim=1") {
 		t.Errorf("summary %q missing claim=1", sum)
 	}
@@ -270,8 +261,8 @@ func TestSummaryIncludesAllObservedKinds(t *testing.T) {
 }
 
 // TestMergeFlightRecorders pins the deterministic merge of per-shard
-// recorders: spans in (End, shard) order with unique per-shard ID
-// bases, counters summed, and an actor's histograms folded together
+// recorders: spans and events in (End, shard) order with unique
+// per-shard ID bases, counters summed, and an actor's histograms folded together
 // even when its spans finished on different shards.
 func TestMergeFlightRecorders(t *testing.T) {
 	newShard := func(s int) *FlightRecorder {
@@ -312,16 +303,16 @@ func TestMergeFlightRecorders(t *testing.T) {
 	ids := map[uint64]bool{}
 	for i, sp := range spans {
 		w := wantOrder[i]
-		if int64(sp.End()) != w.end || sp.Shard != w.shard {
+		if int64(sp.End()) != w.end || sp.Shard() != w.shard {
 			t.Errorf("span %d = end %d shard %d, want end %d shard %d",
-				i, int64(sp.End()), sp.Shard, w.end, w.shard)
+				i, int64(sp.End()), sp.Shard(), w.end, w.shard)
 		}
 		if ids[sp.ID] {
 			t.Errorf("duplicate merged span ID %d", sp.ID)
 		}
 		ids[sp.ID] = true
-		if want := uint64(sp.Shard) << 56; sp.ID&^(uint64(1)<<56-1) != want {
-			t.Errorf("span ID %#x missing shard-%d base", sp.ID, sp.Shard)
+		if want := uint64(sp.Shard()) << 56; sp.ID&^(uint64(1)<<56-1) != want {
+			t.Errorf("span ID %#x missing shard-%d base", sp.ID, sp.Shard())
 		}
 	}
 	st := m.Stages()
@@ -330,6 +321,19 @@ func TestMergeFlightRecorders(t *testing.T) {
 	}
 	if st[0].Actor != "c1" || st[0].Total.Count() != 3 {
 		t.Errorf("c1 merged histogram count = %d, want 3 (spans from two shards)", st[0].Total.Count())
+	}
+	// Events merge by their instant beside the spans, keep their
+	// shard, and their per-kind totals sum.
+	fr1.Mark(250, Claim, "engine-1", 0, 0)
+	fr2.Mark(60, Claim, "engine-2", 0, 0)
+	m = MergeFlightRecorders(fr0, fr1, fr2)
+	all, evs := m.Spans(), m.Events()
+	if len(all) != 7 || all[1].Kind != Claim || all[5].Kind != Claim {
+		t.Errorf("merged timeline = %d entries with events at %v/%v, want 7 with claims at 1 and 5",
+			len(all), all[1].Kind, all[5].Kind)
+	}
+	if m.Count(Claim) != 2 || len(evs) != 2 || evs[0].Shard() != 2 || evs[1].Shard() != 1 || m.Finished() != 5 {
+		t.Errorf("merged events: %d counted, %d retained, finished %d", m.Count(Claim), len(evs), m.Finished())
 	}
 	// Identity on a single recorder: no copy, no shard marking.
 	if got := MergeFlightRecorders(fr0); got != fr0 || got.Sharded() {
@@ -379,7 +383,7 @@ func TestWriteChromeTraceSharded(t *testing.T) {
 	m := MergeFlightRecorders(fr0, fr1)
 
 	var buf bytes.Buffer
-	if err := WriteChromeTrace(&buf, m, nil); err != nil {
+	if err := WriteChromeTrace(&buf, m); err != nil {
 		t.Fatal(err)
 	}
 	var out struct {

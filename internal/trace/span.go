@@ -57,17 +57,26 @@ const Unset sim.Time = -1
 //
 // Control verbs (atomics, small writes, sends) skip Credit/Service:
 // they take the priority path straight through both NICs.
+//
+// A Span with a non-zero Kind is instead a protocol event (see
+// FlightRecorder.Mark): Initiator names the actor, Posted is the
+// instant, A and B carry the kind's values, and every later stamp is
+// Unset. Events and verb spans share the ring, so one timeline holds
+// both without a second buffer; the layout keeps a Span at 120 bytes
+// (TestSpanFootprint).
 type Span struct {
-	ID        uint64
-	Op        Op
-	Control   bool
+	// ID's top byte is the shard that recorded the entry (see Shard).
+	// A verb span's ID is unique within a run; protocol events all
+	// carry the bare shard base, which no verb span uses.
+	ID      uint64
+	Op      Op
+	Control bool
+	Kind    Kind
+	QP      int32
+
 	Initiator string
 	Target    string
-	QP        int
-	// Shard is the shard index of the recorder that began the span (the
-	// initiator's shard); 0 on the unsharded path. Sharded Chrome export
-	// groups spans into one process track per shard by this field.
-	Shard int
+	A, B      int64
 
 	Posted   sim.Time
 	Credit   sim.Time
@@ -76,6 +85,20 @@ type Span struct {
 	Service  sim.Time
 	Served   sim.Time
 	Done     sim.Time
+}
+
+// Shard returns the index of the shard whose recorder began the span or
+// marked the event; 0 on the unsharded path. Sharded Chrome export
+// groups verb spans into one process track per shard by it.
+func (s *Span) Shard() int { return int(s.ID >> 56) }
+
+// String formats the span or event as one line of a timeline dump,
+// stamped with the instant it was recorded (End).
+func (s *Span) String() string {
+	if s.Kind != 0 {
+		return fmt.Sprintf("%-12v %-15s %-10s A=%d B=%d", s.End(), s.Kind, s.Initiator, s.A, s.B)
+	}
+	return fmt.Sprintf("%-12v %-15s %-10s -> %s qp=%d total=%v", s.End(), s.Op, s.Initiator, s.Target, s.QP, s.Total())
 }
 
 // StageNames lists the per-stage latency components of a data span, in

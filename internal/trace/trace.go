@@ -1,24 +1,19 @@
-// Package trace records structured protocol events into a fixed-size
-// ring buffer, for debugging and analyzing Haechi runs: token pushes and
-// claims, yields and returns, pool caps, reports, capacity updates,
-// throttling, and failure-detection transitions. Recording is optional
-// and nil-safe — components hold a *Recorder that may be nil — and adds
-// a single branch when disabled.
+// Package trace is the flight recorder of a Haechi run: one bounded ring
+// per shard that holds, in the order they happen, the pipeline spans of
+// RDMA verbs and the protocol events of the QoS control plane (token
+// pushes and claims, yields and returns, pool caps, reports, capacity
+// updates, throttling, and failure-detection transitions), plus exact
+// per-stage latency histograms and per-kind event totals. Recording is
+// optional and nil-safe — components reach a *FlightRecorder that may be
+// nil — and adds a single branch when disabled.
 package trace
 
-import (
-	"fmt"
-	"io"
-	"sort"
-	"strings"
+import "fmt"
 
-	"github.com/haechi-qos/haechi/internal/sim"
-)
-
-// Kind classifies a protocol event.
+// Kind classifies a protocol event; the zero Kind marks a verb span.
 type Kind uint8
 
-// Event kinds. A and B in Event carry kind-specific values as noted.
+// Event kinds. A and B in Span carry kind-specific values as noted.
 const (
 	// PeriodStart: a new QoS period at the monitor. A=period index,
 	// B=token budget Omega.
@@ -56,18 +51,6 @@ const (
 	LocalViolation
 )
 
-// Kinds lists every declared event kind in declaration order. Summary
-// and other by-kind renderings must not hardcode the range of declared
-// kinds (a Kind added after the last constant would silently vanish);
-// they either iterate observed kinds or use this list.
-func Kinds() []Kind {
-	return []Kind{
-		PeriodStart, TokenPush, ReportSignal, Report, Claim, Probe,
-		Yield, PoolCap, CapacityUpdate, LimitThrottle, FailureSuspect,
-		FailureRecover, LocalViolation,
-	}
-}
-
 // String names the kind.
 func (k Kind) String() string {
 	switch k {
@@ -100,129 +83,4 @@ func (k Kind) String() string {
 	default:
 		return fmt.Sprintf("Kind(%d)", uint8(k))
 	}
-}
-
-// Event is one recorded protocol event.
-type Event struct {
-	At   sim.Time
-	Kind Kind
-	// Actor identifies the emitting component ("monitor", "engine-3").
-	Actor string
-	// A and B carry kind-specific values (see the Kind constants).
-	A, B int64
-}
-
-// String formats the event for dumps.
-func (e Event) String() string {
-	return fmt.Sprintf("%-12v %-15s %-10s A=%d B=%d", e.At, e.Kind, e.Actor, e.A, e.B)
-}
-
-// Recorder is a fixed-capacity ring buffer of events. The zero value is
-// unusable; construct with NewRecorder. A nil *Recorder is a valid no-op
-// target for Record.
-type Recorder struct {
-	buf     []Event
-	next    int
-	wrapped bool
-	total   uint64
-}
-
-// NewRecorder creates a recorder keeping the most recent capacity events.
-func NewRecorder(capacity int) (*Recorder, error) {
-	if capacity <= 0 {
-		return nil, fmt.Errorf("trace: capacity must be positive, got %d", capacity)
-	}
-	return &Recorder{buf: make([]Event, capacity)}, nil
-}
-
-// Record appends an event, evicting the oldest when full. Safe on a nil
-// receiver.
-func (r *Recorder) Record(ev Event) {
-	if r == nil {
-		return
-	}
-	r.buf[r.next] = ev
-	r.next++
-	r.total++
-	if r.next == len(r.buf) {
-		r.next = 0
-		r.wrapped = true
-	}
-}
-
-// Total returns the number of events ever recorded (including evicted).
-func (r *Recorder) Total() uint64 {
-	if r == nil {
-		return 0
-	}
-	return r.total
-}
-
-// Events returns the retained events in chronological order.
-func (r *Recorder) Events() []Event {
-	if r == nil {
-		return nil
-	}
-	if !r.wrapped {
-		out := make([]Event, r.next)
-		copy(out, r.buf[:r.next])
-		return out
-	}
-	out := make([]Event, 0, len(r.buf))
-	out = append(out, r.buf[r.next:]...)
-	out = append(out, r.buf[:r.next]...)
-	return out
-}
-
-// Filter returns retained events of the given kinds, chronological.
-func (r *Recorder) Filter(kinds ...Kind) []Event {
-	var out []Event
-	for _, ev := range r.Events() {
-		for _, k := range kinds {
-			if ev.Kind == k {
-				out = append(out, ev)
-				break
-			}
-		}
-	}
-	return out
-}
-
-// Counts tallies retained events by kind.
-func (r *Recorder) Counts() map[Kind]int {
-	out := make(map[Kind]int)
-	for _, ev := range r.Events() {
-		out[ev.Kind]++
-	}
-	return out
-}
-
-// Dump writes the retained events to w, one per line.
-func (r *Recorder) Dump(w io.Writer) error {
-	for _, ev := range r.Events() {
-		if _, err := fmt.Fprintln(w, ev.String()); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Summary renders per-kind counts on one line. It iterates the kinds
-// actually observed, in sorted order, so events of kinds declared after
-// LocalViolation (or not declared at all) still appear.
-func (r *Recorder) Summary() string {
-	counts := r.Counts()
-	if len(counts) == 0 {
-		return "trace: empty"
-	}
-	kinds := make([]Kind, 0, len(counts))
-	for k := range counts {
-		kinds = append(kinds, k)
-	}
-	sort.Slice(kinds, func(i, j int) bool { return kinds[i] < kinds[j] })
-	parts := make([]string, len(kinds))
-	for i, k := range kinds {
-		parts[i] = fmt.Sprintf("%s=%d", k, counts[k])
-	}
-	return "trace: " + strings.Join(parts, " ")
 }
