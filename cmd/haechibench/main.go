@@ -19,10 +19,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
-	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/haechi-qos/haechi/internal/cluster"
@@ -114,11 +111,10 @@ func run(args []string) int {
 	exp := &exporter{traceOut: *traceOut, metricsOut: *metricsOut}
 	if *traceOut != "" || *metricsOut != "" {
 		// Artifact export works at any -parallel and -shard-workers value:
-		// each run carries a deterministic RunTag, the exporter orders
-		// artifacts by it at flush time, and sharded runs keep one
-		// recorder per shard (merged after the run), so neither knob
-		// changes the bytes written.
-		ob := &cluster.Observe{OnResults: exp.capture}
+		// experiments return their runs in sweep order, and sharded runs
+		// keep one recorder per shard (merged after the run), so neither
+		// knob changes the bytes written.
+		ob := &cluster.Observe{}
 		if *traceOut != "" {
 			ob.FlightSpans = *traceSpans
 		}
@@ -126,14 +122,6 @@ func run(args []string) int {
 			ob.MetricsInterval = cluster.DefaultMetricsInterval(core.NewDefaultParams().Period)
 		}
 		opts.Base.Observe = ob
-	} else {
-		// Events-per-wall-second accounting: every cluster run reports its
-		// deterministic kernel event count; the sum is divided by the
-		// experiment's wall time. The counter is atomic because parallel
-		// sweeps complete runs concurrently.
-		opts.Base.Observe = &cluster.Observe{OnResults: func(res *cluster.Results) {
-			atomic.AddUint64(&exp.events, res.EventsExecuted)
-		}}
 	}
 
 	switch {
@@ -160,7 +148,6 @@ func run(args []string) int {
 
 func runOne(id string, opts experiments.Options, csvDir string, exp *exporter) error {
 	start := time.Now()
-	atomic.StoreUint64(&exp.events, 0)
 	rep, err := experiments.Run(id, opts)
 	if err != nil {
 		return err
@@ -173,13 +160,19 @@ func runOne(id string, opts experiments.Options, csvDir string, exp *exporter) e
 		}
 		fmt.Printf("csv: %v"+"\n", paths)
 	}
-	if err := exp.flush(); err != nil {
+	if err := exp.write(rep.Runs); err != nil {
 		return err
 	}
 	elapsed := time.Since(start)
 	status := fmt.Sprintf("[%s completed in %v at scale %.0f, %d+%d periods",
 		rep.ID, elapsed.Round(time.Millisecond), opts.Base.Scale, opts.WarmupPeriods, opts.MeasurePeriods)
-	if ev := atomic.LoadUint64(&exp.events); ev > 0 {
+	// Events per wall second: the runs' deterministic kernel event
+	// counts over the experiment's wall time.
+	var ev uint64
+	for _, res := range rep.Runs {
+		ev += res.EventsExecuted
+	}
+	if ev > 0 {
 		status += fmt.Sprintf("; %d kernel events, %.1fM events/wall-sec",
 			ev, float64(ev)/elapsed.Seconds()/1e6)
 	}
@@ -187,32 +180,14 @@ func runOne(id string, opts experiments.Options, csvDir string, exp *exporter) e
 	return nil
 }
 
-// exporter captures each cluster run's Results through the Observe hook
-// and writes the observability artifacts after the experiment finishes.
-// Experiments that compare modes run several clusters; runs are ordered
-// by their deterministic RunTag, the first gets the exact
-// -trace/-metrics filename, later ones a -NN suffix.
+// exporter writes the observability artifacts of each experiment's
+// cluster runs. Experiments that compare modes run several clusters;
+// in sweep order, the first run gets the exact -trace/-metrics
+// filename, later ones a -NN suffix.
 type exporter struct {
 	traceOut   string
 	metricsOut string
 	written    int
-	// mu guards pending: under a parallel sweep the Observe hook fires
-	// concurrently from worker goroutines.
-	mu      sync.Mutex
-	pending []*cluster.Results
-	// events sums Results.EventsExecuted across the current experiment's
-	// cluster runs; accessed atomically (parallel sweeps report
-	// concurrently).
-	events uint64
-}
-
-func (e *exporter) capture(res *cluster.Results) {
-	if e.traceOut == "" && e.metricsOut == "" {
-		return
-	}
-	e.mu.Lock()
-	e.pending = append(e.pending, res)
-	e.mu.Unlock()
 }
 
 // suffixed numbers artifact paths past the first: out.json, out-02.json…
@@ -224,14 +199,11 @@ func suffixed(path string, n int) string {
 	return fmt.Sprintf("%s-%02d%s", strings.TrimSuffix(path, ext), n+1, ext)
 }
 
-func (e *exporter) flush() error {
-	// Order by the experiment's deterministic run index, not completion
-	// order, so a parallel sweep writes the same files as a sequential
-	// one.
-	sort.SliceStable(e.pending, func(i, j int) bool {
-		return e.pending[i].RunTag < e.pending[j].RunTag
-	})
-	for _, res := range e.pending {
+func (e *exporter) write(runs []*cluster.Results) error {
+	if e.traceOut == "" && e.metricsOut == "" {
+		return nil
+	}
+	for _, res := range runs {
 		if e.traceOut != "" && res.Flight != nil {
 			path := suffixed(e.traceOut, e.written)
 			if err := writeFile(path, func(f *os.File) error {
@@ -259,7 +231,6 @@ func (e *exporter) flush() error {
 		fmt.Printf("mode=%s attribution: %+v\n", res.Mode, res.Attribution)
 		e.written++
 	}
-	e.pending = e.pending[:0]
 	return nil
 }
 

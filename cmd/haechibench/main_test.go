@@ -1,6 +1,12 @@
 package main
 
-import "testing"
+import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"slices"
+	"testing"
+)
 
 func TestRunList(t *testing.T) {
 	if code := run([]string{"-list"}); code != 0 {
@@ -38,5 +44,52 @@ func TestRunAlias(t *testing.T) {
 	if code := run([]string{"-experiment", "1c", "-scale", "100", "-periods", "2", "-warmup", "1",
 		"-records", "64"}); code != 0 {
 		t.Errorf("alias experiment exit = %d", code)
+	}
+}
+
+// TestExportParallelByteIdentical: -trace and -metrics write the same
+// files, byte for byte, at any -parallel value. Fig. 9 makes four
+// cluster runs, so each output gets its exact name and -02…-04 suffixes.
+func TestExportParallelByteIdentical(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs fig9 twice")
+	}
+	export := func(parallel string) string {
+		dir := t.TempDir()
+		args := []string{"-experiment", "fig9", "-scale", "100", "-records", "512", "-warmup", "1",
+			"-periods", "2", "-seed", "42", "-clients", "10", "-parallel", parallel,
+			"-trace", filepath.Join(dir, "t.json"), "-metrics", filepath.Join(dir, "t.csv")}
+		if code := run(args); code != 0 {
+			t.Fatalf("-parallel %s exit = %d", parallel, code)
+		}
+		return dir
+	}
+	seq, par := export("1"), export("4")
+	want := []string{"t-02.csv", "t-02.json", "t-03.csv", "t-03.json", "t-04.csv", "t-04.json", "t.csv", "t.json"}
+	for _, dir := range []string{seq, par} {
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, e := range entries {
+			got = append(got, e.Name())
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s holds %v, want %v", dir, got, want)
+		}
+	}
+	for _, name := range want {
+		a, err := os.ReadFile(filepath.Join(seq, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := os.ReadFile(filepath.Join(par, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a, b) {
+			t.Errorf("%s differs between -parallel 1 (%d bytes) and -parallel 4 (%d bytes)", name, len(a), len(b))
+		}
 	}
 }

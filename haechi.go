@@ -277,6 +277,12 @@ func (s *System) ScheduleCongestion(startPeriod, stopPeriod, jobs, window int) e
 	if jobs <= 0 || window <= 0 {
 		return fmt.Errorf("haechi: jobs and window must be positive")
 	}
+	if startPeriod < 1 {
+		return fmt.Errorf("haechi: congestion start period %d, want 1 or later", startPeriod)
+	}
+	if stopPeriod > 0 && stopPeriod <= startPeriod {
+		return fmt.Errorf("haechi: congestion stop period %d, want 0 (never) or after start period %d", stopPeriod, startPeriod)
+	}
 	T := s.cluster.Config().Params.Period
 	base := sim.Time(s.cfg.WarmupPeriods) * T
 	for j := 0; j < jobs; j++ {

@@ -176,6 +176,14 @@ func TestScheduleCongestion(t *testing.T) {
 	if err := sys.ScheduleCongestion(0, 0, 0, 64); err == nil {
 		t.Error("zero jobs accepted")
 	}
+	if err := sys.ScheduleCongestion(0, 0, 1, 64); err == nil {
+		t.Error("start period 0 accepted")
+	}
+	for _, stop := range []int{2, 3} {
+		if err := sys.ScheduleCongestion(3, stop, 1, 64); err == nil {
+			t.Errorf("stop period %d at or before start period 3 accepted", stop)
+		}
+	}
 	rep, err := sys.Run()
 	if err != nil {
 		t.Fatal(err)

@@ -24,19 +24,6 @@ type Observe struct {
 	// MetricsInterval is the registry sampling cadence in virtual time.
 	// 0 disables the registry.
 	MetricsInterval sim.Time
-	// OnResults, when set, receives the Results of each run before
-	// Run returns. CLIs use it to capture traces from experiments that
-	// construct several clusters internally. Under a parallel sweep the
-	// hook fires concurrently from worker goroutines; implementations
-	// must be safe for that (cluster code itself never calls it
-	// concurrently for one cluster).
-	OnResults func(*Results)
-	// RunTag is a caller-chosen index copied verbatim into
-	// Results.RunTag (excluded from JSON). Experiments tag each
-	// internal cluster run with a deterministic sequence number so an
-	// OnResults capturer can order artifacts by run, not by completion
-	// time, under parallel sweeps.
-	RunTag int
 }
 
 // DefaultMetricsInterval returns a sampling cadence of 1/100th of the

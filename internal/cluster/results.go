@@ -117,10 +117,6 @@ type Results struct {
 	// on or off and at any worker count. Per-shard profiles appear in
 	// Sharding.Attribution.
 	Attribution rdma.ExecProfile
-	// RunTag echoes Config.Observe.RunTag (0 when unset). Excluded from
-	// JSON so tagging runs cannot perturb byte-compared results; OnResults
-	// capturers use it to order artifacts under parallel sweeps.
-	RunTag int `json:"-"`
 }
 
 // buildResults assembles the run's Results; serverStats and qos are the
@@ -143,9 +139,6 @@ func (c *Cluster) buildResults(measurePeriods int, serverStats rdma.Stats, qos r
 	for _, p := range c.fabric.ExecProfiles() {
 		p := p
 		res.Attribution.Add(&p)
-	}
-	if ob := c.cfg.Observe; ob != nil {
-		res.RunTag = ob.RunTag
 	}
 	if c.flights != nil {
 		// Merge the per-shard recorders in shard order: the span ring in

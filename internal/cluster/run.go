@@ -145,9 +145,6 @@ func (c *Cluster) Run(warmupPeriods, measurePeriods int) (*Results, error) {
 	if err != nil {
 		return nil, err
 	}
-	if ob := c.cfg.Observe; ob != nil && ob.OnResults != nil {
-		ob.OnResults(res)
-	}
 	c.checkChaosInvariants(res)
 	c.checkReservationSplit()
 	// A sanitized run that broke an invariant fails loudly; the results

@@ -430,9 +430,6 @@ type FaultStats struct {
 // FaultStats returns the engine's crash/recovery counters.
 func (e *Engine) FaultStats() FaultStats { return e.faults }
 
-// Crashed reports whether the engine is currently crashed.
-func (e *Engine) Crashed() bool { return e.crashed }
-
 // Degraded reports whether the engine is currently in local-token mode.
 func (e *Engine) Degraded() bool { return e.degraded }
 

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/haechi-qos/haechi/internal/cluster"
 	"github.com/haechi-qos/haechi/internal/core"
@@ -36,11 +37,8 @@ func Ablation(o Options) (*Report, error) {
 		return full(i)
 	}
 
-	// run tags each sweep point with a globally unique run index so
-	// artifact capture stays ordered: batches take 0-3, intervals 4-6,
-	// depths 7-9 and the flow-control combos 10-12.
-	run := func(tag int, mutate func(*cluster.Config)) (*cluster.Results, error) {
-		return o.tagged(tag).runQoS(cluster.Haechi, o.qosSpecs(res, demand), mutate)
+	run := func(mutate func(*cluster.Config)) (*cluster.Results, error) {
+		return o.runQoS(cluster.Haechi, o.qosSpecs(res, demand), mutate)
 	}
 	row := func(t *Table, label string, out *cluster.Results) {
 		var worstHungry float64 = 2
@@ -70,7 +68,7 @@ func Ablation(o Options) (*Report, error) {
 	batches := []int64{1 * int64(o.Base.Scale), 100, 1000, 10000}
 	batchOuts, err := parallel.Map(o.workers(), len(batches), func(i int) (*cluster.Results, error) {
 		b := batches[i]
-		return run(i, func(c *cluster.Config) { c.Params.Batch = b })
+		return run(func(c *cluster.Config) { c.Params.Batch = b })
 	})
 	if err != nil {
 		return nil, err
@@ -88,7 +86,7 @@ func Ablation(o Options) (*Report, error) {
 	intervals := []sim.Time{200 * sim.Microsecond, sim.Millisecond, 4 * sim.Millisecond}
 	intervalOuts, err := parallel.Map(o.workers(), len(intervals), func(i int) (*cluster.Results, error) {
 		iv := intervals[i]
-		return run(len(batches)+i, func(c *cluster.Config) {
+		return run(func(c *cluster.Config) {
 			c.Params.CheckInterval = iv
 			c.Params.ReportInterval = iv
 			c.Params.Tick = iv
@@ -111,7 +109,7 @@ func Ablation(o Options) (*Report, error) {
 	depths := []int{8, 64, 512}
 	depthOuts, err := parallel.Map(o.workers(), len(depths), func(i int) (*cluster.Results, error) {
 		d := depths[i]
-		return run(len(batches)+len(intervals)+i, func(c *cluster.Config) { c.Params.SendQueueDepth = d })
+		return run(func(c *cluster.Config) { c.Params.SendQueueDepth = d })
 	})
 	if err != nil {
 		return nil, err
@@ -146,7 +144,7 @@ func Ablation(o Options) (*Report, error) {
 	}
 	comboOuts, err := parallel.Map(o.workers(), len(combos), func(i int) (*cluster.Results, error) {
 		combo := combos[i]
-		return o.tagged(len(batches)+len(intervals)+len(depths)+i).runQoS(cluster.Haechi, o.qosSpecs(spikeRes, spikeDemand),
+		return o.runQoS(cluster.Haechi, o.qosSpecs(spikeRes, spikeDemand),
 			func(c *cluster.Config) {
 				c.Params.SendQueueDepth = combo.depth
 				c.Fabric.FlowControlWindow = combo.window
@@ -164,6 +162,7 @@ func Ablation(o Options) (*Report, error) {
 			fmt.Sprintf("%d", out.Overhead.FAAs))
 	}
 	rep.Tables = append(rep.Tables, tf)
+	rep.Runs = slices.Concat(batchOuts, intervalOuts, depthOuts, comboOuts)
 
 	rep.Notes = append(rep.Notes,
 		"expected: tiny B inflates atomics and overhead; very coarse intervals slow conversion",

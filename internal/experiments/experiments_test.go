@@ -373,9 +373,26 @@ func TestRunAllFast(t *testing.T) {
 	if len(reps) != len(Order) {
 		t.Errorf("got %d reports, want %d", len(reps), len(Order))
 	}
+	// Every cluster run an experiment makes comes back in Report.Runs.
+	wantRuns := map[string]int{
+		"config": 0, "fig6": 20, "fig7": 20, "fig8": 3, "fig9": 4, "fig10": 6, "fig12": 10,
+		"fig13": 2, "fig16": 2, "fig18": 2, "set5": 3, "set6": 2, "ablation": 13, "limits": 4,
+		"multiserver": 5,
+	}
+	if len(wantRuns) != len(Order) {
+		t.Errorf("run-count table covers %d experiments, Order has %d", len(wantRuns), len(Order))
+	}
 	for _, rep := range reps {
 		if rep.String() == "" {
 			t.Errorf("%s: empty report", rep.ID)
+		}
+		if want, ok := wantRuns[rep.ID]; !ok || len(rep.Runs) != want {
+			t.Errorf("%s: %d runs, want %d", rep.ID, len(rep.Runs), want)
+		}
+		for i, res := range rep.Runs {
+			if res == nil {
+				t.Errorf("%s: run %d is nil", rep.ID, i)
+			}
 		}
 	}
 }

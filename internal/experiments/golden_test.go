@@ -7,8 +7,6 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
-	"sort"
-	"sync"
 	"testing"
 
 	"github.com/haechi-qos/haechi/internal/cluster"
@@ -18,10 +16,10 @@ import (
 // goldenCases covers experiment Sets 1-5: saturation and latency curves
 // (Set 1: fig6-8), reservation attainment and conversion (Set 2:
 // fig9-12), isolation (Set 3: fig13), over/under-provisioning (Set 4:
-// fig16/18) and the failure scenario (Set 5). Every cluster run each
-// experiment performs reports its Results through the Observe hook; the
-// concatenated, RunTag-ordered JSON is the byte-identity surface the
-// hot-path refactors must preserve. The last two cases pin the
+// fig16/18) and the failure scenario (Set 5). Every experiment returns
+// its cluster runs in Report.Runs; their concatenated JSON, in sweep
+// order, is the byte-identity surface the hot-path refactors must
+// preserve. The last two cases pin the
 // multi-shard route (mailbox hops, per-shard tickers and flags) the same
 // way: their goldens were generated at the commit before the run loops
 // were merged, so the one Run is held to both the one-shard and the
@@ -43,10 +41,9 @@ var goldenCases = []struct {
 // clients. Parallel exercises the sweep machinery. Shard placement is
 // part of the experiment definition (stable-ID hashing since PR 10), so
 // each shard count has its own golden file.
-func goldenOptions(shards int, capture func(*cluster.Results)) Options {
+func goldenOptions(shards int) Options {
 	o := NewDefaultOptions()
 	o.Base.Shards, o.Base.Scale, o.Base.Records, o.Base.Seed = shards, 100, 512, 42
-	o.Base.Observe = &cluster.Observe{OnResults: capture}
 	o.WarmupPeriods, o.MeasurePeriods, o.Parallel = 1, 2, 4
 	o.Clients = 10 // the paper's testbed width; reservations are sized per client against C_L
 	return o
@@ -68,23 +65,16 @@ func TestGoldenResultsByteIdentical(t *testing.T) {
 			name = fmt.Sprintf("%s_shards%d", gc.id, gc.shards)
 		}
 		t.Run(name, func(t *testing.T) {
-			var mu sync.Mutex
-			var runs []*cluster.Results
-			opts := goldenOptions(gc.shards, func(res *cluster.Results) {
-				mu.Lock()
-				runs = append(runs, res)
-				mu.Unlock()
-			})
-			if _, err := Run(gc.id, opts); err != nil {
+			rep, err := Run(gc.id, goldenOptions(gc.shards))
+			if err != nil {
 				t.Fatalf("running %s: %v", name, err)
 			}
-			sort.SliceStable(runs, func(i, j int) bool { return runs[i].RunTag < runs[j].RunTag })
 			var buf bytes.Buffer
-			for _, res := range runs {
-				fmt.Fprintf(&buf, "run %d mode=%s\n", res.RunTag, res.Mode)
+			for i, res := range rep.Runs {
+				fmt.Fprintf(&buf, "run %d mode=%s\n", i, res.Mode)
 				b, err := json.MarshalIndent(res, "", " ")
 				if err != nil {
-					t.Fatalf("marshaling run %d: %v", res.RunTag, err)
+					t.Fatalf("marshaling run %d: %v", i, err)
 				}
 				buf.Write(b)
 				buf.WriteByte('\n')
@@ -98,7 +88,7 @@ func TestGoldenResultsByteIdentical(t *testing.T) {
 	// before that assembler was folded into cluster.Config.Servers.
 	const multi = "multiserver"
 	t.Run(multi, func(t *testing.T) {
-		rep, err := Run(multi, goldenOptions(0, nil))
+		rep, err := Run(multi, goldenOptions(0))
 		if err != nil {
 			t.Fatal(err)
 		}

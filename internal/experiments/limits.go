@@ -43,7 +43,7 @@ func Limits(o Options) (*Report, error) {
 				Demand: cluster.ConstantDemand(uint64(capacity)),
 			},
 		}
-		return o.tagged(i).runQoS(cluster.Haechi, specs, nil)
+		return o.runQoS(cluster.Haechi, specs, nil)
 	})
 	if err != nil {
 		return nil, err
@@ -72,5 +72,6 @@ func Limits(o Options) (*Report, error) {
 			"NIC (C_L), so the tightest limit leaves capacity idle — the paper's note that 'the",
 			"system will idle if all clients having requests have reached their limits'",
 		},
+		Runs: outs,
 	}, nil
 }

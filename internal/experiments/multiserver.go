@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"github.com/haechi-qos/haechi/internal/cluster"
 	"github.com/haechi-qos/haechi/internal/kvstore"
@@ -42,9 +43,9 @@ func MultiServer(o Options) (*Report, error) {
 	// 512 records per data node in tables kept at most half full: the
 	// sizing testdata/golden/multiserver.txt was recorded at.
 	const recordsPerServer = 512
-	config := func(run, servers, rebalanceEvery int) cluster.Config {
+	config := func(servers, rebalanceEvery int) cluster.Config {
 		return cluster.Config{
-			Observe:        o.tagged(run).Base.Observe,
+			Observe:        o.Base.Observe,
 			Servers:        servers,
 			RebalanceEvery: rebalanceEvery,
 			Scale:          o.Base.Scale,
@@ -83,7 +84,7 @@ func MultiServer(o Options) (*Report, error) {
 				Keys:        &workload.UniformKeys{N: 1024},
 			}
 		}
-		mc, err := cluster.New(config(si, servers, 0), specs)
+		mc, err := cluster.New(config(servers, 0), specs)
 		if err != nil {
 			return nil, err
 		}
@@ -133,7 +134,7 @@ func MultiServer(o Options) (*Report, error) {
 				Keys:        &workload.UniformKeys{N: 1024},
 			})
 		}
-		mc, err := cluster.New(config(len(serverCounts)+ri, 2, rebalances[ri]), specs)
+		mc, err := cluster.New(config(2, rebalances[ri]), specs)
 		if err != nil {
 			return nil, err
 		}
@@ -155,6 +156,7 @@ func MultiServer(o Options) (*Report, error) {
 			meets(cr.Periods[len(cr.Periods)-1], skewRes))
 	}
 	rep.Tables = append(rep.Tables, t2)
+	rep.Runs = slices.Concat(scaleOuts, skewOuts)
 	rep.Notes = append(rep.Notes,
 		"expected: throughput scales with server count and reservations hold at every size;",
 		"the skew-bound tenant misses under a static split (half its reservation is stranded on",

@@ -13,10 +13,9 @@ import (
 type Options struct {
 	// Base is the cluster config every run starts from, taken from a
 	// preset: sweeps set single Params and Fabric fields. Reported numbers
-	// are multiplied back by Base.Scale to read in paper units. Each run
-	// of an experiment reports through Base.Observe's OnResults hook, and
-	// Base.Chaos times count periods from run start (Set 5 supplies its
-	// own scenarios).
+	// are multiplied back by Base.Scale to read in paper units. Base.Chaos
+	// times count periods from run start (Set 5 supplies its own
+	// scenarios).
 	Base cluster.Config
 	// WarmupPeriods and MeasurePeriods set the run windows (the paper
 	// uses 30 + 30 displayed of 120 measured).
@@ -27,10 +26,8 @@ type Options struct {
 	// Parallel is the number of independent cluster runs an experiment
 	// may execute concurrently (each on its own kernel). 0 or 1 runs
 	// sequentially. Results are merged by sweep index, so the output is
-	// identical at any worker count; see internal/parallel. When
-	// Parallel > 1 and Base.Observe is set, the OnResults hook must be
-	// safe for concurrent use and its invocation order is not
-	// deterministic.
+	// identical at any worker count, Report.Runs included; see
+	// internal/parallel.
 	Parallel int
 }
 
@@ -63,21 +60,6 @@ func (o Options) validate() (cluster.Config, error) {
 			o.Base.Scale, o.Clients, o.WarmupPeriods, o.MeasurePeriods, o.Parallel)
 	}
 	return cfg, nil
-}
-
-// tagged returns a copy of the options whose Observe is cloned with
-// RunTag set to run. Every experiment tags each internal cluster run
-// with a deterministic sequence number, so an OnResults capturer can
-// order artifacts by run index even when a parallel sweep completes
-// runs out of order. No-op when Observe is nil.
-func (o Options) tagged(run int) Options {
-	if o.Base.Observe == nil {
-		return o
-	}
-	ob := *o.Base.Observe
-	ob.RunTag = run
-	o.Base.Observe = &ob
-	return o
 }
 
 // workers returns the worker count for parallel.Map sweeps.

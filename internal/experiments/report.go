@@ -11,6 +11,8 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+
+	"github.com/haechi-qos/haechi/internal/cluster"
 )
 
 // Table is one printable result table (one figure panel or table).
@@ -73,6 +75,10 @@ type Report struct {
 	Tables []*Table
 	// Notes record expected-shape commentary and any caveats.
 	Notes []string
+	// Runs are the cluster runs the experiment made, in sweep order
+	// (the same at any Options.Parallel): callers export their traces
+	// and metrics from here.
+	Runs []*cluster.Results
 }
 
 // String renders the whole report.

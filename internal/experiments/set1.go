@@ -51,23 +51,25 @@ func Fig6(o Options) (*Report, error) {
 		Title:  "Per-client saturation throughput (burst-64, one client at a time)",
 		Header: []string{"client", "1-sided", "2-sided", "2-sided/1-sided"},
 	}
-	points, err := parallel.Map(o.workers(), o.Clients, func(c int) ([2]float64, error) {
-		one, err := o.tagged(2*c).saturationRun(1, false, o.Base.Seed+int64(c))
+	points, err := parallel.Map(o.workers(), o.Clients, func(c int) ([2]*cluster.Results, error) {
+		one, err := o.saturationRun(1, false, o.Base.Seed+int64(c))
 		if err != nil {
-			return [2]float64{}, err
+			return [2]*cluster.Results{}, err
 		}
-		two, err := o.tagged(2*c+1).saturationRun(1, true, o.Base.Seed+int64(c))
+		two, err := o.saturationRun(1, true, o.Base.Seed+int64(c))
 		if err != nil {
-			return [2]float64{}, err
+			return [2]*cluster.Results{}, err
 		}
-		return [2]float64{one, two}, nil
+		return [2]*cluster.Results{one, two}, nil
 	})
 	if err != nil {
 		return nil, err
 	}
+	var runs []*cluster.Results
 	var sum1, sum2 float64
 	for c, pt := range points {
-		one, two := pt[0], pt[1]
+		runs = append(runs, pt[0], pt[1])
+		one, two := pt[0].ThroughputPerPeriod, pt[1].ThroughputPerPeriod
 		sum1 += one
 		sum2 += two
 		t.AddRow(fmt.Sprintf("C%d", c+1), kiops(one, o.Base.Scale), kiops(two, o.Base.Scale),
@@ -81,6 +83,7 @@ func Fig6(o Options) (*Report, error) {
 			fmt.Sprintf("mean 1-sided %s, mean 2-sided %s (paper: ~400K and ~327K, 2-sided ~20%% lower)",
 				kiops(sum1/float64(o.Clients), o.Base.Scale), kiops(sum2/float64(o.Clients), o.Base.Scale)),
 		},
+		Runs: runs,
 	}, nil
 }
 
@@ -94,23 +97,25 @@ func Fig7(o Options) (*Report, error) {
 		Title:  "Data node throughput vs number of active clients (burst-64)",
 		Header: []string{"clients", "1-sided", "2-sided"},
 	}
-	points, err := parallel.Map(o.workers(), o.Clients, func(i int) ([2]float64, error) {
+	points, err := parallel.Map(o.workers(), o.Clients, func(i int) ([2]*cluster.Results, error) {
 		n := i + 1
-		one, err := o.tagged(2*i).saturationRun(n, false, o.Base.Seed)
+		one, err := o.saturationRun(n, false, o.Base.Seed)
 		if err != nil {
-			return [2]float64{}, err
+			return [2]*cluster.Results{}, err
 		}
-		two, err := o.tagged(2*i+1).saturationRun(n, true, o.Base.Seed)
+		two, err := o.saturationRun(n, true, o.Base.Seed)
 		if err != nil {
-			return [2]float64{}, err
+			return [2]*cluster.Results{}, err
 		}
-		return [2]float64{one, two}, nil
+		return [2]*cluster.Results{one, two}, nil
 	})
 	if err != nil {
 		return nil, err
 	}
+	var runs []*cluster.Results
 	for i, pt := range points {
-		t.AddRow(fmt.Sprintf("%d", i+1), kiops(pt[0], o.Base.Scale), kiops(pt[1], o.Base.Scale))
+		runs = append(runs, pt[0], pt[1])
+		t.AddRow(fmt.Sprintf("%d", i+1), kiops(pt[0].ThroughputPerPeriod, o.Base.Scale), kiops(pt[1].ThroughputPerPeriod, o.Base.Scale))
 	}
 	return &Report{
 		ID:      "fig7",
@@ -120,12 +125,13 @@ func Fig7(o Options) (*Report, error) {
 			"expected shape: 1-sided grows ~linearly to 4 clients then saturates ~1570K;",
 			"2-sided flattens almost immediately at ~430K (server CPU bound)",
 		},
+		Runs: runs,
 	}, nil
 }
 
-// saturationRun measures bare-system throughput per period with n
-// saturating burst-64 clients.
-func (o Options) saturationRun(n int, twoSided bool, seed int64) (float64, error) {
+// saturationRun runs the bare system with n saturating burst-64 clients;
+// Figs. 6 and 7 read its ThroughputPerPeriod.
+func (o Options) saturationRun(n int, twoSided bool, seed int64) (*cluster.Results, error) {
 	cfg := o.config(cluster.Bare)
 	cfg.TwoSided = twoSided
 	cfg.Seed = seed
@@ -135,13 +141,9 @@ func (o Options) saturationRun(n int, twoSided bool, seed int64) (float64, error
 	}
 	cl, err := cluster.New(cfg, specs)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
-	res, err := cl.Run(o.WarmupPeriods, o.MeasurePeriods)
-	if err != nil {
-		return 0, err
-	}
-	return res.ThroughputPerPeriod, nil
+	return cl.Run(o.WarmupPeriods, o.MeasurePeriods)
 }
 
 // Fig8 reproduces Experiment 1C: bare-system I/O completions under three
@@ -184,7 +186,7 @@ func Fig8(o Options) (*Report, error) {
 				Pattern: tc.pattern,
 			}
 		}
-		cl, err := cluster.New(o.tagged(ci).config(cluster.Bare), specs)
+		cl, err := cluster.New(o.config(cluster.Bare), specs)
 		if err != nil {
 			return nil, err
 		}
@@ -193,6 +195,7 @@ func Fig8(o Options) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
+	rep.Runs = runs
 	for ci, tc := range cases {
 		res := runs[ci]
 		t := &Table{

@@ -119,7 +119,7 @@ func Fig9(o Options) (*Report, error) {
 			return fig9Point{}, err
 		}
 		demand := o.demandRPlusPool(res)
-		qos, err := o.tagged(2*di).runQoS(cluster.Haechi, o.qosSpecs(res, demand), nil)
+		qos, err := o.runQoS(cluster.Haechi, o.qosSpecs(res, demand), nil)
 		if err != nil {
 			return fig9Point{}, err
 		}
@@ -127,7 +127,7 @@ func Fig9(o Options) (*Report, error) {
 		for i := range bareSpecs {
 			bareSpecs[i].Reservation = 0
 		}
-		bare, err := o.tagged(2*di+1).runQoS(cluster.Bare, bareSpecs, nil)
+		bare, err := o.runQoS(cluster.Bare, bareSpecs, nil)
 		if err != nil {
 			return fig9Point{}, err
 		}
@@ -138,6 +138,7 @@ func Fig9(o Options) (*Report, error) {
 	}
 	for di, dist := range dists {
 		res, qos, bare := points[di].res, points[di].qos, points[di].bare
+		rep.Runs = append(rep.Runs, qos, bare)
 		t := &Table{
 			Title:  fmt.Sprintf("(%s reservation distribution, 90%% reserved)", dist),
 			Header: []string{"client", "reservation", "haechi", "bare", "haechi meets R"},
@@ -200,11 +201,11 @@ func Fig10and11(o Options) (*Report, error) {
 			}
 			return full(i)
 		}
-		haechi, err := o.tagged(3*di).runQoS(cluster.Haechi, o.qosSpecs(res, demand), nil)
+		haechi, err := o.runQoS(cluster.Haechi, o.qosSpecs(res, demand), nil)
 		if err != nil {
 			return fig10Point{}, err
 		}
-		basic, err := o.tagged(3*di+1).runQoS(cluster.BasicHaechi, o.qosSpecs(res, demand), nil)
+		basic, err := o.runQoS(cluster.BasicHaechi, o.qosSpecs(res, demand), nil)
 		if err != nil {
 			return fig10Point{}, err
 		}
@@ -212,7 +213,7 @@ func Fig10and11(o Options) (*Report, error) {
 		for i := range bareSpecs {
 			bareSpecs[i].Reservation = 0
 		}
-		bare, err := o.tagged(3*di+2).runQoS(cluster.Bare, bareSpecs, nil)
+		bare, err := o.runQoS(cluster.Bare, bareSpecs, nil)
 		if err != nil {
 			return fig10Point{}, err
 		}
@@ -223,6 +224,7 @@ func Fig10and11(o Options) (*Report, error) {
 	}
 	for di, dist := range dists {
 		res, haechi, basic, bare := points[di].res, points[di].haechi, points[di].basic, points[di].bare
+		rep.Runs = append(rep.Runs, haechi, basic, bare)
 
 		t := &Table{
 			Title:  fmt.Sprintf("(%s reservation distribution; C1, C2 at 50%% demand)", dist),
@@ -266,17 +268,13 @@ func Fig12(o Options) (*Report, error) {
 	fracs := []float64{0.5, 0.6, 0.7, 0.8, 0.9}
 	dists := []string{"uniform", "zipf"}
 	// One grid point per (fraction, distribution) pair, row-major.
-	points, err := parallel.Map(o.workers(), len(fracs)*len(dists), func(i int) (float64, error) {
+	points, err := parallel.Map(o.workers(), len(fracs)*len(dists), func(i int) (*cluster.Results, error) {
 		frac, dist := fracs[i/len(dists)], dists[i%len(dists)]
 		res, err := o.reservations(dist, frac)
 		if err != nil {
-			return 0, err
+			return nil, err
 		}
-		out, err := o.tagged(i).runQoS(cluster.Haechi, o.qosSpecs(res, o.demandRPlusShare(res)), nil)
-		if err != nil {
-			return 0, err
-		}
-		return out.ThroughputPerPeriod, nil
+		return o.runQoS(cluster.Haechi, o.qosSpecs(res, o.demandRPlusShare(res)), nil)
 	})
 	if err != nil {
 		return nil, err
@@ -284,7 +282,7 @@ func Fig12(o Options) (*Report, error) {
 	for fi, frac := range fracs {
 		row := []string{fmt.Sprintf("%.0f%%", 100*frac)}
 		for di := range dists {
-			row = append(row, count(points[fi*len(dists)+di], o.Base.Scale))
+			row = append(row, count(points[fi*len(dists)+di].ThroughputPerPeriod, o.Base.Scale))
 		}
 		t.AddRow(row...)
 	}
@@ -297,5 +295,6 @@ func Fig12(o Options) (*Report, error) {
 			"fractions and drops as reserved % grows (global pool exhausts; low-R clients idle; the tail",
 			"is limited by C_L with <4 active clients)",
 		},
+		Runs: points,
 	}, nil
 }

@@ -54,7 +54,7 @@ func Fig13to15(o Options) (*Report, error) {
 		for i := range specs {
 			specs[i].Pattern = pc.pattern
 		}
-		out, err := o.tagged(pi).runQoS(cluster.Haechi, specs, nil)
+		out, err := o.runQoS(cluster.Haechi, specs, nil)
 		if err != nil {
 			return outcome{}, err
 		}
@@ -105,6 +105,7 @@ func Fig13to15(o Options) (*Report, error) {
 			"(local capacity C_L limits late-period catch-up) and throughput drops ~13%;",
 			"constant-rate meets and surpasses every reservation with ~1% drop and far lower latency",
 		},
+		Runs: []*cluster.Results{outcomes[0].res, outcomes[1].res},
 	}, nil
 }
 

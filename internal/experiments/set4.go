@@ -163,7 +163,7 @@ func Fig16and17(o Options) (*Report, error) {
 	}
 	dists := []string{"uniform", "zipf"}
 	points, err := parallel.Map(o.workers(), len(dists), func(di int) (congestionPoint, error) {
-		out, switchAt, err := o.tagged(di).congestionRun(dists[di], false)
+		out, switchAt, err := o.congestionRun(dists[di], false)
 		return congestionPoint{out: out, switchAt: switchAt}, err
 	})
 	if err != nil {
@@ -171,6 +171,7 @@ func Fig16and17(o Options) (*Report, error) {
 	}
 	for di, dist := range dists {
 		out, switchAt := points[di].out, points[di].switchAt
+		rep.Runs = append(rep.Runs, out)
 		rep.Tables = append(rep.Tables, o.timelineTable(
 			fmt.Sprintf("(%s reservations, congestion starts at %v)", dist, switchAt), out, switchAt))
 		before, after := phaseMeans(out, switchAt)
@@ -197,7 +198,7 @@ func Fig18and19(o Options) (*Report, error) {
 	}
 	dists := []string{"uniform", "zipf"}
 	points, err := parallel.Map(o.workers(), len(dists), func(di int) (congestionPoint, error) {
-		out, switchAt, err := o.tagged(di).congestionRun(dists[di], true)
+		out, switchAt, err := o.congestionRun(dists[di], true)
 		return congestionPoint{out: out, switchAt: switchAt}, err
 	})
 	if err != nil {
@@ -205,6 +206,7 @@ func Fig18and19(o Options) (*Report, error) {
 	}
 	for di, dist := range dists {
 		out, switchAt := points[di].out, points[di].switchAt
+		rep.Runs = append(rep.Runs, out)
 		rep.Tables = append(rep.Tables, o.timelineTable(
 			fmt.Sprintf("(%s reservations, congestion stops at %v)", dist, switchAt), out, switchAt))
 		before, after := phaseMeans(out, switchAt)

@@ -161,11 +161,12 @@ func Set5(o Options) (*Report, error) {
 		{"wire disturbance (link storm + congestion burst)", "jitter@3+2:extra=2us;burst@3+2:jobs=2,window=32"},
 	}
 	points, err := parallel.Map(o.workers(), len(scenarios), func(i int) (*cluster.Results, error) {
-		return o.tagged(i).chaosRun(scenarios[i].spec)
+		return o.chaosRun(scenarios[i].spec)
 	})
 	if err != nil {
 		return nil, err
 	}
+	rep.Runs = points
 	T := base.Params.Period
 	for i, sc := range scenarios {
 		out := points[i]

@@ -79,7 +79,7 @@ func Set6(o Options) (*Report, error) {
 			}
 			return 1
 		})
-		out, err := oc.tagged(ri).runQoS(cluster.Haechi, specs, func(cfg *cluster.Config) {
+		out, err := oc.runQoS(cluster.Haechi, specs, func(cfg *cluster.Config) {
 			if pt.cache {
 				cfg.Fabric.QPCacheSize = fleetQPCacheSize
 				cfg.Fabric.QPCacheMissPenalty = fleetQPCachePenalty
@@ -101,7 +101,9 @@ func Set6(o Options) (*Report, error) {
 		Header: []string{"clients", "qp-cache", "completed/period", "res-miss",
 			"fairness", "ctrl-verbs/IO", "nic-ctrl", "cache-hit", "events/client"},
 	}
+	var outs []*cluster.Results
 	for _, pt := range points {
+		outs = append(outs, pt.out)
 		t.AddRow(fmt.Sprintf("%d", pt.clients),
 			onOff(pt.cache),
 			count(pt.out.ThroughputPerPeriod, o.Base.Scale),
@@ -124,6 +126,7 @@ func Set6(o Options) (*Report, error) {
 			"cache on, fleets beyond its capacity pay the miss penalty and aggregate throughput drops —",
 			"the RNIC connection-scalability wall the small-testbed calibration cannot see",
 		},
+		Runs: outs,
 	}, nil
 }
 

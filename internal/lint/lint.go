@@ -254,12 +254,10 @@ func (m *Module) PackageOf(tp *types.Package) *Package {
 //   - walltime excludes cmd/haechibench: it measures the real runtime of
 //     the tool itself (how long a simulation takes to execute), not
 //     simulated time, so wall-clock use there is correct.
-//   - noconcurrency covers the entire module, with two standing waivers
-//     (DESIGN.md §6): internal/parallel is the one deliberate
-//     concurrency boundary (the sweep runner that executes independent
-//     kernels on worker goroutines and merges results by input index),
-//     and cmd/haechibench keeps an atomic events counter fed by Observe
-//     callbacks that fire concurrently under parallel sweeps.
+//   - noconcurrency covers the entire module with one standing waiver
+//     (DESIGN.md §6): internal/parallel, the one deliberate concurrency
+//     boundary (the sweep runner that executes independent kernels on
+//     worker goroutines and merges results by input index).
 //   - parallelimport scopes that boundary: only the orchestration
 //     layers that drive whole kernels from outside may import
 //     internal/parallel — internal/experiments (parameter sweeps),
@@ -277,7 +275,7 @@ func DefaultRules() []Rule {
 		{Analyzer: Walltime, Exclude: []string{"cmd/haechibench"}},
 		{Analyzer: Globalrand},
 		{Analyzer: Maporder},
-		{Analyzer: Noconcurrency, Exclude: []string{"internal/parallel", "cmd/haechibench"}},
+		{Analyzer: Noconcurrency, Exclude: []string{"internal/parallel"}},
 		{Analyzer: Floateq, Include: []string{".", "internal"}},
 		{Analyzer: Parallelimport, Exclude: []string{
 			"internal/experiments", "internal/cluster", "internal/sim/shard",

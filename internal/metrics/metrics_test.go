@@ -194,15 +194,6 @@ func TestSeries(t *testing.T) {
 	}
 }
 
-func TestCounter(t *testing.T) {
-	var c Counter
-	c.Inc()
-	c.Add(4)
-	if c.Value() != 5 {
-		t.Errorf("Counter = %d, want 5", c.Value())
-	}
-}
-
 func TestPeriodLog(t *testing.T) {
 	var p PeriodLog
 	if p.Min() != 0 || p.Mean() != 0 || p.Total() != 0 {

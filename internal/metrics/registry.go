@@ -64,11 +64,6 @@ func (r *Registry) Register(name string, fn func() float64) error {
 	return nil
 }
 
-// RegisterCounter registers a counter's current value as a gauge.
-func (r *Registry) RegisterCounter(name string, c *Counter) error {
-	return r.Register(name, func() float64 { return float64(c.Value()) })
-}
-
 // Names returns the metric names in registration order.
 func (r *Registry) Names() []string {
 	out := make([]string, len(r.names))

@@ -35,13 +35,13 @@ func TestRegistrySampleAndSeries(t *testing.T) {
 	if err := r.Register("gauge", func() float64 { return v }); err != nil {
 		t.Fatal(err)
 	}
-	var c Counter
-	if err := r.RegisterCounter("count", &c); err != nil {
+	var n uint64
+	if err := r.Register("count", func() float64 { return float64(n) }); err != nil {
 		t.Fatal(err)
 	}
 	r.Sample(10)
 	v = 2.5
-	c.Add(7)
+	n += 7
 	r.Sample(20)
 	if r.Samples() != 2 {
 		t.Fatalf("Samples() = %d, want 2", r.Samples())

@@ -63,20 +63,6 @@ func (s *Series) String() string {
 	return b.String()
 }
 
-// Counter is a monotonically increasing event count with snapshot support.
-type Counter struct {
-	n uint64
-}
-
-// Inc adds one.
-func (c *Counter) Inc() { c.n++ }
-
-// Add adds delta.
-func (c *Counter) Add(delta uint64) { c.n += delta }
-
-// Value returns the current count.
-func (c *Counter) Value() uint64 { return c.n }
-
 // PeriodLog records, for one client, the number of I/Os completed in each
 // QoS period — the per-period blocks stacked in the paper's bar charts
 // (Figs. 8-10, 13).

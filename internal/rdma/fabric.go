@@ -274,7 +274,7 @@ type Fabric struct {
 
 	// nodeChunks and qpChunks are the slab backing stores for nodes and
 	// queue pairs (see the chunk-size constants); byName indexes nodes for
-	// O(1) duplicate detection and lookup, and qps indexes queue pairs by
+	// O(1) duplicate detection, and qps indexes queue pairs by
 	// their dense 1-based id (qps[0] is nil) for tag dispatch. All four
 	// grow only during setup: on a sharded fabric, nodes and connections
 	// must exist before the run starts (the assignment is fixed at
@@ -477,13 +477,6 @@ func (f *Fabric) addNode(name string, kind NodeKind) (*Node, error) {
 	f.byName[name] = n
 	f.nodes = append(f.nodes, n)
 	return n, nil
-}
-
-// NodeByName returns the node with the given name, if any (background-job
-// initiators included).
-func (f *Fabric) NodeByName(name string) (*Node, bool) {
-	n, ok := f.byName[name]
-	return n, ok
 }
 
 // SetSanitizers attaches one invariant checker per shard to the fabric's
