@@ -67,7 +67,7 @@ func BenchmarkFig6_ClientSaturation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		o := benchOptions(b)
 		o.Clients = 2 // two single-client runs suffice for the metric
-		rep, err := experiments.Fig6(o)
+		rep, err := experiments.Run("fig6", o)
 		if err != nil {
 			b.Fatal(err)
 		}

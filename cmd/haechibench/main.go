@@ -169,8 +169,8 @@ func runOne(id string, opts experiments.Options, csvDir string, exp *exporter) e
 	// Events per wall second: the runs' deterministic kernel event
 	// counts over the experiment's wall time.
 	var ev uint64
-	for _, res := range rep.Runs {
-		ev += res.EventsExecuted
+	for _, r := range rep.Runs {
+		ev += r.Results.EventsExecuted
 	}
 	if ev > 0 {
 		status += fmt.Sprintf("; %d kernel events, %.1fM events/wall-sec",
@@ -182,7 +182,7 @@ func runOne(id string, opts experiments.Options, csvDir string, exp *exporter) e
 
 // exporter writes the observability artifacts of each experiment's
 // cluster runs. Experiments that compare modes run several clusters;
-// in sweep order, the first run gets the exact -trace/-metrics
+// in plan order, the first run gets the exact -trace/-metrics
 // filename, later ones a -NN suffix.
 type exporter struct {
 	traceOut   string
@@ -199,11 +199,12 @@ func suffixed(path string, n int) string {
 	return fmt.Sprintf("%s-%02d%s", strings.TrimSuffix(path, ext), n+1, ext)
 }
 
-func (e *exporter) write(runs []*cluster.Results) error {
+func (e *exporter) write(runs []experiments.RunResult) error {
 	if e.traceOut == "" && e.metricsOut == "" {
 		return nil
 	}
-	for _, res := range runs {
+	for _, r := range runs {
+		res := r.Results
 		if e.traceOut != "" && res.Flight != nil {
 			path := suffixed(e.traceOut, e.written)
 			if err := writeFile(path, func(f *os.File) error {

@@ -38,7 +38,6 @@ func run(args []string, out io.Writer) int {
 		periods   = fs.Int("periods", cluster.LaptopMeasure, "measured periods")
 		records   = fs.Int("records", laptop.Records, "records populated")
 		seed      = fs.Int64("seed", laptop.Seed, "random seed")
-		congest   = fs.Int("congest-at", 0, "start background congestion at this measured period (0 = none)")
 		chaosSpec = fs.String("chaos", "", "inject a deterministic fault scenario (a preset such as set5, or e.g. 'crash@2.25:c=0;restart@5.5:c=0'; times in periods from run start, clients in tenant order)")
 		traceCap  = fs.Int("trace", 0, "record I/O spans and protocol events, print exact per-kind event totals, and dump the last N spans and events")
 		traceDump = fs.String("trace-dump", "", "record I/O spans and protocol events and write them as Chrome trace_event JSON to this file (open in Perfetto); keeps the last -trace entries, or 10000")
@@ -68,12 +67,6 @@ func run(args []string, out io.Writer) int {
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "haechikv: %v\n", err)
 		return 1
-	}
-	if *congest > 0 {
-		if err := sys.ScheduleCongestion(*congest, 0, 4, 32); err != nil {
-			fmt.Fprintf(os.Stderr, "haechikv: %v\n", err)
-			return 1
-		}
 	}
 	cap := haechi.DefaultCapacity(*scale)
 	fmt.Fprintf(out, "capacity at scale %.0f: C_G=%.0f IOPS one-sided, C_L=%.0f per client\n\n",

@@ -28,13 +28,16 @@ func main() {
 	// Record into the flight recorder so the run is not blind: the
 	// summary line at the end counts every capacity update and token
 	// push of the run, not only those the 4096-entry ring still holds.
-	sys, err := haechi.New(haechi.Config{Scale: scale, MeasurePeriods: periods, FlightSpans: 4096}, tenants)
+	// Three uncontrolled background streams run from measured period 8 to
+	// period 16: a burst fault from 9 to 17 periods after run start, the
+	// preset's 2 warm-up periods included.
+	sys, err := haechi.New(haechi.Config{
+		Scale:          scale,
+		MeasurePeriods: periods,
+		FlightSpans:    4096,
+		Chaos:          "burst@9+8:jobs=3,window=64",
+	}, tenants)
 	if err != nil {
-		log.Fatal(err)
-	}
-	// Three uncontrolled background streams start at period 8 and stop at
-	// period 16.
-	if err := sys.ScheduleCongestion(8, 16, 3, 64); err != nil {
 		log.Fatal(err)
 	}
 	rep, err := sys.Run()

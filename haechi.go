@@ -266,38 +266,6 @@ func tenantSpec(t Tenant, records int) (cluster.ClientSpec, error) {
 	return spec, nil
 }
 
-// ScheduleCongestion injects background one-sided load against the data
-// node between the given periods (1-based, relative to the start of the
-// measure window; stopPeriod 0 = never stops). jobs closed-loop streams of
-// the given window size are started. Must be called before Run.
-func (s *System) ScheduleCongestion(startPeriod, stopPeriod, jobs, window int) error {
-	if s.ran {
-		return fmt.Errorf("haechi: system already ran")
-	}
-	if jobs <= 0 || window <= 0 {
-		return fmt.Errorf("haechi: jobs and window must be positive")
-	}
-	if startPeriod < 1 {
-		return fmt.Errorf("haechi: congestion start period %d, want 1 or later", startPeriod)
-	}
-	if stopPeriod > 0 && stopPeriod <= startPeriod {
-		return fmt.Errorf("haechi: congestion stop period %d, want 0 (never) or after start period %d", stopPeriod, startPeriod)
-	}
-	T := s.cluster.Config().Params.Period
-	base := sim.Time(s.cfg.WarmupPeriods) * T
-	for j := 0; j < jobs; j++ {
-		job, err := s.cluster.AddBackgroundJob(fmt.Sprintf("congestion-%d-%d-%d", startPeriod, stopPeriod, j), window)
-		if err != nil {
-			return err
-		}
-		s.cluster.At(base+sim.Time(startPeriod-1)*T, job.Start)
-		if stopPeriod > 0 {
-			s.cluster.At(base+sim.Time(stopPeriod-1)*T, job.Stop)
-		}
-	}
-	return nil
-}
-
 // Run executes the configured warm-up and measure windows and returns the
 // report. Run consumes the system.
 func (s *System) Run() (*Report, error) {

@@ -159,9 +159,13 @@ func TestLimitsInPublicAPI(t *testing.T) {
 	}
 }
 
-func TestScheduleCongestion(t *testing.T) {
+// TestChaosBurstCongestion: background load injected through the public
+// Config.Chaos — a burst from the fourth measured period to past the
+// run's end — dents throughput.
+func TestChaosBurstCongestion(t *testing.T) {
 	cfg := fastConfig(ModeHaechi)
 	cfg.MeasurePeriods = 8
+	cfg.Chaos = "burst@4+6:jobs=3,window=64"
 	tenants := make([]Tenant, 10)
 	for i := range tenants {
 		tenants[i] = Tenant{Reservation: 1100, DemandPerPeriod: 2700}
@@ -169,20 +173,6 @@ func TestScheduleCongestion(t *testing.T) {
 	sys, err := New(cfg, tenants)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if err := sys.ScheduleCongestion(4, 0, 3, 64); err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.ScheduleCongestion(0, 0, 0, 64); err == nil {
-		t.Error("zero jobs accepted")
-	}
-	if err := sys.ScheduleCongestion(0, 0, 1, 64); err == nil {
-		t.Error("start period 0 accepted")
-	}
-	for _, stop := range []int{2, 3} {
-		if err := sys.ScheduleCongestion(3, stop, 1, 64); err == nil {
-			t.Errorf("stop period %d at or before start period 3 accepted", stop)
-		}
 	}
 	rep, err := sys.Run()
 	if err != nil {
@@ -199,9 +189,6 @@ func TestScheduleCongestion(t *testing.T) {
 	}
 	if after >= before {
 		t.Errorf("congestion had no effect: before=%.0f after=%.0f", before, after)
-	}
-	if err := sys.ScheduleCongestion(1, 0, 1, 64); err == nil {
-		t.Error("ScheduleCongestion after Run accepted")
 	}
 }
 

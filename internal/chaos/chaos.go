@@ -16,6 +16,7 @@ package chaos
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -49,8 +50,10 @@ const (
 	// in [0, Extra] while the window is open.
 	LinkStorm
 	// CongestionBurst runs Jobs closed-loop background jobs (window
-	// Window each) against the data node for the event's duration —
-	// correlated congestion beyond Set 4's steady load.
+	// Window each) against the data node for the event's duration: the
+	// paper's Set 4 background job, and the one way congestion is
+	// injected. A window opening at period 0 is running before the run's
+	// first event.
 	CongestionBurst
 )
 
@@ -225,7 +228,7 @@ func parseEvent(s string) (FaultEvent, error) {
 					return ev, fmt.Errorf("client index %q: %w", val, err)
 				}
 			case "factor":
-				if ev.Factor, err = strconv.ParseFloat(val, 64); err != nil {
+				if ev.Factor, err = parseFinite(val); err != nil {
 					return ev, fmt.Errorf("factor %q: %w", val, err)
 				}
 			case "extra":
@@ -252,12 +255,26 @@ func parseEvent(s string) (FaultEvent, error) {
 // 'p' ("2.5", "2.5p").
 func parsePeriods(s string) (float64, error) {
 	s = strings.TrimSpace(strings.TrimSuffix(strings.TrimSpace(s), "p"))
-	v, err := strconv.ParseFloat(s, 64)
+	v, err := parseFinite(s)
 	if err != nil {
-		return 0, fmt.Errorf("bad period count %q", s)
+		return 0, fmt.Errorf("bad period count %q: %w", s, err)
 	}
 	if v < 0 {
 		return 0, fmt.Errorf("negative period count %v", v)
+	}
+	return v, nil
+}
+
+// parseFinite parses a float and refuses NaN and ±Inf, which
+// strconv.ParseFloat accepts: no event time, window or factor is
+// infinite.
+func parseFinite(s string) (float64, error) {
+	v, err := strconv.ParseFloat(s, 64)
+	if err != nil {
+		return 0, err
+	}
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return 0, fmt.Errorf("%v is not a finite number", v)
 	}
 	return v, nil
 }
@@ -278,7 +295,7 @@ func parseDelay(s string) (sim.Time, error) {
 	s = strings.TrimSpace(s)
 	for _, u := range delayUnits {
 		if num, ok := strings.CutSuffix(s, u.suffix); ok {
-			v, err := strconv.ParseFloat(num, 64)
+			v, err := parseFinite(num)
 			if err != nil {
 				break
 			}

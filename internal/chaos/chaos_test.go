@@ -88,6 +88,14 @@ func TestParseErrors(t *testing.T) {
 		{"jitter@2+1", "extra=<delay>"},
 		{"jitter@2+1:extra=2parsecs", "bad duration"},
 		{"burst@2+1:jobs=0", "jobs > 0"},
+		{"burst@2", "requires '+<duration>'"},
+		{"burst@NaN+1", "not a finite number"},
+		{"burst@2+NaN", "not a finite number"},
+		{"outage@1+Inf", "not a finite number"},
+		{"crash@-Inf:c=0", "not a finite number"},
+		{"degrade@1+1:factor=NaN", "not a finite number"},
+		{"degrade@1+1:factor=+Inf", "not a finite number"},
+		{"jitter@2+1:extra=NaNus", "bad duration"},
 		{"crash@2:c=0,badkey=1", "unknown option"},
 		{"crash@2:c", "not key=value"},
 	}

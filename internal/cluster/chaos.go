@@ -5,6 +5,7 @@ import (
 
 	"github.com/haechi-qos/haechi/internal/chaos"
 	"github.com/haechi-qos/haechi/internal/core"
+	"github.com/haechi-qos/haechi/internal/rdma"
 	"github.com/haechi-qos/haechi/internal/sim"
 )
 
@@ -57,11 +58,19 @@ func (c *Cluster) armChaos(start sim.Time) error {
 			}
 		case chaos.CongestionBurst:
 			for j := 0; j < ev.Jobs; j++ {
-				job, err := c.AddBackgroundJob(fmt.Sprintf("chaos-%02d-%02d", i, j), ev.Window)
+				job, err := rdma.NewBackgroundJob(c.fabric, fmt.Sprintf("chaos-%02d-%02d", i, j), c.Server(), ev.Window)
 				if err != nil {
 					return err
 				}
-				c.kernel.At(at(ev.At), job.Start)
+				// Background initiators share the data node's shard (see New).
+				job.SetSanitizer(c.sanFor(0))
+				// A window open at run start is already congested when
+				// the run's first event fires.
+				if ev.At <= 0 {
+					job.Start()
+				} else {
+					c.kernel.At(at(ev.At), job.Start)
+				}
 				c.kernel.At(at(ev.At+ev.Duration), job.Stop)
 			}
 		}

@@ -245,7 +245,7 @@ func TestChaosCatchesPostCrashCompletion(t *testing.T) {
 		t.Fatal(err)
 	}
 	T := cl.Config().Params.Period
-	cl.At(sim.Time(3.5*float64(T)), func() {
+	cl.kernel.At(sim.Time(3.5*float64(T)), func() {
 		cl.Clients()[0].Engine.DebugInjectPostCrashCompletion()
 	})
 	_, err = cl.Run(1, 4)

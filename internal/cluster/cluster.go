@@ -74,7 +74,6 @@ type Cluster struct {
 	// only the sanitizer's mutation test sets it.
 	skipHandBack bool
 
-	bgJobs map[string]*rdma.BackgroundJob
 	// ran guards Run, which consumes the cluster.
 	ran bool
 
@@ -172,7 +171,6 @@ func New(cfg Config, specs []ClientSpec) (_ *Cluster, err error) {
 		cfg:     cfg,
 		kernel:  k,
 		fabric:  fabric,
-		bgJobs:  make(map[string]*rdma.BackgroundJob),
 		kernels: kernels,
 		group:   group,
 		byShard: make([][]*Client, shards),
@@ -607,10 +605,6 @@ func (c *Cluster) harvest(rt *Client, period int) {
 	rt.lastHarvestAt = now
 }
 
-// Kernel exposes the simulation kernel (for scheduling experiment events
-// such as congestion onset).
-func (c *Cluster) Kernel() *sim.Kernel { return c.kernel }
-
 // Fabric exposes the fabric.
 func (c *Cluster) Fabric() *rdma.Fabric { return c.fabric }
 
@@ -628,22 +622,6 @@ func (c *Cluster) Clients() []*Client { return c.clients }
 
 // Config returns the normalized configuration.
 func (c *Cluster) Config() Config { return c.cfg }
-
-// AddBackgroundJob registers a named closed-loop background load against
-// the first data node (stopped; schedule Start/Stop with At).
-func (c *Cluster) AddBackgroundJob(name string, window int) (*rdma.BackgroundJob, error) {
-	if _, ok := c.bgJobs[name]; ok {
-		return nil, fmt.Errorf("cluster: background job %q exists", name)
-	}
-	job, err := rdma.NewBackgroundJob(c.fabric, name, c.Server(), window)
-	if err != nil {
-		return nil, err
-	}
-	// Background initiators share the data node's shard (see New).
-	job.SetSanitizer(c.sanFor(0))
-	c.bgJobs[name] = job
-	return job, nil
-}
 
 // sanFor returns shard s's invariant checker, or nil when sanitizing is
 // off (component hooks treat nil as disabled).
@@ -690,12 +668,6 @@ func armEventOrder(k *sim.Kernel, shard int, san *sanitize.Checker) {
 		lastAt, lastSeq = at, seq
 	})
 }
-
-// At schedules fn at absolute virtual time t (e.g. congestion onset) on
-// shard 0's kernel — correct for the usual experiment events
-// (background-job start/stop touches the data node's shard only); with
-// more than one shard fn must not mutate client-shard state.
-func (c *Cluster) At(t sim.Time, fn func()) { c.kernel.At(t, fn) }
 
 // fnv32 is FNV-1a over the node name, used for stable shard placement.
 func fnv32(name string) uint32 {

@@ -386,27 +386,20 @@ func TestLatencyBurstVsConstantRate(t *testing.T) {
 	}
 }
 
-// TestBackgroundJobAndTimeline: congestion mid-run dents the throughput
-// timeline (Fig. 16 shape) and the timelines are recorded from t=0.
+// TestBackgroundJobAndTimeline: a congestion burst from period 6 to past
+// the run's end dents the throughput timeline (Fig. 16 shape) and the
+// timelines are recorded from t=0.
 func TestBackgroundJobAndTimeline(t *testing.T) {
 	reserved := int64(0.8 * scaledServerC / 10)
 	specs := make([]ClientSpec, 10)
 	for i := range specs {
 		specs[i] = ClientSpec{Reservation: reserved, Demand: ConstantDemand(uint64(reserved) + 400)}
 	}
-	cl, err := New(testConfig(Haechi), specs)
+	cfg := testConfig(Haechi)
+	cfg.Chaos = "burst@6+6:jobs=3,window=64"
+	cl, err := New(cfg, specs)
 	if err != nil {
 		t.Fatal(err)
-	}
-	for j := 0; j < 3; j++ {
-		job, err := cl.AddBackgroundJob(string(rune('a'+j)), 64)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cl.At(6*cl.Config().Params.Period, job.Start)
-	}
-	if _, err := cl.AddBackgroundJob("a", 64); err == nil {
-		t.Error("duplicate job name accepted")
 	}
 	res, err := cl.Run(1, 10)
 	if err != nil {
@@ -718,7 +711,7 @@ func TestPaperScaleStoreIsCheap(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cl.Kernel().RunUntil(cl.Kernel().Now() + 10*sim.Millisecond)
+		cl.kernel.RunUntil(cl.kernel.Now() + 10*sim.Millisecond)
 		if !got {
 			t.Errorf("GET %d did not complete", key)
 		}
@@ -834,7 +827,7 @@ func TestOpenLoopArrivalsNoAlloc(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			k, T := cl.Kernel(), cl.Config().Params.Period
+			k, T := cl.kernel, cl.Config().Params.Period
 			for _, c := range cl.Clients() {
 				c.Gen.BeginPeriod(2000) // half what a client's NIC carries; never renewed
 			}

@@ -41,7 +41,7 @@ func TestSanitizerCatchesTokenLeak(t *testing.T) {
 			}
 			// ApplyScale ran inside New; use the normalized period.
 			T := cl.Config().Params.Period
-			cl.At(T+T/2, func() {
+			cl.kernel.At(T+T/2, func() {
 				eng := cl.Clients()[0].Engine
 				eng.DebugDropReservationTokens(5)
 				if tc.crash {
@@ -106,13 +106,13 @@ func TestSanitizerCatchesBrokenCookie(t *testing.T) {
 			var strike func()
 			strike = func() { // at the first instant an I/O is on the wire
 				if w.pending.Len() == 0 {
-					cl.Kernel().Schedule(sim.Microsecond, strike)
+					cl.kernel.Schedule(sim.Microsecond, strike)
 					return
 				}
-				m.mutate(w, cl.Kernel().Now())
+				m.mutate(w, cl.kernel.Now())
 			}
 			T := cl.Config().Params.Period
-			cl.At(T+T/2, strike)
+			cl.kernel.At(T+T/2, strike)
 			_, err = cl.Run(1, 2)
 			if err == nil || !strings.Contains(err.Error(), "completion-cookie") {
 				t.Fatalf("run with %s returned %v, want a completion-cookie violation", m.name, err)

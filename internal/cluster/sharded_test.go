@@ -101,11 +101,9 @@ func TestShardedReportShape(t *testing.T) {
 	cfg := testConfig(Haechi)
 	cfg.Seed = 9
 	cfg.Shards = 64 // clamps to 5
+	cfg.Chaos = "burst@1.5+0.5:jobs=1,window=8"
 	cl, err := New(cfg, specs)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cl.AddBackgroundJob("noise", 8); err != nil {
 		t.Fatal(err)
 	}
 	res, err := cl.Run(1, 2)

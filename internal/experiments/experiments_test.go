@@ -1,11 +1,16 @@
 package experiments
 
 import (
+	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
+
+	"github.com/haechi-qos/haechi/internal/chaos"
+	"github.com/haechi-qos/haechi/internal/cluster"
 )
 
 // fastOptions shrinks every experiment for CI: heavy scaling, short
@@ -21,7 +26,11 @@ func fastOptions() Options {
 // resolve through cluster.Config.ApplyScale; the zero Options and a
 // fractional scale are refused.
 func TestOptionsValidate(t *testing.T) {
-	cfg, err := NewDefaultOptions().validate()
+	o := NewDefaultOptions()
+	if err := o.validate(); err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := o.Base.ApplyScale()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,12 +38,12 @@ func TestOptionsValidate(t *testing.T) {
 		t.Errorf("laptop preset resolved to scale %v, seed %d, %d records in %d slots",
 			cfg.Scale, cfg.Seed, cfg.Records, cfg.Store.Capacity)
 	}
-	if _, err := (Options{}).validate(); err == nil {
+	if err := (Options{}).validate(); err == nil {
 		t.Error("zero options accepted")
 	}
-	o := fastOptions()
+	o = fastOptions()
 	o.Base.Scale = 0.5
-	if _, err := o.validate(); err == nil {
+	if err := o.validate(); err == nil {
 		t.Error("fractional scale accepted")
 	}
 }
@@ -106,7 +115,7 @@ func TestCountFormatting(t *testing.T) {
 }
 
 func TestTableIExperiment(t *testing.T) {
-	rep, err := TableI(fastOptions())
+	rep, err := Run("config", fastOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +157,7 @@ func parseK(t *testing.T, s string) float64 {
 func TestFig6Shape(t *testing.T) {
 	o := fastOptions()
 	o.Clients = 3 // fewer single-client runs
-	rep, err := Fig6(o)
+	rep, err := Run("fig6", o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +178,7 @@ func TestFig6Shape(t *testing.T) {
 
 func TestFig7Shape(t *testing.T) {
 	o := fastOptions()
-	rep, err := Fig7(o)
+	rep, err := Run("fig7", o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +207,7 @@ func TestFig7Shape(t *testing.T) {
 }
 
 func TestFig8Shape(t *testing.T) {
-	rep, err := Fig8(fastOptions())
+	rep, err := Run("fig8", fastOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +241,7 @@ func TestFig8Shape(t *testing.T) {
 }
 
 func TestFig9Shape(t *testing.T) {
-	rep, err := Fig9(fastOptions())
+	rep, err := Run("fig9", fastOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +271,7 @@ func TestFig9Shape(t *testing.T) {
 }
 
 func TestFig10Shape(t *testing.T) {
-	rep, err := Fig10and11(fastOptions())
+	rep, err := Run("fig10", fastOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +290,7 @@ func TestFig10Shape(t *testing.T) {
 }
 
 func TestFig12Shape(t *testing.T) {
-	rep, err := Fig12(fastOptions())
+	rep, err := Run("fig12", fastOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +314,7 @@ func TestFig12Shape(t *testing.T) {
 }
 
 func TestFig13to15Shape(t *testing.T) {
-	rep, err := Fig13to15(fastOptions())
+	rep, err := Run("fig13", fastOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +342,7 @@ func TestFig13to15Shape(t *testing.T) {
 func TestFig16to19Shape(t *testing.T) {
 	o := fastOptions()
 	o.MeasurePeriods = 24
-	over, err := Fig16and17(o)
+	over, err := Run("fig16", o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,7 +360,7 @@ func TestFig16to19Shape(t *testing.T) {
 		t.Error("overestimation notes missing phase means")
 	}
 
-	under, err := Fig18and19(o)
+	under, err := Run("fig18", o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -389,8 +398,8 @@ func TestRunAllFast(t *testing.T) {
 		if want, ok := wantRuns[rep.ID]; !ok || len(rep.Runs) != want {
 			t.Errorf("%s: %d runs, want %d", rep.ID, len(rep.Runs), want)
 		}
-		for i, res := range rep.Runs {
-			if res == nil {
+		for i, r := range rep.Runs {
+			if r.Results == nil {
 				t.Errorf("%s: run %d is nil", rep.ID, i)
 			}
 		}
@@ -398,7 +407,7 @@ func TestRunAllFast(t *testing.T) {
 }
 
 func TestLimitsShape(t *testing.T) {
-	rep, err := Limits(fastOptions())
+	rep, err := Run("limits", fastOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -431,7 +440,7 @@ func TestAblationShape(t *testing.T) {
 	}
 	o := fastOptions()
 	o.MeasurePeriods = 2
-	rep, err := Ablation(o)
+	rep, err := Run("ablation", o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -463,7 +472,7 @@ func TestMultiServerShape(t *testing.T) {
 		t.Skip("slow sweep")
 	}
 	o := fastOptions()
-	rep, err := MultiServer(o)
+	rep, err := Run("multiserver", o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -527,7 +536,7 @@ func TestParallelSweepByteIdentical(t *testing.T) {
 	render := func(parallel int) string {
 		o := fastOptions()
 		o.Parallel = parallel
-		rep, err := Fig12(o)
+		rep, err := Run("fig12", o)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -538,6 +547,67 @@ func TestParallelSweepByteIdentical(t *testing.T) {
 		if got := render(workers); got != sequential {
 			t.Errorf("Parallel=%d report diverged from sequential:\n--- parallel\n%s\n--- sequential\n%s",
 				workers, got, sequential)
+		}
+	}
+}
+
+// TestRunSelfDescribing rebuilds each experiment's last planned run on
+// its own, from the RunSpec alone, and requires the same Results the
+// report carries: nothing an experiment schedules may live outside its
+// plan.
+func TestRunSelfDescribing(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full sweep in -short mode")
+	}
+	for _, id := range Order {
+		t.Run(id, func(t *testing.T) {
+			rep, err := Run(id, fastOptions())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(rep.Runs) == 0 {
+				return
+			}
+			last := rep.Runs[len(rep.Runs)-1]
+			cl, err := cluster.New(last.Run.Config, last.Run.Specs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			alone, err := cl.Run(last.Run.Warmup, last.Run.Measure)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := json.Marshal(last.Results)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := json.Marshal(alone)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("run %q rebuilt alone diverged from the report's results", last.Run.Name)
+			}
+		})
+	}
+}
+
+// TestSet4KeepsCallerChaos: Set 4's congestion burst is appended to the
+// caller's scenario, not substituted for it.
+func TestSet4KeepsCallerChaos(t *testing.T) {
+	o := fastOptions()
+	o.Base.Chaos = "jitter@3+1:extra=2us"
+	rep, err := Run("fig16", o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range rep.Runs {
+		fr := r.Results.Faults
+		if fr == nil {
+			t.Fatalf("run %q: no fault report", r.Run.Name)
+		}
+		if want := (chaos.Counts{Storms: 1, Bursts: 1}); fr.Injected != want {
+			t.Errorf("run %q injected %+v, want %+v (scenario %q)", r.Run.Name, fr.Injected, want, fr.Scenario)
 		}
 	}
 }

@@ -17,7 +17,7 @@ import (
 // (Set 1: fig6-8), reservation attainment and conversion (Set 2:
 // fig9-12), isolation (Set 3: fig13), over/under-provisioning (Set 4:
 // fig16/18) and the failure scenario (Set 5). Every experiment returns
-// its cluster runs in Report.Runs; their concatenated JSON, in sweep
+// its cluster runs in Report.Runs; their concatenated JSON, in plan
 // order, is the byte-identity surface the hot-path refactors must
 // preserve. The last two cases pin the
 // multi-shard route (mailbox hops, per-shard tickers and flags) the same
@@ -70,9 +70,9 @@ func TestGoldenResultsByteIdentical(t *testing.T) {
 				t.Fatalf("running %s: %v", name, err)
 			}
 			var buf bytes.Buffer
-			for i, res := range rep.Runs {
-				fmt.Fprintf(&buf, "run %d mode=%s\n", i, res.Mode)
-				b, err := json.MarshalIndent(res, "", " ")
+			for i, r := range rep.Runs {
+				fmt.Fprintf(&buf, "run %d mode=%s\n", i, r.Results.Mode)
+				b, err := json.MarshalIndent(r.Results, "", " ")
 				if err != nil {
 					t.Fatalf("marshaling run %d: %v", i, err)
 				}

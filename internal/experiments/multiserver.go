@@ -3,11 +3,9 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
-	"slices"
 
 	"github.com/haechi-qos/haechi/internal/cluster"
 	"github.com/haechi-qos/haechi/internal/kvstore"
-	"github.com/haechi-qos/haechi/internal/parallel"
 	"github.com/haechi-qos/haechi/internal/rdma"
 	"github.com/haechi-qos/haechi/internal/workload"
 )
@@ -36,10 +34,7 @@ func (h *hotShardKeys) Next(rng *rand.Rand) uint64 {
 //
 // Every run is sanitized: the reservation-split invariant holds across
 // the rebalance rounds.
-func MultiServer(o Options) (*Report, error) {
-	if _, err := o.validate(); err != nil {
-		return nil, err
-	}
+func MultiServer(o Options) (*Plan, error) {
 	// 512 records per data node in tables kept at most half full: the
 	// sizing testdata/golden/multiserver.txt was recorded at.
 	const recordsPerServer = 512
@@ -55,13 +50,11 @@ func MultiServer(o Options) (*Report, error) {
 			Sanitize:       true,
 		}
 	}
-	rep := &Report{
-		ID:      "multiserver",
-		Caption: "Multi-server Haechi with reservation rebalancing (extension, paper §V)",
-	}
-
 	perServer := o.capacityPerPeriod()
 	perClientCap := o.localCapacityPerPeriod()
+	// Each run renders as one row of its panel's table, in plan order.
+	var runs []RunSpec
+	var rows []func(out *cluster.Results)
 
 	// Panel 1: scaling. Twelve saturating tenants; each reserves its
 	// share of 70% of the cluster, bounded by its own NIC (C_L).
@@ -70,44 +63,31 @@ func MultiServer(o Options) (*Report, error) {
 		Title:  fmt.Sprintf("cluster scaling: %d uniformly-sharded saturating tenants", tenants),
 		Header: []string{"servers", "total reservation", "throughput/period", "all reservations met"},
 	}
-	serverCounts := []int{1, 2, 4}
-	perTenant := func(servers int) int64 {
-		return min(perServer*int64(servers)*7/(10*tenants), perClientCap*55/100)
-	}
-	scaleOuts, err := parallel.Map(o.workers(), len(serverCounts), func(si int) (*cluster.Results, error) {
-		servers := serverCounts[si]
+	for _, servers := range []int{1, 2, 4} {
+		perTenant := min(perServer*int64(servers)*7/(10*tenants), perClientCap*55/100)
 		specs := make([]cluster.ClientSpec, tenants)
 		for i := range specs {
 			specs[i] = cluster.ClientSpec{
-				Reservation: perTenant(servers),
+				Reservation: perTenant,
 				Demand:      cluster.ConstantDemand(uint64(perClientCap)), // saturate the client NIC
 				Keys:        &workload.UniformKeys{N: 1024},
 			}
 		}
-		mc, err := cluster.New(config(servers, 0), specs)
-		if err != nil {
-			return nil, err
-		}
-		return mc.Run(o.WarmupPeriods, o.MeasurePeriods)
-	})
-	if err != nil {
-		return nil, err
-	}
-	for si, servers := range serverCounts {
-		out := scaleOuts[si]
-		met := "yes"
-		for _, cr := range out.Clients {
-			if float64(cr.MinPeriod) < 0.97*float64(cr.Reservation) {
-				met = fmt.Sprintf("MISS (min %d of %d)", cr.MinPeriod, cr.Reservation)
-				break
+		runs = append(runs, o.run(fmt.Sprintf("%d servers", servers), config(servers, 0), specs))
+		rows = append(rows, func(out *cluster.Results) {
+			met := "yes"
+			for _, cr := range out.Clients {
+				if float64(cr.MinPeriod) < 0.97*float64(cr.Reservation) {
+					met = fmt.Sprintf("MISS (min %d of %d)", cr.MinPeriod, cr.Reservation)
+					break
+				}
 			}
-		}
-		t1.AddRow(fmt.Sprintf("%d", servers),
-			count(float64(perTenant(servers))*tenants, o.Base.Scale),
-			count(float64(out.TotalCompleted)/float64(o.MeasurePeriods), o.Base.Scale),
-			met)
+			t1.AddRow(fmt.Sprintf("%d", servers),
+				count(float64(perTenant)*tenants, o.Base.Scale),
+				count(float64(out.TotalCompleted)/float64(o.MeasurePeriods), o.Base.Scale),
+				met)
+		})
 	}
-	rep.Tables = append(rep.Tables, t1)
 
 	// Panel 2: skew + rebalancing on 2 servers. Pressure tenants reserve
 	// the hot shard nearly fully so the pool cannot cover the skew.
@@ -116,8 +96,7 @@ func MultiServer(o Options) (*Report, error) {
 		Header: []string{"rebalancing", "final split", "min/period", "meets total R"},
 	}
 	skewRes := perClientCap * 3 / 4
-	rebalances := []int{0, 2}
-	skewOuts, err := parallel.Map(o.workers(), len(rebalances), func(ri int) (*cluster.Results, error) {
+	for _, rebalance := range []int{0, 2} {
 		specs := []cluster.ClientSpec{
 			{
 				Reservation: skewRes,
@@ -134,32 +113,34 @@ func MultiServer(o Options) (*Report, error) {
 				Keys:        &workload.UniformKeys{N: 1024},
 			})
 		}
-		mc, err := cluster.New(config(2, rebalances[ri]), specs)
-		if err != nil {
-			return nil, err
-		}
-		return mc.Run(o.WarmupPeriods, o.MeasurePeriods+4)
-	})
-	if err != nil {
-		return nil, err
-	}
-	for ri, rebalance := range rebalances {
-		out := skewOuts[ri]
-		cr := out.Clients[0]
 		label := "off"
 		if rebalance > 0 {
 			label = fmt.Sprintf("every %d periods", rebalance)
 		}
-		t2.AddRow(label,
-			fmt.Sprintf("%v", cr.Split),
-			count(float64(cr.MinPeriod), o.Base.Scale),
-			meets(cr.Periods[len(cr.Periods)-1], skewRes))
+		r := o.run("rebalancing "+label, config(2, rebalance), specs)
+		r.Measure += 4
+		runs = append(runs, r)
+		rows = append(rows, func(out *cluster.Results) {
+			cr := out.Clients[0]
+			t2.AddRow(label,
+				fmt.Sprintf("%v", cr.Split),
+				count(float64(cr.MinPeriod), o.Base.Scale),
+				meets(cr.Periods[len(cr.Periods)-1], skewRes))
+		})
 	}
-	rep.Tables = append(rep.Tables, t2)
-	rep.Runs = slices.Concat(scaleOuts, skewOuts)
-	rep.Notes = append(rep.Notes,
-		"expected: throughput scales with server count and reservations hold at every size;",
-		"the skew-bound tenant misses under a static split (half its reservation is stranded on",
-		"the cold shard) and converges to its total reservation with rebalancing enabled")
-	return rep, nil
+
+	return &Plan{Runs: runs, Render: func(outs []*cluster.Results) *Report {
+		for i, out := range outs {
+			rows[i](out)
+		}
+		return &Report{
+			Caption: "Multi-server Haechi with reservation rebalancing (extension, paper §V)",
+			Tables:  []*Table{t1, t2},
+			Notes: []string{
+				"expected: throughput scales with server count and reservations hold at every size;",
+				"the skew-bound tenant misses under a static split (half its reservation is stranded on",
+				"the cold shard) and converges to its total reservation with rebalancing enabled",
+			},
+		}
+	}}, nil
 }

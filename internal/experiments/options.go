@@ -25,7 +25,7 @@ type Options struct {
 	Clients int
 	// Parallel is the number of independent cluster runs an experiment
 	// may execute concurrently (each on its own kernel). 0 or 1 runs
-	// sequentially. Results are merged by sweep index, so the output is
+	// sequentially. Results are merged by plan index, so the output is
 	// identical at any worker count, Report.Runs included; see
 	// internal/parallel.
 	Parallel int
@@ -47,22 +47,21 @@ func preset(base cluster.Config, warmup, measure int) Options {
 	return Options{Base: base, WarmupPeriods: warmup, MeasurePeriods: measure, Clients: 10}
 }
 
-// validate refuses options no sweep can run and returns Base as
+// validate refuses options no sweep can run, Base among them as
 // cluster.Config.ApplyScale resolves it. It fills nothing in: the sweeps
 // read Base.Scale as given, so it must be set.
-func (o Options) validate() (cluster.Config, error) {
-	cfg, err := o.Base.ApplyScale()
-	if err != nil {
-		return cfg, err
+func (o Options) validate() error {
+	if _, err := o.Base.ApplyScale(); err != nil {
+		return err
 	}
 	if o.Base.Scale == 0 || o.Clients < 1 || o.WarmupPeriods < 0 || o.MeasurePeriods < 1 || o.Parallel < 0 {
-		return cfg, fmt.Errorf("experiments: need Base.Scale, Clients and MeasurePeriods set and nothing negative, got scale %v, %d clients, %d+%d periods, parallel %d",
+		return fmt.Errorf("experiments: need Base.Scale, Clients and MeasurePeriods set and nothing negative, got scale %v, %d clients, %d+%d periods, parallel %d",
 			o.Base.Scale, o.Clients, o.WarmupPeriods, o.MeasurePeriods, o.Parallel)
 	}
-	return cfg, nil
+	return nil
 }
 
-// workers returns the worker count for parallel.Map sweeps.
+// workers returns the worker count for the runner's parallel.Map.
 func (o Options) workers() int {
 	if o.Parallel <= 1 {
 		return 1
@@ -75,6 +74,12 @@ func (o Options) config(mode cluster.Mode) cluster.Config {
 	cfg := o.Base
 	cfg.Mode = mode
 	return cfg
+}
+
+// run describes one cluster run over the options' warm-up and measure
+// windows.
+func (o Options) run(name string, cfg cluster.Config, specs []cluster.ClientSpec) RunSpec {
+	return RunSpec{Name: name, Config: cfg, Specs: specs, Warmup: o.WarmupPeriods, Measure: o.MeasurePeriods}
 }
 
 // capacityPerPeriod returns the scaled C_G per QoS period (the token

@@ -3,10 +3,34 @@ package experiments
 import (
 	"fmt"
 	"sort"
+
+	"github.com/haechi-qos/haechi/internal/cluster"
+	"github.com/haechi-qos/haechi/internal/parallel"
 )
 
-// Func runs one experiment.
-type Func func(Options) (*Report, error)
+// RunSpec describes one cluster run completely: cluster.New(Config,
+// Specs) followed by Run(Warmup, Measure) reproduces it on its own, with
+// nothing scheduled outside the description.
+type RunSpec struct {
+	// Name labels the run within its experiment.
+	Name    string
+	Config  cluster.Config
+	Specs   []cluster.ClientSpec
+	Warmup  int
+	Measure int
+}
+
+// Plan is one experiment as data: the runs it makes and how their
+// results render.
+type Plan struct {
+	Runs []RunSpec
+	// Render turns the runs' results, in plan order, into the report's
+	// caption, tables and notes. The runner calls it once.
+	Render func(outs []*cluster.Results) *Report
+}
+
+// Func plans one experiment.
+type Func func(Options) (*Plan, error)
 
 // registry maps experiment ids to their functions.
 var registry = map[string]Func{
@@ -78,13 +102,42 @@ func Known() []string {
 	return out
 }
 
-// Run executes one experiment by id.
+// Run executes one experiment by id: it checks the options, plans the
+// experiment, runs the plan's clusters Options.Parallel at a time (each
+// on its own kernel, so the results are the same at any worker count)
+// and renders their results.
 func Run(id string, o Options) (*Report, error) {
 	f, err := Lookup(id)
 	if err != nil {
 		return nil, err
 	}
-	return f(o)
+	if canonical, ok := aliases[id]; ok {
+		id = canonical
+	}
+	if err := o.validate(); err != nil {
+		return nil, err
+	}
+	plan, err := f(o)
+	if err != nil {
+		return nil, err
+	}
+	outs, err := parallel.Map(o.workers(), len(plan.Runs), func(i int) (*cluster.Results, error) {
+		r := plan.Runs[i]
+		cl, err := cluster.New(r.Config, r.Specs)
+		if err != nil {
+			return nil, err
+		}
+		return cl.Run(r.Warmup, r.Measure)
+	})
+	if err != nil {
+		return nil, err
+	}
+	rep := plan.Render(outs)
+	rep.ID = id
+	for i, r := range plan.Runs {
+		rep.Runs = append(rep.Runs, RunResult{Run: r, Results: outs[i]})
+	}
+	return rep, nil
 }
 
 // RunAll executes every experiment in Order.

@@ -1,8 +1,9 @@
 // Package experiments reproduces every table and figure of the paper's
-// evaluation (Section III). Each experiment is a function from Options to
-// a Report: the same rows/series the paper plots, printed as aligned
-// tables. The cmd/haechibench binary and the repository's benchmarks are
-// thin wrappers over this package; EXPERIMENTS.md records the outcomes.
+// evaluation (Section III). Each experiment plans its cluster runs from
+// Options and renders their results into a Report: the same rows/series
+// the paper plots, printed as aligned tables. Run is the one runner; the
+// cmd/haechibench binary and the repository's benchmarks are thin
+// wrappers over it. EXPERIMENTS.md records the outcomes.
 package experiments
 
 import (
@@ -75,10 +76,16 @@ type Report struct {
 	Tables []*Table
 	// Notes record expected-shape commentary and any caveats.
 	Notes []string
-	// Runs are the cluster runs the experiment made, in sweep order
-	// (the same at any Options.Parallel): callers export their traces
-	// and metrics from here.
-	Runs []*cluster.Results
+	// Runs pairs each planned run with its results, in plan order (the
+	// same at any Options.Parallel): callers export their traces and
+	// metrics from here.
+	Runs []RunResult
+}
+
+// RunResult is one planned run and what it produced.
+type RunResult struct {
+	Run     RunSpec
+	Results *cluster.Results
 }
 
 // String renders the whole report.

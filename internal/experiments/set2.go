@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"github.com/haechi-qos/haechi/internal/cluster"
-	"github.com/haechi-qos/haechi/internal/parallel"
 	"github.com/haechi-qos/haechi/internal/workload"
 )
 
@@ -85,84 +84,63 @@ func sumInt64(v []int64) int64 {
 	return s
 }
 
-// runQoS builds and runs a cluster in the given mode.
-func (o Options) runQoS(mode cluster.Mode, specs []cluster.ClientSpec, mutate func(*cluster.Config)) (*cluster.Results, error) {
-	cfg := o.config(mode)
-	if mutate != nil {
-		mutate(&cfg)
-	}
-	cl, err := cluster.New(cfg, specs)
-	if err != nil {
-		return nil, err
-	}
-	return cl.Run(o.WarmupPeriods, o.MeasurePeriods)
-}
-
 // Fig9 reproduces Experiment 2A: Haechi vs the bare system with all
 // clients sufficiently backlogged, under Uniform and Zipf reservations.
-func Fig9(o Options) (*Report, error) {
-	if _, err := o.validate(); err != nil {
-		return nil, err
-	}
-	rep := &Report{
-		ID:      "fig9",
-		Caption: "Completed I/Os with sufficient demand: reservation vs Haechi vs bare (Fig. 9)",
-	}
+func Fig9(o Options) (*Plan, error) {
 	dists := []string{"uniform", "zipf"}
-	type fig9Point struct {
-		res       []int64
-		qos, bare *cluster.Results
-	}
-	points, err := parallel.Map(o.workers(), len(dists), func(di int) (fig9Point, error) {
-		res, err := o.reservations(dists[di], 0.9)
+	var runs []RunSpec
+	var reserved [][]int64
+	for _, dist := range dists {
+		res, err := o.reservations(dist, 0.9)
 		if err != nil {
-			return fig9Point{}, err
+			return nil, err
 		}
+		reserved = append(reserved, res)
 		demand := o.demandRPlusPool(res)
-		qos, err := o.runQoS(cluster.Haechi, o.qosSpecs(res, demand), nil)
-		if err != nil {
-			return fig9Point{}, err
-		}
-		bareSpecs := o.qosSpecs(res, demand)
-		for i := range bareSpecs {
-			bareSpecs[i].Reservation = 0
-		}
-		bare, err := o.runQoS(cluster.Bare, bareSpecs, nil)
-		if err != nil {
-			return fig9Point{}, err
-		}
-		return fig9Point{res: res, qos: qos, bare: bare}, nil
-	})
-	if err != nil {
-		return nil, err
+		runs = append(runs,
+			o.run(dist+" haechi", o.config(cluster.Haechi), o.qosSpecs(res, demand)),
+			o.run(dist+" bare", o.config(cluster.Bare), unreserved(o.qosSpecs(res, demand))))
 	}
-	for di, dist := range dists {
-		res, qos, bare := points[di].res, points[di].qos, points[di].bare
-		rep.Runs = append(rep.Runs, qos, bare)
-		t := &Table{
-			Title:  fmt.Sprintf("(%s reservation distribution, 90%% reserved)", dist),
-			Header: []string{"client", "reservation", "haechi", "bare", "haechi meets R"},
+	return &Plan{Runs: runs, Render: func(outs []*cluster.Results) *Report {
+		rep := &Report{
+			Caption: "Completed I/Os with sufficient demand: reservation vs Haechi vs bare (Fig. 9)",
 		}
-		for i := range res {
-			t.AddRow(fmt.Sprintf("C%d", i+1),
-				count(float64(res[i]), o.Base.Scale),
-				count(qos.Clients[i].MeanPeriod, o.Base.Scale),
-				count(bare.Clients[i].MeanPeriod, o.Base.Scale),
-				meets(qos.Clients[i].MinPeriod, res[i]))
+		for di, dist := range dists {
+			res, qos, bare := reserved[di], outs[2*di], outs[2*di+1]
+			t := &Table{
+				Title:  fmt.Sprintf("(%s reservation distribution, 90%% reserved)", dist),
+				Header: []string{"client", "reservation", "haechi", "bare", "haechi meets R"},
+			}
+			for i := range res {
+				t.AddRow(fmt.Sprintf("C%d", i+1),
+					count(float64(res[i]), o.Base.Scale),
+					count(qos.Clients[i].MeanPeriod, o.Base.Scale),
+					count(bare.Clients[i].MeanPeriod, o.Base.Scale),
+					meets(qos.Clients[i].MinPeriod, res[i]))
+			}
+			t.AddRow("total", count(float64(sumInt64(res)), o.Base.Scale),
+				count(qos.ThroughputPerPeriod, o.Base.Scale),
+				count(bare.ThroughputPerPeriod, o.Base.Scale),
+				fmt.Sprintf("loss %.2f%%", 100*(1-qos.ThroughputPerPeriod/bare.ThroughputPerPeriod)))
+			rep.Tables = append(rep.Tables, t)
 		}
-		t.AddRow("total", count(float64(sumInt64(res)), o.Base.Scale),
-			count(qos.ThroughputPerPeriod, o.Base.Scale),
-			count(bare.ThroughputPerPeriod, o.Base.Scale),
-			fmt.Sprintf("loss %.2f%%", 100*(1-qos.ThroughputPerPeriod/bare.ThroughputPerPeriod)))
-		rep.Tables = append(rep.Tables, t)
+		rep.Notes = append(rep.Notes,
+			"expected: bare splits capacity equally regardless of reservation (Zipf high-R clients miss);",
+			"Haechi meets the uniform reservations in full; under Zipf the top group reaches ~90% of R",
+			"(the 90%-reserved burst point sits at the local-capacity feasibility edge: the late-period",
+			"catch-up rate needed exceeds C_L — the same physics the paper uses to explain Figs. 8b/13;",
+			"see EXPERIMENTS.md) while remaining far above the bare system's fair share")
+		return rep
+	}}, nil
+}
+
+// unreserved zeroes the specs' reservations, for the bare comparison
+// runs.
+func unreserved(specs []cluster.ClientSpec) []cluster.ClientSpec {
+	for i := range specs {
+		specs[i].Reservation = 0
 	}
-	rep.Notes = append(rep.Notes,
-		"expected: bare splits capacity equally regardless of reservation (Zipf high-R clients miss);",
-		"Haechi meets the uniform reservations in full; under Zipf the top group reaches ~90% of R",
-		"(the 90%-reserved burst point sits at the local-capacity feasibility edge: the late-period",
-		"catch-up rate needed exceeds C_L — the same physics the paper uses to explain Figs. 8b/13;",
-		"see EXPERIMENTS.md) while remaining far above the bare system's fair share")
-	return rep, nil
+	return specs
 }
 
 // meets renders a reservation-attainment flag: "yes" when every measured
@@ -176,24 +154,16 @@ func meets(minPeriod uint64, reservation int64) string {
 
 // Fig10and11 reproduces Experiment 2B: clients C1 and C2 have demand below
 // their reservation; token conversion (Haechi) vs Basic Haechi vs bare.
-func Fig10and11(o Options) (*Report, error) {
-	if _, err := o.validate(); err != nil {
-		return nil, err
-	}
-	rep := &Report{
-		ID:      "fig10",
-		Caption: "Completed I/Os when C1, C2 demand < reservation: token conversion (Figs. 10, 11)",
-	}
+func Fig10and11(o Options) (*Plan, error) {
 	dists := []string{"uniform", "zipf"}
-	type fig10Point struct {
-		res                 []int64
-		haechi, basic, bare *cluster.Results
-	}
-	points, err := parallel.Map(o.workers(), len(dists), func(di int) (fig10Point, error) {
-		res, err := o.reservations(dists[di], 0.9)
+	var runs []RunSpec
+	var reserved [][]int64
+	for _, dist := range dists {
+		res, err := o.reservations(dist, 0.9)
 		if err != nil {
-			return fig10Point{}, err
+			return nil, err
 		}
+		reserved = append(reserved, res)
 		full := o.demandRPlusPool(res)
 		demand := func(i int) uint64 {
 			if i < 2 {
@@ -201,100 +171,84 @@ func Fig10and11(o Options) (*Report, error) {
 			}
 			return full(i)
 		}
-		haechi, err := o.runQoS(cluster.Haechi, o.qosSpecs(res, demand), nil)
-		if err != nil {
-			return fig10Point{}, err
-		}
-		basic, err := o.runQoS(cluster.BasicHaechi, o.qosSpecs(res, demand), nil)
-		if err != nil {
-			return fig10Point{}, err
-		}
-		bareSpecs := o.qosSpecs(res, demand)
-		for i := range bareSpecs {
-			bareSpecs[i].Reservation = 0
-		}
-		bare, err := o.runQoS(cluster.Bare, bareSpecs, nil)
-		if err != nil {
-			return fig10Point{}, err
-		}
-		return fig10Point{res: res, haechi: haechi, basic: basic, bare: bare}, nil
-	})
-	if err != nil {
-		return nil, err
+		runs = append(runs,
+			o.run(dist+" haechi", o.config(cluster.Haechi), o.qosSpecs(res, demand)),
+			o.run(dist+" basic", o.config(cluster.BasicHaechi), o.qosSpecs(res, demand)),
+			o.run(dist+" bare", o.config(cluster.Bare), unreserved(o.qosSpecs(res, demand))))
 	}
-	for di, dist := range dists {
-		res, haechi, basic, bare := points[di].res, points[di].haechi, points[di].basic, points[di].bare
-		rep.Runs = append(rep.Runs, haechi, basic, bare)
+	return &Plan{Runs: runs, Render: func(outs []*cluster.Results) *Report {
+		rep := &Report{
+			Caption: "Completed I/Os when C1, C2 demand < reservation: token conversion (Figs. 10, 11)",
+		}
+		for di, dist := range dists {
+			res, haechi, basic, bare := reserved[di], outs[3*di], outs[3*di+1], outs[3*di+2]
+			t := &Table{
+				Title:  fmt.Sprintf("(%s reservation distribution; C1, C2 at 50%% demand)", dist),
+				Header: []string{"client", "reservation", "basic haechi", "haechi", "gain"},
+			}
+			for i := range res {
+				gain := haechi.Clients[i].MeanPeriod - basic.Clients[i].MeanPeriod
+				t.AddRow(fmt.Sprintf("C%d", i+1),
+					count(float64(res[i]), o.Base.Scale),
+					count(basic.Clients[i].MeanPeriod, o.Base.Scale),
+					count(haechi.Clients[i].MeanPeriod, o.Base.Scale),
+					count(gain, o.Base.Scale))
+			}
+			rep.Tables = append(rep.Tables, t)
 
-		t := &Table{
-			Title:  fmt.Sprintf("(%s reservation distribution; C1, C2 at 50%% demand)", dist),
-			Header: []string{"client", "reservation", "basic haechi", "haechi", "gain"},
+			t11 := &Table{
+				Title:  fmt.Sprintf("Fig. 11 — total throughput (%s)", dist),
+				Header: []string{"system", "throughput/period"},
+			}
+			t11.AddRow("basic haechi", count(basic.ThroughputPerPeriod, o.Base.Scale))
+			t11.AddRow("haechi", count(haechi.ThroughputPerPeriod, o.Base.Scale))
+			t11.AddRow("bare", count(bare.ThroughputPerPeriod, o.Base.Scale))
+			rep.Tables = append(rep.Tables, t11)
 		}
-		for i := range res {
-			gain := haechi.Clients[i].MeanPeriod - basic.Clients[i].MeanPeriod
-			t.AddRow(fmt.Sprintf("C%d", i+1),
-				count(float64(res[i]), o.Base.Scale),
-				count(basic.Clients[i].MeanPeriod, o.Base.Scale),
-				count(haechi.Clients[i].MeanPeriod, o.Base.Scale),
-				count(gain, o.Base.Scale))
-		}
-		rep.Tables = append(rep.Tables, t)
-
-		t11 := &Table{
-			Title:  fmt.Sprintf("Fig. 11 — total throughput (%s)", dist),
-			Header: []string{"system", "throughput/period"},
-		}
-		t11.AddRow("basic haechi", count(basic.ThroughputPerPeriod, o.Base.Scale))
-		t11.AddRow("haechi", count(haechi.ThroughputPerPeriod, o.Base.Scale))
-		t11.AddRow("bare", count(bare.ThroughputPerPeriod, o.Base.Scale))
-		rep.Tables = append(rep.Tables, t11)
-	}
-	rep.Notes = append(rep.Notes,
-		"expected: Basic Haechi wastes C1/C2's unused tokens; Haechi converts them so C3-C10 exceed",
-		"their reservations and total throughput approaches the bare system (work conservation)")
-	return rep, nil
+		rep.Notes = append(rep.Notes,
+			"expected: Basic Haechi wastes C1/C2's unused tokens; Haechi converts them so C3-C10 exceed",
+			"their reservations and total throughput approaches the bare system (work conservation)")
+		return rep
+	}}, nil
 }
 
 // Fig12 reproduces Experiment 2C: throughput as the reserved fraction of
 // capacity sweeps 50-90% under Uniform and Zipf reservations.
-func Fig12(o Options) (*Report, error) {
-	if _, err := o.validate(); err != nil {
-		return nil, err
-	}
-	t := &Table{
-		Title:  "Haechi throughput vs reserved capacity fraction",
-		Header: []string{"reserved %", "uniform", "zipf"},
-	}
+func Fig12(o Options) (*Plan, error) {
 	fracs := []float64{0.5, 0.6, 0.7, 0.8, 0.9}
 	dists := []string{"uniform", "zipf"}
 	// One grid point per (fraction, distribution) pair, row-major.
-	points, err := parallel.Map(o.workers(), len(fracs)*len(dists), func(i int) (*cluster.Results, error) {
-		frac, dist := fracs[i/len(dists)], dists[i%len(dists)]
-		res, err := o.reservations(dist, frac)
-		if err != nil {
-			return nil, err
+	var runs []RunSpec
+	for _, frac := range fracs {
+		for _, dist := range dists {
+			res, err := o.reservations(dist, frac)
+			if err != nil {
+				return nil, err
+			}
+			runs = append(runs, o.run(fmt.Sprintf("%s %.0f%%", dist, 100*frac),
+				o.config(cluster.Haechi), o.qosSpecs(res, o.demandRPlusShare(res))))
 		}
-		return o.runQoS(cluster.Haechi, o.qosSpecs(res, o.demandRPlusShare(res)), nil)
-	})
-	if err != nil {
-		return nil, err
 	}
-	for fi, frac := range fracs {
-		row := []string{fmt.Sprintf("%.0f%%", 100*frac)}
-		for di := range dists {
-			row = append(row, count(points[fi*len(dists)+di].ThroughputPerPeriod, o.Base.Scale))
+	return &Plan{Runs: runs, Render: func(outs []*cluster.Results) *Report {
+		t := &Table{
+			Title:  "Haechi throughput vs reserved capacity fraction",
+			Header: []string{"reserved %", "uniform", "zipf"},
 		}
-		t.AddRow(row...)
-	}
-	return &Report{
-		ID:      "fig12",
-		Caption: "Throughput with varying reserved capacity and reservation distributions (Fig. 12)",
-		Tables:  []*Table{t},
-		Notes: []string{
-			"expected: uniform stays near C_G across the sweep; zipf approaches uniform at low reserved",
-			"fractions and drops as reserved % grows (global pool exhausts; low-R clients idle; the tail",
-			"is limited by C_L with <4 active clients)",
-		},
-		Runs: points,
-	}, nil
+		for fi, frac := range fracs {
+			row := []string{fmt.Sprintf("%.0f%%", 100*frac)}
+			for _, out := range outs[fi*len(dists) : (fi+1)*len(dists)] {
+				row = append(row, count(out.ThroughputPerPeriod, o.Base.Scale))
+			}
+			t.AddRow(row...)
+		}
+		return &Report{
+			Caption: "Throughput with varying reserved capacity and reservation distributions (Fig. 12)",
+			Tables:  []*Table{t},
+			Notes: []string{
+				"expected: uniform stays near C_G across the sweep; zipf approaches uniform at low reserved",
+				"fractions and drops as reserved % grows (global pool exhausts; low-R clients idle; the tail",
+				"is limited by C_L with <4 active clients)",
+			},
+		}
+	}}, nil
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"github.com/haechi-qos/haechi/internal/cluster"
-	"github.com/haechi-qos/haechi/internal/parallel"
 	"github.com/haechi-qos/haechi/internal/sim"
 	"github.com/haechi-qos/haechi/internal/workload"
 )
@@ -27,20 +26,12 @@ func (o Options) spikeReservations() ([]int64, error) {
 // Fig13to15 reproduces Experiment Set 3: Spike reservations under the
 // burst and constant-rate request patterns — per-client completions
 // (Fig. 13), data-node throughput (Fig. 14), and read latency (Fig. 15).
-func Fig13to15(o Options) (*Report, error) {
-	if _, err := o.validate(); err != nil {
-		return nil, err
-	}
+func Fig13to15(o Options) (*Plan, error) {
 	res, err := o.spikeReservations()
 	if err != nil {
 		return nil, err
 	}
 	demand := o.demandRPlusShare(res)
-
-	type outcome struct {
-		name string
-		res  *cluster.Results
-	}
 	patterns := []struct {
 		name    string
 		pattern workload.Pattern
@@ -48,65 +39,55 @@ func Fig13to15(o Options) (*Report, error) {
 		{"burst", workload.Burst{}},
 		{"constant-rate", workload.ConstantRate{}},
 	}
-	outcomes, err := parallel.Map(o.workers(), len(patterns), func(pi int) (outcome, error) {
-		pc := patterns[pi]
+	var runs []RunSpec
+	for _, pc := range patterns {
 		specs := o.qosSpecs(res, demand)
 		for i := range specs {
 			specs[i].Pattern = pc.pattern
 		}
-		out, err := o.runQoS(cluster.Haechi, specs, nil)
-		if err != nil {
-			return outcome{}, err
+		runs = append(runs, o.run(pc.name, o.config(cluster.Haechi), specs))
+	}
+	return &Plan{Runs: runs, Render: func(outs []*cluster.Results) *Report {
+		t13 := &Table{
+			Title:  "Fig. 13 — completed I/Os per client (spike reservations)",
+			Header: []string{"client", "reservation", "burst", "constant-rate", "burst meets R", "const meets R"},
 		}
-		return outcome{pc.name, out}, nil
-	})
-	if err != nil {
-		return nil, err
-	}
+		for i := range res {
+			t13.AddRow(fmt.Sprintf("C%d", i+1),
+				count(float64(res[i]), o.Base.Scale),
+				count(outs[0].Clients[i].MeanPeriod, o.Base.Scale),
+				count(outs[1].Clients[i].MeanPeriod, o.Base.Scale),
+				meets(outs[0].Clients[i].MinPeriod, res[i]),
+				meets(outs[1].Clients[i].MinPeriod, res[i]))
+		}
 
-	t13 := &Table{
-		Title:  "Fig. 13 — completed I/Os per client (spike reservations)",
-		Header: []string{"client", "reservation", "burst", "constant-rate", "burst meets R", "const meets R"},
-	}
-	for i := range res {
-		t13.AddRow(fmt.Sprintf("C%d", i+1),
-			count(float64(res[i]), o.Base.Scale),
-			count(outcomes[0].res.Clients[i].MeanPeriod, o.Base.Scale),
-			count(outcomes[1].res.Clients[i].MeanPeriod, o.Base.Scale),
-			meets(outcomes[0].res.Clients[i].MinPeriod, res[i]),
-			meets(outcomes[1].res.Clients[i].MinPeriod, res[i]))
-	}
+		capacity := float64(o.capacityPerPeriod())
+		t14 := &Table{
+			Title:  "Fig. 14 — data node throughput",
+			Header: []string{"pattern", "throughput/period", "drop vs capacity"},
+		}
+		t15 := &Table{
+			Title:  "Fig. 15 — read request latency",
+			Header: []string{"pattern", "average", "p99", "p99.9"},
+		}
+		for pi, pc := range patterns {
+			out := outs[pi]
+			t14.AddRow(pc.name, count(out.ThroughputPerPeriod, o.Base.Scale),
+				fmt.Sprintf("%.1f%%", 100*(1-out.ThroughputPerPeriod/capacity)))
+			lat := out.AggregateLatency
+			t15.AddRow(pc.name, scaledLatency(lat.Mean, o.Base.Scale), scaledLatency(lat.P99, o.Base.Scale), scaledLatency(lat.P999, o.Base.Scale))
+		}
 
-	capacity := float64(o.capacityPerPeriod())
-	t14 := &Table{
-		Title:  "Fig. 14 — data node throughput",
-		Header: []string{"pattern", "throughput/period", "drop vs capacity"},
-	}
-	for _, oc := range outcomes {
-		t14.AddRow(oc.name, count(oc.res.ThroughputPerPeriod, o.Base.Scale),
-			fmt.Sprintf("%.1f%%", 100*(1-oc.res.ThroughputPerPeriod/capacity)))
-	}
-
-	t15 := &Table{
-		Title:  "Fig. 15 — read request latency",
-		Header: []string{"pattern", "average", "p99", "p99.9"},
-	}
-	for _, oc := range outcomes {
-		lat := oc.res.AggregateLatency
-		t15.AddRow(oc.name, scaledLatency(lat.Mean, o.Base.Scale), scaledLatency(lat.P99, o.Base.Scale), scaledLatency(lat.P999, o.Base.Scale))
-	}
-
-	return &Report{
-		ID:      "fig13",
-		Caption: "Burst vs constant-rate requests with Spike reservations (Figs. 13-15)",
-		Tables:  []*Table{t13, t14, t15},
-		Notes: []string{
-			"expected: with burst requests the high-reservation clients C1-C3 miss their reservation",
-			"(local capacity C_L limits late-period catch-up) and throughput drops ~13%;",
-			"constant-rate meets and surpasses every reservation with ~1% drop and far lower latency",
-		},
-		Runs: []*cluster.Results{outcomes[0].res, outcomes[1].res},
-	}, nil
+		return &Report{
+			Caption: "Burst vs constant-rate requests with Spike reservations (Figs. 13-15)",
+			Tables:  []*Table{t13, t14, t15},
+			Notes: []string{
+				"expected: with burst requests the high-reservation clients C1-C3 miss their reservation",
+				"(local capacity C_L limits late-period catch-up) and throughput drops ~13%;",
+				"constant-rate meets and surpasses every reservation with ~1% drop and far lower latency",
+			},
+		}
+	}}, nil
 }
 
 // scaledLatency converts simulated latency to full-scale-equivalent units

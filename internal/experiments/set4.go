@@ -3,18 +3,10 @@ package experiments
 import (
 	"fmt"
 
+	"github.com/haechi-qos/haechi/internal/chaos"
 	"github.com/haechi-qos/haechi/internal/cluster"
-	"github.com/haechi-qos/haechi/internal/parallel"
-	"github.com/haechi-qos/haechi/internal/rdma"
 	"github.com/haechi-qos/haechi/internal/sim"
 )
-
-// congestionPoint is one Set-4 adaptation run: the results and the
-// instant the background load toggled.
-type congestionPoint struct {
-	out      *cluster.Results
-	switchAt sim.Time
-}
 
 // set4Periods returns the timeline length for the adaptation experiments:
 // the estimator needs its history window to converge, so the window is at
@@ -27,62 +19,65 @@ func (o Options) set4Periods() int {
 	return o.MeasurePeriods
 }
 
-// congestionRun runs Haechi with background jobs toggled at the midpoint.
-// startCongested controls whether the background load runs in the first
-// half (underestimation recovery) or the second half (overestimation).
-func (o Options) congestionRun(dist string, startCongested bool) (*cluster.Results, sim.Time, error) {
-	res, err := o.reservations(dist, 0.8)
+// set4 plans the capacity-adaptation runs, one per reservation
+// distribution (80% reserved), with background congestion toggled at the
+// timeline's midpoint: it starts there (overestimation) or, with
+// startCongested, runs from run start and stops there (underestimation).
+// The congestion is a burst fault appended to Base.Chaos, so the caller's
+// own faults still apply. change and when word the table titles and the
+// phase-mean notes; expected closes the notes.
+func (o Options) set4(startCongested bool, caption, change, when string, expected ...string) (*Plan, error) {
+	base, err := o.Base.ApplyScale()
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	specs := o.qosSpecs(res, o.demandRPlusPool(res))
-	cfg := o.config(cluster.Haechi)
-	// The adaptation experiments need a capacity lower bound loose enough
-	// to admit the congested operating point; the paper's sigma from 1000
-	// hardware profiling runs plays this role (see DESIGN.md).
-	cfg.Sigma = 0.08 * float64(o.capacityPerPeriod())
-	cl, err := cluster.New(cfg, specs)
-	if err != nil {
-		return nil, 0, err
-	}
-
 	periods := o.set4Periods()
-	T := cl.Config().Params.Period
-	switchAt := sim.Time(o.WarmupPeriods+periods/2) * T
+	mid := o.WarmupPeriods + periods/2
+	switchAt := sim.Time(mid) * base.Params.Period
 	// Two background streams take ~2/12 of the round-robin service —
 	// about 15% of capacity, within the paper's constraint that the
 	// background "does not consume more than 20% of the capacity" (the
 	// unreserved fraction), so reservations stay feasible while the
-	// estimator must adapt.
-	var jobs []*rdma.BackgroundJob
-	for j := 0; j < 2; j++ {
-		job, err := cl.AddBackgroundJob(fmt.Sprintf("bg-%02d", j), 32)
-		if err != nil {
-			return nil, 0, err
-		}
-		jobs = append(jobs, job)
-	}
+	// estimator must adapt. Without startCongested the burst runs one
+	// period past the measure window, so it never stops within the run.
+	burst := chaos.FaultEvent{Kind: chaos.CongestionBurst, At: float64(mid),
+		Duration: float64(periods - periods/2 + 1), Jobs: 2, Window: 32}
 	if startCongested {
-		for _, j := range jobs {
-			j.Start()
+		burst.At, burst.Duration = 0, float64(mid)
+	}
+	dists := []string{"uniform", "zipf"}
+	var runs []RunSpec
+	for _, dist := range dists {
+		res, err := o.reservations(dist, 0.8)
+		if err != nil {
+			return nil, err
 		}
-		cl.At(switchAt, func() {
-			for _, j := range jobs {
-				j.Stop()
-			}
-		})
-	} else {
-		cl.At(switchAt, func() {
-			for _, j := range jobs {
-				j.Start()
-			}
-		})
+		cfg := o.config(cluster.Haechi)
+		// The adaptation experiments need a capacity lower bound loose
+		// enough to admit the congested operating point; the paper's sigma
+		// from 1000 hardware profiling runs plays this role (see DESIGN.md).
+		cfg.Sigma = 0.08 * float64(o.capacityPerPeriod())
+		if cfg.Chaos, err = scenario(cfg.Chaos, 0, burst); err != nil {
+			return nil, err
+		}
+		r := o.run(dist, cfg, o.qosSpecs(res, o.demandRPlusPool(res)))
+		r.Measure = periods
+		runs = append(runs, r)
 	}
-	out, err := cl.Run(o.WarmupPeriods, periods)
-	if err != nil {
-		return nil, 0, err
-	}
-	return out, switchAt, nil
+	return &Plan{Runs: runs, Render: func(outs []*cluster.Results) *Report {
+		rep := &Report{Caption: caption}
+		for di, dist := range dists {
+			out := outs[di]
+			rep.Tables = append(rep.Tables, o.timelineTable(
+				fmt.Sprintf("(%s reservations, congestion %s at %v)", dist, change, switchAt), out, switchAt))
+			before, after := phaseMeans(out, switchAt)
+			rep.Notes = append(rep.Notes, fmt.Sprintf(
+				"%s: mean throughput %s -> %s %s", dist,
+				count(before, o.Base.Scale), count(after, o.Base.Scale), when))
+		}
+		rep.Notes = append(rep.Notes, expected...)
+		return rep
+	}}, nil
 }
 
 // timelineTable renders per-period total and C1 throughput around the
@@ -153,69 +148,19 @@ func phaseMeans(out *cluster.Results, switchAt sim.Time) (before, after float64)
 // Fig16and17 reproduces the capacity-overestimation experiment: background
 // congestion begins mid-run; the estimator adjusts downward and
 // high-reservation clients recover their QoS (Figs. 16, 17).
-func Fig16and17(o Options) (*Report, error) {
-	if _, err := o.validate(); err != nil {
-		return nil, err
-	}
-	rep := &Report{
-		ID:      "fig16",
-		Caption: "Effect of increased network congestion: overestimation handling (Figs. 16, 17)",
-	}
-	dists := []string{"uniform", "zipf"}
-	points, err := parallel.Map(o.workers(), len(dists), func(di int) (congestionPoint, error) {
-		out, switchAt, err := o.congestionRun(dists[di], false)
-		return congestionPoint{out: out, switchAt: switchAt}, err
-	})
-	if err != nil {
-		return nil, err
-	}
-	for di, dist := range dists {
-		out, switchAt := points[di].out, points[di].switchAt
-		rep.Runs = append(rep.Runs, out)
-		rep.Tables = append(rep.Tables, o.timelineTable(
-			fmt.Sprintf("(%s reservations, congestion starts at %v)", dist, switchAt), out, switchAt))
-		before, after := phaseMeans(out, switchAt)
-		rep.Notes = append(rep.Notes, fmt.Sprintf(
-			"%s: mean throughput %s -> %s after congestion onset", dist,
-			count(before, o.Base.Scale), count(after, o.Base.Scale)))
-	}
-	rep.Notes = append(rep.Notes,
+func Fig16and17(o Options) (*Plan, error) {
+	return o.set4(false, "Effect of increased network congestion: overestimation handling (Figs. 16, 17)",
+		"starts", "after congestion onset",
 		"expected: throughput steps down at onset; with Zipf reservations C1 initially misses its",
 		"reservation, then recovers over a few periods as the estimate converges downward (Fig. 17b)")
-	return rep, nil
 }
 
 // Fig18and19 reproduces the capacity-underestimation experiment: initial
 // congestion disappears mid-run; the estimator climbs by eta per period
 // (Figs. 18, 19).
-func Fig18and19(o Options) (*Report, error) {
-	if _, err := o.validate(); err != nil {
-		return nil, err
-	}
-	rep := &Report{
-		ID:      "fig18",
-		Caption: "Effect of decreased network congestion: underestimation handling (Figs. 18, 19)",
-	}
-	dists := []string{"uniform", "zipf"}
-	points, err := parallel.Map(o.workers(), len(dists), func(di int) (congestionPoint, error) {
-		out, switchAt, err := o.congestionRun(dists[di], true)
-		return congestionPoint{out: out, switchAt: switchAt}, err
-	})
-	if err != nil {
-		return nil, err
-	}
-	for di, dist := range dists {
-		out, switchAt := points[di].out, points[di].switchAt
-		rep.Runs = append(rep.Runs, out)
-		rep.Tables = append(rep.Tables, o.timelineTable(
-			fmt.Sprintf("(%s reservations, congestion stops at %v)", dist, switchAt), out, switchAt))
-		before, after := phaseMeans(out, switchAt)
-		rep.Notes = append(rep.Notes, fmt.Sprintf(
-			"%s: mean throughput %s -> %s after congestion stops", dist,
-			count(before, o.Base.Scale), count(after, o.Base.Scale)))
-	}
-	rep.Notes = append(rep.Notes,
+func Fig18and19(o Options) (*Plan, error) {
+	return o.set4(true, "Effect of decreased network congestion: underestimation handling (Figs. 18, 19)",
+		"stops", "after congestion stops",
 		"expected: throughput ramps up after the congestion stops as Omega climbs by eta per period;",
 		"reservations are met throughout; extra capacity flows to low-reservation clients first (Zipf)")
-	return rep, nil
 }

@@ -5,7 +5,6 @@ import (
 
 	"github.com/haechi-qos/haechi/internal/chaos"
 	"github.com/haechi-qos/haechi/internal/cluster"
-	"github.com/haechi-qos/haechi/internal/parallel"
 	"github.com/haechi-qos/haechi/internal/sim"
 )
 
@@ -20,45 +19,44 @@ func (o Options) set5Periods() int {
 	return o.MeasurePeriods
 }
 
-// shiftScenario re-times a scenario so its event clocks start at the
-// measure window rather than run start: every preset is authored
-// assuming period 0 is the first measured period, while cluster chaos
-// times count from run start (warm-up included).
-func (o Options) shiftScenario(spec string) (string, error) {
-	sc, err := chaos.Parse(spec)
-	if err != nil {
-		return "", err
+// scenario composes a fault scenario: spec's events (none for an empty
+// spec), each shifted by shift periods, then extra, re-emitted in the
+// chaos grammar. Set 5 shifts its presets, authored with period 0 as the
+// first measured period, to cluster chaos time, which counts from run
+// start (warm-up included); Set 4 appends its congestion burst to the
+// caller's scenario.
+func scenario(spec string, shift float64, extra ...chaos.FaultEvent) (string, error) {
+	sc := &chaos.Scenario{}
+	if spec != "" {
+		var err error
+		if sc, err = chaos.Parse(spec); err != nil {
+			return "", err
+		}
 	}
-	shifted := &chaos.Scenario{Name: sc.Name, Events: make([]chaos.FaultEvent, len(sc.Events))}
-	for i, ev := range sc.Events {
-		ev.At += float64(o.WarmupPeriods)
-		shifted.Events[i] = ev
+	for i := range sc.Events {
+		sc.Events[i].At += shift
 	}
-	return shifted.String(), nil
+	sc.Events = append(sc.Events, extra...)
+	return sc.String(), nil
 }
 
-// chaosRun runs full Haechi under a fault scenario, which turns the
+// chaosRun is full Haechi under a fault scenario, which turns the
 // sanitizer on: the run fails loudly unless every failure-aware invariant —
 // crash quarantine conservation, no completions after crash, rejoin
 // monotonicity, reclamation conservation, and the reservation floor for
 // surviving clients — holds throughout.
-func (o Options) chaosRun(scenario string) (*cluster.Results, error) {
+func (o Options) chaosRun(label, spec string) (RunSpec, error) {
 	res, err := o.reservations("uniform", 0.8)
 	if err != nil {
-		return nil, err
+		return RunSpec{}, err
 	}
-	specs := o.qosSpecs(res, o.demandRPlusPool(res))
 	cfg := o.config(cluster.Haechi)
-	shifted, err := o.shiftScenario(scenario)
-	if err != nil {
-		return nil, err
+	if cfg.Chaos, err = scenario(spec, float64(o.WarmupPeriods)); err != nil {
+		return RunSpec{}, err
 	}
-	cfg.Chaos = shifted
-	cl, err := cluster.New(cfg, specs)
-	if err != nil {
-		return nil, err
-	}
-	return cl.Run(o.WarmupPeriods, o.set5Periods())
+	r := o.run(label, cfg, o.qosSpecs(res, o.demandRPlusPool(res)))
+	r.Measure = o.set5Periods()
+	return r, nil
 }
 
 // faultTable renders the per-client fault and recovery accounting of a
@@ -146,53 +144,55 @@ func survivorMeans(out *cluster.Results, crashed int, switchAt sim.Time) (before
 // crash-without-restart run isolating reservation reclamation, and a
 // wire-disturbance run (link storm plus congestion burst) proving the
 // floor holds through fabric-level chaos.
-func Set5(o Options) (*Report, error) {
-	base, err := o.validate()
+func Set5(o Options) (*Plan, error) {
+	base, err := o.Base.ApplyScale()
 	if err != nil {
 		return nil, err
-	}
-	rep := &Report{
-		ID:      "set5",
-		Caption: "Set 5: fault injection and recovery — crash/restart, monitor outage, NIC degradation (chaos layer)",
 	}
 	scenarios := []struct{ label, spec string }{
 		{"acceptance (set5 preset: crash+restart, outage, degrade)", "set5"},
 		{"reclamation (crash, never restarts)", "crash@2.25:c=0"},
 		{"wire disturbance (link storm + congestion burst)", "jitter@3+2:extra=2us;burst@3+2:jobs=2,window=32"},
 	}
-	points, err := parallel.Map(o.workers(), len(scenarios), func(i int) (*cluster.Results, error) {
-		return o.chaosRun(scenarios[i].spec)
-	})
-	if err != nil {
-		return nil, err
-	}
-	rep.Runs = points
-	T := base.Params.Period
-	for i, sc := range scenarios {
-		out := points[i]
-		fr := out.Faults
-		rep.Tables = append(rep.Tables, o.faultTable(fmt.Sprintf("(%s)", sc.label), out))
-		note := fmt.Sprintf("%s: scenario %q", sc.label, fr.Scenario)
-		if fr.MonitorOutages > 0 {
-			note += fmt.Sprintf("; %d monitor outage(s) totaling %v", fr.MonitorOutages, fr.MonitorOutageTime)
+	var runs []RunSpec
+	for _, sc := range scenarios {
+		r, err := o.chaosRun(sc.label, sc.spec)
+		if err != nil {
+			return nil, err
 		}
-		if fr.Suspicions > 0 {
-			note += fmt.Sprintf("; %d suspicion(s), %d reinstatement(s)", fr.Suspicions, fr.Recoveries)
-		}
-		rep.Notes = append(rep.Notes, note)
+		runs = append(runs, r)
 	}
+	return &Plan{Runs: runs, Render: func(outs []*cluster.Results) *Report {
+		rep := &Report{
+			Caption: "Set 5: fault injection and recovery — crash/restart, monitor outage, NIC degradation (chaos layer)",
+		}
+		for i, sc := range scenarios {
+			out := outs[i]
+			fr := out.Faults
+			rep.Tables = append(rep.Tables, o.faultTable(fmt.Sprintf("(%s)", sc.label), out))
+			note := fmt.Sprintf("%s: scenario %q", sc.label, fr.Scenario)
+			if fr.MonitorOutages > 0 {
+				note += fmt.Sprintf("; %d monitor outage(s) totaling %v", fr.MonitorOutages, fr.MonitorOutageTime)
+			}
+			if fr.Suspicions > 0 {
+				note += fmt.Sprintf("; %d suspicion(s), %d reinstatement(s)", fr.Suspicions, fr.Recoveries)
+			}
+			rep.Notes = append(rep.Notes, note)
+		}
 
-	// The reclamation run: survivors absorb the crashed client's
-	// reservation, so their combined throughput (total capacity minus the
-	// crashed tenant's share) steps up once the failure detector reclaims
-	// it — the aggregate alone would hide this, the run is capacity-bound.
-	crashAt := sim.Time(float64(o.WarmupPeriods)+2.25) * T
-	before, after := survivorMeans(points[1], 0, crashAt)
-	rep.Notes = append(rep.Notes, fmt.Sprintf(
-		"reclamation: surviving clients' throughput %s -> %s after the crash (reclaimed reservation redistributed)",
-		count(before, o.Base.Scale), count(after, o.Base.Scale)))
-	rep.Notes = append(rep.Notes,
-		"every run is sanitized: crash quarantine conservation, no completions after crash, rejoin",
-		"monotonicity, reclamation conservation and the surviving-client reservation floor held throughout")
-	return rep, nil
+		// The reclamation run: survivors absorb the crashed client's
+		// reservation, so their combined throughput (total capacity minus
+		// the crashed tenant's share) steps up once the failure detector
+		// reclaims it — the aggregate alone would hide this, the run is
+		// capacity-bound.
+		crashAt := sim.Time(float64(o.WarmupPeriods)+2.25) * base.Params.Period
+		before, after := survivorMeans(outs[1], 0, crashAt)
+		rep.Notes = append(rep.Notes, fmt.Sprintf(
+			"reclamation: surviving clients' throughput %s -> %s after the crash (reclaimed reservation redistributed)",
+			count(before, o.Base.Scale), count(after, o.Base.Scale)))
+		rep.Notes = append(rep.Notes,
+			"every run is sanitized: crash quarantine conservation, no completions after crash, rejoin",
+			"monotonicity, reclamation conservation and the surviving-client reservation floor held throughout")
+		return rep
+	}}, nil
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"github.com/haechi-qos/haechi/internal/cluster"
-	"github.com/haechi-qos/haechi/internal/parallel"
 	"github.com/haechi-qos/haechi/internal/workload"
 )
 
@@ -44,90 +43,60 @@ func fleetCounts(max int) []int {
 
 // Set6 runs the fleet-scale sweep: client counts from fleetCounts, each
 // with the QP-context cache off and on.
-func Set6(o Options) (*Report, error) {
-	if _, err := o.validate(); err != nil {
-		return nil, err
-	}
-	counts := fleetCounts(o.Clients)
-
-	type fleetPoint struct {
-		clients int
-		cache   bool
-		res     []int64
-		out     *cluster.Results
-	}
-	runs := make([]fleetPoint, 0, 2*len(counts))
-	for _, n := range counts {
-		runs = append(runs,
-			fleetPoint{clients: n, cache: false},
-			fleetPoint{clients: n, cache: true})
-	}
-	points, err := parallel.Map(o.workers(), len(runs), func(ri int) (fleetPoint, error) {
-		pt := runs[ri]
-		oc := o
-		oc.Clients = pt.clients
+func Set6(o Options) (*Plan, error) {
+	var runs []RunSpec
+	for _, n := range fleetCounts(o.Clients) {
 		// 60% of capacity reserved, split evenly: beyond ~10^4 tenants the
 		// split degenerates into a reserved tier (R_i = 1) and a
 		// best-effort tier (R_i = 0) — the fleet regime under test.
-		res := toInt64(workload.UniformSplit(uint64(6*oc.capacityPerPeriod()/10), pt.clients))
-		share := oc.demandRPlusShare(res)
-		specs := oc.qosSpecs(res, func(i int) uint64 {
-			// Every tenant wants at least one I/O per period, so the
-			// best-effort tier competes for the pool instead of idling.
-			if d := share(i); d > 0 {
-				return d
-			}
-			return 1
-		})
-		out, err := oc.runQoS(cluster.Haechi, specs, func(cfg *cluster.Config) {
-			if pt.cache {
+		res := toInt64(workload.UniformSplit(uint64(6*o.capacityPerPeriod()/10), n))
+		share := o.demandRPlusShare(res)
+		for _, cache := range []bool{false, true} {
+			specs := o.qosSpecs(res, func(i int) uint64 {
+				// Every tenant wants at least one I/O per period, so the
+				// best-effort tier competes for the pool instead of idling.
+				if d := share(i); d > 0 {
+					return d
+				}
+				return 1
+			})
+			cfg := o.config(cluster.Haechi)
+			if cache {
 				cfg.Fabric.QPCacheSize = fleetQPCacheSize
 				cfg.Fabric.QPCacheMissPenalty = fleetQPCachePenalty
 			}
-		})
-		if err != nil {
-			return fleetPoint{}, err
+			runs = append(runs, o.run(fmt.Sprintf("%d clients qp-cache %s", n, onOff(cache)), cfg, specs))
 		}
-		pt.res = res
-		pt.out = out
-		return pt, nil
-	})
-	if err != nil {
-		return nil, err
 	}
-
-	t := &Table{
-		Title: "Set 6 — token QoS at fleet scale",
-		Header: []string{"clients", "qp-cache", "completed/period", "res-miss",
-			"fairness", "ctrl-verbs/IO", "nic-ctrl", "cache-hit", "events/client"},
-	}
-	var outs []*cluster.Results
-	for _, pt := range points {
-		outs = append(outs, pt.out)
-		t.AddRow(fmt.Sprintf("%d", pt.clients),
-			onOff(pt.cache),
-			count(pt.out.ThroughputPerPeriod, o.Base.Scale),
-			fmt.Sprintf("%.1f%%", 100*reservationMissRate(pt.res, pt.out)),
-			fmt.Sprintf("%.3f", bestEffortFairness(pt.res, pt.out)),
-			fmt.Sprintf("%.2f", controlVerbsPerIO(pt.out)),
-			fmt.Sprintf("%.1f%%", 100*pt.out.Overhead.NICFraction),
-			cacheHitRate(pt.out),
-			fmt.Sprintf("%.0f", float64(pt.out.EventsExecuted)/float64(pt.clients)))
-	}
-
-	return &Report{
-		ID:      "set6",
-		Caption: "Fleet scale: reservation attainment, token-distribution overhead and QP-cache pressure vs client count (Set 6)",
-		Tables:  []*Table{t},
-		Notes: []string{
-			"expected: reservations hold while the reserved tier fits capacity; the best-effort tier",
-			"splits the pool near-evenly (fairness ~1); control verbs per completed I/O grow with the",
-			"fleet (per-tenant period messages amortize over fewer data I/Os each); with the QP-context",
-			"cache on, fleets beyond its capacity pay the miss penalty and aggregate throughput drops —",
-			"the RNIC connection-scalability wall the small-testbed calibration cannot see",
-		},
-		Runs: outs,
-	}, nil
+	return &Plan{Runs: runs, Render: func(outs []*cluster.Results) *Report {
+		t := &Table{
+			Title: "Set 6 — token QoS at fleet scale",
+			Header: []string{"clients", "qp-cache", "completed/period", "res-miss",
+				"fairness", "ctrl-verbs/IO", "nic-ctrl", "cache-hit", "events/client"},
+		}
+		for i, out := range outs {
+			t.AddRow(fmt.Sprintf("%d", len(out.Clients)),
+				onOff(runs[i].Config.Fabric.QPCacheSize > 0),
+				count(out.ThroughputPerPeriod, o.Base.Scale),
+				fmt.Sprintf("%.1f%%", 100*reservationMissRate(out)),
+				fmt.Sprintf("%.3f", bestEffortFairness(out)),
+				fmt.Sprintf("%.2f", controlVerbsPerIO(out)),
+				fmt.Sprintf("%.1f%%", 100*out.Overhead.NICFraction),
+				cacheHitRate(out),
+				fmt.Sprintf("%.0f", float64(out.EventsExecuted)/float64(len(out.Clients))))
+		}
+		return &Report{
+			Caption: "Fleet scale: reservation attainment, token-distribution overhead and QP-cache pressure vs client count (Set 6)",
+			Tables:  []*Table{t},
+			Notes: []string{
+				"expected: reservations hold while the reserved tier fits capacity; the best-effort tier",
+				"splits the pool near-evenly (fairness ~1); control verbs per completed I/O grow with the",
+				"fleet (per-tenant period messages amortize over fewer data I/Os each); with the QP-context",
+				"cache on, fleets beyond its capacity pay the miss penalty and aggregate throughput drops —",
+				"the RNIC connection-scalability wall the small-testbed calibration cannot see",
+			},
+		}
+	}}, nil
 }
 
 func onOff(b bool) string {
@@ -139,14 +108,14 @@ func onOff(b bool) string {
 
 // reservationMissRate is the fraction of reserved clients (R_i > 0) that
 // missed their reservation in at least one measured period.
-func reservationMissRate(res []int64, out *cluster.Results) float64 {
+func reservationMissRate(out *cluster.Results) float64 {
 	var reserved, missed int
-	for i, r := range res {
-		if r <= 0 {
+	for _, cr := range out.Clients {
+		if cr.Reservation <= 0 {
 			continue
 		}
 		reserved++
-		if !out.Clients[i].MetReservation {
+		if !cr.MetReservation {
 			missed++
 		}
 	}
@@ -159,16 +128,16 @@ func reservationMissRate(res []int64, out *cluster.Results) float64 {
 // bestEffortFairness is Jain's index over the unreserved tier's total
 // completions (all clients when every tenant holds a reservation): 1.0 is
 // a perfectly even pool split, 1/n a single client holding everything.
-func bestEffortFairness(res []int64, out *cluster.Results) float64 {
+func bestEffortFairness(out *cluster.Results) float64 {
 	var xs []float64
-	for i, r := range res {
-		if r <= 0 {
-			xs = append(xs, float64(out.Clients[i].Total))
+	for _, cr := range out.Clients {
+		if cr.Reservation <= 0 {
+			xs = append(xs, float64(cr.Total))
 		}
 	}
 	if len(xs) == 0 {
-		for i := range res {
-			xs = append(xs, float64(out.Clients[i].Total))
+		for _, cr := range out.Clients {
+			xs = append(xs, float64(cr.Total))
 		}
 	}
 	var sum, sumSq float64
