@@ -71,9 +71,13 @@ func run(args []string) int {
 		opts.Parallel = parallel
 		_ = fs.Parse(args) // parsed once already
 	}
+	if *traceOut != "" && *traceSpans < 1 {
+		fmt.Fprintf(os.Stderr, "haechibench: -trace needs -trace-spans >= 1, got %d\n", *traceSpans)
+		return 2
+	}
 	if *list {
 		fmt.Println("experiments:", strings.Join(experiments.Known(), " "))
-		fmt.Println("aliases: tablei 1a 1b 1c 2a 2b 2c 3 4over 4under fig11 fig14 fig15 fig17 fig19")
+		fmt.Println("aliases:", strings.Join(experiments.Aliases(), " "))
 		return 0
 	}
 	// Wall-clock profiling of the simulator itself. Orthogonal to the

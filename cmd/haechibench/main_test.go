@@ -2,15 +2,61 @@ package main
 
 import (
 	"bytes"
+	"io"
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
+
+	"github.com/haechi-qos/haechi/internal/experiments"
 )
 
 func TestRunList(t *testing.T) {
 	if code := run([]string{"-list"}); code != 0 {
 		t.Errorf("-list exit = %d", code)
+	}
+}
+
+// TestRunListNamesAliases: -list prints every alias experiments resolves.
+func TestRunListNamesAliases(t *testing.T) {
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout = w
+	code := run([]string{"-list"})
+	os.Stdout = stdout
+	w.Close()
+	out, err := io.ReadAll(r)
+	if err != nil || code != 0 {
+		t.Fatalf("-list exit = %d, read error %v", code, err)
+	}
+	var listed []string
+	for _, line := range strings.Split(string(out), "\n") {
+		if rest, ok := strings.CutPrefix(line, "aliases:"); ok {
+			listed = strings.Fields(rest)
+		}
+	}
+	for _, alias := range experiments.Aliases() {
+		if !slices.Contains(listed, alias) {
+			t.Errorf("-list omits alias %q:\n%s", alias, out)
+		}
+	}
+}
+
+// TestRunTraceSpansBelowOne: -trace with an empty span ring is a usage
+// error, not a run that silently writes nothing.
+func TestRunTraceSpansBelowOne(t *testing.T) {
+	for _, spans := range []string{"0", "-1"} {
+		path := filepath.Join(t.TempDir(), "t.json")
+		if code := run([]string{"-experiment", "config", "-trace", path, "-trace-spans", spans}); code != 2 {
+			t.Errorf("-trace-spans %s exit = %d, want 2", spans, code)
+		}
+		if _, err := os.Stat(path); err == nil {
+			t.Errorf("-trace-spans %s wrote %s", spans, path)
+		}
 	}
 }
 

@@ -133,6 +133,9 @@ func parseTenants(s string) ([]haechi.Tenant, error) {
 			t.Limit = vals[1]
 		}
 		if len(vals) > 2 {
+			if vals[2] < 0 {
+				return nil, fmt.Errorf("tenant %q: bad number %q", item, parts[3])
+			}
 			t.DemandPerPeriod = uint64(vals[2])
 		} else {
 			// Default demand: 120% of the reservation (finite, so the

@@ -39,6 +39,7 @@ func TestParseTenantsErrors(t *testing.T) {
 		"noreservation",
 		"x:abc",
 		"x:1:2:3:4",
+		"a:100:0:-5", // a negative demand would wrap to a huge uint64
 		",,,",
 	}
 	for _, c := range cases {
@@ -51,6 +52,9 @@ func TestParseTenantsErrors(t *testing.T) {
 func TestRunBadFlags(t *testing.T) {
 	if code := run([]string{"-tenants", "bad"}, nil); code != 2 {
 		t.Errorf("bad tenants exit = %d, want 2", code)
+	}
+	if code := run([]string{"-tenants", "a:100:0:-5"}, nil); code != 2 {
+		t.Errorf("negative demand exit = %d, want 2", code)
 	}
 	if code := run([]string{"-bogus-flag"}, nil); code != 2 {
 		t.Errorf("bad flag exit = %d, want 2", code)

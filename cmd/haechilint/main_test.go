@@ -44,7 +44,7 @@ func TestCleanTree(t *testing.T) {
 // non-zero and reports correct file:line diagnostics. Running the
 // shipped rule set against a foreign module also makes every DefaultRules
 // waiver dead (none of the waived packages exist there), so waiverdrift
-// reports all five standing excludes first — doubling as the pin on its
+// reports all four standing excludes first — doubling as the pin on its
 // output format and on the (file, line, col, analyzer, message) order.
 func TestSeededViolations(t *testing.T) {
 	chdir(t, filepath.Join("testdata", "brokenmod"))
@@ -55,12 +55,11 @@ func TestSeededViolations(t *testing.T) {
 	}
 	out := stdout.String()
 	lines := strings.Split(strings.TrimSpace(out), "\n")
-	if len(lines) != 7 {
-		t.Fatalf("got %d diagnostics, want 7:\n%s", len(lines), out)
+	if len(lines) != 6 {
+		t.Fatalf("got %d diagnostics, want 6:\n%s", len(lines), out)
 	}
 	wantFrags := [][]string{
 		{"(waivers):1:1", "waiverdrift", `noconcurrency waiver "internal/parallel" matches no package`},
-		{"(waivers):1:1", "waiverdrift", `parallelimport waiver "internal/cluster" matches no package`},
 		{"(waivers):1:1", "waiverdrift", `parallelimport waiver "internal/experiments" matches no package`},
 		{"(waivers):1:1", "waiverdrift", `parallelimport waiver "internal/sim/shard" matches no package`},
 		{"(waivers):1:1", "waiverdrift", `walltime waiver "cmd/haechibench" matches no package`},
@@ -74,7 +73,7 @@ func TestSeededViolations(t *testing.T) {
 			}
 		}
 	}
-	if !strings.Contains(stderr.String(), "7 issue(s)") {
+	if !strings.Contains(stderr.String(), "6 issue(s)") {
 		t.Errorf("stderr = %q, want issue count", stderr.String())
 	}
 }
@@ -171,7 +170,7 @@ func TestScopeFlag(t *testing.T) {
 	if !strings.Contains(out, want) {
 		t.Errorf("scope output missing %q:\n%s", want, out)
 	}
-	want = "parallelimport  all packages; exclude internal/experiments, internal/cluster, internal/sim/shard"
+	want = "parallelimport  all packages; exclude internal/experiments, internal/sim/shard"
 	if !strings.Contains(out, want) {
 		t.Errorf("scope output missing %q:\n%s", want, out)
 	}
@@ -196,20 +195,20 @@ func TestJSONOutput(t *testing.T) {
 	if err := json.Unmarshal(stdout.Bytes(), &diags); err != nil {
 		t.Fatalf("output is not JSON: %v\n%s", err, stdout.String())
 	}
-	if len(diags) != 7 {
-		t.Fatalf("got %d diagnostics, want 7:\n%s", len(diags), stdout.String())
+	if len(diags) != 6 {
+		t.Fatalf("got %d diagnostics, want 6:\n%s", len(diags), stdout.String())
 	}
-	// The five waiverdrift findings sort first ("(waivers)" < any path).
-	for i := 0; i < 5; i++ {
+	// The four waiverdrift findings sort first ("(waivers)" < any path).
+	for i := 0; i < 4; i++ {
 		if diags[i].Analyzer != "waiverdrift" || diags[i].File != "(waivers)" || diags[i].Pkg != "." {
 			t.Errorf("diag %d = %+v, want a waiverdrift module-level finding", i, diags[i])
 		}
 	}
-	if d := diags[5]; d.Analyzer != "maporder" || d.File != "internal/core/acc.go" || d.Line != 8 || d.Col != 2 || d.Pkg != "internal/core" {
-		t.Errorf("diag 5 = %+v, want maporder at internal/core/acc.go:8:2", d)
+	if d := diags[4]; d.Analyzer != "maporder" || d.File != "internal/core/acc.go" || d.Line != 8 || d.Col != 2 || d.Pkg != "internal/core" {
+		t.Errorf("diag 4 = %+v, want maporder at internal/core/acc.go:8:2", d)
 	}
-	if d := diags[6]; d.Analyzer != "walltime" || d.File != "internal/sim/clock.go" || d.Line != 8 {
-		t.Errorf("diag 6 = %+v, want walltime at internal/sim/clock.go:8", d)
+	if d := diags[5]; d.Analyzer != "walltime" || d.File != "internal/sim/clock.go" || d.Line != 8 {
+		t.Errorf("diag 5 = %+v, want walltime at internal/sim/clock.go:8", d)
 	}
 }
 

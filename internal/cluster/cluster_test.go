@@ -425,26 +425,6 @@ func TestBackgroundJobAndTimeline(t *testing.T) {
 	}
 }
 
-// TestProfileCapacity measures Omega_prof ≈ C_G with small sigma.
-func TestProfileCapacity(t *testing.T) {
-	prof, err := ProfileCapacity(testConfig(Bare), 10, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if prof.MeanPerPeriod < 0.95*scaledServerC || prof.MeanPerPeriod > 1.05*scaledServerC {
-		t.Errorf("profiled %.0f, want ≈%d", prof.MeanPerPeriod, scaledServerC)
-	}
-	if prof.Sigma < 0 || prof.Sigma > 0.05*scaledServerC {
-		t.Errorf("sigma %.1f out of expected range", prof.Sigma)
-	}
-	if prof.LowerBound(3) >= int64(prof.MeanPerPeriod) {
-		t.Error("lower bound not below mean")
-	}
-	if _, err := ProfileCapacity(testConfig(Bare), 0, 5); err == nil {
-		t.Error("zero clients accepted")
-	}
-}
-
 // TestRunValidation covers bad run arguments.
 func TestRunValidation(t *testing.T) {
 	cl, err := New(testConfig(Bare), []ClientSpec{{}})

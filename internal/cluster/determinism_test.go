@@ -205,38 +205,6 @@ func diffJSON(path string, a, b any) string {
 	return ""
 }
 
-// TestProfileShardedWorkerInvariant pins the parallel sweeper's
-// contract at the cluster API: the worker count is pure concurrency and
-// can never leak into results. Shard count, by contrast, is part of the
-// experiment definition (each shard reseeds), so shards=1 must
-// reproduce ProfileCapacity exactly.
-func TestProfileShardedWorkerInvariant(t *testing.T) {
-	cfg := testConfig(Bare)
-	sequential, err := ProfileCapacitySharded(cfg, 4, 8, 4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel8, err := ProfileCapacitySharded(cfg, 4, 8, 4, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sequential != parallel8 {
-		t.Errorf("worker count changed the profile: workers=1 %+v, workers=8 %+v",
-			sequential, parallel8)
-	}
-	plain, err := ProfileCapacity(cfg, 4, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	oneShard, err := ProfileCapacitySharded(cfg, 4, 8, 1, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plain != oneShard {
-		t.Errorf("shards=1 diverged from ProfileCapacity: %+v vs %+v", plain, oneShard)
-	}
-}
-
 // TestKeysDoNotSteerTime is the licence for drawing keys from a stream no
 // golden pins (DESIGN.md §6): which record a request names never decides
 // when anything happens. Every record is primed into the location cache,

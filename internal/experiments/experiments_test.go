@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -65,6 +66,9 @@ func TestLookupAndAliases(t *testing.T) {
 		if _, err := Lookup(alias); err != nil {
 			t.Errorf("alias %q unresolved: %v", alias, err)
 		}
+	}
+	if got := Aliases(); len(got) != len(aliases) || !sort.StringsAreSorted(got) {
+		t.Errorf("Aliases() = %v, want the %d aliases sorted", got, len(aliases))
 	}
 	if _, err := Lookup("nope"); err == nil {
 		t.Error("unknown id accepted")
@@ -384,7 +388,7 @@ func TestRunAllFast(t *testing.T) {
 	}
 	// Every cluster run an experiment makes comes back in Report.Runs.
 	wantRuns := map[string]int{
-		"config": 0, "fig6": 20, "fig7": 20, "fig8": 3, "fig9": 4, "fig10": 6, "fig12": 10,
+		"config": 0, "profile": 3, "fig6": 20, "fig7": 20, "fig8": 3, "fig9": 4, "fig10": 6, "fig12": 10,
 		"fig13": 2, "fig16": 2, "fig18": 2, "set5": 3, "set6": 2, "ablation": 13, "limits": 4,
 		"multiserver": 5,
 	}
@@ -498,6 +502,35 @@ func TestMultiServerShape(t *testing.T) {
 	}
 	if cell := skew[1][3]; cell != "yes" && parsePercent(t, cell) < 96 {
 		t.Errorf("rebalancing did not recover the skewed reservation: %s", cell)
+	}
+}
+
+// TestProfileShape: the profiling procedure measures Omega_prof ≈ C_G*T
+// with small sigma, one run per measured period, and renders the
+// estimator's lower bound below Omega_prof.
+func TestProfileShape(t *testing.T) {
+	o := fastOptions()
+	rep, err := Run("profile", o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Runs) != o.MeasurePeriods {
+		t.Fatalf("%d runs, want %d", len(rep.Runs), o.MeasurePeriods)
+	}
+	outs := make([]*cluster.Results, len(rep.Runs))
+	for i, r := range rep.Runs {
+		outs[i] = r.Results
+	}
+	omega, sigma := profileStats(outs)
+	if c := float64(o.capacityPerPeriod()); omega < 0.95*c || omega > 1.05*c {
+		t.Errorf("profiled %.0f, want ≈%.0f", omega, c)
+	}
+	if sigma < 0 || sigma > 0.05*omega {
+		t.Errorf("sigma %.1f out of expected range", sigma)
+	}
+	lower, err := strconv.ParseFloat(strings.Fields(rep.Tables[0].Rows[2][1])[0], 64)
+	if err != nil || lower >= omega {
+		t.Errorf("lower bound %q not below Omega_prof %.1f (%v)", rep.Tables[0].Rows[2][1], omega, err)
 	}
 }
 

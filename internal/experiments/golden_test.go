@@ -85,15 +85,18 @@ func TestGoldenResultsByteIdentical(t *testing.T) {
 	// The multi-server golden is the rendered report: it was generated
 	// from the separate assembler this experiment used to run on (given
 	// cluster's generator seed stride), whose results had another shape,
-	// before that assembler was folded into cluster.Config.Servers.
-	const multi = "multiserver"
-	t.Run(multi, func(t *testing.T) {
-		rep, err := Run(multi, goldenOptions(0))
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkGolden(t, multi+".txt", []byte(rep.String()), update)
-	})
+	// before that assembler was folded into cluster.Config.Servers. The
+	// profile golden is rendered too: its Omega_prof and sigma are those
+	// of the profiling routine the experiment replaced.
+	for _, id := range []string{"multiserver", "profile"} {
+		t.Run(id, func(t *testing.T) {
+			rep, err := Run(id, goldenOptions(0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkGolden(t, id+".txt", []byte(rep.String()), update)
+		})
+	}
 }
 
 // TestGoldenOverheadCounted decodes every committed golden and checks

@@ -35,6 +35,7 @@ type Func func(Options) (*Plan, error)
 // registry maps experiment ids to their functions.
 var registry = map[string]Func{
 	"config":      TableI,
+	"profile":     Profile,
 	"fig6":        Fig6,
 	"fig7":        Fig7,
 	"fig8":        Fig8,
@@ -77,7 +78,7 @@ var aliases = map[string]string{
 
 // Order is the canonical execution order for -all runs.
 var Order = []string{
-	"config", "fig6", "fig7", "fig8", "fig9", "fig10", "fig12", "fig13", "fig16", "fig18", "set5", "set6", "ablation", "limits", "multiserver",
+	"config", "profile", "fig6", "fig7", "fig8", "fig9", "fig10", "fig12", "fig13", "fig16", "fig18", "set5", "set6", "ablation", "limits", "multiserver",
 }
 
 // Lookup resolves an experiment id (or alias) to its function.
@@ -92,11 +93,16 @@ func Lookup(id string) (Func, error) {
 	return f, nil
 }
 
-// Known lists all experiment ids.
-func Known() []string {
-	out := make([]string, 0, len(registry))
-	for id := range registry {
-		out = append(out, id)
+// Known lists all experiment ids, sorted.
+func Known() []string { return sortedKeys(registry) }
+
+// Aliases lists the alternative experiment names, sorted.
+func Aliases() []string { return sortedKeys(aliases) }
+
+func sortedKeys[V any](m map[string]V) []string {
+	out := make([]string, 0, len(m))
+	for k := range m {
+		out = append(out, k)
 	}
 	sort.Strings(out)
 	return out

@@ -260,10 +260,10 @@ func (m *Module) PackageOf(tp *types.Package) *Package {
 //     worker goroutines and merges results by input index).
 //   - parallelimport scopes that boundary: only the orchestration
 //     layers that drive whole kernels from outside may import
-//     internal/parallel — internal/experiments (parameter sweeps),
-//     internal/cluster (the profiling fan-out), and internal/sim/shard
-//     (the sharded-kernel coordinator, whose quantum protocol keeps
-//     results byte-identical at any worker count). See DESIGN.md §6.
+//     internal/parallel — internal/experiments (the one runner of every
+//     experiment's plan of runs) and internal/sim/shard (the
+//     sharded-kernel coordinator, whose quantum protocol keeps results
+//     byte-identical at any worker count). See DESIGN.md §6.
 //
 // The three interprocedural analyzers (sharedwrite, timetaint,
 // waiverdrift) run module-wide with no waivers: sharedwrite's escape
@@ -277,9 +277,7 @@ func DefaultRules() []Rule {
 		{Analyzer: Maporder},
 		{Analyzer: Noconcurrency, Exclude: []string{"internal/parallel"}},
 		{Analyzer: Floateq, Include: []string{".", "internal"}},
-		{Analyzer: Parallelimport, Exclude: []string{
-			"internal/experiments", "internal/cluster", "internal/sim/shard",
-		}},
+		{Analyzer: Parallelimport, Exclude: []string{"internal/experiments", "internal/sim/shard"}},
 		{Analyzer: Sharedwrite},
 		{Analyzer: Timetaint},
 		{Analyzer: Waiverdrift},

@@ -76,12 +76,12 @@ func TestParallelimportDefaultScope(t *testing.T) {
 	if rule == nil {
 		t.Fatal("parallelimport missing from DefaultRules")
 	}
-	for _, rel := range []string{"internal/experiments", "internal/cluster", "internal/sim/shard"} {
+	for _, rel := range []string{"internal/experiments", "internal/sim/shard"} {
 		if rule.Applies(rel) {
 			t.Errorf("rule applies to waived package %s", rel)
 		}
 	}
-	for _, rel := range []string{"internal/sim", "internal/rdma", "internal/core", "internal/kvstore", "cmd/haechibench"} {
+	for _, rel := range []string{"internal/cluster", "internal/sim", "internal/rdma", "internal/core", "internal/kvstore", "cmd/haechibench"} {
 		if !rule.Applies(rel) {
 			t.Errorf("rule does not apply to %s", rel)
 		}

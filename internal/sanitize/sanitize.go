@@ -2,8 +2,9 @@
 // contract (DESIGN.md §6, §10): cheap always-on invariant assertions
 // that run inside every sanitized simulation, not just in dedicated
 // tests. Enabled by cluster.Config.Sanitize (the -sanitize flag on
-// haechibench/haechiprofile); when off, the hooks are nil and the hot
-// path pays a single pointer comparison and allocates nothing.
+// haechibench, for every experiment, capacity profiling included); when
+// off, the hooks are nil and the hot path pays a single pointer
+// comparison and allocates nothing.
 //
 // The checks are pure observers: they read engine/monitor/kernel state
 // that the run already computes and never schedule events, mutate
