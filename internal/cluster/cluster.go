@@ -70,6 +70,11 @@ type Cluster struct {
 	group   *shard.Group
 	byShard [][]*Client
 
+	// updateValues[s] is the buffer every updating tenant on shard s builds
+	// its UPDATE value in, nil until the shard has one: kvstore.Update
+	// captures the value when called, so one buffer serves them all.
+	updateValues [][]byte
+
 	// skipHandBack makes the rebalancer lose what no hot node accepted;
 	// only the sanitizer's mutation test sets it.
 	skipHandBack bool
@@ -168,12 +173,13 @@ func New(cfg Config, specs []ClientSpec) (_ *Cluster, err error) {
 		return nil, err
 	}
 	c := &Cluster{
-		cfg:     cfg,
-		kernel:  k,
-		fabric:  fabric,
-		kernels: kernels,
-		group:   group,
-		byShard: make([][]*Client, shards),
+		cfg:          cfg,
+		kernel:       k,
+		fabric:       fabric,
+		kernels:      kernels,
+		group:        group,
+		byShard:      make([][]*Client, shards),
+		updateValues: make([][]byte, shards),
 	}
 
 	if cfg.Sanitize {
@@ -427,13 +433,17 @@ func (c *Cluster) addClient(i int, spec ClientSpec) error {
 		return fmt.Errorf("unlimited demand cannot use the post-all burst pattern; set Burst{Window: n}")
 	}
 
-	// Update state is lazy and per tenant: a pure GET tenant (the fleet
-	// default) carries no RNG or value buffer.
+	// Update state is lazy: a pure GET tenant (the fleet default) carries
+	// no RNG, and a shard with no updating tenant no value buffer.
 	var rng *rand.Rand
 	var updateValue []byte
 	if spec.UpdateFraction > 0 {
 		rng = rand.New(rand.NewSource(c.cfg.Seed ^ int64(i)<<17))
-		updateValue = make([]byte, rdma.DataIOSize) // the loader's value, see addDataNode
+		s := node.Shard()
+		if c.updateValues[s] == nil {
+			c.updateValues[s] = make([]byte, rdma.DataIOSize) // the loader's value, see addDataNode
+		}
+		updateValue = c.updateValues[s]
 	}
 	first, err := c.connect(rt, disp, 0, rng, updateValue)
 	if err != nil {
@@ -530,7 +540,7 @@ func (c *Cluster) addClient(i int, spec ClientSpec) error {
 // at that node's monitor for the node's slice of the reservation and the
 // engine that holds it. Engines and KV clients register handlers scoped to
 // their data node, so a tenant's links share its dispatcher, as they share
-// its update draw rng and the value an UPDATE writes (nil for a pure
+// its update draw rng and its shard's UPDATE value buffer (nil for a pure
 // reader).
 func (c *Cluster) connect(rt *Client, disp *rdma.Dispatcher, s int, rng *rand.Rand, updateValue []byte) (link, error) {
 	dn := &c.nodes[s]

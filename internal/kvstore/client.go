@@ -1,6 +1,7 @@
 package kvstore
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 
@@ -256,7 +257,8 @@ func leUint64(b []byte) uint64 {
 // full record (update-in-place, as one-sided KV designs do for fixed-size
 // values; inserts of new keys go through the two-sided PUT path because
 // the index must be mutated on the server). The key's location must be
-// resolvable: cached, or discovered with index probes first.
+// resolvable: cached, or discovered with index probes first. value is
+// captured when Update is called, so the caller may reuse it at once.
 func (c *Client) Update(key uint64, value []byte, cb func(error)) error {
 	if cb == nil {
 		return fmt.Errorf("kvstore: Update requires a callback")
@@ -267,7 +269,9 @@ func (c *Client) Update(key uint64, value []byte, cb func(error)) error {
 	if off, ok := c.lookup(key); ok {
 		return c.writeData(off, value, cb)
 	}
-	// Resolve the location with the usual probe path, then write.
+	// Resolve the location with the usual probe path, then write. The
+	// write is posted after the probes complete, so it writes a copy.
+	value = bytes.Clone(value)
 	start := hashKey(key) & c.mask
 	return c.probe(key, start, 0, func(_ []byte, err error) {
 		// The probe path issues a data READ on success; for an update we

@@ -61,7 +61,8 @@ func (s *storeFuzz) refRecord(key uint64) ([]byte, bool) {
 const opPopulate = 252
 
 // FuzzStoreLayout drives the store and layout_test.go's reference loader
-// through one random sequence of server-side Puts, one-sided Updates,
+// through one random sequence of server-side Puts, one-sided Updates
+// (whose caller overwrites its value buffer as soon as Update returns),
 // two-sided PUTs, one-sided GETs, prime requests and sharded loads — fresh
 // keys and re-Puts, synthetic values (the key plus zeros: full, key-only,
 // empty for key 0) and others, short, full and oversize, into tables that
@@ -80,6 +81,9 @@ func FuzzStoreLayout(f *testing.F) {
 	// Two-sided PUTs of both kinds, a cold Update through the probe path, a
 	// primed client, keys far outside the dense range.
 	f.Add([]byte{1, 3, 1, 0, 3, 2, 4, 3, 250, 3, 2, 250, 0, 6, 8, 2, 1, 3, 4, 250, 5, 9})
+	// Cold Updates of two keys, each from a buffer its caller reuses at
+	// once, then GETs of both.
+	f.Add([]byte{0, 0, 1, 4, 0, 2, 4, 2, 1, 10, 2, 2, 16, 4, 1, 4, 2})
 	// Four slots: the table fills, later Puts and PUTs are refused alike and
 	// existing keys still overwrite. (Geometry 2: 4 slots of 8 bytes.)
 	f.Add([]byte{2, 0, 0, 0, 0, 1, 4, 0, 2, 0, 0, 3, 3, 0, 4, 0, 3, 5, 4, 0, 1, 0, 2, 3, 3, 4, 3, 5, 7})
@@ -124,6 +128,11 @@ func FuzzStoreLayout(f *testing.F) {
 					called = true
 					s.sameErr("Update's completion", err, want)
 				})
+				// The caller reuses its buffer at once; the record must not
+				// see it, even when the write waits for a cold key's probes.
+				for i := range value {
+					value[i] ^= 0xa5
+				}
 				k.Run()
 				if err != nil {
 					s.sameErr("Update", err, want)

@@ -54,6 +54,35 @@ func TestUpdateColdCacheResolves(t *testing.T) {
 	}
 }
 
+// TestUpdateCapturesValueAtCall: a cold Update probes for the key before
+// it writes, but its value is the one passed in, not what the caller has
+// put in the same buffer since.
+func TestUpdateCapturesValueAtCall(t *testing.T) {
+	k, _, store, kv := testStore(t, smallOpts())
+	if err := store.Populate(20, valFor); err != nil {
+		t.Fatal(err)
+	}
+	done := func(err error) {
+		if err != nil {
+			t.Error(err)
+		}
+	}
+	buf := []byte("first!!!")
+	if err := kv.Update(1, buf, done); err != nil {
+		t.Fatal(err)
+	}
+	copy(buf, "second!!")
+	if err := kv.Update(2, buf, done); err != nil {
+		t.Fatal(err)
+	}
+	k.Run()
+	for key, want := range map[uint64]string{1: "first!!!", 2: "second!!"} {
+		if v, _ := store.Get(key); string(v[:8]) != want {
+			t.Errorf("record %d = %q, want %q", key, v[:8], want)
+		}
+	}
+}
+
 func TestUpdateMissingKey(t *testing.T) {
 	k, _, store, kv := testStore(t, smallOpts())
 	_ = store.Populate(10, valFor)

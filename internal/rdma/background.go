@@ -127,9 +127,9 @@ func (b *BackgroundJob) onInit() {
 // target's freelist (the shared kernel's) and the scheduler returns it
 // there after service.
 func (b *BackgroundJob) onArrive() {
-	op := b.target.pool.get()
+	op := b.target.pool.get(false)
 	op.kind = opFunc
-	op.doneCB = b.onDoneFn
+	op.cb = b.onDoneFn
 	b.target.sched.enqueue(b.queue, op)
 }
 

@@ -2,6 +2,7 @@ package rdma
 
 import (
 	"bytes"
+	"encoding/binary"
 	"strings"
 	"testing"
 	"unsafe"
@@ -122,9 +123,9 @@ func TestVerbsSteadyStateNoAlloc(t *testing.T) {
 		// collector, so every post takes a fresh one.
 		crossFresh bool
 	}
-	// A fresh record that crosses once is two objects — the record and the
-	// one continuation that hop binds — and a third, its span, under a
-	// recorder.
+	// A fresh record that crosses once is two objects — the record with its
+	// extension and the one continuation that hop binds — and a third, its
+	// span, under a recorder.
 	const newRecord = 2
 	payload := fill(0x5a, DataIOSize)
 	onRead := func([]byte) {}
@@ -326,18 +327,18 @@ func TestFreelistHighWater(t *testing.T) {
 func (b *poolBed) checkPools(t *testing.T, maxRecords, maxBufs int) {
 	t.Helper()
 	cp, sp := b.client.pool, b.server.pool
-	if n := len(cp.free); n == 0 || n > maxRecords {
-		t.Errorf("client freelist holds %d records, want 1..%d", n, maxRecords)
+	if n := len(cp.free) + len(cp.exts); n == 0 || n > maxRecords {
+		t.Errorf("client freelists hold %d records, want 1..%d", n, maxRecords)
 	}
 	if n := len(cp.bufs); n == 0 || n > maxBufs {
 		t.Errorf("client freelist holds %d buffers, want 1..%d", n, maxBufs)
 	}
-	if len(sp.free) != 0 || len(sp.bufs) != 0 {
-		t.Errorf("server freelist holds %d records and %d buffers of a foreign kernel, want none",
-			len(sp.free), len(sp.bufs))
+	if n := len(sp.free) + len(sp.exts); n != 0 || len(sp.bufs) != 0 {
+		t.Errorf("server freelists hold %d records and %d buffers of a foreign kernel, want none",
+			n, len(sp.bufs))
 	}
-	for _, op := range cp.free {
-		if op.buf != nil || op.qp != nil || op.readCB != nil || op.span != nil || op.next != nil {
+	for _, op := range append(cp.free[:len(cp.free):len(cp.free)], cp.exts...) {
+		if !recycled(op) {
 			t.Fatal("pooled record still references its last verb")
 		}
 	}
@@ -346,14 +347,136 @@ func (b *poolBed) checkPools(t *testing.T, maxRecords, maxBufs int) {
 	}
 }
 
+// TestFleetVerbsTakeNoExtension: what a fleet client posts — 4 KB and
+// probe READs, FETCH_ADDs, 8-byte reports with and without completion,
+// and record UPDATEs of a key and zeros — rides in plain records: no
+// verb takes an extension or a payload buffer.
+func TestFleetVerbsTakeNoExtension(t *testing.T) {
+	b := newPoolBed(t, 1, false, nil)
+	if err := b.region.CopyIn(recB, fill(0xff, DataIOSize)); err != nil {
+		t.Fatal(err)
+	}
+	qp, pool := b.localQP, b.local.pool
+	completions := 0
+	onRead := func([]byte) { completions++ }
+	onOld := func(int64) { completions++ }
+	onDone := func() { completions++ }
+	update := make([]byte, DataIOSize)
+	const rounds = 64
+	for i := 1; i <= rounds; i++ {
+		binary.LittleEndian.PutUint64(update, uint64(i))
+		for _, err := range []error{
+			qp.Read(b.region, recA, DataIOSize, onRead),
+			qp.Read(b.region, recA, 64, onRead),
+			qp.FetchAdd(b.region, 16, 1, onOld),
+			qp.WriteUint64(b.region, 8, uint64(i), nil),
+			qp.WriteUint64(b.region, 24, uint64(i), onDone),
+			qp.Write(b.region, recB, update, onDone),
+		} {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		if len(pool.exts) != 0 {
+			t.Fatalf("round %d: %d records with an extension pooled", i, len(pool.exts))
+		}
+	}
+	b.advance(100 * sim.Millisecond)
+	if completions != 5*rounds {
+		t.Fatalf("%d completions, want %d", completions, 5*rounds)
+	}
+	if len(pool.free) == 0 || len(pool.exts) != 0 || len(pool.bufs) != 0 {
+		t.Errorf("pooled: %d plain records, %d with an extension, %d buffers; want some, none, none",
+			len(pool.free), len(pool.exts), len(pool.bufs))
+	}
+	for _, op := range pool.free {
+		if op.ext != nil {
+			t.Fatal("a plain record carries an extension")
+		}
+	}
+	got, _ := b.region.CopyOut(recB, DataIOSize)
+	binary.LittleEndian.PutUint64(update, rounds)
+	if !bytes.Equal(got, update) {
+		t.Errorf("record after the UPDATEs starts %x, want the last key and zeros", got[:16])
+	}
+}
+
+// TestRecycledRecordCarriesNothingStale: a record that comes back from a
+// SEND, a CMP_SWAP or a buffered WRITE is pooled with its payload, swap
+// value and buffer cleared, and the verbs that take it next — on a
+// same-shard and a cross-shard QP — see none of them.
+func TestRecycledRecordCarriesNothingStale(t *testing.T) {
+	for _, cross := range []bool{false, true} {
+		b := newPoolBed(t, 1, false, nil)
+		qp, pool := b.localQP, b.local.pool
+		if cross {
+			qp, pool = b.qp, b.client.pool
+		}
+		const cell = 2 * DataIOSize
+		var got []any
+		b.server.SetRecvHandler(func(_ *Node, payload any) { got = append(got, payload) })
+		step := func(what string, err error) {
+			t.Helper()
+			if err != nil {
+				t.Fatal(err)
+			}
+			b.settle()
+			if len(pool.exts) == 0 {
+				t.Fatalf("cross=%v: after %s no record with an extension is pooled", cross, what)
+			}
+			for _, op := range append(pool.free[:len(pool.free):len(pool.free)], pool.exts...) {
+				if !recycled(op) {
+					t.Fatalf("cross=%v: after %s a pooled record still holds its verb", cross, what)
+				}
+			}
+		}
+		step("a SEND", qp.Send("stale", 64, func() {}))
+		step("a CMP_SWAP", qp.CompareSwap(b.region, cell, 0, 0x77, nil))
+		step("a buffered WRITE", qp.Write(b.region, recB, fill(0xee, DataIOSize), nil))
+
+		if err := b.region.CopyIn(recA, fill(0x11, DataIOSize)); err != nil {
+			t.Fatal(err)
+		}
+		update := make([]byte, DataIOSize)
+		binary.LittleEndian.PutUint64(update, 9)
+		var old int64 = -1
+		step("a SEND without payload", qp.Send(nil, 64, func() {}))
+		step("an inline WRITE", qp.Write(b.region, recA, update, nil))
+		step("a failing CMP_SWAP", qp.CompareSwap(b.region, cell, 1, 2, func(v int64) { old = v }))
+		if len(got) != 2 || got[0] != "stale" || got[1] != nil {
+			t.Errorf("cross=%v: server received %v, want [stale <nil>]", cross, got)
+		}
+		if rec, _ := b.region.CopyOut(recA, DataIOSize); !bytes.Equal(rec, update) {
+			t.Errorf("cross=%v: record after the inline WRITE starts %x, want 9 and zeros", cross, rec[:16])
+		}
+		if v, _ := b.region.Int64(cell); old != 0x77 || v != 0x77 {
+			t.Errorf("cross=%v: CMP_SWAP saw %#x and left %#x, want 0x77 both", cross, old, v)
+		}
+	}
+}
+
+// recycled reports whether a pooled record holds nothing of its last verb
+// but its extension and the continuation an earlier hop bound there.
+func recycled(op *flowOp) bool {
+	if x := op.ext; x != nil && (x.payload != nil || x.swap != 0 || x.buf != nil) {
+		return false
+	}
+	return op.next == nil && op.qp == nil && op.kind == 0 && !op.control && !op.back && op.size == 0 &&
+		op.region == nil && op.off == 0 && op.delta == 0 && op.cb == nil && op.span == nil
+}
+
 // TestRecordFootprint pins what a verb in flight and a connection cost:
-// the record fits the 128-byte allocation class (its weights derived, an
-// atomic's result in its operand, one hop continuation, size packed with
-// the flag bytes, the payload buffer a pooled pointer), and a QP is
-// twelve two-word queues, not twelve slice headers.
+// the record fits the 80-byte allocation class (its weights derived, an
+// atomic's result in its operand, size packed with the flag bytes, one
+// callback slot, what only some verbs carry behind one pointer), a record
+// with its extension still fits the 128-byte class, and a QP is twelve
+// two-word queues, not twelve slice headers.
 func TestRecordFootprint(t *testing.T) {
-	if got := unsafe.Sizeof(flowOp{}); got > 128 {
-		t.Errorf("flowOp is %d bytes, want <= 128", got)
+	if got := unsafe.Sizeof(flowOp{}); got > 80 {
+		t.Errorf("flowOp is %d bytes, want <= 80", got)
+	}
+	if got := unsafe.Sizeof(extOp{}); got > 128 {
+		t.Errorf("a record with its extension is %d bytes, want <= 128", got)
 	}
 	if got := unsafe.Sizeof(QP{}); got > 320 {
 		t.Errorf("QP is %d bytes, want <= 320", got)

@@ -153,13 +153,14 @@ const (
 // flowOp is one verb moving through the pipeline: a pooled record that
 // stage FIFOs, the scheduler and the cross-shard mailbox all hold by
 // pointer. It carries what no stage can work out — the routing class,
-// the target memory range, the payload, the caller's completion callback
-// — and the link of the one stage queue it is in. Everything derivable
-// is derived: a stage computes the service weight from kind and size
-// (see weight), an atomic's result overwrites its operand, and the two
-// cross-shard hops share one continuation. A verb in flight is this
-// record and nothing beside it: 120 bytes, in the 128-byte size class
-// (TestRecordFootprint).
+// the target memory range, the 8-byte operand, the caller's completion
+// callback — and the link of the one stage queue it is in. Everything
+// derivable is derived: a stage computes the service weight from kind
+// and size (see weight), an atomic's result overwrites its operand, and
+// the two cross-shard hops share one continuation. What only some verbs
+// carry lives in an extension (opExt). A READ, a FETCH_ADD or an inline
+// WRITE is this record and nothing beside it: 80 bytes, the 80-byte size
+// class (TestRecordFootprint).
 //
 // Ownership: a record is taken from and returned to the freelist of the
 // initiator's kernel, and only code running on that kernel ever touches
@@ -178,41 +179,56 @@ type flowOp struct {
 	// back marks a cross-shard record on its return hop (see hop).
 	back bool
 	// size is the verb's length in bytes: a READ's or WRITE's range, a
-	// SEND's wire size. A WRITE of at most 8 bytes — Haechi's silent
-	// reports and token pushes — travels by value in delta, so the hot
-	// reporting path posts no heap buffer; buf is nil then.
+	// SEND's wire size.
 	size uint32
 
 	region *Region
 	off    int
-	// buf is a pooled payload buffer: a large WRITE's data captured at
-	// call time, or the bounce buffer a cross-shard READ's data is copied
-	// into at serve time. It returns to the freelist with the record.
-	buf *[]byte
 
 	// delta is the verb's 8-byte immediate: FETCH_ADD's addend, CMP_SWAP's
-	// expected value, or an inline WRITE's payload in little-endian order.
-	// An atomic's apply replaces it with the pre-operation value, the
-	// result its completion delivers.
+	// expected value, or an inline WRITE's head in little-endian order. A
+	// WRITE is inline when its payload is zero past its first 8 bytes —
+	// Haechi's silent reports and token pushes, and record UPDATEs of a key
+	// and zeros — so it posts no buffer: apply writes the head and clears
+	// the rest. An atomic's apply replaces delta with the pre-operation
+	// value, the result its completion delivers.
 	delta int64
-	swap  int64 // CMP_SWAP
 
-	payload any // SEND payload
-
-	readCB func(data []byte)
-	u64CB  func(old int64)
-	// doneCB completes a WRITE or a SEND at the initiator, and an opFunc
-	// injection at its injector.
-	doneCB func()
+	// cb is the caller's completion callback, nil when there is none: a
+	// READ's func([]byte), an atomic's func(old int64), or the func() that
+	// completes a WRITE or a SEND at the initiator and an opFunc injection
+	// at its injector. A verb has at most one, so they share the slot.
+	cb any
 
 	// span is nil with recording off, else pooled storage taken with the
 	// record and returned with it.
 	span *trace.Span
 
+	// ext is nil on a record that carries only the fields above; see opExt.
+	ext *opExt
+}
+
+// opExt is what only some verbs carry: a SEND's payload, a CMP_SWAP's
+// swap value, a WRITE's captured buffer, and a cross-shard hop's
+// continuation and READ bounce buffer. It is allocated as part of its
+// record (extOp) and never leaves it, so a record with an extension is
+// one object, 120 bytes in the 128-byte class.
+type opExt struct {
+	payload any // SEND payload
+	swap    int64
+	// buf is a pooled payload buffer: a WRITE's data captured at call
+	// time, or the bounce buffer a cross-shard READ's data is copied into
+	// at serve time. It returns to the freelist with the record.
+	buf *[]byte
 	// hopFn is the wire-hop continuation handed to the mailbox: op.hop,
-	// bound the first time the record crosses and kept across recycling;
-	// a record that never leaves its shard has none.
+	// bound the first time the record crosses and kept across recycling.
 	hopFn func()
+}
+
+// extOp is a record and its extension in one allocation.
+type extOp struct {
+	op  flowOp
+	ext opExt
 }
 
 // weight is the op's service weight at every station that charges it by
@@ -229,44 +245,70 @@ func (op *flowOp) weight(cfg *Config) float64 {
 	return cfg.sizeWeight(int(op.size))
 }
 
-// opPool is one kernel's freelists: verb records, flight-recorder spans
-// and payload buffers. All are plain LIFO slices that start empty and
-// grow to the run's high-water mark on demand; spans is touched only
-// while a flight recorder is attached. Every node caches its shard's
-// pool; get/put/getSpan/getBuf run only on that shard's kernel, so there
-// is a single writer and no locking — which is also why this is not a
-// sync.Pool: that would put a concurrency primitive on the event path
-// (the noconcurrency lint), and its reuse depends on GC timing, while a
-// verb's allocation behaviour here depends on the event sequence alone.
+// buffer returns the op's pooled payload buffer, nil when it has none.
+func (op *flowOp) buffer() *[]byte {
+	if op.ext == nil {
+		return nil
+	}
+	return op.ext.buf
+}
+
+// opPool is one kernel's freelists: verb records, records with an
+// extension, flight-recorder spans and payload buffers. All are plain
+// LIFO slices that start empty and grow to the run's high-water mark on
+// demand; spans is touched only while a flight recorder is attached.
+// Every node caches its shard's pool; get/put/getSpan/getBuf run only on
+// that shard's kernel, so there is a single writer and no locking — which
+// is also why this is not a sync.Pool: that would put a concurrency
+// primitive on the event path (the noconcurrency lint), and its reuse
+// depends on GC timing, while a verb's allocation behaviour here depends
+// on the event sequence alone.
 type opPool struct {
 	free  []*flowOp
+	exts  []*flowOp // records whose ext is set
 	spans []*trace.Span
 	bufs  []*[]byte
 }
 
-// get returns a zeroed record, keeping the continuation an earlier hop
-// bound.
-func (p *opPool) get() *flowOp {
-	if last := len(p.free) - 1; last >= 0 {
-		op := p.free[last]
-		p.free[last] = nil
-		p.free = p.free[:last]
+// get returns a zeroed record, with an extension when ext is set. An
+// extended record keeps the continuation an earlier hop bound.
+func (p *opPool) get(ext bool) *flowOp {
+	list := &p.free
+	if ext {
+		list = &p.exts
+	}
+	if last := len(*list) - 1; last >= 0 {
+		op := (*list)[last]
+		(*list)[last] = nil
+		*list = (*list)[:last]
 		return op
 	}
-	return &flowOp{}
+	if !ext {
+		return &flowOp{}
+	}
+	x := &extOp{}
+	x.op.ext = &x.ext
+	return &x.op
 }
 
-// put recycles a finished record with its span and payload buffer. The
-// reset drops every reference the verb held (callbacks, payload, region).
+// put recycles a finished record with its extension, span and payload
+// buffer. The reset drops every reference the verb held (callback,
+// payload, buffer, region).
 func (p *opPool) put(op *flowOp) {
-	if op.buf != nil {
-		p.bufs = append(p.bufs, op.buf)
-	}
 	if op.span != nil {
 		p.spans = append(p.spans, op.span)
 	}
-	*op = flowOp{hopFn: op.hopFn}
-	p.free = append(p.free, op)
+	ext := op.ext
+	*op = flowOp{ext: ext}
+	if ext == nil {
+		p.free = append(p.free, op)
+		return
+	}
+	if ext.buf != nil {
+		p.bufs = append(p.bufs, ext.buf)
+	}
+	*ext = opExt{hopFn: ext.hopFn}
+	p.exts = append(p.exts, op)
 }
 
 // getSpan returns span storage for a verb posted under a flight recorder;
@@ -335,7 +377,7 @@ func (op *flowOp) needsDeliver() bool {
 	case opRead, opFetchAdd, opCompareSwap:
 		return true
 	case opWrite, opSend:
-		return op.doneCB != nil
+		return op.cb != nil
 	}
 	return false
 }
@@ -345,13 +387,15 @@ func (op *flowOp) needsDeliver() bool {
 func (op *flowOp) apply() {
 	switch op.kind {
 	case opWrite:
-		if op.buf == nil {
-			var cell [8]byte
-			binary.LittleEndian.PutUint64(cell[:], uint64(op.delta))
-			op.region.write(op.off, cell[:op.size])
-		} else {
-			op.region.write(op.off, *op.buf)
+		if buf := op.buffer(); buf != nil {
+			op.region.write(op.off, *buf)
+			break
 		}
+		var cell [8]byte
+		binary.LittleEndian.PutUint64(cell[:], uint64(op.delta))
+		head := min(int(op.size), len(cell))
+		op.region.write(op.off, cell[:head])
+		op.region.zero(op.off+head, int(op.size)-head)
 	case opFetchAdd:
 		old := int64(op.region.load64(op.off))
 		op.region.store64(op.off, uint64(old+op.delta))
@@ -359,34 +403,30 @@ func (op *flowOp) apply() {
 	case opCompareSwap:
 		old := int64(op.region.load64(op.off))
 		if old == op.delta {
-			op.region.store64(op.off, uint64(op.swap))
+			op.region.store64(op.off, uint64(op.ext.swap))
 		}
 		op.delta = old
 	}
 }
 
-// invokeCB runs the caller's completion callback.
+// invokeCB runs the caller's completion callback, if there is one.
 func (op *flowOp) invokeCB() {
-	switch op.kind {
-	case opRead:
+	switch cb := op.cb.(type) {
+	case func([]byte):
 		// Cross-shard READs copy the target memory into buf at serve time
 		// (see serveOp): the live region view belongs to the target's
 		// shard and must not be read a propagation later from the
 		// initiator's. Same-shard READs keep the zero-copy view. Either
 		// way the slice is the callback's only until it returns.
-		if op.buf != nil {
-			op.readCB(*op.buf)
+		if buf := op.buffer(); buf != nil {
+			cb(*buf)
 		} else {
-			op.readCB(op.region.window(op.off, int(op.size)))
+			cb(op.region.window(op.off, int(op.size)))
 		}
-	case opFetchAdd, opCompareSwap:
-		if op.u64CB != nil {
-			op.u64CB(op.delta)
-		}
-	case opWrite, opSend:
-		if op.doneCB != nil {
-			op.doneCB()
-		}
+	case func(int64):
+		cb(op.delta)
+	case func():
+		cb()
 	}
 }
 
@@ -398,10 +438,11 @@ func (qp *QP) ID() int { return qp.id }
 
 // newOp takes a record from the initiator's freelist for a verb posted
 // on this QP and, when recording is on, begins its flight-recorder span
-// in storage from the same pool.
-func (qp *QP) newOp(kind opKind, control bool) *flowOp {
+// in storage from the same pool. The record has an extension when ext is
+// set or the QP is cross-shard (the hop needs one).
+func (qp *QP) newOp(kind opKind, control, ext bool) *flowOp {
 	n := qp.initiator
-	op := n.pool.get()
+	op := n.pool.get(ext || qp.cross)
 	op.kind = kind
 	op.control = control
 	op.qp = qp
@@ -562,7 +603,7 @@ func (qp *QP) land(kind opKind, r *Region) {
 // QP has out by FlowControlWindow.
 func (qp *QP) postToTarget(op *flowOp, at sim.Time) {
 	if op.kind == opRead {
-		op.buf = qp.initiator.pool.getBuf(int(op.size))
+		op.ext.buf = qp.initiator.pool.getBuf(int(op.size))
 	}
 	qp.initiator.prof.MailboxPosts++
 	qp.post(op, qp.initiator.shard, qp.target.shard, at)
@@ -571,10 +612,10 @@ func (qp *QP) postToTarget(op *flowOp, at sim.Time) {
 // post hands op's wire hop from shard src to shard dst, binding the
 // record's continuation on its first crossing.
 func (qp *QP) post(op *flowOp, src, dst int, at sim.Time) {
-	if op.hopFn == nil {
-		op.hopFn = op.hop
+	if op.ext.hopFn == nil {
+		op.ext.hopFn = op.hop
 	}
-	qp.fabric.post(src, dst, at, op.hopFn)
+	qp.fabric.post(src, dst, at, op.ext.hopFn)
 }
 
 // ctrlServed: the target NIC finished a control-class op — either a
@@ -609,7 +650,7 @@ func (qp *QP) serveOp(op *flowOp) {
 		// along; invokeCB prefers buf over the live region view. An
 		// unwritten page of a paged region is a prefix and a clear, not a
 		// copy out of cold memory.
-		op.region.read(*op.buf, op.off)
+		op.region.read(*op.ext.buf, op.off)
 	}
 	op.apply()
 	if qp.cross {
@@ -807,12 +848,12 @@ func (qp *QP) sendDeliver(op *flowOp) {
 	qp.target.prof.countKind(opSend)
 	if op.span != nil {
 		op.span.Served = k.Now()
-		if op.doneCB == nil {
+		if op.cb == nil {
 			qp.target.flight.Finish(op.span)
 		}
 	}
-	qp.target.recv(qp.initiator, op.payload)
-	if op.doneCB == nil {
+	qp.target.recv(qp.initiator, op.ext.payload)
+	if op.cb == nil {
 		qp.retire(op)
 		return
 	}
@@ -838,9 +879,9 @@ func (qp *QP) Read(r *Region, off, size int, cb func(data []byte)) error {
 	if !qp.cross { // cross-shard: counted at arrival, on the target's shard
 		qp.land(opRead, r)
 	}
-	op := qp.newOp(opRead, qp.fabric.cfg.isControl(size))
+	op := qp.newOp(opRead, qp.fabric.cfg.isControl(size), false)
 	op.region, op.off, op.size = r, off, uint32(size)
-	op.readCB = cb
+	op.cb = cb
 	qp.initiate(op)
 	return nil
 }
@@ -848,6 +889,10 @@ func (qp *QP) Read(r *Region, off, size int, cb func(data []byte)) error {
 // Write performs a one-sided RDMA WRITE of data at off in region r. The
 // data is captured at call time; cb (optional) fires when the initiator
 // observes completion. Haechi's silent reports are 8-byte Writes.
+//
+// A payload that is zero past its first 8 bytes is captured as those 8
+// bytes and its length (see flowOp.delta); any other goes into a pooled
+// buffer.
 func (qp *QP) Write(r *Region, off int, data []byte, cb func()) error {
 	if err := qp.checkAccess(r, off, len(data)); err != nil {
 		return err
@@ -857,18 +902,19 @@ func (qp *QP) Write(r *Region, off int, data []byte, cb func()) error {
 	if !qp.cross { // cross-shard: counted at arrival, on the target's shard
 		qp.land(opWrite, r)
 	}
-	op := qp.newOp(opWrite, qp.fabric.cfg.isControl(len(data)))
-	op.region, op.off, op.size = r, off, uint32(len(data))
-	op.doneCB = cb
-	// The payload is captured at call time either inline (small writes —
-	// the report/token hot path) or into a pooled buffer.
 	var cell [8]byte
-	if len(data) <= len(cell) {
-		copy(cell[:], data)
+	head := copy(cell[:], data)
+	inline := isZero(data[head:])
+	op := qp.newOp(opWrite, qp.fabric.cfg.isControl(len(data)), !inline)
+	op.region, op.off, op.size = r, off, uint32(len(data))
+	if cb != nil {
+		op.cb = cb
+	}
+	if inline {
 		op.delta = int64(binary.LittleEndian.Uint64(cell[:]))
 	} else {
-		op.buf = qp.initiator.pool.getBuf(len(data))
-		copy(*op.buf, data)
+		op.ext.buf = qp.initiator.pool.getBuf(len(data))
+		copy(*op.ext.buf, data)
 	}
 	qp.initiate(op)
 	return nil
@@ -893,10 +939,12 @@ func (qp *QP) FetchAdd(r *Region, off int, delta int64, cb func(old int64)) erro
 	if !qp.cross { // cross-shard: counted at arrival, on the target's shard
 		qp.land(opFetchAdd, r)
 	}
-	op := qp.newOp(opFetchAdd, true)
+	op := qp.newOp(opFetchAdd, true, false)
 	op.region, op.off = r, off
 	op.delta = delta
-	op.u64CB = cb
+	if cb != nil {
+		op.cb = cb
+	}
 	qp.initiate(op)
 	return nil
 }
@@ -913,10 +961,12 @@ func (qp *QP) CompareSwap(r *Region, off int, expect, swap int64, cb func(old in
 	if !qp.cross { // cross-shard: counted at arrival, on the target's shard
 		qp.land(opCompareSwap, r)
 	}
-	op := qp.newOp(opCompareSwap, true)
+	op := qp.newOp(opCompareSwap, true, true)
 	op.region, op.off = r, off
-	op.delta, op.swap = expect, swap
-	op.u64CB = cb
+	op.delta, op.ext.swap = expect, swap
+	if cb != nil {
+		op.cb = cb
+	}
 	qp.initiate(op)
 	return nil
 }
@@ -950,10 +1000,12 @@ func (qp *QP) Send(payload any, size int, cb func()) error {
 	}
 
 	control := f.cfg.isControl(size)
-	op := qp.newOp(opSend, control)
+	op := qp.newOp(opSend, control, true)
 	op.size = uint32(size)
-	op.payload = payload
-	op.doneCB = cb
+	op.ext.payload = payload
+	if cb != nil {
+		op.cb = cb
+	}
 	// SENDs are not flow-controlled: they enter the class's initiator-NIC
 	// stage directly.
 	pen := qp.initiator.qpPenalty(qp)

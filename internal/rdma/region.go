@@ -191,6 +191,36 @@ func (r *Region) write(off int, src []byte) {
 	}
 }
 
+// zero clears the n bytes at off. The range must have been checked. On a
+// paged region a written page is cleared in place; an unwritten one is
+// left unwritten unless the range covers a nonzero byte of its prefix.
+func (r *Region) zero(off, n int) {
+	if r.buf != nil {
+		clear(r.buf[off : off+n])
+		return
+	}
+	for n > 0 {
+		p, in := r.split(off)
+		m := min(n, r.pageSize-in)
+		pg := r.page(p)
+		if pg == nil && in < prefixSize {
+			if pre := r.prefixBytes(p); !isZero(pre[in:min(in+m, prefixSize)]) {
+				pg = r.setPage(p)
+			}
+		}
+		if pg != nil {
+			clear(pg[in : in+m])
+		}
+		off, n = off+m, n-m
+	}
+}
+
+// isZero reports whether every byte of b is zero: the first one is, and
+// each equals the one before it.
+func isZero(b []byte) bool {
+	return len(b) == 0 || b[0] == 0 && bytes.Equal(b[1:], b[:len(b)-1])
+}
+
 // window returns the bytes at [off, off+size) for a same-shard READ's
 // callback, without copying where they are contiguous: the flat slab, a
 // written page, or scratch with the page's prefix stored into it (eight

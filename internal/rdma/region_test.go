@@ -174,7 +174,9 @@ func (p *program) u64() uint64 {
 }
 
 // payload decodes n bytes to write at off: zeros, the bytes already there
-// (a write that changes nothing must not cost a page), or a pattern.
+// (a write that changes nothing must not cost a page), a pattern, or, for
+// a pattern byte of 0x80 or more, a head of up to 8 pattern bytes and zeros
+// after it (the payload a WRITE captures inline).
 func (p *program) payload(flat *Region, off, n int) []byte {
 	if n > 4*fuzzPageSize {
 		n = 4 * fuzzPageSize
@@ -187,7 +189,11 @@ func (p *program) payload(flat *Region, off, n int) []byte {
 			copy(data, cur)
 		}
 	default:
-		for i := range data {
+		end := n
+		if k >= 0x80 {
+			end = min(n, 1+int(k%8))
+		}
+		for i := range data[:end] {
 			data[i] = k + byte(i)
 		}
 	}
@@ -199,7 +205,11 @@ func (p *program) payload(flat *Region, off, n int) []byte {
 // — page- and chunk-straddling and out-of-range windows included,
 // same-shard and cross-shard — and requires equal bytes, equal errors,
 // equal callback payloads and a page held only where one was written, at
-// every step. The input's first byte picks the geometry.
+// every step. An op byte with bit 0x10 set first posts a SEND on the same
+// QP, so records with an extension are recycled between SENDs, CMP_SWAPs,
+// buffered WRITEs and cross-shard verbs; the SEND must deliver its own
+// payload, and every pooled record must hold nothing of its last verb. The
+// input's first byte picks the geometry.
 func FuzzPagedRegion(f *testing.F) {
 	// TestRegionRangeOverflow's offsets, through every accessor and verb.
 	for _, off := range []byte{255, 254, 253, 252} {
@@ -222,19 +232,46 @@ func FuzzPagedRegion(f *testing.F) {
 	f.Add([]byte{2, 3, 68, 1, 2, 3, 4, 5, 6, 7, 8, 13, 50, 40, 6, 15, 68, 1, 9, 9, 9, 9, 9, 9, 9, 9})
 	// 512 pages, the window on the last four: the region ends with its chunk.
 	f.Add([]byte{3, 5, 72, 24, 2, 14, 68, 0, 0, 0, 0, 0, 1, 0, 0, 4, 90, 12, 0, 94, 2, 2, 12, 72, 24})
+	// Zero-tail WRITEs: a 3-byte head straddling pages 0 and 1, an 8-byte
+	// head straddling them, one over a written page (it clears the tail),
+	// and one across the shard boundary.
+	f.Add([]byte{0, 5, 20, 40, 0x82, 5, 20, 40, 0x87, 0, 30, 20, 2, 5, 26, 40, 0xa1, 13, 44, 30, 0x83})
+	// On one page: a zero-tail WRITE whose head covers the prefix, then one
+	// that leaves the prefix and clears the rest.
+	f.Add([]byte{1, 5, 0, 24, 0x85, 5, 8, 16, 0x80, 13, 2, 20, 0x86})
+	// Across the chunk boundary, same-shard and cross-shard.
+	f.Add([]byte{2, 5, 68, 40, 0x84, 13, 60, 30, 0x8f, 4, 60, 40, 12, 66, 40})
+	// SENDs beside every verb: a buffered WRITE then a zero-tail one on
+	// the recycled record, a CMP_SWAP, a READ, cross-shard the same.
+	f.Add([]byte{0, 0x15, 10, 30, 2, 0x15, 10, 30, 0x81, 0x17, 16, 1, 5, 0, 0, 0, 0, 0, 0, 0, 0x14, 10, 30,
+		0x1d, 40, 30, 3, 0x1d, 40, 30, 0x82, 0x1f, 48, 0, 9, 0, 0, 0, 0, 0, 0, 0, 0x1c, 40, 30, 0x1e, 48, 0, 0, 0, 0, 0, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, input []byte) {
 		p := &program{b: input}
 		g := fuzzGeometries[int(p.next())%len(fuzzGeometries)]
 		p.base, p.span = g.base*fuzzPageSize, (g.pages-g.base)*fuzzPageSize
 		rp := newRegionPair(t, g.pages)
 		b := rp.bed
+		var received []any
+		b.server.SetRecvHandler(func(_ *Node, payload any) { received = append(received, payload) })
 		for step := 0; step < 48 && len(p.b) > 0; step++ {
-			op := p.next() % 16
+			code := p.next()
+			op := code % 16
 			qp := b.localQP
 			if op >= 8 { // the verbs again, across the shard boundary
 				qp = b.qp
 			}
 			what := fmt.Sprintf("step %d op %d", step, op)
+			// A SEND first: its payload is the step on even steps, none on
+			// odd ones, so a stale payload shows; the op byte is its size.
+			var sent any
+			if code&0x10 != 0 {
+				if step%2 == 0 {
+					sent = step
+				}
+				if err := qp.Send(sent, int(code), func() {}); err != nil {
+					t.Fatalf("%s: SEND: %v", what, err)
+				}
+			}
 			// Callback payloads, in arrival order, per region.
 			var log [2][]byte
 			regions := [2]*Region{rp.paged, rp.flat}
@@ -247,6 +284,8 @@ func FuzzPagedRegion(f *testing.F) {
 				func(v int64) { log[1] = binary.LittleEndian.AppendUint64(log[1], uint64(v)) },
 			}
 			var errs [2]error
+			var wrote []byte // a WRITE's payload, landed at wroteAt
+			wroteAt := 0
 			switch op % 8 {
 			case 0: // CopyIn
 				off, n := p.off(), p.size()
@@ -280,6 +319,7 @@ func FuzzPagedRegion(f *testing.F) {
 				for i, r := range regions {
 					errs[i] = qp.Write(r, off, data, nil)
 				}
+				wrote, wroteAt = data, off
 			case 6: // FETCH_ADD
 				off, delta := p.off(), int64(p.u64())
 				for i, r := range regions {
@@ -301,8 +341,43 @@ func FuzzPagedRegion(f *testing.F) {
 				t.Fatalf("%s: callbacks delivered %x from the paged region, %x from the flat one", what, log[0], log[1])
 			}
 			rp.same(t, what)
+			if got, err := rp.flat.CopyOut(wroteAt, len(wrote)); wrote != nil && errs[1] == nil && !bytes.Equal(got, wrote) {
+				t.Fatalf("%s: WRITE of %x at %d landed as %x (%v)", what, wrote, wroteAt, got, err)
+			}
+			if code&0x10 != 0 {
+				if len(received) != 1 || received[0] != sent {
+					t.Fatalf("%s: SEND of %v delivered %v", what, sent, received)
+				}
+				received = received[:0]
+			}
+			for _, pool := range []*opPool{b.client.pool, b.local.pool} {
+				for _, op := range append(pool.free[:len(pool.free):len(pool.free)], pool.exts...) {
+					if !recycled(op) {
+						t.Fatalf("%s: a pooled record still holds its verb", what)
+					}
+				}
+			}
 		}
 	})
+}
+
+func TestIsZero(t *testing.T) {
+	for _, n := range []int{0, 1, 2, 7, 8, 9, 4088} {
+		b := make([]byte, n)
+		if !isZero(b) {
+			t.Errorf("%d zeros: isZero = false", n)
+		}
+		for _, i := range []int{0, 1, n / 2, n - 1} {
+			if i < 0 || i >= n {
+				continue
+			}
+			b[i] = 1
+			if isZero(b) {
+				t.Errorf("%d bytes, byte %d set: isZero = true", n, i)
+			}
+			b[i] = 0
+		}
+	}
 }
 
 // What the paged region is for: a page costs memory only once a write

@@ -116,13 +116,13 @@ func (s *rrScheduler) onServed() {
 	s.currentQ = nil
 	if op.kind == opFunc {
 		s.node.prof.countKind(opFunc)
-		if op.doneCB != nil {
+		if done, _ := op.cb.(func()); done != nil {
 			// opFunc injectors (background jobs) are always same-shard:
 			// their private initiators are assigned to the target's shard.
 			// The per-op bound completion needs no arrival horizon under a
 			// link storm: nothing pops a FIFO on this path.
 			f := s.node.fabric
-			s.node.k.Schedule(f.cfg.PropagationDelay+f.wireExtra(s.node.k), op.doneCB)
+			s.node.k.Schedule(f.cfg.PropagationDelay+f.wireExtra(s.node.k), done)
 		}
 		s.node.pool.put(op) // the injector's kernel is this one, see above
 	} else {
