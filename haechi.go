@@ -243,7 +243,7 @@ func tenantSpec(t Tenant, records int) (cluster.ClientSpec, error) {
 	switch pattern {
 	case PatternBurst:
 		if t.DemandPerPeriod == 0 {
-			return spec, fmt.Errorf("saturating demand requires %q or %q", PatternBurst64, PatternConstantRate)
+			return spec, fmt.Errorf("saturating demand requires %q", PatternBurst64)
 		}
 		spec.Pattern = workload.Burst{}
 	case PatternBurst64:
@@ -449,15 +449,16 @@ type Capacity struct {
 	AggregateTwoSided float64
 }
 
-// DefaultCapacity returns the paper-calibrated capacities divided by
-// scale, for sizing reservations.
+// DefaultCapacity returns the paper-calibrated fabric's capacities
+// divided by scale, for sizing reservations.
 func DefaultCapacity(scale float64) Capacity {
 	if scale <= 0 {
 		scale = cluster.Laptop().Scale
 	}
+	f := cluster.NewDefaultConfig().Fabric.Scaled(scale)
 	return Capacity{
-		PerClientOneSided: 400e3 / scale,
-		AggregateOneSided: 1570e3 / scale,
-		AggregateTwoSided: 430e3 / scale,
+		PerClientOneSided: f.ClientOneSidedRate,
+		AggregateOneSided: f.ServerOneSidedRate,
+		AggregateTwoSided: f.ServerTwoSidedRate,
 	}
 }

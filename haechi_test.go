@@ -36,8 +36,21 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(fastConfig(ModeHaechi), []Tenant{{Pattern: "warp"}}); err == nil {
 		t.Error("unknown pattern accepted")
 	}
-	if _, err := New(fastConfig(ModeHaechi), []Tenant{{Pattern: PatternBurst}}); err == nil {
-		t.Error("saturating demand with post-all burst accepted")
+	_, err := New(fastConfig(ModeHaechi), []Tenant{{Pattern: PatternBurst}})
+	if err == nil {
+		t.Fatal("saturating demand with post-all burst accepted")
+	}
+	// The refusal's advice works: every pattern it says the demand
+	// requires takes the same saturating tenant.
+	_, requires, _ := strings.Cut(err.Error(), "requires ")
+	advice := strings.Split(requires, `"`)
+	if len(advice) < 3 {
+		t.Errorf("refusal %q names no pattern", err)
+	}
+	for i := 1; i < len(advice); i += 2 {
+		if _, err := New(fastConfig(ModeHaechi), []Tenant{{Pattern: Pattern(advice[i])}}); err != nil {
+			t.Errorf("following the advice %q: %v", advice[i], err)
+		}
 	}
 	if _, err := New(fastConfig(ModeHaechi), []Tenant{{Pattern: PatternConstantRate}}); err == nil {
 		t.Error("saturating demand with constant-rate accepted")

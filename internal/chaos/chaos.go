@@ -120,28 +120,8 @@ var presets = map[string]string{
 	"burst":   "burst@2.25+1.5:jobs=3,window=24",
 }
 
-// Presets lists the named scenarios in sorted order.
-func Presets() []string {
-	out := make([]string, 0, len(presets))
-	for name := range presets { //lint:ordered keys are sorted before return
-		out = append(out, name)
-	}
-	sortStrings(out)
-	return out
-}
-
-// sortStrings is a tiny insertion sort: the preset list is single-digit
-// sized and this avoids importing sort for one call site.
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
-}
-
-// Parse compiles a scenario spec: either a preset name (see Presets) or
-// a ';'-separated event list in the grammar
+// Parse compiles a scenario spec: either a preset name or a
+// ';'-separated event list in the grammar
 //
 //	kind@START[+DURATION][:key=value,...]
 //

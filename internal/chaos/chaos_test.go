@@ -54,7 +54,7 @@ func TestParseRoundTrip(t *testing.T) {
 }
 
 func TestParsePresets(t *testing.T) {
-	for _, name := range Presets() {
+	for name := range presets {
 		sc, err := Parse(name)
 		if err != nil {
 			t.Errorf("preset %q: %v", name, err)

@@ -209,7 +209,7 @@ func New(cfg Config, specs []ClientSpec) (_ *Cluster, err error) {
 		if sc.Count().Crashes > 0 {
 			// See Config.Chaos: without detection a crashed reservation
 			// stays stranded.
-			monitorOpts = append(monitorOpts, core.WithFailureDetection(2))
+			monitorOpts = append(monitorOpts, core.WithFailureDetection())
 		}
 	}
 

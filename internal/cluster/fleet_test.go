@@ -6,6 +6,8 @@ import (
 	"math"
 	"runtime"
 	"testing"
+
+	"github.com/haechi-qos/haechi/internal/rdma"
 )
 
 // TestShardPlacementStableIDHash is the regression test for the shard
@@ -340,7 +342,7 @@ func TestOverheadDataReadsSaturates(t *testing.T) {
 	// The window runs from warm-up's end to the end of the run: the two
 	// measured periods and the three-quarter-period tail.
 	f, T := cl.Config().Fabric, cl.Config().Params.Period
-	busy := float64(o.FAAs)*f.AtomicWeight + float64(o.ControlWrites)*f.MinVerbWeight + float64(o.ControlSends)*f.SendRequestWeight
+	busy := float64(o.FAAs)*rdma.AtomicWeight + float64(o.ControlWrites)*rdma.MinVerbWeight + float64(o.ControlSends)*rdma.SendRequestWeight
 	if want := busy / (f.ServerOneSidedRate * (2*T + 3*T/4).Seconds()); math.Abs(o.NICFraction-want) > 1e-12 {
 		t.Errorf("NICFraction = %v, want %v from the counts and the window", o.NICFraction, want)
 	}

@@ -191,9 +191,9 @@ func (c *Cluster) buildResults(measurePeriods int, serverStats rdma.Stats, qos r
 		}
 		o.DataReads = serverStats.OneSidedTargeted - o.FAAs - o.ControlWrites
 		f := c.cfg.Fabric
-		weighted := float64(o.FAAs)*f.AtomicWeight +
-			float64(o.ControlWrites)*f.MinVerbWeight +
-			float64(o.ControlSends)*f.SendRequestWeight
+		weighted := float64(o.FAAs)*rdma.AtomicWeight +
+			float64(o.ControlWrites)*rdma.MinVerbWeight +
+			float64(o.ControlSends)*rdma.SendRequestWeight
 		o.NICFraction = weighted / (f.ServerOneSidedRate * window.Seconds() * float64(len(c.nodes)))
 		res.Overhead = o
 	}

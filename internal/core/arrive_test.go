@@ -160,7 +160,7 @@ func TestArriveBulkEqualsSingles(t *testing.T) {
 // one.
 func TestCrashDropsCountsAndRestartStartsFresh(t *testing.T) {
 	params := testParams()
-	h := newQoSHarness(t, params, []int64{2000}, func(int, int) int { return 0 }, WithFailureDetection(2))
+	h := newQoSHarness(t, params, []int64{2000}, func(int, int) int { return 0 }, WithFailureDetection())
 	san := sanitizeHarness(h)
 	e := h.engines[0]
 	e.OnPeriodStart = nil

@@ -19,7 +19,6 @@ import "fmt"
 //     period was idle; ignore it so low-demand periods cannot drag the
 //     estimate to an unreasonably low value.
 type CapacityEstimator struct {
-	profiled   int64
 	lowerBound int64
 	eta        int64
 	windowSize int
@@ -52,7 +51,6 @@ func NewCapacityEstimator(p Params, profiled int64, sigma float64) (*CapacityEst
 		eta = 1
 	}
 	return &CapacityEstimator{
-		profiled:   profiled,
 		lowerBound: lb,
 		eta:        eta,
 		windowSize: p.HistoryWindow,
@@ -63,14 +61,8 @@ func NewCapacityEstimator(p Params, profiled int64, sigma float64) (*CapacityEst
 // Current returns Omega_t, the token budget for the current period.
 func (e *CapacityEstimator) Current() int64 { return e.current }
 
-// Profiled returns Omega_prof.
-func (e *CapacityEstimator) Profiled() int64 { return e.profiled }
-
 // LowerBound returns Omega_min = Omega_prof - SigmaFactor*sigma.
 func (e *CapacityEstimator) LowerBound() int64 { return e.lowerBound }
-
-// Eta returns the probe increment.
-func (e *CapacityEstimator) Eta() int64 { return e.eta }
 
 // Update consumes one period's total completed I/Os U and returns the new
 // estimate Omega_{t+1}.

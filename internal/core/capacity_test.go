@@ -132,11 +132,8 @@ func TestEstimatorInitial(t *testing.T) {
 	if e.LowerBound() != 1_570_000-30_000 {
 		t.Errorf("lower bound = %d", e.LowerBound())
 	}
-	if e.Profiled() != 1_570_000 {
-		t.Errorf("profiled = %d", e.Profiled())
-	}
-	if e.Eta() != int64(0.005*1_570_000) {
-		t.Errorf("eta = %d", e.Eta())
+	if e.eta != int64(0.005*1_570_000) {
+		t.Errorf("eta = %d", e.eta)
 	}
 }
 
@@ -151,13 +148,13 @@ func TestEstimatorProbesUpOnSaturation(t *testing.T) {
 	e := newTestEstimator(t, 1000, 0)
 	// Full consumption -> underestimation suspected -> +eta.
 	next := e.Update(1000)
-	if next != 1000+e.Eta() {
-		t.Errorf("after saturation: %d, want %d", next, 1000+e.Eta())
+	if next != 1000+e.eta {
+		t.Errorf("after saturation: %d, want %d", next, 1000+e.eta)
 	}
 	// Over-consumption (boundary skew) also probes up.
 	next2 := e.Update(next + 3)
-	if next2 != next+e.Eta() {
-		t.Errorf("after over-consumption: %d, want %d", next2, next+e.Eta())
+	if next2 != next+e.eta {
+		t.Errorf("after over-consumption: %d, want %d", next2, next+e.eta)
 	}
 }
 
@@ -224,8 +221,8 @@ func TestEstimatorClimbsWhenFreed(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		e.Update(e.Current())
 	}
-	if e.Current() != low+5*e.Eta() {
-		t.Errorf("climb: %d, want %d", e.Current(), low+5*e.Eta())
+	if e.Current() != low+5*e.eta {
+		t.Errorf("climb: %d, want %d", e.Current(), low+5*e.eta)
 	}
 }
 

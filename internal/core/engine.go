@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"github.com/haechi-qos/haechi/internal/metrics"
 	"github.com/haechi-qos/haechi/internal/rdma"
 	"github.com/haechi-qos/haechi/internal/sanitize"
 	"github.com/haechi-qos/haechi/internal/sim"
@@ -134,9 +133,6 @@ type Engine struct {
 	// OnAlert, if set, is invoked when the monitor warns that this client
 	// consistently under-uses its reservation.
 	OnAlert func(consecutivePeriods int)
-
-	// PeriodLog records completed I/Os per finished period.
-	PeriodLog metrics.PeriodLog
 
 	// san, when non-nil, checks token conservation (see conserved) at
 	// crashes and period rollovers (internal/sanitize). periodYielded
@@ -732,7 +728,6 @@ func (e *Engine) handlePeriodStart(_ *rdma.Node, body any) {
 			e.id, m.Index, e.periodIndex)
 	}
 	if e.periodIndex > 0 {
-		e.PeriodLog.Observe(uint64(e.completed))
 		if e.san != nil {
 			// The finished period's conservation (pre-reset values).
 			if !e.conserved() {

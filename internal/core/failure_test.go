@@ -12,7 +12,7 @@ import (
 func TestFailureDetectionReclaimsReservation(t *testing.T) {
 	res := []int64{3000, 3000, 3000, 3000}
 	demand := func(client, period int) int { return 6000 }
-	h := newQoSHarness(t, testParams(), res, demand, WithFailureDetection(2))
+	h := newQoSHarness(t, testParams(), res, demand, WithFailureDetection())
 	if err := h.mon.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func TestFailureDetectionReclaimsReservation(t *testing.T) {
 	// Survivors absorb the freed 3000/period: their later periods exceed
 	// their reservation by a wide margin.
 	for i := 1; i < 4; i++ {
-		log := h.engines[i].PeriodLog.Completed
+		log := h.drivers[i].periods
 		if len(log) < 6 {
 			t.Fatalf("client %d: %d periods", i, len(log))
 		}
@@ -55,7 +55,7 @@ func TestFailureDetectionReclaimsReservation(t *testing.T) {
 func TestFailureRecovery(t *testing.T) {
 	res := []int64{2000, 2000}
 	demand := func(client, period int) int { return 4000 }
-	h := newQoSHarness(t, testParams(), res, demand, WithFailureDetection(2))
+	h := newQoSHarness(t, testParams(), res, demand, WithFailureDetection())
 	if err := h.mon.Start(); err != nil {
 		t.Fatal(err)
 	}

@@ -16,8 +16,6 @@ type monitorClient struct {
 	node        *rdma.Node
 	reservation int64
 	qp          *rdma.QP // data node -> client, for token pushes
-	active      bool
-	lastUsage   int64
 
 	// Failure detection: lastWord is the report slot's content at the
 	// previous period end; stalePeriods counts consecutive periods
@@ -50,15 +48,19 @@ func WithAlertAfter(periods int) MonitorOption {
 	return func(m *Monitor) { m.alertAfter = periods }
 }
 
+// failureGracePeriods is how many consecutive QoS periods a client's
+// report slot may stay static before failure detection suspects it.
+const failureGracePeriods = 2
+
 // WithFailureDetection makes the monitor treat a client as failed after
-// its report slot has been static for gracePeriods consecutive QoS
+// its report slot has been static for failureGracePeriods consecutive QoS
 // periods (its end-of-period report is the heartbeat): the client stops
 // receiving reservation tokens and its reservation returns to the pool
-// until it reports again. 0 disables detection. This extends the paper
-// (which assumes well-behaved clients) to tolerate client crashes without
-// stranding reserved capacity.
-func WithFailureDetection(gracePeriods int) MonitorOption {
-	return func(m *Monitor) { m.failureGrace = gracePeriods }
+// until it reports again. This extends the paper (which assumes
+// well-behaved clients) to tolerate client crashes without stranding
+// reserved capacity.
+func WithFailureDetection() MonitorOption {
+	return func(m *Monitor) { m.detectFailures = true }
 }
 
 // Monitor is the data-node QoS monitor (Section II-E): per-period token
@@ -73,9 +75,9 @@ type Monitor struct {
 	est    *CapacityEstimator
 	adm    *AdmissionController
 
-	convert      bool
-	alertAfter   int
-	failureGrace int
+	convert        bool
+	alertAfter     int
+	detectFailures bool
 
 	// clients is a dense value slab indexed by client id: admission only
 	// ever appends, nothing retains element pointers across an append, and
@@ -206,27 +208,15 @@ func (m *Monitor) Admit(clientNode *rdma.Node, reservation int64) (ClientGrant, 
 		node:        clientNode,
 		reservation: reservation,
 		qp:          qp,
-		active:      true,
 	})
 	return ClientGrant{ID: id, ServerNode: m.node, QoSRegion: m.region}, nil
-}
-
-// Remove deactivates a client: it stops receiving tokens and its
-// reservation returns to the pool at the next period.
-func (m *Monitor) Remove(id int) error {
-	if id < 0 || id >= len(m.clients) || !m.clients[id].active {
-		return fmt.Errorf("core: no active client %d", id)
-	}
-	m.clients[id].active = false
-	m.adm.Release(id)
-	return nil
 }
 
 // SetReservation changes a client's reservation starting next period,
 // re-running admission control for the delta.
 func (m *Monitor) SetReservation(id int, reservation int64) error {
-	if id < 0 || id >= len(m.clients) || !m.clients[id].active {
-		return fmt.Errorf("core: no active client %d", id)
+	if id < 0 || id >= len(m.clients) {
+		return fmt.Errorf("core: no client %d", id)
 	}
 	m.adm.Release(id)
 	if err := m.adm.Admit(id, reservation); err != nil {
@@ -351,7 +341,7 @@ func (m *Monitor) startPeriod() {
 	m.omega = m.est.Current()
 	m.sumRes = 0
 	for i := range m.clients {
-		if c := &m.clients[i]; c.active && !c.suspected {
+		if c := &m.clients[i]; !c.suspected {
 			m.sumRes += c.reservation
 		}
 	}
@@ -383,7 +373,7 @@ func (m *Monitor) startPeriod() {
 		// admitted total.
 		var suspended int64
 		for i := range m.clients {
-			if c := &m.clients[i]; c.active && c.suspected {
+			if c := &m.clients[i]; c.suspected {
 				suspended += c.reservation
 			}
 		}
@@ -400,7 +390,7 @@ func (m *Monitor) startPeriod() {
 	// tokens.
 	for i := range m.clients {
 		c := &m.clients[i]
-		if !c.active || c.suspected {
+		if c.suspected {
 			continue
 		}
 		seed := PackReport(clampUint32(c.reservation), 0)
@@ -416,7 +406,7 @@ func (m *Monitor) startPeriod() {
 	endAt := m.periodStart + m.params.Period
 	for i := range m.clients {
 		c := &m.clients[i]
-		if !c.active || c.suspected {
+		if c.suspected {
 			continue
 		}
 		_ = c.qp.Send(rdma.Message{Kind: msgPeriodStart, Body: periodStartMsg{
@@ -457,9 +447,7 @@ func (m *Monitor) check() {
 			m.ReportSignals++
 			m.mark(trace.ReportSignal, int64(pi), 0)
 			for i := range m.clients {
-				if c := &m.clients[i]; c.active {
-					_ = c.qp.Send(rdma.Message{Kind: msgReportOn, Body: reportOnMsg{Index: pi}}, reportOnMsgSize, nil)
-				}
+				_ = m.clients[i].qp.Send(rdma.Message{Kind: msgReportOn, Body: reportOnMsg{Index: pi}}, reportOnMsgSize, nil)
 			}
 			// Do not cap on this wake-up: the report slots still hold the
 			// period-start seeds (R_i, 0), which would wildly overstate L
@@ -493,7 +481,7 @@ func (m *Monitor) detectLocalViolations() {
 	}
 	for i := range m.clients {
 		c := &m.clients[i]
-		if !c.active || c.suspected || c.violated {
+		if c.suspected || c.violated {
 			continue
 		}
 		w, err := m.region.Uint64(reportSlotOffset(c.id))
@@ -540,7 +528,7 @@ func (m *Monitor) capPool(current int64) {
 	var outstanding int64
 	for i := range m.clients {
 		c := &m.clients[i]
-		if !c.active || c.suspected {
+		if c.suspected {
 			continue
 		}
 		w, err := m.region.Uint64(reportSlotOffset(c.id))
@@ -571,9 +559,6 @@ func (m *Monitor) endPeriod() {
 	var alerts []int // clients whose under-use streak just reached alertAfter
 	for i := range m.clients {
 		c := &m.clients[i]
-		if !c.active {
-			continue
-		}
 		w, err := m.region.Uint64(reportSlotOffset(c.id))
 		if err != nil {
 			continue
@@ -587,8 +572,7 @@ func (m *Monitor) endPeriod() {
 		// heartbeat rather than a regular report; strip the flag before
 		// using the count.
 		completed := liveCompleted(raw)
-		c.lastUsage = int64(completed)
-		if n := m.est.ObserveClientUsage(c.id, c.lastUsage, c.reservation); m.alertAfter > 0 && n == m.alertAfter {
+		if n := m.est.ObserveClientUsage(c.id, int64(completed), c.reservation); m.alertAfter > 0 && n == m.alertAfter {
 			alerts = append(alerts, c.id)
 		}
 		total += int64(completed)
@@ -605,27 +589,13 @@ func (m *Monitor) endPeriod() {
 	m.startPeriod()
 }
 
-// ClientUsage returns the last period's reported completions for a client.
-func (m *Monitor) ClientUsage(id int) int64 {
-	if id < 0 || id >= len(m.clients) {
-		return 0
-	}
-	return m.clients[id].lastUsage
-}
-
-// GlobalTokens reads the pool cell locally (diagnostics only).
-func (m *Monitor) GlobalTokens() int64 {
-	v, _ := m.region.Int64(globalTokenOff)
-	return v
-}
-
 // observeLiveness updates failure detection from a client's report slot
 // at period end. The monitor re-seeds each live client's slot at period
 // start, so any report during the period leaves the slot different from
 // the seed; a slot still equal to its baseline is a missed heartbeat. A
 // suspected client that reports again is immediately reinstated.
 func (m *Monitor) observeLiveness(c *monitorClient, word uint64) {
-	if m.failureGrace <= 0 {
+	if !m.detectFailures {
 		return
 	}
 	if word != c.lastWord {
@@ -640,7 +610,7 @@ func (m *Monitor) observeLiveness(c *monitorClient, word uint64) {
 		return
 	}
 	c.stalePeriods++
-	if !c.suspected && c.stalePeriods >= m.failureGrace {
+	if !c.suspected && c.stalePeriods >= failureGracePeriods {
 		c.suspected = true
 		c.suspectedAt = m.k.Now()
 		m.FailureSuspicions++

@@ -53,6 +53,12 @@ type burstLoop struct {
 	issued      int
 	outstanding int
 	pulled      uint64
+
+	// periods holds the engine's completions in each finished period:
+	// what it completed between one period start and the next.
+	periods []uint64
+	started bool
+	seen    uint64
 }
 
 // drive attaches a burstLoop to e as its period hook and request source.
@@ -64,6 +70,10 @@ func drive(e *Engine, window int, demand func(period int) int) *burstLoop {
 }
 
 func (b *burstLoop) begin(period int) {
+	if b.started {
+		b.periods = append(b.periods, b.e.TotalCompleted()-b.seen)
+	}
+	b.started, b.seen = true, b.e.TotalCompleted()
 	b.target = b.demand(period)
 	b.issued = 0
 	b.fill()
@@ -161,16 +171,16 @@ func newQoSHarnessSigma(t *testing.T, params Params, reservations []int64, deman
 func clientName(i int) string { return "c" + string(rune('0'+i/10)) + string(rune('0'+i%10)) }
 
 // run starts the monitor and runs n full periods, returning per-client
-// per-period completions harvested from the engines' period logs.
+// per-period completions harvested from the drivers' period logs.
 func (h *qosHarness) run(periods int) [][]uint64 {
 	if err := h.mon.Start(); err != nil {
 		h.t.Fatal(err)
 	}
 	h.k.RunUntil(sim.Time(periods+1) * h.engines[0].params.Period)
 	h.mon.Stop()
-	out := make([][]uint64, len(h.engines))
-	for i, e := range h.engines {
-		out[i] = e.PeriodLog.Completed
+	out := make([][]uint64, len(h.drivers))
+	for i, d := range h.drivers {
+		out[i] = d.periods
 	}
 	return out
 }
@@ -236,8 +246,8 @@ func TestMonitorValidation(t *testing.T) {
 	if _, err := mon.Admit(client, 500); err == nil {
 		t.Error("local-capacity-violating reservation accepted")
 	}
-	if err := mon.Remove(0); err == nil {
-		t.Error("removing unknown client succeeded")
+	if err := mon.SetReservation(0, 10); err == nil {
+		t.Error("re-reserving unknown client succeeded")
 	}
 	if err := mon.SetReservation(3, 10); err == nil {
 		t.Error("SetReservation on unknown client succeeded")
@@ -414,13 +424,13 @@ func TestLimitEnforced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	drive(eng, 1<<30, func(int) int { return 3000 })
+	drv := drive(eng, 1<<30, func(int) int { return 3000 })
 	if err := mon.Start(); err != nil {
 		t.Fatal(err)
 	}
 	k.RunUntil(4 * params.Period)
 	mon.Stop()
-	for p, done := range eng.PeriodLog.Completed {
+	for p, done := range drv.periods {
 		if done > limit+1 {
 			t.Errorf("period %d: completed %d exceeds limit %d", p, done, limit)
 		}
@@ -506,37 +516,10 @@ func TestTotalTokenGatingInvariant(t *testing.T) {
 			}
 		}
 		omega := h.mon.Estimator().Current() // post-run estimate; budget is near testServerC
-		slack := int64(10*64 + 2*h.mon.Estimator().Eta())
+		slack := int64(10*64 + 2*h.mon.Estimator().eta)
 		if sum > testServerC+slack && sum > omega+slack {
 			t.Errorf("period %d: %d completions exceed token budget ≈%d", p, sum, testServerC)
 		}
-	}
-}
-
-// TestMonitorRemoveClient: removed clients stop receiving tokens and the
-// pool absorbs their reservation.
-func TestMonitorRemoveClient(t *testing.T) {
-	res := []int64{2000, 2000}
-	demand := func(client, period int) int { return 2500 }
-	h := newQoSHarness(t, testParams(), res, demand)
-	if err := h.mon.Start(); err != nil {
-		t.Fatal(err)
-	}
-	h.k.RunUntil(2 * testParams().Period)
-	if err := h.mon.Remove(0); err != nil {
-		t.Fatal(err)
-	}
-	before := h.engines[0].TotalCompleted()
-	h.k.RunUntil(4 * testParams().Period)
-	h.mon.Stop()
-	after := h.engines[0].TotalCompleted()
-	// The removed client receives no fresh tokens: at most the in-flight
-	// period's remainder completes.
-	if after-before > 3000 {
-		t.Errorf("removed client still completed %d I/Os", after-before)
-	}
-	if err := h.mon.Remove(0); err == nil {
-		t.Error("double Remove succeeded")
 	}
 }
 
@@ -557,7 +540,7 @@ func TestSetReservation(t *testing.T) {
 	}
 	h.k.RunUntil(5 * testParams().Period)
 	h.mon.Stop()
-	logs := h.engines[0].PeriodLog.Completed
+	logs := h.drivers[0].periods
 	last := logs[len(logs)-1]
 	if int64(last) < 3000 {
 		t.Errorf("raised reservation not honored: completed %d < 3000", last)

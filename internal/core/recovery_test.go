@@ -26,7 +26,7 @@ func sanitizeHarness(h *qosHarness) *sanitize.Checker {
 func TestEngineRestartRecovery(t *testing.T) {
 	res := []int64{3000, 3000}
 	demand := func(client, period int) int { return 6000 }
-	h := newQoSHarness(t, testParams(), res, demand, WithFailureDetection(2))
+	h := newQoSHarness(t, testParams(), res, demand, WithFailureDetection())
 	san := sanitizeHarness(h)
 	if err := h.mon.Start(); err != nil {
 		t.Fatal(err)
@@ -77,7 +77,7 @@ func TestEngineRestartRecovery(t *testing.T) {
 	}
 	// The reinstated reservation is honored again: the last finished
 	// period completed at least R.
-	log := victim.PeriodLog.Completed
+	log := h.drivers[0].periods
 	if len(log) == 0 || int64(log[len(log)-1]) < res[0] {
 		t.Errorf("reinstated reservation not met: period log %v", log)
 	}

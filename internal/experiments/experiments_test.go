@@ -49,6 +49,20 @@ func TestOptionsValidate(t *testing.T) {
 	}
 }
 
+// TestCapacityFollowsFabric: the capacities reservations are sized
+// against come from Base's fabric, not from the testbed's literals.
+func TestCapacityFollowsFabric(t *testing.T) {
+	o := NewDefaultOptions()
+	if c, l := o.capacityPerPeriod(), o.localCapacityPerPeriod(); c != 157_000 || l != 40_000 {
+		t.Errorf("laptop preset: C_G*T = %d, C_L*T = %d, want 157000 and 40000", c, l)
+	}
+	o.Base.Fabric.ServerOneSidedRate /= 2
+	o.Base.Fabric.ClientOneSidedRate /= 2
+	if c, l := o.capacityPerPeriod(), o.localCapacityPerPeriod(); c != 78_500 || l != 20_000 {
+		t.Errorf("halved rates: C_G*T = %d, C_L*T = %d, want 78500 and 20000", c, l)
+	}
+}
+
 func TestPaperOptions(t *testing.T) {
 	o := PaperOptions()
 	if o.Base.Scale != 1 || o.WarmupPeriods != 30 || o.MeasurePeriods != 30 || o.Base.Records != 1<<16 {
@@ -379,12 +393,17 @@ func TestRunAllFast(t *testing.T) {
 	}
 	o := fastOptions()
 	o.Clients = 10
-	reps, err := RunAll(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(reps) != len(Order) {
-		t.Errorf("got %d reports, want %d", len(reps), len(Order))
+	// haechibench -all: every experiment, in Order.
+	var reps []*Report
+	for _, id := range Order {
+		rep, err := Run(id, o)
+		if err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		if rep.ID != id {
+			t.Errorf("Run(%q) returned report %q", id, rep.ID)
+		}
+		reps = append(reps, rep)
 	}
 	// Every cluster run an experiment makes comes back in Report.Runs.
 	wantRuns := map[string]int{

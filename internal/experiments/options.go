@@ -84,13 +84,20 @@ func (o Options) run(name string, cfg cluster.Config, specs []cluster.ClientSpec
 
 // capacityPerPeriod returns the scaled C_G per QoS period (the token
 // budget the paper's experiments size reservations against: 1570K at
-// full scale).
+// full scale), from Base's fabric and period as the cluster runs them.
 func (o Options) capacityPerPeriod() int64 {
-	return int64(1_570_000 / o.Base.Scale)
+	return o.scaled().ProfiledCapacityPerPeriod()
 }
 
 // localCapacityPerPeriod returns the scaled C_L per period (400K at full
-// scale).
+// scale), likewise.
 func (o Options) localCapacityPerPeriod() int64 {
-	return int64(400_000 / o.Base.Scale)
+	return o.scaled().LocalCapacityPerPeriod()
+}
+
+// scaled returns Base normalized by cluster.Config.ApplyScale; Run has
+// already refused a Base it rejects.
+func (o Options) scaled() cluster.Config {
+	cfg, _ := o.Base.ApplyScale()
+	return cfg
 }

@@ -145,16 +145,3 @@ func Run(id string, o Options) (*Report, error) {
 	}
 	return rep, nil
 }
-
-// RunAll executes every experiment in Order.
-func RunAll(o Options) ([]*Report, error) {
-	var out []*Report
-	for _, id := range Order {
-		rep, err := Run(id, o)
-		if err != nil {
-			return out, fmt.Errorf("experiments: %s: %w", id, err)
-		}
-		out = append(out, rep)
-	}
-	return out, nil
-}

@@ -17,7 +17,7 @@ var ErrNotFound = errors.New("kvstore: key not found")
 const probeWindow = 8
 
 // Client is the client-side accessor: one-sided GETs against the store's
-// registered regions plus a two-sided RPC path. It maintains a location
+// registered regions plus a two-sided GET RPC. It maintains a location
 // cache so a warm GET is exactly one one-sided 4 KB READ.
 //
 // One-sided completions are not captured in per-operation closures: reads
@@ -46,7 +46,6 @@ type Client struct {
 
 	nextReqID  uint64
 	pendingGet map[uint64]func([]byte, error)
-	pendingPut map[uint64]func(error)
 
 	// Pending one-sided completions, FIFO per I/O kind, with the bound
 	// completion methods handed to the fabric.
@@ -77,7 +76,7 @@ type probeState struct {
 }
 
 // Attach connects node to store over the fabric. disp is the client-side
-// dispatcher used to receive two-sided RPC responses; it may be nil if
+// dispatcher used to receive two-sided GET responses; it may be nil if
 // only the one-sided path will be used.
 func Attach(node *rdma.Node, disp *rdma.Dispatcher, store *Store) (*Client, error) {
 	if node == nil || store == nil {
@@ -104,9 +103,6 @@ func Attach(node *rdma.Node, disp *rdma.Dispatcher, store *Store) (*Client, erro
 		// Scoped to this store's node: a tenant of several data nodes
 		// attaches one client per store to the same dispatcher.
 		if err := disp.HandleFrom(msgGetResp, store.node, c.handleGetResp); err != nil {
-			return nil, err
-		}
-		if err := disp.HandleFrom(msgPutResp, store.node, c.handlePutResp); err != nil {
 			return nil, err
 		}
 	}
@@ -255,10 +251,10 @@ func leUint64(b []byte) uint64 {
 
 // Update overwrites an existing record with a one-sided RDMA WRITE of the
 // full record (update-in-place, as one-sided KV designs do for fixed-size
-// values; inserts of new keys go through the two-sided PUT path because
-// the index must be mutated on the server). The key's location must be
-// resolvable: cached, or discovered with index probes first. value is
-// captured when Update is called, so the caller may reuse it at once.
+// values; new keys are placed server-side by Store.Put because the index
+// must be mutated on the server). The key's location must be resolvable:
+// cached, or discovered with index probes first. value is captured when
+// Update is called, so the caller may reuse it at once.
 func (c *Client) Update(key uint64, value []byte, cb func(error)) error {
 	if cb == nil {
 		return fmt.Errorf("kvstore: Update requires a callback")
@@ -334,26 +330,6 @@ func (c *Client) GetTwoSided(key uint64, cb func(value []byte, err error)) error
 	return err
 }
 
-// PutTwoSided stores value under key through the server CPU.
-func (c *Client) PutTwoSided(key uint64, value []byte, cb func(error)) error {
-	if cb == nil {
-		return fmt.Errorf("kvstore: PutTwoSided requires a callback")
-	}
-	id := c.nextReqID
-	c.nextReqID++
-	if c.pendingPut == nil {
-		c.pendingPut = make(map[uint64]func(error))
-	}
-	c.pendingPut[id] = cb
-	buf := make([]byte, len(value))
-	copy(buf, value)
-	err := c.qp.Send(rdma.Message{Kind: msgPut, Body: putRequest{key: key, value: buf, reqID: id}}, 24+len(buf), nil)
-	if err != nil {
-		delete(c.pendingPut, id)
-	}
-	return err
-}
-
 func (c *Client) handleGetResp(_ *rdma.Node, body any) {
 	resp, ok := body.(getResponse)
 	if !ok {
@@ -369,21 +345,4 @@ func (c *Client) handleGetResp(_ *rdma.Node, body any) {
 		return
 	}
 	cb(resp.value, nil)
-}
-
-func (c *Client) handlePutResp(_ *rdma.Node, body any) {
-	resp, ok := body.(putResponse)
-	if !ok {
-		return
-	}
-	cb, ok := c.pendingPut[resp.reqID]
-	if !ok {
-		return
-	}
-	delete(c.pendingPut, resp.reqID)
-	if resp.err != "" {
-		cb(errors.New(resp.err))
-		return
-	}
-	cb(nil)
 }

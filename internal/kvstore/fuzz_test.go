@@ -63,10 +63,10 @@ const opPopulate = 252
 // FuzzStoreLayout drives the store and layout_test.go's reference loader
 // through one random sequence of server-side Puts, one-sided Updates
 // (whose caller overwrites its value buffer as soon as Update returns),
-// two-sided PUTs, one-sided GETs, prime requests and sharded loads — fresh
-// keys and re-Puts, synthetic values (the key plus zeros: full, key-only,
-// empty for key 0) and others, short, full and oversize, into tables that
-// fill up — and checks storeFuzz.check's oracles after every step. The
+// one-sided GETs, prime requests and sharded loads — fresh keys and
+// re-Puts, synthetic values (the key plus zeros: full, key-only, empty
+// for key 0) and others, short, full and oversize, into tables that fill
+// up — and checks storeFuzz.check's oracles after every step. The
 // input's first byte picks capacity and record size; then each step is an
 // op byte, a key byte and, for the storing ops, a value byte, or an op
 // byte of at least opPopulate, a shard count, shard, key count and value
@@ -78,14 +78,14 @@ func FuzzStoreLayout(f *testing.F) {
 	// Non-synthetic Put, synthetic re-Put over the written record, Update
 	// of an unwritten and of a missing key, oversize values everywhere.
 	f.Add([]byte{0, 0, 5, 4, 0, 5, 0, 0, 6, 0, 2, 6, 3, 2, 9, 3, 0, 6, 5, 2, 6, 5, 3, 6, 5, 4, 6})
-	// Two-sided PUTs of both kinds, a cold Update through the probe path, a
+	// Puts of both kinds, a cold Update through the probe path, a
 	// primed client, keys far outside the dense range.
 	f.Add([]byte{1, 3, 1, 0, 3, 2, 4, 3, 250, 3, 2, 250, 0, 6, 8, 2, 1, 3, 4, 250, 5, 9})
 	// Cold Updates of two keys, each from a buffer its caller reuses at
 	// once, then GETs of both.
 	f.Add([]byte{0, 0, 1, 4, 0, 2, 4, 2, 1, 10, 2, 2, 16, 4, 1, 4, 2})
-	// Four slots: the table fills, later Puts and PUTs are refused alike and
-	// existing keys still overwrite. (Geometry 2: 4 slots of 8 bytes.)
+	// Four slots: the table fills, later Puts are refused and existing
+	// keys still overwrite. (Geometry 2: 4 slots of 8 bytes.)
 	f.Add([]byte{2, 0, 0, 0, 0, 1, 4, 0, 2, 0, 0, 3, 3, 0, 4, 0, 3, 5, 4, 0, 1, 0, 2, 3, 3, 4, 3, 5, 7})
 	// The odd keys fill an empty table without a value function, a GET, a
 	// skipped key refused, primes, then a load over the full table.
@@ -116,7 +116,7 @@ func FuzzStoreLayout(f *testing.F) {
 			}
 			op, key := b%7, p.key(g.Capacity)
 			switch op {
-			case 0, 1: // server-side Put
+			case 0, 1, 3: // server-side Put (3 too, so that older inputs decode as they did)
 				s.put(key, p.value(key, g.RecordSize))
 			case 2: // one-sided Update: refused oversize, not found, or stored in place
 				value, called := p.value(key, g.RecordSize), false
@@ -138,17 +138,6 @@ func FuzzStoreLayout(f *testing.F) {
 					s.sameErr("Update", err, want)
 				} else if !called {
 					t.Fatalf("Update(%d) never completed", key)
-				}
-			case 3: // two-sided PUT: the server's Put, its error as a string
-				value, called := p.value(key, g.RecordSize), false
-				want := s.ref.Put(key, value)
-				err := kv.PutTwoSided(key, value, func(err error) {
-					called = true
-					s.sameErr("PutTwoSided", err, want)
-				})
-				k.Run()
-				if err != nil || !called {
-					t.Fatalf("PutTwoSided(%d): %v, completed = %v", key, err, called)
 				}
 			case 4: // one-sided GET
 				want, present := s.refRecord(key)

@@ -3,7 +3,6 @@ package kvstore
 import (
 	"bytes"
 	"encoding/binary"
-	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -234,9 +233,6 @@ func TestGetNilCallback(t *testing.T) {
 	if err := kv.GetTwoSided(1, nil); err == nil {
 		t.Error("nil callback accepted (two-sided)")
 	}
-	if err := kv.PutTwoSided(1, nil, nil); err == nil {
-		t.Error("nil callback accepted (put)")
-	}
 }
 
 func TestPrimeCache(t *testing.T) {
@@ -260,12 +256,9 @@ func TestPrimeCache(t *testing.T) {
 }
 
 func TestTwoSidedGetPut(t *testing.T) {
-	k, _, _, kv := testStore(t, smallOpts())
-	var putErr error = fmt.Errorf("sentinel")
-	_ = kv.PutTwoSided(7, []byte("two-sided"), func(err error) { putErr = err })
-	k.Run()
-	if putErr != nil {
-		t.Fatalf("PutTwoSided error: %v", putErr)
+	k, _, store, kv := testStore(t, smallOpts())
+	if err := store.Put(7, []byte("two-sided")); err != nil {
+		t.Fatal(err)
 	}
 	var got []byte
 	var getErr error
@@ -309,9 +302,9 @@ func TestTwoSidedRepliesShareOneQP(t *testing.T) {
 	if err := f.SetFlightRecorders([]*trace.FlightRecorder{fr}); err != nil {
 		t.Fatal(err)
 	}
-	for i := uint64(0); i < 3; i++ {
-		_ = kv.PutTwoSided(i, valFor(i), func(error) {})
-		_ = kv.GetTwoSided(i, func([]byte, error) {})
+	_ = store.Populate(3, valFor)
+	for i := uint64(0); i < 6; i++ {
+		_ = kv.GetTwoSided(i%3, func([]byte, error) {})
 	}
 	k.Run()
 	var qps []int32
@@ -471,11 +464,10 @@ func TestDuplicateAttachSameDispatcher(t *testing.T) {
 
 func TestServerHandlersIgnoreWrongTypes(t *testing.T) {
 	k, f, store, _ := testStore(t, smallOpts())
-	// Send raw garbage under the RPC kinds: the store must ignore it.
+	// Send raw garbage under the RPC kind: the store must ignore it.
 	client2, _ := f.AddClient("c2")
 	qp, _ := f.Connect(client2, store.Node())
 	_ = qp.Send(rdma.Message{Kind: "kv.get", Body: "not-a-request"}, 16, nil)
-	_ = qp.Send(rdma.Message{Kind: "kv.put", Body: 42}, 16, nil)
 	k.Run() // must not panic
 }
 

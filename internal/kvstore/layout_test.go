@@ -608,23 +608,6 @@ func TestLayoutPagedRecords(t *testing.T) {
 		t.Fatalf("Get(9) after Update = %x", v)
 	}
 
-	// Two-sided PUTs reach the same Put.
-	for _, put := range []struct {
-		key   uint64
-		value []byte
-	}{{50, synthetic(50, size)}, {51, layoutValue(51, size)}} {
-		if err := kv.PutTwoSided(put.key, put.value, func(err error) {
-			if err != nil {
-				t.Error(err)
-			}
-		}); err != nil {
-			t.Fatal(err)
-		}
-		if err := p.ref.Put(put.key, put.value); err != nil {
-			t.Fatal(err)
-		}
-	}
-	check("PutTwoSided", 5)
 	p.prime(64)
 }
 

@@ -19,9 +19,9 @@
 // Clients locate a record with one-sided reads of index slots, cache the
 // key -> offset mapping (a location cache in the style of FaRM/Telepathy),
 // and from then on a GET is exactly one silent one-sided 4 KB READ — the
-// access pattern whose QoS Haechi manages. A two-sided RPC path (GET/PUT
-// through the server CPU) is provided both for comparison experiments and
-// for mutations.
+// access pattern whose QoS Haechi manages. A two-sided GET RPC through
+// the server CPU is provided for the comparison experiments; records are
+// loaded server-side and updated with one-sided WRITEs.
 package kvstore
 
 import (
@@ -44,11 +44,9 @@ const (
 	IndexRegionName = "kv/index"
 	DataRegionName  = "kv/data"
 
-	// Message kinds for the two-sided RPC path.
+	// Message kinds for the two-sided GET RPC.
 	msgGet     = "kv.get"
 	msgGetResp = "kv.get.resp"
-	msgPut     = "kv.put"
-	msgPutResp = "kv.put.resp"
 )
 
 // hashKey mixes a key with the splitmix64 finalizer; both store and
@@ -172,7 +170,7 @@ func (s *Store) track(n int) {
 }
 
 // NewStore registers the store's regions on node and, if disp is non-nil,
-// installs the two-sided RPC handlers.
+// installs the two-sided GET handler.
 func NewStore(node *rdma.Node, disp *rdma.Dispatcher, opts Options) (*Store, error) {
 	if opts.Capacity <= 0 {
 		return nil, fmt.Errorf("kvstore: capacity must be positive, got %d", opts.Capacity)
@@ -207,9 +205,6 @@ func NewStore(node *rdma.Node, disp *rdma.Dispatcher, opts Options) (*Store, err
 	}
 	if disp != nil {
 		if err := disp.Handle(msgGet, s.handleGet); err != nil {
-			return nil, err
-		}
-		if err := disp.Handle(msgPut, s.handlePut); err != nil {
 			return nil, err
 		}
 	}
@@ -261,11 +256,11 @@ func (s *Store) slotKey(slot int) uint64 {
 	return binary.LittleEndian.Uint64(s.indexView[slot*slotSize:])
 }
 
-// Put stores value under key, server-side (used to populate the store and
-// by the PUT RPC). The value is copied, zero-padded to the record size. A
-// record that already reads as the padded value — a fresh key whose value
-// is the key plus zeros — stays unwritten (rdma.Region.CopyIn allocates a
-// page only for bytes that change it).
+// Put stores value under key, server-side (used to populate the store).
+// The value is copied, zero-padded to the record size. A record that
+// already reads as the padded value — a fresh key whose value is the key
+// plus zeros — stays unwritten (rdma.Region.CopyIn allocates a page only
+// for bytes that change it).
 func (s *Store) Put(key uint64, value []byte) error {
 	if err := s.checkValue(value); err != nil {
 		return err
@@ -430,17 +425,6 @@ type getResponse struct {
 	ok    bool
 }
 
-type putRequest struct {
-	key   uint64
-	value []byte
-	reqID uint64
-}
-
-type putResponse struct {
-	reqID uint64
-	err   string
-}
-
 // reply returns the QP responses to client take, connecting it on the
 // client's first request.
 func (s *Store) reply(client *rdma.Node) (*rdma.QP, error) {
@@ -473,20 +457,4 @@ func (s *Store) handleGet(from *rdma.Node, body any) {
 		size += len(v)
 	}
 	_ = qp.Send(rdma.Message{Kind: msgGetResp, Body: getResponse{reqID: req.reqID, value: v, ok: found}}, size, nil)
-}
-
-func (s *Store) handlePut(from *rdma.Node, body any) {
-	req, ok := body.(putRequest)
-	if !ok {
-		return
-	}
-	errStr := ""
-	if err := s.Put(req.key, req.value); err != nil {
-		errStr = err.Error()
-	}
-	qp, err := s.reply(from)
-	if err != nil {
-		return
-	}
-	_ = qp.Send(rdma.Message{Kind: msgPutResp, Body: putResponse{reqID: req.reqID, err: errStr}}, 24, nil)
 }

@@ -179,12 +179,6 @@ func TestSeries(t *testing.T) {
 	if s.Len() != 3 {
 		t.Errorf("Len = %d", s.Len())
 	}
-	if got := s.MeanOver(sim.Second, 3*sim.Second); got != 150 {
-		t.Errorf("MeanOver = %v, want 150", got)
-	}
-	if got := s.MeanOver(10*sim.Second, 20*sim.Second); got != 0 {
-		t.Errorf("MeanOver empty window = %v, want 0", got)
-	}
 	vals := s.Values()
 	if len(vals) != 3 || vals[2] != 300 {
 		t.Errorf("Values = %v", vals)

@@ -148,8 +148,3 @@ func (r *Registry) MarshalJSON() ([]byte, error) {
 	}
 	return json.Marshal(out)
 }
-
-// WriteJSON writes the registry's JSON form to w.
-func (r *Registry) WriteJSON(w io.Writer) error {
-	return json.NewEncoder(w).Encode(r)
-}

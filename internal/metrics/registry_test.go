@@ -3,10 +3,7 @@ package metrics
 import (
 	"bytes"
 	"encoding/json"
-	"strings"
 	"testing"
-
-	"github.com/haechi-qos/haechi/internal/sim"
 )
 
 func TestRegistryRegisterErrors(t *testing.T) {
@@ -109,48 +106,6 @@ func TestRegistryJSONDeterministic(t *testing.T) {
 	}
 	if len(out.Metrics) != 2 || out.Metrics[0].Name != "z/later" || out.Metrics[1].Name != "a/earlier" {
 		t.Errorf("metrics order = %+v, want registration order", out.Metrics)
-	}
-	var buf bytes.Buffer
-	if err := r.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if strings.TrimSpace(buf.String()) != string(first) {
-		t.Error("WriteJSON disagrees with MarshalJSON")
-	}
-}
-
-func TestSeriesMeanOverEmptyWindow(t *testing.T) {
-	var empty Series
-	if got := empty.MeanOver(0, 100); got != 0 {
-		t.Errorf("empty series MeanOver = %v, want 0", got)
-	}
-	s := Series{Name: "x"}
-	s.Add(50, 10)
-	// Window covering no samples must not divide by zero.
-	if got := s.MeanOver(100, 200); got != 0 {
-		t.Errorf("MeanOver(no samples) = %v, want 0", got)
-	}
-	// [from, to): a point exactly at `to` is excluded, at `from` included.
-	if got := s.MeanOver(50, 51); got != 10 {
-		t.Errorf("MeanOver inclusive-from = %v, want 10", got)
-	}
-	if got := s.MeanOver(0, 50); got != 0 {
-		t.Errorf("MeanOver exclusive-to = %v, want 0", got)
-	}
-}
-
-func TestSeriesMeanOverUnsortedSamples(t *testing.T) {
-	s := Series{Name: "x"}
-	// Samples appended out of time order must still be averaged by the
-	// window filter, not by position.
-	for _, p := range []Point{{T: 30, V: 3}, {T: 10, V: 1}, {T: 20, V: 2}, {T: 99, V: 100}} {
-		s.Add(p.T, p.V)
-	}
-	if got := s.MeanOver(10, 31); got != 2 {
-		t.Errorf("MeanOver(10,31) = %v, want 2", got)
-	}
-	if got := s.MeanOver(0, sim.Time(1<<40)); got != 26.5 {
-		t.Errorf("MeanOver(all) = %v, want 26.5", got)
 	}
 }
 

@@ -37,22 +37,6 @@ func (s *Series) Values() []float64 {
 	return out
 }
 
-// MeanOver averages samples with T in [from, to).
-func (s *Series) MeanOver(from, to sim.Time) float64 {
-	var sum float64
-	var n int
-	for _, p := range s.Points {
-		if p.T >= from && p.T < to {
-			sum += p.V
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
-}
-
 // String renders the series as "name: v1 v2 v3 ...".
 func (s *Series) String() string {
 	var b strings.Builder

@@ -98,9 +98,6 @@ func (b *BackgroundJob) Start() {
 // Stop ceases issuing new I/Os; in-flight ones drain naturally.
 func (b *BackgroundJob) Stop() { b.running = false }
 
-// Running reports whether the job is injecting load.
-func (b *BackgroundJob) Running() bool { return b.running }
-
 // Completed returns the number of background I/Os finished so far.
 func (b *BackgroundJob) Completed() uint64 { return b.completed }
 

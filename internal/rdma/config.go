@@ -29,6 +29,30 @@ import (
 // station; the paper's experiments use 4 KB records throughout.
 const DataIOSize = 4096
 
+// Service weights of small verbs relative to a 4 KB transfer, and the
+// control-path size cutoff.
+const (
+	// AtomicWeight is the service weight of an 8-byte FETCH_ADD or
+	// CMP_SWAP.
+	AtomicWeight = 0.25
+
+	// MinVerbWeight floors the size-proportional weight of small WRITEs
+	// and SENDs (doorbells, reports, token pushes are not free).
+	MinVerbWeight = 0.05
+
+	// SendRequestWeight is the NIC weight of the request half of a
+	// two-sided operation (a small SEND that must still be processed by
+	// the target NIC before reaching the CPU).
+	SendRequestWeight = 0.15
+
+	// controlSizeCutoff is the largest transfer, in bytes, that takes the
+	// NIC's latency-priority path. Atomics and transfers at or below the
+	// cutoff model verbs on dedicated control QPs: NIC arbitration
+	// schedules them ahead of queued bulk transfers (their processing
+	// time still consumes NIC capacity). Larger transfers queue FIFO.
+	controlSizeCutoff = 512
+)
+
 // Config sets the fabric's performance model. NewDefaultConfig returns the
 // values calibrated to the paper's Chameleon measurements.
 type Config struct {
@@ -57,26 +81,6 @@ type Config struct {
 	// station; it makes profiled capacity a distribution (the paper's
 	// sigma) instead of a constant. 0 disables jitter.
 	Jitter float64
-
-	// AtomicWeight is the service weight of an 8-byte FETCH_ADD or
-	// CMP_SWAP relative to a 4 KB transfer.
-	AtomicWeight float64
-
-	// MinVerbWeight floors the size-proportional weight of small WRITEs
-	// and SENDs (doorbells, reports, token pushes are not free).
-	MinVerbWeight float64
-
-	// SendRequestWeight is the NIC weight of the request half of a
-	// two-sided operation (a small SEND that must still be processed by
-	// the target NIC before reaching the CPU).
-	SendRequestWeight float64
-
-	// ControlSizeCutoff is the largest transfer, in bytes, that takes the
-	// NIC's latency-priority path. Atomics and transfers at or below the
-	// cutoff model verbs on dedicated control QPs: NIC arbitration
-	// schedules them ahead of queued bulk transfers (their processing
-	// time still consumes NIC capacity). Larger transfers queue FIFO.
-	ControlSizeCutoff int
 
 	// FlowControlWindow is the per-QP credit window for bulk transfers:
 	// at most this many data operations from one QP may be queued or in
@@ -114,10 +118,6 @@ func NewDefaultConfig() Config {
 		ServerTwoSidedRate: 430e3,
 		PropagationDelay:   sim.Microsecond,
 		Jitter:             0.01,
-		AtomicWeight:       0.25,
-		MinVerbWeight:      0.05,
-		SendRequestWeight:  0.15,
-		ControlSizeCutoff:  512,
 		FlowControlWindow:  64,
 	}
 }
@@ -163,18 +163,6 @@ func (c Config) Validate() error {
 	if c.Jitter < 0 || c.Jitter >= 1 {
 		return fmt.Errorf("rdma: Jitter must be in [0,1), got %v", c.Jitter)
 	}
-	if err := check("AtomicWeight", c.AtomicWeight); err != nil {
-		return err
-	}
-	if err := check("MinVerbWeight", c.MinVerbWeight); err != nil {
-		return err
-	}
-	if err := check("SendRequestWeight", c.SendRequestWeight); err != nil {
-		return err
-	}
-	if c.ControlSizeCutoff < 0 {
-		return fmt.Errorf("rdma: ControlSizeCutoff must be non-negative, got %d", c.ControlSizeCutoff)
-	}
 	if c.FlowControlWindow < 0 {
 		return fmt.Errorf("rdma: FlowControlWindow must be non-negative, got %d", c.FlowControlWindow)
 	}
@@ -192,14 +180,14 @@ func (c Config) Validate() error {
 
 // isControl reports whether a transfer of the given size takes the NIC's
 // latency-priority path.
-func (c Config) isControl(size int) bool { return size <= c.ControlSizeCutoff }
+func isControl(size int) bool { return size <= controlSizeCutoff }
 
 // sizeWeight converts a payload size to a NIC service weight relative to a
 // 4 KB transfer, floored at MinVerbWeight.
-func (c Config) sizeWeight(size int) float64 {
+func sizeWeight(size int) float64 {
 	w := float64(size) / DataIOSize
-	if w < c.MinVerbWeight {
-		w = c.MinVerbWeight
+	if w < MinVerbWeight {
+		w = MinVerbWeight
 	}
 	return w
 }

@@ -1,9 +1,6 @@
 package rdma
 
-import (
-	"fmt"
-	"slices"
-)
+import "fmt"
 
 // Message is the envelope for two-sided SENDs when several protocols share
 // one node (e.g. the KV store RPC handler and the Haechi QoS monitor both
@@ -49,15 +46,6 @@ func (d *Dispatcher) find(kind string, from *Node) int {
 	return -1
 }
 
-func (d *Dispatcher) remove(kind string, from *Node) bool {
-	i := d.find(kind, from)
-	if i < 0 {
-		return false
-	}
-	d.routes = slices.Delete(d.routes, i, i+1)
-	return true
-}
-
 // Handle registers a handler for messages of the given kind from any
 // sender. Registering a duplicate kind is an error.
 func (d *Dispatcher) Handle(kind string, h func(from *Node, body any)) error {
@@ -82,19 +70,6 @@ func (d *Dispatcher) HandleFrom(kind string, from *Node, h func(from *Node, body
 	return nil
 }
 
-// Unhandle removes the catch-all handler for kind. It reports whether a
-// handler was registered. Sender-scoped handlers are unaffected.
-func (d *Dispatcher) Unhandle(kind string) bool {
-	return d.remove(kind, nil)
-}
-
-// UnhandleFrom removes the sender-scoped handler for kind from the given
-// node (e.g. a multi-server client tearing down one per-server QoS
-// engine). It reports whether a handler was registered.
-func (d *Dispatcher) UnhandleFrom(kind string, from *Node) bool {
-	return from != nil && d.remove(kind, from)
-}
-
 func (d *Dispatcher) dispatch(from *Node, payload any) {
 	msg, ok := payload.(Message)
 	if !ok {
@@ -102,8 +77,7 @@ func (d *Dispatcher) dispatch(from *Node, payload any) {
 		// recv with an unknown-format buffer the application ignores.
 		return
 	}
-	// The handler runs after the scan: it may register or remove routes,
-	// its own included.
+	// The handler runs after the scan: it may register routes.
 	var h func(from *Node, body any)
 	for i := range d.routes {
 		r := &d.routes[i]

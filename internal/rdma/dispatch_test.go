@@ -93,39 +93,6 @@ func TestDispatcherDuplicates(t *testing.T) {
 	if err := d.HandleFrom("x", nil, h); err == nil {
 		t.Error("HandleFrom without a sender accepted")
 	}
-	if d.UnhandleFrom("x", nil) {
-		t.Error("UnhandleFrom without a sender removed the catch-all")
-	}
-}
-
-// TestDispatcherHandlerRemovesItself: a handler may unregister itself (and
-// others) while it runs; the message in hand is still delivered to it once,
-// later ones follow the routes it left.
-func TestDispatcherHandlerRemovesItself(t *testing.T) {
-	k, d, s1, _, qp1, _ := dispatchBed(t)
-	var scoped, catchall int
-	if err := d.Handle("pad", func(*Node, any) {}); err != nil {
-		t.Fatal(err)
-	}
-	err := d.HandleFrom("x", s1, func(*Node, any) {
-		scoped++
-		if !d.UnhandleFrom("x", s1) || !d.Unhandle("pad") {
-			t.Error("handler could not remove routes from inside dispatch")
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Handle("x", func(*Node, any) { catchall++ }); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		_ = qp1.Send(Message{Kind: "x"}, 8, nil)
-	}
-	k.Run()
-	if scoped != 1 || catchall != 2 {
-		t.Errorf("scoped/catchall = %d/%d, want 1/2", scoped, catchall)
-	}
 }
 
 // TestDispatcherFootprint: a fleet has one dispatcher per tenant and routes
@@ -165,82 +132,6 @@ func TestDispatcherFootprint(t *testing.T) {
 		t.Errorf("a 3-handler dispatcher holds %.0f B, want <= 320", per)
 	}
 	runtime.KeepAlive(keep)
-}
-
-// TestDispatcherUnhandle covers catch-all unregistration: delivery
-// stops, repeat removal reports false, and the kind can be re-bound.
-func TestDispatcherUnhandle(t *testing.T) {
-	k, d, _, _, qp1, _ := dispatchBed(t)
-	var first, second int
-	if err := d.Handle("x", func(*Node, any) { first++ }); err != nil {
-		t.Fatal(err)
-	}
-	_ = qp1.Send(Message{Kind: "x"}, 8, nil)
-	k.Run()
-
-	if !d.Unhandle("x") {
-		t.Error("Unhandle of a registered kind reported false")
-	}
-	if d.Unhandle("x") {
-		t.Error("repeat Unhandle reported true")
-	}
-	if d.Unhandle("never-bound") {
-		t.Error("Unhandle of an unknown kind reported true")
-	}
-	_ = qp1.Send(Message{Kind: "x"}, 8, nil) // now unrouted: dropped
-	k.Run()
-
-	if err := d.Handle("x", func(*Node, any) { second++ }); err != nil {
-		t.Fatalf("re-register after Unhandle: %v", err)
-	}
-	_ = qp1.Send(Message{Kind: "x"}, 8, nil)
-	k.Run()
-	if first != 1 || second != 1 {
-		t.Errorf("first/second handler counts = %d/%d, want 1/1", first, second)
-	}
-}
-
-// TestDispatcherUnhandleFrom covers scoped unregistration: only the
-// removed sender's route disappears, removal is idempotent, and the
-// (kind, sender) slot can be re-bound.
-func TestDispatcherUnhandleFrom(t *testing.T) {
-	k, d, s1, s2, qp1, qp2 := dispatchBed(t)
-	var from1, from2, rebound int
-	if err := d.HandleFrom("x", s1, func(*Node, any) { from1++ }); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.HandleFrom("x", s2, func(*Node, any) { from2++ }); err != nil {
-		t.Fatal(err)
-	}
-
-	if !d.UnhandleFrom("x", s1) {
-		t.Error("UnhandleFrom of a registered route reported false")
-	}
-	if d.UnhandleFrom("x", s1) {
-		t.Error("repeat UnhandleFrom reported true")
-	}
-	if d.UnhandleFrom("never-bound", s1) {
-		t.Error("UnhandleFrom of an unknown kind reported true")
-	}
-	_ = qp1.Send(Message{Kind: "x"}, 8, nil) // s1 route removed: dropped
-	_ = qp2.Send(Message{Kind: "x"}, 8, nil) // s2 route intact
-	k.Run()
-	if from1 != 0 || from2 != 1 {
-		t.Errorf("from1/from2 = %d/%d, want 0/1", from1, from2)
-	}
-
-	if err := d.HandleFrom("x", s1, func(*Node, any) { rebound++ }); err != nil {
-		t.Fatalf("re-register after UnhandleFrom: %v", err)
-	}
-	// Removing the last scoped route for a kind clears the kind entry.
-	if !d.UnhandleFrom("x", s2) {
-		t.Error("UnhandleFrom of the second route reported false")
-	}
-	_ = qp1.Send(Message{Kind: "x"}, 8, nil)
-	k.Run()
-	if rebound != 1 {
-		t.Errorf("rebound handler count = %d, want 1", rebound)
-	}
 }
 
 // TestDispatcherDropsUnrouted: non-Message payloads and unknown kinds

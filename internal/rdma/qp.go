@@ -235,14 +235,14 @@ type extOp struct {
 // kind and size: each stage of a one-sided verb, and the target
 // scheduler for an opFunc unit. A SEND's weights depend on its endpoints
 // and are worked out where they are charged.
-func (op *flowOp) weight(cfg *Config) float64 {
+func (op *flowOp) weight() float64 {
 	switch op.kind {
 	case opFetchAdd, opCompareSwap:
-		return cfg.AtomicWeight
+		return AtomicWeight
 	case opFunc:
 		return 1
 	}
-	return cfg.sizeWeight(int(op.size))
+	return sizeWeight(int(op.size))
 }
 
 // buffer returns the op's pooled payload buffer, nil when it has none.
@@ -505,16 +505,16 @@ func (qp *QP) initiate(op *flowOp) {
 		pen := qp.initiator.qpPenalty(qp)
 		if op.control {
 			qp.loopCtrl.push(op)
-			qp.initiator.nic.SubmitPriorityTagged(op.weight(&qp.fabric.cfg)+pen, qp.tag(stageLoopCtrl))
+			qp.initiator.nic.SubmitPriorityTagged(op.weight()+pen, qp.tag(stageLoopCtrl))
 		} else {
 			qp.loopBulk.push(op)
-			qp.initiator.nic.SubmitTagged(op.weight(&qp.fabric.cfg)+pen, qp.tag(stageLoopBulk))
+			qp.initiator.nic.SubmitTagged(op.weight()+pen, qp.tag(stageLoopBulk))
 		}
 		return
 	}
 	if op.control {
 		qp.ctrlInit.push(op)
-		qp.initiator.nic.SubmitPriorityTagged(op.weight(&qp.fabric.cfg)+qp.initiator.qpPenalty(qp), qp.tag(stageCtrlInit))
+		qp.initiator.nic.SubmitPriorityTagged(op.weight()+qp.initiator.qpPenalty(qp), qp.tag(stageCtrlInit))
 		return
 	}
 	qp.admitData(op)
@@ -569,7 +569,7 @@ func (qp *QP) ctrlArriveOp(op *flowOp) {
 		return
 	}
 	qp.ctrlServe.push(op)
-	qp.target.nic.SubmitPriorityTagged(op.weight(&qp.fabric.cfg)+qp.target.qpPenalty(qp), qp.tag(stageCtrlServe))
+	qp.target.nic.SubmitPriorityTagged(op.weight()+qp.target.qpPenalty(qp), qp.tag(stageCtrlServe))
 }
 
 // noteArrival counts an op against the target's verb stats. Same-shard
@@ -756,7 +756,7 @@ func (qp *QP) transmit(op *flowOp) {
 		op.span.Credit = qp.initiator.k.Now()
 	}
 	qp.bulkInit.push(op)
-	qp.initiator.nic.SubmitTagged(op.weight(&qp.fabric.cfg)+qp.initiator.qpPenalty(qp), qp.tag(stageBulkInit))
+	qp.initiator.nic.SubmitTagged(op.weight()+qp.initiator.qpPenalty(qp), qp.tag(stageBulkInit))
 }
 
 // bulkInitDone: a bulk-class op (data transfer or bulk SEND) finished
@@ -810,16 +810,15 @@ func (qp *QP) releaseCredit() {
 // and then hands the message to the CPU; a client target pays its NIC
 // the size-proportional cost and delivers directly.
 func (qp *QP) sendTargetSubmit(op *flowOp) {
-	f := qp.fabric
 	pen := qp.target.qpPenalty(qp)
 	if qp.target.kind == ServerNode {
 		qp.sendSrv.push(op)
-		qp.target.nic.SubmitPriorityTagged(f.cfg.SendRequestWeight+pen, qp.tag(stageSendSrv))
+		qp.target.nic.SubmitPriorityTagged(SendRequestWeight+pen, qp.tag(stageSendSrv))
 		return
 	}
 	// A client receiving a SEND pays its NIC the size-proportional cost
 	// (a 4 KB RPC reply is real work; a token push is nearly free).
-	w := f.cfg.sizeWeight(int(op.size)) + pen
+	w := sizeWeight(int(op.size)) + pen
 	if op.control {
 		qp.ctrlServe.push(op)
 		qp.target.nic.SubmitPriorityTagged(w, qp.tag(stageCtrlServe))
@@ -879,7 +878,7 @@ func (qp *QP) Read(r *Region, off, size int, cb func(data []byte)) error {
 	if !qp.cross { // cross-shard: counted at arrival, on the target's shard
 		qp.land(opRead, r)
 	}
-	op := qp.newOp(opRead, qp.fabric.cfg.isControl(size), false)
+	op := qp.newOp(opRead, isControl(size), false)
 	op.region, op.off, op.size = r, off, uint32(size)
 	op.cb = cb
 	qp.initiate(op)
@@ -905,7 +904,7 @@ func (qp *QP) Write(r *Region, off int, data []byte, cb func()) error {
 	var cell [8]byte
 	head := copy(cell[:], data)
 	inline := isZero(data[head:])
-	op := qp.newOp(opWrite, qp.fabric.cfg.isControl(len(data)), !inline)
+	op := qp.newOp(opWrite, isControl(len(data)), !inline)
 	op.region, op.off, op.size = r, off, uint32(len(data))
 	if cb != nil {
 		op.cb = cb
@@ -987,7 +986,7 @@ func (qp *QP) Send(payload any, size int, cb func()) error {
 	}
 	f := qp.fabric
 
-	initWeight := f.cfg.sizeWeight(size)
+	initWeight := sizeWeight(size)
 	if qp.initiator.kind == ClientNode {
 		// Two-sided operations cost measurably more at the client than
 		// one-sided ones (Fig. 6); the surcharge is derived from the
@@ -999,7 +998,7 @@ func (qp *QP) Send(payload any, size int, cb func()) error {
 		qp.target.stats.SendsReceived++
 	}
 
-	control := f.cfg.isControl(size)
+	control := isControl(size)
 	op := qp.newOp(opSend, control, true)
 	op.size = uint32(size)
 	op.ext.payload = payload

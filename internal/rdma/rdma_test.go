@@ -46,9 +46,6 @@ func TestConfigValidate(t *testing.T) {
 		{"negative prop", func(c *Config) { c.PropagationDelay = -1 }},
 		{"jitter 1", func(c *Config) { c.Jitter = 1 }},
 		{"negative jitter", func(c *Config) { c.Jitter = -0.1 }},
-		{"zero atomic weight", func(c *Config) { c.AtomicWeight = 0 }},
-		{"zero min verb weight", func(c *Config) { c.MinVerbWeight = 0 }},
-		{"zero send req weight", func(c *Config) { c.SendRequestWeight = 0 }},
 	}
 	for _, m := range mutations {
 		t.Run(m.name, func(t *testing.T) {
@@ -79,14 +76,13 @@ func TestConfigScaled(t *testing.T) {
 }
 
 func TestConfigSizeWeight(t *testing.T) {
-	c := NewDefaultConfig()
-	if w := c.sizeWeight(4096); w != 1.0 {
+	if w := sizeWeight(4096); w != 1.0 {
 		t.Errorf("sizeWeight(4096) = %v, want 1", w)
 	}
-	if w := c.sizeWeight(8); w != c.MinVerbWeight {
-		t.Errorf("sizeWeight(8) = %v, want floor %v", w, c.MinVerbWeight)
+	if w := sizeWeight(8); w != MinVerbWeight {
+		t.Errorf("sizeWeight(8) = %v, want floor %v", w, MinVerbWeight)
 	}
-	if w := c.sizeWeight(8192); w != 2.0 {
+	if w := sizeWeight(8192); w != 2.0 {
 		t.Errorf("sizeWeight(8192) = %v, want 2", w)
 	}
 }
@@ -212,7 +208,7 @@ func TestWriteUint64(t *testing.T) {
 func TestFetchAddSemantics(t *testing.T) {
 	k, f, client, server := testFabric(t)
 	r, _ := server.RegisterRegion("tokens", 8)
-	if err := r.PutInt64(0, 500); err != nil {
+	if err := r.PutUint64(0, 500); err != nil {
 		t.Fatal(err)
 	}
 	qp, _ := f.Connect(client, server)
@@ -240,7 +236,7 @@ func TestFetchAddSemantics(t *testing.T) {
 func TestCompareSwap(t *testing.T) {
 	k, f, client, server := testFabric(t)
 	r, _ := server.RegisterRegion("cell", 8)
-	_ = r.PutInt64(0, 42)
+	_ = r.PutUint64(0, 42)
 	qp, _ := f.Connect(client, server)
 
 	var old1, old2 int64
@@ -262,7 +258,7 @@ func TestCompareSwap(t *testing.T) {
 func TestLoopbackAtomic(t *testing.T) {
 	k, f, _, server := testFabric(t)
 	r, _ := server.RegisterRegion("cell", 8)
-	_ = r.PutInt64(0, 7)
+	_ = r.PutUint64(0, 7)
 	qp, err := f.Connect(server, server)
 	if err != nil {
 		t.Fatal(err)
@@ -330,7 +326,7 @@ func TestVerbValidation(t *testing.T) {
 func TestRegionLocalAccessors(t *testing.T) {
 	_, _, _, server := testFabric(t)
 	r, _ := server.RegisterRegion("data", 32)
-	if err := r.PutInt64(0, -5); err != nil {
+	if err := r.PutUint64(0, math.MaxUint64-4); err != nil { // -5 in two's complement
 		t.Fatal(err)
 	}
 	v, err := r.Int64(0)
@@ -353,8 +349,8 @@ func TestRegionLocalAccessors(t *testing.T) {
 	if err := r.CopyIn(30, []byte{1, 2, 3, 4}); err == nil {
 		t.Error("out-of-range CopyIn accepted")
 	}
-	if r.Size() != 32 || r.Owner() != server {
-		t.Error("Size/Owner wrong")
+	if r.Size() != 32 {
+		t.Error("Size wrong")
 	}
 }
 
@@ -367,8 +363,8 @@ func TestRegionRangeOverflow(t *testing.T) {
 		if _, err := r.Uint64(off); err == nil {
 			t.Errorf("Uint64 at offset %d accepted", off)
 		}
-		if err := r.PutInt64(off, 1); err == nil {
-			t.Errorf("PutInt64 at offset %d accepted", off)
+		if err := r.PutUint64(off, 1); err == nil {
+			t.Errorf("PutUint64 at offset %d accepted", off)
 		}
 		if err := r.CopyIn(off, make([]byte, 8)); err == nil {
 			t.Errorf("CopyIn at offset %d accepted", off)
@@ -648,7 +644,7 @@ func TestBackgroundJob(t *testing.T) {
 	}
 	job.Start()
 	job.Start() // idempotent
-	if !job.Running() {
+	if !job.running {
 		t.Error("job not running after Start")
 	}
 	k.RunUntil(sim.Second / 2)
@@ -670,9 +666,6 @@ func TestStatsSubAndString(t *testing.T) {
 	d := a.Sub(b)
 	if d.Reads != 6 || d.Writes != 4 || d.FetchAdds != 2 || d.SendsSent != 1 || d.BytesRead != 60 {
 		t.Errorf("Sub = %+v", d)
-	}
-	if a.Initiated() != 20 {
-		t.Errorf("Initiated = %d, want 20", a.Initiated())
 	}
 	if s := a.String(); s == "" {
 		t.Error("empty String()")

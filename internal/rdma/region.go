@@ -63,9 +63,6 @@ func (r *Region) Name() string { return r.name }
 // Size returns the region length in bytes.
 func (r *Region) Size() int { return r.size }
 
-// Owner returns the node the region is registered on.
-func (r *Region) Owner() *Node { return r.owner }
-
 // Paged reports whether unwritten pages of the region cost no memory:
 // false for a flat region.
 func (r *Region) Paged() bool { return r.buf == nil }
@@ -289,9 +286,6 @@ func (r *Region) Int64(off int) (int64, error) {
 	v, err := r.Uint64(off)
 	return int64(v), err
 }
-
-// PutInt64 writes the 8-byte little-endian cell at off locally.
-func (r *Region) PutInt64(off int, v int64) error { return r.PutUint64(off, uint64(v)) }
 
 // Uint64 reads the 8-byte cell at off as unsigned.
 func (r *Region) Uint64(off int) (uint64, error) {

@@ -99,7 +99,7 @@ func (s *rrScheduler) pump() {
 	s.currentQ = q
 	// Service begins now, so the QP-context touch happens here (opFunc
 	// injections carry no QP context and touch nothing).
-	w := op.weight(&s.node.fabric.cfg)
+	w := op.weight()
 	if op.kind != opFunc {
 		w += s.node.qpPenalty(op.qp)
 	}

@@ -19,11 +19,6 @@ type Stats struct {
 	SendsReceived    uint64
 }
 
-// Initiated returns the total number of verbs this node initiated.
-func (s Stats) Initiated() uint64 {
-	return s.Reads + s.Writes + s.FetchAdds + s.CompareSwaps + s.SendsSent
-}
-
 // Add returns the counter-wise sum s + other, e.g. over the data nodes of
 // a multi-server cluster.
 func (s Stats) Add(other Stats) Stats {

@@ -55,9 +55,6 @@ func (t Time) String() string {
 	}
 }
 
-// FromSeconds converts a floating-point number of seconds to virtual time.
-func FromSeconds(s float64) Time { return Time(s * float64(Second)) }
-
 // event is a scheduled callback. Events are ordered by time, with the
 // scheduling sequence number breaking ties so that events scheduled earlier
 // for the same instant run first (deterministic FIFO semantics).

@@ -28,12 +28,6 @@ func TestTimeUnits(t *testing.T) {
 	}
 }
 
-func TestFromSeconds(t *testing.T) {
-	if got := FromSeconds(1.5); got != 1500*Millisecond {
-		t.Errorf("FromSeconds(1.5) = %v, want %v", got, 1500*Millisecond)
-	}
-}
-
 func TestTimeString(t *testing.T) {
 	tests := []struct {
 		t    Time
