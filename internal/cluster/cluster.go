@@ -104,12 +104,10 @@ type Cluster struct {
 	sharedKeys *workload.ScrambledZipfian
 
 	// chaos is the compiled fault scenario (nil unless cfg.Chaos);
-	// warmupPeriods and runStart are stashed at Run time so fault
-	// reporting can map measured-period indices back to absolute period
-	// numbers and resolve scenario event times to absolute instants.
-	chaos         *chaos.Scenario
-	warmupPeriods int
-	runStart      sim.Time
+	// runStart is stashed at Run time so fault reporting can resolve
+	// scenario event times to absolute instants.
+	chaos    *chaos.Scenario
+	runStart sim.Time
 }
 
 // New assembles a cluster for the given tenant specs. In QoS modes every
@@ -121,11 +119,6 @@ func New(cfg Config, specs []ClientSpec) (_ *Cluster, err error) {
 	}
 	if len(specs) == 0 {
 		return nil, fmt.Errorf("cluster: at least one client spec required")
-	}
-	if cfg.Params.MaxClients < len(specs) {
-		// Fleet runs exceed the default report-table width; the table is
-		// sized per admitted client, so growing it does not perturb timing.
-		cfg.Params.MaxClients = len(specs)
 	}
 	k := sim.New(cfg.Seed)
 	fabric, err := rdma.NewFabric(k, cfg.Fabric)
@@ -214,7 +207,7 @@ func New(cfg Config, specs []ClientSpec) (_ *Cluster, err error) {
 	}
 
 	for s := 0; s < cfg.Servers; s++ {
-		if err := c.addDataNode(s, monitorOpts); err != nil {
+		if err := c.addDataNode(s, len(specs), monitorOpts); err != nil {
 			return nil, err
 		}
 	}
@@ -255,8 +248,9 @@ func nth(name string, s int) string {
 
 // addDataNode builds data node s: its store, loaded with the records whose
 // key ≡ s mod Servers under their global keys, and in QoS modes its
-// estimator, admission controller and monitor.
-func (c *Cluster) addDataNode(s int, monitorOpts []core.MonitorOption) error {
+// estimator, admission controller and monitor. Every data node admits
+// all tenants clients, so its report table has that many slots.
+func (c *Cluster) addDataNode(s, tenants int, monitorOpts []core.MonitorOption) error {
 	cfg := c.cfg
 	node, err := c.fabric.AddServer(nth("datanode", s))
 	if err != nil {
@@ -281,7 +275,7 @@ func (c *Cluster) addDataNode(s int, monitorOpts []core.MonitorOption) error {
 		if err != nil {
 			return err
 		}
-		dn.monitor, err = core.NewMonitor(cfg.Params, node, est, adm, monitorOpts...)
+		dn.monitor, err = core.NewMonitor(cfg.Params, node, tenants, est, adm, monitorOpts...)
 		if err != nil {
 			return err
 		}

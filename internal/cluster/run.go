@@ -32,7 +32,6 @@ func (c *Cluster) Run(warmupPeriods, measurePeriods int) (*Results, error) {
 
 	T := c.cfg.Params.Period
 	start := c.kernel.Now()
-	c.warmupPeriods = warmupPeriods
 	if err := c.armChaos(start); err != nil {
 		return nil, err
 	}

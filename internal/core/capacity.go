@@ -2,6 +2,18 @@ package core
 
 import "fmt"
 
+// Algorithm 1's constants (Section II-E).
+const (
+	// historyWindow is M, the length of the capacity-history buffer W.
+	historyWindow = 10
+	// incrementFraction is eta, the capacity probe step, as a fraction of
+	// the profiled capacity.
+	incrementFraction = 0.005
+	// sigmaFactor is the multiplier on sigma in the capacity lower bound
+	// Omega_prof - 3*sigma.
+	sigmaFactor = 3
+)
+
 // CapacityEstimator implements Algorithm 1, Adaptive Capacity Estimation:
 // it maintains the per-period token budget Omega_t from the completed-I/O
 // totals the clients report.
@@ -15,19 +27,14 @@ import "fmt"
 //   - If U landed between the lower bound and the budget, the system was
 //     demand- or capacity-limited below the budget: remember U in the
 //     history window W and set Omega to the window mean.
-//   - If U fell below the lower bound Omega_prof - SigmaFactor*sigma, the
+//   - If U fell below the lower bound Omega_prof - sigmaFactor*sigma, the
 //     period was idle; ignore it so low-demand periods cannot drag the
 //     estimate to an unreasonably low value.
 type CapacityEstimator struct {
 	lowerBound int64
 	eta        int64
-	windowSize int
 	history    []int64
 	current    int64
-	// underuse tracks Algorithm 1's per-client counters, indexed by client
-	// id: consecutive periods in which a client used less than its
-	// reservation.
-	underuse []int
 }
 
 // NewCapacityEstimator builds an estimator from a profiling run: profiled
@@ -42,18 +49,17 @@ func NewCapacityEstimator(p Params, profiled int64, sigma float64) (*CapacityEst
 	if sigma < 0 {
 		return nil, fmt.Errorf("core: sigma must be non-negative, got %v", sigma)
 	}
-	lb := profiled - int64(p.SigmaFactor*sigma)
+	lb := profiled - int64(sigmaFactor*sigma)
 	if lb < 0 {
 		lb = 0
 	}
-	eta := int64(p.IncrementFraction * float64(profiled))
+	eta := int64(incrementFraction * float64(profiled))
 	if eta < 1 {
 		eta = 1
 	}
 	return &CapacityEstimator{
 		lowerBound: lb,
 		eta:        eta,
-		windowSize: p.HistoryWindow,
 		current:    profiled,
 	}, nil
 }
@@ -61,7 +67,7 @@ func NewCapacityEstimator(p Params, profiled int64, sigma float64) (*CapacityEst
 // Current returns Omega_t, the token budget for the current period.
 func (e *CapacityEstimator) Current() int64 { return e.current }
 
-// LowerBound returns Omega_min = Omega_prof - SigmaFactor*sigma.
+// LowerBound returns Omega_min = Omega_prof - sigmaFactor*sigma.
 func (e *CapacityEstimator) LowerBound() int64 { return e.lowerBound }
 
 // Update consumes one period's total completed I/Os U and returns the new
@@ -72,7 +78,7 @@ func (e *CapacityEstimator) Update(total int64) int64 {
 		e.current += e.eta
 	case total >= e.lowerBound:
 		e.history = append(e.history, total)
-		if len(e.history) > e.windowSize {
+		if len(e.history) > historyWindow {
 			e.history = e.history[1:]
 		}
 		var sum int64
@@ -84,30 +90,4 @@ func (e *CapacityEstimator) Update(total int64) int64 {
 		// Idle period: keep the estimate.
 	}
 	return e.current
-}
-
-// ObserveClientUsage updates client id's Algorithm 1 under-use counter
-// with one period's completed I/Os: incremented when used fell below the
-// reservation, cleared otherwise. It returns the new streak; the monitor
-// alerts the client's QoS engine, which may have over-reserved, when it
-// reaches the configured length.
-func (e *CapacityEstimator) ObserveClientUsage(id int, used, reserved int64) int {
-	if id >= len(e.underuse) {
-		e.underuse = append(e.underuse, make([]int, id+1-len(e.underuse))...)
-	}
-	if used < reserved {
-		e.underuse[id]++
-	} else {
-		e.underuse[id] = 0
-	}
-	return e.underuse[id]
-}
-
-// UnderuseStreak returns the current consecutive under-use count for a
-// client.
-func (e *CapacityEstimator) UnderuseStreak(id int) int {
-	if id < 0 || id >= len(e.underuse) {
-		return 0
-	}
-	return e.underuse[id]
 }

@@ -61,11 +61,6 @@ func TestParamsValidate(t *testing.T) {
 		func(p *Params) { p.CheckInterval = 0 },
 		func(p *Params) { p.ReportInterval = 0 },
 		func(p *Params) { p.Batch = 0 },
-		func(p *Params) { p.HistoryWindow = 0 },
-		func(p *Params) { p.IncrementFraction = 0 },
-		func(p *Params) { p.IncrementFraction = 1.5 },
-		func(p *Params) { p.SigmaFactor = -1 },
-		func(p *Params) { p.MaxClients = 0 },
 	}
 	for i, mutate := range mutations {
 		p := NewDefaultParams()
@@ -179,23 +174,18 @@ func TestEstimatorIgnoresIdlePeriods(t *testing.T) {
 }
 
 func TestEstimatorWindowEviction(t *testing.T) {
-	p := NewDefaultParams()
-	p.HistoryWindow = 3
-	e, err := NewCapacityEstimator(p, 1000, 100) // lower bound 700
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, u := range []int64{900, 800, 700} {
+	e := newTestEstimator(t, 1000, 100) // lower bound 700
+	// M = 10 falling usages fill the window: [900 880 ... 720], mean 810.
+	for u := int64(900); u >= 720; u -= 20 {
 		e.Update(u)
 	}
-	// History = [900 800 700], mean 800.
-	if e.Current() != 800 {
-		t.Fatalf("mean = %d, want 800", e.Current())
+	if len(e.history) != historyWindow || e.Current() != 810 {
+		t.Fatalf("window %d, mean = %d, want %d and 810", len(e.history), e.Current(), historyWindow)
 	}
 	e.Update(701)
-	// Oldest (900) evicted: [800 700 701], mean 733.
-	if e.Current() != 733 {
-		t.Errorf("after eviction mean = %d, want 733", e.Current())
+	// Oldest (900) evicted: [880 ... 720 701], mean 7901/10 = 790.
+	if len(e.history) != historyWindow || e.Current() != 790 {
+		t.Errorf("after eviction window %d, mean = %d, want %d and 790", len(e.history), e.Current(), historyWindow)
 	}
 }
 
@@ -223,28 +213,6 @@ func TestEstimatorClimbsWhenFreed(t *testing.T) {
 	}
 	if e.Current() != low+5*e.eta {
 		t.Errorf("climb: %d, want %d", e.Current(), low+5*e.eta)
-	}
-}
-
-func TestEstimatorUnderuseCounters(t *testing.T) {
-	e := newTestEstimator(t, 1000, 0)
-	for i := 1; i <= 3; i++ {
-		if got := e.ObserveClientUsage(1, 50, 100); got != i {
-			t.Errorf("period %d: client 1 streak %d, want %d", i, got, i)
-		}
-		if got := e.ObserveClientUsage(2, 100, 100); got != 0 {
-			t.Errorf("period %d: client 2 streak %d, want 0", i, got)
-		}
-	}
-	if e.UnderuseStreak(1) != 3 || e.UnderuseStreak(2) != 0 {
-		t.Errorf("streaks = %d,%d", e.UnderuseStreak(1), e.UnderuseStreak(2))
-	}
-	if e.UnderuseStreak(0) != 0 || e.UnderuseStreak(9) != 0 {
-		t.Error("a client never observed has a streak")
-	}
-	// Recovery clears the streak.
-	if got := e.ObserveClientUsage(1, 100, 100); got != 0 || e.UnderuseStreak(1) != 0 {
-		t.Error("streak not cleared on recovery")
 	}
 }
 

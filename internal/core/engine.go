@@ -130,9 +130,6 @@ type Engine struct {
 	// OnPeriodStart, if set, is invoked when a new QoS period begins
 	// (after tokens are installed); the workload generator hooks it.
 	OnPeriodStart func(index int)
-	// OnAlert, if set, is invoked when the monitor warns that this client
-	// consistently under-uses its reservation.
-	OnAlert func(consecutivePeriods int)
 
 	// san, when non-nil, checks token conservation (see conserved) at
 	// crashes and period rollovers (internal/sanitize). periodYielded
@@ -206,9 +203,6 @@ func NewEngine(params Params, grant ClientGrant, node *rdma.Node, disp *rdma.Dis
 	if err := disp.HandleFrom(msgReportOn, grant.ServerNode, e.handleReportOn); err != nil {
 		return nil, err
 	}
-	if err := disp.HandleFrom(msgAlert, grant.ServerNode, e.handleAlert); err != nil {
-		return nil, err
-	}
 	e.reportFn = e.report
 	e.reportTickFn = e.reportTick
 	e.onFAAFn = e.onFAA
@@ -259,14 +253,8 @@ func (e *Engine) ReservationTokens() int64 { return e.resTokens }
 // LocalGlobalTokens returns claimed-but-unspent global tokens.
 func (e *Engine) LocalGlobalTokens() int64 { return e.localGlobal }
 
-// CompletedThisPeriod returns N_i.
-func (e *Engine) CompletedThisPeriod() int64 { return e.completed }
-
 // TotalCompleted returns the lifetime completed count.
 func (e *Engine) TotalCompleted() uint64 { return e.totalCompleted }
-
-// PeriodIndex returns the current QoS period number (0 before the first).
-func (e *Engine) PeriodIndex() int { return e.periodIndex }
 
 // Stop halts the engine's tickers. Arrivals still waiting stay counted in
 // Pending; without the tick nothing claims tokens for them any more.
@@ -425,9 +413,6 @@ type FaultStats struct {
 
 // FaultStats returns the engine's crash/recovery counters.
 func (e *Engine) FaultStats() FaultStats { return e.faults }
-
-// Degraded reports whether the engine is currently in local-token mode.
-func (e *Engine) Degraded() bool { return e.degraded }
 
 // drain admits waiting arrivals while tokens allow (Fig. 3 flowchart):
 // each admitted request consumes one token — Example 1's accounting, where
@@ -801,16 +786,6 @@ func (e *Engine) reportTick() {
 		e.report()
 	}
 	e.reportTimer = e.k.Schedule(e.params.ReportInterval, e.reportTickFn)
-}
-
-func (e *Engine) handleAlert(_ *rdma.Node, body any) {
-	m, ok := body.(alertMsg)
-	if !ok {
-		return
-	}
-	if e.OnAlert != nil {
-		e.OnAlert(m.ConsecutivePeriods)
-	}
 }
 
 // arrivals is a FIFO of requests known only by when they arrived, kept as

@@ -26,7 +26,7 @@ func TestFailureDetectionReclaimsReservation(t *testing.T) {
 	h.k.RunUntil(8 * P)
 	h.mon.Stop()
 
-	if !h.mon.Suspected(0) {
+	if !h.mon.clients[0].suspected {
 		t.Fatal("crashed client never suspected")
 	}
 	if h.mon.FailureSuspicions == 0 {
@@ -68,14 +68,14 @@ func TestFailureRecovery(t *testing.T) {
 	// back and reporting).
 	h.engines[0].Crash()
 	h.k.RunUntil(6 * P)
-	if !h.mon.Suspected(0) {
+	if !h.mon.clients[0].suspected {
 		t.Fatal("client not suspected during partition")
 	}
 	// The client "returns": its slot changes again.
 	grantRegion := h.mon.QoSRegion()
 	_ = grantRegion.PutUint64(reportSlotOffset(0), PackReport(123, 456))
 	h.k.RunUntil(7 * P)
-	if h.mon.Suspected(0) {
+	if h.mon.clients[0].suspected {
 		t.Error("client not reinstated after reporting again")
 	}
 	if h.mon.FailureRecoveries == 0 {
@@ -96,7 +96,7 @@ func TestNoFailureDetectionByDefault(t *testing.T) {
 	h.engines[0].Crash()
 	h.k.RunUntil(6 * testParams().Period)
 	h.mon.Stop()
-	if h.mon.Suspected(0) {
+	if h.mon.clients[0].suspected {
 		t.Error("client suspected without failure detection enabled")
 	}
 }
@@ -120,20 +120,10 @@ func TestCrashedEngineIgnoresProtocol(t *testing.T) {
 	}
 	h.k.RunUntil(3 * testParams().Period)
 	h.mon.Stop()
-	if e.PeriodIndex() > 1 {
+	if e.periodIndex > 1 {
 		t.Error("crashed engine kept processing period starts")
 	}
 	_ = sim.Time(0)
-}
-
-// TestSuspectedAccessorBounds: out-of-range ids are not suspected.
-func TestSuspectedAccessorBounds(t *testing.T) {
-	res := []int64{1000}
-	demand := func(client, period int) int { return 500 }
-	h := newQoSHarness(t, testParams(), res, demand)
-	if h.mon.Suspected(-1) || h.mon.Suspected(5) {
-		t.Error("out-of-range Suspected returned true")
-	}
 }
 
 // TestLocalViolationDetection: the spike/burst scenario triggers

@@ -42,12 +42,6 @@ func WithoutConversion() MonitorOption {
 	return func(m *Monitor) { m.convert = false }
 }
 
-// WithAlertAfter sets how many consecutive under-use periods trigger an
-// over-reservation alert to the client (0 disables alerts).
-func WithAlertAfter(periods int) MonitorOption {
-	return func(m *Monitor) { m.alertAfter = periods }
-}
-
 // failureGracePeriods is how many consecutive QoS periods a client's
 // report slot may stay static before failure detection suspects it.
 const failureGracePeriods = 2
@@ -76,9 +70,10 @@ type Monitor struct {
 	adm    *AdmissionController
 
 	convert        bool
-	alertAfter     int
 	detectFailures bool
 
+	// slots is the report table's length: how many clients Admit accepts.
+	slots int
 	// clients is a dense value slab indexed by client id: admission only
 	// ever appends, nothing retains element pointers across an append, and
 	// iteration walks one contiguous array even at fleet scale.
@@ -138,19 +133,23 @@ func (m *Monitor) mark(k trace.Kind, a, b int64) {
 // and pool samples. Nil (the default) disables the checks.
 func (m *Monitor) SetSanitizer(c *sanitize.Checker) { m.san = c }
 
-// NewMonitor creates a monitor on the data node. est provides the
+// NewMonitor creates a monitor on the data node with one report slot for
+// each of the tenants clients its caller will admit. est provides the
 // capacity estimate (from profiling); adm enforces admission control.
-func NewMonitor(params Params, node *rdma.Node, est *CapacityEstimator, adm *AdmissionController, opts ...MonitorOption) (*Monitor, error) {
+func NewMonitor(params Params, node *rdma.Node, tenants int, est *CapacityEstimator, adm *AdmissionController, opts ...MonitorOption) (*Monitor, error) {
 	if err := params.Validate(); err != nil {
 		return nil, err
 	}
 	if node == nil || est == nil || adm == nil {
 		return nil, fmt.Errorf("core: NewMonitor requires node, estimator and admission controller")
 	}
+	if tenants <= 0 {
+		return nil, fmt.Errorf("core: NewMonitor requires a positive tenant count, got %d", tenants)
+	}
 	if node.Kind() != rdma.ServerNode {
 		return nil, fmt.Errorf("core: monitor must run on a server node, got %v", node.Kind())
 	}
-	region, err := node.RegisterRegion(QoSRegionName, reportTableOff+params.MaxClients*reportSlotSize)
+	region, err := node.RegisterRegion(QoSRegionName, reportTableOff+tenants*reportSlotSize)
 	if err != nil {
 		return nil, fmt.Errorf("core: registering QoS region: %w", err)
 	}
@@ -166,6 +165,7 @@ func NewMonitor(params Params, node *rdma.Node, est *CapacityEstimator, adm *Adm
 		loop:    loop,
 		est:     est,
 		adm:     adm,
+		slots:   tenants,
 		convert: true,
 	}
 	m.OmegaSeries.Name = "omega"
@@ -182,9 +182,6 @@ func (m *Monitor) QoSRegion() *rdma.Region { return m.region }
 // Estimator returns the capacity estimator.
 func (m *Monitor) Estimator() *CapacityEstimator { return m.est }
 
-// PeriodIndex returns the current period number.
-func (m *Monitor) PeriodIndex() int { return m.periodIndex }
-
 // Admit runs admission control for clientNode with the given reservation
 // (step T1's registration) and, on success, returns the client's grant.
 func (m *Monitor) Admit(clientNode *rdma.Node, reservation int64) (ClientGrant, error) {
@@ -192,7 +189,7 @@ func (m *Monitor) Admit(clientNode *rdma.Node, reservation int64) (ClientGrant, 
 		return ClientGrant{}, fmt.Errorf("core: Admit requires a client node")
 	}
 	id := len(m.clients)
-	if id >= m.params.MaxClients {
+	if id >= m.slots {
 		return ClientGrant{}, fmt.Errorf("core: report table full (%d clients)", id)
 	}
 	if err := m.adm.Admit(id, reservation); err != nil {
@@ -306,9 +303,6 @@ func (m *Monitor) resume() {
 	}
 	m.endPeriod()
 }
-
-// Paused reports whether the monitor is currently in an outage window.
-func (m *Monitor) Paused() bool { return m.paused }
 
 // OutageStats returns how many outage windows were injected and their
 // total duration in nanoseconds of virtual time; a window still open is
@@ -556,7 +550,6 @@ func (m *Monitor) endPeriod() {
 		return
 	}
 	var total int64
-	var alerts []int // clients whose under-use streak just reached alertAfter
 	for i := range m.clients {
 		c := &m.clients[i]
 		w, err := m.region.Uint64(reportSlotOffset(c.id))
@@ -572,20 +565,12 @@ func (m *Monitor) endPeriod() {
 		// heartbeat rather than a regular report; strip the flag before
 		// using the count.
 		completed := liveCompleted(raw)
-		if n := m.est.ObserveClientUsage(c.id, int64(completed), c.reservation); m.alertAfter > 0 && n == m.alertAfter {
-			alerts = append(alerts, c.id)
-		}
 		total += int64(completed)
 	}
 	m.UsageSeries.Add(m.k.Now(), float64(total))
 	m.OmegaSeries.Add(m.k.Now(), float64(m.omega))
 	m.est.Update(total)
 	m.mark(trace.CapacityUpdate, total, m.est.Current())
-	for _, id := range alerts { // ascending: the harvest runs in id order
-		_ = m.clients[id].qp.Send(rdma.Message{Kind: msgAlert, Body: alertMsg{
-			ConsecutivePeriods: m.est.UnderuseStreak(id),
-		}}, alertMsgSize, nil)
-	}
 	m.startPeriod()
 }
 
@@ -624,13 +609,4 @@ func (m *Monitor) observeLiveness(c *monitorClient, word uint64) {
 		c.lastWord = tombstoneWord
 		m.mark(trace.FailureSuspect, int64(c.id), 0)
 	}
-}
-
-// Suspected reports whether failure detection currently considers the
-// client crashed.
-func (m *Monitor) Suspected(id int) bool {
-	if id < 0 || id >= len(m.clients) {
-		return false
-	}
-	return m.clients[id].suspected
 }

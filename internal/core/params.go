@@ -34,17 +34,6 @@ type Params struct {
 	// Batch is B, the number of global tokens claimed per FETCH_ADD
 	// (1000 in the paper).
 	Batch int64
-	// HistoryWindow is M, the capacity-history buffer length of
-	// Algorithm 1.
-	HistoryWindow int
-	// IncrementFraction sets eta, Algorithm 1's capacity probe step, as a
-	// fraction of the profiled capacity.
-	IncrementFraction float64
-	// SigmaFactor is the multiplier on sigma for the capacity lower
-	// bound Omega_prof - 3*sigma.
-	SigmaFactor float64
-	// MaxClients bounds the report table size on the data node.
-	MaxClients int
 	// SendQueueDepth is the engine's RNIC send-queue depth: how many
 	// token-backed I/Os may be outstanding at once (the paper's clients
 	// keep 64 requests outstanding). Tokens are consumed when an I/O is
@@ -57,16 +46,12 @@ type Params struct {
 // implementation (Section II-D/E).
 func NewDefaultParams() Params {
 	return Params{
-		Period:            sim.Second,
-		Tick:              sim.Millisecond,
-		CheckInterval:     sim.Millisecond,
-		ReportInterval:    sim.Millisecond,
-		Batch:             1000,
-		HistoryWindow:     10,
-		IncrementFraction: 0.005,
-		SigmaFactor:       3,
-		MaxClients:        64,
-		SendQueueDepth:    64,
+		Period:         sim.Second,
+		Tick:           sim.Millisecond,
+		CheckInterval:  sim.Millisecond,
+		ReportInterval: sim.Millisecond,
+		Batch:          1000,
+		SendQueueDepth: 64,
 	}
 }
 
@@ -115,18 +100,6 @@ func (p Params) Validate() error {
 	}
 	if p.Batch <= 0 {
 		return fmt.Errorf("core: Batch must be positive, got %d", p.Batch)
-	}
-	if p.HistoryWindow <= 0 {
-		return fmt.Errorf("core: HistoryWindow must be positive, got %d", p.HistoryWindow)
-	}
-	if p.IncrementFraction <= 0 || p.IncrementFraction > 1 {
-		return fmt.Errorf("core: IncrementFraction must be in (0,1], got %v", p.IncrementFraction)
-	}
-	if p.SigmaFactor < 0 {
-		return fmt.Errorf("core: SigmaFactor must be non-negative, got %v", p.SigmaFactor)
-	}
-	if p.MaxClients <= 0 {
-		return fmt.Errorf("core: MaxClients must be positive, got %d", p.MaxClients)
 	}
 	if p.SendQueueDepth <= 0 {
 		return fmt.Errorf("core: SendQueueDepth must be positive, got %d", p.SendQueueDepth)

@@ -8,9 +8,6 @@ const (
 	msgPeriodStart = "haechi.period_start"
 	// msgReportOn asks clients to begin periodic reporting (step S3).
 	msgReportOn = "haechi.report_on"
-	// msgAlert warns a client that it consistently under-uses its
-	// reservation (Algorithm 1's counter).
-	msgAlert = "haechi.alert"
 )
 
 // periodStartMsg initializes a client's QoS period.
@@ -32,16 +29,8 @@ type reportOnMsg struct {
 	Index int
 }
 
-// alertMsg tells a client it has under-used its reservation for
-// consecutive periods and may have over-reserved.
-type alertMsg struct {
-	// ConsecutivePeriods is the current length of the under-use streak.
-	ConsecutivePeriods int
-}
-
 // wire sizes (bytes) of the control messages.
 const (
 	periodStartMsgSize = 24
 	reportOnMsgSize    = 8
-	alertMsgSize       = 8
 )

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"github.com/haechi-qos/haechi/internal/rdma"
@@ -131,7 +133,7 @@ func newQoSHarnessSigma(t *testing.T, params Params, reservations []int64, deman
 	if err != nil {
 		t.Fatal(err)
 	}
-	mon, err := NewMonitor(params, server, est, adm, monOpts...)
+	mon, err := NewMonitor(params, server, len(reservations), est, adm, monOpts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +195,7 @@ func TestEngineValidation(t *testing.T) {
 	disp := rdma.NewDispatcher(client)
 	est, _ := NewCapacityEstimator(NewDefaultParams(), 1000, 0)
 	adm, _ := NewAdmissionController(1000, 400)
-	mon, _ := NewMonitor(NewDefaultParams(), server, est, adm)
+	mon, _ := NewMonitor(NewDefaultParams(), server, 1, est, adm)
 	grant, err := mon.Admit(client, 100)
 	if err != nil {
 		t.Fatal(err)
@@ -225,18 +227,21 @@ func TestMonitorValidation(t *testing.T) {
 	client, _ := f.AddClient("c")
 	est, _ := NewCapacityEstimator(NewDefaultParams(), 1000, 0)
 	adm, _ := NewAdmissionController(1000, 400)
-	if _, err := NewMonitor(NewDefaultParams(), nil, est, adm); err == nil {
+	if _, err := NewMonitor(NewDefaultParams(), nil, 1, est, adm); err == nil {
 		t.Error("nil node accepted")
 	}
-	if _, err := NewMonitor(NewDefaultParams(), client, est, adm); err == nil {
+	if _, err := NewMonitor(NewDefaultParams(), client, 1, est, adm); err == nil {
 		t.Error("client node accepted as monitor host")
 	}
 	bad := NewDefaultParams()
 	bad.Period = 0
-	if _, err := NewMonitor(bad, server, est, adm); err == nil {
+	if _, err := NewMonitor(bad, server, 1, est, adm); err == nil {
 		t.Error("invalid params accepted")
 	}
-	mon, err := NewMonitor(NewDefaultParams(), server, est, adm)
+	if _, err := NewMonitor(NewDefaultParams(), server, 0, est, adm); err == nil {
+		t.Error("zero tenants accepted")
+	}
+	mon, err := NewMonitor(NewDefaultParams(), server, 1, est, adm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,6 +256,40 @@ func TestMonitorValidation(t *testing.T) {
 	}
 	if err := mon.SetReservation(3, 10); err == nil {
 		t.Error("SetReservation on unknown client succeeded")
+	}
+}
+
+// TestMonitorReportTableFull: a monitor built for n tenants has n report
+// slots; it admits n clients and refuses the next.
+func TestMonitorReportTableFull(t *testing.T) {
+	const n = 3
+	k := sim.New(1)
+	f, _ := rdma.NewFabric(k, rdma.NewDefaultConfig())
+	server, _ := f.AddServer("dn")
+	est, _ := NewCapacityEstimator(NewDefaultParams(), 1000, 0)
+	adm, _ := NewAdmissionController(1000, 400)
+	mon, err := NewMonitor(NewDefaultParams(), server, n, est, adm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := mon.QoSRegion().Size(), reportSlotOffset(n); got != want {
+		t.Errorf("QoS region is %d bytes, want %d (%d slots)", got, want, n)
+	}
+	for i := 0; i <= n; i++ {
+		client, _ := f.AddClient(fmt.Sprintf("c%d", i))
+		grant, err := mon.Admit(client, 10)
+		if i < n {
+			if err != nil || grant.ID != i {
+				t.Fatalf("tenant %d: grant %d, %v", i, grant.ID, err)
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), "report table full") {
+			t.Errorf("tenant %d of %d: err = %v, want report table full", i+1, n, err)
+		}
+	}
+	if adm.Reserved() != n*10 {
+		t.Errorf("admission holds %d, want %d: the refused tenant leaked a reservation", adm.Reserved(), n*10)
 	}
 }
 
@@ -406,7 +445,7 @@ func TestLimitEnforced(t *testing.T) {
 	data, _ := server.RegisterRegion("data", rdma.DataIOSize)
 	est, _ := NewCapacityEstimator(params, testServerC, 50)
 	adm, _ := NewAdmissionController(testServerC, testClientC)
-	mon, _ := NewMonitor(params, server, est, adm)
+	mon, _ := NewMonitor(params, server, 1, est, adm)
 
 	node, _ := f.AddClient("c0")
 	disp := rdma.NewDispatcher(node)
@@ -547,28 +586,6 @@ func TestSetReservation(t *testing.T) {
 	}
 }
 
-// TestAlerting: a client that persistently under-uses its reservation is
-// alerted after the configured streak.
-func TestAlerting(t *testing.T) {
-	res := []int64{2000, 2000}
-	demand := func(client, period int) int {
-		if client == 0 {
-			return 200
-		}
-		return 4000
-	}
-	h := newQoSHarness(t, testParams(), res, demand, WithAlertAfter(2))
-	var alerted []int
-	h.engines[0].OnAlert = func(streak int) { alerted = append(alerted, streak) }
-	h.run(4)
-	if len(alerted) == 0 {
-		t.Fatal("under-using client never alerted")
-	}
-	if alerted[0] != 2 {
-		t.Errorf("first alert at streak %d, want 2", alerted[0])
-	}
-}
-
 // TestEngineStopsCleanly and pending counters.
 func TestEngineStop(t *testing.T) {
 	res := []int64{1000}
@@ -580,13 +597,12 @@ func TestEngineStop(t *testing.T) {
 	if e.ID() != 0 {
 		t.Errorf("ID = %d", e.ID())
 	}
-	if e.PeriodIndex() == 0 {
+	if e.periodIndex == 0 {
 		t.Error("engine never saw a period")
 	}
 	// Accessors do not panic post-stop.
 	_ = e.ReservationTokens()
 	_ = e.LocalGlobalTokens()
-	_ = e.CompletedThisPeriod()
 	_ = e.Pending()
 }
 

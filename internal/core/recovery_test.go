@@ -41,7 +41,7 @@ func TestEngineRestartRecovery(t *testing.T) {
 	victim.Crash()
 	victim.Crash() // idempotent
 	h.k.RunUntil(6 * P)
-	if !h.mon.Suspected(0) {
+	if !h.mon.clients[0].suspected {
 		t.Fatal("crashed client never suspected")
 	}
 	if h.mon.SuspectedAt(0) == 0 {
@@ -55,7 +55,7 @@ func TestEngineRestartRecovery(t *testing.T) {
 	h.k.RunUntil(9 * P)
 	h.mon.Stop()
 
-	if h.mon.Suspected(0) {
+	if h.mon.clients[0].suspected {
 		t.Error("restarted client not reinstated")
 	}
 	if h.mon.FailureRecoveries == 0 {
@@ -163,19 +163,19 @@ func TestMonitorOutageDegradedMode(t *testing.T) {
 	P := testParams().Period
 	h.k.RunUntil(2*P + P/2)
 	h.mon.Outage(2 * P)
-	if !h.mon.Paused() {
+	if !h.mon.paused {
 		t.Fatal("monitor not paused")
 	}
 	h.k.RunUntil(3*P + P/2) // deep inside the outage window
 	for i, e := range h.engines {
-		if !e.Degraded() {
+		if !e.degraded {
 			t.Errorf("engine %d not degraded during outage", i)
 		}
 	}
 	h.k.RunUntil(6 * P)
 	h.mon.Stop()
 
-	if h.mon.Paused() {
+	if h.mon.paused {
 		t.Error("monitor still paused after the window")
 	}
 	if n, ns := h.mon.OutageStats(); n != 1 || ns != int64(2*P) {
@@ -183,7 +183,7 @@ func TestMonitorOutageDegradedMode(t *testing.T) {
 	}
 	for i, e := range h.engines {
 		fs := e.FaultStats()
-		if e.Degraded() || fs.DegradedSpells == 0 || fs.DegradedTime == 0 {
+		if e.degraded || fs.DegradedSpells == 0 || fs.DegradedTime == 0 {
 			t.Errorf("engine %d degraded window not closed: %+v", i, fs)
 		}
 		if fs.DegradedProbes == 0 {
@@ -214,7 +214,7 @@ func TestOutageOpenAtStop(t *testing.T) {
 	if n, ns := h.mon.OutageStats(); n != 1 || ns != want {
 		t.Errorf("outage stats at stop (%d, %d), want (1, %d)", n, ns, want)
 	}
-	if h.mon.Paused() {
+	if h.mon.paused {
 		t.Error("monitor still paused after Stop")
 	}
 	h.k.RunUntil(4 * P) // past the scheduled resume
@@ -230,14 +230,14 @@ func TestOutageGuards(t *testing.T) {
 	demand := func(client, period int) int { return 500 }
 	h := newQoSHarness(t, testParams(), res, demand)
 	h.mon.Outage(sim.Second) // not started
-	if h.mon.Paused() {
+	if h.mon.paused {
 		t.Error("outage on a stopped monitor paused it")
 	}
 	if err := h.mon.Start(); err != nil {
 		t.Fatal(err)
 	}
 	h.mon.Outage(0)
-	if h.mon.Paused() {
+	if h.mon.paused {
 		t.Error("zero-duration outage paused the monitor")
 	}
 	h.mon.Outage(sim.Second)

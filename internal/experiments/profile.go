@@ -13,7 +13,7 @@ import (
 // o.Clients saturating clients issuing back-to-back one-sided 4 KB reads
 // against a bare data node. Run s is seeded Base.Seed+s. The per-run
 // totals give Omega_prof and sigma, from which Algorithm 1 takes its
-// lower bound Omega_prof - SigmaFactor*sigma.
+// lower bound Omega_prof - 3*sigma.
 func Profile(o Options) (*Plan, error) {
 	cfg, err := o.Base.ApplyScale()
 	if err != nil {
@@ -33,7 +33,7 @@ func Profile(o Options) (*Plan, error) {
 		omega, sigma := profileStats(outs)
 		lower := "n/a"
 		if est, err := core.NewCapacityEstimator(cfg.Params, int64(omega), sigma); err == nil {
-			lower = fmt.Sprintf("%d (Omega_prof - %g*sigma)", est.LowerBound(), cfg.Params.SigmaFactor)
+			lower = fmt.Sprintf("%d (Omega_prof - 3*sigma)", est.LowerBound())
 		}
 		t := &Table{
 			Title:  fmt.Sprintf("%d saturating clients, %d one-period runs, bare data node", o.Clients, len(outs)),

@@ -2,6 +2,7 @@ package lint_test
 
 import (
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -155,43 +156,58 @@ func TestRuleApplies(t *testing.T) {
 // Rule is re-exported for the table above.
 type Rule = lint.Rule
 
-// TestDefaultRulesWaivers pins the shipped scope decisions: the
-// wall-clock waiver for haechibench (it times the real tool run), and
-// noconcurrency covering the kernel packages and haechibench alike.
+// TestDefaultRulesWaivers is the one pin of the shipped waiver set: each
+// rule's exact Include/Exclude, in order. Widening, narrowing or adding a
+// waiver must edit this table (and waiverdrift keeps every entry live).
+// The Applies rows state what each waiver means for the packages it
+// decides: haechibench times the real tool run, the kernel packages and
+// haechibench alike stay goroutine-free. TestParallelimportDefaultScope
+// states what the parallelimport waiver means.
 func TestDefaultRulesWaivers(t *testing.T) {
+	want := []struct {
+		name             string
+		include, exclude []string
+	}{
+		{"walltime", nil, []string{"cmd/haechibench"}},
+		{"globalrand", nil, nil},
+		{"maporder", nil, nil},
+		{"noconcurrency", nil, []string{"internal/parallel"}},
+		{"floateq", []string{".", "internal"}, nil},
+		{"parallelimport", nil, []string{"internal/experiments", "internal/sim/shard"}},
+		{"sharedwrite", nil, nil},
+		{"timetaint", nil, nil},
+		{"waiverdrift", nil, nil},
+	}
+	rules := lint.DefaultRules()
+	if len(rules) != len(want) {
+		t.Fatalf("got %d default rules, want %d", len(rules), len(want))
+	}
 	byName := make(map[string]lint.Rule)
-	for _, r := range lint.DefaultRules() {
+	for i, r := range rules {
+		w := want[i]
+		if r.Analyzer.Name != w.name || !slices.Equal(r.Include, w.include) || !slices.Equal(r.Exclude, w.exclude) {
+			t.Errorf("rule %d = %s include %q exclude %q, want %s include %q exclude %q",
+				i, r.Analyzer.Name, r.Include, r.Exclude, w.name, w.include, w.exclude)
+		}
 		byName[r.Analyzer.Name] = r
 	}
-	if len(byName) != 9 {
-		t.Fatalf("expected 9 default rules, got %d", len(byName))
+	type applies struct {
+		rule, rel string
+		want      bool
 	}
-	for _, name := range []string{"sharedwrite", "timetaint", "waiverdrift"} {
-		r, ok := byName[name]
-		if !ok {
-			t.Fatalf("missing default rule for %s", name)
-		}
-		if len(r.Include) != 0 || len(r.Exclude) != 0 {
-			t.Errorf("%s must run module-wide with no waivers (include %v exclude %v)",
-				name, r.Include, r.Exclude)
-		}
-	}
-	if byName["walltime"].Applies("cmd/haechibench") {
-		t.Error("walltime must waive cmd/haechibench (it measures real tool runtime)")
-	}
-	if !byName["walltime"].Applies("internal/sim") {
-		t.Error("walltime must cover internal/sim")
-	}
-	if !byName["noconcurrency"].Applies("cmd/haechibench") {
-		t.Error("noconcurrency must cover cmd/haechibench (experiments hand back their runs as values)")
+	cases := []applies{
+		{"walltime", "cmd/haechibench", false},
+		{"walltime", "internal/sim", true},
+		{"noconcurrency", "cmd/haechibench", true},
+		{"floateq", "internal/core", true},
 	}
 	for _, kp := range lint.KernelPackages {
-		if !byName["noconcurrency"].Applies(kp) {
-			t.Errorf("noconcurrency must cover kernel package %s", kp)
-		}
+		cases = append(cases, applies{"noconcurrency", kp, true})
 	}
-	if !byName["floateq"].Applies("internal/core") {
-		t.Error("floateq must cover internal/core")
+	for _, a := range cases {
+		if got := byName[a.rule].Applies(a.rel); got != a.want {
+			t.Errorf("%s.Applies(%q) = %v, want %v", a.rule, a.rel, got, a.want)
+		}
 	}
 }
 

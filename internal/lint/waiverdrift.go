@@ -12,9 +12,10 @@ import (
 // over-broad when the excluded packages would produce no findings anyway
 // (the waived construct is gone, so the exemption now covers future
 // violations for free). Both are findings: shrinking a waiver is always
-// safe, and keeping the inventory minimal is what makes the committed
-// lint_waivers.json diff in CI meaningful. Only per-package analyzers
-// are audited — the module-wide analyzers take no waivers by policy.
+// safe, and keeping the inventory minimal is what makes the pinned
+// waiver set (TestDefaultRulesWaivers) meaningful. Only per-package
+// analyzers are audited — the module-wide analyzers take no waivers by
+// policy.
 var Waiverdrift = &Analyzer{
 	Name: "waiverdrift",
 	Doc: "reports dead waivers (exclude matches no package) and over-broad " +

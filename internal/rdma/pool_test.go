@@ -449,7 +449,7 @@ func TestRecycledRecordCarriesNothingStale(t *testing.T) {
 		if rec, _ := b.region.CopyOut(recA, DataIOSize); !bytes.Equal(rec, update) {
 			t.Errorf("cross=%v: record after the inline WRITE starts %x, want 9 and zeros", cross, rec[:16])
 		}
-		if v, _ := b.region.Int64(cell); old != 0x77 || v != 0x77 {
+		if v, _ := b.region.Uint64(cell); old != 0x77 || v != 0x77 {
 			t.Errorf("cross=%v: CMP_SWAP saw %#x and left %#x, want 0x77 both", cross, old, v)
 		}
 	}
@@ -566,7 +566,7 @@ func TestPooledRecordsTwoWorkers(t *testing.T) {
 			t.Errorf("%s->%s: %d READs and %d WRITE completions, want at least %d and some",
 				d.qp.initiator.name, d.qp.target.name, d.reads, d.acks, perLoop)
 		}
-		if got, _ := d.region.Int64(3*DataIOSize + 8); got == 0 {
+		if got, _ := d.region.Uint64(3*DataIOSize + 8); got == 0 {
 			t.Errorf("%s: no FETCH_ADD applied", d.region.owner.name)
 		}
 	}

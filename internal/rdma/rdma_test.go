@@ -227,9 +227,9 @@ func TestFetchAddSemantics(t *testing.T) {
 			t.Errorf("FAA %d returned %d, want %d", i, olds[i], want[i])
 		}
 	}
-	v, _ := r.Int64(0)
-	if v != -100 {
-		t.Errorf("cell after 3 FAA(-200) = %d, want -100", v)
+	v, _ := r.Uint64(0)
+	if int64(v) != -100 {
+		t.Errorf("cell after 3 FAA(-200) = %d, want -100", int64(v))
 	}
 }
 
@@ -249,7 +249,7 @@ func TestCompareSwap(t *testing.T) {
 	if old2 != 100 {
 		t.Errorf("second CAS old = %d, want 100 (first swap applied)", old2)
 	}
-	v, _ := r.Int64(0)
+	v, _ := r.Uint64(0)
 	if v != 100 {
 		t.Errorf("cell = %d, want 100 (second CAS must not swap)", v)
 	}
@@ -329,12 +329,12 @@ func TestRegionLocalAccessors(t *testing.T) {
 	if err := r.PutUint64(0, math.MaxUint64-4); err != nil { // -5 in two's complement
 		t.Fatal(err)
 	}
-	v, err := r.Int64(0)
-	if err != nil || v != -5 {
-		t.Errorf("Int64 = %d, %v", v, err)
+	v, err := r.Uint64(0)
+	if err != nil || int64(v) != -5 {
+		t.Errorf("Uint64 = %d as int64, %v", int64(v), err)
 	}
-	if _, err := r.Int64(25); err == nil {
-		t.Error("out-of-range Int64 accepted")
+	if _, err := r.Uint64(25); err == nil {
+		t.Error("out-of-range Uint64 accepted")
 	}
 	if err := r.PutUint64(8, 9); err != nil {
 		t.Fatal(err)

@@ -279,15 +279,9 @@ func (r *Region) View(off, size int) ([]byte, error) {
 	return r.buf[off : off+size : off+size], nil
 }
 
-// Int64 reads the 8-byte little-endian cell at off. It is a local
+// Uint64 reads the 8-byte little-endian cell at off. It is a local
 // (owner-side CPU) access with no simulated cost; remote access must go
 // through a QP verb.
-func (r *Region) Int64(off int) (int64, error) {
-	v, err := r.Uint64(off)
-	return int64(v), err
-}
-
-// Uint64 reads the 8-byte cell at off as unsigned.
 func (r *Region) Uint64(off int) (uint64, error) {
 	if err := r.checkRange(off, 8); err != nil {
 		return 0, err

@@ -298,12 +298,12 @@ func FuzzPagedRegion(f *testing.F) {
 				if rp.sameErr(t, what, gerr, werr) && !bytes.Equal(got, want) {
 					t.Fatalf("%s: CopyOut(%d, %d) = %x, flat %x", what, off, n, got, want)
 				}
-			case 2: // Int64
+			case 2: // Uint64
 				off := p.off()
-				got, gerr := rp.paged.Int64(off)
-				want, werr := rp.flat.Int64(off)
+				got, gerr := rp.paged.Uint64(off)
+				want, werr := rp.flat.Uint64(off)
 				if rp.sameErr(t, what, gerr, werr) && got != want {
-					t.Fatalf("%s: Int64(%d) = %#x, flat %#x", what, off, got, want)
+					t.Fatalf("%s: Uint64(%d) = %#x, flat %#x", what, off, got, want)
 				}
 			case 3: // PutUint64
 				off, v := p.off(), p.u64()
@@ -327,7 +327,8 @@ func FuzzPagedRegion(f *testing.F) {
 				}
 			case 7: // CMP_SWAP against the cell's value or a wild guess
 				off, guess, swap := p.off(), p.next(), int64(p.u64())
-				expect, err := rp.flat.Int64(off)
+				cell, err := rp.flat.Uint64(off)
+				expect := int64(cell)
 				if err != nil || guess%2 == 0 {
 					expect = int64(guess)
 				}
