@@ -90,6 +90,9 @@ type Cluster struct {
 	// Results at run end; see observe.go and DESIGN.md §11.
 	flights    []*trace.FlightRecorder
 	registries []*metrics.Registry
+	// sampleSlots is the sample count Run reserves in every registry:
+	// one per metrics tick from start to the horizon.
+	sampleSlots int
 
 	// san holds one invariant checker per shard, nil unless cfg.Sanitize.
 	// Per-shard checkers keep the sanitizer lock-free: shards run

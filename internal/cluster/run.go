@@ -69,14 +69,24 @@ func (c *Cluster) Run(warmupPeriods, measurePeriods int) (*Results, error) {
 		}
 	}
 
+	warmEnd := start + sim.Time(warmupPeriods)*T
+	measureEnd := warmEnd + sim.Time(measurePeriods)*T
+	end := measureEnd + 3*T/4
+
 	// One metrics ticker per shard, sampling only that shard's registry
 	// from that shard's kernel: every gauge is registered on its owner's
 	// shard (see registerMetrics), so sampling reads no cross-shard state
 	// and the workers stay unconstrained. All shards tick at the same
 	// virtual instants and run to the same horizon, so the per-shard
-	// sample timelines coincide and merge cleanly.
+	// sample timelines coincide and merge cleanly. A ticker fires at
+	// start and every interval up to end inclusive, so each registry
+	// reserves exactly that many samples.
+	if c.registries != nil {
+		c.sampleSlots = int((end-start)/c.cfg.Observe.MetricsInterval) + 1
+	}
 	for s, reg := range c.registries {
 		k := c.kernels[s]
+		reg.Grow(c.sampleSlots)
 		tick, err := k.Every(0, c.cfg.Observe.MetricsInterval, func() {
 			reg.Sample(k.Now())
 		})
@@ -85,10 +95,6 @@ func (c *Cluster) Run(warmupPeriods, measurePeriods int) (*Results, error) {
 		}
 		tickers = append(tickers, tick)
 	}
-
-	warmEnd := start + sim.Time(warmupPeriods)*T
-	measureEnd := warmEnd + sim.Time(measurePeriods)*T
-	end := measureEnd + 3*T/4
 	var warm struct { // the server counters at warm-end
 		stats rdma.Stats
 		qos   rdma.Landed

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 
 	"github.com/haechi-qos/haechi/internal/sim"
@@ -74,6 +75,18 @@ func (r *Registry) Names() []string {
 // Samples returns the number of sampling instants recorded.
 func (r *Registry) Samples() int { return len(r.times) }
 
+// Grow reserves room for n more samples in the time column and every
+// metric column, so the next n calls to Sample allocate nothing. A run
+// that knows its horizon and cadence reserves its exact tick count
+// instead of letting each column grow by doubling. Call it after the
+// last Register: a column registered later starts empty.
+func (r *Registry) Grow(n int) {
+	r.times = slices.Grow(r.times, n)
+	for i := range r.values {
+		r.values[i] = slices.Grow(r.values[i], n)
+	}
+}
+
 // Sample snapshots every registered gauge at virtual time t. Merged
 // registries (MergeSharded) are export-only and must not be sampled.
 func (r *Registry) Sample(t sim.Time) {
@@ -114,12 +127,15 @@ func (r *Registry) WriteCSV(w io.Writer) error {
 	if _, err := io.WriteString(w, "\n"); err != nil {
 		return err
 	}
+	var row []byte
 	for j, t := range r.times {
-		row := strconv.FormatInt(int64(t), 10)
+		row = strconv.AppendInt(row[:0], int64(t), 10)
 		for i := range r.names {
-			row += "," + strconv.FormatFloat(r.values[i][j], 'g', -1, 64)
+			row = append(row, ',')
+			row = strconv.AppendFloat(row, r.values[i][j], 'g', -1, 64)
 		}
-		if _, err := io.WriteString(w, row+"\n"); err != nil {
+		row = append(row, '\n')
+		if _, err := w.Write(row); err != nil {
 			return err
 		}
 	}

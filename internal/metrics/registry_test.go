@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"testing"
+
+	"github.com/haechi-qos/haechi/internal/sim"
 )
 
 func TestRegistryRegisterErrors(t *testing.T) {
@@ -77,6 +79,29 @@ func TestRegistryCSV(t *testing.T) {
 	want := "time_ns,a,b\n100,0.5,-3\n200,1e+09,-3\n"
 	if buf.String() != want {
 		t.Errorf("CSV = %q, want %q", buf.String(), want)
+	}
+}
+
+// TestRegistryGrowSamplesAllocFree pins that after Grow(n) the next n
+// samples append into reserved columns and allocate nothing.
+func TestRegistryGrowSamplesAllocFree(t *testing.T) {
+	r := NewRegistry()
+	for _, name := range []string{"a", "b", "c"} {
+		_ = r.Register(name, func() float64 { return 1 })
+	}
+	const n = 101
+	r.Grow(n)
+	var at sim.Time
+	sample := func() {
+		r.Sample(at)
+		at++
+	}
+	// AllocsPerRun makes one warm-up call before its n-1 measured ones.
+	if allocs := testing.AllocsPerRun(n-1, sample); allocs != 0 {
+		t.Errorf("Sample after Grow allocates %v objects, want 0", allocs)
+	}
+	if r.Samples() != n {
+		t.Errorf("Samples() = %d, want %d", r.Samples(), n)
 	}
 }
 

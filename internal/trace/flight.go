@@ -40,12 +40,21 @@ func (s *StageStats) Histograms() [len(StageNames)]*metrics.Histogram {
 	}
 }
 
+// record folds sp's stage durations and total into the histograms, one
+// accessor per stage, skipping a stage the span did not traverse.
 func (s *StageStats) record(sp *Span) {
-	hs := s.Histograms()
-	for i, d := range sp.StageDurations() {
-		if d >= 0 {
-			hs[i].Record(d)
-		}
+	recordStage(&s.CreditWait, sp.CreditWait())
+	recordStage(&s.InitNIC, sp.InitNIC())
+	recordStage(&s.Wire, sp.Wire())
+	recordStage(&s.TargetQueue, sp.TargetQueue())
+	recordStage(&s.TargetService, sp.TargetService())
+	recordStage(&s.Delivery, sp.Delivery())
+	recordStage(&s.Total, sp.Total())
+}
+
+func recordStage(h *metrics.Histogram, d sim.Time) {
+	if d >= 0 {
+		h.Record(d)
 	}
 }
 
@@ -68,6 +77,10 @@ type FlightRecorder struct {
 	recorded uint64
 	marks    [256]uint64
 	stats    map[string]*StageStats
+	// byQP caches the stats of the last initiator seen on each QP id, so
+	// a finished span skips the string-hashed map lookup; the entry is
+	// used only when its Actor matches the span's initiator.
+	byQP []*StageStats
 
 	// idBase identifies a per-shard recorder: span IDs are offset by it
 	// (shard<<56) so they stay unique after merging and name the shard
@@ -146,13 +159,31 @@ func (f *FlightRecorder) Finish(sp *Span) {
 	f.finished++
 	*f.slot() = *sp
 	if !sp.Control {
-		st := f.stats[sp.Initiator]
-		if st == nil {
-			st = &StageStats{Actor: sp.Initiator}
-			f.stats[sp.Initiator] = st
-		}
-		st.record(sp)
+		f.actorStats(sp).record(sp)
 	}
+}
+
+// actorStats returns the stats of sp's initiator, from the QP cache
+// when the QP's last initiator was the same actor, else from the map.
+func (f *FlightRecorder) actorStats(sp *Span) *StageStats {
+	qp := int(sp.QP)
+	if uint(qp) < uint(len(f.byQP)) {
+		if st := f.byQP[qp]; st != nil && st.Actor == sp.Initiator {
+			return st
+		}
+	}
+	st := f.stats[sp.Initiator]
+	if st == nil {
+		st = &StageStats{Actor: sp.Initiator}
+		f.stats[sp.Initiator] = st
+	}
+	if qp >= 0 {
+		if qp >= len(f.byQP) {
+			f.byQP = slices.Grow(f.byQP, qp+1-len(f.byQP))[:qp+1]
+		}
+		f.byQP[qp] = st
+	}
+	return st
 }
 
 // Mark records a protocol event of kind k by actor at virtual time at:
@@ -261,15 +292,18 @@ func (f *FlightRecorder) Spans() []Span {
 	if f == nil {
 		return nil
 	}
+	live := f.live()
+	out := make([]Span, 0, len(live[0])+len(live[1]))
+	return append(append(out, live[0]...), live[1]...)
+}
+
+// live returns the retained entries as two ring segments, oldest
+// first; the first is empty only when both are.
+func (f *FlightRecorder) live() [2][]Span {
 	if !f.wrapped {
-		out := make([]Span, f.next)
-		copy(out, f.ring[:f.next])
-		return out
+		return [2][]Span{f.ring[:f.next], nil}
 	}
-	out := make([]Span, 0, len(f.ring))
-	out = append(out, f.ring[f.next:]...)
-	out = append(out, f.ring[:f.next]...)
-	return out
+	return [2][]Span{f.ring[f.next:], f.ring[:f.next]}
 }
 
 // Events returns the retained protocol events of the given kinds (of
@@ -347,11 +381,13 @@ func MergeFlightRecorders(frs ...*FlightRecorder) *FlightRecorder {
 		stats:  make(map[string]*StageStats),
 		shards: len(frs),
 	}
-	spans := make([][]Span, len(frs))
+	// Merge straight from each ring's live segments, copying every span
+	// once, into the merged ring.
+	live := make([][2][]Span, len(frs))
 	total := 0
 	for i, f := range frs {
-		spans[i] = f.Spans()
-		total += len(spans[i])
+		live[i] = f.live()
+		total += len(live[i][0]) + len(live[i][1])
 		m.started += f.Started()
 		m.finished += f.Finished()
 		m.recorded += f.recorded
@@ -360,19 +396,18 @@ func MergeFlightRecorders(frs ...*FlightRecorder) *FlightRecorder {
 		}
 	}
 	ring := make([]Span, 0, total)
-	idx := make([]int, len(frs))
 	for len(ring) < total {
 		best := -1
-		for s := range frs {
-			if idx[s] >= len(spans[s]) {
-				continue
-			}
-			if best < 0 || spans[s][idx[s]].End() < spans[best][idx[best]].End() {
+		for s := range live {
+			if len(live[s][0]) > 0 && (best < 0 || live[s][0][0].End() < live[best][0][0].End()) {
 				best = s
 			}
 		}
-		ring = append(ring, spans[best][idx[best]])
-		idx[best]++
+		seg := &live[best]
+		ring = append(ring, seg[0][0])
+		if seg[0] = seg[0][1:]; len(seg[0]) == 0 {
+			seg[0], seg[1] = seg[1], nil
+		}
 	}
 	m.ring = ring
 	m.wrapped = len(ring) > 0 // Spans() reads the whole ring from next=0

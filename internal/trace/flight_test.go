@@ -143,6 +143,82 @@ func TestFlightRecordingNoAlloc(t *testing.T) {
 	}
 }
 
+// TestFinishFoldsByInitiator checks the single-lookup fold against the
+// StageDurations rule, with one QP id shared by two initiators (as test
+// spans reuse QP ids) and spans that skip a stage or run one backwards:
+// every span lands in its own initiator's histograms, and a stage is
+// recorded exactly when its duration is d >= 0.
+func TestFinishFoldsByInitiator(t *testing.T) {
+	fr, err := NewFlightRecorder(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]*StageStats{}
+	finish := func(actor string, qp int, stamps [7]sim.Time) {
+		sp := fr.Begin(new(Span), OpRead, false, actor, "dn", qp, stamps[0])
+		sp.Credit, sp.InitDone, sp.Arrived, sp.Service, sp.Served, sp.Done =
+			stamps[1], stamps[2], stamps[3], stamps[4], stamps[5], stamps[6]
+		fr.Finish(sp)
+		w := want[actor]
+		if w == nil {
+			w = &StageStats{Actor: actor}
+			want[actor] = w
+		}
+		hs := w.Histograms()
+		for i, d := range sp.StageDurations() {
+			if d >= 0 {
+				hs[i].Record(d)
+			}
+		}
+	}
+	finish("c1", 3, [7]sim.Time{100, 110, 150, 160, 200, 240, 250})
+	finish("c2", 3, [7]sim.Time{0, 5, 9, 30, 35, 60, 64}) // QP 3 first seen under c1
+	finish("c1", 3, [7]sim.Time{300, Unset, 320, 330, Unset, 350, 360})
+	finish("c2", 5, [7]sim.Time{10, 20, 30, 25, 40, 50, Unset}) // wire runs backwards
+	finish("c1", -1, [7]sim.Time{0, 1, 2, 3, 4, 5, 6})          // no QP id
+	st := fr.Stages()
+	if len(st) != 2 {
+		t.Fatalf("stats for %d actors, want 2", len(st))
+	}
+	for _, got := range st {
+		w := want[got.Actor]
+		ws := w.Histograms()
+		for i, h := range got.Histograms() {
+			if g, x := h.Summarize(), ws[i].Summarize(); g != x {
+				t.Errorf("%s %s: folded %+v, want %+v", got.Actor, StageNames[i], g, x)
+			}
+		}
+	}
+	if c1, c2 := st[0].Total.Count(), st[1].Total.Count(); c1 != 3 || c2 != 2 {
+		t.Errorf("total counts c1=%d c2=%d, want 3 and 2", c1, c2)
+	}
+}
+
+// TestFinishNoAlloc pins that Finish allocates nothing once each actor's
+// stats exist, including when initiators alternate on one QP id and the
+// QP cache falls back to the map.
+func TestFinishNoAlloc(t *testing.T) {
+	fr, err := NewFlightRecorder(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var store Span
+	finish := func(actor string, qp int) {
+		sp := fr.Begin(&store, OpRead, false, actor, "dn", qp, 100)
+		sp.Credit, sp.InitDone, sp.Arrived, sp.Service, sp.Served, sp.Done = 110, 150, 160, 200, 240, 250
+		fr.Finish(sp)
+	}
+	round := func() {
+		finish("c1", 1)
+		finish("c2", 9)
+		finish("c3", 1)
+	}
+	round() // creates the stats and the QP cache
+	if n := testing.AllocsPerRun(100, round); n != 0 {
+		t.Errorf("Finish allocates %v objects per round, want 0", n)
+	}
+}
+
 func TestWriteChromeTrace(t *testing.T) {
 	fr, err := NewFlightRecorder(8)
 	if err != nil {
