@@ -38,7 +38,6 @@ type Source func(arrivedAt sim.Time) (key uint64)
 type Engine struct {
 	params Params
 	id     int
-	actor  string // "engine-<id>": names the engine in trace events
 	limit  int64
 
 	k         *sim.Kernel
@@ -156,7 +155,7 @@ type Engine struct {
 // recording is on.
 func (e *Engine) mark(k trace.Kind, a, b int64) {
 	if fr := e.node.Flight(); fr != nil {
-		fr.Mark(e.k.Now(), k, e.actor, a, b)
+		fr.Mark(e.k.Now(), k, trace.EngineActor(e.id), a, b)
 	}
 }
 
@@ -192,7 +191,6 @@ func NewEngine(params Params, grant ClientGrant, node *rdma.Node, disp *rdma.Dis
 		qos:       grant.QoSRegion,
 		reportOff: reportSlotOffset(grant.ID),
 		sender:    sender,
-		actor:     fmt.Sprintf("engine-%d", grant.ID),
 	}
 	// Handlers are scoped to this engine's data node, so several engines
 	// (one per server in a multi-server deployment) can share one client

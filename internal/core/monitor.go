@@ -125,7 +125,7 @@ type Monitor struct {
 // recorder, when recording is on.
 func (m *Monitor) mark(k trace.Kind, a, b int64) {
 	if fr := m.node.Flight(); fr != nil {
-		fr.Mark(m.k.Now(), k, "monitor", a, b)
+		fr.Mark(m.k.Now(), k, trace.MonitorActor, a, b)
 	}
 }
 

@@ -309,7 +309,7 @@ func TestTwoSidedRepliesShareOneQP(t *testing.T) {
 	k.Run()
 	var qps []int32
 	for _, sp := range fr.Spans() {
-		if sp.Op == trace.OpSend && sp.Initiator == store.Node().Name() && sp.Target == kv.Node().Name() {
+		if sp.Op == trace.OpSend && sp.Initiator == uint32(store.Node().ID()) && sp.Target == uint32(kv.Node().ID()) {
 			qps = append(qps, sp.QP)
 		}
 	}

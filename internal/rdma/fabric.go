@@ -293,6 +293,9 @@ type Fabric struct {
 	// timestamps inside callbacks the fabric executes anyway, so the
 	// kernel event sequence is unchanged (DESIGN.md §7, §11).
 	flights []*trace.FlightRecorder
+	// actors names the nodes by id for the recorders; nil while
+	// recording is off.
+	actors *trace.Actors
 	// profs holds one attribution profile per shard; always non-nil. See
 	// ExecProfile.
 	profs []*ExecProfile
@@ -375,14 +378,21 @@ func (f *Fabric) EnableSharding(kernels []*sim.Kernel, assign func(name string, 
 // initiated from now on records a span. Each recorder is only ever
 // touched by code running on its shard's kernel (spans begin on the
 // initiator's recorder and finish on the recorder of the shard executing
-// the final stamp), so shards may run concurrently without locks.
+// the final stamp), so shards may run concurrently without locks. The
+// recorders share one actor table naming every node by its id; a node
+// added later joins it, at setup, before any verb reads it.
 func (f *Fabric) SetFlightRecorders(frs []*trace.FlightRecorder) error {
 	if len(frs) != len(f.kernels) {
 		return fmt.Errorf("rdma: SetFlightRecorders: got %d recorders for %d shards", len(frs), len(f.kernels))
 	}
 	f.flights = frs
+	f.actors = new(trace.Actors)
 	for _, n := range f.nodes {
 		n.flight = f.flightFor(n.shard)
+		f.actors.Add(n.name)
+	}
+	for _, fr := range frs {
+		fr.SetActors(f.actors)
 	}
 	return nil
 }
@@ -476,6 +486,9 @@ func (f *Fabric) addNode(name string, kind NodeKind) (*Node, error) {
 	}
 	f.byName[name] = n
 	f.nodes = append(f.nodes, n)
+	if f.actors != nil {
+		f.actors.Add(name)
+	}
 	return n, nil
 }
 

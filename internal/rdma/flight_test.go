@@ -61,8 +61,9 @@ func TestFlightSpansThroughPipeline(t *testing.T) {
 	if data.Op != trace.OpRead || ctrl.Op != trace.OpFetchAdd {
 		t.Errorf("ops = %v/%v, want read/fetch-add", data.Op, ctrl.Op)
 	}
-	if data.Initiator != "c1" || data.Target != "dn" || int(data.QP) != qp.ID() {
-		t.Errorf("data span endpoints = %s→%s qp=%d", data.Initiator, data.Target, data.QP)
+	names := fr.Actors()
+	if names.Name(data.Initiator) != "c1" || names.Name(data.Target) != "dn" || int(data.QP) != qp.ID() {
+		t.Errorf("data span endpoints = %s→%s qp=%d", names.Name(data.Initiator), names.Name(data.Target), data.QP)
 	}
 
 	// Data path visits every stage, in order, with real time spent on the

@@ -447,7 +447,7 @@ func (qp *QP) newOp(kind opKind, control, ext bool) *flowOp {
 	op.control = control
 	op.qp = qp
 	if fr := n.flight; fr != nil { // the initiator's shard begins the span
-		op.span = fr.Begin(n.pool.getSpan(), trace.Op(kind), control, n.name, qp.target.name, qp.id, n.k.Now())
+		op.span = fr.Begin(n.pool.getSpan(), trace.Op(kind), control, uint32(n.id), uint32(qp.target.id), qp.id, n.k.Now())
 	}
 	return op
 }

@@ -30,25 +30,25 @@ type chromeTrace struct {
 
 func chromeUS(t sim.Time) float64 { return float64(t) / float64(sim.Microsecond) }
 
-// pidTable assigns stable integer pids to track names in order of first
-// appearance (spans and events are visited in their deterministic
+// pidTable assigns stable integer pids to actor tracks in order of
+// first appearance (spans and events are visited in their deterministic
 // recorded order, so the numbering is deterministic too).
 type pidTable struct {
-	ids   map[string]int
-	names []string
-	base  int // first assigned pid minus one (sharded export reserves low pids for shards)
+	ids    map[uint32]int
+	actors []uint32
+	base   int // first assigned pid minus one (sharded export reserves low pids for shards)
 }
 
-func (p *pidTable) id(name string) int {
-	if id, ok := p.ids[name]; ok {
+func (p *pidTable) id(actor uint32) int {
+	if id, ok := p.ids[actor]; ok {
 		return id
 	}
 	if p.ids == nil {
-		p.ids = make(map[string]int)
+		p.ids = make(map[uint32]int)
 	}
-	id := p.base + len(p.names) + 1 // pid 0 renders oddly in some viewers
-	p.ids[name] = id
-	p.names = append(p.names, name)
+	id := p.base + len(p.actors) + 1 // pid 0 renders oddly in some viewers
+	p.ids[actor] = id
+	p.actors = append(p.actors, actor)
 	return id
 }
 
@@ -69,6 +69,7 @@ func (p *pidTable) id(name string) int {
 // track. Protocol events keep their per-actor tracks in both layouts.
 func WriteChromeTrace(w io.Writer, fr *FlightRecorder) error {
 	sharded := fr.Sharded()
+	names := fr.Actors()
 	var pids pidTable
 	if sharded {
 		pids.base = fr.ShardCount() // reserve pids 1..shards for shard tracks
@@ -77,81 +78,84 @@ func WriteChromeTrace(w io.Writer, fr *FlightRecorder) error {
 	var threadMeta []chromeEvent
 	seenThread := make(map[threadKey]bool)
 	var events []chromeEvent
-	for _, sp := range fr.Spans() {
-		if sp.Kind != 0 {
-			events = append(events, chromeEvent{
-				Name: sp.Kind.String(),
-				Cat:  "protocol",
-				Ph:   "i",
-				S:    "t",
-				Ts:   chromeUS(sp.Posted),
-				Pid:  pids.id(sp.Initiator),
-				Args: map[string]any{"A": sp.A, "B": sp.B},
-			})
-			continue
-		}
-		var pid int
-		tid := int(sp.QP)
-		if sharded {
-			pid = sp.Shard() + 1
-			tk := threadKey{pid, tid}
-			if !seenThread[tk] {
-				seenThread[tk] = true
-				threadMeta = append(threadMeta, chromeEvent{
-					Name: "thread_name",
-					Ph:   "M",
-					Pid:  pid,
-					Tid:  tid,
-					Args: map[string]any{"name": sp.Initiator},
+	for _, seg := range fr.live() {
+		for i := range seg {
+			sp := &seg[i]
+			if sp.Kind != 0 {
+				events = append(events, chromeEvent{
+					Name: sp.Kind.String(),
+					Cat:  "protocol",
+					Ph:   "i",
+					S:    "t",
+					Ts:   chromeUS(sp.Posted),
+					Pid:  pids.id(sp.Initiator),
+					Args: map[string]any{"A": sp.A(), "B": sp.B()},
 				})
-			}
-		} else {
-			pid = pids.id(sp.Initiator)
-		}
-		cat := "data"
-		if sp.Control {
-			cat = "control"
-		}
-		events = append(events, chromeEvent{
-			Name: sp.Op.String(),
-			Cat:  cat,
-			Ph:   "X",
-			Ts:   chromeUS(sp.Posted),
-			Dur:  chromeUS(sp.End() - sp.Posted),
-			Pid:  pid,
-			Tid:  tid,
-			Args: map[string]any{"span": sp.ID, "target": sp.Target},
-		})
-		if sp.Control {
-			continue
-		}
-		stages := []struct {
-			name     string
-			from, to sim.Time
-		}{
-			{"credit-wait", sp.Posted, sp.Credit},
-			{"init-nic", sp.Credit, sp.InitDone},
-			{"wire", sp.InitDone, sp.Arrived},
-			{"target-queue", sp.Arrived, sp.Service},
-			{"target-service", sp.Service, sp.Served},
-			{"deliver", sp.Served, sp.Done},
-		}
-		for _, st := range stages {
-			if st.from < 0 || st.to < 0 {
 				continue
 			}
+			var pid int
+			tid := int(sp.QP)
+			if sharded {
+				pid = sp.Shard() + 1
+				tk := threadKey{pid, tid}
+				if !seenThread[tk] {
+					seenThread[tk] = true
+					threadMeta = append(threadMeta, chromeEvent{
+						Name: "thread_name",
+						Ph:   "M",
+						Pid:  pid,
+						Tid:  tid,
+						Args: map[string]any{"name": names.Name(sp.Initiator)},
+					})
+				}
+			} else {
+				pid = pids.id(sp.Initiator)
+			}
+			cat := "data"
+			if sp.Control {
+				cat = "control"
+			}
 			events = append(events, chromeEvent{
-				Name: st.name,
-				Cat:  "stage",
+				Name: sp.Op.String(),
+				Cat:  cat,
 				Ph:   "X",
-				Ts:   chromeUS(st.from),
-				Dur:  chromeUS(st.to - st.from),
+				Ts:   chromeUS(sp.Posted),
+				Dur:  chromeUS(sp.End() - sp.Posted),
 				Pid:  pid,
 				Tid:  tid,
+				Args: map[string]any{"span": sp.ID, "target": names.Name(sp.Target)},
 			})
+			if sp.Control {
+				continue
+			}
+			stages := []struct {
+				name     string
+				from, to sim.Time
+			}{
+				{"credit-wait", sp.Posted, sp.Credit},
+				{"init-nic", sp.Credit, sp.InitDone},
+				{"wire", sp.InitDone, sp.Arrived},
+				{"target-queue", sp.Arrived, sp.Service},
+				{"target-service", sp.Service, sp.Served},
+				{"deliver", sp.Served, sp.Done},
+			}
+			for _, st := range stages {
+				if st.from < 0 || st.to < 0 {
+					continue
+				}
+				events = append(events, chromeEvent{
+					Name: st.name,
+					Cat:  "stage",
+					Ph:   "X",
+					Ts:   chromeUS(st.from),
+					Dur:  chromeUS(st.to - st.from),
+					Pid:  pid,
+					Tid:  tid,
+				})
+			}
 		}
 	}
-	meta := make([]chromeEvent, 0, fr.ShardCount()+len(pids.names)+len(threadMeta))
+	meta := make([]chromeEvent, 0, fr.ShardCount()+len(pids.actors)+len(threadMeta))
 	if sharded {
 		for s := 0; s < fr.ShardCount(); s++ {
 			meta = append(meta, chromeEvent{
@@ -162,12 +166,12 @@ func WriteChromeTrace(w io.Writer, fr *FlightRecorder) error {
 			})
 		}
 	}
-	for i, name := range pids.names {
+	for i, actor := range pids.actors {
 		meta = append(meta, chromeEvent{
 			Name: "process_name",
 			Ph:   "M",
 			Pid:  pids.base + i + 1,
-			Args: map[string]any{"name": name},
+			Args: map[string]any{"name": names.Name(actor)},
 		})
 	}
 	meta = append(meta, threadMeta...)

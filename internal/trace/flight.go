@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"slices"
-	"sort"
 	"strings"
 
 	"github.com/haechi-qos/haechi/internal/metrics"
@@ -17,6 +16,7 @@ import (
 // span — the per-stage breakdown is exact regardless of ring capacity.
 type StageStats struct {
 	Actor string
+	actor uint32
 
 	CreditWait    metrics.Histogram
 	InitNIC       metrics.Histogram
@@ -61,6 +61,10 @@ func recordStage(h *metrics.Histogram, d sim.Time) {
 // FlightRecorder collects finished spans and protocol events into one
 // bounded ring, in the order they happen, folds every finished data span
 // into per-initiator stage histograms, and counts every event by kind.
+// Finish only copies a span into the ring; the fold reads the ring
+// itself, in ring order, before a lap is overwritten and on every
+// Stages read, so each histogram sees every span once and in the order
+// the spans finished.
 // All methods are nil-safe so instrumented code needs no recorder checks
 // at call sites, and nothing here ever touches the kernel's event queue:
 // a run with a recorder attached executes the exact same event sequence
@@ -75,12 +79,15 @@ type FlightRecorder struct {
 	// recorded counts every ring write (finished spans and marked
 	// events), evicted or not; marks counts events by kind, exactly.
 	recorded uint64
-	marks    [256]uint64
-	stats    map[string]*StageStats
-	// byQP caches the stats of the last initiator seen on each QP id, so
-	// a finished span skips the string-hashed map lookup; the entry is
-	// used only when its Actor matches the span's initiator.
-	byQP []*StageStats
+	// folded counts the ring writes already folded into stats; the
+	// writes after it, never more than the ring holds, wait in the ring.
+	folded uint64
+	marks  [256]uint64
+	// stats holds an initiator's stage histograms at its actor id (a
+	// node id); nil for an actor that finished no data span.
+	stats []*StageStats
+	// actors names the ids in the ring; shared read-only by every shard.
+	actors *Actors
 
 	// idBase identifies a per-shard recorder: span IDs are offset by it
 	// (shard<<56) so they stay unique after merging and name the shard
@@ -97,10 +104,7 @@ func NewFlightRecorder(capacity int) (*FlightRecorder, error) {
 	if capacity <= 0 {
 		return nil, fmt.Errorf("trace: flight recorder capacity must be positive, got %d", capacity)
 	}
-	return &FlightRecorder{
-		ring:  make([]Span, capacity),
-		stats: make(map[string]*StageStats),
-	}, nil
+	return &FlightRecorder{ring: make([]Span, capacity)}, nil
 }
 
 // NewShardFlightRecorder creates shard s's recorder in a sharded run.
@@ -120,12 +124,27 @@ func NewShardFlightRecorder(capacity, s int) (*FlightRecorder, error) {
 	return fr, nil
 }
 
+// SetActors attaches the table that names the recorder's actor ids.
+// Call it before the first Begin or Mark; the fabric does, when it
+// attaches its recorders.
+func (f *FlightRecorder) SetActors(a *Actors) { f.actors = a }
+
+// Actors returns the recorder's name table (nil when none is attached,
+// or on a nil recorder).
+func (f *FlightRecorder) Actors() *Actors {
+	if f == nil {
+		return nil
+	}
+	return f.actors
+}
+
 // Begin starts a span for a verb posted at virtual time at, in storage
 // the caller owns (the fabric keeps it inside the verb's pooled record,
 // so recording allocates nothing per verb); every field of *sp is
-// overwritten. It returns sp, or nil on a nil recorder, so
-// instrumentation sites guard with a single `if sp != nil` per stamp.
-func (f *FlightRecorder) Begin(sp *Span, op Op, control bool, initiator, target string, qp int, at sim.Time) *Span {
+// overwritten. Initiator and target are node actor ids. It returns sp,
+// or nil on a nil recorder, so instrumentation sites guard with a single
+// `if sp != nil` per stamp.
+func (f *FlightRecorder) Begin(sp *Span, op Op, control bool, initiator, target uint32, qp int, at sim.Time) *Span {
 	if f == nil {
 		return nil
 	}
@@ -149,47 +168,22 @@ func (f *FlightRecorder) Begin(sp *Span, op Op, control bool, initiator, target 
 	return sp
 }
 
-// Finish records a completed span: it is copied into the ring and, for
-// data spans, its stage durations feed the initiator's histograms. The
-// recorder keeps no reference to sp, whose storage may be reused at once.
+// Finish records a completed span: it is copied into the ring, whose
+// fold later feeds a data span's stage durations to its initiator's
+// histograms. The recorder keeps no reference to sp, whose storage may
+// be reused at once.
 func (f *FlightRecorder) Finish(sp *Span) {
 	if f == nil || sp == nil {
 		return
 	}
 	f.finished++
 	*f.slot() = *sp
-	if !sp.Control {
-		f.actorStats(sp).record(sp)
-	}
-}
-
-// actorStats returns the stats of sp's initiator, from the QP cache
-// when the QP's last initiator was the same actor, else from the map.
-func (f *FlightRecorder) actorStats(sp *Span) *StageStats {
-	qp := int(sp.QP)
-	if uint(qp) < uint(len(f.byQP)) {
-		if st := f.byQP[qp]; st != nil && st.Actor == sp.Initiator {
-			return st
-		}
-	}
-	st := f.stats[sp.Initiator]
-	if st == nil {
-		st = &StageStats{Actor: sp.Initiator}
-		f.stats[sp.Initiator] = st
-	}
-	if qp >= 0 {
-		if qp >= len(f.byQP) {
-			f.byQP = slices.Grow(f.byQP, qp+1-len(f.byQP))[:qp+1]
-		}
-		f.byQP[qp] = st
-	}
-	return st
 }
 
 // Mark records a protocol event of kind k by actor at virtual time at:
 // it takes the next ring slot, beside the verb spans, and counts in the
 // exact per-kind totals. Safe on a nil receiver.
-func (f *FlightRecorder) Mark(at sim.Time, k Kind, actor string, a, b int64) {
+func (f *FlightRecorder) Mark(at sim.Time, k Kind, actor uint32, a, b int64) {
 	if f == nil {
 		return
 	}
@@ -198,11 +192,9 @@ func (f *FlightRecorder) Mark(at sim.Time, k Kind, actor string, a, b int64) {
 		ID:        f.idBase,
 		Kind:      k,
 		Initiator: actor,
-		A:         a,
-		B:         b,
 		Posted:    at,
-		Credit:    Unset,
-		InitDone:  Unset,
+		Credit:    sim.Time(a),
+		InitDone:  sim.Time(b),
 		Arrived:   Unset,
 		Service:   Unset,
 		Served:    Unset,
@@ -211,8 +203,12 @@ func (f *FlightRecorder) Mark(at sim.Time, k Kind, actor string, a, b int64) {
 }
 
 // slot returns the ring entry the next record overwrites, evicting the
-// oldest when the ring is full.
+// oldest when the ring is full; before a full ring's entry 0 goes, the
+// lap it ends is folded.
 func (f *FlightRecorder) slot() *Span {
+	if f.next == 0 && f.wrapped {
+		f.fold()
+	}
 	sp := &f.ring[f.next]
 	f.recorded++
 	f.next++
@@ -221,6 +217,41 @@ func (f *FlightRecorder) slot() *Span {
 		f.wrapped = true
 	}
 	return sp
+}
+
+// fold feeds every data span written since the last fold, oldest first,
+// to its initiator's stage histograms.
+func (f *FlightRecorder) fold() {
+	pending := int(f.recorded - f.folded)
+	f.folded = f.recorded
+	start := f.next - pending
+	if start < 0 {
+		f.foldRun(f.ring[start+len(f.ring):])
+		start = 0
+	}
+	f.foldRun(f.ring[start:f.next])
+}
+
+func (f *FlightRecorder) foldRun(run []Span) {
+	for i := range run {
+		if sp := &run[i]; sp.Kind == 0 && !sp.Control {
+			f.stageStats(sp.Initiator).record(sp)
+		}
+	}
+}
+
+// stageStats returns the stats of initiator id, creating them on its
+// first data span.
+func (f *FlightRecorder) stageStats(id uint32) *StageStats {
+	if int(id) >= len(f.stats) {
+		f.stats = slices.Grow(f.stats, int(id)+1-len(f.stats))[:id+1]
+	}
+	st := f.stats[id]
+	if st == nil {
+		st = &StageStats{Actor: f.actors.Name(id), actor: id}
+		f.stats[id] = st
+	}
+	return st
 }
 
 // Started returns the number of spans begun.
@@ -300,6 +331,9 @@ func (f *FlightRecorder) Spans() []Span {
 // live returns the retained entries as two ring segments, oldest
 // first; the first is empty only when both are.
 func (f *FlightRecorder) live() [2][]Span {
+	if f == nil {
+		return [2][]Span{}
+	}
 	if !f.wrapped {
 		return [2][]Span{f.ring[:f.next], nil}
 	}
@@ -310,9 +344,11 @@ func (f *FlightRecorder) live() [2][]Span {
 // every kind when none is given), oldest first.
 func (f *FlightRecorder) Events(kinds ...Kind) []Span {
 	var out []Span
-	for _, sp := range f.Spans() {
-		if sp.Kind != 0 && (len(kinds) == 0 || slices.Contains(kinds, sp.Kind)) {
-			out = append(out, sp)
+	for _, seg := range f.live() {
+		for i := range seg {
+			if sp := &seg[i]; sp.Kind != 0 && (len(kinds) == 0 || slices.Contains(kinds, sp.Kind)) {
+				out = append(out, *sp)
+			}
 		}
 	}
 	return out
@@ -321,9 +357,12 @@ func (f *FlightRecorder) Events(kinds ...Kind) []Span {
 // Dump writes the retained timeline — spans and events together — to w,
 // one per line, oldest first.
 func (f *FlightRecorder) Dump(w io.Writer) error {
-	for _, sp := range f.Spans() {
-		if _, err := fmt.Fprintln(w, sp.String()); err != nil {
-			return err
+	names := f.Actors()
+	for _, seg := range f.live() {
+		for i := range seg {
+			if _, err := fmt.Fprintln(w, seg[i].Line(names)); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
@@ -364,9 +403,11 @@ func (s *StageStats) merge(o *StageStats) {
 //     span's final stamp and Mark at the event's instant, so preserving
 //     each shard's record order and breaking cross-shard ties by shard
 //     index yields a total order;
-//   - per-actor stage histograms merge via Histogram.Merge (an actor's
-//     spans may finish on different shards: delivery finishes on the
-//     initiator's recorder, serve-only completions on the target's);
+//   - per-actor stage histograms, read through each shard's Stages (so
+//     its ring is folded first), merge via Histogram.Merge in shard
+//     order (an actor's spans may finish on different shards: delivery
+//     finishes on the initiator's recorder, serve-only completions on
+//     the target's);
 //   - started/finished counters and per-kind event totals sum across
 //     shards.
 //
@@ -377,10 +418,7 @@ func MergeFlightRecorders(frs ...*FlightRecorder) *FlightRecorder {
 	if len(frs) == 1 {
 		return frs[0]
 	}
-	m := &FlightRecorder{
-		stats:  make(map[string]*StageStats),
-		shards: len(frs),
-	}
+	m := &FlightRecorder{shards: len(frs), actors: frs[0].actors}
 	// Merge straight from each ring's live segments, copying every span
 	// once, into the merged ring.
 	live := make([][2][]Span, len(frs))
@@ -411,33 +449,29 @@ func MergeFlightRecorders(frs ...*FlightRecorder) *FlightRecorder {
 	}
 	m.ring = ring
 	m.wrapped = len(ring) > 0 // Spans() reads the whole ring from next=0
+	m.folded = m.recorded     // the shards fold their own rings
 	for _, f := range frs {
-		for _, st := range f.Stages() { // sorted by actor: deterministic
-			dst := m.stats[st.Actor]
-			if dst == nil {
-				dst = &StageStats{Actor: st.Actor}
-				m.stats[st.Actor] = dst
-			}
-			dst.merge(st)
+		for _, st := range f.Stages() {
+			m.stageStats(st.actor).merge(st)
 		}
 	}
 	return m
 }
 
-// Stages returns the per-initiator stage statistics sorted by actor
-// name, for deterministic iteration and rendering.
+// Stages folds the data spans the ring still holds unfolded, then
+// returns the per-initiator stage statistics sorted by actor name, for
+// deterministic iteration and rendering.
 func (f *FlightRecorder) Stages() []*StageStats {
 	if f == nil {
 		return nil
 	}
-	actors := make([]string, 0, len(f.stats))
-	for a := range f.stats {
-		actors = append(actors, a)
+	f.fold()
+	out := make([]*StageStats, 0, len(f.stats))
+	for _, st := range f.stats {
+		if st != nil {
+			out = append(out, st)
+		}
 	}
-	sort.Strings(actors)
-	out := make([]*StageStats, len(actors))
-	for i, a := range actors {
-		out[i] = f.stats[a]
-	}
+	slices.SortFunc(out, func(a, b *StageStats) int { return strings.Compare(a.Actor, b.Actor) })
 	return out
 }

@@ -20,7 +20,7 @@ func TestFlightRecorderValidation(t *testing.T) {
 
 func TestFlightRecorderNilSafe(t *testing.T) {
 	var fr *FlightRecorder
-	if sp := fr.Begin(new(Span), OpRead, false, "a", "b", 1, 0); sp != nil {
+	if sp := fr.Begin(new(Span), OpRead, false, id("a"), id("b"), 1, 0); sp != nil {
 		t.Error("nil recorder returned a span")
 	}
 	fr.Finish(nil) // must not panic
@@ -33,12 +33,9 @@ func TestFlightRecorderNilSafe(t *testing.T) {
 }
 
 func TestFlightRingEvictionKeepsHistogramsExact(t *testing.T) {
-	fr, err := NewFlightRecorder(4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fr := newRecorder(4)
 	for i := 0; i < 6; i++ {
-		sp := fr.Begin(new(Span), OpRead, false, "c1", "dn", 1, 0)
+		sp := fr.Begin(new(Span), OpRead, false, id("c1"), id("dn"), 1, 0)
 		sp.Done = 100
 		fr.Finish(sp)
 	}
@@ -65,16 +62,13 @@ func TestFlightRingEvictionKeepsHistogramsExact(t *testing.T) {
 }
 
 func TestFlightStagesSortedAndControlExcluded(t *testing.T) {
-	fr, err := NewFlightRecorder(8)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fr := newRecorder(8)
 	for _, actor := range []string{"zeta", "alpha"} {
-		sp := fr.Begin(new(Span), OpWrite, false, actor, "dn", 1, 0)
+		sp := fr.Begin(new(Span), OpWrite, false, id(actor), id("dn"), 1, 0)
 		sp.Done = 50
 		fr.Finish(sp)
 	}
-	ctrl := fr.Begin(new(Span), OpFetchAdd, true, "omega", "dn", 2, 0)
+	ctrl := fr.Begin(new(Span), OpFetchAdd, true, id("omega"), id("dn"), 2, 0)
 	ctrl.Done = 10
 	fr.Finish(ctrl)
 	st := fr.Stages()
@@ -126,36 +120,32 @@ func TestSpanStageDurations(t *testing.T) {
 // storage and finished into a warm recorder, and a marked protocol
 // event, allocate nothing.
 func TestFlightRecordingNoAlloc(t *testing.T) {
-	fr, err := NewFlightRecorder(8)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fr := newRecorder(8)
 	var store Span
 	record := func() {
-		sp := fr.Begin(&store, OpRead, false, "c1", "dn", 1, 100)
+		sp := fr.Begin(&store, OpRead, false, id("c1"), id("dn"), 1, 100)
 		sp.Credit, sp.InitDone, sp.Arrived, sp.Service, sp.Served, sp.Done = 110, 150, 160, 200, 240, 250
 		fr.Finish(sp)
-		fr.Mark(250, Claim, "engine-0", 1, 2)
+		fr.Mark(250, Claim, id("engine-0"), 1, 2)
 	}
-	record() // creates c1's StageStats
+	record()
+	fr.Stages() // folds: creates c1's StageStats and histogram rows
 	if n := testing.AllocsPerRun(100, record); n != 0 {
 		t.Errorf("Begin+Finish+Mark allocates %v objects per span, want 0", n)
 	}
 }
 
-// TestFinishFoldsByInitiator checks the single-lookup fold against the
-// StageDurations rule, with one QP id shared by two initiators (as test
-// spans reuse QP ids) and spans that skip a stage or run one backwards:
-// every span lands in its own initiator's histograms, and a stage is
-// recorded exactly when its duration is d >= 0.
+// TestFinishFoldsByInitiator checks the ring fold against the
+// StageDurations rule, with one QP id shared by two initiators and spans
+// that skip a stage or run one backwards: every span lands in its own
+// initiator's histograms, and a stage is recorded exactly when its
+// duration is d >= 0. The ring holds 4, so the fifth span folds the
+// first lap and Stages folds the fifth.
 func TestFinishFoldsByInitiator(t *testing.T) {
-	fr, err := NewFlightRecorder(4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fr := newRecorder(4)
 	want := map[string]*StageStats{}
 	finish := func(actor string, qp int, stamps [7]sim.Time) {
-		sp := fr.Begin(new(Span), OpRead, false, actor, "dn", qp, stamps[0])
+		sp := fr.Begin(new(Span), OpRead, false, id(actor), id("dn"), qp, stamps[0])
 		sp.Credit, sp.InitDone, sp.Arrived, sp.Service, sp.Served, sp.Done =
 			stamps[1], stamps[2], stamps[3], stamps[4], stamps[5], stamps[6]
 		fr.Finish(sp)
@@ -195,16 +185,13 @@ func TestFinishFoldsByInitiator(t *testing.T) {
 }
 
 // TestFinishNoAlloc pins that Finish allocates nothing once each actor's
-// stats exist, including when initiators alternate on one QP id and the
-// QP cache falls back to the map.
+// stats exist, including when initiators alternate on one QP id and a
+// full ring folds a lap.
 func TestFinishNoAlloc(t *testing.T) {
-	fr, err := NewFlightRecorder(8)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fr := newRecorder(8)
 	var store Span
 	finish := func(actor string, qp int) {
-		sp := fr.Begin(&store, OpRead, false, actor, "dn", qp, 100)
+		sp := fr.Begin(&store, OpRead, false, id(actor), id("dn"), qp, 100)
 		sp.Credit, sp.InitDone, sp.Arrived, sp.Service, sp.Served, sp.Done = 110, 150, 160, 200, 240, 250
 		fr.Finish(sp)
 	}
@@ -213,24 +200,22 @@ func TestFinishNoAlloc(t *testing.T) {
 		finish("c2", 9)
 		finish("c3", 1)
 	}
-	round() // creates the stats and the QP cache
+	round()
+	fr.Stages() // folds: creates the stats
 	if n := testing.AllocsPerRun(100, round); n != 0 {
 		t.Errorf("Finish allocates %v objects per round, want 0", n)
 	}
 }
 
 func TestWriteChromeTrace(t *testing.T) {
-	fr, err := NewFlightRecorder(8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sp := fr.Begin(new(Span), OpRead, false, "c1", "dn", 1, 100)
+	fr := newRecorder(8)
+	sp := fr.Begin(new(Span), OpRead, false, id("c1"), id("dn"), 1, 100)
 	sp.Credit, sp.InitDone, sp.Arrived, sp.Service, sp.Served, sp.Done = 110, 150, 160, 200, 240, 250
 	fr.Finish(sp)
-	cp := fr.Begin(new(Span), OpFetchAdd, true, "c1", "dn", 1, 300)
+	cp := fr.Begin(new(Span), OpFetchAdd, true, id("c1"), id("dn"), 1, 300)
 	cp.InitDone, cp.Arrived, cp.Served, cp.Done = 320, 330, 350, 360
 	fr.Finish(cp)
-	fr.Mark(500, Claim, "engine-0", 1, 2)
+	fr.Mark(500, Claim, id("engine-0"), 1, 2)
 
 	var buf bytes.Buffer
 	if err := WriteChromeTrace(&buf, fr); err != nil {
@@ -316,13 +301,10 @@ func TestKindsRoundTrip(t *testing.T) {
 // kind beyond the last declared constant must still be counted (the old
 // loop `for k := PeriodStart; k <= LocalViolation; k++` dropped them).
 func TestSummaryIncludesAllObservedKinds(t *testing.T) {
-	fr, err := NewFlightRecorder(1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fr := newRecorder(1)
 	future := LocalViolation + 1
-	fr.Mark(0, future, "engine-0", 0, 0)
-	fr.Mark(0, Claim, "engine-0", 0, 0) // evicts the future-kind event
+	fr.Mark(0, future, id("engine-0"), 0, 0)
+	fr.Mark(0, Claim, id("engine-0"), 0, 0) // evicts the future-kind event
 	sum := fr.Summary()
 	if !strings.Contains(sum, "claim=1") {
 		t.Errorf("summary %q missing claim=1", sum)
@@ -346,10 +328,11 @@ func TestMergeFlightRecorders(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		fr.SetActors(testActors)
 		return fr
 	}
 	finish := func(fr *FlightRecorder, actor string, done int64) *Span {
-		sp := fr.Begin(new(Span), OpRead, false, actor, "dn", 1, 0)
+		sp := fr.Begin(new(Span), OpRead, false, id(actor), id("dn"), 1, 0)
 		sp.Done = sim.Time(done)
 		fr.Finish(sp)
 		return sp
@@ -400,8 +383,8 @@ func TestMergeFlightRecorders(t *testing.T) {
 	}
 	// Events merge by their instant beside the spans, keep their
 	// shard, and their per-kind totals sum.
-	fr1.Mark(250, Claim, "engine-1", 0, 0)
-	fr2.Mark(60, Claim, "engine-2", 0, 0)
+	fr1.Mark(250, Claim, id("engine-1"), 0, 0)
+	fr2.Mark(60, Claim, id("engine-2"), 0, 0)
 	m = MergeFlightRecorders(fr0, fr1, fr2)
 	all, evs := m.Spans(), m.Events()
 	if len(all) != 7 || all[1].Kind != Claim || all[5].Kind != Claim {
@@ -420,15 +403,12 @@ func TestMergeFlightRecorders(t *testing.T) {
 // TestFlightRecorderDropped pins the eviction counter the
 // trace/spans-dropped gauge exports.
 func TestFlightRecorderDropped(t *testing.T) {
-	fr, err := NewFlightRecorder(2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fr := newRecorder(2)
 	if fr.Dropped() != 0 {
 		t.Errorf("fresh recorder Dropped() = %d, want 0", fr.Dropped())
 	}
 	for i := 0; i < 5; i++ {
-		sp := fr.Begin(new(Span), OpWrite, false, "c1", "dn", 1, 0)
+		sp := fr.Begin(new(Span), OpWrite, false, id("c1"), id("dn"), 1, 0)
 		sp.Done = 10
 		fr.Finish(sp)
 	}
@@ -450,10 +430,12 @@ func TestWriteChromeTraceSharded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp := fr0.Begin(new(Span), OpRead, false, "c1", "dn", 7, 100)
+	fr0.SetActors(testActors)
+	fr1.SetActors(testActors)
+	sp := fr0.Begin(new(Span), OpRead, false, id("c1"), id("dn"), 7, 100)
 	sp.Done = 150
 	fr0.Finish(sp)
-	sp = fr1.Begin(new(Span), OpWrite, false, "c2", "dn", 9, 120)
+	sp = fr1.Begin(new(Span), OpWrite, false, id("c2"), id("dn"), 9, 120)
 	sp.Done = 180
 	fr1.Finish(sp)
 	m := MergeFlightRecorders(fr0, fr1)

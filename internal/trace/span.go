@@ -58,12 +58,13 @@ const Unset sim.Time = -1
 // Control verbs (atomics, small writes, sends) skip Credit/Service:
 // they take the priority path straight through both NICs.
 //
-// A Span with a non-zero Kind is instead a protocol event (see
-// FlightRecorder.Mark): Initiator names the actor, Posted is the
-// instant, A and B carry the kind's values, and every later stamp is
-// Unset. Events and verb spans share the ring, so one timeline holds
-// both without a second buffer; the layout keeps a Span at 120 bytes
-// (TestSpanFootprint).
+// Initiator and Target are actor ids, named through the recorder's
+// Actors table. A Span with a non-zero Kind is instead a protocol event
+// (see FlightRecorder.Mark): Initiator is the actor, Posted the instant,
+// and the kind's two values ride in the Credit and InitDone slots, which
+// an event never stamps (read them through A and B). Events and verb
+// spans share the ring, so one timeline holds both without a second
+// buffer, in 80 bytes an entry (TestSpanFootprint).
 type Span struct {
 	// ID's top byte is the shard that recorded the entry (see Shard).
 	// A verb span's ID is unique within a run; protocol events all
@@ -74,9 +75,8 @@ type Span struct {
 	Kind    Kind
 	QP      int32
 
-	Initiator string
-	Target    string
-	A, B      int64
+	Initiator uint32
+	Target    uint32
 
 	Posted   sim.Time
 	Credit   sim.Time
@@ -87,18 +87,26 @@ type Span struct {
 	Done     sim.Time
 }
 
+// A returns a protocol event's first value (see Kind).
+func (s *Span) A() int64 { return int64(s.Credit) }
+
+// B returns a protocol event's second value (see Kind).
+func (s *Span) B() int64 { return int64(s.InitDone) }
+
 // Shard returns the index of the shard whose recorder began the span or
 // marked the event; 0 on the unsharded path. Sharded Chrome export
 // groups verb spans into one process track per shard by it.
 func (s *Span) Shard() int { return int(s.ID >> 56) }
 
-// String formats the span or event as one line of a timeline dump,
-// stamped with the instant it was recorded (End).
-func (s *Span) String() string {
+// Line formats the span or event as one line of a timeline dump,
+// stamped with the instant it was recorded (End), with its actors named
+// through names.
+func (s *Span) Line(names *Actors) string {
 	if s.Kind != 0 {
-		return fmt.Sprintf("%-12v %-15s %-10s A=%d B=%d", s.End(), s.Kind, s.Initiator, s.A, s.B)
+		return fmt.Sprintf("%-12v %-15s %-10s A=%d B=%d", s.End(), s.Kind, names.Name(s.Initiator), s.A(), s.B())
 	}
-	return fmt.Sprintf("%-12v %-15s %-10s -> %s qp=%d total=%v", s.End(), s.Op, s.Initiator, s.Target, s.QP, s.Total())
+	return fmt.Sprintf("%-12v %-15s %-10s -> %s qp=%d total=%v",
+		s.End(), s.Op, names.Name(s.Initiator), names.Name(s.Target), s.QP, s.Total())
 }
 
 // StageNames lists the per-stage latency components of a data span, in
@@ -114,9 +122,12 @@ var StageNames = [...]string{
 	"total",
 }
 
-// End returns the last timestamp the span reached.
+// End returns the last timestamp the span reached; an event's is its
+// instant.
 func (s *Span) End() sim.Time {
 	switch {
+	case s.Kind != 0:
+		return s.Posted
 	case s.Done >= 0:
 		return s.Done
 	case s.Served >= 0:

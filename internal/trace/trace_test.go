@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 	"unsafe"
@@ -8,13 +9,77 @@ import (
 	"github.com/haechi-qos/haechi/internal/sim"
 )
 
-// TestSpanFootprint pins the ring entry at its size before protocol
-// events moved into it: Kind, A and B fit in the bytes the Shard field
-// and the upper half of QP used to take, so an observed run's rings do
-// not grow by carrying the control plane too.
+// testActors names the node actors the tests below record under; zeta
+// takes a lower id than alpha, so sorting by name is not id order.
+var testActors = func() *Actors {
+	a := new(Actors)
+	for _, name := range []string{"c1", "dn", "c2", "c3", "zeta", "alpha", "omega", "client-1", "datanode", "a", "b"} {
+		a.Add(name)
+	}
+	return a
+}()
+
+// id returns the actor id testActors gives name: "monitor" and
+// "engine-N" by rule, a node by its place in the table.
+func id(name string) uint32 {
+	if name == "monitor" {
+		return MonitorActor
+	}
+	if n, ok := strings.CutPrefix(name, "engine-"); ok {
+		i, err := strconv.Atoi(n)
+		if err != nil {
+			panic(err)
+		}
+		return EngineActor(i)
+	}
+	for i, node := range testActors.nodes {
+		if node == name {
+			return uint32(i)
+		}
+	}
+	panic("no test actor " + name)
+}
+
+// newRecorder returns a recorder of the given capacity naming its
+// actors through testActors.
+func newRecorder(capacity int) *FlightRecorder {
+	fr, err := NewFlightRecorder(capacity)
+	if err != nil {
+		panic(err)
+	}
+	fr.SetActors(testActors)
+	return fr
+}
+
+// TestSpanFootprint pins the ring entry at 80 bytes: actors are 4-byte
+// ids, and an event's A and B ride in the two stamp slots events never
+// use, so an observed run's rings carry the control plane for free.
 func TestSpanFootprint(t *testing.T) {
-	if got := unsafe.Sizeof(Span{}); got > 120 {
-		t.Errorf("trace.Span is %d bytes, want at most 120", got)
+	if got := unsafe.Sizeof(Span{}); got != 80 {
+		t.Errorf("trace.Span is %d bytes, want 80", got)
+	}
+}
+
+// TestActorNames pins the naming rule behind actor ids: nodes from the
+// table, the monitor and engines by rule, and anything else (or any
+// node on a nil table) by number.
+func TestActorNames(t *testing.T) {
+	for _, c := range []struct {
+		table *Actors
+		id    uint32
+		want  string
+	}{
+		{testActors, 0, "c1"},
+		{testActors, MonitorActor, "monitor"},
+		{testActors, EngineActor(0), "engine-0"},
+		{nil, EngineActor(2499), "engine-2499"},
+		{nil, 3, "node-3"},
+		{testActors, 999, "node-999"},
+		{testActors, MonitorActor | 1, "node-2147483649"},
+	} {
+		if got := c.table.Name(c.id); got != c.want {
+			t.Errorf("Name(%#x) = %q, want %q", c.id, got, c.want)
+		}
 	}
 }
 
@@ -42,7 +107,7 @@ func TestNewRecorderValidation(t *testing.T) {
 
 func TestNilRecorderSafe(t *testing.T) {
 	var fr *FlightRecorder
-	fr.Mark(0, Claim, "engine-0", 1, 2) // must not panic
+	fr.Mark(0, Claim, id("engine-0"), 1, 2) // must not panic
 	if fr.Count(Claim) != 0 || fr.Events() != nil || fr.Dropped() != 0 {
 		t.Error("nil recorder not empty")
 	}
@@ -52,17 +117,14 @@ func TestNilRecorderSafe(t *testing.T) {
 }
 
 func TestRecordAndOrder(t *testing.T) {
-	fr, err := NewFlightRecorder(10)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fr := newRecorder(10)
 	for i := 0; i < 5; i++ {
-		fr.Mark(sim.Time(i), Claim, "engine-0", int64(i), 0)
+		fr.Mark(sim.Time(i), Claim, id("engine-0"), int64(i), 0)
 	}
-	sp := fr.Begin(new(Span), OpRead, false, "c1", "dn", 1, 5)
+	sp := fr.Begin(new(Span), OpRead, false, id("c1"), id("dn"), 1, 5)
 	sp.Done = 6
 	fr.Finish(sp)
-	fr.Mark(7, Yield, "engine-0", 5, 0)
+	fr.Mark(7, Yield, id("engine-0"), 5, 0)
 	all := fr.Spans()
 	if len(all) != 7 || all[5].Kind != 0 || all[5].Op != OpRead {
 		t.Fatalf("timeline = %v, want 5 claims, the READ span, then a yield", all)
@@ -72,8 +134,8 @@ func TestRecordAndOrder(t *testing.T) {
 		t.Fatalf("len = %d", len(evs))
 	}
 	for i, ev := range evs[:5] {
-		if ev.A != int64(i) || ev.Posted != sim.Time(i) || ev.End() != ev.Posted {
-			t.Errorf("event %d out of order: %v", i, ev.String())
+		if ev.A() != int64(i) || ev.Posted != sim.Time(i) || ev.End() != ev.Posted {
+			t.Errorf("event %d out of order: %v", i, ev.Line(testActors))
 		}
 	}
 	if fr.Count(Claim) != 5 || fr.Count(Yield) != 1 {
@@ -86,9 +148,9 @@ func TestRecordAndOrder(t *testing.T) {
 }
 
 func TestRingEviction(t *testing.T) {
-	fr, _ := NewFlightRecorder(4)
+	fr := newRecorder(4)
 	for i := 0; i < 10; i++ {
-		fr.Mark(sim.Time(i), Probe, "engine-0", int64(i), 0)
+		fr.Mark(sim.Time(i), Probe, id("engine-0"), int64(i), 0)
 	}
 	evs := fr.Events()
 	if len(evs) != 4 {
@@ -96,8 +158,8 @@ func TestRingEviction(t *testing.T) {
 	}
 	// Oldest retained is 6.
 	for i, ev := range evs {
-		if ev.A != int64(6+i) {
-			t.Errorf("event %d = %v, want A=%d", i, ev.String(), 6+i)
+		if ev.A() != int64(6+i) {
+			t.Errorf("event %d = %v, want A=%d", i, ev.Line(testActors), 6+i)
 		}
 	}
 	// The per-kind total is exact; only the ring forgets.
@@ -107,11 +169,11 @@ func TestRingEviction(t *testing.T) {
 }
 
 func TestFilterAndCounts(t *testing.T) {
-	fr, _ := NewFlightRecorder(16)
-	fr.Mark(0, Claim, "engine-0", 0, 0)
-	fr.Mark(0, Yield, "engine-0", 0, 0)
-	fr.Mark(0, Claim, "engine-1", 0, 0)
-	fr.Mark(0, PoolCap, "monitor", 0, 0)
+	fr := newRecorder(16)
+	fr.Mark(0, Claim, id("engine-0"), 0, 0)
+	fr.Mark(0, Yield, id("engine-0"), 0, 0)
+	fr.Mark(0, Claim, id("engine-1"), 0, 0)
+	fr.Mark(0, PoolCap, id("monitor"), 0, 0)
 	if claims := fr.Events(Claim); len(claims) != 2 {
 		t.Errorf("Events(Claim) = %d", len(claims))
 	}
@@ -135,15 +197,15 @@ func TestKindStrings(t *testing.T) {
 }
 
 func TestDumpAndSummary(t *testing.T) {
-	fr, _ := NewFlightRecorder(8)
+	fr := newRecorder(8)
 	if fr.Summary() != "trace: empty" {
 		t.Errorf("empty summary = %q", fr.Summary())
 	}
-	fr.Mark(sim.Microsecond, Claim, "engine-1", 100, 50)
-	sp := fr.Begin(new(Span), OpRead, false, "client-1", "datanode", 3, sim.Microsecond)
+	fr.Mark(sim.Microsecond, Claim, id("engine-1"), 100, 50)
+	sp := fr.Begin(new(Span), OpRead, false, id("client-1"), id("datanode"), 3, sim.Microsecond)
 	sp.Done = 2 * sim.Microsecond
 	fr.Finish(sp)
-	fr.Mark(2*sim.Microsecond, PeriodStart, "monitor", 1, 15700)
+	fr.Mark(2*sim.Microsecond, PeriodStart, id("monitor"), 1, 15700)
 	var b strings.Builder
 	if err := fr.Dump(&b); err != nil {
 		t.Fatal(err)
@@ -160,5 +222,50 @@ func TestDumpAndSummary(t *testing.T) {
 	}
 	if sum := fr.Summary(); sum != "trace: period-start=1 claim=1" {
 		t.Errorf("summary = %q", sum)
+	}
+}
+
+// TestEventsMatchingNothingAllocates pins that Events walks the ring in
+// place: asking for a kind no entry has allocates nothing, over a ring
+// that has wrapped.
+func TestEventsMatchingNothingAllocates(t *testing.T) {
+	fr := newRecorder(8)
+	for i := 0; i < 11; i++ {
+		fr.Mark(sim.Time(i), Claim, id("engine-0"), int64(i), 0)
+		sp := fr.Begin(new(Span), OpRead, false, id("c1"), id("dn"), 1, sim.Time(i))
+		sp.Done = sim.Time(i + 1)
+		fr.Finish(sp)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if fr.Events(Report) != nil {
+			t.Fatal("Events(Report) matched")
+		}
+	}); n != 0 {
+		t.Errorf("Events(Report) allocates %v objects, want 0", n)
+	}
+}
+
+// TestEventWithUnsetValue pins that an event whose A is Unset's -1 — a
+// value that shares the Credit slot — still ends at its instant and
+// renders as A=-1, in the dump line and in the Chrome trace.
+func TestEventWithUnsetValue(t *testing.T) {
+	fr := newRecorder(4)
+	fr.Mark(3*sim.Microsecond, Claim, id("engine-7"), int64(Unset), 5)
+	ev := fr.Events()[0]
+	if ev.End() != ev.Posted || ev.A() != -1 || ev.B() != 5 || ev.Total() != 0 {
+		t.Fatalf("event End %v A %d B %d Total %v, want End at Posted %v, A=-1, B=5, Total 0",
+			ev.End(), ev.A(), ev.B(), ev.Total(), ev.Posted)
+	}
+	if got, want := ev.Line(fr.Actors()), "3.000µs      claim           engine-7   A=-1 B=5"; got != want {
+		t.Errorf("Line = %q, want %q", got, want)
+	}
+	var b strings.Builder
+	if err := WriteChromeTrace(&b, fr); err != nil {
+		t.Fatal(err)
+	}
+	want := `{"traceEvents":[{"name":"process_name","ph":"M","ts":0,"pid":1,"tid":0,"args":{"name":"engine-7"}},` +
+		`{"name":"claim","cat":"protocol","ph":"i","ts":3,"pid":1,"tid":0,"s":"t","args":{"A":-1,"B":5}}],"displayTimeUnit":"ns"}` + "\n"
+	if b.String() != want {
+		t.Errorf("Chrome trace = %s\nwant %s", b.String(), want)
 	}
 }
