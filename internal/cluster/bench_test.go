@@ -16,13 +16,13 @@ import (
 // TestWriteObserveBenchJSON augments the kernel benchmark artifact with
 // the observability overhead figure: a figure-scale sharded run, blind
 // vs fully observed (spans + metrics + sanitizer), interleaved reps,
-// median of the per-rep ratios of events per CPU-second. Each rep starts
-// from a collected heap and measures observeBenchPeriods periods, and
-// there are observeBenchReps of them. CPU time, not wall time: on a
-// shared 2-core box one blind run's wall time moved 0.20-0.45 s while
-// its CPU time moved 0.20-0.26 s, and at 3 periods, 5 reps and wall
-// time seven runs of one build spread by 29 % of the median, wider than
-// the gate's 20 % floor. The ratio's quartiles are logged. CI sets
+// median of the per-rep ratios of events per CPU-second. Each of the 15
+// reps starts from a collected heap and measures 9 periods. CPU time,
+// not wall time: on a shared 2-core box one blind run's wall time moved
+// 0.20-0.45 s while its CPU time moved 0.20-0.26 s, and at 3 periods,
+// 5 reps and wall time seven runs of one build spread by 29 % of the
+// median, wider than the gate's 20 % floor. The ratio's quartiles are
+// logged. CI sets
 // BENCH_OBSERVE_JSON to the bench JSON the sim writer just produced;
 // this hook reads it back, adds "observe_overhead", and rewrites it so
 // scripts/bench_gate.py can compare the ratio against the committed
@@ -69,7 +69,7 @@ func TestWriteObserveBenchJSON(t *testing.T) {
 		}
 		runtime.GC()
 		start, cpu := time.Now(), cpuSeconds(t)
-		res, err := cl.Run(1, observeBenchPeriods)
+		res, err := cl.Run(1, 9)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -82,7 +82,7 @@ func TestWriteObserveBenchJSON(t *testing.T) {
 	// Interleave blind and observed reps so a slow phase of a shared
 	// runner hits both sides about equally, and take the median ratio —
 	// the same noise-robustness scheme as the wheel/heap speedup.
-	const reps = observeBenchReps
+	const reps = 15
 	var ratios []float64
 	var blind, observed float64
 	for rep := 0; rep < reps; rep++ {
@@ -105,13 +105,6 @@ func TestWriteObserveBenchJSON(t *testing.T) {
 	t.Logf("blind %.2fM ev/s, observed %.2fM ev/s (best wall), observe_overhead %.3f (CPU time, median of %d reps; quartiles %.3f %.3f)",
 		blind/1e6, observed/1e6, ratios[reps/2], reps, ratios[reps/4], ratios[3*reps/4])
 }
-
-// The observe-overhead measurement's size: periods measured per rep and
-// interleaved blind/observed rep pairs.
-const (
-	observeBenchPeriods = 9
-	observeBenchReps    = 15
-)
 
 // cpuSeconds returns the user plus system CPU time the process has used.
 func cpuSeconds(t *testing.T) float64 {

@@ -89,7 +89,7 @@ func FuzzFlightRecorder(f *testing.F) {
 				actor := [...]uint32{0, 2, MonitorActor, EngineActor(int(arg))}[arg>>4%4]
 				a, b := fuzzValues[arg>>6], fuzzValues[arg>>4%4]
 				fr.Mark(now, k, actor, a, b)
-				ref.all = append(ref.all, Span{ID: 0, Kind: k, Initiator: actor, Posted: now,
+				ref.all = append(ref.all, Span{Kind: k, Initiator: actor, Posted: now,
 					Credit: sim.Time(a), InitDone: sim.Time(b), Arrived: Unset, Service: Unset, Served: Unset, Done: Unset})
 				ref.marks[k]++
 			case 4:
