@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 
 	"github.com/haechi-qos/haechi/internal/core"
@@ -72,15 +73,27 @@ func TestApplyScaleRescalesControlPlane(t *testing.T) {
 }
 
 func TestApplyScaleValidation(t *testing.T) {
-	cfg := NewDefaultConfig()
-	cfg.Scale = 0.5
-	if _, err := cfg.ApplyScale(); err == nil {
-		t.Error("fractional scale accepted")
-	}
-	cfg = NewDefaultConfig()
-	cfg.TwoSided = true // with Haechi mode
-	if _, err := cfg.ApplyScale(); err == nil {
-		t.Error("two-sided QoS accepted")
+	for _, tc := range []struct {
+		name string
+		set  func(*Config)
+		want string // a fragment of the refusal; "" when accepted
+	}{
+		{"fractional scale", func(c *Config) { c.Scale = 0.5 }, "Scale must be >= 1"},
+		{"two-sided QoS", func(c *Config) { c.TwoSided = true }, "TwoSided is bare-only"},
+		{"two-sided, 0 shards", func(c *Config) { c.Mode, c.TwoSided = Bare, true }, ""},
+		{"two-sided, 1 shard", func(c *Config) { c.Mode, c.TwoSided, c.Shards = Bare, true, 1 }, ""},
+		// The client reads the record from the data node's region.
+		{"two-sided, 2 shards", func(c *Config) { c.Mode, c.TwoSided, c.Shards = Bare, true, 2 }, "on its own kernel"},
+	} {
+		cfg := NewDefaultConfig()
+		tc.set(&cfg)
+		_, err := cfg.ApplyScale()
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: refused: %v", tc.name, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("%s: err = %v, want one containing %q", tc.name, err, tc.want)
+		}
 	}
 }
 

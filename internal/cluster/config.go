@@ -110,7 +110,7 @@ type Config struct {
 	// half its capacity.
 	Records int
 	// TwoSided switches the data path to two-sided RPC GETs (the
-	// comparison curves of Figs. 6-7). QoS modes require one-sided.
+	// comparison curves of Figs. 6-7): bare mode, one shard only.
 	TwoSided bool
 	// Sigma is the profiled capacity's standard deviation; 0 derives 1%
 	// of the profiled capacity.
@@ -269,6 +269,9 @@ func (c Config) ApplyScale() (Config, error) {
 	}
 	if c.Chaos != "" && c.Servers > 1 {
 		return c, fmt.Errorf("cluster: the chaos grammar has no server selector (an outage or a data-node NIC fault names no data node); Chaos needs Servers == 1, got %d", c.Servers)
+	}
+	if c.TwoSided && c.Shards > 1 {
+		return c, fmt.Errorf("cluster: a two-sided GET's client reads the record from the data node's region on its own kernel; TwoSided needs Shards <= 1, got %d", c.Shards)
 	}
 	if c.RebalanceEvery > 0 && c.Shards > 1 {
 		return c, fmt.Errorf("cluster: the rebalancer reads every tenant's routed counts from the data nodes' kernel; RebalanceEvery needs Shards <= 1, got %d", c.Shards)

@@ -312,7 +312,9 @@ func (c *Client) onWriteDone() {
 }
 
 // GetTwoSided performs a GET through the server CPU (the conventional RPC
-// path used for the two-sided comparison experiments).
+// path used for the two-sided comparison experiments). The reply locates
+// the record, which the client reads at delivery as a one-sided READ
+// reads it at completion; the value is valid only until cb returns.
 func (c *Client) GetTwoSided(key uint64, cb func(value []byte, err error)) error {
 	if cb == nil {
 		return fmt.Errorf("kvstore: GetTwoSided requires a callback")
@@ -340,9 +342,9 @@ func (c *Client) handleGetResp(_ *rdma.Node, body any) {
 		return
 	}
 	delete(c.pendingGet, resp.reqID)
-	if !resp.ok {
+	if resp.off < 0 {
 		cb(nil, ErrNotFound)
 		return
 	}
-	cb(resp.value, nil)
+	cb(c.data.Window(int(resp.off), c.recordSize))
 }

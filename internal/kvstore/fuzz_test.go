@@ -63,10 +63,10 @@ const opPopulate = 252
 // FuzzStoreLayout drives the store and layout_test.go's reference loader
 // through one random sequence of server-side Puts, one-sided Updates
 // (whose caller overwrites its value buffer as soon as Update returns),
-// one-sided GETs, prime requests and sharded loads — fresh keys and
-// re-Puts, synthetic values (the key plus zeros: full, key-only, empty
-// for key 0) and others, short, full and oversize, into tables that fill
-// up — and checks storeFuzz.check's oracles after every step. The
+// one-sided and two-sided GETs, prime requests and sharded loads — fresh
+// keys and re-Puts, synthetic values (the key plus zeros: full, key-only,
+// empty for key 0) and others, short, full and oversize, into tables that
+// fill up — and checks storeFuzz.check's oracles after every step. The
 // input's first byte picks capacity and record size; then each step is an
 // op byte, a key byte and, for the storing ops, a value byte, or an op
 // byte of at least opPopulate, a shard count, shard, key count and value
@@ -139,18 +139,23 @@ func FuzzStoreLayout(f *testing.F) {
 				} else if !called {
 					t.Fatalf("Update(%d) never completed", key)
 				}
-			case 4: // one-sided GET
+			case 4: // one-sided GET, then the two-sided one
 				want, present := s.refRecord(key)
-				called := false
-				err := kv.Get(key, func(v []byte, err error) {
-					called = true
-					if present != (err == nil) || (!present && !errors.Is(err, ErrNotFound)) || !bytes.Equal(v, want) {
-						t.Fatalf("Get(%d) = %x, %v; reference %x, present = %v", key, v, err, want, present)
+				for _, get := range []struct {
+					name string
+					fn   func(uint64, func([]byte, error)) error
+				}{{"Get", kv.Get}, {"GetTwoSided", kv.GetTwoSided}} {
+					called := false
+					err := get.fn(key, func(v []byte, err error) {
+						called = true
+						if present != (err == nil) || (!present && !errors.Is(err, ErrNotFound)) || !bytes.Equal(v, want) {
+							t.Fatalf("%s(%d) = %x, %v; reference %x, present = %v", get.name, key, v, err, want, present)
+						}
+					})
+					k.Run()
+					if err != nil || !called {
+						t.Fatalf("%s(%d): %v, completed = %v", get.name, key, err, called)
 					}
-				})
-				k.Run()
-				if err != nil || !called {
-					t.Fatalf("Get(%d): %v, completed = %v", key, err, called)
 				}
 			case 5, 6: // the primed slab, built on both sides at once; 6 hands it to the client
 				n := int(key % uint64(2*g.Capacity+1))

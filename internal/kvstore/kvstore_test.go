@@ -3,6 +3,7 @@ package kvstore
 import (
 	"bytes"
 	"encoding/binary"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -320,6 +321,118 @@ func TestTwoSidedRepliesShareOneQP(t *testing.T) {
 		if qp != qps[0] {
 			t.Fatalf("replies used QPs %v, want one", qps)
 		}
+	}
+}
+
+// TestTwoSidedReadsAtDelivery: a two-sided reply locates the record and
+// the client reads it when the reply is delivered, so a one-sided Update
+// that lands after the server handled the GET but before the reply
+// arrives is what the GET returns. Two dry runs time the GET and the
+// Update's landing; the third issues the Update so it lands halfway
+// between the GET's handling and its reply's delivery.
+func TestTwoSidedReadsAtDelivery(t *testing.T) {
+	primed := func() (*sim.Kernel, *Store, *Client) {
+		k, _, store, kv := testStore(t, smallOpts())
+		if err := store.Populate(10, valFor); err != nil {
+			t.Fatal(err)
+		}
+		kv.PrimeCache(10)
+		return k, store, kv
+	}
+	updated := func(store *Store) bool {
+		rec, _ := store.Get(3)
+		return bytes.Equal(rec, valFor(99))
+	}
+	// stepUntil runs k until cond holds and returns the time it did.
+	stepUntil := func(k *sim.Kernel, cond func() bool) sim.Time {
+		for !cond() {
+			if !k.Step() {
+				t.Fatal("the kernel ran dry")
+			}
+		}
+		return k.Now()
+	}
+	update := func(kv *Client) {
+		if err := kv.Update(3, valFor(99), func(err error) {
+			if err != nil {
+				t.Error(err)
+			}
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	k, store, kv := primed()
+	var delivered sim.Time
+	_ = kv.GetTwoSided(3, func([]byte, error) { delivered = k.Now() })
+	handled := stepUntil(k, func() bool { return len(store.replies) > 0 }) // handleGet connects the reply QP
+	k.Run()
+	k, store, kv = primed()
+	update(kv)
+	landing := stepUntil(k, func() bool { return updated(store) })
+	at := handled + (delivered-handled)/2 - landing
+	if at < 0 || delivered <= handled {
+		t.Fatalf("GET handled at %v, delivered at %v, an Update lands after %v: no time to issue it", handled, delivered, landing)
+	}
+
+	k, store, kv = primed()
+	var got []byte
+	_ = kv.GetTwoSided(3, func(v []byte, err error) {
+		if err != nil || !updated(store) {
+			t.Fatalf("reply delivered with err %v, the Update landed = %v", err, updated(store))
+		}
+		got = append([]byte(nil), v...)
+	})
+	k.At(at, func() { update(kv) })
+	stepUntil(k, func() bool { return len(store.replies) > 0 })
+	if updated(store) {
+		t.Fatal("the Update landed before the server handled the GET")
+	}
+	k.Run()
+	if !bytes.Equal(got, valFor(99)) {
+		t.Errorf("GetTwoSided = %x, want the Update's %x", got[:8], valFor(99)[:8])
+	}
+}
+
+// TestTwoSidedGetAllocation pins that a two-sided reply carries the
+// record's location, not a copy: a steady-state GET of a 4 KB record on
+// a primed store allocates only its request and response envelopes.
+func TestTwoSidedGetAllocation(t *testing.T) {
+	k, _, store, kv := testStore(t, Options{Capacity: 256, RecordSize: rdma.DataIOSize})
+	if err := store.Populate(100, nil); err != nil {
+		t.Fatal(err)
+	}
+	kv.PrimeCache(100)
+	var gets int
+	cb := func(v []byte, err error) {
+		if err != nil || len(v) != rdma.DataIOSize {
+			t.Fatalf("GetTwoSided: %d bytes, %v", len(v), err)
+		}
+		gets++
+	}
+	round := func() {
+		for key := uint64(0); key < 100; key++ {
+			if err := kv.GetTwoSided(key, cb); err != nil {
+				t.Fatal(err)
+			}
+		}
+		k.Run()
+	}
+	for i := 0; i < 5; i++ {
+		round() // warm-up: QPs, pools, the pending map
+	}
+	const rounds = 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < rounds; i++ {
+		round()
+	}
+	runtime.ReadMemStats(&after)
+	if gets != (5+rounds)*100 {
+		t.Fatalf("%d GETs completed, want %d", gets, (5+rounds)*100)
+	}
+	if per := (after.TotalAlloc - before.TotalAlloc) / (rounds * 100); per >= 512 {
+		t.Errorf("a steady-state two-sided GET allocates %d bytes, want < 512", per)
 	}
 }
 

@@ -418,11 +418,10 @@ type getRequest struct {
 	reqID uint64
 }
 
-// getResponse carries the record (or ok=false).
+// getResponse locates the record in the data region (off < 0: no record).
 type getResponse struct {
 	reqID uint64
-	value []byte
-	ok    bool
+	off   int64
 }
 
 // reply returns the QP responses to client take, connecting it on the
@@ -447,14 +446,13 @@ func (s *Store) handleGet(from *rdma.Node, body any) {
 	if !ok {
 		return
 	}
-	v, found := s.Get(req.key)
 	qp, err := s.reply(from)
 	if err != nil {
 		return
 	}
-	size := 16
-	if found {
-		size += len(v)
+	resp, size := getResponse{reqID: req.reqID, off: -1}, 16
+	if slot, found, _ := s.findSlot(req.key); found {
+		resp.off, size = s.dataOff(slot), size+s.opts.RecordSize
 	}
-	_ = qp.Send(rdma.Message{Kind: msgGetResp, Body: getResponse{reqID: req.reqID, value: v, ok: found}}, size, nil)
+	_ = qp.Send(rdma.Message{Kind: msgGetResp, Body: resp}, size, nil)
 }

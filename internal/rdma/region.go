@@ -245,6 +245,17 @@ func (r *Region) window(off, size int) []byte {
 	return out
 }
 
+// Window returns the bytes [off, off+size) as a same-shard READ's
+// callback sees them (see QP.Read), to a reader on the region's kernel
+// whose verb has already paid for them. The slice is valid until the
+// calling callback returns and must not be written through.
+func (r *Region) Window(off, size int) ([]byte, error) {
+	if err := r.checkRange(off, size); err != nil {
+		return nil, err
+	}
+	return r.window(off, size), nil
+}
+
 // load64 reads the 8-byte cell at off; store64 writes it. The range must
 // have been checked.
 func (r *Region) load64(off int) uint64 {
