@@ -322,16 +322,24 @@ type link struct {
 // WRITEs are both bulk; two-sided responses are served FIFO by the server
 // CPU), so they complete in issue order and the oldest instant is the
 // completing request's — per link, so completions that cross between a
-// tenant's links to several data nodes stay matched.
+// tenant's links to several data nodes stay matched. A burst posted at
+// one instant is one run of the queue.
 type wire struct {
-	pending sim.FIFO[sim.Time]
+	pending sim.Instants
 	// complete is the engine's OnIODone in QoS modes, the generator's
-	// Complete in Bare; depth the engine's send-queue depth, which bounds
-	// pending (0 in Bare mode, where nothing does).
+	// Complete in Bare.
 	complete func(arrivedAt sim.Time)
-	depth    int
-	node     *rdma.Node        // the tenant's, for its name and clock
-	san      *sanitize.Checker // nil unless Config.Sanitize
+	check    *cookieCheck // nil unless Config.Sanitize
+}
+
+// cookieCheck is what a sanitized wire checks its cookies with: the
+// tenant's node, for its name and clock, the shard's checker, and the
+// engine's send-queue depth, which bounds pending (0 in Bare mode, where
+// nothing does).
+type cookieCheck struct {
+	node  *rdma.Node
+	san   *sanitize.Checker
+	depth int
 }
 
 // done completes the link's oldest posted I/O. Under the sanitizer it
@@ -340,16 +348,16 @@ type wire struct {
 // engine may keep posted (a queue's high-water mark lasts until its next
 // pop, so a completion sees it).
 func (w *wire) done() {
-	if w.san != nil {
-		now, n := w.node.Kernel().Now(), w.pending.Len()
+	if c := w.check; c != nil {
+		now, n := c.node.Kernel().Now(), w.pending.Len()
 		switch {
 		case n == 0:
-			w.san.Reportf("completion-cookie", int64(now), "%s: a data I/O completed with none posted", w.node.Name())
+			c.san.Reportf("completion-cookie", int64(now), "%s: a data I/O completed with none posted", c.node.Name())
 			return
-		case w.depth > 0 && n > w.depth:
-			w.san.Reportf("completion-cookie", int64(now), "%s: %d I/Os posted, send queue depth %d", w.node.Name(), n, w.depth)
-		case *w.pending.Peek(0) > now:
-			w.san.Reportf("completion-cookie", int64(now), "%s: the completing request arrived at t=%d, after now", w.node.Name(), int64(*w.pending.Peek(0)))
+		case c.depth > 0 && n > c.depth:
+			c.san.Reportf("completion-cookie", int64(now), "%s: %d I/Os posted, send queue depth %d", c.node.Name(), n, c.depth)
+		case w.pending.Peek() > now:
+			c.san.Reportf("completion-cookie", int64(now), "%s: the completing request arrived at t=%d, after now", c.node.Name(), int64(w.pending.Peek()))
 		}
 	}
 	w.complete(w.pending.Pop())
@@ -551,7 +559,11 @@ func (c *Cluster) connect(rt *Client, disp *rdma.Dispatcher, s int, rng *rand.Ra
 	// curves), with a fraction of one-sided record WRITEs when the spec
 	// requests a YCSB-style update mix. The completions handed to kv are
 	// bound once, so a steady-state I/O allocates no closure.
-	w := &wire{node: rt.Node, san: c.sanFor(rt.Node.Shard())}
+	w := &wire{}
+	san := c.sanFor(rt.Node.Shard())
+	if san != nil {
+		w.check = &cookieCheck{node: rt.Node, san: san}
+	}
 	onGet := func([]byte, error) { w.done() }
 	onPut := func(error) { w.done() }
 	ln := link{kv: kv, wire: w}
@@ -582,8 +594,11 @@ func (c *Cluster) connect(rt *Client, disp *rdma.Dispatcher, s int, rng *rand.Ra
 		if err != nil {
 			return link{}, err
 		}
-		ln.engine.SetSanitizer(w.san)
-		w.complete, w.depth = ln.engine.OnIODone, c.cfg.Params.SendQueueDepth
+		ln.engine.SetSanitizer(san)
+		w.complete = ln.engine.OnIODone
+		if w.check != nil {
+			w.check.depth = c.cfg.Params.SendQueueDepth
+		}
 	}
 	return ln, nil
 }

@@ -80,9 +80,19 @@ func TestSanitizerCatchesBrokenCookie(t *testing.T) {
 		mutate     func(w *wire, now sim.Time)
 	}{
 		{"a push dropped", "none posted", func(w *wire, _ sim.Time) { w.pending.Pop() }},
-		{"an instant from the future", "after now", func(w *wire, now sim.Time) { *w.pending.Peek(0) = now + sim.Second }},
+		{"an instant from the future", "after now", func(w *wire, now sim.Time) {
+			// The same count, the oldest instant a second ahead.
+			var rest []sim.Time
+			for w.pending.Len() > 0 {
+				rest = append(rest, w.pending.Pop())
+			}
+			w.pending.Push(now + sim.Second)
+			for _, at := range rest[1:] {
+				w.pending.Push(at)
+			}
+		}},
 		{"more posted than the send queue holds", "send queue depth", func(w *wire, now sim.Time) {
-			for i := 0; i <= w.depth; i++ {
+			for i := 0; i <= w.check.depth; i++ {
 				w.pending.Push(now)
 			}
 		}},

@@ -77,8 +77,8 @@ type Engine struct {
 	// arrival instant rides down with the I/O and comes back in OnIODone.
 	// The count deliberately survives Crash: in-flight I/Os were on the wire
 	// and may legally complete.
-	waiting  arrivals
-	backed   arrivals
+	waiting  sim.Instants
+	backed   sim.Instants
 	inflight int
 
 	// Bound callbacks and their per-issue state, created once so the
@@ -237,13 +237,13 @@ func (e *Engine) Arrive(n uint64) {
 	e.totalRequested += n
 	now := e.k.Now()
 	for ; n > 0; n-- {
-		e.waiting.push(now)
+		e.waiting.Push(now)
 		e.drain()
 	}
 }
 
 // Pending returns the number of requests waiting for tokens.
-func (e *Engine) Pending() int { return int(e.waiting.n) }
+func (e *Engine) Pending() int { return e.waiting.Len() }
 
 // ReservationTokens returns the current xi_reservation.
 func (e *Engine) ReservationTokens() int64 { return e.resTokens }
@@ -288,8 +288,8 @@ func (e *Engine) Crash() {
 	e.localGlobal = 0
 	e.crashInflight = e.inflight
 	e.faults.PostCrashCompletions = 0
-	e.waiting = arrivals{}
-	e.backed = arrivals{}
+	e.waiting = sim.Instants{}
+	e.backed = sim.Instants{}
 	e.savedOnPeriodStart = e.OnPeriodStart
 	e.OnPeriodStart = nil
 	if e.san != nil && e.periodIndex > 0 && !e.conserved() {
@@ -418,7 +418,7 @@ func (e *Engine) FaultStats() FaultStats { return e.faults }
 // moves to the token-backed count, which pump posts at send-queue pace.
 func (e *Engine) drain() {
 	defer e.pump()
-	for e.waiting.n > 0 {
+	for e.waiting.Len() > 0 {
 		if e.limit > 0 && e.dispatched >= e.limit {
 			// Limit reached: throttle until the next period.
 			e.limitThrottled++
@@ -446,7 +446,7 @@ func (e *Engine) drain() {
 			return
 		}
 		e.dispatched++
-		e.backed.push(e.waiting.pop())
+		e.backed.Push(e.waiting.Pop())
 	}
 }
 
@@ -454,9 +454,9 @@ func (e *Engine) drain() {
 // is where a request materialises: the source draws its key here, so what
 // is held per posted request is bounded by the send-queue depth.
 func (e *Engine) pump() {
-	for e.inflight < e.params.SendQueueDepth && e.backed.n > 0 {
+	for e.inflight < e.params.SendQueueDepth && e.backed.Len() > 0 {
 		e.inflight++
-		at := e.backed.pop()
+		at := e.backed.Pop()
 		e.sender(e.source(at), at)
 	}
 }
@@ -696,11 +696,11 @@ func (e *Engine) DebugDropReservationTokens(n int64) {
 	}
 }
 
-func (e *Engine) handlePeriodStart(_ *rdma.Node, body any) {
-	m, ok := body.(periodStartMsg)
-	if !ok || e.crashed {
+func (e *Engine) handlePeriodStart(_ *rdma.Node, msg rdma.Message) {
+	if e.crashed {
 		return
 	}
+	m := periodStartOf(msg)
 	if e.san != nil && m.Index <= e.periodIndex {
 		// Rejoin monotonicity: the monitor's period pushes arrive in FIFO
 		// order per QP and the period counter only ever increments, so a
@@ -764,9 +764,8 @@ func (e *Engine) handlePeriodStart(_ *rdma.Node, body any) {
 	e.drain()
 }
 
-func (e *Engine) handleReportOn(_ *rdma.Node, body any) {
-	m, ok := body.(reportOnMsg)
-	if !ok || e.crashed || m.Index != e.periodIndex || e.reporting {
+func (e *Engine) handleReportOn(_ *rdma.Node, m rdma.Message) {
+	if e.crashed || int(m.Seq) != e.periodIndex || e.reporting {
 		return
 	}
 	e.reporting = true
@@ -784,42 +783,4 @@ func (e *Engine) reportTick() {
 		e.report()
 	}
 	e.reportTimer = e.k.Schedule(e.params.ReportInterval, e.reportTickFn)
-}
-
-// arrivals is a FIFO of requests known only by when they arrived, kept as
-// runs of (instant, count): a burst of any size announced at one instant
-// is one entry, so a backlog costs memory per distinct arrival time, not
-// per request.
-type arrivals struct {
-	runs sim.FIFO[arrivalRun]
-	n    uint64 // requests across all runs
-}
-
-type arrivalRun struct {
-	at    sim.Time
-	count uint64
-}
-
-// push appends one request that arrived at at (never earlier than the
-// newest one queued).
-func (q *arrivals) push(at sim.Time) {
-	q.n++
-	if n := q.runs.Len(); n > 0 {
-		if last := q.runs.Peek(n - 1); last.at == at {
-			last.count++
-			return
-		}
-	}
-	q.runs.Push(arrivalRun{at: at, count: 1})
-}
-
-// pop removes the oldest request and returns its arrival instant.
-func (q *arrivals) pop() sim.Time {
-	q.n--
-	r := q.runs.Peek(0)
-	at := r.at
-	if r.count--; r.count == 0 {
-		q.runs.Pop()
-	}
-	return at
 }

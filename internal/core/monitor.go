@@ -403,12 +403,12 @@ func (m *Monitor) startPeriod() {
 		if c.suspected {
 			continue
 		}
-		_ = c.qp.Send(rdma.Message{Kind: msgPeriodStart, Body: periodStartMsg{
+		_ = c.qp.Send(periodStartMsg{
 			Index:       m.periodIndex,
 			Reservation: c.reservation,
 			EndAt:       int64(endAt),
 			Convert:     m.convert,
-		}}, periodStartMsgSize, nil)
+		}.message(), periodStartMsgSize, nil)
 		m.mark(trace.TokenPush, int64(c.id), c.reservation)
 	}
 	m.periodTimer = m.k.At(endAt, m.endPeriod)
@@ -441,7 +441,7 @@ func (m *Monitor) check() {
 			m.ReportSignals++
 			m.mark(trace.ReportSignal, int64(pi), 0)
 			for i := range m.clients {
-				_ = m.clients[i].qp.Send(rdma.Message{Kind: msgReportOn, Body: reportOnMsg{Index: pi}}, reportOnMsgSize, nil)
+				_ = m.clients[i].qp.Send(reportOnMessage(pi), reportOnMsgSize, nil)
 			}
 			// Do not cap on this wake-up: the report slots still hold the
 			// period-start seeds (R_i, 0), which would wildly overstate L

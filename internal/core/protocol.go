@@ -1,13 +1,15 @@
 package core
 
+import "github.com/haechi-qos/haechi/internal/rdma"
+
 // Two-sided control messages. Only the data node ever sends these (steps
 // T1 and S3 in Fig. 5); the client-to-server direction stays one-sided.
 const (
 	// msgPeriodStart carries the reservation tokens for a new QoS period
 	// (step T1) and doubles as the new-period signal.
-	msgPeriodStart = "haechi.period_start"
+	msgPeriodStart = rdma.KindPeriodStart
 	// msgReportOn asks clients to begin periodic reporting (step S3).
-	msgReportOn = "haechi.report_on"
+	msgReportOn = rdma.KindReportOn
 )
 
 // periodStartMsg initializes a client's QoS period.
@@ -24,9 +26,20 @@ type periodStartMsg struct {
 	Convert bool
 }
 
-// reportOnMsg enables periodic reporting for the rest of the period.
-type reportOnMsg struct {
-	Index int
+// message packs m for the wire.
+func (m periodStartMsg) message() rdma.Message {
+	return rdma.Message{Kind: msgPeriodStart, Flag: m.Convert, Seq: uint32(m.Index), A: m.Reservation, B: m.EndAt}
+}
+
+// periodStartOf unpacks a msgPeriodStart message.
+func periodStartOf(m rdma.Message) periodStartMsg {
+	return periodStartMsg{Index: int(m.Seq), Reservation: m.A, EndAt: m.B, Convert: m.Flag}
+}
+
+// reportOnMessage enables periodic reporting for the rest of period
+// index, which rides in Seq.
+func reportOnMessage(index int) rdma.Message {
+	return rdma.Message{Kind: msgReportOn, Seq: uint32(index)}
 }
 
 // wire sizes (bytes) of the control messages.

@@ -44,8 +44,11 @@ type Client struct {
 	primedFound int
 	cache       map[uint64]int
 
+	// Two-sided GETs awaiting their reply, by request id: pendingGet
+	// holds the callbacks of ids [nextReqID-Len, nextReqID), nil once
+	// answered; allocated by the first GetTwoSided.
 	nextReqID  uint64
-	pendingGet map[uint64]func([]byte, error)
+	pendingGet *sim.FIFO[func([]byte, error)]
 
 	// Pending one-sided completions, FIFO per I/O kind, with the bound
 	// completion methods handed to the fabric.
@@ -319,32 +322,43 @@ func (c *Client) GetTwoSided(key uint64, cb func(value []byte, err error)) error
 	if cb == nil {
 		return fmt.Errorf("kvstore: GetTwoSided requires a callback")
 	}
-	id := c.nextReqID
-	c.nextReqID++
 	if c.pendingGet == nil {
-		c.pendingGet = make(map[uint64]func([]byte, error))
+		c.pendingGet = new(sim.FIFO[func([]byte, error)])
 	}
-	c.pendingGet[id] = cb
-	err := c.qp.Send(rdma.Message{Kind: msgGet, Body: getRequest{key: key, reqID: id}}, 24, nil)
-	if err != nil {
-		delete(c.pendingGet, id)
+	err := c.qp.Send(rdma.Message{Kind: msgGet, A: int64(key), B: int64(c.nextReqID)}, 24, nil)
+	if err == nil {
+		c.nextReqID++
+		c.pendingGet.Push(cb)
 	}
 	return err
 }
 
-func (c *Client) handleGetResp(_ *rdma.Node, body any) {
-	resp, ok := body.(getResponse)
-	if !ok {
+// handleGetResp completes the GET whose id the reply carries. Replies of
+// one size return in request order, but a miss's short reply takes the
+// NIC's control path and can pass a hit's, so a reply clears its own
+// slot and the window slides past the answered ones at its head. A reply
+// for no pending id is dropped.
+func (c *Client) handleGetResp(_ *rdma.Node, resp rdma.Message) {
+	q := c.pendingGet
+	if q == nil {
 		return
 	}
-	cb, ok := c.pendingGet[resp.reqID]
-	if !ok {
+	i := uint64(resp.A) - (c.nextReqID - uint64(q.Len()))
+	if i >= uint64(q.Len()) {
 		return
 	}
-	delete(c.pendingGet, resp.reqID)
-	if resp.off < 0 {
+	slot := q.Peek(int(i))
+	cb := *slot
+	if cb == nil {
+		return
+	}
+	*slot = nil
+	for q.Len() > 0 && *q.Peek(0) == nil {
+		q.Pop()
+	}
+	if resp.B < 0 {
 		cb(nil, ErrNotFound)
 		return
 	}
-	cb(c.data.Window(int(resp.off), c.recordSize))
+	cb(c.data.Window(int(resp.B), c.recordSize))
 }

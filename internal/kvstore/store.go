@@ -45,8 +45,8 @@ const (
 	DataRegionName  = "kv/data"
 
 	// Message kinds for the two-sided GET RPC.
-	msgGet     = "kv.get"
-	msgGetResp = "kv.get.resp"
+	msgGet     = rdma.KindKVGet
+	msgGetResp = rdma.KindKVGetResp
 )
 
 // hashKey mixes a key with the splitmix64 finalizer; both store and
@@ -412,17 +412,9 @@ func nextFree(next []uint32, i uint32) uint32 {
 	return i
 }
 
-// getRequest is the two-sided GET wire format.
-type getRequest struct {
-	key   uint64
-	reqID uint64
-}
-
-// getResponse locates the record in the data region (off < 0: no record).
-type getResponse struct {
-	reqID uint64
-	off   int64
-}
+// The two-sided GET wire format: a msgGet carries the key in A and the
+// request id in B; its msgGetResp carries the request id in A and the
+// record's data offset in B (-1: no record).
 
 // reply returns the QP responses to client take, connecting it on the
 // client's first request.
@@ -441,18 +433,14 @@ func (s *Store) reply(client *rdma.Node) (*rdma.QP, error) {
 	return qp, nil
 }
 
-func (s *Store) handleGet(from *rdma.Node, body any) {
-	req, ok := body.(getRequest)
-	if !ok {
-		return
-	}
+func (s *Store) handleGet(from *rdma.Node, req rdma.Message) {
 	qp, err := s.reply(from)
 	if err != nil {
 		return
 	}
-	resp, size := getResponse{reqID: req.reqID, off: -1}, 16
-	if slot, found, _ := s.findSlot(req.key); found {
-		resp.off, size = s.dataOff(slot), size+s.opts.RecordSize
+	resp, size := rdma.Message{Kind: msgGetResp, A: req.B, B: -1}, 16
+	if slot, found, _ := s.findSlot(uint64(req.A)); found {
+		resp.B, size = s.dataOff(slot), size+s.opts.RecordSize
 	}
-	_ = qp.Send(rdma.Message{Kind: msgGetResp, Body: resp}, size, nil)
+	_ = qp.Send(resp, size, nil)
 }

@@ -2,13 +2,29 @@ package rdma
 
 import "fmt"
 
-// Message is the envelope for two-sided SENDs when several protocols share
-// one node (e.g. the KV store RPC handler and the Haechi QoS monitor both
-// live on the data node).
+// Message is a two-sided SEND's payload: the kind a Dispatcher routes on
+// when several protocols share one node (e.g. a tenant's KV client and
+// its QoS engine), and a few fields whose meaning the kind's protocol
+// defines. It is a fixed-size value the SEND's record holds inline, so
+// posting one allocates nothing.
 type Message struct {
-	Kind string
-	Body any
+	Kind MsgKind
+	Flag bool
+	Seq  uint32
+	A, B int64
 }
+
+// MsgKind names a message's protocol and type. The protocols that share
+// a node draw their kinds from the one list below, so no two collide;
+// zero is no kind.
+type MsgKind uint16
+
+const (
+	KindKVGet       MsgKind = iota + 1 // kvstore: a two-sided GET
+	KindKVGetResp                      // kvstore: its reply
+	KindPeriodStart                    // core: the monitor's period-start push
+	KindReportOn                       // core: the monitor's report-on signal
+)
 
 // Dispatcher routes incoming Messages to per-kind handlers, optionally
 // scoped by sender (a multi-server client runs one QoS engine per data
@@ -24,9 +40,9 @@ type Dispatcher struct {
 // route delivers messages of one kind, from one sender or (from == nil)
 // from any, to handler. A (kind, from) pair appears at most once.
 type route struct {
-	kind    string
+	kind    MsgKind
 	from    *Node
-	handler func(from *Node, body any)
+	handler func(from *Node, m Message)
 }
 
 // NewDispatcher creates a dispatcher bound to n.
@@ -37,7 +53,7 @@ func NewDispatcher(n *Node) *Dispatcher {
 }
 
 // find returns the index of the (kind, from) route, or -1.
-func (d *Dispatcher) find(kind string, from *Node) int {
+func (d *Dispatcher) find(kind MsgKind, from *Node) int {
 	for i := range d.routes {
 		if d.routes[i].from == from && d.routes[i].kind == kind {
 			return i
@@ -48,9 +64,9 @@ func (d *Dispatcher) find(kind string, from *Node) int {
 
 // Handle registers a handler for messages of the given kind from any
 // sender. Registering a duplicate kind is an error.
-func (d *Dispatcher) Handle(kind string, h func(from *Node, body any)) error {
+func (d *Dispatcher) Handle(kind MsgKind, h func(from *Node, m Message)) error {
 	if d.find(kind, nil) >= 0 {
-		return fmt.Errorf("rdma: node %s: handler for %q already registered", d.node.name, kind)
+		return fmt.Errorf("rdma: node %s: handler for kind %d already registered", d.node.name, kind)
 	}
 	d.routes = append(d.routes, route{kind: kind, handler: h})
 	return nil
@@ -59,26 +75,23 @@ func (d *Dispatcher) Handle(kind string, h func(from *Node, body any)) error {
 // HandleFrom registers a handler for messages of the given kind sent by
 // the specific node. Sender-scoped handlers take precedence over Handle's
 // catch-all for the same kind.
-func (d *Dispatcher) HandleFrom(kind string, from *Node, h func(from *Node, body any)) error {
+func (d *Dispatcher) HandleFrom(kind MsgKind, from *Node, h func(from *Node, m Message)) error {
 	if from == nil {
 		return fmt.Errorf("rdma: node %s: HandleFrom requires a sender", d.node.name)
 	}
 	if d.find(kind, from) >= 0 {
-		return fmt.Errorf("rdma: node %s: handler for %q from %s already registered", d.node.name, kind, from.name)
+		return fmt.Errorf("rdma: node %s: handler for kind %d from %s already registered", d.node.name, kind, from.name)
 	}
 	d.routes = append(d.routes, route{kind: kind, from: from, handler: h})
 	return nil
 }
 
-func (d *Dispatcher) dispatch(from *Node, payload any) {
-	msg, ok := payload.(Message)
-	if !ok {
-		// Unrouted payloads are dropped; a real RNIC would complete the
-		// recv with an unknown-format buffer the application ignores.
-		return
-	}
+// dispatch delivers msg to its route. A kind with no route is dropped; a
+// real RNIC would complete the recv with a buffer the application
+// ignores.
+func (d *Dispatcher) dispatch(from *Node, msg Message) {
 	// The handler runs after the scan: it may register routes.
-	var h func(from *Node, body any)
+	var h func(from *Node, m Message)
 	for i := range d.routes {
 		r := &d.routes[i]
 		if r.kind != msg.Kind {
@@ -93,6 +106,6 @@ func (d *Dispatcher) dispatch(from *Node, payload any) {
 		}
 	}
 	if h != nil {
-		h(from, msg.Body)
+		h(from, msg)
 	}
 }

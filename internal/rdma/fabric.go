@@ -66,7 +66,7 @@ type Node struct {
 	// receive processing is folded into the initiator weight, see Send).
 	cpu *sim.Station
 
-	recv    func(from *Node, payload any)
+	recv    func(from *Node, m Message)
 	regions map[string]*Region
 	stats   Stats
 	// sched arbitrates incoming bulk operations round-robin across
@@ -210,7 +210,7 @@ func (n *Node) CPU() *sim.Station { return n.cpu }
 // SetRecvHandler installs the handler invoked when a two-sided SEND is
 // delivered to this node. For server nodes the handler runs after CPU
 // processing; for client nodes it runs on NIC delivery.
-func (n *Node) SetRecvHandler(h func(from *Node, payload any)) { n.recv = h }
+func (n *Node) SetRecvHandler(h func(from *Node, m Message)) { n.recv = h }
 
 // RegisterRegion registers size bytes of memory under name and returns the
 // region capability. Registering a duplicate name is an error.
@@ -519,6 +519,10 @@ func (f *Fabric) Connect(initiator, target *Node) (*QP, error) {
 	}
 	if initiator.fabric != f || target.fabric != f {
 		return nil, fmt.Errorf("rdma: Connect across fabrics (%s -> %s)", initiator.name, target.name)
+	}
+	if f.qpSeq+1 >= 1<<(31-stageBits) {
+		// A station tag packs the id above the stage in 31 bits.
+		return nil, fmt.Errorf("rdma: Connect %s -> %s: fabric already holds %d queue pairs", initiator.name, target.name, f.qpSeq)
 	}
 	f.qpSeq++
 	if len(f.qpChunks) == 0 || len(f.qpChunks[len(f.qpChunks)-1]) == qpChunkSize {

@@ -128,16 +128,16 @@ func TestFlightSendSpan(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got int
-	server.SetRecvHandler(func(from *Node, payload any) { got++ })
+	server.SetRecvHandler(func(*Node, Message) { got++ })
 	qp, err := f.Connect(client, server)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := qp.Send("hello", DataIOSize, nil); err != nil {
+	if err := qp.Send(Message{Kind: kindX}, DataIOSize, nil); err != nil {
 		t.Fatal(err)
 	}
 	var cbRan bool
-	if err := qp.Send("again", 64, func() { cbRan = true }); err != nil {
+	if err := qp.Send(Message{Kind: kindY}, 64, func() { cbRan = true }); err != nil {
 		t.Fatal(err)
 	}
 	k.Run()

@@ -413,8 +413,9 @@ func TestRecycledRecordCarriesNothingStale(t *testing.T) {
 			qp, pool = b.qp, b.client.pool
 		}
 		const cell = 2 * DataIOSize
-		var got []any
-		b.server.SetRecvHandler(func(_ *Node, payload any) { got = append(got, payload) })
+		stale := Message{Kind: kindX, Flag: true, Seq: 3, A: -5, B: 1 << 50}
+		var got []Message
+		b.server.SetRecvHandler(func(_ *Node, m Message) { got = append(got, m) })
 		step := func(what string, err error) {
 			t.Helper()
 			if err != nil {
@@ -430,7 +431,7 @@ func TestRecycledRecordCarriesNothingStale(t *testing.T) {
 				}
 			}
 		}
-		step("a SEND", qp.Send("stale", 64, func() {}))
+		step("a SEND", qp.Send(stale, 64, func() {}))
 		step("a CMP_SWAP", qp.CompareSwap(b.region, cell, 0, 0x77, nil))
 		step("a buffered WRITE", qp.Write(b.region, recB, fill(0xee, DataIOSize), nil))
 
@@ -440,11 +441,11 @@ func TestRecycledRecordCarriesNothingStale(t *testing.T) {
 		update := make([]byte, DataIOSize)
 		binary.LittleEndian.PutUint64(update, 9)
 		var old int64 = -1
-		step("a SEND without payload", qp.Send(nil, 64, func() {}))
+		step("an empty SEND", qp.Send(Message{}, 64, func() {}))
 		step("an inline WRITE", qp.Write(b.region, recA, update, nil))
 		step("a failing CMP_SWAP", qp.CompareSwap(b.region, cell, 1, 2, func(v int64) { old = v }))
-		if len(got) != 2 || got[0] != "stale" || got[1] != nil {
-			t.Errorf("cross=%v: server received %v, want [stale <nil>]", cross, got)
+		if len(got) != 2 || got[0] != stale || got[1] != (Message{}) {
+			t.Errorf("cross=%v: server received %+v, want [%+v {}]", cross, got, stale)
 		}
 		if rec, _ := b.region.CopyOut(recA, DataIOSize); !bytes.Equal(rec, update) {
 			t.Errorf("cross=%v: record after the inline WRITE starts %x, want 9 and zeros", cross, rec[:16])
@@ -458,7 +459,7 @@ func TestRecycledRecordCarriesNothingStale(t *testing.T) {
 // recycled reports whether a pooled record holds nothing of its last verb
 // but its extension and the continuation an earlier hop bound there.
 func recycled(op *flowOp) bool {
-	if x := op.ext; x != nil && (x.payload != nil || x.swap != 0 || x.buf != nil) {
+	if x := op.ext; x != nil && (x.msg != (Message{}) || x.swap != 0 || x.buf != nil) {
 		return false
 	}
 	return op.next == nil && op.qp == nil && op.kind == 0 && !op.control && !op.back && op.size == 0 &&

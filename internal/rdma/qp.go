@@ -208,14 +208,14 @@ type flowOp struct {
 	ext *opExt
 }
 
-// opExt is what only some verbs carry: a SEND's payload, a CMP_SWAP's
+// opExt is what only some verbs carry: a SEND's message, a CMP_SWAP's
 // swap value, a WRITE's captured buffer, and a cross-shard hop's
 // continuation and READ bounce buffer. It is allocated as part of its
 // record (extOp) and never leaves it, so a record with an extension is
-// one object, 120 bytes in the 128-byte class.
+// one object of 128 bytes.
 type opExt struct {
-	payload any // SEND payload
-	swap    int64
+	msg  Message // SEND payload, held by value
+	swap int64
 	// buf is a pooled payload buffer: a WRITE's data captured at call
 	// time, or the bounce buffer a cross-shard READ's data is copied into
 	// at serve time. It returns to the freelist with the record.
@@ -851,7 +851,7 @@ func (qp *QP) sendDeliver(op *flowOp) {
 			qp.target.flight.Finish(op.span)
 		}
 	}
-	qp.target.recv(qp.initiator, op.ext.payload)
+	qp.target.recv(qp.initiator, op.ext.msg)
 	if op.cb == nil {
 		qp.retire(op)
 		return
@@ -970,14 +970,14 @@ func (qp *QP) CompareSwap(r *Region, off int, expect, swap int64, cb func(old in
 	return nil
 }
 
-// Send performs a two-sided operation carrying payload with the given wire
+// Send performs a two-sided operation carrying msg with the given wire
 // size. For a server target the message is processed by the target NIC and
 // then the target CPU before delivery to the receive handler — this is the
 // path whose cost one-sided I/O avoids. For a client target (e.g. the
 // monitor pushing reservation tokens) the message is delivered after the
 // wire and the initiator-side costs only. cb (optional) fires at the
 // initiator once the message has been delivered.
-func (qp *QP) Send(payload any, size int, cb func()) error {
+func (qp *QP) Send(msg Message, size int, cb func()) error {
 	if size < 0 || uint64(size) > math.MaxUint32 {
 		return fmt.Errorf("rdma: %s->%s: send size %d outside [0, 2^32)", qp.initiator.name, qp.target.name, size)
 	}
@@ -1001,7 +1001,7 @@ func (qp *QP) Send(payload any, size int, cb func()) error {
 	control := isControl(size)
 	op := qp.newOp(opSend, control, true)
 	op.size = uint32(size)
-	op.ext.payload = payload
+	op.ext.msg = msg
 	if cb != nil {
 		op.cb = cb
 	}

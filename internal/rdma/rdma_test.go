@@ -300,10 +300,10 @@ func TestVerbValidation(t *testing.T) {
 	if err := qp.CompareSwap(r, 64, 0, 1, nil); err == nil {
 		t.Error("out-of-range CompareSwap accepted")
 	}
-	if err := qp.Send("x", -1, nil); err == nil {
+	if err := qp.Send(Message{}, -1, nil); err == nil {
 		t.Error("negative-size Send accepted")
 	}
-	if err := qp.Send("x", 8, nil); err == nil {
+	if err := qp.Send(Message{}, 8, nil); err == nil {
 		t.Error("Send to node without recv handler accepted")
 	}
 	// A record keeps a verb's length in 32 bits: a READ that its region
@@ -316,8 +316,8 @@ func TestVerbValidation(t *testing.T) {
 	if err := qp.Read(huge, 0, 1<<32, func([]byte) {}); err == nil {
 		t.Error("Read of 4 GiB accepted")
 	}
-	server.SetRecvHandler(func(*Node, any) {})
-	if err := qp.Send("x", 1<<32, nil); err == nil {
+	server.SetRecvHandler(func(*Node, Message) {})
+	if err := qp.Send(Message{}, 1<<32, nil); err == nil {
 		t.Error("Send of 4 GiB accepted")
 	}
 	k.Run()
@@ -432,18 +432,19 @@ func TestRegionView(t *testing.T) {
 func TestSendToServerUsesCPU(t *testing.T) {
 	k, f, client, server := testFabric(t)
 	var gotFrom *Node
-	var gotPayload any
-	server.SetRecvHandler(func(from *Node, payload any) {
-		gotFrom, gotPayload = from, payload
+	var gotMsg Message
+	server.SetRecvHandler(func(from *Node, m Message) {
+		gotFrom, gotMsg = from, m
 	})
 	qp, _ := f.Connect(client, server)
 	delivered := false
-	if err := qp.Send("hello", 32, func() { delivered = true }); err != nil {
+	hello := Message{Kind: kindX, A: 42}
+	if err := qp.Send(hello, 32, func() { delivered = true }); err != nil {
 		t.Fatal(err)
 	}
 	k.Run()
-	if gotFrom != client || gotPayload != "hello" {
-		t.Errorf("recv got (%v, %v)", gotFrom, gotPayload)
+	if gotFrom != client || gotMsg != hello {
+		t.Errorf("recv got (%v, %+v)", gotFrom, gotMsg)
 	}
 	if !delivered {
 		t.Error("Send completion not invoked")
@@ -459,9 +460,9 @@ func TestSendToServerUsesCPU(t *testing.T) {
 func TestSendToClientSkipsCPU(t *testing.T) {
 	k, f, client, server := testFabric(t)
 	got := false
-	client.SetRecvHandler(func(from *Node, payload any) { got = true })
+	client.SetRecvHandler(func(*Node, Message) { got = true })
 	qp, _ := f.Connect(server, client)
-	if err := qp.Send([]int64{100}, 8, nil); err != nil {
+	if err := qp.Send(Message{Kind: kindX, A: 100}, 8, nil); err != nil {
 		t.Fatal(err)
 	}
 	k.Run()
@@ -501,6 +502,14 @@ func TestConnectValidation(t *testing.T) {
 	if _, err := f1.Connect(nil, a); err == nil {
 		t.Error("nil Connect accepted")
 	}
+	// A station tag holds the QP id above the stage in 31 bits.
+	f1.qpSeq = 1<<(31-stageBits) - 2
+	if qp, err := f1.Connect(a, a); err != nil || qp.tag(stageSched)>>31 != 0 {
+		t.Fatalf("the last QP id that fits a tag: %v", err)
+	}
+	if _, err := f1.Connect(a, a); err == nil {
+		t.Error("Connect past the tag's id space accepted")
+	}
 }
 
 func TestFabricInvalidConfig(t *testing.T) {
@@ -524,30 +533,25 @@ func closedLoopThroughput(t *testing.T, n, window int, dur sim.Time, twoSided bo
 	}
 	server, _ := f.AddServer("dn")
 	r, _ := server.RegisterRegion("data", DataIOSize)
-	server.SetRecvHandler(func(from *Node, payload any) {
-		// Two-sided GET: reply with the 4 KB record; the client's
-		// continuation rides in the payload.
+	server.SetRecvHandler(func(from *Node, m Message) {
+		// Two-sided GET: reply with the 4 KB record.
 		qp, _ := f.Connect(server, from)
-		_ = qp.Send(payload, DataIOSize, nil)
+		_ = qp.Send(m, DataIOSize, nil)
 	})
 
 	per = make([]uint64, n)
 	for i := 0; i < n; i++ {
 		i := i
 		c, _ := f.AddClient(nodeName(i))
-		c.SetRecvHandler(func(from *Node, payload any) {
-			payload.(func())()
-		})
 		qp, _ := f.Connect(c, server)
 		var issue func()
+		c.SetRecvHandler(func(*Node, Message) { // the reply completes the GET
+			per[i]++
+			issue()
+		})
 		issue = func() {
 			if twoSided {
-				var onReply func()
-				onReply = func() {
-					per[i]++
-					issue()
-				}
-				_ = qp.Send(onReply, 32, nil)
+				_ = qp.Send(Message{Kind: kindX}, 32, nil)
 			} else {
 				_ = qp.Read(r, 0, DataIOSize, func([]byte) {
 					per[i]++

@@ -251,8 +251,8 @@ func FuzzPagedRegion(f *testing.F) {
 		p.base, p.span = g.base*fuzzPageSize, (g.pages-g.base)*fuzzPageSize
 		rp := newRegionPair(t, g.pages)
 		b := rp.bed
-		var received []any
-		b.server.SetRecvHandler(func(_ *Node, payload any) { received = append(received, payload) })
+		var received []Message
+		b.server.SetRecvHandler(func(_ *Node, m Message) { received = append(received, m) })
 		for step := 0; step < 48 && len(p.b) > 0; step++ {
 			code := p.next()
 			op := code % 16
@@ -261,12 +261,12 @@ func FuzzPagedRegion(f *testing.F) {
 				qp = b.qp
 			}
 			what := fmt.Sprintf("step %d op %d", step, op)
-			// A SEND first: its payload is the step on even steps, none on
-			// odd ones, so a stale payload shows; the op byte is its size.
-			var sent any
+			// A SEND first: its message is the step on even steps, empty on
+			// odd ones, so a stale message shows; the op byte is its size.
+			var sent Message
 			if code&0x10 != 0 {
 				if step%2 == 0 {
-					sent = step
+					sent = Message{Kind: kindX, Seq: uint32(step), A: int64(code)}
 				}
 				if err := qp.Send(sent, int(code), func() {}); err != nil {
 					t.Fatalf("%s: SEND: %v", what, err)

@@ -215,32 +215,32 @@ func TestDispatcherHandleFrom(t *testing.T) {
 	d := NewDispatcher(c)
 
 	var from1, from2, catchall int
-	if err := d.HandleFrom("x", s1, func(*Node, any) { from1++ }); err != nil {
+	if err := d.HandleFrom(kindX, s1, func(*Node, Message) { from1++ }); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.HandleFrom("x", s2, func(*Node, any) { from2++ }); err != nil {
+	if err := d.HandleFrom(kindX, s2, func(*Node, Message) { from2++ }); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.HandleFrom("x", s1, func(*Node, any) {}); err == nil {
+	if err := d.HandleFrom(kindX, s1, func(*Node, Message) {}); err == nil {
 		t.Error("duplicate scoped handler accepted")
 	}
-	if err := d.HandleFrom("x", nil, func(*Node, any) {}); err == nil {
+	if err := d.HandleFrom(kindX, nil, func(*Node, Message) {}); err == nil {
 		t.Error("nil sender accepted")
 	}
-	if err := d.Handle("y", func(*Node, any) { catchall++ }); err != nil {
+	if err := d.Handle(kindY, func(*Node, Message) { catchall++ }); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Handle("y", func(*Node, any) {}); err == nil {
+	if err := d.Handle(kindY, func(*Node, Message) {}); err == nil {
 		t.Error("duplicate catch-all accepted")
 	}
 
 	qp1, _ := f.Connect(s1, c)
 	qp2, _ := f.Connect(s2, c)
-	_ = qp1.Send(Message{Kind: "x", Body: 1}, 8, nil)
-	_ = qp2.Send(Message{Kind: "x", Body: 2}, 8, nil)
-	_ = qp1.Send(Message{Kind: "y", Body: 3}, 8, nil)
-	_ = qp1.Send("unrouted", 8, nil) // non-Message payload: dropped
-	_ = qp1.Send(Message{Kind: "z", Body: 4}, 8, nil)
+	_ = qp1.Send(Message{Kind: kindX, A: 1}, 8, nil)
+	_ = qp2.Send(Message{Kind: kindX, A: 2}, 8, nil)
+	_ = qp1.Send(Message{Kind: kindY, A: 3}, 8, nil)
+	_ = qp1.Send(Message{}, 8, nil) // no kind: dropped
+	_ = qp1.Send(Message{Kind: kindZ, A: 4}, 8, nil)
 	k.Run()
 	if from1 != 1 || from2 != 1 || catchall != 1 {
 		t.Errorf("routing counts = %d/%d/%d, want 1/1/1", from1, from2, catchall)

@@ -3,10 +3,10 @@ package sim
 // FIFO is a queue in a power-of-two ring: the live values are buf[head],
 // buf[head+1], … (indices masked), so a push/pop stream at constant depth
 // reuses the same slots and the buffer is the smallest power of two that
-// ever held the queue. It is the one queue behind station completions,
-// engine arrival runs, kvstore continuations and the cluster's per-link
-// queues. The zero value is an empty queue; head and n are 32-bit so the
-// header stays at 32 bytes.
+// ever held the queue. It is the one queue behind station completion
+// tags, Instants, kvstore continuations and the cluster's routed keys.
+// The zero value is an empty queue; head and n are 32-bit so the header
+// stays at 32 bytes.
 type FIFO[T any] struct {
 	buf  []T // len(buf) is 0 or a power of two
 	head uint32
@@ -55,3 +55,48 @@ func (q *FIFO[T]) Pop() T {
 	q.n--
 	return v
 }
+
+// Instants is a FIFO of instants kept as runs of (instant, count): a
+// burst pushed at one instant is one 16-byte run whatever its size, so a
+// backlog costs memory per distinct instant, not per value. Pushes are
+// expected in nondecreasing order (arrivals, posts), though any order
+// stays a correct FIFO. The zero value is an empty queue.
+type Instants struct {
+	runs FIFO[instantRun]
+	n    uint64 // values across all runs
+}
+
+type instantRun struct {
+	at    Time
+	count uint64
+}
+
+// Push appends at.
+func (q *Instants) Push(at Time) {
+	q.n++
+	if n := q.runs.Len(); n > 0 {
+		if last := q.runs.Peek(n - 1); last.at == at {
+			last.count++
+			return
+		}
+	}
+	q.runs.Push(instantRun{at: at, count: 1})
+}
+
+// Pop removes and returns the oldest instant. The queue must not be
+// empty.
+func (q *Instants) Pop() Time {
+	r := q.runs.Peek(0)
+	at := r.at
+	if r.count--; r.count == 0 {
+		q.runs.Pop()
+	}
+	q.n--
+	return at
+}
+
+// Peek returns the oldest instant. The queue must not be empty.
+func (q *Instants) Peek() Time { return q.runs.Peek(0).at }
+
+// Len returns the number of queued instants.
+func (q *Instants) Len() int { return int(q.n) }

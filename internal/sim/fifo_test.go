@@ -218,3 +218,54 @@ func TestFIFOSteadyStateNoAlloc(t *testing.T) {
 		t.Errorf("62 live entries sit in a ring of %d, want 64", len(q.buf))
 	}
 }
+
+// FuzzInstants holds the run-length queue to a plain FIFO[Time] over op
+// strings: each byte's low bit picks push (0) or pop (1), the next two
+// what a push's instant is — the previous one again, one later, 1 000
+// later, or one earlier (any order must stay a correct FIFO) — and the
+// upper five a repeat count of 1..32. After every operation Pop, Len and
+// the head match, and the queue holds exactly one run per change of
+// instant between neighbours.
+func FuzzInstants(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{31 << 3, 31<<3 | 1})                // a burst of 32 at one instant, drained
+	f.Add([]byte{7 << 3, 7<<3 | 2, 3<<3 | 1, 4})     // runs of 8, 8 distinct, pops across them
+	f.Add([]byte{6, 6, 0, 6, 1, 1, 1, 1, 15<<3 | 6}) // an earlier instant, then repeats of it
+	f.Add([]byte{2, 1, 0, 1, 1, 0, 4, 4, 31 << 3, 63})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		if len(ops) > 64 {
+			ops = ops[:64]
+		}
+		var q Instants
+		var ref FIFO[Time]
+		at := Time(100)
+		for _, b := range ops {
+			for k := int(b>>3) + 1; k > 0; k-- {
+				if b&1 == 0 {
+					at += [4]Time{0, 1, 1000, -1}[b>>1&3]
+					q.Push(at)
+					ref.Push(at)
+				} else if ref.Len() > 0 {
+					if got, want := q.Pop(), ref.Pop(); got != want {
+						t.Fatalf("Pop = %d, want %d", got, want)
+					}
+				}
+				if q.Len() != ref.Len() {
+					t.Fatalf("Len = %d, want %d", q.Len(), ref.Len())
+				}
+				runs := 0
+				for i := 0; i < ref.Len(); i++ {
+					if i == 0 || *ref.Peek(i) != *ref.Peek(i - 1) {
+						runs++
+					}
+				}
+				if q.runs.Len() != runs {
+					t.Fatalf("%d runs for %d values with %d changes of instant", q.runs.Len(), ref.Len(), runs)
+				}
+				if ref.Len() > 0 && q.Peek() != *ref.Peek(0) {
+					t.Fatalf("Peek = %d, want %d", q.Peek(), *ref.Peek(0))
+				}
+			}
+		}
+	})
+}

@@ -17,14 +17,15 @@ import "fmt"
 // fabric encodes (queue pair, stage) pairs as tags and resolves them
 // through one bound function per node, so no submission holds a closure.
 // Within each class (bulk, priority) completions happen in submission
-// order — the class's busy horizon is monotone and the kernel breaks
-// same-instant ties by scheduling order — so each class keeps a FIFO of
-// pending (instant, tag) entries and schedules one pre-bound method per
-// distinct completion time. When several submissions of one class land on
-// the same completion instant (weight-zero verbs, coarse service times),
-// they coalesce onto a single wakeup that drains every due entry, instead
-// of one kernel event each. Submitting an operation therefore allocates
-// nothing beyond the kernel's pooled event.
+// order and their instants never decrease — the class's busy horizon is
+// monotone and the kernel breaks same-instant ties by scheduling order —
+// so each class keeps a FIFO of pending tags and schedules one pre-bound
+// method per distinct completion time. Submissions of one class that land
+// on the same completion instant (weight-zero verbs, coarse service
+// times) form a group that shares a single wakeup, instead of one kernel
+// event each; the wakeup's own event carries the instant, so a pending
+// completion costs its 4-byte tag. Submitting an operation therefore
+// allocates nothing beyond the kernel's pooled event.
 type Station struct {
 	k *Kernel
 	// service is the mean service time per operation.
@@ -65,8 +66,8 @@ func NewStation(k *Kernel, name string, opsPerSec float64, jitter float64) (*Sta
 		service: Time(float64(Second) / opsPerSec),
 		jitter:  jitter,
 	}
-	s.bulk.wake = func() { s.drain(&s.bulk) }
-	s.prio.wake = func() { s.drain(&s.prio) }
+	s.bulk = completions{lastAt: noGroup, wake: func() { s.drain(&s.bulk) }}
+	s.prio = completions{lastAt: noGroup, wake: func() { s.drain(&s.prio) }}
 	return s, nil
 }
 
@@ -88,7 +89,7 @@ func (s *Station) SetRate(opsPerSec float64) error {
 
 // SetDispatch installs the resolver for completion tags. It must be set
 // before the first submission and not changed while operations are in
-// flight.
+// flight. Tags use the low 31 bits; the station keeps the top one.
 func (s *Station) SetDispatch(fn func(tag uint32)) { s.dispatch = fn }
 
 // Served returns the number of operations the station has completed.
@@ -165,47 +166,51 @@ func (s *Station) submitPrio(weight float64, tag uint32) Time {
 	return completion
 }
 
-// entry is one pending completion: the instant it is due and its tag.
-type entry struct {
-	at  Time
-	tag uint32
-}
-
-// completions is one class's pending entries, in submission order. sched
-// counts its outstanding kernel wakeups and lastAt is the latest
-// scheduled wakeup instant: a submission completing exactly at lastAt
-// rides the already-scheduled wakeup. wake is the class's drain, bound
-// once at construction.
+// completions is one class's pending tags, in submission order. The
+// tags due at one instant form a group whose first tag carries
+// groupStart, and each group has exactly one kernel wakeup, scheduled
+// when the group began. lastAt is the newest group's instant while its
+// wakeup has not fired, else noGroup: a submission completing exactly
+// then joins that group. wake is the class's drain, bound once at
+// construction.
 type completions struct {
-	done   FIFO[entry]
-	sched  int
+	tags   FIFO[uint32]
 	lastAt Time
 	wake   func()
 }
 
+const (
+	groupStart uint32 = 1 << 31
+	noGroup    Time   = -1
+)
+
 func (c *completions) push(k *Kernel, at Time, tag uint32) {
-	c.done.Push(entry{at: at, tag: tag})
-	if c.sched == 0 || at != c.lastAt {
-		k.At(at, c.wake)
-		c.sched++
-		c.lastAt = at
+	if tag&groupStart != 0 {
+		panic(fmt.Sprintf("sim: station tag %#x uses the top bit", tag))
 	}
+	if at != c.lastAt {
+		k.At(at, c.wake)
+		c.lastAt = at
+		tag |= groupStart
+	}
+	c.tags.Push(tag)
 }
 
-// drain is one wakeup of class c: it dispatches every entry due at or
-// before the current instant. The due count is captured before the first
-// dispatch runs, so entries a dispatch pushes at the same instant keep
-// their own (later-scheduled) wakeup and fire in submission order, exactly
-// as the unbatched kernel would.
+// drain is one wakeup of class c: it dispatches the group due now, which
+// is the oldest — wakeups fire in the order their groups began. A tag
+// submitted while the group drains starts a group of its own (if this is
+// the newest group its instant is retired first), so it keeps its own,
+// later-scheduled wakeup and fires in submission order, exactly as the
+// unbatched kernel would.
 func (s *Station) drain(c *completions) {
-	c.sched--
-	now := s.k.Now()
-	n := 0
-	for n < c.done.Len() && c.done.Peek(n).at <= now {
-		n++
+	if c.lastAt == s.k.Now() {
+		c.lastAt = noGroup
 	}
-	for ; n > 0; n-- {
+	for {
 		s.served++
-		s.dispatch(c.done.Pop().tag)
+		s.dispatch(c.tags.Pop() &^ groupStart)
+		if c.tags.Len() == 0 || *c.tags.Peek(0)&groupStart != 0 {
+			return
+		}
 	}
 }
