@@ -170,24 +170,26 @@ func (c *Cluster) buildFaults() *FaultReport {
 }
 
 // missWindows scans a client's measured periods for completions below
-// the reservation and classifies each miss as excused or not. Each
-// measured entry carries the absolute period number and real wall span
-// recorded at harvest time (see Cluster.harvest) — monitor outages pause
-// rollovers and crashed clients skip harvests entirely, so the spans
-// cannot be reconstructed from index arithmetic. Excuse checks compare
-// those spans against absolute fault windows.
+// the reservation and classifies each miss as excused or not. A period's
+// real span runs from the previous timeline entry's instant to its own,
+// and its absolute number precedes that of the engine row opened as it
+// closed — monitor outages pause rollovers and crashed clients skip them,
+// so neither can be reconstructed from index arithmetic. Excuse checks
+// compare those spans against absolute fault windows.
 func (c *Cluster) missWindows(rt *Client, fs core.FaultStats) []MissWindow {
 	R := rt.Spec.Reservation
 	if R <= 0 {
 		return nil
 	}
 	T := c.cfg.Params.Period
+	rows := c.ledger[0].Engines[rt.Engine.ID()]
 	var out []MissWindow
-	for j, done := range rt.Periods.Completed {
+	for j := int(rt.measured[0]); j < int(rt.measured[1]); j++ {
+		done := uint64(rt.timeline[j].V)
 		if int64(done) >= R {
 			continue
 		}
-		p, from, to := rt.periodIdx[j], rt.periodFrom[j], rt.periodTo[j]
+		p, from, to := int(rows[j+1].Period)-1, rt.timeline[j-1].T, rt.timeline[j].T
 		mw := MissWindow{Period: p, Completed: done, Reservation: R, end: to}
 		switch {
 		case rt.Spec.Demand(p) < uint64(R):

@@ -34,24 +34,15 @@ type Client struct {
 	// wire is what the link to data node 0 has posted and not seen complete.
 	wire *wire
 
-	// Periods logs completions per period inside the measure window.
-	Periods metrics.PeriodLog
-	// Timeline records (period start time, completions) for every period
-	// from t=0, for the paper's timeline figures.
-	Timeline metrics.Series
-
-	measuring  bool
-	skipNext   bool
-	lastPeriod int
-
-	// Per measured-period bookkeeping parallel to Periods: the absolute
-	// period number each entry closed and its real [from, to] span.
-	// Monitor outages stretch a period's wall time, so fault reporting
-	// must not reconstruct these from index arithmetic.
-	periodIdx     []int
-	periodFrom    []sim.Time
-	periodTo      []sim.Time
-	lastHarvestAt sim.Time
+	// timeline holds, for every period closed since t=0, the instant it
+	// closed and the completions the generator saw in it (its own count: a
+	// crashed engine's late completions and a tenant's several links are in
+	// it). In QoS modes entry j closed with row j of the tenant's engine at
+	// data node 0, so a monitor outage's stretched periods and a crash's
+	// skipped ones are read off the ledger, not index arithmetic. measured
+	// is the measure window's range of entries.
+	timeline []metrics.Point
+	measured [2]int32
 }
 
 // Cluster is the assembled testbed.
@@ -111,6 +102,10 @@ type Cluster struct {
 	// scenario event times to absolute instants.
 	chaos    *chaos.Scenario
 	runStart sim.Time
+
+	// ledger is the run's token ledger, sized at Run start (nil in Bare
+	// mode); each engine's period hook stores its closed rows in it.
+	ledger Ledger
 }
 
 // New assembles a cluster for the given tenant specs. In QoS modes every
@@ -403,7 +398,6 @@ func (c *Cluster) addClient(i int, spec ClientSpec) error {
 	disp := rdma.NewDispatcher(node)
 
 	rt := &Client{Spec: spec, Node: node}
-	rt.Timeline.Name = fmt.Sprintf("client-%02d", i)
 
 	if spec.Keys == nil {
 		if c.sharedKeys == nil {
@@ -530,9 +524,14 @@ func (c *Cluster) addClient(i int, spec ClientSpec) error {
 	if rt.Engine != nil {
 		// Bare clients are driven by Run's per-shard period tickers; a QoS
 		// tenant's periods are those of its engine at data node 0.
-		rt.Engine.OnPeriodStart = func(period int) {
+		rt.Engine.OnPeriodStart = func(period int, closed core.LedgerRow) {
+			c.record(0, rt.Engine.ID(), period, closed)
 			c.harvest(rt, period)
 			rt.Gen.BeginPeriod(rt.Spec.Demand(period))
+		}
+		for s := 1; s < servers; s++ {
+			eng := (*rt.links)[s].engine
+			eng.OnPeriodStart = func(period int, closed core.LedgerRow) { c.record(s, eng.ID(), period, closed) }
 		}
 	}
 	c.clients = append(c.clients, rt)
@@ -603,28 +602,21 @@ func (c *Cluster) connect(rt *Client, disp *rdma.Dispatcher, s int, rng *rand.Ra
 	return ln, nil
 }
 
-// harvest folds the previous period's completions into the client's logs.
+// harvest closes the tenant's period at the start of period (none closes
+// at the first).
 func (c *Cluster) harvest(rt *Client, period int) {
-	now := rt.Node.Kernel().Now()
-	if period <= 1 {
-		rt.lastPeriod = period
-		rt.lastHarvestAt = now
-		return
+	if period > 1 {
+		rt.timeline = append(rt.timeline, metrics.Point{T: rt.Node.Kernel().Now(), V: float64(rt.Gen.TakePeriodCompleted())})
 	}
-	done := rt.Gen.TakePeriodCompleted()
-	rt.Timeline.Add(now, float64(done))
-	if rt.measuring {
-		if rt.skipNext {
-			rt.skipNext = false
-		} else {
-			rt.Periods.Observe(done)
-			rt.periodIdx = append(rt.periodIdx, period-1)
-			rt.periodFrom = append(rt.periodFrom, rt.lastHarvestAt)
-			rt.periodTo = append(rt.periodTo, now)
-		}
+}
+
+// record stores the row client id's engine at data node s closed at the
+// start of period, in step with harvest.
+func (c *Cluster) record(s, id, period int, closed core.LedgerRow) {
+	if period > 1 {
+		rows := &c.ledger[s].Engines[id]
+		*rows = append(*rows, closed)
 	}
-	rt.lastPeriod = period
-	rt.lastHarvestAt = now
 }
 
 // Fabric exposes the fabric.

@@ -1,9 +1,11 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 
+	"github.com/haechi-qos/haechi/internal/core"
 	"github.com/haechi-qos/haechi/internal/metrics"
 	"github.com/haechi-qos/haechi/internal/rdma"
 	"github.com/haechi-qos/haechi/internal/sim"
@@ -117,6 +119,42 @@ type Results struct {
 	// on or off and at any worker count. Per-shard profiles appear in
 	// Sharding.Attribution.
 	Attribution rdma.ExecProfile
+	// Ledger is the run's token ledger (nil in Bare mode), kept out of the
+	// JSON the goldens and digests pin.
+	Ledger Ledger `json:"-"`
+}
+
+// Ledger is a run's per-period token accounting, one NodeLedger per data
+// node; its conserved totals are row sums, checkable after any run.
+type Ledger []NodeLedger
+
+// NodeLedger holds a data node's monitor rows and, by client index, the
+// rows of the engine each tenant holds there: each list runs from period
+// 1 to the row open when the run stopped.
+type NodeLedger struct {
+	Monitor []core.MonitorRow
+	Engines [][]core.LedgerRow
+}
+
+// Check applies the conservation laws the sanitizer checks live to every
+// row, sanitized run or not; nil when all hold.
+func (l Ledger) Check() error {
+	var errs []error
+	for s, n := range l {
+		for _, r := range n.Monitor {
+			if err := r.Check(); err != nil {
+				errs = append(errs, fmt.Errorf("reclamation-conservation: data node %d %w", s, err))
+			}
+		}
+		for i, rows := range n.Engines {
+			for _, r := range rows {
+				if err := r.Check(); err != nil {
+					errs = append(errs, fmt.Errorf("token-conservation: engine-%d at data node %d %w", i, s, err))
+				}
+			}
+		}
+	}
+	return errors.Join(errs...)
 }
 
 // buildResults assembles the run's Results; serverStats and qos are the
@@ -132,6 +170,18 @@ func (c *Cluster) buildResults(measurePeriods int, serverStats rdma.Stats, qos r
 	}
 	if len(c.kernels) > 1 {
 		res.Sharding = c.shardingReport()
+	}
+	if c.ledger != nil {
+		// Close the books: each list gains the row open at run end.
+		for s, dn := range c.nodes {
+			n := &c.ledger[s]
+			n.Monitor = dn.monitor.Ledger()
+			for _, rt := range c.clients {
+				_, eng := rt.link(s)
+				n.Engines[eng.ID()] = append(n.Engines[eng.ID()], eng.Row())
+			}
+		}
+		res.Ledger = c.ledger
 	}
 	if c.chaos != nil {
 		res.Faults = c.buildFaults()
@@ -161,12 +211,21 @@ func (c *Cluster) buildResults(measurePeriods int, serverStats rdma.Stats, qos r
 		cr := ClientResult{
 			Index:       i,
 			Reservation: rt.Spec.Reservation,
-			Periods:     rt.Periods.Completed,
-			Total:       rt.Periods.Total(),
-			MinPeriod:   rt.Periods.Min(),
-			MeanPeriod:  rt.Periods.Mean(),
 			Latency:     rt.Gen.Latency.Summarize(),
-			Timeline:    rt.Timeline,
+			Timeline:    metrics.Series{Name: rt.Node.Name()},
+		}
+		if len(rt.timeline) > 0 { // an empty timeline marshals as null
+			cr.Timeline.Points = rt.timeline
+		}
+		if measured := rt.measuredPeriods(); len(measured) > 0 {
+			cr.Periods = make([]uint64, len(measured))
+			cr.MinPeriod = uint64(measured[0].V)
+			for j, p := range measured {
+				cr.Periods[j] = uint64(p.V)
+				cr.Total += cr.Periods[j]
+				cr.MinPeriod = min(cr.MinPeriod, cr.Periods[j])
+			}
+			cr.MeanPeriod = float64(cr.Total) / float64(len(measured))
 		}
 		cr.MetReservation = len(cr.Periods) > 0 && int64(cr.MinPeriod) >= rt.Spec.Reservation
 		if rt.links != nil && rt.Engine != nil {
@@ -182,8 +241,12 @@ func (c *Cluster) buildResults(measurePeriods int, serverStats rdma.Stats, qos r
 	res.ThroughputPerPeriod = float64(res.TotalCompleted) / float64(measurePeriods)
 	res.AggregateLatency = agg.Summarize()
 	if mon := c.Monitor(); mon != nil {
-		res.OmegaTimeline = mon.OmegaSeries
-		res.UsageTimeline = mon.UsageSeries
+		res.OmegaTimeline.Name, res.UsageTimeline.Name = "omega", "usage"
+		rows := mon.Ledger()
+		for _, r := range rows[:max(len(rows)-1, 0)] { // the closed periods
+			res.OmegaTimeline.Points = append(res.OmegaTimeline.Points, metrics.Point{T: r.End, V: float64(r.Omega)})
+			res.UsageTimeline.Points = append(res.UsageTimeline.Points, metrics.Point{T: r.End, V: float64(r.Usage)})
+		}
 		o := OverheadReport{
 			FAAs:          qos.Atomics,
 			ControlWrites: qos.Writes,
@@ -198,6 +261,12 @@ func (c *Cluster) buildResults(measurePeriods int, serverStats rdma.Stats, qos r
 		res.Overhead = o
 	}
 	return res, nil
+}
+
+// measuredPeriods returns the timeline entries of the measure window.
+func (rt *Client) measuredPeriods() []metrics.Point {
+	from, to := int(rt.measured[0]), int(rt.measured[1])
+	return rt.timeline[min(from, to):to]
 }
 
 // String renders a per-client table in the shape of the paper's bar

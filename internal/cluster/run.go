@@ -3,6 +3,8 @@ package cluster
 import (
 	"fmt"
 
+	"github.com/haechi-qos/haechi/internal/core"
+	"github.com/haechi-qos/haechi/internal/metrics"
 	"github.com/haechi-qos/haechi/internal/rdma"
 	"github.com/haechi-qos/haechi/internal/sim"
 )
@@ -36,6 +38,7 @@ func (c *Cluster) Run(warmupPeriods, measurePeriods int) (*Results, error) {
 		return nil, err
 	}
 
+	c.sizeLogs(warmupPeriods + measurePeriods)
 	var tickers []*sim.Ticker
 	if c.cfg.Mode == Bare {
 		// One period ticker per shard, driving only that shard's clients.
@@ -109,9 +112,8 @@ func (c *Cluster) Run(warmupPeriods, measurePeriods int) (*Results, error) {
 				}
 				for _, rt := range list {
 					rt.Gen.Latency.Reset()
-					rt.measuring = true
 					// The next harvest closes the final warm-up period; skip it.
-					rt.skipNext = true
+					rt.measured[0] = int32(len(rt.timeline)) + 1
 				}
 			})
 		}
@@ -120,7 +122,7 @@ func (c *Cluster) Run(warmupPeriods, measurePeriods int) (*Results, error) {
 			// measuring mid-period so exactly measurePeriods are recorded.
 			c.kernels[s].At(measureEnd+T/2, func() {
 				for _, rt := range list {
-					rt.measuring = false
+					rt.measured[1] = int32(len(rt.timeline))
 				}
 			})
 		}
@@ -155,6 +157,26 @@ func (c *Cluster) Run(warmupPeriods, measurePeriods int) (*Results, error) {
 	// A sanitized run that broke an invariant fails loudly; the results
 	// are returned alongside so diagnostics can still inspect them.
 	return res, c.sanErr()
+}
+
+// sizeLogs sizes every tenant's timeline and, in QoS modes, the ledger
+// for a run of periods periods plus the 3T/4 tail. A monitor starts a
+// period at most every T, so no tenant closes more than periods of them
+// and no engine keeps more than periods+1 rows, the open one included.
+func (c *Cluster) sizeLogs(periods int) {
+	for _, rt := range c.clients {
+		rt.timeline = make([]metrics.Point, 0, periods)
+	}
+	if c.cfg.Mode == Bare {
+		return
+	}
+	c.ledger = make(Ledger, len(c.nodes))
+	for s := range c.ledger {
+		c.ledger[s].Engines = make([][]core.LedgerRow, len(c.clients))
+		for i := range c.clients {
+			c.ledger[s].Engines[i] = make([]core.LedgerRow, 0, periods+1)
+		}
+	}
 }
 
 // serverStats sums the data nodes' verb counters and what landed on

@@ -15,7 +15,10 @@ import (
 // used + held + yielded + quarantined == reservation. The sanitized run
 // must fail with a token-conservation violation at the next period
 // rollover or, when the engine crashes right after the leak, with a
-// crash-quarantine violation at the crash.
+// crash-quarantine violation at the crash. The same leak run unsanitized
+// completes, and its ledger's rows fail Ledger.Check under
+// token-conservation: the live and the post-hoc check share one
+// predicate.
 func TestSanitizerCatchesTokenLeak(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -25,7 +28,8 @@ func TestSanitizerCatchesTokenLeak(t *testing.T) {
 		{"rollover", false, "token-conservation"},
 		{"crash", true, "crash-quarantine"},
 	} {
-		t.Run(tc.name, func(t *testing.T) {
+		// leaky runs the scenario, sanitized or not.
+		leaky := func(t *testing.T, sanitized bool) (*Cluster, *Results, error) {
 			specs := make([]ClientSpec, 2)
 			for i := range specs {
 				// Demand far below the reservation keeps tokens held
@@ -34,7 +38,7 @@ func TestSanitizerCatchesTokenLeak(t *testing.T) {
 			}
 			cfg := testConfig(Haechi)
 			cfg.Seed = 11
-			cfg.Sanitize = true
+			cfg.Sanitize = sanitized
 			cl, err := New(cfg, specs)
 			if err != nil {
 				t.Fatal(err)
@@ -48,7 +52,18 @@ func TestSanitizerCatchesTokenLeak(t *testing.T) {
 					eng.Crash()
 				}
 			})
-			_, err = cl.Run(1, 2)
+			res, err := cl.Run(1, 2)
+			return cl, res, err
+		}
+		t.Run(tc.name, func(t *testing.T) {
+			_, res, err := leaky(t, false)
+			if err != nil {
+				t.Fatalf("unsanitized run: %v", err)
+			}
+			if err := res.Ledger.Check(); err == nil || !strings.Contains(err.Error(), "token-conservation: engine-0 ") {
+				t.Errorf("Ledger.Check = %v, want a token-conservation breach by engine-0", err)
+			}
+			cl, _, err := leaky(t, true)
 			if err == nil {
 				t.Fatal("sanitized run with an injected token leak returned no error")
 			}

@@ -177,8 +177,9 @@ func TestSliceSplitsEqually(t *testing.T) {
 
 // TestServersUniformKeysMeetReservations: with uniformly sharded access,
 // equal splits suffice; every client meets its total reservation across
-// two servers. A Bare twin shows the routing alone: about two data nodes'
-// worth of I/O.
+// two servers, and each data node's ledger holds a balanced row per
+// period for every tenant's engine there. A Bare twin shows the routing
+// alone: about two data nodes' worth of I/O.
 func TestServersUniformKeysMeetReservations(t *testing.T) {
 	specs := make([]ClientSpec, 6)
 	for i := range specs {
@@ -206,6 +207,18 @@ func TestServersUniformKeysMeetReservations(t *testing.T) {
 		if len(cr.Split) != 2 || cr.Split[0] != 2000 || cr.Split[1] != 2000 {
 			t.Errorf("client %d split = %v", i, cr.Split)
 		}
+		for s, n := range out.Ledger {
+			// Periods 1-5 closed and period 6 open at the run's end.
+			if rows := n.Engines[i]; len(rows) != 6 || rows[5].Granted != 2000 {
+				t.Errorf("client %d at data node %d: rows %+v", i, s, rows)
+			}
+		}
+	}
+	if len(out.Ledger) != 2 {
+		t.Errorf("ledger has %d data nodes, want 2", len(out.Ledger))
+	}
+	if err := out.Ledger.Check(); err != nil {
+		t.Error(err)
 	}
 
 	cfg := serversConfig(2)

@@ -49,16 +49,15 @@ type Engine struct {
 	source    Source
 	complete  func(arrivedAt sim.Time) // the source's completion entry point
 
-	// Period state.
-	periodIndex int
+	// Period state. open is the period's ledger row, the one record of its
+	// token flow (its Period is the engine's period index); stats sums the
+	// closed rows and the lifetime protocol counters.
+	open        LedgerRow
+	stats       EngineStats
 	periodEnd   sim.Time
-	reservation int64
 	resTokens   int64   // xi_reservation
 	localGlobal int64   // claimed, unspent global tokens
 	x           float64 // the X counter: upper bound on residual reservation
-	dispatched  int64   // token-backed I/Os granted this period
-	resUsed     int64   // reservation tokens consumed this period
-	completed   int64   // N_i: I/Os completed this period
 	faaInFlight bool
 	crashed     bool
 	// poolExhausted is set when a claim observed a non-positive pool;
@@ -92,9 +91,9 @@ type Engine struct {
 	onFAAFn      func(int64)
 	onProbeFn    func(int64)
 	retryFn      func()
-	faaPI        int
+	faaPI        int32
 	faaProbe     bool
-	retryPI      int
+	retryPI      int32
 
 	// convert mirrors the monitor's conversion mode: when true, tokens
 	// yielded by the X-counter decay are returned to the global pool
@@ -113,9 +112,8 @@ type Engine struct {
 	// per-period conservation identity keeps holding through the crash
 	// window; the quarantine is released when the expired period finally
 	// rolls over after a restart.
-	faults             FaultStats
-	crashInflight      int // I/Os in flight at crash time (may legally complete)
-	savedOnPeriodStart func(int)
+	faults        FaultStats
+	crashInflight int // I/Os in flight at crash time (may legally complete)
 
 	// Degraded local-token mode: entered when the monitor goes silent (no
 	// period push past the grace window). Normal global-pool claims are
@@ -127,27 +125,13 @@ type Engine struct {
 	nextProbeAt   sim.Time
 
 	// OnPeriodStart, if set, is invoked when a new QoS period begins
-	// (after tokens are installed); the workload generator hooks it.
-	OnPeriodStart func(index int)
+	// (after tokens are installed) with the row the push closed; the
+	// workload generator hooks it, and the cluster stores the rows.
+	OnPeriodStart func(index int, closed LedgerRow)
 
-	// san, when non-nil, checks token conservation (see conserved) at
-	// crashes and period rollovers (internal/sanitize). periodYielded
-	// tracks reservation tokens yielded within the current period so the
-	// per-period identity stays exact (tokensYielded is cumulative across
-	// periods).
-	san           *sanitize.Checker
-	periodYielded int64
-
-	// Counters.
-	totalCompleted  uint64
-	totalRequested  uint64
-	faaIssued       uint64
-	tokensYielded   int64
-	reportsSent     uint64
-	limitThrottled  uint64
-	globalConsumed  int64
-	reservationUsed int64
-	tokensReturned  int64
+	// san, when non-nil, checks token conservation (LedgerRow.Check) at
+	// crashes and period rollovers (internal/sanitize).
+	san *sanitize.Checker
 }
 
 // mark records a protocol event (claims, probes, yields, reports,
@@ -234,7 +218,7 @@ func (e *Engine) Arrive(n uint64) {
 	if e.crashed {
 		return
 	}
-	e.totalRequested += n
+	e.stats.TotalRequested += n
 	now := e.k.Now()
 	for ; n > 0; n-- {
 		e.waiting.Push(now)
@@ -250,9 +234,6 @@ func (e *Engine) ReservationTokens() int64 { return e.resTokens }
 
 // LocalGlobalTokens returns claimed-but-unspent global tokens.
 func (e *Engine) LocalGlobalTokens() int64 { return e.localGlobal }
-
-// TotalCompleted returns the lifetime completed count.
-func (e *Engine) TotalCompleted() uint64 { return e.totalCompleted }
 
 // Stop halts the engine's tickers. Arrivals still waiting stay counted in
 // Pending; without the tick nothing claims tokens for them any more.
@@ -290,23 +271,28 @@ func (e *Engine) Crash() {
 	e.faults.PostCrashCompletions = 0
 	e.waiting = sim.Instants{}
 	e.backed = sim.Instants{}
-	e.savedOnPeriodStart = e.OnPeriodStart
-	e.OnPeriodStart = nil
-	if e.san != nil && e.periodIndex > 0 && !e.conserved() {
-		// Nothing is held any more: every token is spent, yielded, or now
-		// quarantined.
-		e.san.Reportf("crash-quarantine", int64(e.k.Now()),
-			"engine-%d period %d: used %d + quarantined %d + yielded %d != reservation %d",
-			e.id, e.periodIndex, e.resUsed, e.faults.QuarantinedRes, e.periodYielded, e.reservation)
+	// Nothing is held any more: every token is spent, yielded, or now
+	// quarantined.
+	e.checkRow("crash-quarantine", e.Row())
+}
+
+// checkRow reports r's breach of the token-conservation law under the
+// sanitizer's check name.
+func (e *Engine) checkRow(check string, r LedgerRow) {
+	if e.san == nil {
+		return
+	}
+	if err := r.Check(); err != nil {
+		e.san.Reportf(check, int64(e.k.Now()), "engine-%d %v", e.id, err)
 	}
 }
 
-// conserved is the period's token-conservation law: every reservation
-// token was spent on an admitted I/O, yielded by the X-counter decay,
-// quarantined by a crash, or is still held. The sanitizer checks it at
-// crash ("crash-quarantine") and at rollover ("token-conservation").
-func (e *Engine) conserved() bool {
-	return e.resUsed+e.resTokens+e.periodYielded+e.faults.QuarantinedRes == e.reservation
+// Row returns the open period's ledger row as of now, its held and
+// quarantined reservation tokens filled in.
+func (e *Engine) Row() LedgerRow {
+	r := e.open
+	r.Held, r.Quarantined = int32(e.resTokens), int32(e.faults.QuarantinedRes)
+	return r
 }
 
 // Restart revives a crashed engine (the recovery half of the chaos
@@ -314,9 +300,9 @@ func (e *Engine) conserved() bool {
 // as exhausted until the monitor's next period push resynchronizes it,
 // restarts its token-management tick, and writes one recovery heartbeat
 // so the monitor's liveness scan reinstates the reservation at the next
-// period end. Pre-crash period counters (resUsed, periodYielded) are kept
-// until that rollover so the conservation identity — which now includes
-// the quarantined tokens — stays exact.
+// period end. The pre-crash period's row stays open until that rollover
+// so the conservation identity — which now includes the quarantined
+// tokens — stays exact.
 func (e *Engine) Restart() error {
 	if !e.crashed {
 		return fmt.Errorf("core: Restart requires a crashed engine")
@@ -330,8 +316,6 @@ func (e *Engine) Restart() error {
 	e.x = 0
 	e.poolExhausted = true // stale pool: probe, don't claim, until resync
 	e.reporting = false
-	e.OnPeriodStart = e.savedOnPeriodStart
-	e.savedOnPeriodStart = nil
 	t, err := e.k.Every(e.params.Tick, e.params.Tick, e.onTick)
 	if err != nil {
 		return err
@@ -342,10 +326,11 @@ func (e *Engine) Restart() error {
 	// to flip and the monitor reinstates the reservation at the next
 	// period end (re-registration stays one-sided, like all
 	// client-to-server traffic).
-	w := PackReport(0, clampUint32(e.completed)|recoveryFlag)
+	done := int64(e.open.Completed)
+	w := PackReport(0, clampUint32(done)|recoveryFlag)
 	if err := e.qp.WriteUint64(e.qos, e.reportOff, w, nil); err == nil {
-		e.reportsSent++
-		e.mark(trace.Report, 0, e.completed)
+		e.stats.ReportsSent++
+		e.mark(trace.Report, 0, done)
 	}
 	return nil
 }
@@ -363,19 +348,21 @@ type EngineStats struct {
 	GlobalConsumed  int64
 }
 
-// Stats returns the engine's protocol counters.
+// Stats returns the engine's protocol counters: the lifetime ones, and
+// the ledger columns summed over the closed rows and the open one.
 func (e *Engine) Stats() EngineStats {
-	return EngineStats{
-		TotalRequested:  e.totalRequested,
-		TotalCompleted:  e.totalCompleted,
-		FAAIssued:       e.faaIssued,
-		ReportsSent:     e.reportsSent,
-		TokensYielded:   e.tokensYielded,
-		TokensReturned:  e.tokensReturned,
-		LimitThrottled:  e.limitThrottled,
-		ReservationUsed: e.reservationUsed,
-		GlobalConsumed:  e.globalConsumed,
-	}
+	s := e.stats
+	s.fold(e.open)
+	return s
+}
+
+// fold adds ledger row r's columns to the totals they sum into.
+func (s *EngineStats) fold(r LedgerRow) {
+	s.TotalCompleted += uint64(r.Completed)
+	s.TokensYielded += int64(r.Yielded)
+	s.TokensReturned += int64(r.Returned)
+	s.ReservationUsed += int64(r.ResUsed)
+	s.GlobalConsumed += int64(r.PoolUsed)
 }
 
 // FaultStats is the engine's crash/recovery and degraded-mode accounting
@@ -419,20 +406,19 @@ func (e *Engine) FaultStats() FaultStats { return e.faults }
 func (e *Engine) drain() {
 	defer e.pump()
 	for e.waiting.Len() > 0 {
-		if e.limit > 0 && e.dispatched >= e.limit {
+		if e.limit > 0 && int64(e.open.ResUsed+e.open.PoolUsed) >= e.limit {
 			// Limit reached: throttle until the next period.
-			e.limitThrottled++
+			e.stats.LimitThrottled++
 			e.mark(trace.LimitThrottle, e.limit, 0)
 			return
 		}
 		switch {
 		case e.resTokens > 0:
 			e.resTokens--
-			e.resUsed++
-			e.reservationUsed++
+			e.open.ResUsed++
 		case e.localGlobal > 0:
 			e.localGlobal--
-			e.globalConsumed++
+			e.open.PoolUsed++
 		default:
 			// While the pool is known-exhausted, only the tick's jittered
 			// retry probes it (step T4: the client waits for returned
@@ -445,7 +431,6 @@ func (e *Engine) drain() {
 			}
 			return
 		}
-		e.dispatched++
 		e.backed.Push(e.waiting.Pop())
 	}
 }
@@ -474,8 +459,7 @@ func (e *Engine) OnIODone(arrivedAt sim.Time) {
 		e.complete(arrivedAt)
 		return
 	}
-	e.completed++
-	e.totalCompleted++
+	e.open.Completed++
 	e.complete(arrivedAt)
 	e.pump()
 }
@@ -505,12 +489,12 @@ func (e *Engine) DebugInjectPostCrashCompletion() {
 // ensureFAA claims a batch of global tokens with a single remote atomic,
 // unless a claim is already in flight or no period has started.
 func (e *Engine) ensureFAA() {
-	if e.faaInFlight || e.periodIndex == 0 {
+	if e.faaInFlight || e.open.Period == 0 {
 		return
 	}
 	e.faaInFlight = true
-	e.faaIssued++
-	e.faaPI = e.periodIndex
+	e.stats.FAAIssued++
+	e.faaPI = e.open.Period
 	delta := -e.params.Batch
 	e.faaProbe = false
 	if e.poolExhausted {
@@ -530,7 +514,7 @@ func (e *Engine) ensureFAA() {
 // (faaPI, faaProbe) is unambiguous and claiming allocates nothing.
 func (e *Engine) onFAA(old int64) {
 	e.faaInFlight = false
-	if e.faaPI != e.periodIndex {
+	if e.faaPI != e.open.Period {
 		// The claim straddled a period boundary: its tokens belonged
 		// to the previous period's budget and are void. Re-enter the
 		// dispatch path so pending demand claims against the current
@@ -564,6 +548,7 @@ func (e *Engine) onFAA(old int64) {
 		e.poolExhausted = true
 	}
 	e.localGlobal += granted
+	e.open.Claimed += int32(granted)
 	e.mark(trace.Claim, old, granted)
 	e.drain()
 }
@@ -572,7 +557,7 @@ func (e *Engine) onFAA(old int64) {
 // r_i = R_i/T and yield reservation tokens the client is not earning with
 // demand; also retry the global-token claim while requests wait.
 func (e *Engine) onTick() {
-	if e.periodIndex == 0 {
+	if e.open.Period == 0 {
 		return
 	}
 	if !e.degraded && e.k.Now() > e.periodEnd+2*e.params.CheckInterval {
@@ -587,14 +572,13 @@ func (e *Engine) onTick() {
 		e.probeBackoff = e.params.Tick
 		e.nextProbeAt = e.k.Now()
 	}
-	e.x -= float64(e.params.Tick) / float64(e.params.Period) * float64(e.reservation)
+	e.x -= float64(e.params.Tick) / float64(e.params.Period) * float64(e.open.Granted)
 	if e.x < 0 {
 		e.x = 0
 	}
 	if xi := int64(e.x); e.resTokens > xi {
 		y := e.resTokens - xi
-		e.tokensYielded += y
-		e.periodYielded += y
+		e.open.Yielded += int32(y)
 		e.resTokens = xi
 		returned := int64(0)
 		if e.convert {
@@ -602,7 +586,7 @@ func (e *Engine) onTick() {
 			// II-B: "clients ... return their reservation tokens to the
 			// global pool") with a silent one-sided atomic.
 			_ = e.qp.FetchAdd(e.qos, globalTokenOff, y, nil)
-			e.tokensReturned += y
+			e.open.Returned += int32(y)
 			returned = y
 		}
 		e.mark(trace.Yield, y, returned)
@@ -625,7 +609,7 @@ func (e *Engine) onTick() {
 		// delay is strictly below the tick, so at most one retry is
 		// outstanding and the bound retryFn's retryPI slot is unambiguous.
 		delay := sim.Time(e.k.Rand().Int63n(int64(e.params.Tick)))
-		e.retryPI = e.periodIndex
+		e.retryPI = e.open.Period
 		e.k.Schedule(delay, e.retryFn)
 	}
 }
@@ -633,7 +617,7 @@ func (e *Engine) onTick() {
 // retryClaim is the tick's jittered claim retry; it re-checks the
 // conditions at fire time (the period may have rolled or tokens arrived).
 func (e *Engine) retryClaim() {
-	if e.retryPI == e.periodIndex && e.Pending() > 0 && e.resTokens == 0 && e.localGlobal == 0 {
+	if e.retryPI == e.open.Period && e.Pending() > 0 && e.resTokens == 0 && e.localGlobal == 0 {
 		e.ensureFAA()
 	}
 }
@@ -642,11 +626,11 @@ func (e *Engine) retryClaim() {
 // without acting on the result — the degraded-mode heartbeat against the
 // data node while the monitor is silent.
 func (e *Engine) probePool() {
-	if e.faaInFlight || e.periodIndex == 0 {
+	if e.faaInFlight || e.open.Period == 0 {
 		return
 	}
 	e.faaInFlight = true
-	e.faaIssued++
+	e.stats.FAAIssued++
 	if err := e.qp.FetchAdd(e.qos, globalTokenOff, 0, e.onProbeFn); err != nil {
 		e.faaInFlight = false
 	}
@@ -670,10 +654,11 @@ func (e *Engine) leaveDegraded() {
 // exactly Example 1's accounting (R minus the greater of demand and the
 // linear entitlement rho).
 func (e *Engine) report() {
-	w := PackReport(clampUint32(e.resTokens), clampUint32(e.completed))
+	done := int64(e.open.Completed)
+	w := PackReport(clampUint32(e.resTokens), clampUint32(done))
 	if err := e.qp.WriteUint64(e.qos, e.reportOff, w, nil); err == nil {
-		e.reportsSent++
-		e.mark(trace.Report, e.resTokens, e.completed)
+		e.stats.ReportsSent++
+		e.mark(trace.Report, e.resTokens, done)
 	}
 }
 
@@ -701,30 +686,20 @@ func (e *Engine) handlePeriodStart(_ *rdma.Node, msg rdma.Message) {
 		return
 	}
 	m := periodStartOf(msg)
-	if e.san != nil && m.Index <= e.periodIndex {
+	if e.san != nil && m.Index <= int(e.open.Period) {
 		// Rejoin monotonicity: the monitor's period pushes arrive in FIFO
 		// order per QP and the period counter only ever increments, so a
 		// repeated or regressed index means the recovery path replayed a
 		// period.
 		e.san.Reportf("rejoin-monotonic", int64(e.k.Now()),
 			"engine-%d: period push %d not after current period %d",
-			e.id, m.Index, e.periodIndex)
+			e.id, m.Index, e.open.Period)
 	}
-	if e.periodIndex > 0 {
-		if e.san != nil {
-			// The finished period's conservation (pre-reset values).
-			if !e.conserved() {
-				e.san.Reportf("token-conservation", int64(e.k.Now()),
-					"engine-%d period %d: used %d + held %d + yielded %d + quarantined %d != reservation %d",
-					e.id, e.periodIndex, e.resUsed, e.resTokens, e.periodYielded, e.faults.QuarantinedRes, e.reservation)
-			}
-			if e.resTokens < 0 || e.localGlobal < 0 {
-				e.san.Reportf("token-conservation", int64(e.k.Now()),
-					"engine-%d period %d: negative token balance (reservation %d, global %d)",
-					e.id, e.periodIndex, e.resTokens, e.localGlobal)
-			}
-		}
-	}
+	// Close the finished period's row (before the first push, the empty
+	// row of period 0).
+	closed := e.Row()
+	e.checkRow("token-conservation", closed)
+	e.stats.fold(closed)
 	if e.degraded {
 		e.leaveDegraded()
 	}
@@ -739,18 +714,13 @@ func (e *Engine) handlePeriodStart(_ *rdma.Node, msg rdma.Message) {
 		e.faults.RejoinPeriod = m.Index
 		e.faults.RejoinAt = e.k.Now()
 	}
-	e.periodIndex = m.Index
+	e.open = LedgerRow{Period: int32(m.Index), Granted: int32(m.Reservation)}
 	e.periodEnd = sim.Time(m.EndAt)
 	e.convert = m.Convert
-	e.reservation = m.Reservation
 	e.resTokens = m.Reservation // fresh tokens replace any leftovers
 	e.localGlobal = 0           // unspent global tokens expire with the period
 	e.x = float64(m.Reservation)
 	e.poolExhausted = false
-	e.dispatched = 0
-	e.resUsed = 0
-	e.periodYielded = 0
-	e.completed = 0
 	e.reporting = false
 	e.reportTimer.Cancel()
 	// Schedule the end-of-period report that feeds Algorithm 1 (see
@@ -759,13 +729,13 @@ func (e *Engine) handlePeriodStart(_ *rdma.Node, msg rdma.Message) {
 	finalAt := sim.Time(m.EndAt) - e.params.CheckInterval
 	e.finalReportTimer = e.k.At(finalAt, e.reportFn)
 	if e.OnPeriodStart != nil {
-		e.OnPeriodStart(m.Index)
+		e.OnPeriodStart(m.Index, closed)
 	}
 	e.drain()
 }
 
 func (e *Engine) handleReportOn(_ *rdma.Node, m rdma.Message) {
-	if e.crashed || int(m.Seq) != e.periodIndex || e.reporting {
+	if e.crashed || int32(m.Seq) != e.open.Period || e.reporting {
 		return
 	}
 	e.reporting = true

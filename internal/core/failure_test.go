@@ -20,7 +20,7 @@ func TestFailureDetectionReclaimsReservation(t *testing.T) {
 	h.k.RunUntil(2 * P)
 
 	victim := h.engines[0]
-	beforeCrash := victim.TotalCompleted()
+	beforeCrash := victim.Stats().TotalCompleted
 	victim.Crash()
 
 	h.k.RunUntil(8 * P)
@@ -33,8 +33,8 @@ func TestFailureDetectionReclaimsReservation(t *testing.T) {
 		t.Error("suspicion counter not incremented")
 	}
 	// The victim did nothing after the crash.
-	if victim.TotalCompleted() > beforeCrash+uint64(testParams().SendQueueDepth) {
-		t.Errorf("crashed client kept completing: %d -> %d", beforeCrash, victim.TotalCompleted())
+	if victim.Stats().TotalCompleted > beforeCrash+uint64(testParams().SendQueueDepth) {
+		t.Errorf("crashed client kept completing: %d -> %d", beforeCrash, victim.Stats().TotalCompleted)
 	}
 	// Survivors absorb the freed 3000/period: their later periods exceed
 	// their reservation by a wide margin.
@@ -120,7 +120,7 @@ func TestCrashedEngineIgnoresProtocol(t *testing.T) {
 	}
 	h.k.RunUntil(3 * testParams().Period)
 	h.mon.Stop()
-	if e.periodIndex > 1 {
+	if e.open.Period > 1 {
 		t.Error("crashed engine kept processing period starts")
 	}
 	_ = sim.Time(0)

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"github.com/haechi-qos/haechi/internal/metrics"
 	"github.com/haechi-qos/haechi/internal/rdma"
 	"github.com/haechi-qos/haechi/internal/sanitize"
 	"github.com/haechi-qos/haechi/internal/sim"
@@ -79,13 +78,22 @@ type Monitor struct {
 	// iteration walks one contiguous array even at fleet scale.
 	clients []monitorClient
 
-	running       bool
-	periodIndex   int
-	periodStart   sim.Time
-	omega         int64
-	sumRes        int64
-	initialGlobal int64
-	reporting     bool
+	running     bool
+	periodStart sim.Time
+	reporting   bool
+	// rows is the monitor's ledger, one row per period from the first; the
+	// last is the open period's, and the period index is its length.
+	rows []MonitorRow
+
+	// Pool samples (check) ride the loopback QP, whose control verbs
+	// complete in issue order; a sample still in flight when a period
+	// begins is stale. sampling counts the samples in flight and stale the
+	// oldest of them that began before the current period, so the bound
+	// completion needs no per-sample state however many are in flight.
+	sampling, stale int
+	// The loop callbacks, bound once so no period or check allocates.
+	checkFn, endPeriodFn, resumeFn func()
+	onSampleFn                     func(old int64)
 
 	// Outage state (fault injection): while paused the period machine and
 	// the check loop are stopped; one-sided client traffic against the QoS
@@ -98,10 +106,6 @@ type Monitor struct {
 	checkTicker *sim.Ticker
 	periodTimer sim.Timer
 
-	// OmegaSeries records the estimated capacity per period; UsageSeries
-	// the reported total completions per period.
-	OmegaSeries metrics.Series
-	UsageSeries metrics.Series
 	// ConversionCount counts token-conversion writes (step T2).
 	ConversionCount uint64
 	// ReportSignals counts report-on broadcasts (step S3).
@@ -168,8 +172,8 @@ func NewMonitor(params Params, node *rdma.Node, tenants int, est *CapacityEstima
 		slots:   tenants,
 		convert: true,
 	}
-	m.OmegaSeries.Name = "omega"
-	m.UsageSeries.Name = "usage"
+	m.checkFn, m.endPeriodFn, m.resumeFn = m.check, m.endPeriod, m.resume
+	m.onSampleFn = m.onSample
 	for _, o := range opts {
 		o(m)
 	}
@@ -240,7 +244,7 @@ func (m *Monitor) Start() error {
 		return fmt.Errorf("core: monitor already started")
 	}
 	m.running = true
-	t, err := m.k.Every(m.params.CheckInterval, m.params.CheckInterval, m.check)
+	t, err := m.k.Every(m.params.CheckInterval, m.params.CheckInterval, m.checkFn)
 	if err != nil {
 		return err
 	}
@@ -282,7 +286,7 @@ func (m *Monitor) Outage(d sim.Time) {
 		m.checkTicker = nil
 	}
 	m.periodTimer.Cancel()
-	m.k.Schedule(d, m.resume)
+	m.k.Schedule(d, m.resumeFn)
 }
 
 // resume ends an outage window: restart the check loop and roll the
@@ -293,12 +297,12 @@ func (m *Monitor) resume() {
 	}
 	m.paused = false
 	m.outageNs += int64(m.k.Now() - m.outageSince)
-	t, err := m.k.Every(m.params.CheckInterval, m.params.CheckInterval, m.check)
+	t, err := m.k.Every(m.params.CheckInterval, m.params.CheckInterval, m.checkFn)
 	if err == nil {
 		m.checkTicker = t
 	}
 	if end := m.periodStart + m.params.Period; m.k.Now() < end {
-		m.periodTimer = m.k.At(end, m.endPeriod)
+		m.periodTimer = m.k.At(end, m.endPeriodFn)
 		return
 	}
 	m.endPeriod()
@@ -327,25 +331,29 @@ func (m *Monitor) ReinstatedAt(id int) sim.Time {
 	return m.clients[id].reinstatedAt
 }
 
+// Ledger returns the monitor's rows, one per period, the open one last.
+func (m *Monitor) Ledger() []MonitorRow { return m.rows }
+
 // startPeriod implements Fig. 5 steps T1: generate Omega tokens, push
 // reservations, initialize the global pool.
 func (m *Monitor) startPeriod() {
-	m.periodIndex++
 	m.periodStart = m.k.Now()
-	m.omega = m.est.Current()
-	m.sumRes = 0
+	r := MonitorRow{Period: int32(len(m.rows) + 1), Omega: m.est.Current(), Admitted: m.adm.Reserved()}
 	for i := range m.clients {
-		if c := &m.clients[i]; !c.suspected {
-			m.sumRes += c.reservation
+		// A suspected client's reservation is withheld from the period
+		// budget, freeing the capacity for the pool.
+		if c := &m.clients[i]; c.suspected {
+			r.Suspended += c.reservation
+		} else {
+			r.Issued += c.reservation
 		}
 	}
-	m.initialGlobal = m.omega - m.sumRes
-	if m.initialGlobal < 0 {
-		// The estimate dropped below the admitted reservations (e.g.
-		// under injected congestion); reservations keep their tokens and
-		// best-effort capacity is zero.
-		m.initialGlobal = 0
-	}
+	// An estimate below the admitted reservations (e.g. under injected
+	// congestion) leaves reservations their tokens and best-effort
+	// capacity zero.
+	r.Pool = max(r.Omega-r.Issued, 0)
+	m.rows = append(m.rows, r)
+	m.stale = m.sampling
 	m.reporting = false
 	if m.san != nil {
 		// Reservation floor under admission: the controller must never
@@ -353,31 +361,18 @@ func (m *Monitor) startPeriod() {
 		// per-period budget split must stay non-negative.
 		if h := m.adm.Headroom(); h < 0 {
 			m.san.Reportf("reservation-floor", int64(m.k.Now()),
-				"period %d: admission headroom %d < 0", m.periodIndex, h)
+				"period %d: admission headroom %d < 0", r.Period, h)
 		}
-		if m.sumRes < 0 || m.initialGlobal < 0 {
+		if r.Issued < 0 || r.Pool < 0 {
 			m.san.Reportf("reservation-floor", int64(m.k.Now()),
 				"period %d: negative budget split (sumRes %d, initialGlobal %d)",
-				m.periodIndex, m.sumRes, m.initialGlobal)
+				r.Period, r.Issued, r.Pool)
 		}
-		// Reclamation conservation: a suspected client's reservation is
-		// withheld from the period budget (freeing the capacity for the
-		// pool) but stays admitted — it must come back when the client
-		// does. Issued plus suspended reservations always equal the
-		// admitted total.
-		var suspended int64
-		for i := range m.clients {
-			if c := &m.clients[i]; c.suspected {
-				suspended += c.reservation
-			}
-		}
-		if m.sumRes+suspended != m.adm.Reserved() {
-			m.san.Reportf("reclamation-conservation", int64(m.k.Now()),
-				"period %d: issued %d + suspended %d != admitted %d",
-				m.periodIndex, m.sumRes, suspended, m.adm.Reserved())
+		if err := r.Check(); err != nil {
+			m.san.Reportf("reclamation-conservation", int64(m.k.Now()), "%v", err)
 		}
 	}
-	m.mark(trace.PeriodStart, int64(m.periodIndex), m.omega)
+	m.mark(trace.PeriodStart, int64(r.Period), r.Omega)
 
 	// Seed the report table with (R_i, 0) so conversion before the first
 	// client report is conservative, then publish the pool and push
@@ -395,7 +390,7 @@ func (m *Monitor) startPeriod() {
 		c.lastWord = seed
 		c.violated = false
 	}
-	_ = m.loop.WriteUint64(m.region, globalTokenOff, uint64(m.initialGlobal), nil)
+	_ = m.loop.WriteUint64(m.region, globalTokenOff, uint64(r.Pool), nil)
 
 	endAt := m.periodStart + m.params.Period
 	for i := range m.clients {
@@ -404,58 +399,69 @@ func (m *Monitor) startPeriod() {
 			continue
 		}
 		_ = c.qp.Send(periodStartMsg{
-			Index:       m.periodIndex,
+			Index:       int(r.Period),
 			Reservation: c.reservation,
 			EndAt:       int64(endAt),
 			Convert:     m.convert,
 		}.message(), periodStartMsgSize, nil)
 		m.mark(trace.TokenPush, int64(c.id), c.reservation)
 	}
-	m.periodTimer = m.k.At(endAt, m.endPeriod)
+	m.periodTimer = m.k.At(endAt, m.endPeriodFn)
 }
 
 // check implements Fig. 5 steps S1-S3 and T2 each check interval: sample
 // the pool with a loop-back atomic; on the first decrease signal
 // reporting; while reporting, convert unused reservations.
 func (m *Monitor) check() {
-	if !m.running || m.paused || m.periodIndex == 0 {
+	if !m.running || m.paused || len(m.rows) == 0 {
 		return
 	}
-	pi := m.periodIndex
-	_ = m.loop.FetchAdd(m.region, globalTokenOff, 0, func(old int64) {
-		if pi != m.periodIndex || !m.running || m.paused {
-			return
+	if m.loop.FetchAdd(m.region, globalTokenOff, 0, m.onSampleFn) == nil {
+		m.sampling++
+	}
+}
+
+// onSample completes a check's pool sample; one issued before the current
+// period began is void.
+func (m *Monitor) onSample(old int64) {
+	m.sampling--
+	if m.stale > 0 {
+		m.stale--
+		return
+	}
+	if !m.running || m.paused {
+		return
+	}
+	r := &m.rows[len(m.rows)-1]
+	if m.san != nil {
+		// Global-pool floor: each client can have at most one claim of
+		// -Batch in flight, so the cell can never sink below
+		// -(clients × Batch).
+		if floor := -int64(len(m.clients)) * m.params.Batch; old < floor {
+			m.san.Reportf("pool-floor", int64(m.k.Now()),
+				"period %d: pool %d below floor %d (%d clients, batch %d)",
+				r.Period, old, floor, len(m.clients), m.params.Batch)
 		}
-		if m.san != nil {
-			// Global-pool floor: each client can have at most one claim of
-			// -Batch in flight, so the cell can never sink below
-			// -(clients × Batch).
-			if floor := -int64(len(m.clients)) * m.params.Batch; old < floor {
-				m.san.Reportf("pool-floor", int64(m.k.Now()),
-					"period %d: pool %d below floor %d (%d clients, batch %d)",
-					pi, old, floor, len(m.clients), m.params.Batch)
-			}
+	}
+	if !m.reporting && old < r.Pool {
+		m.reporting = true
+		m.ReportSignals++
+		m.mark(trace.ReportSignal, int64(r.Period), 0)
+		for i := range m.clients {
+			_ = m.clients[i].qp.Send(reportOnMessage(int(r.Period)), reportOnMsgSize, nil)
 		}
-		if !m.reporting && old < m.initialGlobal {
-			m.reporting = true
-			m.ReportSignals++
-			m.mark(trace.ReportSignal, int64(pi), 0)
-			for i := range m.clients {
-				_ = m.clients[i].qp.Send(reportOnMessage(pi), reportOnMsgSize, nil)
-			}
-			// Do not cap on this wake-up: the report slots still hold the
-			// period-start seeds (R_i, 0), which would wildly overstate L
-			// when reporting starts late in the period. Fresh reports
-			// land before the next check interval.
-			return
+		// Do not cap on this wake-up: the report slots still hold the
+		// period-start seeds (R_i, 0), which would wildly overstate L
+		// when reporting starts late in the period. Fresh reports
+		// land before the next check interval.
+		return
+	}
+	if m.reporting {
+		m.detectLocalViolations()
+		if m.convert {
+			m.capPool(r, old)
 		}
-		if m.reporting {
-			m.detectLocalViolations()
-			if m.convert {
-				m.capPool(old)
-			}
-		}
-	})
+	}
 }
 
 // detectLocalViolations evaluates Definition 2's runtime condition for
@@ -510,7 +516,7 @@ func (m *Monitor) detectLocalViolations() {
 // reported residual reservations. The cap only ever lowers the cell — a
 // rewrite that raises it would re-mint tokens already claimed (see
 // DESIGN.md).
-func (m *Monitor) capPool(current int64) {
+func (m *Monitor) capPool(r *MonitorRow, current int64) {
 	elapsed := m.k.Now() - m.periodStart
 	if elapsed < 0 {
 		elapsed = 0
@@ -518,7 +524,7 @@ func (m *Monitor) capPool(current int64) {
 	if elapsed > m.params.Period {
 		elapsed = m.params.Period
 	}
-	remaining := float64(m.omega) * float64(m.params.Period-elapsed) / float64(m.params.Period)
+	remaining := float64(r.Omega) * float64(m.params.Period-elapsed) / float64(m.params.Period)
 	var outstanding int64
 	for i := range m.clients {
 		c := &m.clients[i]
@@ -538,6 +544,7 @@ func (m *Monitor) capPool(current int64) {
 	}
 	if current > bound {
 		m.ConversionCount++
+		r.Caps++
 		m.mark(trace.PoolCap, current, bound)
 		_ = m.loop.WriteUint64(m.region, globalTokenOff, uint64(bound), nil)
 	}
@@ -567,8 +574,8 @@ func (m *Monitor) endPeriod() {
 		completed := liveCompleted(raw)
 		total += int64(completed)
 	}
-	m.UsageSeries.Add(m.k.Now(), float64(total))
-	m.OmegaSeries.Add(m.k.Now(), float64(m.omega))
+	r := &m.rows[len(m.rows)-1]
+	r.Usage, r.End = total, m.k.Now()
 	m.est.Update(total)
 	m.mark(trace.CapacityUpdate, total, m.est.Current())
 	m.startPeriod()

@@ -36,8 +36,8 @@ func TestPeriodStartAllocatesNothingPerTenant(t *testing.T) {
 		h.k.RunUntil(sim.Time(p)*T + 5*sim.Millisecond)
 		runtime.ReadMemStats(&after)
 		for i, e := range h.engines {
-			if e.periodIndex != p+1 {
-				t.Fatalf("period %d: engine %d is in period %d 5 ms after the push", p+1, i, e.periodIndex)
+			if int(e.open.Period) != p+1 {
+				t.Fatalf("period %d: engine %d is in period %d 5 ms after the push", p+1, i, e.open.Period)
 			}
 		}
 		if p > warm {

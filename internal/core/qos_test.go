@@ -59,8 +59,6 @@ type burstLoop struct {
 	// periods holds the engine's completions in each finished period:
 	// what it completed between one period start and the next.
 	periods []uint64
-	started bool
-	seen    uint64
 }
 
 // drive attaches a burstLoop to e as its period hook and request source.
@@ -71,11 +69,10 @@ func drive(e *Engine, window int, demand func(period int) int) *burstLoop {
 	return b
 }
 
-func (b *burstLoop) begin(period int) {
-	if b.started {
-		b.periods = append(b.periods, b.e.TotalCompleted()-b.seen)
+func (b *burstLoop) begin(period int, closed LedgerRow) {
+	if closed.Period > 0 { // the first push closes the empty row of period 0
+		b.periods = append(b.periods, uint64(closed.Completed))
 	}
-	b.started, b.seen = true, b.e.TotalCompleted()
 	b.target = b.demand(period)
 	b.issued = 0
 	b.fill()
@@ -597,7 +594,7 @@ func TestEngineStop(t *testing.T) {
 	if e.ID() != 0 {
 		t.Errorf("ID = %d", e.ID())
 	}
-	if e.periodIndex == 0 {
+	if e.open.Period == 0 {
 		t.Error("engine never saw a period")
 	}
 	// Accessors do not panic post-stop.

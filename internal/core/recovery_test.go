@@ -48,7 +48,7 @@ func TestEngineRestartRecovery(t *testing.T) {
 		t.Error("suspicion time not recorded")
 	}
 
-	beforeRestart := victim.TotalCompleted()
+	beforeRestart := victim.Stats().TotalCompleted
 	if err := victim.Restart(); err != nil {
 		t.Fatal(err)
 	}
@@ -71,9 +71,9 @@ func TestEngineRestartRecovery(t *testing.T) {
 	if fs.RejoinPeriod == 0 || fs.RejoinAt < fs.RestartAt {
 		t.Errorf("rejoin not recorded: %+v", fs)
 	}
-	if victim.TotalCompleted() <= beforeRestart {
+	if victim.Stats().TotalCompleted <= beforeRestart {
 		t.Errorf("completions did not resume after restart: %d -> %d",
-			beforeRestart, victim.TotalCompleted())
+			beforeRestart, victim.Stats().TotalCompleted)
 	}
 	// The reinstated reservation is honored again: the last finished
 	// period completed at least R.

@@ -188,25 +188,6 @@ func TestSeries(t *testing.T) {
 	}
 }
 
-func TestPeriodLog(t *testing.T) {
-	var p PeriodLog
-	if p.Min() != 0 || p.Mean() != 0 || p.Total() != 0 {
-		t.Error("empty PeriodLog stats nonzero")
-	}
-	for _, c := range []uint64{100, 80, 120} {
-		p.Observe(c)
-	}
-	if p.Total() != 300 {
-		t.Errorf("Total = %d", p.Total())
-	}
-	if p.Min() != 80 {
-		t.Errorf("Min = %d", p.Min())
-	}
-	if p.Mean() != 100 {
-		t.Errorf("Mean = %v", p.Mean())
-	}
-}
-
 // denseHistogram is the reference the sparse Histogram must agree with: the
 // same bucketing over one flat counter array (the layout Histogram had
 // before its rows became lazy).

@@ -46,47 +46,3 @@ func (s *Series) String() string {
 	}
 	return b.String()
 }
-
-// PeriodLog records, for one client, the number of I/Os completed in each
-// QoS period — the per-period blocks stacked in the paper's bar charts
-// (Figs. 8-10, 13).
-type PeriodLog struct {
-	Completed []uint64
-}
-
-// Observe appends one period's completion count.
-func (p *PeriodLog) Observe(count uint64) {
-	p.Completed = append(p.Completed, count)
-}
-
-// Total sums all recorded periods.
-func (p *PeriodLog) Total() uint64 {
-	var t uint64
-	for _, c := range p.Completed {
-		t += c
-	}
-	return t
-}
-
-// Min returns the smallest per-period count (0 for an empty log); the
-// reservation-guarantee check is "Min >= R_i" across measured periods.
-func (p *PeriodLog) Min() uint64 {
-	if len(p.Completed) == 0 {
-		return 0
-	}
-	m := p.Completed[0]
-	for _, c := range p.Completed[1:] {
-		if c < m {
-			m = c
-		}
-	}
-	return m
-}
-
-// Mean returns the average per-period count.
-func (p *PeriodLog) Mean() float64 {
-	if len(p.Completed) == 0 {
-		return 0
-	}
-	return float64(p.Total()) / float64(len(p.Completed))
-}
