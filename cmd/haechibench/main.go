@@ -152,6 +152,7 @@ func run(args []string) int {
 
 func runOne(id string, opts experiments.Options, csvDir string, exp *exporter) error {
 	start := time.Now()
+	cpuStart, cpuOK := cpuSeconds()
 	rep, err := experiments.Run(id, opts)
 	if err != nil {
 		return err
@@ -168,17 +169,26 @@ func runOne(id string, opts experiments.Options, csvDir string, exp *exporter) e
 		return err
 	}
 	elapsed := time.Since(start)
-	status := fmt.Sprintf("[%s completed in %v at scale %.0f, %d+%d periods",
-		rep.ID, elapsed.Round(time.Millisecond), opts.Base.Scale, opts.WarmupPeriods, opts.MeasurePeriods)
-	// Events per wall second: the runs' deterministic kernel event
-	// counts over the experiment's wall time.
+	cpuEnd, _ := cpuSeconds()
+	cpu := cpuEnd - cpuStart
+	status := fmt.Sprintf("[%s completed in %v", rep.ID, elapsed.Round(time.Millisecond))
+	// Process CPU time beside wall time: on a shared machine wall time
+	// moves with the neighbours, CPU time much less.
+	if cpuOK {
+		status += fmt.Sprintf(" (%.3f CPU-s)", cpu)
+	}
+	status += fmt.Sprintf(" at scale %.0f, %d+%d periods", opts.Base.Scale, opts.WarmupPeriods, opts.MeasurePeriods)
+	// Events per second: the runs' deterministic kernel event counts
+	// over the experiment's wall and CPU time.
 	var ev uint64
 	for _, r := range rep.Runs {
 		ev += r.Results.EventsExecuted
 	}
 	if ev > 0 {
-		status += fmt.Sprintf("; %d kernel events, %.1fM events/wall-sec",
-			ev, float64(ev)/elapsed.Seconds()/1e6)
+		status += fmt.Sprintf("; %d kernel events, %.1fM events/wall-sec", ev, float64(ev)/elapsed.Seconds()/1e6)
+		if cpuOK && cpu > 0 {
+			status += fmt.Sprintf(", %.1fM events/CPU-sec", float64(ev)/cpu/1e6)
+		}
 	}
 	fmt.Printf("%s]\n\n", status)
 	return nil

@@ -18,23 +18,36 @@ func TestRunList(t *testing.T) {
 	}
 }
 
-// TestRunListNamesAliases: -list prints every alias experiments resolves.
-func TestRunListNamesAliases(t *testing.T) {
+// runStdout runs the tool with args and returns what it printed to
+// stdout, failing the test unless it exits 0.
+func runStdout(t *testing.T, args ...string) string {
+	t.Helper()
 	r, w, err := os.Pipe()
 	if err != nil {
 		t.Fatal(err)
 	}
 	stdout := os.Stdout
 	os.Stdout = w
-	code := run([]string{"-list"})
+	read := make(chan []byte)
+	go func() {
+		out, _ := io.ReadAll(r)
+		read <- out
+	}()
+	code := run(args)
 	os.Stdout = stdout
 	w.Close()
-	out, err := io.ReadAll(r)
-	if err != nil || code != 0 {
-		t.Fatalf("-list exit = %d, read error %v", code, err)
+	out := <-read
+	if code != 0 {
+		t.Fatalf("%v exit = %d", args, code)
 	}
+	return string(out)
+}
+
+// TestRunListNamesAliases: -list prints every alias experiments resolves.
+func TestRunListNamesAliases(t *testing.T) {
+	out := runStdout(t, "-list")
 	var listed []string
-	for _, line := range strings.Split(string(out), "\n") {
+	for _, line := range strings.Split(out, "\n") {
 		if rest, ok := strings.CutPrefix(line, "aliases:"); ok {
 			listed = strings.Fields(rest)
 		}
@@ -82,6 +95,26 @@ func TestRunConfigExperiment(t *testing.T) {
 	if code := run([]string{"-experiment", "config", "-scale", "100", "-periods", "2", "-warmup", "1",
 		"-clients", "4", "-records", "64", "-seed", "9"}); code != 0 {
 		t.Errorf("config experiment exit = %d", code)
+	}
+}
+
+// TestStatusLineReportsCPUTime: an experiment's status line gives the
+// process CPU seconds beside wall time and events per CPU-second beside
+// events per wall-second.
+func TestStatusLineReportsCPUTime(t *testing.T) {
+	if _, ok := cpuSeconds(); !ok {
+		t.Skip("no process CPU clock on this platform")
+	}
+	out := runStdout(t, "-experiment", "1c", "-scale", "100", "-periods", "2", "-warmup", "1", "-records", "64")
+	i := strings.LastIndex(out, "[fig8 completed in ")
+	if i < 0 {
+		t.Fatalf("no status line in:\n%s", out)
+	}
+	status := out[i:]
+	for _, want := range []string{" CPU-s) at scale 100", " events/wall-sec, ", "M events/CPU-sec]"} {
+		if !strings.Contains(status, want) {
+			t.Errorf("status line %q lacks %q", strings.TrimSpace(status), want)
+		}
 	}
 }
 

@@ -36,11 +36,11 @@ type Client struct {
 	mask       uint64
 
 	// Key-location cache, split for fleet scale: primed is a read-only
-	// prefix shared with every other client of the store (keys
-	// [0, len(primed)), -1 when absent; primedFound counts the hits), and
-	// cache is a lazy per-client overlay holding only locations learned by
-	// probing.
-	primed      []int64
+	// prefix shared with every other client of the store (the slot of each
+	// key in [0, len(primed)), -1 when absent; primedFound counts the
+	// hits), and cache is a lazy per-client overlay holding only data
+	// offsets learned by probing.
+	primed      []int32
 	primedFound int
 	cache       map[uint64]int
 
@@ -136,8 +136,8 @@ func (c *Client) lookup(key uint64) (int, bool) {
 		return off, true
 	}
 	if key < uint64(len(c.primed)) {
-		if loc := c.primed[key]; loc >= 0 {
-			return int(loc), true
+		if slot := c.primed[key]; slot >= 0 {
+			return int(slot) * c.recordSize, true
 		}
 	}
 	return 0, false

@@ -5,8 +5,11 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"slices"
+	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -62,6 +65,31 @@ func TestStoreOptionsValidation(t *testing.T) {
 	}
 	if _, err := NewStore(server, nil, Options{Capacity: 16, RecordSize: 0}); err == nil {
 		t.Error("zero record size accepted")
+	}
+}
+
+// TestStoreRefusesCapacityPastSlotRange: the primed slab holds int32 slot
+// numbers, so a capacity past 2^31 slots is refused before any region is
+// registered.
+func TestStoreRefusesCapacityPastSlotRange(t *testing.T) {
+	if strconv.IntSize < 64 {
+		t.Skip("an int cannot hold a capacity past 2^31")
+	}
+	k := sim.New(1)
+	f, _ := rdma.NewFabric(k, rdma.NewDefaultConfig())
+	server, _ := f.AddServer("dn")
+	past := uint64(math.MaxInt32) + 2
+	for _, capacity := range []int{int(past), int(past << 9), math.MaxInt} {
+		_, err := NewStore(server, nil, Options{Capacity: capacity, RecordSize: 64})
+		if err == nil || !strings.Contains(err.Error(), "slot number") {
+			t.Errorf("capacity %d: err = %v, want the slot-range refusal", capacity, err)
+		}
+	}
+	if _, ok := server.Region(IndexRegionName); ok {
+		t.Error("a refused store left its index region registered")
+	}
+	if _, err := NewStore(server, nil, Options{Capacity: 16, RecordSize: 64}); err != nil {
+		t.Errorf("a store in range after the refusals: %v", err)
 	}
 }
 

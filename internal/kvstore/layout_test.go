@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"github.com/haechi-qos/haechi/internal/rdma"
 	"github.com/haechi-qos/haechi/internal/sim"
@@ -19,13 +20,13 @@ import (
 // probing the finished table a second time. It is written against the
 // public Region API only, on regions of its own.
 type refStore struct {
-	opts      Options
-	mask      uint64
-	index     *rdma.Region
-	data      *rdma.Region
-	count     int
-	scratch   []byte
-	primedLoc []int64
+	opts       Options
+	mask       uint64
+	index      *rdma.Region
+	data       *rdma.Region
+	count      int
+	scratch    []byte
+	primedSlot []int32
 }
 
 func newRefStore(t *testing.T, opts Options) *refStore {
@@ -102,17 +103,16 @@ func (s *refStore) Put(key uint64, value []byte) error {
 	return s.data.CopyIn(dataOff, s.scratch)
 }
 
-func (s *refStore) primeShared(n int) []int64 {
-	for len(s.primedLoc) < n {
-		key := uint64(len(s.primedLoc))
-		loc := int64(-1)
+func (s *refStore) primeShared(n int) []int32 {
+	for len(s.primedSlot) < n {
+		key := uint64(len(s.primedSlot))
+		entry := int32(-1)
 		if slot, ok, _, _ := s.findSlot(key); ok {
-			_, state := s.slotState(slot)
-			loc = int64(state &^ occupiedBit)
+			entry = int32(slot)
 		}
-		s.primedLoc = append(s.primedLoc, loc)
+		s.primedSlot = append(s.primedSlot, entry)
 	}
-	return s.primedLoc
+	return s.primedSlot
 }
 
 // probeReads is the number of index READs a client with a cold cache
@@ -356,10 +356,10 @@ func TestPopulateShardRejectsBadShape(t *testing.T) {
 }
 
 // Populate reserves the primed slab once: an in-order load of n records
-// without a value function allocates the slab's 8 bytes per key, the
-// 4-byte-per-slot next-free table that is garbage once it returns, and
-// nothing else that grows with n (append's doubling cost 4.9 times the
-// slab).
+// without a value function allocates the slab's 4 bytes per key (a slot
+// number), the 4-byte-per-slot next-free table that is garbage once it
+// returns, and nothing else that grows with n (append's doubling cost 4.9
+// times the slab).
 func TestPopulateReservesPrimedSlab(t *testing.T) {
 	const n = 1 << 14
 	_, _, store, _ := testStore(t, Options{Capacity: n, RecordSize: 16})
@@ -371,12 +371,15 @@ func TestPopulateReservesPrimedSlab(t *testing.T) {
 		t.Fatal(err)
 	}
 	// (Twice the slab under -race, where slices.Grow's temporary is real.)
-	slab, table := uint64(8*n), uint64(4*n)
+	slab, table := uint64(4*n), uint64(4*n)
 	if got := after.TotalAlloc - before.TotalAlloc; got < slab+table || got > 2*slab+table+1024 {
 		t.Errorf("loading %d records allocated %d bytes, want the %d-byte slab and the %d-byte table", n, got, slab, table)
 	}
 	if locs, found := store.primeShared(n); len(locs) != n || found != n {
 		t.Errorf("primed slab after the load: %d entries, %d located", len(locs), found)
+	}
+	if held := uint64(cap(store.locs)) * uint64(unsafe.Sizeof(store.locs[0])); held != slab {
+		t.Errorf("the primed slab holds %d bytes for %d keys, want 4 per key", held, n)
 	}
 }
 

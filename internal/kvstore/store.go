@@ -101,13 +101,15 @@ type Store struct {
 
 	// locs is the primed-location slab, shared by every attached client
 	// (one read-only array instead of 10^5 identical per-client maps at
-	// fleet scale). Its first primed entries are built: handed out, never
-	// rewritten, -1 where the key was absent at build time, primedFound of
-	// them holding a location. The rest are pending: the entry of a key in
-	// [primed, len(locs)) is its location while the key is in the index and
-	// -1 while it is not, kept so by place. Building an entry is therefore
-	// taking it, and nothing probes.
-	locs        []int64
+	// fleet scale). An entry is the slot number of the key's record
+	// (NewStore keeps slot numbers in int32 range); the record is at
+	// slot × RecordSize. Its first primed entries are built: handed out,
+	// never rewritten, -1 where the key was absent at build time,
+	// primedFound of them holding a slot. The rest are pending: the entry
+	// of a key in [primed, len(locs)) is its slot while the key is in the
+	// index and -1 while it is not, kept so by place. Building an entry is
+	// therefore taking it, and nothing probes.
+	locs        []int32
 	primed      int
 	primedFound int
 
@@ -123,7 +125,7 @@ type Store struct {
 // stays -1 so later clients resolve it with the same probe sequence an
 // early client would have used. Growing the slab may move it, so clients
 // holding a shorter prefix keep their original backing array.
-func (s *Store) primeShared(n int) (locs []int64, found int) {
+func (s *Store) primeShared(n int) (locs []int32, found int) {
 	if n > s.primed {
 		s.track(n)
 		for _, loc := range s.locs[s.primed:n] {
@@ -164,7 +166,7 @@ func (s *Store) track(n int) {
 		cell := s.indexView[slot*slotSize : slot*slotSize+slotSize]
 		key := binary.LittleEndian.Uint64(cell)
 		if binary.LittleEndian.Uint64(cell[8:])&occupiedBit != 0 && key >= uint64(from) && key < uint64(n) {
-			s.locs[key] = s.dataOff(slot)
+			s.locs[key] = int32(slot)
 		}
 	}
 }
@@ -177,6 +179,10 @@ func NewStore(node *rdma.Node, disp *rdma.Dispatcher, opts Options) (*Store, err
 	}
 	if opts.RecordSize <= 0 {
 		return nil, fmt.Errorf("kvstore: record size must be positive, got %d", opts.RecordSize)
+	}
+	if opts.Capacity-1 > math.MaxInt32 {
+		// The primed slab holds slot numbers as int32.
+		return nil, fmt.Errorf("kvstore: capacity %d exceeds the %d slots a slot number reaches", opts.Capacity, int64(math.MaxInt32)+1)
 	}
 	cap := CapacityFor(opts.Capacity)
 	opts.Capacity = cap
@@ -292,7 +298,7 @@ func (s *Store) place(slot, key uint64) {
 	binary.LittleEndian.PutUint64(cell[8:], occupiedBit|uint64(s.dataOff(slot)))
 	s.count++
 	if key >= uint64(s.primed) && key < uint64(len(s.locs)) {
-		s.locs[key] = s.dataOff(slot)
+		s.locs[key] = int32(slot)
 	}
 }
 
@@ -361,7 +367,7 @@ func (s *Store) PopulateShard(shard, of, n int, valueFn func(key uint64) []byte)
 		return keyBytes[:min(len(keyBytes), s.opts.RecordSize)]
 	}
 	put := s.Put
-	if s.count == 0 && s.mask <= math.MaxUint32 {
+	if s.count == 0 {
 		put = s.newKeyPut(valueFn == nil)
 	}
 	for k := shard; k < n; k += of {

@@ -1,6 +1,7 @@
 package lint_test
 
 import (
+	"os"
 	"path/filepath"
 	"sort"
 	"testing"
@@ -176,5 +177,36 @@ func TestFixtureModulesTypeCheck(t *testing.T) {
 		if pkgs := loadFixtureModule(t, name); len(pkgs) == 0 {
 			t.Errorf("fixture module %s loaded no packages", name)
 		}
+	}
+}
+
+// TestLoadModuleHonoursBuildConstraints: the loader type-checks the files
+// the go command builds on this platform, so a function split across a
+// constrained file and its fallback (or a file no build includes) is not
+// a redeclaration.
+func TestLoadModuleHonoursBuildConstraints(t *testing.T) {
+	root := t.TempDir()
+	files := map[string]string{
+		"go.mod":      "module example.com/split\n\ngo 1.21\n",
+		"a/a.go":      "package a\n\nfunc Use() int { return clock() }\n",
+		"a/unix.go":   "//go:build unix\n\npackage a\n\nfunc clock() int { return 1 }\n",
+		"a/other.go":  "//go:build !unix\n\npackage a\n\nfunc clock() int { return 0 }\n",
+		"a/ignore.go": "//go:build ignore\n\npackage main\n\nfunc main() {}\n",
+	}
+	for name, body := range files {
+		path := filepath.Join(root, filepath.FromSlash(name))
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pkgs, err := lint.NewLoader().LoadModule(root)
+	if err != nil {
+		t.Fatalf("loading a module with build-constrained files: %v", err)
+	}
+	if len(pkgs) != 1 || len(pkgs[0].Files) != 2 {
+		t.Fatalf("loaded %d packages, want package a with its two files for this platform", len(pkgs))
 	}
 }

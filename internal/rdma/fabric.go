@@ -9,14 +9,34 @@ import (
 	"github.com/haechi-qos/haechi/internal/trace"
 )
 
-// Slab chunk sizes: nodes and queue pairs are allocated out of fixed-size
-// chunks so element pointers stay stable while the arrays stay dense —
-// struct-of-arrays locality at fleet scale (10^5+ clients) without the
-// per-object heap litter of one allocation per node/QP.
+// Slab chunk sizes: nodes and queue pairs are allocated out of chunks
+// that are never reallocated, so element pointers stay stable while the
+// arrays stay dense — struct-of-arrays locality at fleet scale (10^5+
+// clients) without the per-object heap litter of one allocation per
+// node/QP. The first chunk holds firstChunk elements and each later one
+// as many as all before it, up to the per-kind cap (see slabChunk).
 const (
+	firstChunk    = 8
 	nodeChunkSize = 256
 	qpChunkSize   = 512
 )
+
+// slabChunk returns the chunk of a slab with room for one more element,
+// opening a new one when the last is full. Capacity doubles with each
+// chunk until a chunk reaches limit, so a slab of a few nodes or QPs
+// holds at most twice what it has handed out and a fleet's is a run of
+// limit-sized chunks.
+func slabChunk[T any](chunks *[][]T, limit int) *[]T {
+	if n := len(*chunks); n > 0 && len((*chunks)[n-1]) < cap((*chunks)[n-1]) {
+		return &(*chunks)[n-1]
+	}
+	held := 0
+	for _, c := range *chunks {
+		held += cap(c)
+	}
+	*chunks = append(*chunks, make([]T, 0, min(limit, max(firstChunk, held))))
+	return &(*chunks)[len(*chunks)-1]
+}
 
 // NodeKind distinguishes the two roles in the performance model.
 type NodeKind int
@@ -445,11 +465,8 @@ func (f *Fabric) addNode(name string, kind NodeKind) (*Node, error) {
 		return nil, fmt.Errorf("rdma: node %q assigned to shard %d, have %d shards", name, shard, len(f.kernels))
 	}
 	// Allocate the node out of the current slab chunk; chunks never grow
-	// past their fixed capacity, so &chunk[i] stays valid forever.
-	if len(f.nodeChunks) == 0 || len(f.nodeChunks[len(f.nodeChunks)-1]) == nodeChunkSize {
-		f.nodeChunks = append(f.nodeChunks, make([]Node, 0, nodeChunkSize))
-	}
-	chunk := &f.nodeChunks[len(f.nodeChunks)-1]
+	// past their capacity, so &chunk[i] stays valid forever.
+	chunk := slabChunk(&f.nodeChunks, nodeChunkSize)
 	*chunk = append(*chunk, Node{
 		fabric:  f,
 		name:    name,
@@ -525,10 +542,7 @@ func (f *Fabric) Connect(initiator, target *Node) (*QP, error) {
 		return nil, fmt.Errorf("rdma: Connect %s -> %s: fabric already holds %d queue pairs", initiator.name, target.name, f.qpSeq)
 	}
 	f.qpSeq++
-	if len(f.qpChunks) == 0 || len(f.qpChunks[len(f.qpChunks)-1]) == qpChunkSize {
-		f.qpChunks = append(f.qpChunks, make([]QP, 0, qpChunkSize))
-	}
-	chunk := &f.qpChunks[len(f.qpChunks)-1]
+	chunk := slabChunk(&f.qpChunks, qpChunkSize)
 	*chunk = append(*chunk, QP{
 		fabric:    f,
 		id:        f.qpSeq,

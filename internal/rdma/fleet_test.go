@@ -84,3 +84,99 @@ func TestFleetHotPathNoAlloc(t *testing.T) {
 		t.Errorf("steady state allocates %.4f objects/op over %d reads (want 0)", perOp, window)
 	}
 }
+
+// TestSlabsGrowWithTheFabric: the node and QP slabs open small chunks
+// first, so past the first chunk a slab has room for at most twice what
+// it holds — a 10-client fabric (11 nodes, 20 QPs: one each way per
+// client) for 16 nodes and 32 QPs — and a fleet's chunks
+// stop at the per-kind caps. No chunk is ever reallocated: every node and
+// QP handed out, on either side of each chunk boundary, is still the
+// element of its chunk after 600 more of each.
+func TestSlabsGrowWithTheFabric(t *testing.T) {
+	f, err := NewFabric(sim.New(1), NewDefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	server, err := f.AddServer("datanode")
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodes, qps := []*Node{server}, []*QP(nil)
+	for i := 0; i < 600; i++ {
+		client, err := f.AddClient(fmt.Sprintf("client-%d", i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := f.Connect(client, server)
+		if err != nil {
+			t.Fatal(err)
+		}
+		back, err := f.Connect(server, client)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nodes, qps = append(nodes, client), append(qps, out, back)
+		nodeCap, qpCap := slabCap(f.nodeChunks), slabCap(f.qpChunks)
+		if nodeCap > max(firstChunk, 2*len(nodes)) || qpCap > max(firstChunk, 2*len(qps)) {
+			t.Fatalf("%d clients: slabs hold %d nodes in room for %d and %d QPs in room for %d, want at most twice (or the first chunk)",
+				i+1, len(nodes), nodeCap, len(qps), qpCap)
+		}
+		if i+1 == 10 && (nodeCap != 16 || qpCap != 32) {
+			t.Errorf("10 clients: room for %d nodes and %d QPs, want 16 and 32", nodeCap, qpCap)
+		}
+	}
+	for _, c := range f.nodeChunks {
+		if cap(c) > nodeChunkSize {
+			t.Errorf("a node chunk of %d, want at most %d", cap(c), nodeChunkSize)
+		}
+	}
+	for _, c := range f.qpChunks {
+		if cap(c) > qpChunkSize {
+			t.Errorf("a QP chunk of %d, want at most %d", cap(c), qpChunkSize)
+		}
+	}
+	if i := slabIndex(f.nodeChunks, nodes); i >= 0 {
+		t.Fatalf("node %d (%s) is no longer its slab element", i, nodes[i].Name())
+	}
+	if i := slabIndex(f.qpChunks, qps); i >= 0 {
+		t.Fatalf("QP %d is no longer its slab element", i)
+	}
+	for i, n := range nodes {
+		if n.id != i || f.nodes[i] != n {
+			t.Fatalf("node %d: id %d, fabric index %p, handed out %p", i, n.id, f.nodes[i], n)
+		}
+	}
+	for i, qp := range qps {
+		if qp.id != i+1 || f.qps[i+1] != qp {
+			t.Fatalf("QP %d: id %d, fabric index %p, handed out %p", i+1, qp.id, f.qps[i+1], qp)
+		}
+	}
+}
+
+// slabCap is the number of elements a slab has room for.
+func slabCap[T any](chunks [][]T) int {
+	n := 0
+	for _, c := range chunks {
+		n += cap(c)
+	}
+	return n
+}
+
+// slabIndex returns the first of the pointers handed out, in creation
+// order, that is not the address of the slab element at its position,
+// or -1 when all are.
+func slabIndex[T any](chunks [][]T, handed []*T) int {
+	i := 0
+	for _, c := range chunks {
+		for j := range c {
+			if i >= len(handed) || &c[j] != handed[i] {
+				return i
+			}
+			i++
+		}
+	}
+	if i != len(handed) {
+		return i
+	}
+	return -1
+}

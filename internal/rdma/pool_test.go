@@ -327,17 +327,17 @@ func TestFreelistHighWater(t *testing.T) {
 func (b *poolBed) checkPools(t *testing.T, maxRecords, maxBufs int) {
 	t.Helper()
 	cp, sp := b.client.pool, b.server.pool
-	if n := len(cp.free) + len(cp.exts); n == 0 || n > maxRecords {
+	if n := len(cp.records()); n == 0 || n > maxRecords {
 		t.Errorf("client freelists hold %d records, want 1..%d", n, maxRecords)
 	}
 	if n := len(cp.bufs); n == 0 || n > maxBufs {
 		t.Errorf("client freelist holds %d buffers, want 1..%d", n, maxBufs)
 	}
-	if n := len(sp.free) + len(sp.exts); n != 0 || len(sp.bufs) != 0 {
+	if n := len(sp.records()); n != 0 || len(sp.bufs) != 0 {
 		t.Errorf("server freelists hold %d records and %d buffers of a foreign kernel, want none",
 			n, len(sp.bufs))
 	}
-	for _, op := range append(cp.free[:len(cp.free):len(cp.free)], cp.exts...) {
+	for _, op := range cp.records() {
 		if !recycled(op) {
 			t.Fatal("pooled record still references its last verb")
 		}
@@ -377,19 +377,20 @@ func TestFleetVerbsTakeNoExtension(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if len(pool.exts) != 0 {
-			t.Fatalf("round %d: %d records with an extension pooled", i, len(pool.exts))
+		if exts := pooled(pool.exts); len(exts) != 0 {
+			t.Fatalf("round %d: %d records with an extension pooled", i, len(exts))
 		}
 	}
 	b.advance(100 * sim.Millisecond)
 	if completions != 5*rounds {
 		t.Fatalf("%d completions, want %d", completions, 5*rounds)
 	}
-	if len(pool.free) == 0 || len(pool.exts) != 0 || len(pool.bufs) != 0 {
+	free, exts := pooled(pool.free), pooled(pool.exts)
+	if len(free) == 0 || len(exts) != 0 || len(pool.bufs) != 0 {
 		t.Errorf("pooled: %d plain records, %d with an extension, %d buffers; want some, none, none",
-			len(pool.free), len(pool.exts), len(pool.bufs))
+			len(free), len(exts), len(pool.bufs))
 	}
-	for _, op := range pool.free {
+	for _, op := range free {
 		if op.ext != nil {
 			t.Fatal("a plain record carries an extension")
 		}
@@ -422,10 +423,10 @@ func TestRecycledRecordCarriesNothingStale(t *testing.T) {
 				t.Fatal(err)
 			}
 			b.settle()
-			if len(pool.exts) == 0 {
+			if pool.exts == nil {
 				t.Fatalf("cross=%v: after %s no record with an extension is pooled", cross, what)
 			}
-			for _, op := range append(pool.free[:len(pool.free):len(pool.free)], pool.exts...) {
+			for _, op := range pool.records() {
 				if !recycled(op) {
 					t.Fatalf("cross=%v: after %s a pooled record still holds its verb", cross, what)
 				}
@@ -457,14 +458,27 @@ func TestRecycledRecordCarriesNothingStale(t *testing.T) {
 }
 
 // recycled reports whether a pooled record holds nothing of its last verb
-// but its extension and the continuation an earlier hop bound there.
+// but its extension and the continuation an earlier hop bound there; its
+// next link is the freelist's.
 func recycled(op *flowOp) bool {
 	if x := op.ext; x != nil && (x.msg != (Message{}) || x.swap != 0 || x.buf != nil) {
 		return false
 	}
-	return op.next == nil && op.qp == nil && op.kind == 0 && !op.control && !op.back && op.size == 0 &&
+	return op.qp == nil && op.kind == 0 && !op.control && !op.back && op.size == 0 &&
 		op.region == nil && op.off == 0 && op.delta == 0 && op.cb == nil && op.span == nil
 }
+
+// pooled lists the records of one freelist, top first.
+func pooled(list *flowOp) []*flowOp {
+	var ops []*flowOp
+	for op := list; op != nil; op = op.next {
+		ops = append(ops, op)
+	}
+	return ops
+}
+
+// records lists every record the pool holds, plain ones first.
+func (p *opPool) records() []*flowOp { return append(pooled(p.free), pooled(p.exts)...) }
 
 // TestRecordFootprint pins what a verb in flight and a connection cost:
 // the record fits the 80-byte allocation class (its weights derived, an

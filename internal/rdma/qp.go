@@ -169,8 +169,8 @@ const (
 // span, fills buf and the result, and posts it back; the quantum barrier
 // orders those writes before the initiator's reads. See DESIGN.md §8.2.
 type flowOp struct {
-	// next links the record into the stage queue holding it (see opFIFO);
-	// nil outside a queue.
+	// next links the record into the stage queue holding it (see opFIFO)
+	// or, while pooled, into its freelist (see opPool); nil otherwise.
 	next *flowOp
 	qp   *QP
 
@@ -254,9 +254,11 @@ func (op *flowOp) buffer() *[]byte {
 }
 
 // opPool is one kernel's freelists: verb records, records with an
-// extension, flight-recorder spans and payload buffers. All are plain
-// LIFO slices that start empty and grow to the run's high-water mark on
-// demand; spans is touched only while a flight recorder is attached.
+// extension, flight-recorder spans and payload buffers. All are LIFO
+// stacks that start empty and grow to the run's high-water mark on
+// demand: the two record lists are threaded through the records' own
+// next link (a pooled record is in no stage queue), the others are
+// slices; spans is touched only while a flight recorder is attached.
 // Every node caches its shard's pool; get/put/getSpan/getBuf run only on
 // that shard's kernel, so there is a single writer and no locking — which
 // is also why this is not a sync.Pool: that would put a concurrency
@@ -264,8 +266,8 @@ func (op *flowOp) buffer() *[]byte {
 // depends on GC timing, while a verb's allocation behaviour here depends
 // on the event sequence alone.
 type opPool struct {
-	free  []*flowOp
-	exts  []*flowOp // records whose ext is set
+	free  *flowOp
+	exts  *flowOp // records whose ext is set
 	spans []*trace.Span
 	bufs  []*[]byte
 }
@@ -277,10 +279,8 @@ func (p *opPool) get(ext bool) *flowOp {
 	if ext {
 		list = &p.exts
 	}
-	if last := len(*list) - 1; last >= 0 {
-		op := (*list)[last]
-		(*list)[last] = nil
-		*list = (*list)[:last]
+	if op := *list; op != nil {
+		*list, op.next = op.next, nil
 		return op
 	}
 	if !ext {
@@ -299,16 +299,17 @@ func (p *opPool) put(op *flowOp) {
 		p.spans = append(p.spans, op.span)
 	}
 	ext := op.ext
-	*op = flowOp{ext: ext}
 	if ext == nil {
-		p.free = append(p.free, op)
+		*op = flowOp{next: p.free}
+		p.free = op
 		return
 	}
 	if ext.buf != nil {
 		p.bufs = append(p.bufs, ext.buf)
 	}
 	*ext = opExt{hopFn: ext.hopFn}
-	p.exts = append(p.exts, op)
+	*op = flowOp{next: p.exts, ext: ext}
+	p.exts = op
 }
 
 // getSpan returns span storage for a verb posted under a flight recorder;

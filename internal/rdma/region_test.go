@@ -352,7 +352,7 @@ func FuzzPagedRegion(f *testing.F) {
 				received = received[:0]
 			}
 			for _, pool := range []*opPool{b.client.pool, b.local.pool} {
-				for _, op := range append(pool.free[:len(pool.free):len(pool.free)], pool.exts...) {
+				for _, op := range pool.records() {
 					if !recycled(op) {
 						t.Fatalf("%s: a pooled record still holds its verb", what)
 					}
