@@ -3,10 +3,13 @@ package cluster
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
 	"math/rand"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/haechi-qos/haechi/internal/core"
 	"github.com/haechi-qos/haechi/internal/kvstore"
@@ -123,6 +126,48 @@ func TestNewValidation(t *testing.T) {
 	cfg = testConfig(Haechi)
 	if _, err := New(cfg, []ClientSpec{{Reservation: 1 << 40}}); err == nil {
 		t.Error("over-reservation accepted")
+	}
+}
+
+// TestNewRefusesRecordsPastSlotRange: a data node's share of Records
+// past the 2^31 slots a store holds is refused by ApplyScale, before the
+// capacity is derived from it — 2^62+1 records once sent that derivation
+// doubling past the top of an int, and New never returned.
+func TestNewRefusesRecordsPastSlotRange(t *testing.T) {
+	if strconv.IntSize < 64 {
+		t.Skip("an int cannot hold a record count past 2^31")
+	}
+	past := int64(kvstore.MaxCapacity) + 1
+	for _, c := range []struct{ records, servers int }{
+		{math.MaxInt/2 + 2, 1}, // 2^62 + 1
+		{math.MaxInt, 2},       // the per-node share's rounding must not wrap
+		{int(past), 1},
+		{int(2 * past), 2},
+	} {
+		cfg := testConfig(Haechi)
+		cfg.Store.Capacity = 0 // derived from Records
+		cfg.Records, cfg.Servers = c.records, c.servers
+		done := make(chan error, 1)
+		go func() {
+			_, err := New(cfg, []ClientSpec{{Reservation: 10}})
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err == nil || !strings.Contains(err.Error(), "slots a store holds") {
+				t.Errorf("%d records on %d node(s): err = %v, want the slot-range refusal", c.records, c.servers, err)
+			}
+		case <-time.After(30 * time.Second):
+			t.Fatalf("New with %d records on %d node(s) did not return", c.records, c.servers)
+		}
+	}
+	// The largest share a store holds is still accepted.
+	cfg := testConfig(Haechi)
+	cfg.Store.Capacity = 0
+	cfg.Records = int(past - 1)
+	got, err := cfg.ApplyScale()
+	if err != nil || got.Store.Capacity != cfg.Records {
+		t.Errorf("%d records: capacity %d, err %v; want as many and none", cfg.Records, got.Store.Capacity, err)
 	}
 }
 
@@ -675,7 +720,7 @@ func TestPaperScaleStoreIsCheap(t *testing.T) {
 		t.Errorf("a %d-record cluster holds %d MB of heap, want at most 32", records, grown>>20)
 	}
 	data := cl.Store().DataRegion()
-	if !data.Paged() || data.Resident() != 0 || data.Size() != records*rdma.DataIOSize {
+	if !data.Paged() || data.Resident() != 0 || int64(data.Size()) != records*int64(rdma.DataIOSize) {
 		t.Errorf("kv/data: paged = %v, %d of %d bytes resident", data.Paged(), data.Resident(), data.Size())
 	}
 

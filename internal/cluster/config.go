@@ -204,6 +204,15 @@ func Paper() Config {
 	return c
 }
 
+// recordsPerNode is each data node's share of Records, rounded up; 0
+// with no records.
+func (c Config) recordsPerNode() int {
+	if c.Records <= 0 {
+		return 0
+	}
+	return (c.Records-1)/c.Servers + 1
+}
+
 // ApplyScale normalizes the config. It is the one place a zero field
 // becomes a value: the defaults named on each field, the store capacity
 // derived from Records, and Sanitize under Chaos. When Scale > 1 it also
@@ -245,7 +254,12 @@ func (c Config) ApplyScale() (Config, error) {
 	switch {
 	case c.Store.Capacity != 0:
 	case c.Records > 0:
-		c.Store.Capacity = kvstore.CapacityFor((c.Records + c.Servers - 1) / c.Servers)
+		perNode := c.recordsPerNode()
+		if int64(perNode) > kvstore.MaxCapacity {
+			return c, fmt.Errorf("cluster: %d records on %d data node(s) is %d a node, past the %d slots a store holds",
+				c.Records, c.Servers, perNode, int64(kvstore.MaxCapacity))
+		}
+		c.Store.Capacity = kvstore.CapacityFor(perNode)
 	default:
 		c.Store.Capacity = 1 << 16
 	}
@@ -255,7 +269,7 @@ func (c Config) ApplyScale() (Config, error) {
 	if c.Chaos != "" {
 		c.Sanitize = true
 	}
-	if perNode := (c.Records + c.Servers - 1) / c.Servers; c.Records < 0 || perNode > c.Store.Capacity {
+	if c.Records < 0 || c.recordsPerNode() > c.Store.Capacity {
 		return c, fmt.Errorf("cluster: %d records outside %d store(s) of capacity %d", c.Records, c.Servers, c.Store.Capacity)
 	}
 	if c.Sigma == 0 {

@@ -229,13 +229,15 @@ func TestTenantResidentBytes(t *testing.T) {
 // once and inside its send queue, over one warm-up and one measured
 // period. What grows is then what one posted I/O costs the host: its verb
 // record, its tag at a station, its share of a run of arrival instants on
-// the link, and the rings those wait in. 13.5 KB, held to that plus 10 %;
-// 16.4 KB with 16-byte station entries, one 8-byte cookie per posted I/O
-// and boxed period messages, 18.8 KB before that, 25.8 KB with a 176-byte
-// record and 24-byte station entries, 30.8 KB while each layer queued a
-// callback per I/O in slices that grew to twice what they held.
+// the link, and the rings those wait in. 10.3 KB, held to that plus 10 %;
+// 11.3 KB with an 80-byte record and 256-byte histogram rows, 13.5 KB
+// before that, 16.4 KB with 16-byte station entries, one 8-byte cookie
+// per posted I/O and boxed period messages, 18.8 KB before that, 25.8 KB
+// with a 176-byte record and 24-byte station entries, 30.8 KB while each
+// layer queued a callback per I/O in slices that grew to twice what they
+// held.
 func TestTenantRunGrowthBytes(t *testing.T) {
-	const tenants, limit = 2000, 13_505 * 11 / 10
+	const tenants, limit = 2000, 10_282 * 11 / 10
 	cfg := testConfig(Haechi)
 	cfg.Seed = 6
 	cfg.Scale = 10 // C_G = 157 000 a period

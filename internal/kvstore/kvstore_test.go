@@ -106,6 +106,22 @@ func TestCapacityRoundsToPowerOfTwo(t *testing.T) {
 	}
 }
 
+// TestCapacityForTerminates: CapacityFor is the next power of two, and
+// past the largest one an int holds it returns that one instead of
+// doubling forever.
+func TestCapacityForTerminates(t *testing.T) {
+	top := 1 << (strconv.IntSize - 2)
+	for _, c := range []struct{ records, want int }{
+		{math.MinInt, 1}, {-1, 1}, {0, 1}, {1, 1}, {2, 2}, {3, 4}, {4, 4}, {5, 8},
+		{100, 128}, {1 << 16, 1 << 16}, {1<<16 + 1, 1 << 17},
+		{top - 1, top}, {top, top}, {top + 1, top}, {math.MaxInt, top},
+	} {
+		if got := CapacityFor(c.records); got != c.want {
+			t.Errorf("CapacityFor(%d) = %d, want %d", c.records, got, c.want)
+		}
+	}
+}
+
 func TestPutGetLocal(t *testing.T) {
 	_, _, store, _ := testStore(t, smallOpts())
 	for k := uint64(0); k < 100; k++ {

@@ -28,6 +28,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 
 	"github.com/haechi-qos/haechi/internal/rdma"
@@ -71,14 +72,20 @@ type Options struct {
 	RecordSize int
 }
 
+// MaxCapacity is the most slots a store holds: slot numbers are kept as
+// int32 (see Store.locs).
+const MaxCapacity = math.MaxInt32 + 1
+
 // CapacityFor returns the slot count of the smallest table that holds
-// the given number of records: the next power of two (at least 1).
+// the given number of records: the next power of two (at least 1). Past
+// the largest power of two an int holds there is no such table, and the
+// result is that power, short of records; NewStore refuses far smaller
+// tables already.
 func CapacityFor(records int) int {
-	capacity := 1
-	for capacity < records {
-		capacity <<= 1
+	if records <= 1 {
+		return 1
 	}
-	return capacity
+	return 1 << min(bits.Len(uint(records-1)), bits.UintSize-2)
 }
 
 // Store is the server-side key-value store.
@@ -180,9 +187,8 @@ func NewStore(node *rdma.Node, disp *rdma.Dispatcher, opts Options) (*Store, err
 	if opts.RecordSize <= 0 {
 		return nil, fmt.Errorf("kvstore: record size must be positive, got %d", opts.RecordSize)
 	}
-	if opts.Capacity-1 > math.MaxInt32 {
-		// The primed slab holds slot numbers as int32.
-		return nil, fmt.Errorf("kvstore: capacity %d exceeds the %d slots a slot number reaches", opts.Capacity, int64(math.MaxInt32)+1)
+	if int64(opts.Capacity) > MaxCapacity {
+		return nil, fmt.Errorf("kvstore: capacity %d exceeds the %d slots a slot number reaches", opts.Capacity, int64(MaxCapacity))
 	}
 	cap := CapacityFor(opts.Capacity)
 	opts.Capacity = cap

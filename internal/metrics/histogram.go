@@ -19,19 +19,27 @@ const subBucketBits = 6
 
 const subBuckets = 1 << subBucketBits
 
+// rowBits sets the allocation unit: counters are allocated in rows of
+// 2^5 = 32 buckets, half an octave, which is 128 bytes. Precision is set
+// by subBucketBits alone; the row width decides only how much of an
+// octave no sample reached is left unallocated.
+const rowBits = 5
+
+const rowLen = 1 << rowBits
+
 // Histogram records non-negative durations with logarithmic bucketing.
-// The zero value is ready to use. Each power of two's sub-bucket row is
-// allocated on its first sample, and the row table spans only the octaves
+// The zero value is ready to use. Each half octave's row of counters is
+// allocated on its first sample, and the row table spans only the rows
 // between the lowest and the highest seen: latencies span a handful of
 // octaves, so an idle tenant's histogram is its 64-byte header and a busy
-// one a few 256-byte rows, not the 32 KB of a dense bucket array. Bucket
+// one a few 128-byte rows, not the 32 KB of a dense bucket array. Bucket
 // counters are 32-bit; a bucket reaching 2^32-1 panics (see add). A
 // Histogram holds pointers to its rows and must not be copied by value
 // once it has samples.
 type Histogram struct {
-	// rows[r] holds octave lo+r's counters, nil until its first sample:
-	// bucket i is rows[i>>subBucketBits-lo][i&(subBuckets-1)].
-	rows  []*[subBuckets]uint32
+	// rows[r] holds row lo+r's counters, nil until its first sample:
+	// bucket i is rows[i>>rowBits-lo][i&(rowLen-1)].
+	rows  []*[rowLen]uint32
 	lo    int
 	total uint64
 	sum   float64
@@ -58,22 +66,22 @@ func bucketLow(i int) sim.Time {
 	return sim.Time((uint64(subBuckets) + uint64(mant)) << uint(exp))
 }
 
-// row returns octave r's sub-bucket counters, allocating them — and
-// widening the row table to reach r — on first use.
-func (h *Histogram) row(r int) *[subBuckets]uint32 {
+// row returns row r's bucket counters, allocating them — and widening
+// the row table to reach r — on first use.
+func (h *Histogram) row(r int) *[rowLen]uint32 {
 	switch {
 	case len(h.rows) == 0:
-		h.rows, h.lo = make([]*[subBuckets]uint32, 1), r
+		h.rows, h.lo = make([]*[rowLen]uint32, 1), r
 	case r < h.lo:
-		rows := make([]*[subBuckets]uint32, h.lo-r+len(h.rows))
+		rows := make([]*[rowLen]uint32, h.lo-r+len(h.rows))
 		copy(rows[h.lo-r:], h.rows)
 		h.rows, h.lo = rows, r
 	case r >= h.lo+len(h.rows):
-		h.rows = append(h.rows, make([]*[subBuckets]uint32, r-h.lo-len(h.rows)+1)...)
+		h.rows = append(h.rows, make([]*[rowLen]uint32, r-h.lo-len(h.rows)+1)...)
 	}
 	p := &h.rows[r-h.lo]
 	if *p == nil {
-		*p = new([subBuckets]uint32)
+		*p = new([rowLen]uint32)
 	}
 	return *p
 }
@@ -101,7 +109,7 @@ func (h *Histogram) Record(v sim.Time) {
 		h.max = v
 	}
 	i := bucketIndex(v)
-	add(&h.row(i >> subBucketBits)[i&(subBuckets-1)], 1)
+	add(&h.row(i >> rowBits)[i&(rowLen-1)], 1)
 	h.total++
 	h.sum += float64(v)
 }
@@ -154,7 +162,7 @@ func (h *Histogram) Percentile(p float64) sim.Time {
 					// max is known exactly.
 					return h.max
 				}
-				v := bucketLow((h.lo+r)<<subBucketBits | j)
+				v := bucketLow((h.lo+r)<<rowBits | j)
 				// A bucket lower bound can undershoot the true smallest
 				// sample; clamp so results stay within [min, max].
 				if v < h.min {

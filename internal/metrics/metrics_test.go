@@ -343,3 +343,50 @@ func TestHistogramBucketOverflowPanics(t *testing.T) {
 	b.rows[0][7] = math.MaxUint32/2 + 1
 	mustPanic("Merge", func() { a.Merge(&b) })
 }
+
+// TestHistogramRowsAreHalfOctaves pins the allocation unit — a row is 32
+// counters, 128 bytes — and that it moves no answer: one sample in every
+// octave from 1 ns to 2^40 ns, at a third of the way through the octave
+// in turn, gives the values the 64-counter rows gave (the literal table),
+// recorded in one histogram or merged from two.
+func TestHistogramRowsAreHalfOctaves(t *testing.T) {
+	var h, odd, even Histogram
+	for k := 0; k <= 40; k++ {
+		v := sim.Time(1) << k
+		v += v * sim.Time(k%3) / 3
+		h.Record(v)
+		if k%2 == 0 {
+			even.Record(v)
+		} else {
+			odd.Record(v)
+		}
+	}
+	if sz := unsafe.Sizeof(*h.rows[0]); sz != 128 {
+		t.Errorf("a histogram row is %d bytes, want 128", sz)
+	}
+	wantSum := Summary{Count: 41, Mean: 68958917421, P50: 1736704, P99: 1466015503701, P999: 1466015503701, Max: 1466015503701}
+	want := []struct {
+		p float64
+		v sim.Time
+	}{
+		{0, 1}, {1, 1}, {5, 6}, {10, 21}, {20, 424}, {25, 1360}, {30, 4096},
+		{40, 87040}, {50, 1736704}, {60, 16777216}, {70, 356515840},
+		{75, 1073741824}, {80, 7113539584}, {90, 68719476736},
+		{95, 455266533376}, {97.5, 549755813888}, {99, 1466015503701},
+		{100, 1466015503701},
+	}
+	even.Merge(&odd)
+	for _, c := range []struct {
+		label string
+		h     *Histogram
+	}{{"recorded", &h}, {"merged", &even}} {
+		if got := c.h.Summarize(); got != wantSum {
+			t.Errorf("%s: Summarize = %+v, want %+v", c.label, got, wantSum)
+		}
+		for _, w := range want {
+			if got := c.h.Percentile(w.p); got != w.v {
+				t.Errorf("%s: Percentile(%v) = %d, want %d", c.label, w.p, got, w.v)
+			}
+		}
+	}
+}

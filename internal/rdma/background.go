@@ -75,7 +75,7 @@ func NewBackgroundJob(f *Fabric, name string, target *Node, window int) (*Backgr
 		fabric:    f,
 		target:    target,
 		initiator: initiator,
-		queue:     newDataQueue(nil),
+		queue:     &dataQueue{},
 		window:    window,
 	}
 	initiator.nic.SetDispatch(func(uint32) { b.onInit() })

@@ -185,6 +185,34 @@ func TestVerbsSteadyStateNoAlloc(t *testing.T) {
 	}
 }
 
+// TestRecordedReadReturnsSpanWithExtension: under a flight recorder a
+// same-shard READ takes a record with an extension, because that is where
+// its span lives, and its delivery returns both: the record, cleared, to
+// the extended freelist and the span to the span freelist — after the
+// recorder has finished it.
+func TestRecordedReadReturnsSpanWithExtension(t *testing.T) {
+	b := newPoolBed(t, 1, true, nil)
+	pool := b.local.pool
+	reads := 0
+	for i := 0; i < 2; i++ {
+		if err := b.localQP.Read(b.region, recA, DataIOSize, func([]byte) { reads++ }); err != nil {
+			t.Fatal(err)
+		}
+		b.settle()
+		free, exts := pooled(pool.free), pooled(pool.exts)
+		if len(free) != 0 || len(exts) != 1 || !recycled(exts[0]) {
+			t.Fatalf("read %d: pooled %d plain and %d extended records (recycled: %v), want 0 and 1 cleared",
+				i, len(free), len(exts), len(exts) == 1 && recycled(exts[0]))
+		}
+		if len(pool.spans) != 1 {
+			t.Fatalf("read %d: %d spans pooled, want 1", i, len(pool.spans))
+		}
+	}
+	if fr := b.local.flight; reads != 2 || fr.Started() != 2 || fr.Finished() != 2 {
+		t.Errorf("%d reads delivered, %d spans started, %d finished; want 2 each", reads, fr.Started(), fr.Finished())
+	}
+}
+
 // TestCrossShardReadDeliversServeTimeBytes: a cross-shard READ copies the
 // record out at target service. A WRITE that lands on the record between
 // service and delivery must not show in the delivered bytes, and the next
@@ -461,11 +489,11 @@ func TestRecycledRecordCarriesNothingStale(t *testing.T) {
 // but its extension and the continuation an earlier hop bound there; its
 // next link is the freelist's.
 func recycled(op *flowOp) bool {
-	if x := op.ext; x != nil && (x.msg != (Message{}) || x.swap != 0 || x.buf != nil) {
+	if x := op.ext; x != nil && (x.msg != (Message{}) || x.swap != 0 || x.buf != nil || x.span != nil || x.qp != nil) {
 		return false
 	}
-	return op.qp == nil && op.kind == 0 && !op.control && !op.back && op.size == 0 &&
-		op.region == nil && op.off == 0 && op.delta == 0 && op.cb == nil && op.span == nil
+	return op.kind == 0 && !op.control && !op.back && op.size == 0 &&
+		op.region == nil && op.off == 0 && op.delta == 0 && op.cb == nil
 }
 
 // pooled lists the records of one freelist, top first.
@@ -481,14 +509,16 @@ func pooled(list *flowOp) []*flowOp {
 func (p *opPool) records() []*flowOp { return append(pooled(p.free), pooled(p.exts)...) }
 
 // TestRecordFootprint pins what a verb in flight and a connection cost:
-// the record fits the 80-byte allocation class (its weights derived, an
+// the record is one 64-byte cache line and the 64-byte allocation class
+// (its QP named by the queue that holds it, its weights derived, an
 // atomic's result in its operand, size packed with the flag bytes, one
-// callback slot, what only some verbs carry behind one pointer), a record
-// with its extension still fits the 128-byte class, and a QP is twelve
-// two-word queues, not twelve slice headers.
+// callback slot, what only some verbs carry — a span, a hop's QP —
+// behind one pointer), a record with its extension still fits the
+// 128-byte class, and a QP is twelve two-word queues, not twelve slice
+// headers.
 func TestRecordFootprint(t *testing.T) {
-	if got := unsafe.Sizeof(flowOp{}); got > 80 {
-		t.Errorf("flowOp is %d bytes, want <= 80", got)
+	if got := unsafe.Sizeof(flowOp{}); got > 64 {
+		t.Errorf("flowOp is %d bytes, want <= 64", got)
 	}
 	if got := unsafe.Sizeof(extOp{}); got > 128 {
 		t.Errorf("a record with its extension is %d bytes, want <= 128", got)

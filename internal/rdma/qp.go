@@ -155,12 +155,14 @@ const (
 // pointer. It carries what no stage can work out — the routing class,
 // the target memory range, the 8-byte operand, the caller's completion
 // callback — and the link of the one stage queue it is in. Everything
-// derivable is derived: a stage computes the service weight from kind
-// and size (see weight), an atomic's result overwrites its operand, and
-// the two cross-shard hops share one continuation. What only some verbs
+// derivable is derived: the QP is the one whose stage queue holds the
+// record (every stage runs as a method of that QP, the scheduler reads it
+// off its dataQueue), a stage computes the service weight from kind and
+// size (see weight), an atomic's result overwrites its operand, and the
+// two cross-shard hops share one continuation. What only some verbs
 // carry lives in an extension (opExt). A READ, a FETCH_ADD or an inline
-// WRITE is this record and nothing beside it: 80 bytes, the 80-byte size
-// class (TestRecordFootprint).
+// WRITE is this record and nothing beside it: 64 bytes, one cache line
+// and the 64-byte size class (TestRecordFootprint).
 //
 // Ownership: a record is taken from and returned to the freelist of the
 // initiator's kernel, and only code running on that kernel ever touches
@@ -172,7 +174,6 @@ type flowOp struct {
 	// next links the record into the stage queue holding it (see opFIFO)
 	// or, while pooled, into its freelist (see opPool); nil otherwise.
 	next *flowOp
-	qp   *QP
 
 	kind    opKind
 	control bool
@@ -200,19 +201,15 @@ type flowOp struct {
 	// at its injector. A verb has at most one, so they share the slot.
 	cb any
 
-	// span is nil with recording off, else pooled storage taken with the
-	// record and returned with it.
-	span *trace.Span
-
 	// ext is nil on a record that carries only the fields above; see opExt.
 	ext *opExt
 }
 
 // opExt is what only some verbs carry: a SEND's message, a CMP_SWAP's
-// swap value, a WRITE's captured buffer, and a cross-shard hop's
-// continuation and READ bounce buffer. It is allocated as part of its
-// record (extOp) and never leaves it, so a record with an extension is
-// one object of 128 bytes.
+// swap value, a WRITE's captured buffer, a recorded verb's span, and a
+// cross-shard hop's QP, continuation and READ bounce buffer. It is
+// allocated as part of its record (extOp) and never leaves it, so a
+// record with an extension is one object of 128 bytes.
 type opExt struct {
 	msg  Message // SEND payload, held by value
 	swap int64
@@ -220,6 +217,12 @@ type opExt struct {
 	// time, or the bounce buffer a cross-shard READ's data is copied into
 	// at serve time. It returns to the freelist with the record.
 	buf *[]byte
+	// span is nil with recording off, else pooled storage taken with the
+	// record and returned with it.
+	span *trace.Span
+	// qp is the verb's queue pair, for the one stage no QP method runs:
+	// the mailbox hop (see hop).
+	qp *QP
 	// hopFn is the wire-hop continuation handed to the mailbox: op.hop,
 	// bound the first time the record crosses and kept across recycling.
 	hopFn func()
@@ -251,6 +254,14 @@ func (op *flowOp) buffer() *[]byte {
 		return nil
 	}
 	return op.ext.buf
+}
+
+// sp returns the op's flight-recorder span, nil when it is not recorded.
+func (op *flowOp) sp() *trace.Span {
+	if op.ext == nil {
+		return nil
+	}
+	return op.ext.span
 }
 
 // opPool is one kernel's freelists: verb records, records with an
@@ -295,14 +306,14 @@ func (p *opPool) get(ext bool) *flowOp {
 // buffer. The reset drops every reference the verb held (callback,
 // payload, buffer, region).
 func (p *opPool) put(op *flowOp) {
-	if op.span != nil {
-		p.spans = append(p.spans, op.span)
-	}
 	ext := op.ext
 	if ext == nil {
 		*op = flowOp{next: p.free}
 		p.free = op
 		return
+	}
+	if ext.span != nil {
+		p.spans = append(p.spans, ext.span)
 	}
 	if ext.buf != nil {
 		p.bufs = append(p.bufs, ext.buf)
@@ -345,7 +356,7 @@ func (p *opPool) getBuf(n int) *[]byte {
 // initiator's kernel: the flow-control credit first, then the completion,
 // and an op that only came back for its credit ends here.
 func (op *flowOp) hop() {
-	qp := op.qp
+	qp := op.ext.qp
 	if !op.back {
 		if op.control {
 			qp.ctrlArriveOp(op)
@@ -440,15 +451,19 @@ func (qp *QP) ID() int { return qp.id }
 // newOp takes a record from the initiator's freelist for a verb posted
 // on this QP and, when recording is on, begins its flight-recorder span
 // in storage from the same pool. The record has an extension when ext is
-// set or the QP is cross-shard (the hop needs one).
+// set, the QP is cross-shard (the hop needs its QP) or a recorder is
+// attached (the span lives there).
 func (qp *QP) newOp(kind opKind, control, ext bool) *flowOp {
 	n := qp.initiator
-	op := n.pool.get(ext || qp.cross)
+	fr := n.flight
+	op := n.pool.get(ext || qp.cross || fr != nil)
 	op.kind = kind
 	op.control = control
-	op.qp = qp
-	if fr := n.flight; fr != nil { // the initiator's shard begins the span
-		op.span = fr.Begin(n.pool.getSpan(), trace.Op(kind), control, uint32(n.id), uint32(qp.target.id), qp.id, n.k.Now())
+	if x := op.ext; x != nil {
+		x.qp = qp
+		if fr != nil { // the initiator's shard begins the span
+			x.span = fr.Begin(n.pool.getSpan(), trace.Op(kind), control, uint32(n.id), uint32(qp.target.id), qp.id, n.k.Now())
+		}
 	}
 	return op
 }
@@ -528,8 +543,8 @@ func (qp *QP) ctrlInitDone() {
 	op := qp.ctrlInit.pop()
 	k := qp.initiator.k
 	qp.initiator.prof.InitNICDone++
-	if op.span != nil {
-		op.span.InitDone = k.Now()
+	if sp := op.sp(); sp != nil {
+		sp.InitDone = k.Now()
 	}
 	at := qp.wireAt(k, &qp.ctrlWireAt)
 	if qp.cross {
@@ -561,8 +576,8 @@ func (qp *QP) ctrlArrive() { qp.ctrlArriveOp(qp.ctrlWire.pop()) }
 // control op. Runs on the target's kernel.
 func (qp *QP) ctrlArriveOp(op *flowOp) {
 	qp.target.prof.WireArrivals++
-	if op.span != nil {
-		op.span.Arrived = qp.target.k.Now()
+	if sp := op.sp(); sp != nil {
+		sp.Arrived = qp.target.k.Now()
 	}
 	qp.noteArrival(op)
 	if op.kind == opSend {
@@ -638,12 +653,12 @@ func (qp *QP) ctrlServed() {
 func (qp *QP) serveOp(op *flowOp) {
 	k := qp.target.k
 	qp.target.prof.countKind(op.kind)
-	if op.span != nil {
-		op.span.Served = k.Now()
+	if sp := op.sp(); sp != nil {
+		sp.Served = k.Now()
 		if !op.needsDeliver() {
 			// The span ends here; fold it into the target's shard recorder
 			// (this code runs on the target's kernel).
-			qp.target.flight.Finish(op.span)
+			qp.target.flight.Finish(sp)
 		}
 	}
 	if qp.cross && op.kind == opRead {
@@ -690,9 +705,9 @@ func (qp *QP) deliverNext() { qp.deliverOp(qp.deliver.pop()) }
 // the initiator's kernel.
 func (qp *QP) deliverOp(op *flowOp) {
 	qp.initiator.prof.Deliveries++
-	if op.span != nil {
-		op.span.Done = qp.initiator.k.Now()
-		qp.initiator.flight.Finish(op.span)
+	if sp := op.sp(); sp != nil {
+		sp.Done = qp.initiator.k.Now()
+		qp.initiator.flight.Finish(sp)
 	}
 	op.invokeCB()
 	qp.initiator.pool.put(op)
@@ -708,17 +723,18 @@ func (qp *QP) loopServe(op *flowOp) {
 	k := qp.initiator.k // loopback QPs are never cross-shard
 	qp.initiator.prof.Loopbacks++
 	qp.initiator.prof.countKind(op.kind)
-	if op.span != nil {
-		op.span.Served = k.Now()
+	sp := op.sp()
+	if sp != nil {
+		sp.Served = k.Now()
 		if !op.needsDeliver() {
-			qp.initiator.flight.Finish(op.span)
+			qp.initiator.flight.Finish(sp)
 		}
 	}
 	op.apply()
 	if op.needsDeliver() {
-		if op.span != nil {
-			op.span.Done = k.Now()
-			qp.initiator.flight.Finish(op.span)
+		if sp != nil {
+			sp.Done = k.Now()
+			qp.initiator.flight.Finish(sp)
 		}
 		op.invokeCB()
 	}
@@ -732,14 +748,7 @@ func (qp *QP) loopServe(op *flowOp) {
 // transmit — matching real credit-based flow control.
 func (qp *QP) admitData(op *flowOp) {
 	if qp.serverQ == nil {
-		if qp.cross {
-			// The scheduler must not call back into initiator-side state
-			// from the target's kernel; the credit returns by mailbox
-			// message instead (see serveOp).
-			qp.serverQ = newDataQueue(nil)
-		} else {
-			qp.serverQ = newDataQueue(qp.releaseCredit)
-		}
+		qp.serverQ = &dataQueue{qp: qp}
 	}
 	if qp.window > 0 && qp.inFlight >= qp.window {
 		qp.waiting.push(op)
@@ -753,8 +762,8 @@ func (qp *QP) admitData(op *flowOp) {
 func (qp *QP) transmit(op *flowOp) {
 	qp.inFlight++
 	qp.initiator.prof.CreditGrants++
-	if op.span != nil {
-		op.span.Credit = qp.initiator.k.Now()
+	if sp := op.sp(); sp != nil {
+		sp.Credit = qp.initiator.k.Now()
 	}
 	qp.bulkInit.push(op)
 	qp.initiator.nic.SubmitTagged(op.weight()+qp.initiator.qpPenalty(qp), qp.tag(stageBulkInit))
@@ -766,8 +775,8 @@ func (qp *QP) bulkInitDone() {
 	op := qp.bulkInit.pop()
 	k := qp.initiator.k
 	qp.initiator.prof.InitNICDone++
-	if op.span != nil {
-		op.span.InitDone = k.Now()
+	if sp := op.sp(); sp != nil {
+		sp.InitDone = k.Now()
 	}
 	at := qp.wireAt(k, &qp.bulkWireAt)
 	if qp.cross {
@@ -786,8 +795,8 @@ func (qp *QP) bulkArrive() { qp.bulkArriveOp(qp.bulkWire.pop()) }
 // directly (they are not flow-controlled). Runs on the target's kernel.
 func (qp *QP) bulkArriveOp(op *flowOp) {
 	qp.target.prof.WireArrivals++
-	if op.span != nil {
-		op.span.Arrived = qp.target.k.Now()
+	if sp := op.sp(); sp != nil {
+		sp.Arrived = qp.target.k.Now()
 	}
 	qp.noteArrival(op)
 	if op.kind == opSend {
@@ -846,10 +855,10 @@ func (qp *QP) sendBulkServed() { qp.sendDeliver(qp.sendBulk.pop()) }
 func (qp *QP) sendDeliver(op *flowOp) {
 	k := qp.target.k
 	qp.target.prof.countKind(opSend)
-	if op.span != nil {
-		op.span.Served = k.Now()
+	if sp := op.sp(); sp != nil {
+		sp.Served = k.Now()
 		if op.cb == nil {
-			qp.target.flight.Finish(op.span)
+			qp.target.flight.Finish(sp)
 		}
 	}
 	qp.target.recv(qp.initiator, op.ext.msg)

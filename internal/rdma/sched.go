@@ -39,13 +39,13 @@ func (q *opFIFO) pop() *flowOp {
 type dataQueue struct {
 	opFIFO
 	inRing bool
-	// release is invoked after each serviced op (flow-control credit
-	// return at the initiator).
-	release func()
+	// qp is the queue pair whose bulk verbs this queue holds; nil for an
+	// injector's queue of opFunc units (see BackgroundJob).
+	qp *QP
 }
 
 // rrScheduler arbitrates a node's bulk service among per-initiator queues.
-// The record in service is parked in current/currentQ and completed
+// The record in service is parked in current/currentQP and completed
 // through the node's stageSched tag, so dispatching allocates nothing per
 // op.
 type rrScheduler struct {
@@ -54,13 +54,8 @@ type rrScheduler struct {
 	next      int
 	inService bool
 
-	current  *flowOp
-	currentQ *dataQueue
-}
-
-// newDataQueue creates a queue to be served by this node's scheduler.
-func newDataQueue(release func()) *dataQueue {
-	return &dataQueue{release: release}
+	current   *flowOp
+	currentQP *QP // nil for an opFunc unit
 }
 
 // enqueue adds an operation and kicks the scheduler.
@@ -92,16 +87,16 @@ func (s *rrScheduler) pump() {
 	}
 	s.inService = true
 	s.node.prof.SchedDispatches++
-	if op.span != nil {
-		op.span.Service = s.node.k.Now()
+	if sp := op.sp(); sp != nil {
+		sp.Service = s.node.k.Now()
 	}
 	s.current = op
-	s.currentQ = q
+	s.currentQP = q.qp
 	// Service begins now, so the QP-context touch happens here (opFunc
 	// injections carry no QP context and touch nothing).
 	w := op.weight()
-	if op.kind != opFunc {
-		w += s.node.qpPenalty(op.qp)
+	if q.qp != nil {
+		w += s.node.qpPenalty(q.qp)
 	}
 	s.node.nic.SubmitTagged(w, stageSched)
 }
@@ -109,12 +104,15 @@ func (s *rrScheduler) pump() {
 // onServed completes the operation in service: it applies the memory
 // effect at the target, schedules the completion delivery back to the
 // initiator, returns the flow-control credit, and serves the next op.
+// A same-shard QP's credit returns here, at the serve instant; a
+// cross-shard one's must return on the initiator's kernel, so serveOp
+// mails it back with the record.
 func (s *rrScheduler) onServed() {
 	op := s.current
-	q := s.currentQ
+	qp := s.currentQP
 	s.current = nil
-	s.currentQ = nil
-	if op.kind == opFunc {
+	s.currentQP = nil
+	if qp == nil {
 		s.node.prof.countKind(opFunc)
 		if done, _ := op.cb.(func()); done != nil {
 			// opFunc injectors (background jobs) are always same-shard:
@@ -126,10 +124,10 @@ func (s *rrScheduler) onServed() {
 		}
 		s.node.pool.put(op) // the injector's kernel is this one, see above
 	} else {
-		op.qp.serveOp(op)
-	}
-	if q.release != nil {
-		q.release()
+		qp.serveOp(op)
+		if !qp.cross {
+			qp.releaseCredit()
+		}
 	}
 	s.inService = false
 	s.pump()
