@@ -47,7 +47,6 @@ func run(args []string) int {
 	fs.Int64Var(&opts.Base.Seed, "seed", opts.Base.Seed, "random seed")
 	fs.IntVar(&opts.Parallel, "parallel", runtime.GOMAXPROCS(0), "concurrent cluster runs per experiment sweep (output is identical at any value)")
 	fs.IntVar(&opts.Base.Shards, "shards", 0, "partition each cluster onto this many shard kernels (0/1 = single kernel; changes output like -scale does)")
-	fs.IntVar(&opts.Base.ShardWorkers, "shard-workers", 0, "worker pool driving the shard kernels (0 or 1 = inline, no goroutines; output is identical at any value)")
 	fs.BoolVar(&opts.Base.Sanitize, "sanitize", false, "enable runtime invariant checks (token conservation, pool floor, event order; output is identical, violations fail the run)")
 	fs.StringVar(&opts.Base.Chaos, "chaos", "", "inject a fault scenario into every cluster run (a preset such as set5, or a grammar string like 'crash@2.25:c=0;restart@5.5:c=0'; deterministic, and sanitized)")
 	var (
@@ -114,10 +113,9 @@ func run(args []string) int {
 
 	exp := &exporter{traceOut: *traceOut, metricsOut: *metricsOut}
 	if *traceOut != "" || *metricsOut != "" {
-		// Artifact export works at any -parallel and -shard-workers value:
-		// experiments return their runs in sweep order, and sharded runs
-		// keep one recorder per shard (merged after the run), so neither
-		// knob changes the bytes written.
+		// Artifact export works at any -parallel value: experiments
+		// return their runs in sweep order, so the knob does not change
+		// the bytes written.
 		ob := &cluster.Observe{}
 		if *traceOut != "" {
 			ob.FlightSpans = *traceSpans
@@ -241,8 +239,8 @@ func (e *exporter) write(runs []experiments.RunResult) error {
 			fmt.Printf("mode=%s %s", res.Mode, tbl)
 		}
 		// The deterministic executed-work profile: what the kernel ran,
-		// by verb kind and pipeline stage, independent of workers and of
-		// observability itself.
+		// by verb kind and pipeline stage, independent of observability
+		// itself.
 		fmt.Printf("mode=%s attribution: %+v\n", res.Mode, res.Attribution)
 		e.written++
 	}

@@ -30,22 +30,19 @@ const allKindsScenario = "crash@2.25:c=0;restart@5.5:c=0;outage@7.25+1.25;" +
 	"degrade@10.25+1.5:factor=4;jitter@5.75+1:extra=2us;burst@6+0.75:jobs=2,window=32"
 
 // TestChaosByteIdentical is the chaos twin of
-// TestDeterminismByteIdentical: a sharded run injecting every fault kind
-// — client crash and recovery, monitor outage, NIC degradation, link
+// TestDeterminismByteIdentical: a run injecting every fault kind —
+// client crash and recovery, monitor outage, NIC degradation, link
 // storm, congestion burst — must serialize to byte-identical Results
-// (including the flight-recorder spans and the FaultReport) at shard
-// worker counts 1, 2 and 8. Workers are pure concurrency; a fault
-// injection that leaked across the quantum barrier would show up here as
-// a divergence. Runs sanitized, so the failure-aware invariants also
-// hold at every worker count.
+// (including the flight-recorder spans and the FaultReport) on a rerun,
+// on one kernel and on three shards. Runs sanitized, so the
+// failure-aware invariants also hold on both.
 func TestChaosByteIdentical(t *testing.T) {
-	run := func(workers int) []byte {
+	run := func(shards int) []byte {
 		cfg := testConfig(Haechi)
 		cfg.Seed = 42
 		cfg.Chaos = allKindsScenario
 		cfg.Sanitize = true
-		cfg.Shards = 3
-		cfg.ShardWorkers = workers
+		cfg.Shards = shards
 		cfg.Observe = &Observe{
 			FlightSpans:     1024,
 			MetricsInterval: DefaultMetricsInterval(cfg.Params.Period),
@@ -56,10 +53,10 @@ func TestChaosByteIdentical(t *testing.T) {
 		}
 		res, err := cl.Run(1, 13)
 		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+			t.Fatalf("shards=%d: %v", shards, err)
 		}
 		if res.Faults == nil {
-			t.Fatalf("workers=%d: chaos run produced no FaultReport", workers)
+			t.Fatalf("shards=%d: chaos run produced no FaultReport", shards)
 		}
 		b, err := json.Marshal(res)
 		if err != nil {
@@ -67,11 +64,10 @@ func TestChaosByteIdentical(t *testing.T) {
 		}
 		return b
 	}
-	sequential := run(1)
-	for _, w := range []int{2, 8} {
-		if got := run(w); !bytes.Equal(sequential, got) {
-			t.Errorf("workers=%d diverged from workers=1:", w)
-			reportDivergence(t, sequential, got)
+	for _, shards := range []int{1, 3} {
+		if a, b := run(shards), run(shards); !bytes.Equal(a, b) {
+			t.Errorf("shards=%d: rerun diverged:", shards)
+			reportDivergence(t, a, b)
 		}
 	}
 }

@@ -86,9 +86,8 @@ type Cluster struct {
 	sampleSlots int
 
 	// san holds one invariant checker per shard, nil unless cfg.Sanitize.
-	// Per-shard checkers keep the sanitizer lock-free: shards run
-	// concurrently but each checker is only touched by its own shard's
-	// events, and the checkers merge in shard order after the run.
+	// Each checker is only touched by its own shard's events, and the
+	// checkers merge in shard order after the run.
 	san []*sanitize.Checker
 
 	// sharedKeys is the default scrambled-zipfian chooser, built once and
@@ -110,8 +109,8 @@ type Cluster struct {
 
 // New assembles a cluster for the given tenant specs. In QoS modes every
 // client passes admission control before its engine is created.
-func New(cfg Config, specs []ClientSpec) (_ *Cluster, err error) {
-	cfg, err = cfg.ApplyScale()
+func New(cfg Config, specs []ClientSpec) (*Cluster, error) {
+	cfg, err := cfg.ApplyScale()
 	if err != nil {
 		return nil, err
 	}
@@ -139,15 +138,10 @@ func New(cfg Config, specs []ClientSpec) (_ *Cluster, err error) {
 		// config seed.
 		kernels[s] = sim.New(cfg.Seed + int64(s)*1_000_003)
 	}
-	group, err := shard.New(kernels, cfg.Fabric.PropagationDelay, cfg.ShardWorkers)
+	group, err := shard.New(kernels, cfg.Fabric.PropagationDelay)
 	if err != nil {
 		return nil, err
 	}
-	defer func() {
-		if err != nil {
-			group.Close() // a rejected cluster must not strand the pool's workers
-		}
-	}()
 	assign := func(name string, kind rdma.NodeKind) int {
 		// Background initiators ("bg/…") inject at the data node's
 		// scheduler directly and must share its kernel.
@@ -179,8 +173,6 @@ func New(cfg Config, specs []ClientSpec) (_ *Cluster, err error) {
 			c.san[s] = sanitize.New()
 			armEventOrder(sk, s, c.san[s])
 		}
-		// inject runs on the coordinating goroutine between quanta;
-		// the pool barrier orders it against shard 0's quantum work.
 		group.SetSanitizer(c.san[0])
 	}
 

@@ -87,6 +87,8 @@ func TestApplyScaleValidation(t *testing.T) {
 		{"two-sided, 1 shard", func(c *Config) { c.Mode, c.TwoSided, c.Shards = Bare, true, 1 }, ""},
 		// The client reads the record from the data node's region.
 		{"two-sided, 2 shards", func(c *Config) { c.Mode, c.TwoSided, c.Shards = Bare, true, 2 }, "on its own kernel"},
+		{"one shard worker", func(c *Config) { c.Shards, c.ShardWorkers = 3, 1 }, ""},
+		{"two shard workers", func(c *Config) { c.Shards, c.ShardWorkers = 3, 2 }, "ShardWorkers must be 0 or 1"},
 	} {
 		cfg := NewDefaultConfig()
 		tc.set(&cfg)
@@ -475,10 +477,10 @@ func TestBackgroundJobAndTimeline(t *testing.T) {
 	if after >= before {
 		t.Errorf("congestion did not dent throughput: before=%.0f after=%.0f", before, after)
 	}
-	if res.Clients[0].Timeline.Len() < 10 {
-		t.Errorf("timeline too short: %d", res.Clients[0].Timeline.Len())
+	if len(res.Clients[0].Timeline.Points) < 10 {
+		t.Errorf("timeline too short: %d", len(res.Clients[0].Timeline.Points))
 	}
-	if res.OmegaTimeline.Len() == 0 || res.UsageTimeline.Len() == 0 {
+	if len(res.OmegaTimeline.Points) == 0 || len(res.UsageTimeline.Points) == 0 {
 		t.Error("monitor timelines missing")
 	}
 }

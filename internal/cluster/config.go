@@ -124,11 +124,10 @@ type Config struct {
 	// preset name such as "set5"); empty disables fault injection. The
 	// scenario compiles to virtual-time injections pre-scheduled on the
 	// owning components' kernels at setup, so a chaos run is exactly as
-	// deterministic — and, under sharding, as worker-count-independent —
-	// as a fault-free one. Results.Faults reports the injection and
-	// recovery accounting. Chaos turns Sanitize on, so the failure-aware
-	// invariants (internal/sanitize's package doc) are enforced
-	// throughout. A scenario that crashes a client also turns on the
+	// deterministic as a fault-free one. Results.Faults reports the
+	// injection and recovery accounting. Chaos turns Sanitize on, so the
+	// failure-aware invariants (internal/sanitize's package doc) are
+	// enforced throughout. A scenario that crashes a client also turns on the
 	// monitor's failure detection with the shortest grace that tolerates
 	// one missed end-of-period report (2 periods): without it the crashed
 	// reservation would stay stranded. The grammar has no server
@@ -143,7 +142,7 @@ type Config struct {
 	Sanitize bool
 
 	// Shards partitions the cluster onto per-shard simulation kernels
-	// that advance concurrently under the conservative quantum protocol
+	// that advance in lockstep under the conservative quantum protocol
 	// (internal/sim/shard): the data node (with the monitor, store and
 	// background jobs) on shard 0, clients hashed by name across the
 	// rest. 0 means 1: everything on one kernel, the same run loop with
@@ -155,17 +154,11 @@ type Config struct {
 	// credits return one propagation later — see DESIGN.md §9). Clamped
 	// to the number of clients + 1.
 	Shards int
-	// ShardWorkers is the size of the worker pool driving the shards.
-	// Pure concurrency: any value produces byte-identical Results
-	// (pinned by TestShardedKernelByteIdentical). Values below 1 mean 1 —
-	// every quantum runs inline on the calling goroutine, which is also
-	// the fastest setting measured so far (BENCH_shard.json) — and the
-	// pool is never wider than the shard count. Observability does not
-	// constrain the workers: the flight recorder and metrics registry
-	// are per-shard instances, each touched only by its own shard's
-	// kernel and merged deterministically at run end (DESIGN.md §11), so
-	// observed runs export byte-identical traces and CSVs at any worker
-	// count.
+	// ShardWorkers is kept only because the benchmark harness (bench/)
+	// sets it; 0 and 1 are accepted and mean nothing, since every
+	// quantum runs on the calling goroutine. ApplyScale refuses larger
+	// values. It goes when the harness stops naming it, ahead of the
+	// shard kernel's own deletion (ROADMAP item 1).
 	ShardWorkers int
 }
 
@@ -280,6 +273,9 @@ func (c Config) ApplyScale() (Config, error) {
 	}
 	if c.Shards < 0 {
 		return c, fmt.Errorf("cluster: Shards must be >= 0, got %d", c.Shards)
+	}
+	if c.ShardWorkers > 1 {
+		return c, fmt.Errorf("cluster: every shard runs on the calling goroutine; ShardWorkers must be 0 or 1, got %d", c.ShardWorkers)
 	}
 	if c.Chaos != "" && c.Servers > 1 {
 		return c, fmt.Errorf("cluster: the chaos grammar has no server selector (an outage or a data-node NIC fault names no data node); Chaos needs Servers == 1, got %d", c.Servers)

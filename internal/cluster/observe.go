@@ -39,7 +39,7 @@ func DefaultMetricsInterval(period sim.Time) sim.Time {
 
 // setupObserve attaches the flight recorders and metrics registries per
 // the config — one of each per shard, so every recorder stays
-// single-writer at any worker count. Called at the end of New, once all
+// single-writer. Called at the end of New, once all
 // nodes, engines and generators exist.
 func (c *Cluster) setupObserve() error {
 	ob := c.cfg.Observe
@@ -78,7 +78,7 @@ func (c *Cluster) setupObserve() error {
 // retention counters. Every gauge is registered on its owner's shard
 // registry — the gauge reads state only that shard's kernel writes, and
 // only that shard's ticker samples it — so sampling is single-writer
-// and single-reader per shard at any worker count. Registration order
+// and single-reader per shard. Registration order
 // is fixed by construction order, so exports are deterministic; the
 // merged registry presents per-shard columns plus summed totals for
 // names that exist on several shards (metrics.MergeSharded).

@@ -94,8 +94,7 @@ type Results struct {
 	// byte-identity surface).
 	Faults *FaultReport `json:",omitempty"`
 	// Sharding summarizes the shard coordination; nil for one shard
-	// (nothing to coordinate). Deterministic — it never includes the worker
-	// count (workers are pure concurrency; see Config.ShardWorkers).
+	// (nothing to coordinate). Deterministic.
 	Sharding *ShardingReport `json:",omitempty"`
 	// Stages is the per-tenant per-stage latency breakdown from the
 	// flight recorder; nil unless Config.Observe enabled span recording.
@@ -116,7 +115,7 @@ type Results struct {
 	// shards: per-verb-kind and per-pipeline-stage execution counts.
 	// Always present and always deterministic — the counters ride the
 	// event sequence itself, so they are identical with observability
-	// on or off and at any worker count. Per-shard profiles appear in
+	// on or off. Per-shard profiles appear in
 	// Sharding.Attribution.
 	Attribution rdma.ExecProfile
 	// Ledger is the run's token ledger (nil in Bare mode), kept out of the

@@ -30,7 +30,6 @@ func (c *Cluster) Run(warmupPeriods, measurePeriods int) (*Results, error) {
 		return nil, fmt.Errorf("cluster: Run is one-shot and this cluster has already run")
 	}
 	c.ran = true
-	defer c.group.Close()
 
 	T := c.cfg.Params.Period
 	start := c.kernel.Now()
@@ -78,8 +77,8 @@ func (c *Cluster) Run(warmupPeriods, measurePeriods int) (*Results, error) {
 
 	// One metrics ticker per shard, sampling only that shard's registry
 	// from that shard's kernel: every gauge is registered on its owner's
-	// shard (see registerMetrics), so sampling reads no cross-shard state
-	// and the workers stay unconstrained. All shards tick at the same
+	// shard (see registerMetrics), so sampling reads no cross-shard
+	// state. All shards tick at the same
 	// virtual instants and run to the same horizon, so the per-shard
 	// sample timelines coincide and merge cleanly. A ticker fires at
 	// start and every interval up to end inclusive, so each registry

@@ -394,13 +394,12 @@ func TestSanitizerCatchesLostReservation(t *testing.T) {
 
 // TestServersShardedObservedByteIdentical: the layers added since the
 // sharded kernel — sanitizer, flight spans, metrics sampling, shard
-// placement — run clean over two data nodes, and the worker count stays
-// pure concurrency there too.
+// placement — run clean over two data nodes, and a rerun serializes
+// byte-identically.
 func TestServersShardedObservedByteIdentical(t *testing.T) {
-	run := func(workers int) []byte {
+	run := func() []byte {
 		cfg := serversConfig(2)
 		cfg.Shards = 3
-		cfg.ShardWorkers = workers
 		cfg, err := cfg.ApplyScale()
 		if err != nil {
 			t.Fatal(err)
@@ -443,9 +442,9 @@ func TestServersShardedObservedByteIdentical(t *testing.T) {
 		}
 		return b
 	}
-	one, two := run(1), run(2)
+	one, two := run(), run()
 	if !bytes.Equal(one, two) {
-		t.Error("ShardWorkers 2 diverged from 1 over two data nodes")
+		t.Error("rerun diverged over two data nodes")
 		reportDivergence(t, one, two)
 	}
 }

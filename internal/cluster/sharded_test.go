@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"runtime"
 	"testing"
 
 	"github.com/haechi-qos/haechi/internal/rdma"
@@ -14,7 +13,7 @@ import (
 
 // shardedRun executes a figure-scale Haechi experiment sharded onto
 // per-node kernels and returns the fully serialized Results.
-func shardedRun(t *testing.T, mode Mode, shards, workers int) []byte {
+func shardedRun(t *testing.T, mode Mode, shards int) []byte {
 	t.Helper()
 	specs := make([]ClientSpec, 6)
 	for i := range specs {
@@ -34,7 +33,6 @@ func shardedRun(t *testing.T, mode Mode, shards, workers int) []byte {
 	}
 	cfg.Seed = 42
 	cfg.Shards = shards
-	cfg.ShardWorkers = workers
 	cl, err := New(cfg, specs)
 	if err != nil {
 		t.Fatal(err)
@@ -50,20 +48,17 @@ func shardedRun(t *testing.T, mode Mode, shards, workers int) []byte {
 	return b
 }
 
-// TestShardedKernelByteIdentical is the sharded kernel's core
-// acceptance property: the worker count is pure concurrency. A
-// figure-scale run sharded across 3 kernels must serialize to
-// byte-identical Results whether the quanta execute inline (1 worker)
-// or on a pool wider than the shard count (8 workers) — every period
-// count, latency percentile, timeline point, overhead counter, and the
-// ShardingReport itself.
+// TestShardedKernelByteIdentical extends TestShardedRunRepeatable along
+// the shard axis: at two shards and at the clamp (clients + 1), a
+// figure-scale run serializes to byte-identical Results on a rerun —
+// every period count, latency percentile, timeline point, overhead
+// counter, and the ShardingReport itself.
 func TestShardedKernelByteIdentical(t *testing.T) {
-	base := shardedRun(t, Haechi, 3, 1)
-	for _, workers := range []int{2, 8} {
-		got := shardedRun(t, Haechi, 3, workers)
-		if !bytes.Equal(base, got) {
-			t.Errorf("workers=%d diverged from workers=1", workers)
-			reportDivergence(t, base, got)
+	for _, shards := range []int{2, 7} {
+		a, b := shardedRun(t, Haechi, shards), shardedRun(t, Haechi, shards)
+		if !bytes.Equal(a, b) {
+			t.Errorf("shards=%d: rerun diverged", shards)
+			reportDivergence(t, a, b)
 		}
 	}
 }
@@ -71,10 +66,9 @@ func TestShardedKernelByteIdentical(t *testing.T) {
 // TestShardedKernelByteIdenticalBare covers the bare path, whose period
 // boundaries are driven by per-shard tickers instead of QoS engines.
 func TestShardedKernelByteIdenticalBare(t *testing.T) {
-	base := shardedRun(t, Bare, 3, 1)
-	got := shardedRun(t, Bare, 3, 4)
-	if !bytes.Equal(base, got) {
-		reportDivergence(t, base, got)
+	a, b := shardedRun(t, Bare, 3), shardedRun(t, Bare, 3)
+	if !bytes.Equal(a, b) {
+		reportDivergence(t, a, b)
 	}
 }
 
@@ -82,8 +76,8 @@ func TestShardedKernelByteIdenticalBare(t *testing.T) {
 // two identical sharded runs serialize byte-identically, exactly like
 // TestDeterminismByteIdentical does for the single-kernel path.
 func TestShardedRunRepeatable(t *testing.T) {
-	a := shardedRun(t, Haechi, 3, 2)
-	b := shardedRun(t, Haechi, 3, 2)
+	a := shardedRun(t, Haechi, 3)
+	b := shardedRun(t, Haechi, 3)
 	if !bytes.Equal(a, b) {
 		reportDivergence(t, a, b)
 	}
@@ -161,7 +155,7 @@ func TestShardedReportShape(t *testing.T) {
 // observedShardedRun executes a figure-scale observed+sanitized sharded
 // run and returns the serialized Results, the exported Chrome trace
 // bytes, the exported metrics CSV bytes, and the merged flight recorder.
-func observedShardedRun(t *testing.T, shards, workers int) (resJSON, traceB, csvB []byte, fr *trace.FlightRecorder) {
+func observedShardedRun(t *testing.T, shards int) (resJSON, traceB, csvB []byte, fr *trace.FlightRecorder) {
 	t.Helper()
 	specs := make([]ClientSpec, 6)
 	for i := range specs {
@@ -175,7 +169,6 @@ func observedShardedRun(t *testing.T, shards, workers int) (resJSON, traceB, csv
 	cfg := testConfig(Haechi)
 	cfg.Seed = 42
 	cfg.Shards = shards
-	cfg.ShardWorkers = workers
 	cfg.Sanitize = true
 	cfg.Observe = &Observe{
 		FlightSpans:     2048,
@@ -204,16 +197,14 @@ func observedShardedRun(t *testing.T, shards, workers int) (resJSON, traceB, csv
 	return resJSON, tb.Bytes(), cb.Bytes(), res.Flight
 }
 
-// TestObservedShardedByteIdentical is the tentpole property of
-// shard-parallel observability (and the former clamp's replacement,
-// TestShardedObserveForcesSequential): an observed, sanitized, sharded
-// run must produce byte-identical Results, Chrome trace, and metrics
-// CSV at any worker count. Per-shard recorders are single-writer by
-// construction and merge in shard order after the run, so the exports —
-// not just the Results — carry no trace of how many workers drove the
-// quanta.
+// TestObservedShardedByteIdentical is TestDeterminismByteIdentical for
+// sharded observability: an observed, sanitized, sharded run must
+// reproduce its Results, Chrome trace, and metrics CSV byte for byte on
+// a rerun. Per-shard recorders merge in shard order after the run, so
+// the exports carry the shard layout (a process track and metrics
+// columns per shard) but nothing that could vary between runs.
 func TestObservedShardedByteIdentical(t *testing.T) {
-	baseRes, baseTrace, baseCSV, fr := observedShardedRun(t, 4, 1)
+	baseRes, baseTrace, baseCSV, fr := observedShardedRun(t, 4)
 	if !bytes.Contains(baseTrace, []byte("shard-1")) {
 		t.Error("sharded Chrome trace has no shard-1 process track")
 	}
@@ -236,47 +227,29 @@ func TestObservedShardedByteIdentical(t *testing.T) {
 	if !bytes.Contains(baseCSV, []byte(",trace/spans-dropped")) {
 		t.Error("merged metrics CSV has no trace/spans-dropped column")
 	}
-	for _, workers := range []int{2, 8} {
-		res, traceB, csvB, _ := observedShardedRun(t, 4, workers)
-		if !bytes.Equal(baseRes, res) {
-			t.Errorf("workers=%d: Results diverged from workers=1", workers)
-			reportDivergence(t, baseRes, res)
-		}
-		if !bytes.Equal(baseTrace, traceB) {
-			t.Errorf("workers=%d: Chrome trace diverged from workers=1", workers)
-			reportDivergence(t, baseTrace, traceB)
-		}
-		if !bytes.Equal(baseCSV, csvB) {
-			t.Errorf("workers=%d: metrics CSV diverged from workers=1", workers)
-			reportDivergence(t, baseCSV, csvB)
-		}
+	res, traceB, csvB, _ := observedShardedRun(t, 4)
+	if !bytes.Equal(baseRes, res) {
+		t.Error("Results diverged on a rerun")
+		reportDivergence(t, baseRes, res)
+	}
+	if !bytes.Equal(baseTrace, traceB) {
+		t.Error("Chrome trace diverged on a rerun")
+		reportDivergence(t, baseTrace, traceB)
+	}
+	if !bytes.Equal(baseCSV, csvB) {
+		t.Error("metrics CSV diverged on a rerun")
+		reportDivergence(t, baseCSV, csvB)
 	}
 }
 
 // TestRunOneShot pins the cluster's lifetime contract at both shard
-// counts: a cluster New rejects leaves no pool worker behind, and Run
-// consumes the cluster — a second call is an error, not a re-armed run
-// on spent state (or, with a multi-worker pool, a send on the closed
-// pool's nil channel that blocks forever).
+// counts: Run consumes the cluster, and a second call is an error, not
+// a re-armed run on spent state.
 func TestRunOneShot(t *testing.T) {
 	for _, shards := range []int{1, 3} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			cfg := testConfig(Haechi)
-			cfg.Shards, cfg.ShardWorkers = shards, 2
-			before := runtime.NumGoroutine()
-			over := []ClientSpec{{Reservation: 1 << 40}, {Reservation: 1 << 40}}
-			if _, err := New(cfg, over); err == nil {
-				t.Fatal("admission accepted an impossible reservation")
-			}
-			// Pool.Close has waited for the workers; give their goroutines a
-			// few scheduler turns to finish exiting before counting.
-			for i := 0; i < 1000 && runtime.NumGoroutine() > before; i++ {
-				runtime.Gosched()
-			}
-			if n := runtime.NumGoroutine(); n > before {
-				t.Fatalf("rejected New left %d goroutines running", n-before)
-			}
-
+			cfg.Shards = shards
 			cl, err := New(cfg, []ClientSpec{{Reservation: 1000}, {Reservation: 1000}})
 			if err != nil {
 				t.Fatal(err)

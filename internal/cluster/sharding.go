@@ -12,9 +12,7 @@ type ShardAssignment struct {
 }
 
 // ShardingReport summarizes a run on more than one shard. Every
-// field is deterministic and part of the byte-identity surface — which
-// is why the worker count is deliberately absent: workers are pure
-// concurrency and must never show up in Results.
+// field is deterministic and part of the byte-identity surface.
 type ShardingReport struct {
 	// Shards is the effective shard count (after clamping).
 	Shards int
@@ -35,8 +33,7 @@ type ShardingReport struct {
 	// in index order).
 	Nodes []ShardAssignment
 	// Attribution is the per-shard executed-work profile (shard order);
-	// Results.Attribution is its sum. Like every other field here it is
-	// deterministic and worker-count-independent.
+	// Results.Attribution is its sum.
 	Attribution []rdma.ExecProfile
 }
 

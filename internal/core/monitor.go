@@ -357,16 +357,10 @@ func (m *Monitor) startPeriod() {
 	m.reporting = false
 	if m.san != nil {
 		// Reservation floor under admission: the controller must never
-		// admit more reservation than the capacity it believes in, and the
-		// per-period budget split must stay non-negative.
+		// admit more reservation than the capacity it believes in.
 		if h := m.adm.Headroom(); h < 0 {
 			m.san.Reportf("reservation-floor", int64(m.k.Now()),
 				"period %d: admission headroom %d < 0", r.Period, h)
-		}
-		if r.Issued < 0 || r.Pool < 0 {
-			m.san.Reportf("reservation-floor", int64(m.k.Now()),
-				"period %d: negative budget split (sumRes %d, initialGlobal %d)",
-				r.Period, r.Issued, r.Pool)
 		}
 		if err := r.Check(); err != nil {
 			m.san.Reportf("reclamation-conservation", int64(m.k.Now()), "%v", err)

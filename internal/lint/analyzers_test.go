@@ -173,7 +173,7 @@ func TestDefaultRulesWaivers(t *testing.T) {
 		{"maporder", nil, nil},
 		{"noconcurrency", nil, []string{"internal/parallel"}},
 		{"floateq", []string{".", "internal"}, nil},
-		{"parallelimport", nil, []string{"internal/experiments", "internal/sim/shard"}},
+		{"parallelimport", nil, []string{"internal/experiments"}},
 		{"sharedwrite", nil, nil},
 		{"timetaint", nil, nil},
 		{"waiverdrift", nil, nil},

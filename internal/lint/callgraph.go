@@ -20,7 +20,7 @@ import (
 
 // FuncNode is one callgraph node: a declared function/method, or a
 // single function literal (literals get their own node so worker bodies
-// passed to parallel.Pool/parallel.Map can be roots).
+// passed to parallel.Map can be roots).
 type FuncNode struct {
 	Pkg  *Package
 	Obj  *types.Func   // nil for function literals
@@ -183,12 +183,12 @@ func (g *Callgraph) collectInitRefs(p *Package, expr ast.Expr) {
 }
 
 // WorkerRoots returns the function nodes passed as worker bodies at
-// parallel.Pool.Run / parallel.Map call sites anywhere in the module
-// (any package whose import path ends in "parallel" counts, so fixtures
-// can model the pool). Arguments whose function value the analysis
-// cannot resolve (an arbitrary expression yielding a func) are skipped —
-// a documented soundness caveat; the module passes literals, named
-// functions, and bound methods only.
+// parallel.Map call sites anywhere in the module (any package whose
+// import path ends in "parallel" counts, so fixtures can model it).
+// Arguments whose function value the analysis cannot resolve (an
+// arbitrary expression yielding a func) are skipped — a documented
+// soundness caveat; the module passes literals, named functions, and
+// bound methods only.
 func (g *Callgraph) WorkerRoots() []*FuncNode {
 	var roots []*FuncNode
 	seen := make(map[*FuncNode]bool)
@@ -240,24 +240,18 @@ func (g *Callgraph) funcValue(p *Package, expr ast.Expr) *FuncNode {
 	return nil
 }
 
-// isParallelWorkerCall matches parallel.Map(...) and (*parallel.Pool).Run(...).
+// isParallelWorkerCall matches parallel.Map(...).
 func isParallelWorkerCall(p *Package, call *ast.CallExpr) bool {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
 		return false
 	}
 	fn, ok := p.Info.Uses[sel.Sel].(*types.Func)
-	if !ok || fn.Pkg() == nil || pathBase(fn.Pkg().Path()) != "parallel" {
+	if !ok || fn.Pkg() == nil || pathBase(fn.Pkg().Path()) != "parallel" || fn.Name() != "Map" {
 		return false
 	}
 	sig, ok := fn.Type().(*types.Signature)
-	if !ok {
-		return false
-	}
-	if sig.Recv() == nil {
-		return fn.Name() == "Map"
-	}
-	return fn.Name() == "Run" && namedTypeName(sig.Recv().Type()) == "Pool"
+	return ok && sig.Recv() == nil
 }
 
 // rootSet seeds a reachability walk; reason labels diagnostics.

@@ -25,8 +25,8 @@
 //   - floateq: ==/!= between floating-point operands in QoS/capacity
 //     math is rounding-order fragile (exact-zero sentinel checks are
 //     exempt).
-//   - parallelimport: internal/parallel (the worker pool) may only be
-//     imported by the documented orchestration waivers.
+//   - parallelimport: internal/parallel (the sweep runner) may only be
+//     imported by the documented orchestration waiver.
 //
 // Three are whole-module interprocedural checks built on a conservative
 // callgraph (DESIGN.md §10):
@@ -258,12 +258,10 @@ func (m *Module) PackageOf(tp *types.Package) *Package {
 //     (DESIGN.md §6): internal/parallel, the one deliberate concurrency
 //     boundary (the sweep runner that executes independent kernels on
 //     worker goroutines and merges results by input index).
-//   - parallelimport scopes that boundary: only the orchestration
-//     layers that drive whole kernels from outside may import
-//     internal/parallel — internal/experiments (the one runner of every
-//     experiment's plan of runs) and internal/sim/shard (the
-//     sharded-kernel coordinator, whose quantum protocol keeps results
-//     byte-identical at any worker count). See DESIGN.md §6.
+//   - parallelimport scopes that boundary: only internal/experiments,
+//     the one runner of every experiment's plan of runs, may import
+//     internal/parallel, so only independent whole runs execute
+//     concurrently. See DESIGN.md §6.
 //
 // The three interprocedural analyzers (sharedwrite, timetaint,
 // waiverdrift) run module-wide with no waivers: sharedwrite's escape
@@ -277,7 +275,7 @@ func DefaultRules() []Rule {
 		{Analyzer: Maporder},
 		{Analyzer: Noconcurrency, Exclude: []string{"internal/parallel"}},
 		{Analyzer: Floateq, Include: []string{".", "internal"}},
-		{Analyzer: Parallelimport, Exclude: []string{"internal/experiments", "internal/sim/shard"}},
+		{Analyzer: Parallelimport, Exclude: []string{"internal/experiments"}},
 		{Analyzer: Sharedwrite},
 		{Analyzer: Timetaint},
 		{Analyzer: Waiverdrift},

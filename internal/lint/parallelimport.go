@@ -6,18 +6,17 @@ import (
 )
 
 // Parallelimport confines the module's one concurrency primitive:
-// internal/parallel (the worker pool and sweep runner) may only be
-// imported by the short list of orchestration layers that drive whole
-// kernels from outside — the experiment sweeps, the cluster's profiling
-// fan-out, and the sharded-kernel coordinator. Everything else runs
-// inside a single kernel's event loop, where pulling in the pool would
-// reintroduce exactly the scheduler-dependent interleaving the
-// noconcurrency rule exists to forbid. Each excluded package is a
-// standing, documented waiver (DESIGN.md §6).
+// internal/parallel (the sweep runner) may only be imported by the
+// orchestration layer that drives whole, independent runs from outside
+// — the experiment runner. Everything else runs inside a kernel's
+// event loop, where pulling in goroutines would reintroduce exactly
+// the scheduler-dependent interleaving the noconcurrency rule exists
+// to forbid. The excluded package is a standing, documented waiver
+// (DESIGN.md §6).
 var Parallelimport = &Analyzer{
 	Name: "parallelimport",
 	Doc: "forbids importing internal/parallel outside the documented " +
-		"orchestration waivers (experiment sweeps, cluster profiling, shard coordinator)",
+		"orchestration waiver (the experiment runner's sweeps)",
 	Run: runParallelimport,
 }
 

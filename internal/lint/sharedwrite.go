@@ -9,9 +9,10 @@ import (
 
 // Sharedwrite enforces single-writer ownership of package-level state:
 // no function reachable from a parallel worker body (arguments to
-// parallel.Pool.Run / parallel.Map) or from kernel event code (any
-// function in KernelPackages — kernel events execute on pool workers
-// during sharded quanta) may write a package-level variable, unless the
+// parallel.Map) or from kernel event code (any function in
+// KernelPackages — kernel events execute inside Map's workers, one run
+// per worker, when a sweep runs in parallel) may write a package-level
+// variable, unless the
 // variable carries an entry in the sharedwrite allowlist declaring who
 // the single writer is and why that is safe (DESIGN.md §10).
 var Sharedwrite = NewSharedwrite(SharedWriteAllowlist)

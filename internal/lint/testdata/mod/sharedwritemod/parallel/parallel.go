@@ -1,20 +1,7 @@
-// Package parallel models the real worker pool's API surface so the
+// Package parallel models the real sweep runner's API surface so the
 // sharedwrite analyzer can find worker roots by shape (a package whose
-// import path ends in "parallel" exposing Map and Pool.Run).
+// import path ends in "parallel" exposing Map).
 package parallel
-
-// Pool is a fixed-size worker pool.
-type Pool struct{ workers int }
-
-// NewPool returns a pool of n workers.
-func NewPool(n int) *Pool { return &Pool{workers: n} }
-
-// Run executes job(0..n-1) on the pool workers.
-func (p *Pool) Run(n int, job func(int)) {
-	for i := 0; i < n; i++ {
-		job(i)
-	}
-}
 
 // Map runs job(0..n-1) on up to workers goroutines.
 func Map(workers, n int, job func(int) error) error {

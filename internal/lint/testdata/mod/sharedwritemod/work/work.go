@@ -6,7 +6,7 @@ package work
 
 import "sharedwritemod/parallel"
 
-var counter int // written directly from a Pool.Run worker body
+var counter int // written directly from a Map worker body
 var total int   // written via a helper called from the worker body
 var allowed int // allowlisted in the analyzer test: stays silent there
 var safe int    // written only from sequential code: always silent
@@ -14,10 +14,11 @@ var safe int    // written only from sequential code: always silent
 func bump() { total++ }
 
 // Sweep fans work out; the literals below are worker roots.
-func Sweep(p *parallel.Pool) {
-	p.Run(4, func(i int) {
+func Sweep() {
+	_ = parallel.Map(4, 4, func(i int) error {
 		counter++
 		bump()
+		return nil
 	})
 	_ = parallel.Map(2, 4, func(i int) error {
 		allowed = i

@@ -22,9 +22,8 @@ import (
 //     exported — followed by one "shard<K>/<name>" column per owning
 //     shard in shard order, so imbalance is visible, not just totals.
 //
-// The merge is pure column arithmetic in fixed order: deterministic,
-// and independent of the worker count that drove the shards. A single
-// registry is returned unchanged.
+// The merge is pure column arithmetic in fixed order, so it is
+// deterministic. A single registry is returned unchanged.
 func MergeSharded(regs []*Registry) (*Registry, error) {
 	if len(regs) == 0 {
 		return nil, fmt.Errorf("metrics: merge: no registries")

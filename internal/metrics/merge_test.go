@@ -54,23 +54,16 @@ func TestMergeSharded(t *testing.T) {
 			t.Fatalf("merged names = %v, want %v", got, wantNames)
 		}
 	}
-	check := func(name string, want []float64) {
-		s, ok := m.Series(name)
-		if !ok {
-			t.Fatalf("merged registry missing %q", name)
-		}
-		for i, v := range s.Values() {
-			if v != want[i] {
-				t.Errorf("%s values = %v, want %v", name, s.Values(), want)
-				return
-			}
-		}
+	// sim/pending is the summed total of its two shard columns.
+	var buf bytes.Buffer
+	if err := m.WriteCSV(&buf); err != nil {
+		t.Fatal(err)
 	}
-	check("sim/pending", []float64{4, 6}) // summed total
-	check("shard0/sim/pending", []float64{1, 2})
-	check("shard1/sim/pending", []float64{3, 4})
-	check("dn/nic", []float64{10, 20})
-	check("c1/kv", []float64{100, 200})
+	wantCSV := "time_ns,sim/pending,shard0/sim/pending,shard1/sim/pending,dn/nic,c1/kv\n" +
+		"5,4,1,3,10,100\n9,6,2,4,20,200\n"
+	if buf.String() != wantCSV {
+		t.Errorf("merged CSV = %q, want %q", buf.String(), wantCSV)
+	}
 
 	// The merged registry is read-only: no new gauges, no new samples.
 	if err := m.Register("late", func() float64 { return 0 }); err == nil {

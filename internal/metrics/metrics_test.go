@@ -170,24 +170,6 @@ func TestBucketRoundTripProperty(t *testing.T) {
 	}
 }
 
-func TestSeries(t *testing.T) {
-	var s Series
-	s.Name = "tput"
-	s.Add(sim.Second, 100)
-	s.Add(2*sim.Second, 200)
-	s.Add(3*sim.Second, 300)
-	if s.Len() != 3 {
-		t.Errorf("Len = %d", s.Len())
-	}
-	vals := s.Values()
-	if len(vals) != 3 || vals[2] != 300 {
-		t.Errorf("Values = %v", vals)
-	}
-	if s.String() != "tput: 100 200 300" {
-		t.Errorf("String = %q", s.String())
-	}
-}
-
 // denseHistogram is the reference the sparse Histogram must agree with: the
 // same bucketing over one flat counter array (the layout Histogram had
 // before its rows became lazy).

@@ -14,8 +14,8 @@ import (
 // gauges (a gauge is any func() float64 — counters register a closure
 // over their current value), and a sampler calls Sample on a virtual-
 // time cadence to snapshot every gauge at once. Samples are stored
-// column-per-metric in registration order, so every export — CSV, JSON,
-// Series — is deterministic without sorting.
+// column-per-metric in registration order, so every export — CSV and
+// JSON — is deterministic without sorting.
 //
 // The registry is kernel-package code (single-threaded by contract) and
 // does no scheduling of its own; the sampling cadence is owned by
@@ -97,20 +97,6 @@ func (r *Registry) Sample(t sim.Time) {
 	for i, fn := range r.fns {
 		r.values[i] = append(r.values[i], fn())
 	}
-}
-
-// Series returns one metric's samples as a Series, or false if the
-// name was never registered.
-func (r *Registry) Series(name string) (*Series, bool) {
-	i, ok := r.index[name]
-	if !ok {
-		return nil, false
-	}
-	s := &Series{Name: name}
-	for j, t := range r.times {
-		s.Add(t, r.values[i][j])
-	}
-	return s, true
 }
 
 // WriteCSV writes all samples in wide format: a "time_ns,<name>,..."

@@ -3,6 +3,7 @@ package metrics
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"testing"
 
 	"github.com/haechi-qos/haechi/internal/sim"
@@ -48,19 +49,23 @@ func TestRegistrySampleAndSeries(t *testing.T) {
 	if got := r.Names(); len(got) != 2 || got[0] != "gauge" || got[1] != "count" {
 		t.Errorf("Names() = %v, want registration order [gauge count]", got)
 	}
-	s, ok := r.Series("gauge")
-	if !ok || s.Len() != 2 {
-		t.Fatalf("Series(gauge) = %v, %v", s, ok)
+	b, err := json.Marshal(r)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if vals := s.Values(); vals[0] != 1 || vals[1] != 2.5 {
-		t.Errorf("gauge values = %v, want [1 2.5]", vals)
+	var got registryJSON
+	if err := json.Unmarshal(b, &got); err != nil {
+		t.Fatal(err)
 	}
-	cs, _ := r.Series("count")
-	if vals := cs.Values(); vals[0] != 0 || vals[1] != 7 {
-		t.Errorf("counter values = %v, want [0 7]", vals)
+	want := registryJSON{
+		Times: []sim.Time{10, 20},
+		Metrics: []registryColumn{
+			{Name: "gauge", Values: []float64{1, 2.5}},
+			{Name: "count", Values: []float64{0, 7}},
+		},
 	}
-	if _, ok := r.Series("missing"); ok {
-		t.Error("Series returned ok for unregistered name")
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("columns = %+v, want %+v", got, want)
 	}
 }
 

@@ -96,7 +96,7 @@ type Node struct {
 	// flight is this node's shard's flight recorder (nil when recording
 	// is off). Cached per node so the hot stamping sites index nothing:
 	// every stamp runs on the node's own kernel, so each recorder keeps
-	// a single writer even when shards run concurrently.
+	// a single writer.
 	flight *trace.FlightRecorder
 	// prof is this node's shard's attribution profile (always non-nil).
 	// Same single-writer argument: every increment runs on the node's
@@ -210,7 +210,7 @@ func (n *Node) Shard() int { return n.shard }
 // Flight returns the node's shard's flight recorder, or nil when
 // recording is off. Code running on the node's kernel — its monitor or
 // engines — marks protocol events there, keeping the recorder
-// single-writer at any worker count.
+// single-writer.
 func (n *Node) Flight() *trace.FlightRecorder { return n.flight }
 
 // Kind returns the node kind.
@@ -298,8 +298,8 @@ type Fabric struct {
 	// their dense 1-based id (qps[0] is nil) for tag dispatch. All four
 	// grow only during setup: on a sharded fabric, nodes and connections
 	// must exist before the run starts (the assignment is fixed at
-	// EnableSharding time), so concurrent shard kernels only ever read
-	// these slices.
+	// EnableSharding time), so shard kernels only ever read these
+	// slices.
 	nodeChunks [][]Node
 	qpChunks   [][]QP
 	byName     map[string]*Node
@@ -308,7 +308,7 @@ type Fabric struct {
 	// flights holds one flight recorder per shard, or nil when recording
 	// is off. Each recorder receives spans only from code running on its
 	// shard's kernel — Begin on the initiator's shard, Finish on the shard
-	// of the stamping site — so concurrent shards never share a recorder.
+	// of the stamping site — so shards never share a recorder.
 	// Recording only stamps
 	// timestamps inside callbacks the fabric executes anyway, so the
 	// kernel event sequence is unchanged (DESIGN.md §7, §11).
@@ -398,7 +398,7 @@ func (f *Fabric) EnableSharding(kernels []*sim.Kernel, assign func(name string, 
 // initiated from now on records a span. Each recorder is only ever
 // touched by code running on its shard's kernel (spans begin on the
 // initiator's recorder and finish on the recorder of the shard executing
-// the final stamp), so shards may run concurrently without locks. The
+// the final stamp). The
 // recorders share one actor table naming every node by its id; a node
 // added later joins it, at setup, before any verb reads it.
 func (f *Fabric) SetFlightRecorders(frs []*trace.FlightRecorder) error {
@@ -529,7 +529,7 @@ func (f *Fabric) SetSanitizers(cs []*sanitize.Checker) error {
 // Connect creates a queue pair from initiator to target. Queue pairs are
 // slab-allocated and indexed by their dense id for tag dispatch; on a
 // sharded fabric all connections must be made before the run starts (the
-// index is then read concurrently by the shard kernels).
+// index is then only read by the shard kernels).
 func (f *Fabric) Connect(initiator, target *Node) (*QP, error) {
 	if initiator == nil || target == nil {
 		return nil, fmt.Errorf("rdma: Connect requires two non-nil nodes")
@@ -560,8 +560,8 @@ func (f *Fabric) Connect(initiator, target *Node) (*QP, error) {
 // wireStorm is a jitter window on every wire hop: while the virtual
 // clock is inside [from, to) each hop pays a uniformly drawn extra delay
 // in [0, extra] on top of PropagationDelay. Storms are armed before the
-// run starts and never mutated afterwards, so concurrent shard kernels
-// may read the slice without synchronization; the random draw itself
+// run starts and never mutated afterwards, so shard kernels only read
+// the slice; the random draw itself
 // always comes from the executing kernel's own RNG, which keeps sharded
 // runs byte-replayable.
 type wireStorm struct {

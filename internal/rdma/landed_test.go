@@ -8,7 +8,7 @@ import "testing"
 // loopback queue pair, at wire arrival on a cross-shard one. Over the run
 // the regions' counts sum to the target's OneSidedTargeted.
 func TestLandedPerRegion(t *testing.T) {
-	b := newPoolBed(t, 1, false, nil)
+	b := newPoolBed(t, false, nil)
 	qos, err := b.server.RegisterRegion("qos", 64)
 	if err != nil {
 		t.Fatal(err)

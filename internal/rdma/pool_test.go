@@ -35,7 +35,7 @@ const (
 	recB = DataIOSize
 )
 
-func newPoolBed(t *testing.T, workers int, observed bool, tune func(*Config)) *poolBed {
+func newPoolBed(t *testing.T, observed bool, tune func(*Config)) *poolBed {
 	t.Helper()
 	cfg := NewDefaultConfig()
 	cfg.Jitter = 0
@@ -43,11 +43,10 @@ func newPoolBed(t *testing.T, workers int, observed bool, tune func(*Config)) *p
 		tune(&cfg)
 	}
 	kernels := []*sim.Kernel{sim.New(1), sim.New(2)}
-	g, err := shard.New(kernels, cfg.PropagationDelay, workers)
+	g, err := shard.New(kernels, cfg.PropagationDelay)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(g.Close)
 	f, err := NewFabric(kernels[0], cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -158,7 +157,7 @@ func TestVerbsSteadyStateNoAlloc(t *testing.T) {
 					name += "/observed"
 				}
 				t.Run(name, func(t *testing.T) {
-					b := newPoolBed(t, 1, observed, nil)
+					b := newPoolBed(t, observed, nil)
 					qp, want := b.localQP, 0.0
 					if cross {
 						qp = b.qp
@@ -191,7 +190,7 @@ func TestVerbsSteadyStateNoAlloc(t *testing.T) {
 // the extended freelist and the span to the span freelist — after the
 // recorder has finished it.
 func TestRecordedReadReturnsSpanWithExtension(t *testing.T) {
-	b := newPoolBed(t, 1, true, nil)
+	b := newPoolBed(t, true, nil)
 	pool := b.local.pool
 	reads := 0
 	for i := 0; i < 2; i++ {
@@ -221,7 +220,7 @@ func TestRecordedReadReturnsSpanWithExtension(t *testing.T) {
 func TestCrossShardReadDeliversServeTimeBytes(t *testing.T) {
 	// A long wire leaves room for a whole loopback WRITE at the server
 	// between the READ's service and its delivery.
-	b := newPoolBed(t, 1, false, func(c *Config) { c.PropagationDelay = 20 * sim.Microsecond })
+	b := newPoolBed(t, false, func(c *Config) { c.PropagationDelay = 20 * sim.Microsecond })
 	if err := b.region.CopyIn(recA, fill(0xaa, DataIOSize)); err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +291,7 @@ func TestCrossShardReadDeliversServeTimeBytes(t *testing.T) {
 func TestFreelistHighWater(t *testing.T) {
 	const reads = 10_000
 	t.Run("read burst", func(t *testing.T) {
-		b := newPoolBed(t, 1, false, nil)
+		b := newPoolBed(t, false, nil)
 		done := 0
 		for i := 0; i < reads; i++ {
 			if err := b.qp.Read(b.region, recA, DataIOSize, func([]byte) { done++ }); err != nil {
@@ -306,7 +305,7 @@ func TestFreelistHighWater(t *testing.T) {
 		b.checkPools(t, reads, b.qp.window)
 	})
 	t.Run("read closed loop", func(t *testing.T) {
-		b := newPoolBed(t, 1, false, nil)
+		b := newPoolBed(t, false, nil)
 		posted, done := 0, 0
 		var next func([]byte)
 		post := func() {
@@ -333,7 +332,7 @@ func TestFreelistHighWater(t *testing.T) {
 	})
 	t.Run("write burst", func(t *testing.T) {
 		const writes = 300
-		b := newPoolBed(t, 1, false, nil)
+		b := newPoolBed(t, false, nil)
 		payload := fill(0x11, DataIOSize)
 		for i := 0; i < writes; i++ {
 			if err := b.qp.Write(b.region, recB, payload, nil); err != nil {
@@ -380,7 +379,7 @@ func (b *poolBed) checkPools(t *testing.T, maxRecords, maxBufs int) {
 // and record UPDATEs of a key and zeros — rides in plain records: no
 // verb takes an extension or a payload buffer.
 func TestFleetVerbsTakeNoExtension(t *testing.T) {
-	b := newPoolBed(t, 1, false, nil)
+	b := newPoolBed(t, false, nil)
 	if err := b.region.CopyIn(recB, fill(0xff, DataIOSize)); err != nil {
 		t.Fatal(err)
 	}
@@ -436,7 +435,7 @@ func TestFleetVerbsTakeNoExtension(t *testing.T) {
 // same-shard and a cross-shard QP — see none of them.
 func TestRecycledRecordCarriesNothingStale(t *testing.T) {
 	for _, cross := range []bool{false, true} {
-		b := newPoolBed(t, 1, false, nil)
+		b := newPoolBed(t, false, nil)
 		qp, pool := b.localQP, b.local.pool
 		if cross {
 			qp, pool = b.qp, b.client.pool
@@ -529,12 +528,11 @@ func TestRecordFootprint(t *testing.T) {
 }
 
 // TestPooledRecordsTwoWorkers drives cross-shard traffic in both
-// directions with the two shard kernels on two goroutines. Under -race
-// this is the ownership rule's test: a freelist is only ever touched
-// from its own kernel, and a record between its wire hops only from the
-// kernel the mailbox handed it to.
+// directions at once: every READ must deliver its record's bytes while
+// the records it rides in are recycled on both shards' freelists and
+// handed between kernels by the mailbox.
 func TestPooledRecordsTwoWorkers(t *testing.T) {
-	b := newPoolBed(t, 2, true, nil)
+	b := newPoolBed(t, true, nil)
 	f := b.server.fabric
 	// The mirror image of qp: a server on shard 1, targeted from shard 0.
 	far, err := f.AddServer("s1/dn")

@@ -5,7 +5,7 @@ package rdma
 // The counters increment inside the same callbacks that execute the
 // work, on the owning node's kernel — single-writer per shard, no
 // locks — and they are exactly as deterministic as the event sequence:
-// independent of worker count, identical with observability on or off
+// identical with observability on or off
 // (recording adds no fabric events). They are the measurement half of
 // profile-driven kernel optimization: a run's Results rank which
 // stations, stages, and verb kinds actually executed the most work, so

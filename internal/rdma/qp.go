@@ -40,8 +40,8 @@ type QP struct {
 	// target-side stages on the target's, and every wire hop (arrival,
 	// completion delivery, credit return) travels through the shard
 	// coordinator's mailboxes as a message carrying the record's pointer
-	// — the shared per-stage wire/deliver FIFOs are bypassed, since two
-	// kernels may not touch one FIFO concurrently. The message is the
+	// — the shared per-stage wire/deliver FIFOs are bypassed, since a
+	// FIFO belongs to one kernel. The message is the
 	// record's one continuation, bound the first time the record crosses,
 	// so a recycled record's hop allocates nothing either.
 	cross bool

@@ -15,9 +15,9 @@ package rdma
 // allocation-free in steady state. Every touch happens on the owning
 // node's kernel and writes only that node's end of the ctxSlot words —
 // the touched QP's and, on eviction, the victim's, which is cached here
-// because this node is that same end of it — so per-node caches need no
-// locks even when shards run concurrently and the hit/miss sequence is
-// exactly as deterministic as the event sequence.
+// because this node is that same end of it — so per-node caches are
+// single-writer and the hit/miss sequence is exactly as deterministic
+// as the event sequence.
 type qpCache struct {
 	cap     int
 	penalty float64

@@ -49,7 +49,7 @@ type regionPair struct {
 
 func newRegionPair(t *testing.T, pages int) *regionPair {
 	t.Helper()
-	b := newPoolBed(t, 1, false, nil)
+	b := newPoolBed(t, false, nil)
 	paged, err := b.server.RegisterPagedRegion("paged", pages, fuzzPageSize, fuzzPrefix)
 	if err != nil {
 		t.Fatal(err)

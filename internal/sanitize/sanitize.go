@@ -19,8 +19,7 @@
 //     negative, and no I/O ran on an unclaimed pool token;
 //   - "pool-floor": the shared pool may only go negative by the
 //     in-flight claim window (one batch per client);
-//   - "reservation-floor": admission headroom is never negative, nor is
-//     either half of a period's budget split;
+//   - "reservation-floor": admission headroom is never negative;
 //   - "reclamation-conservation": at every period start the monitor's
 //     new row obeys core.MonitorRow.Check — the issued reservations plus
 //     those withheld from suspected clients equal the admitted total;
@@ -131,11 +130,10 @@ func (c *Checker) Dropped() uint64 {
 }
 
 // Merge concatenates several checkers' violations into one checker, in
-// argument order. A sharded cluster gives each shard its own checker —
-// shards run concurrently and the package deliberately uses no locking
-// (the kernel packages forbid sync imports) — and merges them in shard
-// order at the end of the run, which is deterministic because each
-// shard's event schedule is. Nil checkers are skipped.
+// argument order. A sharded cluster gives each shard its own checker
+// and merges them in shard order at the end of the run, which is
+// deterministic because each shard's event schedule is. Nil checkers
+// are skipped.
 func Merge(cs ...*Checker) *Checker {
 	m := New()
 	for _, c := range cs {

@@ -2,7 +2,6 @@ package shard
 
 import (
 	"encoding/json"
-	"fmt"
 	"os"
 	"runtime"
 	"sort"
@@ -104,12 +103,12 @@ func plainChurn(n int) uint64 {
 	return k.Executed()
 }
 
-func newBenchGroup(workers int) *Group {
+func newBenchGroup() *Group {
 	ks := make([]*sim.Kernel, benchShards)
 	for s := range ks {
 		ks[s] = sim.New(int64(s) + 1)
 	}
-	g, err := New(ks, sim.Microsecond, workers)
+	g, err := New(ks, sim.Microsecond)
 	if err != nil {
 		panic(err)
 	}
@@ -117,114 +116,68 @@ func newBenchGroup(workers int) *Group {
 }
 
 // BenchmarkShardedKernelEvents measures group throughput per executed
-// event at several worker counts: events/sec = 1e9 / (ns/op). On a
-// single-core host the >1-worker figures show the coordination
-// overhead instead of a speedup; CI records both plus NumCPU in
-// BENCH_shard.json so the two cases are distinguishable.
+// event: events/sec = 1e9 / (ns/op).
 func BenchmarkShardedKernelEvents(b *testing.B) {
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			g := newBenchGroup(workers)
-			defer g.Close()
-			shardChurn(g, b.N)
-		})
-	}
+	b.ReportAllocs()
+	shardChurn(newBenchGroup(), b.N)
 }
 
 // TestWriteShardBenchJSON is the CI hook behind the BENCH_shard.json
 // artifact: when BENCH_SHARD_JSON names a path, it times a fixed-size
-// churn at worker counts 1/2/4/8 and writes the events-per-second and
-// speedup-vs-1-worker table, plus NumCPU so a core-bound run (speedup
-// ~1/overhead on a single-core runner) is identifiable from the
-// artifact alone. Without the env var it skips.
+// churn on the group and on one bare kernel and writes their ratio,
+// plus the group's deterministic event accounting and NumCPU. Without
+// the env var it skips.
 func TestWriteShardBenchJSON(t *testing.T) {
 	path := os.Getenv("BENCH_SHARD_JSON")
 	if path == "" {
 		t.Skip("set BENCH_SHARD_JSON=<path> to write the sharded benchmark artifact")
 	}
 	const n = 2_000_000
-	workerCounts := []int{1, 2, 4, 8}
-	type point struct {
-		Workers      int     `json:"workers"`
-		EventsPerSec float64 `json:"events_per_sec"`
-		Speedup      float64 `json:"speedup_vs_1_worker"`
-		IdleQuanta   uint64  `json:"idle_quanta_total"`
-	}
 	out := struct {
 		Events        uint64 `json:"events"`
 		Shards        int    `json:"shards"`
 		NumCPU        int    `json:"num_cpu"`
 		Quanta        uint64 `json:"quanta"`
 		CrossMessages uint64 `json:"cross_messages"`
+		IdleQuanta    uint64 `json:"idle_quanta_total"`
 		// PlainKernelEventsPerSec is the same event load on one bare
-		// kernel, and CoordinationRatio is the 1-worker group's
-		// throughput relative to it — the quantum protocol's overhead,
-		// measured interleaved in the same run so the CI gate can
-		// compare it against the committed baseline without
-		// cross-machine (or cross-minute) noise. Each rep times group
-		// then bare back to back; the ratio is the median over reps.
+		// kernel, and CoordinationRatio is the group's throughput
+		// relative to it — the quantum protocol's overhead, measured
+		// interleaved in the same run so the CI gate can compare it
+		// against the committed baseline without cross-machine (or
+		// cross-minute) noise. Each rep times group then bare back to
+		// back; the ratio is the median over reps.
 		PlainKernelEventsPerSec float64 `json:"plain_kernel_events_per_sec"`
 		CoordinationRatio       float64 `json:"coordination_ratio"`
-		Points                  []point `json:"points"`
 	}{Shards: benchShards, NumCPU: runtime.NumCPU()}
 
 	// Warm-up pass.
-	func() {
-		g := newBenchGroup(1)
-		defer g.Close()
-		shardChurn(g, n/10)
-	}()
+	shardChurn(newBenchGroup(), n/10)
 	plainChurn(n / 10)
-	var base float64
 	var coordRatios []float64
-	for _, workers := range workerCounts {
-		// Best of three: the CI regression gate compares events/sec
-		// ratios against a committed baseline, and on a shared runner a
-		// single sample carries enough scheduler noise to trip a 20%
-		// threshold. The fastest run is the least-perturbed measurement
-		// of the same deterministic work.
-		var eps float64
-		var events, quanta, crossMsgs, idle uint64
-		for rep := 0; rep < 3; rep++ {
-			g := newBenchGroup(workers)
-			start := time.Now()
-			ev := shardChurn(g, n)
-			v := float64(ev) / time.Since(start).Seconds()
-			if v > eps {
-				eps = v
-			}
-			events = ev
-			quanta = g.Quanta()
-			crossMsgs = g.CrossMessages()
-			idle = 0
-			for _, q := range g.IdleQuanta() {
-				idle += q
-			}
-			g.Close()
-			if workers == 1 {
-				start = time.Now()
-				pn := plainChurn(n)
-				pv := float64(pn) / time.Since(start).Seconds()
-				if pv > out.PlainKernelEventsPerSec {
-					out.PlainKernelEventsPerSec = pv
-				}
-				coordRatios = append(coordRatios, v/pv)
-			}
+	for rep := 0; rep < 3; rep++ {
+		g := newBenchGroup()
+		start := time.Now()
+		ev := shardChurn(g, n)
+		v := float64(ev) / time.Since(start).Seconds()
+		out.Events = ev
+		out.Quanta = g.Quanta()
+		out.CrossMessages = g.CrossMessages()
+		out.IdleQuanta = 0
+		for _, q := range g.IdleQuanta() {
+			out.IdleQuanta += q
 		}
-		if workers == 1 {
-			base = eps
-			out.Events = events
-			out.Quanta = quanta
-			out.CrossMessages = crossMsgs
-			sort.Float64s(coordRatios)
-			out.CoordinationRatio = coordRatios[len(coordRatios)/2]
+		start = time.Now()
+		pn := plainChurn(n)
+		pv := float64(pn) / time.Since(start).Seconds()
+		if pv > out.PlainKernelEventsPerSec {
+			out.PlainKernelEventsPerSec = pv
 		}
-		out.Points = append(out.Points, point{
-			Workers: workers, EventsPerSec: eps, Speedup: eps / base, IdleQuanta: idle,
-		})
-		t.Logf("workers=%d: %.2fM ev/s (%.2fx)", workers, eps/1e6, eps/base)
+		coordRatios = append(coordRatios, v/pv)
 	}
+	sort.Float64s(coordRatios)
+	out.CoordinationRatio = coordRatios[len(coordRatios)/2]
+	t.Logf("coordination ratio %.3f", out.CoordinationRatio)
 	b, err := json.MarshalIndent(out, "", "  ")
 	if err != nil {
 		t.Fatal(err)

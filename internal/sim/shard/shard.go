@@ -1,6 +1,6 @@
-// Package shard runs several sim.Kernel instances concurrently under a
-// conservative synchronization protocol while preserving the exact
-// event order a sequential execution would produce.
+// Package shard advances several sim.Kernel instances in lockstep
+// quanta under a conservative synchronization protocol, on one
+// goroutine.
 //
 // The model is classic conservative parallel discrete-event simulation
 // specialized to the Haechi fabric: every cross-shard interaction is a
@@ -29,24 +29,16 @@
 //     events at exactly t but nothing later. A group of one kernel has
 //     no peer that could post to it, so its lookahead is unbounded:
 //     h = t+1 and the whole RunUntil is a single quantum.
-//  4. Quantum: every shard runs Kernel.RunBefore(h), concurrently on
-//     the worker pool. Shards share no mutable state; cross-shard
-//     effects go through Post, whose per-(src,dst) outboxes are
-//     single-writer during a quantum. The pool barrier gives a
-//     happens-before edge between quanta, so the next quantum's reads
-//     see this quantum's writes.
+//  4. Quantum: every shard runs Kernel.RunBefore(h), in shard order on
+//     the calling goroutine. Shards share no mutable state within a
+//     quantum; cross-shard effects go through Post, whose
+//     per-(src,dst) outboxes are drained only at the next barrier.
 //
 // Determinism contract: the events each shard fires, their order, their
 // timestamps, and each shard's RNG consumption depend only on the
-// program and Δ — never on the worker count. A Group with one worker
-// executes the identical schedule with no goroutines at all; the
-// differential tests in this package pin a multi-worker Group against
-// an independently written sequential reference coordinator on 300
-// randomized seeds.
-//
-// This package is on the short list allowed to use concurrency (via
-// internal/parallel) — see DESIGN.md §6 and the parallelimport lint
-// rule for the waiver and its justification.
+// program and Δ. The differential tests in this package pin a Group
+// against an independently written sequential reference coordinator
+// on 300 randomized seeds.
 package shard
 
 import (
@@ -54,7 +46,6 @@ import (
 	"fmt"
 	"slices"
 
-	"github.com/haechi-qos/haechi/internal/parallel"
 	"github.com/haechi-qos/haechi/internal/sanitize"
 	"github.com/haechi-qos/haechi/internal/sim"
 )
@@ -73,12 +64,9 @@ type message struct {
 type Group struct {
 	kernels []*sim.Kernel
 	delta   sim.Time
-	pool    *parallel.Pool
 
 	// outbox[src][dst] holds messages posted by shard src for shard dst
-	// during the current quantum. Each [src][dst] slice has exactly one
-	// writer (shard src's goroutine), so no locking is needed; the pool
-	// barrier publishes the appends to the draining goroutine.
+	// during the current quantum; only shard src's events append to it.
 	outbox [][][]message
 	// seq[src] numbers shard src's posts; per-source monotone across
 	// the whole run, making (seq, src) a unique mailbox sort key.
@@ -91,10 +79,6 @@ type Group struct {
 	running bool
 	stopped bool
 
-	// runShardFn is g.runShard, bound once so a quantum hands the pool a
-	// ready func value.
-	runShardFn func(int)
-
 	// Diagnostics, all deterministic.
 	quanta  uint64
 	idle    []uint64 // per-shard quanta that fired zero events
@@ -102,8 +86,7 @@ type Group struct {
 	scratch []message
 
 	// san, when non-nil, checks mailbox ordering during inject
-	// (internal/sanitize). inject runs on the coordinating goroutine
-	// between quanta, so the checker needs no locking.
+	// (internal/sanitize).
 	san *sanitize.Checker
 }
 
@@ -112,29 +95,20 @@ type Group struct {
 func (g *Group) SetSanitizer(c *sanitize.Checker) { g.san = c }
 
 // New creates a coordinator over the given kernels with lookahead
-// delta (the minimum virtual-time latency of any cross-shard message)
-// and the given worker-pool size. Workers is pure concurrency: it
-// never affects results. workers <= 1 runs every quantum inline. A
-// single kernel exchanges no messages, so delta is not consulted (and
+// delta (the minimum virtual-time latency of any cross-shard message).
+// A single kernel exchanges no messages, so delta is not consulted (and
 // not validated) for a group of one.
-func New(kernels []*sim.Kernel, delta sim.Time, workers int) (*Group, error) {
+func New(kernels []*sim.Kernel, delta sim.Time) (*Group, error) {
 	if len(kernels) == 0 {
 		return nil, fmt.Errorf("shard: group needs at least one kernel")
 	}
 	if delta <= 0 && len(kernels) > 1 {
 		return nil, fmt.Errorf("shard: lookahead must be positive, got %v", delta)
 	}
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(kernels) {
-		workers = len(kernels)
-	}
 	n := len(kernels)
 	g := &Group{
 		kernels: kernels,
 		delta:   delta,
-		pool:    parallel.NewPool(workers),
 		outbox:  make([][][]message, n),
 		seq:     make([]uint64, n),
 		idle:    make([]uint64, n),
@@ -142,7 +116,6 @@ func New(kernels []*sim.Kernel, delta sim.Time, workers int) (*Group, error) {
 	for s := range g.outbox {
 		g.outbox[s] = make([][]message, n)
 	}
-	g.runShardFn = g.runShard
 	return g, nil
 }
 
@@ -151,9 +124,6 @@ func (g *Group) Kernels() []*sim.Kernel { return g.kernels }
 
 // Delta returns the lookahead.
 func (g *Group) Delta() sim.Time { return g.delta }
-
-// Workers returns the worker-pool size.
-func (g *Group) Workers() int { return g.pool.Workers() }
 
 // Quanta returns the number of synchronization quanta executed.
 func (g *Group) Quanta() uint64 { return g.quanta }
@@ -212,17 +182,13 @@ func (g *Group) Stop() { g.stopped = true }
 // kernel stopping.
 func (g *Group) Stopped() bool { return g.stopped }
 
-// Close releases the worker pool. The group must not be run afterwards.
-func (g *Group) Close() { g.pool.Close() }
-
 // RunUntil advances every shard to virtual time t: events with
 // timestamps <= t fire, clocks end at exactly t.
 //
 // Stop semantics: an event handler may stop its own shard's kernel
 // (never a peer's — that would be a cross-shard write). The stop is
 // observed at the next barrier; every peer completes the full current
-// quantum first, which is deterministic at any worker count because
-// shards exchange nothing mid-quantum. The final quantum's mailbox
+// quantum first, because shards exchange nothing mid-quantum. The final quantum's mailbox
 // messages are injected — so queued state is complete — but nothing
 // further fires, no clock is advanced to t, and the group halts:
 // subsequent RunUntil calls return immediately. An external Stop on
@@ -249,23 +215,19 @@ func (g *Group) RunUntil(t sim.Time) {
 		}
 		g.horizon = h
 		g.running = true
-		g.pool.Run(len(g.kernels), g.runShardFn)
+		for i, k := range g.kernels {
+			before := k.Executed()
+			k.RunBefore(h)
+			if k.Executed() == before {
+				g.idle[i]++
+			}
+		}
 		g.running = false
 		g.quanta++
 	}
 	// Every remaining event is beyond t; advance the clocks to t.
 	for _, k := range g.kernels {
 		k.RunUntil(t)
-	}
-}
-
-// runShard executes one shard's share of the current quantum.
-func (g *Group) runShard(i int) {
-	k := g.kernels[i]
-	before := k.Executed()
-	k.RunBefore(g.horizon)
-	if k.Executed() == before {
-		g.idle[i]++ // only job i writes idle[i]
 	}
 }
 
@@ -287,7 +249,7 @@ func (g *Group) lowerBound() (sim.Time, bool) {
 // (at, seq, src) order — a strict total order because (seq, src) is
 // unique per source — so the destination kernel's tie-breaking
 // sequence numbers, and with them the firing order, are independent of
-// which goroutines filled the outboxes.
+// the order the shards ran in.
 func (g *Group) inject() {
 	for dst := range g.kernels {
 		pending := g.scratch[:0]
@@ -333,7 +295,7 @@ func compareMessages(a, b message) int {
 
 // checkMailbox asserts that a destination's sorted mailbox batch is
 // strictly increasing in (at, seq, src) — i.e. every (seq, src) key is
-// unique, so delivery order cannot depend on goroutine interleaving —
+// unique, so delivery order cannot depend on the order shards ran in —
 // and that no message lands in the destination's past (a lookahead
 // violation Post's horizon panic did not see, e.g. a message delayed a
 // full quantum).

@@ -14,8 +14,7 @@ import (
 // The differential harness mirrors the wheel-vs-reference-heap idiom
 // from internal/sim/wheel_test.go: an independently written sequential
 // reference coordinator replays the same randomized program, and the
-// per-shard firing traces must match exactly — for the reference and
-// for the Group at every worker count.
+// per-shard firing traces must match exactly.
 
 // refCoord is a from-scratch sequential implementation of the quantum
 // protocol: one flat pending-message list, shards stepped in index
@@ -27,6 +26,10 @@ type refCoord struct {
 	pending []refMsg
 	seqs    []uint64
 	halted  bool
+
+	// Diagnostics, counted the way Group documents them.
+	quanta, cross uint64
+	idle          []uint64
 }
 
 type refMsg struct {
@@ -37,7 +40,7 @@ type refMsg struct {
 }
 
 func newRefCoord(ks []*sim.Kernel, delta sim.Time) *refCoord {
-	return &refCoord{ks: ks, delta: delta, seqs: make([]uint64, len(ks))}
+	return &refCoord{ks: ks, delta: delta, seqs: make([]uint64, len(ks)), idle: make([]uint64, len(ks))}
 }
 
 func (r *refCoord) Post(src, dst int, at sim.Time, fn func()) {
@@ -62,6 +65,7 @@ func (r *refCoord) deliver() {
 	for _, m := range r.pending {
 		r.ks[m.dst].At(m.at, m.fn)
 	}
+	r.cross += uint64(len(r.pending))
 	r.pending = r.pending[:0]
 }
 
@@ -94,9 +98,14 @@ func (r *refCoord) RunUntil(t sim.Time) {
 		if h > t+1 {
 			h = t + 1
 		}
-		for _, k := range r.ks {
+		for s, k := range r.ks {
+			before := k.Executed()
 			k.RunBefore(h)
+			if k.Executed() == before {
+				r.idle[s]++
+			}
 		}
+		r.quanta++
 	}
 	for _, k := range r.ks {
 		k.RunUntil(t)
@@ -119,8 +128,8 @@ type shardFire struct {
 // shardProgram builds one randomized multi-shard workload on the given
 // kernels and returns the per-shard firing logs (filled in as the
 // coordinator runs). Every piece of mutable state — logs, id counters,
-// RNG — is owned by exactly one shard, so the program is safe under
-// concurrent quanta; the logs alone are the observable trace.
+// RNG — is owned by exactly one shard, so no quantum writes state a
+// peer shard owns; the logs alone are the observable trace.
 func shardProgram(c coordinator, ks []*sim.Kernel, seed int64) []*[]shardFire {
 	n := len(ks)
 	logs := make([]*[]shardFire, n)
@@ -207,9 +216,9 @@ func diffLogs(t *testing.T, label string, got, want [][]shardFire) {
 }
 
 // TestGroupMatchesReferenceCoordinator replays 300 randomized
-// multi-shard programs on the Group — at worker counts 1, 2, 4 and
-// 8 — and on the sequential reference coordinator, requiring the exact
-// same per-shard firing traces, timestamps, and RNG draws every time.
+// multi-shard programs on the Group and on the sequential reference
+// coordinator, requiring the exact same per-shard firing traces,
+// timestamps, and RNG draws every time.
 func TestGroupMatchesReferenceCoordinator(t *testing.T) {
 	const shards = 4
 	const horizon = 20 * sim.Millisecond
@@ -220,17 +229,14 @@ func TestGroupMatchesReferenceCoordinator(t *testing.T) {
 		ref.RunUntil(horizon)
 		want := collectLogs(refLogs)
 
-		for _, workers := range []int{1, 2, 4, 8} {
-			ks := makeKernels(shards, seed)
-			g, err := New(ks, sim.Microsecond, workers)
-			if err != nil {
-				t.Fatal(err)
-			}
-			logs := shardProgram(g, ks, seed)
-			g.RunUntil(horizon)
-			g.Close()
-			diffLogs(t, fmt.Sprintf("seed %d workers %d", seed, workers), collectLogs(logs), want)
+		ks = makeKernels(shards, seed)
+		g, err := New(ks, sim.Microsecond)
+		if err != nil {
+			t.Fatal(err)
 		}
+		logs := shardProgram(g, ks, seed)
+		g.RunUntil(horizon)
+		diffLogs(t, fmt.Sprintf("seed %d", seed), collectLogs(logs), want)
 	}
 }
 
@@ -241,20 +247,18 @@ func TestGroupResumeAcrossRunUntil(t *testing.T) {
 	const shards = 3
 	for seed := int64(1); seed <= 50; seed++ {
 		ks := makeKernels(shards, seed)
-		g, _ := New(ks, sim.Microsecond, 2)
+		g, _ := New(ks, sim.Microsecond)
 		logs := shardProgram(g, ks, seed)
 		g.RunUntil(20 * sim.Millisecond)
-		g.Close()
 		want := collectLogs(logs)
 
 		ks = makeKernels(shards, seed)
-		g, _ = New(ks, sim.Microsecond, 2)
+		g, _ = New(ks, sim.Microsecond)
 		logs = shardProgram(g, ks, seed)
 		for _, cut := range []sim.Time{sim.Microsecond, sim.Millisecond,
 			7 * sim.Millisecond, 20 * sim.Millisecond} {
 			g.RunUntil(cut)
 		}
-		g.Close()
 		diffLogs(t, fmt.Sprintf("seed %d sliced", seed), collectLogs(logs), want)
 		for s, k := range ks {
 			if k.Now() != 20*sim.Millisecond {
@@ -266,8 +270,8 @@ func TestGroupResumeAcrossRunUntil(t *testing.T) {
 
 // TestGroupStopSemantics pins the coordinator stop contract: a shard
 // stopping its own kernel halts the whole group at the next barrier
-// with the identical trace at every worker count (and identical to the
-// reference coordinator), peers having completed the full quantum.
+// with the reference coordinator's trace, peers having completed the
+// full quantum.
 func TestGroupStopSemantics(t *testing.T) {
 	const shards = 4
 	const stopAt = 5 * sim.Millisecond
@@ -282,25 +286,22 @@ func TestGroupStopSemantics(t *testing.T) {
 		ref := newRefCoord(ks, sim.Microsecond)
 		want := run(ref, ks, seed)
 
-		for _, workers := range []int{1, 2, 8} {
-			ks := makeKernels(shards, seed)
-			g, _ := New(ks, sim.Microsecond, workers)
-			got := run(g, ks, seed)
-			diffLogs(t, fmt.Sprintf("seed %d workers %d", seed, workers), got, want)
-			if !g.Stopped() {
-				t.Fatalf("seed %d: group not halted after shard stop", seed)
-			}
-			// The halt is sticky and total: nothing fires on any shard
-			// afterwards, even through direct kernel access.
-			before := g.Executed()
-			g.RunUntil(40 * sim.Millisecond)
-			for _, k := range ks {
-				k.RunUntil(40 * sim.Millisecond)
-			}
-			if g.Executed() != before {
-				t.Fatalf("seed %d: events fired after group halt", seed)
-			}
-			g.Close()
+		ks = makeKernels(shards, seed)
+		g, _ := New(ks, sim.Microsecond)
+		got := run(g, ks, seed)
+		diffLogs(t, fmt.Sprintf("seed %d", seed), got, want)
+		if !g.Stopped() {
+			t.Fatalf("seed %d: group not halted after shard stop", seed)
+		}
+		// The halt is sticky and total: nothing fires on any shard
+		// afterwards, even through direct kernel access.
+		before := g.Executed()
+		g.RunUntil(40 * sim.Millisecond)
+		for _, k := range ks {
+			k.RunUntil(40 * sim.Millisecond)
+		}
+		if g.Executed() != before {
+			t.Fatalf("seed %d: events fired after group halt", seed)
 		}
 	}
 }
@@ -309,14 +310,13 @@ func TestGroupStopSemantics(t *testing.T) {
 // but never fired" half of the stop contract directly.
 func TestGroupStopKeepsFinalQuantumMessagesQueued(t *testing.T) {
 	ks := makeKernels(2, 1)
-	g, _ := New(ks, sim.Microsecond, 1)
+	g, _ := New(ks, sim.Microsecond)
 	delivered := false
 	ks[0].At(0, func() {
 		g.Post(0, 1, ks[0].Now()+sim.Microsecond, func() { delivered = true })
 		ks[0].Stop()
 	})
 	g.RunUntil(sim.Millisecond)
-	g.Close()
 	if delivered {
 		t.Fatal("message fired after stop")
 	}
@@ -328,12 +328,11 @@ func TestGroupStopKeepsFinalQuantumMessagesQueued(t *testing.T) {
 // TestGroupExternalStop pins Group.Stop: the next RunUntil is a no-op.
 func TestGroupExternalStop(t *testing.T) {
 	ks := makeKernels(2, 1)
-	g, _ := New(ks, sim.Microsecond, 1)
+	g, _ := New(ks, sim.Microsecond)
 	fired := 0
 	ks[0].At(0, func() { fired++ })
 	g.Stop()
 	g.RunUntil(sim.Millisecond)
-	g.Close()
 	if fired != 0 {
 		t.Fatal("event fired after external Stop")
 	}
@@ -344,8 +343,7 @@ func TestGroupExternalStop(t *testing.T) {
 // current quantum horizon is a programming error and must panic.
 func TestPostLookaheadViolationPanics(t *testing.T) {
 	ks := makeKernels(2, 1)
-	g, _ := New(ks, sim.Microsecond, 1)
-	defer g.Close()
+	g, _ := New(ks, sim.Microsecond)
 	panicked := ""
 	ks[0].At(100, func() {
 		defer func() {
@@ -361,29 +359,24 @@ func TestPostLookaheadViolationPanics(t *testing.T) {
 	}
 }
 
-// TestGroupDiagnosticsDeterministic pins that quantum, idle and
-// cross-message counters are part of the deterministic surface.
+// TestGroupDiagnosticsDeterministic pins the quantum, idle and
+// cross-message counters against the reference coordinator's.
 func TestGroupDiagnosticsDeterministic(t *testing.T) {
-	type diag struct {
-		quanta, cross uint64
-		idle          []uint64
+	ks := makeKernels(4, 7)
+	ref := newRefCoord(ks, sim.Microsecond)
+	shardProgram(ref, ks, 7)
+	ref.RunUntil(20 * sim.Millisecond)
+	if ref.quanta == 0 || ref.cross == 0 {
+		t.Fatalf("degenerate program: %d quanta, %d cross messages", ref.quanta, ref.cross)
 	}
-	run := func(workers int) diag {
-		ks := makeKernels(4, 7)
-		g, _ := New(ks, sim.Microsecond, workers)
-		shardProgram(g, ks, 7)
-		g.RunUntil(20 * sim.Millisecond)
-		defer g.Close()
-		return diag{quanta: g.Quanta(), cross: g.CrossMessages(), idle: g.IdleQuanta()}
-	}
-	want := run(1)
-	if want.quanta == 0 || want.cross == 0 {
-		t.Fatalf("degenerate program: %+v", want)
-	}
-	for _, workers := range []int{2, 4, 8} {
-		if got := run(workers); !reflect.DeepEqual(got, want) {
-			t.Fatalf("workers=%d: diagnostics %+v, want %+v", workers, got, want)
-		}
+
+	ks = makeKernels(4, 7)
+	g, _ := New(ks, sim.Microsecond)
+	shardProgram(g, ks, 7)
+	g.RunUntil(20 * sim.Millisecond)
+	if g.Quanta() != ref.quanta || g.CrossMessages() != ref.cross || !reflect.DeepEqual(g.IdleQuanta(), ref.idle) {
+		t.Fatalf("diagnostics: quanta %d cross %d idle %v, reference %d %d %v",
+			g.Quanta(), g.CrossMessages(), g.IdleQuanta(), ref.quanta, ref.cross, ref.idle)
 	}
 }
 
@@ -404,7 +397,7 @@ func TestGroupAgainstSingleKernelUnion(t *testing.T) {
 func singleKernelUnion(t *testing.T, shards int) {
 	for seed := int64(1); seed <= 100; seed++ {
 		// Plain kernel: one kernel per "shard" still, but driven by
-		// RunUntil directly — the degenerate 1-worker, infinite-lookahead
+		// RunUntil directly — the degenerate infinite-lookahead
 		// schedule.
 		ks := makeKernels(shards, seed)
 		localOnly := func(c coordinator, ks []*sim.Kernel) []*[]shardFire {
@@ -437,13 +430,12 @@ func singleKernelUnion(t *testing.T, shards int) {
 		if shards == 1 {
 			delta = 0
 		}
-		g, err := New(ks, delta, 4)
+		g, err := New(ks, delta)
 		if err != nil {
 			t.Fatal(err)
 		}
 		gotLogs := localOnly(g, ks)
 		g.RunUntil(sim.Millisecond)
-		g.Close()
 		diffLogs(t, fmt.Sprintf("%d shards seed %d union", shards, seed), collectLogs(gotLogs), want)
 		if shards == 1 && g.Quanta() != 1 {
 			t.Fatalf("one-shard group ran %d quanta, want 1", g.Quanta())

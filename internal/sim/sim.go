@@ -270,8 +270,8 @@ func (k *Kernel) Run() {
 // before t — stay queued and never fire, and the clock is NOT advanced
 // to t; it stays at the last fired event's time. A later RunUntil on a
 // stopped kernel is a no-op. The shard coordinator
-// (internal/sim/shard.Group) relies on exactly these semantics to keep
-// a stop deterministic across worker counts; see Group.RunUntil.
+// (internal/sim/shard.Group) relies on exactly these semantics to halt
+// every shard at the same barrier; see Group.RunUntil.
 func (k *Kernel) RunUntil(t Time) {
 	for !k.stopped {
 		ev := k.peek()
@@ -319,9 +319,8 @@ func (k *Kernel) NextAt() (at Time, ok bool) {
 // Stop is single-kernel: under the shard coordinator, an event handler
 // may only stop its own shard's kernel. The coordinator observes the
 // stop at the next quantum barrier; peers complete the full current
-// quantum (they exchange no state mid-quantum, so the outcome is
-// identical at any worker count) and the group then halts with every
-// remaining event unfired. See internal/sim/shard.
+// quantum and the group then halts with every remaining event unfired.
+// See internal/sim/shard.
 func (k *Kernel) Stop() { k.stopped = true }
 
 // Stopped reports whether Stop has been called.

@@ -395,8 +395,7 @@ func (s *StageStats) merge(o *StageStats) {
 }
 
 // MergeFlightRecorders combines per-shard recorders into one read-only
-// recorder, deterministically and independent of the worker count that
-// drove the shards:
+// recorder, deterministically:
 //
 //   - retained spans and events are k-way merged in (End, shard) order —
 //     End is nondecreasing within a shard because Finish runs at the
