@@ -38,7 +38,8 @@ var goldenCases = []struct {
 
 // goldenOptions shrinks the runs (the shapes, not the dimensions, are
 // what the differential pins): high scale divisor, short windows, few
-// clients. Parallel exercises the sweep machinery. Shard placement is
+// clients. Parallel = 4 is what puts every golden run's kernel code
+// under the race detector concurrently (go test -race). Shard placement is
 // part of the experiment definition (stable-ID hashing since PR 10), so
 // each shard count has its own golden file.
 func goldenOptions(shards int) Options {

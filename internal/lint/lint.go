@@ -9,8 +9,8 @@
 // this package turns the contract into a machine-checked invariant.
 //
 // The suite is stdlib-only (go/parser, go/ast, go/types); it adds no
-// module dependencies and runs offline. Nine analyzers ship by default.
-// Six are per-file syntactic checks:
+// module dependencies and runs offline. Seven analyzers ship by default.
+// Five are per-file syntactic checks:
 //
 //   - walltime: wall-clock time is forbidden; simulated time comes from
 //     the sim.Kernel clock.
@@ -20,20 +20,14 @@
 //   - maporder: map iteration whose body schedules events, appends
 //     results, sends on channels, or accumulates floats must sort its
 //     keys first or carry a //lint:ordered justification.
-//   - noconcurrency: the single-threaded kernel packages may not use
-//     goroutines, channels, or sync primitives.
+//   - noconcurrency: no package outside internal/parallel may use
+//     goroutines, channels, or sync primitives; a run is one goroutine.
 //   - floateq: ==/!= between floating-point operands in QoS/capacity
 //     math is rounding-order fragile (exact-zero sentinel checks are
 //     exempt).
-//   - parallelimport: internal/parallel (the sweep runner) may only be
-//     imported by the documented orchestration waiver.
 //
-// Three are whole-module interprocedural checks built on a conservative
-// callgraph (DESIGN.md §10):
+// Two are whole-module checks (DESIGN.md §10):
 //
-//   - sharedwrite: no write to package-level state from code reachable
-//     from parallel worker bodies or kernel event code, unless the
-//     variable carries a single-writer allowlist entry.
 //   - timetaint: no wall-clock / global-rand derived value may flow —
 //     through any number of calls, including waived packages — into
 //     kernel event scheduling (Kernel.Schedule/At/Every/RunUntil/
@@ -41,6 +35,10 @@
 //   - waiverdrift: every Exclude waiver in the active rule set must be
 //     live (match a package where the analyzer actually reports);
 //     dead or over-broad waivers are findings.
+//
+// Writes to shared state from concurrent runs are left to the race
+// detector: the golden differential runs its sweeps four runs at a time
+// under go test -race.
 package lint
 
 import (
@@ -75,8 +73,8 @@ type Analyzer struct {
 	Doc  string
 	Run  func(*Package) []Diagnostic
 	// RunModule runs once per lint invocation with every package loaded;
-	// interprocedural analyzers (sharedwrite, timetaint, waiverdrift)
-	// live here. Implementations must return diagnostics already sorted
+	// the whole-module analyzers (timetaint, waiverdrift) live here.
+	// Implementations must return diagnostics already sorted
 	// (SortDiagnostics) so output never depends on map iteration order.
 	RunModule func(*Module) []Diagnostic
 }
@@ -189,64 +187,19 @@ func matchAny(prefixes []string, rel string) bool {
 	return false
 }
 
-// KernelPackages lists the single-threaded discrete-event packages: code
-// here runs entirely inside sim.Kernel event handlers, so it needs no
-// locking — and must not introduce any concurrency. The noconcurrency
-// rule now covers the whole module (anything NOT listed here is also
-// single-threaded unless it carries a documented waiver in
-// DefaultRules); the list remains the canonical statement of which
-// packages form the kernel proper.
-var KernelPackages = []string{
-	"internal/sim",
-	"internal/rdma",
-	"internal/core",
-	"internal/kvstore",
-	"internal/workload",
-	"internal/experiments",
-	"internal/metrics",
-	"internal/cluster",
-	"internal/trace",
-}
-
 // Module bundles every loaded package with the active rule set for the
-// whole-module analyzers. The callgraph is built on first use and shared
-// across analyzers.
+// whole-module analyzers.
 type Module struct {
 	// Packages is sorted by Rel (the loader's order).
 	Packages []*Package
 	// Rules is the rule set the run was invoked with; waiverdrift audits
 	// it.
 	Rules []Rule
-
-	graph   *Callgraph
-	pkgOf   map[*types.Package]*Package
-	pkgInit bool
 }
 
 // NewModule prepares pkgs for module-level analysis under rules.
 func NewModule(pkgs []*Package, rules []Rule) *Module {
 	return &Module{Packages: pkgs, Rules: rules}
-}
-
-// Graph returns the module callgraph, building it on first call.
-func (m *Module) Graph() *Callgraph {
-	if m.graph == nil {
-		m.graph = buildCallgraph(m.Packages)
-	}
-	return m.graph
-}
-
-// PackageOf maps a type-checker package back to the loaded *Package, or
-// nil for packages outside the module (stdlib).
-func (m *Module) PackageOf(tp *types.Package) *Package {
-	if !m.pkgInit {
-		m.pkgOf = make(map[*types.Package]*Package, len(m.Packages))
-		for _, p := range m.Packages {
-			m.pkgOf[p.Types] = p
-		}
-		m.pkgInit = true
-	}
-	return m.pkgOf[tp]
 }
 
 // DefaultRules is the shipped haechilint configuration. Scope waivers:
@@ -255,19 +208,13 @@ func (m *Module) PackageOf(tp *types.Package) *Package {
 //     the tool itself (how long a simulation takes to execute), not
 //     simulated time, so wall-clock use there is correct.
 //   - noconcurrency covers the entire module with one standing waiver
-//     (DESIGN.md §6): internal/parallel, the one deliberate concurrency
-//     boundary (the sweep runner that executes independent kernels on
-//     worker goroutines and merges results by input index).
-//   - parallelimport scopes that boundary: only internal/experiments,
-//     the one runner of every experiment's plan of runs, may import
-//     internal/parallel, so only independent whole runs execute
-//     concurrently. See DESIGN.md §6.
+//     (DESIGN.md §6): internal/parallel, the sweep runner that executes
+//     independent runs on worker goroutines and merges results by input
+//     index.
 //
-// The three interprocedural analyzers (sharedwrite, timetaint,
-// waiverdrift) run module-wide with no waivers: sharedwrite's escape
-// hatch is its own allowlist (DESIGN.md §10), timetaint deliberately
-// sees through the walltime waiver, and waiverdrift audits this very
-// rule set.
+// The two whole-module analyzers (timetaint, waiverdrift) run with no
+// waivers: timetaint deliberately sees through the walltime waiver, and
+// waiverdrift audits this very rule set.
 func DefaultRules() []Rule {
 	return []Rule{
 		{Analyzer: Walltime, Exclude: []string{"cmd/haechibench"}},
@@ -275,18 +222,8 @@ func DefaultRules() []Rule {
 		{Analyzer: Maporder},
 		{Analyzer: Noconcurrency, Exclude: []string{"internal/parallel"}},
 		{Analyzer: Floateq, Include: []string{".", "internal"}},
-		{Analyzer: Parallelimport, Exclude: []string{"internal/experiments"}},
-		{Analyzer: Sharedwrite},
 		{Analyzer: Timetaint},
 		{Analyzer: Waiverdrift},
-	}
-}
-
-// Analyzers returns the nine shipped analyzers, unscoped.
-func Analyzers() []*Analyzer {
-	return []*Analyzer{
-		Walltime, Globalrand, Maporder, Noconcurrency, Floateq, Parallelimport,
-		Sharedwrite, Timetaint, Waiverdrift,
 	}
 }
 

@@ -52,54 +52,6 @@ func checkDiags(t *testing.T, analyzer string, diags []lint.Diagnostic, want []w
 	}
 }
 
-// TestSharedwriteFixture: direct worker write, interprocedural write
-// through a helper, a second Map worker's write, and a kernel-package
-// write are all findings; the sequential-only write is not.
-func TestSharedwriteFixture(t *testing.T) {
-	pkgs := loadFixtureModule(t, "sharedwritemod")
-	m := lint.NewModule(pkgs, nil)
-	diags := lint.Sharedwrite.RunModule(m)
-	const tail = "; declare single-writer ownership in the sharedwrite allowlist or move the write (DESIGN.md §10)"
-	checkDiags(t, "sharedwrite", diags, []wantDiag{
-		{"sim.go", 11, "write to package-level variable internal/sim.Clock from Advance (reachable from kernel event code)" + tail},
-		{"work.go", 14, "write to package-level variable work.total from bump (reachable from parallel worker bodies)" + tail},
-		{"work.go", 19, "write to package-level variable work.counter from func literal at line 18 (reachable from parallel worker bodies)" + tail},
-		{"work.go", 24, "write to package-level variable work.allowed from func literal at line 23 (reachable from parallel worker bodies)" + tail},
-	})
-}
-
-// TestSharedwriteAllowlist: an allowlist entry silences its variable,
-// and a stale entry is itself a finding.
-func TestSharedwriteAllowlist(t *testing.T) {
-	pkgs := loadFixtureModule(t, "sharedwritemod")
-	m := lint.NewModule(pkgs, nil)
-	an := lint.NewSharedwrite(map[string]string{
-		"work.allowed": "single writer: the Map body owns it during the sweep",
-		"work.ghost":   "stale entry that must be reported",
-	})
-	diags := an.RunModule(m)
-	if len(diags) != 4 {
-		t.Fatalf("got %d diagnostics, want 4:\n%s", len(diags), renderDiags(diags))
-	}
-	staleMsg := `allowlist entry "work.ghost" matched no reachable write; delete the stale entry`
-	var sawStale bool
-	for _, d := range diags {
-		if d.Pos.Filename == "(sharedwrite allowlist)" {
-			sawStale = true
-			if d.Message != staleMsg {
-				t.Errorf("stale-entry message %q, want %q", d.Message, staleMsg)
-			}
-			continue
-		}
-		if filepath.Base(d.Pos.Filename) == "work.go" && d.Pos.Line == 24 {
-			t.Errorf("allowlisted write still reported: %s", d.String())
-		}
-	}
-	if !sawStale {
-		t.Errorf("stale allowlist entry not reported:\n%s", renderDiags(diags))
-	}
-}
-
 // TestTimetaintFixture: taint through two calls, out of a waived
 // package, via a parameter-forwarding helper, and from a global-rand
 // draw; the kernel-clock call stays silent.
@@ -136,11 +88,11 @@ func TestWaiverdriftFixture(t *testing.T) {
 // runs render identically even though analyzers and the loader iterate
 // maps internally.
 func TestRunDiagnosticOrder(t *testing.T) {
-	pkgs := loadFixtureModule(t, "sharedwritemod")
+	pkgs := loadFixtureModule(t, "timetaintmod")
 	rules := lint.DefaultRules()
 	first := lint.Run(pkgs, rules)
 	if len(first) == 0 {
-		t.Fatal("expected findings on the sharedwrite fixture module")
+		t.Fatal("expected findings on the timetaint fixture module")
 	}
 	sorted := sort.SliceIsSorted(first, func(i, j int) bool {
 		a, b := first[i], first[j]
@@ -162,7 +114,7 @@ func TestRunDiagnosticOrder(t *testing.T) {
 		t.Fatalf("diagnostics not sorted:\n%s", renderDiags(first))
 	}
 	for run := 0; run < 3; run++ {
-		again := lint.Run(loadFixtureModule(t, "sharedwritemod"), lint.DefaultRules())
+		again := lint.Run(loadFixtureModule(t, "timetaintmod"), lint.DefaultRules())
 		if renderDiags(again) != renderDiags(first) {
 			t.Fatalf("run %d diverged:\n%s\nvs\n%s", run, renderDiags(again), renderDiags(first))
 		}
@@ -172,7 +124,7 @@ func TestRunDiagnosticOrder(t *testing.T) {
 // TestFixtureModulesTypeCheck: every mini-module under testdata/mod
 // must load and type-check — fixtures that rot stop proving anything.
 func TestFixtureModulesTypeCheck(t *testing.T) {
-	names := []string{"sharedwritemod", "timetaintmod", "waiverdriftmod"}
+	names := []string{"timetaintmod", "waiverdriftmod"}
 	for _, name := range names {
 		if pkgs := loadFixtureModule(t, name); len(pkgs) == 0 {
 			t.Errorf("fixture module %s loaded no packages", name)

@@ -11,8 +11,8 @@ import (
 // event handler runs to completion before the next fires, so components
 // need no locking — and must not introduce goroutines, channels, or sync
 // primitives, which would make event interleaving scheduler-dependent.
-// Packages are exempted only by leaving the kernel allowlist
-// (KernelPackages) deliberately.
+// The rule covers the whole module; a package is exempted only by a
+// documented waiver in DefaultRules.
 var Noconcurrency = &Analyzer{
 	Name: "noconcurrency",
 	Doc: "forbids go statements, channel operations, select, and sync imports " +

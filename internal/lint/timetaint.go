@@ -15,9 +15,9 @@ import (
 // Timetaint has no waivers: it runs module-wide and follows values
 // through any number of calls via two function summaries (taints its
 // return value; forwards a parameter into a sink), computed to a
-// fixpoint over the module callgraph. The intraprocedural propagation
-// is flow-insensitive; values laundered through struct fields or
-// captured closure variables are not tracked (DESIGN.md §10).
+// fixpoint over every function in the module. The intraprocedural
+// propagation is flow-insensitive; values laundered through struct
+// fields or captured closure variables are not tracked (DESIGN.md §10).
 var Timetaint = &Analyzer{
 	Name: "timetaint",
 	Doc: "forbids wall-clock/global-rand derived values from reaching kernel " +
@@ -46,14 +46,14 @@ type taintSummary struct {
 }
 
 type taintEnv struct {
-	g   *Callgraph
+	idx *funcIndex
 	sum map[*FuncNode]*taintSummary
 }
 
 func runTimetaint(m *Module) []Diagnostic {
-	g := m.Graph()
-	e := &taintEnv{g: g, sum: make(map[*FuncNode]*taintSummary, len(g.Nodes))}
-	for _, n := range g.Nodes {
+	idx := newFuncIndex(m.Packages)
+	e := &taintEnv{idx: idx, sum: make(map[*FuncNode]*taintSummary, len(idx.Nodes))}
+	for _, n := range idx.Nodes {
 		s := &taintSummary{}
 		if n.Obj != nil {
 			if sig, ok := n.Obj.Type().(*types.Signature); ok {
@@ -67,7 +67,7 @@ func runTimetaint(m *Module) []Diagnostic {
 	// full pass changes nothing terminates.
 	for {
 		changed := false
-		for _, n := range g.Nodes {
+		for _, n := range idx.Nodes {
 			if n.Body() == nil {
 				continue
 			}
@@ -93,7 +93,7 @@ func runTimetaint(m *Module) []Diagnostic {
 	}
 
 	var out []Diagnostic
-	for _, n := range g.Nodes {
+	for _, n := range idx.Nodes {
 		if n.Body() == nil {
 			continue
 		}
@@ -333,7 +333,7 @@ func (e *taintEnv) analyze(n *FuncNode, seedParam int, report func(pos token.Pos
 // calleeNode resolves a call to the module function it statically
 // invokes (named function, method, or immediately-invoked literal).
 func (e *taintEnv) calleeNode(p *Package, call *ast.CallExpr) *FuncNode {
-	return e.g.funcValue(p, call.Fun)
+	return e.idx.funcValue(p, call.Fun)
 }
 
 // isTaintSource matches calls that introduce wall-clock or global-rand

@@ -13,9 +13,10 @@
 // the worker count or on goroutine scheduling. Results are merged into
 // the slot matching the input index, and the reported error is the
 // lowest-indexed one, so callers observe exactly what a sequential loop
-// would have produced. This package is deliberately excluded from the
-// haechilint no-concurrency allowlist; nothing below it (sim, rdma,
-// core, kvstore, workload) may import it or spawn goroutines.
+// would have produced. This package is the one waiver of haechilint's
+// noconcurrency rule; no other package may spawn goroutines. Jobs that
+// write shared state are data races, which the race detector reports on
+// the golden sweeps (run four at a time under go test -race).
 package parallel
 
 import (

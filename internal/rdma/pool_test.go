@@ -527,11 +527,13 @@ func TestRecordFootprint(t *testing.T) {
 	}
 }
 
-// TestPooledRecordsTwoWorkers drives cross-shard traffic in both
-// directions at once: every READ must deliver its record's bytes while
-// the records it rides in are recycled on both shards' freelists and
-// handed between kernels by the mailbox.
-func TestPooledRecordsTwoWorkers(t *testing.T) {
+// TestPooledRecordsRecycleAcrossShards drives cross-shard traffic in
+// both directions at once: records are handed between the two kernels
+// by the mailbox and recycled on both shards' freelists, and every READ
+// must still deliver its record's bytes. Both kernels run on one
+// goroutine, so the test checks content after recycling, not which
+// freelist a record returns to.
+func TestPooledRecordsRecycleAcrossShards(t *testing.T) {
 	b := newPoolBed(t, true, nil)
 	f := b.server.fabric
 	// The mirror image of qp: a server on shard 1, targeted from shard 0.
