@@ -47,7 +47,7 @@ func run(args []string) int {
 	fs.Int64Var(&opts.Base.Seed, "seed", opts.Base.Seed, "random seed")
 	fs.IntVar(&opts.Parallel, "parallel", runtime.GOMAXPROCS(0), "concurrent cluster runs per experiment sweep (output is identical at any value)")
 	fs.IntVar(&opts.Base.Shards, "shards", 0, "partition each cluster onto this many shard kernels (0/1 = single kernel; changes output like -scale does)")
-	fs.BoolVar(&opts.Base.Sanitize, "sanitize", false, "enable runtime invariant checks (token conservation, pool floor, event order; output is identical, violations fail the run)")
+	fs.BoolVar(&opts.Base.Sanitize, "sanitize", false, "enable runtime invariant checks (pool floor, event order, completion cookies; output is identical, violations fail the run)")
 	fs.StringVar(&opts.Base.Chaos, "chaos", "", "inject a fault scenario into every cluster run (a preset such as set5, or a grammar string like 'crash@2.25:c=0;restart@5.5:c=0'; deterministic, and sanitized)")
 	var (
 		experiment = fs.String("experiment", "", "experiment id to run (see -list)")

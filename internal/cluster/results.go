@@ -124,7 +124,7 @@ type Results struct {
 }
 
 // Ledger is a run's per-period token accounting, one NodeLedger per data
-// node; its conserved totals are row sums, checkable after any run.
+// node; Run checks its laws after every run.
 type Ledger []NodeLedger
 
 // NodeLedger holds a data node's monitor rows and, by client index, the
@@ -135,14 +135,33 @@ type NodeLedger struct {
 	Engines [][]core.LedgerRow
 }
 
-// Check applies the conservation laws the sanitizer checks live to every
-// row, sanitized run or not; nil when all hold.
-func (l Ledger) Check() error {
+// check applies the token laws, nil when all hold: each row's Check
+// (reclamation-conservation, token-conservation) and pool-bank, a data
+// node's pool as a bank account. Over periods 1..p its engines claim at
+// most the pools seeded plus the tokens returned, plus overdraft (a claim
+// in flight per engine when a pool write lands). The law is cumulative:
+// until push p+1 reaches an engine, it records in row p what it claims
+// from pool p+1. Only a node's first breach is reported, and a clean
+// ledger costs no allocation.
+func (l Ledger) check(overdraft int64) error {
 	var errs []error
 	for s, n := range l {
-		for _, r := range n.Monitor {
-			if err := r.Check(); err != nil {
+		var claimed, funded int64
+		bank := true
+		for _, m := range n.Monitor {
+			if err := m.Check(); err != nil {
 				errs = append(errs, fmt.Errorf("reclamation-conservation: data node %d %w", s, err))
+			}
+			funded += m.Pool
+			for _, rows := range n.Engines {
+				r := rowAt(rows, m.Period)
+				claimed += int64(r.Claimed)
+				funded += int64(r.Returned)
+			}
+			if bank && claimed > funded+overdraft {
+				bank = false
+				errs = append(errs, fmt.Errorf("pool-bank: data node %d periods 1-%d: claimed %d > pools and returns %d + overdraft %d",
+					s, m.Period, claimed, funded, overdraft))
 			}
 		}
 		for i, rows := range n.Engines {
@@ -154,6 +173,18 @@ func (l Ledger) Check() error {
 		}
 	}
 	return errors.Join(errs...)
+}
+
+// rowAt returns the row of period p among an engine's rows, or a zero row
+// when a crash kept the engine out of p. Periods rise along the rows from
+// 0 or 1, so that row is at index p or below.
+func rowAt(rows []core.LedgerRow, p int32) core.LedgerRow {
+	for j := min(int(p), len(rows)-1); j >= 0; j-- {
+		if rows[j].Period == p {
+			return rows[j]
+		}
+	}
+	return core.LedgerRow{}
 }
 
 // buildResults assembles the run's Results; serverStats and qos are the

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
 
 	"github.com/haechi-qos/haechi/internal/core"
@@ -153,9 +154,9 @@ func (c *Cluster) Run(warmupPeriods, measurePeriods int) (*Results, error) {
 	}
 	c.checkChaosInvariants(res)
 	c.checkReservationSplit()
-	// A sanitized run that broke an invariant fails loudly; the results
+	// A broken token law or sanitizer invariant fails the run; the results
 	// are returned alongside so diagnostics can still inspect them.
-	return res, c.sanErr()
+	return res, errors.Join(c.ledger.check(int64(len(c.clients))*c.cfg.Params.Batch), c.sanErr())
 }
 
 // sizeLogs sizes every tenant's timeline and, in QoS modes, the ledger

@@ -217,9 +217,6 @@ func TestServersUniformKeysMeetReservations(t *testing.T) {
 	if len(out.Ledger) != 2 {
 		t.Errorf("ledger has %d data nodes, want 2", len(out.Ledger))
 	}
-	if err := out.Ledger.Check(); err != nil {
-		t.Error(err)
-	}
 
 	cfg := serversConfig(2)
 	cfg.Mode = Bare

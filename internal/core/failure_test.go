@@ -128,22 +128,28 @@ func TestCrashedEngineIgnoresProtocol(t *testing.T) {
 
 // TestLocalViolationDetection: the spike/burst scenario triggers
 // Definition 2's runtime condition for high-reservation clients; a
-// feasible uniform scenario does not.
+// feasible uniform scenario does not. The monitor's ledger counts them.
 func TestLocalViolationDetection(t *testing.T) {
+	violations := func(m *Monitor) (n int32) {
+		for _, r := range m.Ledger() {
+			n += r.LocalViolations
+		}
+		return n
+	}
 	// Spike: 3 clients at 2850 (71% of C_L), 7 at 800+share; with burst
 	// posting the big clients' catch-up exceeds C_L mid-period.
 	res := []int64{2850, 2850, 2850, 800, 800, 800, 800, 800, 800, 800}
 	demand := func(client, period int) int { return int(res[client]) + 155 }
 	h := newQoSHarness(t, testParams(), res, demand)
 	h.run(3)
-	if h.mon.LocalViolations == 0 {
+	if violations(h.mon) == 0 {
 		t.Error("spike/burst produced no local-capacity violations")
 	}
 
 	uniform := []int64{1413, 1413, 1413, 1413, 1413, 1413, 1413, 1413, 1413, 1413}
 	h2 := newQoSHarness(t, testParams(), uniform, func(client, period int) int { return 1570 })
 	h2.run(3)
-	if h2.mon.LocalViolations != 0 {
-		t.Errorf("uniform scenario flagged %d local violations", h2.mon.LocalViolations)
+	if n := violations(h2.mon); n != 0 {
+		t.Errorf("uniform scenario flagged %d local violations", n)
 	}
 }

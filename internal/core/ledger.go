@@ -32,8 +32,7 @@ type LedgerRow struct {
 // Check is the token-conservation law, nil when r obeys it: every
 // granted reservation token was spent, yielded, quarantined or is still
 // held, no balance is negative, and no I/O ran on an unclaimed pool
-// token. The sanitizer applies it live at every rollover and crash, and
-// cluster.Ledger.Check to every row after a run.
+// token. cluster.Run applies it to every row after every run.
 func (r LedgerRow) Check() error {
 	if r.ResUsed+r.Held+r.Yielded+r.Quarantined == r.Granted && r.Held >= 0 && r.PoolUsed <= r.Claimed {
 		return nil
@@ -44,8 +43,10 @@ func (r LedgerRow) Check() error {
 
 // MonitorRow is one QoS period at a data node's monitor (steps T1-T3).
 type MonitorRow struct {
-	// Caps counts the pool caps step T2 wrote in the period.
-	Period, Caps int32
+	// Caps counts the pool caps step T2 wrote in the period, and
+	// LocalViolations the clients that broke Definition 2's runtime
+	// condition in it (they could no longer reach R_i at rate C_L).
+	Period, Caps, LocalViolations int32
 	// Omega is the capacity estimate Ω; Pool the global pool it seeded,
 	// Ω minus the issued reservations (at least 0).
 	Omega, Pool int64
@@ -60,8 +61,7 @@ type MonitorRow struct {
 
 // Check is the reclamation-conservation law, nil when r obeys it: a
 // suspected client's reservation is withheld from the budget but stays
-// admitted. The sanitizer applies it live at every period start, and
-// cluster.Ledger.Check to every row after a run.
+// admitted. cluster.Run applies it to every row after every run.
 func (r MonitorRow) Check() error {
 	if r.Issued+r.Suspended == r.Admitted {
 		return nil

@@ -108,17 +108,10 @@ type Monitor struct {
 
 	// ConversionCount counts token-conversion writes (step T2).
 	ConversionCount uint64
-	// ReportSignals counts report-on broadcasts (step S3).
-	ReportSignals uint64
 	// FailureSuspicions and FailureRecoveries count failure-detection
 	// transitions (WithFailureDetection).
 	FailureSuspicions uint64
 	FailureRecoveries uint64
-	// LocalViolations counts client-periods in which Definition 2's
-	// runtime local-capacity condition failed (the client could no
-	// longer reach its reservation at rate C_L): a diagnostic for
-	// burst-pattern reservation misses (Figs. 8(b), 13).
-	LocalViolations uint64
 
 	// san, when non-nil, checks the pool floor and admission headroom
 	// invariants (internal/sanitize). Nil in production runs.
@@ -355,16 +348,11 @@ func (m *Monitor) startPeriod() {
 	m.rows = append(m.rows, r)
 	m.stale = m.sampling
 	m.reporting = false
-	if m.san != nil {
-		// Reservation floor under admission: the controller must never
-		// admit more reservation than the capacity it believes in.
-		if h := m.adm.Headroom(); h < 0 {
-			m.san.Reportf("reservation-floor", int64(m.k.Now()),
-				"period %d: admission headroom %d < 0", r.Period, h)
-		}
-		if err := r.Check(); err != nil {
-			m.san.Reportf("reclamation-conservation", int64(m.k.Now()), "%v", err)
-		}
+	// Reservation floor under admission: the controller must never admit
+	// more reservation than the capacity it believes in.
+	if h := m.adm.Headroom(); m.san != nil && h < 0 {
+		m.san.Reportf("reservation-floor", int64(m.k.Now()),
+			"period %d: admission headroom %d < 0", r.Period, h)
 	}
 	m.mark(trace.PeriodStart, int64(r.Period), r.Omega)
 
@@ -439,7 +427,6 @@ func (m *Monitor) onSample(old int64) {
 	}
 	if !m.reporting && old < r.Pool {
 		m.reporting = true
-		m.ReportSignals++
 		m.mark(trace.ReportSignal, int64(r.Period), 0)
 		for i := range m.clients {
 			_ = m.clients[i].qp.Send(reportOnMessage(int(r.Period)), reportOnMsgSize, nil)
@@ -451,7 +438,7 @@ func (m *Monitor) onSample(old int64) {
 		return
 	}
 	if m.reporting {
-		m.detectLocalViolations()
+		m.detectLocalViolations(r)
 		if m.convert {
 			m.capPool(r, old)
 		}
@@ -463,9 +450,10 @@ func (m *Monitor) onSample(old int64) {
 // servable at the per-client rate C_L in the remaining period,
 // R_i − N_i(t) <= (T−t)·C_L. A violation means the client can no longer
 // meet its reservation this period no matter what the schedulers do —
-// the mechanism behind the paper's Experiment 1C / Set 3 misses. Each
-// client is flagged at most once per period.
-func (m *Monitor) detectLocalViolations() {
+// the mechanism behind the paper's Experiment 1C / Set 3 misses and
+// Figs. 8(b), 13. Each client is flagged, and counted in r, at most once
+// per period.
+func (m *Monitor) detectLocalViolations(r *MonitorRow) {
 	elapsed := float64(m.k.Now()-m.periodStart) / float64(m.params.Period)
 	if elapsed < 0 {
 		elapsed = 0
@@ -493,7 +481,7 @@ func (m *Monitor) detectLocalViolations() {
 		}
 		if v := m.adm.LocalViolation(c.reservation, int64(completed), elapsed); v > 0 {
 			c.violated = true
-			m.LocalViolations++
+			r.LocalViolations++
 			m.mark(trace.LocalViolation, int64(c.id), v)
 		}
 	}

@@ -485,23 +485,27 @@ func TestReportingOnlyAfterOverflow(t *testing.T) {
 	quiet := func(client, period int) int { return 2000 }
 	h := newQoSHarness(t, testParams(), res, quiet)
 	h.run(3)
-	if h.mon.ReportSignals != 0 {
-		t.Errorf("report signal sent %d times with no pool usage", h.mon.ReportSignals)
-	}
-	// Engines still send exactly one final report per period.
+	// No report signal: engines send only the final report of each
+	// period, and the monitor never caps the pool.
 	for i, e := range h.engines {
 		st := e.Stats()
 		if st.ReportsSent < 2 || st.ReportsSent > 5 {
 			t.Errorf("client %d sent %d reports, want one per period", i, st.ReportsSent)
 		}
 	}
+	if h.mon.ConversionCount != 0 {
+		t.Errorf("pool capped %d times with no pool usage", h.mon.ConversionCount)
+	}
 
-	// Demand above reservation: pool consumed, reporting activates.
+	// Demand above reservation: pool consumed, reporting activates, and
+	// engines report every ReportInterval on top of the final report.
 	greedy := func(client, period int) int { return 5000 }
 	h2 := newQoSHarness(t, testParams(), res, greedy)
 	h2.run(3)
-	if h2.mon.ReportSignals == 0 {
-		t.Error("report signal never sent despite pool consumption")
+	for i, e := range h2.engines {
+		if n := e.Stats().ReportsSent; n <= 5 {
+			t.Errorf("client %d sent %d reports despite pool consumption, want periodic ones", i, n)
+		}
 	}
 	if h2.mon.ConversionCount == 0 {
 		t.Error("no conversions despite reporting being active")

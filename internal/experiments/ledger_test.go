@@ -13,10 +13,10 @@ import (
 // TestLedgerAgreesWithResults checks the token ledger against every
 // output it must agree with, on the runs of the fig9 (backlogged Zipf
 // reservations) and Set 5 (crash, restart, monitor outage, NIC
-// degradation) goldens: each run's Ledger.Check is nil, every engine's
-// row column sums equal its Stats, the monitor's cap column sums to its
-// ConversionCount, and the Results those runs derive their per-period
-// counts and timelines for are the goldens' bytes.
+// degradation) goldens: every engine's row column sums equal its Stats,
+// the monitor's cap column sums to its ConversionCount, and the Results
+// those runs derive their per-period counts and timelines for are the
+// goldens' bytes. (Run itself fails a run whose rows break a token law.)
 func TestLedgerAgreesWithResults(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden runs are not -short")
@@ -68,9 +68,6 @@ func checkLedger(t *testing.T, i int, cl *cluster.Cluster, res *cluster.Results)
 	}
 	if len(res.Ledger) != 1 {
 		t.Fatalf("run %d: ledger has %d data nodes, want 1", i, len(res.Ledger))
-	}
-	if err := res.Ledger.Check(); err != nil {
-		t.Errorf("run %d: Ledger.Check: %v", i, err)
 	}
 	var caps uint64
 	for _, r := range res.Ledger[0].Monitor {

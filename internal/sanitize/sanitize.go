@@ -11,18 +11,14 @@
 // state, or allocate on the event path — which is why a sanitized run
 // stays byte-identical to an unsanitized one (extended
 // TestObservabilityInert). This is the one list of the checked
-// invariants; a Violation's Check is one of the quoted names.
+// invariants; a Violation's Check is one of the quoted names. The token
+// laws are not among them: cluster.Run checks the run's ledger
+// (token-conservation, reclamation-conservation and pool-bank) after
+// every run, sanitized or not.
 //
-//   - "token-conservation": at every engine period rollover the closed
-//     ledger row obeys core.LedgerRow.Check — the period's reservation
-//     tokens are all used, held, yielded or quarantined, no balance is
-//     negative, and no I/O ran on an unclaimed pool token;
 //   - "pool-floor": the shared pool may only go negative by the
 //     in-flight claim window (one batch per client);
 //   - "reservation-floor": admission headroom is never negative;
-//   - "reclamation-conservation": at every period start the monitor's
-//     new row obeys core.MonitorRow.Check — the issued reservations plus
-//     those withheld from suspected clients equal the admitted total;
 //   - "kernel-order": events fire in strictly increasing (at, seq)
 //     order per kernel;
 //   - "shard-mailbox": cross-shard injections are unique, sorted by
@@ -41,8 +37,6 @@
 // Faults (cluster.Config.Chaos, DESIGN.md §12) exercise the
 // failure-aware ones:
 //
-//   - "crash-quarantine": at a crash the engine's open row obeys
-//     core.LedgerRow.Check, nothing held any more;
 //   - "post-crash-completion": a crashed engine observes no more I/O
 //     completions than it had in flight;
 //   - "rejoin-monotonic": a period push never repeats or regresses the
@@ -52,11 +46,7 @@
 //     injected fault window.
 //
 // Violations are collected (capped), never panic mid-run, and surface
-// as an error from cluster.Run — so the deliberately-injected token
-// leak in the regression suite fails loudly while production runs stay
-// allocation-free. The three ledger laws are the row predicates; after
-// any run, sanitized or not, cluster.Results.Ledger.Check applies them to
-// every row again.
+// as an error from cluster.Run, beside any broken ledger law.
 package sanitize
 
 import (

@@ -11,7 +11,7 @@ import (
 // methods are no-ops.
 func TestNilCheckerIsInert(t *testing.T) {
 	var c *Checker
-	c.Reportf("token-conservation", 1, "ignored %d", 42)
+	c.Reportf("pool-floor", 1, "ignored %d", 42)
 	if got := c.Violations(); got != nil {
 		t.Errorf("nil checker has violations: %v", got)
 	}
@@ -87,8 +87,8 @@ func TestMergeKeepsShardOrder(t *testing.T) {
 }
 
 func TestViolationString(t *testing.T) {
-	v := Violation{Check: "token-conservation", At: 1500, Detail: "engine-0: off by 5"}
-	want := "token-conservation at t=1500ns: engine-0: off by 5"
+	v := Violation{Check: "pool-floor", At: 1500, Detail: "engine-0: off by 5"}
+	want := "pool-floor at t=1500ns: engine-0: off by 5"
 	if got := fmt.Sprint(v); got != want {
 		t.Errorf("String() = %q, want %q", got, want)
 	}
