@@ -45,7 +45,7 @@ func TestCleanTree(t *testing.T) {
 // non-zero and reports correct file:line diagnostics. Running the
 // shipped rule set against a foreign module also makes every DefaultRules
 // waiver dead (none of the waived packages exist there), so waiverdrift
-// reports both standing excludes first — doubling as the pin on its
+// reports all three standing excludes first — doubling as the pin on its
 // output format and on the (file, line, col, analyzer, message) order.
 func TestSeededViolations(t *testing.T) {
 	chdir(t, filepath.Join("testdata", "brokenmod"))
@@ -56,10 +56,11 @@ func TestSeededViolations(t *testing.T) {
 	}
 	out := stdout.String()
 	lines := strings.Split(strings.TrimSpace(out), "\n")
-	if len(lines) != 4 {
-		t.Fatalf("got %d diagnostics, want 4:\n%s", len(lines), out)
+	if len(lines) != 5 {
+		t.Fatalf("got %d diagnostics, want 5:\n%s", len(lines), out)
 	}
 	wantFrags := [][]string{
+		{"(waivers):1:1", "waiverdrift", `noconcurrency waiver "internal/lint/stdimport" matches no package`},
 		{"(waivers):1:1", "waiverdrift", `noconcurrency waiver "internal/parallel" matches no package`},
 		{"(waivers):1:1", "waiverdrift", `walltime waiver "cmd/haechibench" matches no package`},
 		{filepath.Join("internal", "core", "acc.go") + ":8:2", "maporder", "accumulates floating-point values"},
@@ -72,7 +73,7 @@ func TestSeededViolations(t *testing.T) {
 			}
 		}
 	}
-	if !strings.Contains(stderr.String(), "4 issue(s)") {
+	if !strings.Contains(stderr.String(), "5 issue(s)") {
 		t.Errorf("stderr = %q, want issue count", stderr.String())
 	}
 }
@@ -159,20 +160,20 @@ func TestJSONOutput(t *testing.T) {
 	if err := json.Unmarshal(stdout.Bytes(), &diags); err != nil {
 		t.Fatalf("output is not JSON: %v\n%s", err, stdout.String())
 	}
-	if len(diags) != 4 {
-		t.Fatalf("got %d diagnostics, want 4:\n%s", len(diags), stdout.String())
+	if len(diags) != 5 {
+		t.Fatalf("got %d diagnostics, want 5:\n%s", len(diags), stdout.String())
 	}
-	// The two waiverdrift findings sort first ("(waivers)" < any path).
-	for i := 0; i < 2; i++ {
+	// The three waiverdrift findings sort first ("(waivers)" < any path).
+	for i := 0; i < 3; i++ {
 		if diags[i].Analyzer != "waiverdrift" || diags[i].File != "(waivers)" || diags[i].Pkg != "." {
 			t.Errorf("diag %d = %+v, want a waiverdrift module-level finding", i, diags[i])
 		}
 	}
-	if d := diags[2]; d.Analyzer != "maporder" || d.File != "internal/core/acc.go" || d.Line != 8 || d.Col != 2 || d.Pkg != "internal/core" {
-		t.Errorf("diag 2 = %+v, want maporder at internal/core/acc.go:8:2", d)
+	if d := diags[3]; d.Analyzer != "maporder" || d.File != "internal/core/acc.go" || d.Line != 8 || d.Col != 2 || d.Pkg != "internal/core" {
+		t.Errorf("diag 3 = %+v, want maporder at internal/core/acc.go:8:2", d)
 	}
-	if d := diags[3]; d.Analyzer != "walltime" || d.File != "internal/sim/clock.go" || d.Line != 8 {
-		t.Errorf("diag 3 = %+v, want walltime at internal/sim/clock.go:8", d)
+	if d := diags[4]; d.Analyzer != "walltime" || d.File != "internal/sim/clock.go" || d.Line != 8 {
+		t.Errorf("diag 4 = %+v, want walltime at internal/sim/clock.go:8", d)
 	}
 }
 

@@ -581,7 +581,7 @@ func (c *Cluster) connect(rt *Client, disp *rdma.Dispatcher, s int, rng *rand.Ra
 		if err != nil {
 			return link{}, err
 		}
-		ln.engine, err = core.NewEngine(c.cfg.Params, grant, rt.Node, disp, rt.Spec.Limit, ln.send)
+		ln.engine, err = core.NewEngine(&c.cfg.Params, grant, rt.Node, disp, rt.Spec.Limit, ln.send)
 		if err != nil {
 			return link{}, err
 		}

@@ -36,7 +36,9 @@ type Source func(arrivedAt sim.Time) (key uint64)
 // reservation-token decay (the X counter), claims batched global tokens
 // with one-sided FETCH_ADD, and silently reports usage statistics.
 type Engine struct {
-	params Params
+	// params is shared with every other engine of the deployment; nothing
+	// writes it once the engine exists.
+	params *Params
 	id     int
 	limit  int64
 
@@ -66,7 +68,7 @@ type Engine struct {
 	poolExhausted bool
 	reporting     bool
 	rejoinPending bool // restarted, waiting for the next period push
-	degraded      bool // in local-token mode (see degradedSince)
+	degraded      bool // in local-token mode (see faultRecord)
 
 	// Demand the engine has not posted yet is a count, not a list: waiting
 	// holds arrivals not yet backed by a token, backed those that consumed
@@ -107,22 +109,10 @@ type Engine struct {
 	reportTimer      sim.Timer
 	finalReportTimer sim.Timer
 
-	// Crash/restart state (fault injection), accounted in faults. Tokens
-	// held at crash time are quarantined — not vanished — so the
-	// per-period conservation identity keeps holding through the crash
-	// window; the quarantine is released when the expired period finally
-	// rolls over after a restart.
-	faults        FaultStats
-	crashInflight int // I/Os in flight at crash time (may legally complete)
-
-	// Degraded local-token mode: entered when the monitor goes silent (no
-	// period push past the grace window). Normal global-pool claims are
-	// suppressed — the stale period's pool must not be dug further — and
-	// the engine probes the pool on bounded doubling backoff instead,
-	// serving demand from whatever local tokens remain.
-	degradedSince sim.Time
-	probeBackoff  sim.Time
-	nextProbeAt   sim.Time
+	// fault is the crash and degraded-mode state, nil until the engine
+	// first crashes or degrades (see faultRecord): only chaos runs need
+	// it.
+	fault *faultRecord
 
 	// OnPeriodStart, if set, is invoked when a new QoS period begins
 	// (after tokens are installed) with the row the push closed; the
@@ -132,6 +122,32 @@ type Engine struct {
 	// san, when non-nil, checks completions after a crash and the order
 	// of period pushes (internal/sanitize).
 	san *sanitize.Checker
+}
+
+// faultRecord is an engine's crash/restart and degraded-mode state.
+// Tokens held at crash time are quarantined — not vanished — so the
+// per-period conservation identity keeps holding through the crash
+// window; the quarantine is released when the expired period finally
+// rolls over after a restart. Degraded local-token mode is entered when
+// the monitor goes silent (no period push past the grace window): normal
+// global-pool claims are suppressed — the stale period's pool must not
+// be dug further — and the engine probes the pool on bounded doubling
+// backoff instead, serving demand from whatever local tokens remain.
+type faultRecord struct {
+	stats         FaultStats
+	crashInflight int // I/Os in flight at crash time (may legally complete)
+	degradedSince sim.Time
+	probeBackoff  sim.Time
+	nextProbeAt   sim.Time
+}
+
+// faults returns the engine's fault record, allocating it on the first
+// crash or degrade.
+func (e *Engine) faults() *faultRecord {
+	if e.fault == nil {
+		e.fault = &faultRecord{}
+	}
+	return e.fault
 }
 
 // mark records a protocol event (claims, probes, yields, reports,
@@ -147,8 +163,12 @@ func (e *Engine) mark(k trace.Kind, a, b int64) {
 // client described by grant. limit is L_i, the per-period request cap
 // (0 = unlimited). sender performs the one-sided data I/O. disp is the
 // client node's dispatcher, used to receive the monitor's control
-// messages.
-func NewEngine(params Params, grant ClientGrant, node *rdma.Node, disp *rdma.Dispatcher, limit int64, sender IOSender) (*Engine, error) {
+// messages. The engine keeps params, which the caller may share among
+// engines and must not change afterwards.
+func NewEngine(params *Params, grant ClientGrant, node *rdma.Node, disp *rdma.Dispatcher, limit int64, sender IOSender) (*Engine, error) {
+	if params == nil {
+		return nil, fmt.Errorf("core: NewEngine requires params")
+	}
 	if err := params.Validate(); err != nil {
 		return nil, err
 	}
@@ -257,18 +277,19 @@ func (e *Engine) Crash() {
 		return
 	}
 	e.crashed = true
-	e.faults.Crashes++
-	e.faults.CrashAt = e.k.Now()
+	f := e.faults()
+	f.stats.Crashes++
+	f.stats.CrashAt = e.k.Now()
 	e.Stop()
 	if e.degraded {
 		e.leaveDegraded()
 	}
-	e.faults.QuarantinedRes += e.resTokens
-	e.faults.QuarantinedGlobal += e.localGlobal
+	f.stats.QuarantinedRes += e.resTokens
+	f.stats.QuarantinedGlobal += e.localGlobal
 	e.resTokens = 0
 	e.localGlobal = 0
-	e.crashInflight = e.inflight
-	e.faults.PostCrashCompletions = 0
+	f.crashInflight = e.inflight
+	f.stats.PostCrashCompletions = 0
 	e.waiting = sim.Instants{}
 	e.backed = sim.Instants{}
 }
@@ -277,7 +298,7 @@ func (e *Engine) Crash() {
 // quarantined reservation tokens filled in.
 func (e *Engine) Row() LedgerRow {
 	r := e.open
-	r.Held, r.Quarantined = int32(e.resTokens), int32(e.faults.QuarantinedRes)
+	r.Held, r.Quarantined = int32(e.resTokens), int32(e.FaultStats().QuarantinedRes)
 	return r
 }
 
@@ -294,8 +315,9 @@ func (e *Engine) Restart() error {
 		return fmt.Errorf("core: Restart requires a crashed engine")
 	}
 	e.crashed = false
-	e.faults.Restarts++
-	e.faults.RestartAt = e.k.Now()
+	f := e.faults()
+	f.stats.Restarts++
+	f.stats.RestartAt = e.k.Now()
 	e.rejoinPending = true
 	e.resTokens = 0
 	e.localGlobal = 0
@@ -383,7 +405,12 @@ type FaultStats struct {
 }
 
 // FaultStats returns the engine's crash/recovery counters.
-func (e *Engine) FaultStats() FaultStats { return e.faults }
+func (e *Engine) FaultStats() FaultStats {
+	if e.fault == nil {
+		return FaultStats{}
+	}
+	return e.fault.stats
+}
 
 // drain admits waiting arrivals while tokens allow (Fig. 3 flowchart):
 // each admitted request consumes one token — Example 1's accounting, where
@@ -454,11 +481,12 @@ func (e *Engine) OnIODone(arrivedAt sim.Time) {
 // crashed engine and checks the no-completion-after-crash invariant:
 // only the I/Os in flight at crash time may legally complete.
 func (e *Engine) noteCrashedCompletion() {
-	e.faults.PostCrashCompletions++
-	if e.san != nil && e.faults.PostCrashCompletions > int64(e.crashInflight) {
+	f := e.faults()
+	f.stats.PostCrashCompletions++
+	if e.san != nil && f.stats.PostCrashCompletions > int64(f.crashInflight) {
 		e.san.Reportf("post-crash-completion", int64(e.k.Now()),
 			"engine-%d: %d completions after crash at t=%d exceed the %d in flight",
-			e.id, e.faults.PostCrashCompletions, int64(e.faults.CrashAt), e.crashInflight)
+			e.id, f.stats.PostCrashCompletions, int64(f.stats.CrashAt), f.crashInflight)
 	}
 }
 
@@ -468,7 +496,7 @@ func (e *Engine) noteCrashedCompletion() {
 // regression test can prove the violation is caught; nothing in the
 // protocol calls it.
 func (e *Engine) DebugInjectPostCrashCompletion() {
-	e.crashInflight = 0
+	e.faults().crashInflight = 0
 	e.noteCrashedCompletion()
 }
 
@@ -553,10 +581,11 @@ func (e *Engine) onTick() {
 		// whatever reservation tokens remain, never claim from the stale
 		// pool, and probe it on bounded backoff until the next push.
 		e.degraded = true
-		e.degradedSince = e.k.Now()
-		e.faults.DegradedSpells++
-		e.probeBackoff = e.params.Tick
-		e.nextProbeAt = e.k.Now()
+		f := e.faults()
+		f.degradedSince = e.k.Now()
+		f.stats.DegradedSpells++
+		f.probeBackoff = e.params.Tick
+		f.nextProbeAt = e.k.Now()
 	}
 	e.x -= float64(e.params.Tick) / float64(e.params.Period) * float64(e.open.Granted)
 	if e.x < 0 {
@@ -578,14 +607,14 @@ func (e *Engine) onTick() {
 		e.mark(trace.Yield, y, returned)
 	}
 	if e.degraded {
-		if e.Pending() > 0 && e.k.Now() >= e.nextProbeAt {
-			e.faults.DegradedProbes++
+		if f := e.fault; e.Pending() > 0 && e.k.Now() >= f.nextProbeAt {
+			f.stats.DegradedProbes++
 			e.probePool()
-			e.probeBackoff *= 2
-			if e.probeBackoff > e.params.Period {
-				e.probeBackoff = e.params.Period
+			f.probeBackoff *= 2
+			if f.probeBackoff > e.params.Period {
+				f.probeBackoff = e.params.Period
 			}
-			e.nextProbeAt = e.k.Now() + e.probeBackoff
+			f.nextProbeAt = e.k.Now() + f.probeBackoff
 		}
 		return
 	}
@@ -631,7 +660,7 @@ func (e *Engine) onProbe(old int64) {
 // leaveDegraded closes a degraded-mode window and accounts its duration.
 func (e *Engine) leaveDegraded() {
 	e.degraded = false
-	e.faults.DegradedTime += e.k.Now() - e.degradedSince
+	e.fault.stats.DegradedTime += e.k.Now() - e.fault.degradedSince
 }
 
 // report writes the packed (residual, completed) word silently to the
@@ -688,16 +717,16 @@ func (e *Engine) handlePeriodStart(_ *rdma.Node, msg rdma.Message) {
 	if e.degraded {
 		e.leaveDegraded()
 	}
-	if f := &e.faults; f.QuarantinedRes > 0 || f.QuarantinedGlobal > 0 {
+	if f := e.fault; f != nil && (f.stats.QuarantinedRes > 0 || f.stats.QuarantinedGlobal > 0) {
 		// The quarantined tokens' period is over: they expired with it (the
 		// monitor re-seeds reservations every period), so release them.
-		f.QuarantineReleased += f.QuarantinedRes + f.QuarantinedGlobal
-		f.QuarantinedRes, f.QuarantinedGlobal = 0, 0
+		f.stats.QuarantineReleased += f.stats.QuarantinedRes + f.stats.QuarantinedGlobal
+		f.stats.QuarantinedRes, f.stats.QuarantinedGlobal = 0, 0
 	}
-	if e.rejoinPending {
+	if e.rejoinPending { // set by Restart, after a crash made the record
 		e.rejoinPending = false
-		e.faults.RejoinPeriod = m.Index
-		e.faults.RejoinAt = e.k.Now()
+		e.fault.stats.RejoinPeriod = m.Index
+		e.fault.stats.RejoinAt = e.k.Now()
 	}
 	e.open = LedgerRow{Period: int32(m.Index), Granted: int32(m.Reservation)}
 	e.periodEnd = sim.Time(m.EndAt)

@@ -18,6 +18,16 @@ func TestLedgerRowFootprint(t *testing.T) {
 	}
 }
 
+// TestEngineFootprint pins what an engine costs a tenant that never
+// crashes or degrades: its fault state is one pointer and its protocol
+// constants are shared with every other engine, so an engine fits the
+// 480-byte allocation class.
+func TestEngineFootprint(t *testing.T) {
+	if got := unsafe.Sizeof(Engine{}); got > 480 {
+		t.Errorf("core.Engine is %d bytes, want <= 480", got)
+	}
+}
+
 // TestLedgerRowCheck pins the token-conservation law on rows: the
 // reservation identity, a non-negative balance, and no pool use beyond
 // the claims.

@@ -156,7 +156,7 @@ func newQoSHarnessSigma(t *testing.T, params Params, reservations []int64, deman
 				t.Fatalf("read failed: %v", err)
 			}
 		}
-		eng, err = NewEngine(params, grant, node, disp, 0, sender)
+		eng, err = NewEngine(&params, grant, node, disp, 0, sender)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -198,21 +198,25 @@ func TestEngineValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	sender := func(uint64, sim.Time) {}
-	if _, err := NewEngine(NewDefaultParams(), grant, nil, disp, 0, sender); err == nil {
+	params := NewDefaultParams()
+	if _, err := NewEngine(nil, grant, client, disp, 0, sender); err == nil {
+		t.Error("nil params accepted")
+	}
+	if _, err := NewEngine(&params, grant, nil, disp, 0, sender); err == nil {
 		t.Error("nil node accepted")
 	}
-	if _, err := NewEngine(NewDefaultParams(), ClientGrant{}, client, disp, 0, sender); err == nil {
+	if _, err := NewEngine(&params, ClientGrant{}, client, disp, 0, sender); err == nil {
 		t.Error("empty grant accepted")
 	}
-	if _, err := NewEngine(NewDefaultParams(), grant, client, disp, -1, sender); err == nil {
+	if _, err := NewEngine(&params, grant, client, disp, -1, sender); err == nil {
 		t.Error("negative limit accepted")
 	}
-	if _, err := NewEngine(NewDefaultParams(), grant, client, disp, 0, nil); err == nil {
+	if _, err := NewEngine(&params, grant, client, disp, 0, nil); err == nil {
 		t.Error("nil sender accepted")
 	}
 	bad := NewDefaultParams()
 	bad.Batch = 0
-	if _, err := NewEngine(bad, grant, client, disp, 0, sender); err == nil {
+	if _, err := NewEngine(&bad, grant, client, disp, 0, sender); err == nil {
 		t.Error("invalid params accepted")
 	}
 }
@@ -456,7 +460,7 @@ func TestLimitEnforced(t *testing.T) {
 		_ = qp.Read(data, 0, rdma.DataIOSize, func([]byte) { eng.OnIODone(arrivedAt) })
 	}
 	const limit = 1200
-	eng, err = NewEngine(params, grant, node, disp, limit, sender)
+	eng, err = NewEngine(&params, grant, node, disp, limit, sender)
 	if err != nil {
 		t.Fatal(err)
 	}

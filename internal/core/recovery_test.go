@@ -248,3 +248,52 @@ func TestOutageGuards(t *testing.T) {
 	h.k.RunUntil(2 * sim.Second)
 	h.mon.Stop()
 }
+
+// TestFaultRecordOnFirstFault: an engine keeps no fault state until it
+// needs some. A fault-free run leaves every engine's fault record nil; a
+// crash allocates it, and the restart and a second crash reuse that one
+// record; an engine that only degrades in a monitor outage gets its own.
+func TestFaultRecordOnFirstFault(t *testing.T) {
+	res := []int64{3000, 3000}
+	demand := func(client, period int) int { return 6000 }
+	h := newQoSHarness(t, testParams(), res, demand, WithFailureDetection())
+	if err := h.mon.Start(); err != nil {
+		t.Fatal(err)
+	}
+	P := testParams().Period
+	h.k.RunUntil(3 * P)
+	for i, e := range h.engines {
+		if e.fault != nil {
+			t.Errorf("engine %d holds a fault record after a fault-free run", i)
+		}
+	}
+
+	victim, bystander := h.engines[0], h.engines[1]
+	victim.Crash()
+	rec := victim.fault
+	if rec == nil {
+		t.Fatal("a crash left the fault record nil")
+	}
+	h.k.RunUntil(5 * P)
+	if err := victim.Restart(); err != nil {
+		t.Fatal(err)
+	}
+	h.k.RunUntil(7 * P)
+	victim.Crash()
+	if victim.fault != rec {
+		t.Error("the restart or the second crash replaced the fault record")
+	}
+	if fs := victim.FaultStats(); fs.Crashes != 2 || fs.Restarts != 1 {
+		t.Errorf("fault transitions through one record: %+v", fs)
+	}
+	if bystander.fault != nil {
+		t.Error("a peer's crash gave the bystander a fault record")
+	}
+
+	h.mon.Outage(2 * P)
+	h.k.RunUntil(8*P + P/2)
+	if !bystander.degraded || bystander.fault == nil {
+		t.Error("degrading in an outage did not allocate the bystander's fault record")
+	}
+	h.mon.Stop()
+}

@@ -663,3 +663,37 @@ func TestSet4KeepsCallerChaos(t *testing.T) {
 		}
 	}
 }
+
+// TestRunNamesFailingRun: a run that fails fails the experiment with an
+// error naming the experiment and the failing run, wrapping the run's
+// own error; the healthy run beside it is not blamed.
+func TestRunNamesFailingRun(t *testing.T) {
+	const id = "failing-fixture"
+	o := fastOptions()
+	registry[id] = func(o Options) (*Plan, error) {
+		healthy := RunSpec{Name: "healthy", Config: o.Base, Specs: []cluster.ClientSpec{{Reservation: 100}}, Warmup: 1, Measure: 1}
+		broken := healthy
+		broken.Name = "broken"
+		broken.Specs = []cluster.ClientSpec{{Reservation: -1}}
+		return &Plan{Runs: []RunSpec{healthy, broken}, Render: func([]*cluster.Results) *Report { return &Report{} }}, nil
+	}
+	t.Cleanup(func() { delete(registry, id) })
+
+	_, err := Run(id, o)
+	if err == nil {
+		t.Fatal("an experiment with a failing run succeeded")
+	}
+	msg := err.Error()
+	for _, want := range []string{id, `"broken"`} {
+		if !strings.Contains(msg, want) {
+			t.Errorf("error %q does not name %s", msg, want)
+		}
+	}
+	if strings.Contains(msg, "healthy") {
+		t.Errorf("error %q blames the healthy run", msg)
+	}
+	spec := RunSpec{Config: o.Base, Specs: []cluster.ClientSpec{{Reservation: -1}}, Warmup: 1, Measure: 1}
+	if _, runErr := spec.run(); runErr == nil || !strings.HasSuffix(msg, runErr.Error()) {
+		t.Errorf("error %q does not wrap the run's own error %v", msg, runErr)
+	}
+}

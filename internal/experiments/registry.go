@@ -20,6 +20,15 @@ type RunSpec struct {
 	Measure int
 }
 
+// run builds the run's cluster and runs it.
+func (r RunSpec) run() (*cluster.Results, error) {
+	cl, err := cluster.New(r.Config, r.Specs)
+	if err != nil {
+		return nil, err
+	}
+	return cl.Run(r.Warmup, r.Measure)
+}
+
 // Plan is one experiment as data: the runs it makes and how their
 // results render.
 type Plan struct {
@@ -111,7 +120,8 @@ func sortedKeys[V any](m map[string]V) []string {
 // Run executes one experiment by id: it checks the options, plans the
 // experiment, runs the plan's clusters Options.Parallel at a time (each
 // on its own kernel, so the results are the same at any worker count)
-// and renders their results.
+// and renders their results. A run that fails fails the experiment, with
+// an error naming the experiment and the run.
 func Run(id string, o Options) (*Report, error) {
 	f, err := Lookup(id)
 	if err != nil {
@@ -129,11 +139,11 @@ func Run(id string, o Options) (*Report, error) {
 	}
 	outs, err := parallel.Map(o.workers(), len(plan.Runs), func(i int) (*cluster.Results, error) {
 		r := plan.Runs[i]
-		cl, err := cluster.New(r.Config, r.Specs)
+		res, err := r.run()
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("experiment %s, run %q: %w", id, r.Name, err)
 		}
-		return cl.Run(r.Warmup, r.Measure)
+		return res, nil
 	})
 	if err != nil {
 		return nil, err

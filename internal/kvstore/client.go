@@ -25,48 +25,64 @@ const probeWindow = 8
 // FIFO within a class), so the client keeps a FIFO of pending callbacks
 // per I/O kind and hands the fabric one method bound at Attach. A warm
 // GET or Update therefore allocates nothing on the client side.
+//
+// What only an uncached key, a short Update value or a two-sided GET
+// needs lives in a record allocated by the first of them (see rare): a
+// primed client that only reads and writes whole records never makes one.
 type Client struct {
 	node       *rdma.Node
 	store      *Store
 	qp         *rdma.QP
-	index      *rdma.Region
 	data       *rdma.Region
 	recordSize int
-	capacity   uint64
-	mask       uint64
 
 	// Key-location cache, split for fleet scale: primed is a read-only
 	// prefix shared with every other client of the store (the slot of each
 	// key in [0, len(primed)), -1 when absent; primedFound counts the
-	// hits), and cache is a lazy per-client overlay holding only data
+	// hits), and rare.cache is a lazy per-client overlay holding only data
 	// offsets learned by probing.
 	primed      []int32
 	primedFound int
-	cache       map[uint64]int
-
-	// Two-sided GETs awaiting their reply, by request id: pendingGet
-	// holds the callbacks of ids [nextReqID-Len, nextReqID), nil once
-	// answered; allocated by the first GetTwoSided.
-	nextReqID  uint64
-	pendingGet *sim.FIFO[func([]byte, error)]
 
 	// Pending one-sided completions, FIFO per I/O kind, with the bound
 	// completion methods handed to the fabric.
 	dataPending   sim.FIFO[func([]byte, error)]
-	probePending  sim.FIFO[probeState]
 	writePending  sim.FIFO[func(error)]
 	onDataReadFn  func([]byte)
 	onProbeFn     func([]byte)
 	onWriteDoneFn func()
-	// pad is the record a short Update value is zero-padded in; allocated
-	// by the first Update that needs it.
-	pad []byte
 
 	// oneSidedGets counts one-sided data reads issued (probe reads are
 	// counted separately); oneSidedPuts counts one-sided record writes.
 	oneSidedGets uint64
 	oneSidedPuts uint64
 	probeReads   uint64
+
+	rare *rareState
+}
+
+// rareState is a client's state for the paths a primed reader never
+// takes: probing the index, padding a short Update value, and two-sided
+// GETs.
+type rareState struct {
+	// cache holds the data offsets of keys resolved by probing.
+	cache        map[uint64]int
+	probePending sim.FIFO[probeState]
+	// pad is the record a short Update value is zero-padded in.
+	pad []byte
+	// Two-sided GETs awaiting their reply, by request id: pendingGet
+	// holds the callbacks of ids [nextReqID-Len, nextReqID), nil once
+	// answered.
+	nextReqID  uint64
+	pendingGet sim.FIFO[func([]byte, error)]
+}
+
+// more returns the client's rare-path state, allocating it on first use.
+func (c *Client) more() *rareState {
+	if c.rare == nil {
+		c.rare = &rareState{}
+	}
+	return c.rare
 }
 
 // probeState is the continuation of an in-flight index probe read.
@@ -93,11 +109,8 @@ func Attach(node *rdma.Node, disp *rdma.Dispatcher, store *Store) (*Client, erro
 		node:       node,
 		store:      store,
 		qp:         qp,
-		index:      store.index,
 		data:       store.data,
 		recordSize: store.opts.RecordSize,
-		capacity:   uint64(store.opts.Capacity),
-		mask:       store.mask,
 	}
 	c.onDataReadFn = c.onDataRead
 	c.onProbeFn = c.onProbe
@@ -126,14 +139,21 @@ func (c *Client) OneSidedPuts() uint64 { return c.oneSidedPuts }
 func (c *Client) ProbeReads() uint64 { return c.probeReads }
 
 // CacheLen returns the number of cached key locations.
-func (c *Client) CacheLen() int { return c.primedFound + len(c.cache) }
+func (c *Client) CacheLen() int {
+	if c.rare == nil {
+		return c.primedFound
+	}
+	return c.primedFound + len(c.rare.cache)
+}
 
 // lookup resolves a key's cached data offset: the probe-learned overlay
 // first (a primed key never probes, so the two never overlap), then the
 // shared primed prefix.
 func (c *Client) lookup(key uint64) (int, bool) {
-	if off, ok := c.cache[key]; ok {
-		return off, true
+	if c.rare != nil {
+		if off, ok := c.rare.cache[key]; ok {
+			return off, true
+		}
 	}
 	if key < uint64(len(c.primed)) {
 		if slot := c.primed[key]; slot >= 0 {
@@ -145,10 +165,11 @@ func (c *Client) lookup(key uint64) (int, bool) {
 
 // learn records a probe-resolved location in the lazy overlay.
 func (c *Client) learn(key uint64, off int) {
-	if c.cache == nil {
-		c.cache = make(map[uint64]int)
+	r := c.more()
+	if r.cache == nil {
+		r.cache = make(map[uint64]int)
 	}
-	c.cache[key] = off
+	r.cache[key] = off
 }
 
 // PrimeCache fills the location cache for keys [0, n) directly from the
@@ -176,7 +197,7 @@ func (c *Client) Get(key uint64, cb func(value []byte, err error)) error {
 	if off, ok := c.lookup(key); ok {
 		return c.readData(off, cb)
 	}
-	start := hashKey(key) & c.mask
+	start := hashKey(key) & c.store.mask
 	return c.probe(key, start, 0, cb)
 }
 
@@ -204,27 +225,27 @@ func (c *Client) onDataRead(data []byte) {
 // operations on one QP, so they too complete in issue order even when
 // several keys resolve concurrently.
 func (c *Client) probe(key uint64, pos, depth uint64, cb func([]byte, error)) error {
-	if depth > c.mask {
+	if depth > c.store.mask {
 		cb(nil, ErrNotFound)
 		return nil
 	}
 	// Clamp the window at the region end; the next probe wraps to 0.
 	n := uint64(probeWindow)
-	if pos+n > c.capacity {
-		n = c.capacity - pos
+	if capacity := uint64(c.store.opts.Capacity); pos+n > capacity {
+		n = capacity - pos
 	}
 	off := int(pos) * slotSize
 	size := int(n) * slotSize
-	err := c.qp.Read(c.index, off, size, c.onProbeFn)
+	err := c.qp.Read(c.store.index, off, size, c.onProbeFn)
 	if err == nil {
-		c.probePending.Push(probeState{key: key, pos: pos, depth: depth, n: n, cb: cb})
+		c.more().probePending.Push(probeState{key: key, pos: pos, depth: depth, n: n, cb: cb})
 		c.probeReads++
 	}
 	return err
 }
 
 func (c *Client) onProbe(raw []byte) {
-	st := c.probePending.Pop()
+	st := c.rare.probePending.Pop()
 	for i := uint64(0); i < st.n; i++ {
 		k := leUint64(raw[i*slotSize:])
 		state := leUint64(raw[i*slotSize+8:])
@@ -241,7 +262,7 @@ func (c *Client) onProbe(raw []byte) {
 			return
 		}
 	}
-	next := (st.pos + st.n) & c.mask
+	next := (st.pos + st.n) & c.store.mask
 	if err := c.probe(st.key, next, st.depth+st.n, st.cb); err != nil {
 		st.cb(nil, err)
 	}
@@ -271,7 +292,7 @@ func (c *Client) Update(key uint64, value []byte, cb func(error)) error {
 	// Resolve the location with the usual probe path, then write. The
 	// write is posted after the probes complete, so it writes a copy.
 	value = bytes.Clone(value)
-	start := hashKey(key) & c.mask
+	start := hashKey(key) & c.store.mask
 	return c.probe(key, start, 0, func(_ []byte, err error) {
 		// The probe path issues a data READ on success; for an update we
 		// accept that extra read on the cold path (a real client caches
@@ -292,11 +313,12 @@ func (c *Client) writeData(off int, value []byte, cb func(error)) error {
 	if len(buf) < c.recordSize {
 		// QP.Write captures the payload before it returns, so one buffer
 		// pads every short value.
-		if c.pad == nil {
-			c.pad = make([]byte, c.recordSize)
+		r := c.more()
+		if r.pad == nil {
+			r.pad = make([]byte, c.recordSize)
 		}
-		clear(c.pad[copy(c.pad, value):])
-		buf = c.pad
+		clear(r.pad[copy(r.pad, value):])
+		buf = r.pad
 	}
 	err := c.qp.Write(c.data, off, buf, c.onWriteDoneFn)
 	if err == nil {
@@ -322,13 +344,11 @@ func (c *Client) GetTwoSided(key uint64, cb func(value []byte, err error)) error
 	if cb == nil {
 		return fmt.Errorf("kvstore: GetTwoSided requires a callback")
 	}
-	if c.pendingGet == nil {
-		c.pendingGet = new(sim.FIFO[func([]byte, error)])
-	}
-	err := c.qp.Send(rdma.Message{Kind: msgGet, A: int64(key), B: int64(c.nextReqID)}, 24, nil)
+	r := c.more()
+	err := c.qp.Send(rdma.Message{Kind: msgGet, A: int64(key), B: int64(r.nextReqID)}, 24, nil)
 	if err == nil {
-		c.nextReqID++
-		c.pendingGet.Push(cb)
+		r.nextReqID++
+		r.pendingGet.Push(cb)
 	}
 	return err
 }
@@ -339,11 +359,11 @@ func (c *Client) GetTwoSided(key uint64, cb func(value []byte, err error)) error
 // slot and the window slides past the answered ones at its head. A reply
 // for no pending id is dropped.
 func (c *Client) handleGetResp(_ *rdma.Node, resp rdma.Message) {
-	q := c.pendingGet
-	if q == nil {
+	if c.rare == nil {
 		return
 	}
-	i := uint64(resp.A) - (c.nextReqID - uint64(q.Len()))
+	q := &c.rare.pendingGet
+	i := uint64(resp.A) - (c.rare.nextReqID - uint64(q.Len()))
 	if i >= uint64(q.Len()) {
 		return
 	}

@@ -12,6 +12,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"github.com/haechi-qos/haechi/internal/rdma"
 	"github.com/haechi-qos/haechi/internal/sim"
@@ -303,6 +304,46 @@ func TestPrimeCache(t *testing.T) {
 	}
 }
 
+// TestClientFootprint: a KV client fits the 192-byte allocation class,
+// and a primed client that reads and writes whole records never
+// allocates its rare-path state; the first cold key, short Update value
+// or two-sided GET does.
+func TestClientFootprint(t *testing.T) {
+	if got := unsafe.Sizeof(Client{}); got > 192 {
+		t.Errorf("kvstore.Client is %d bytes, want <= 192", got)
+	}
+	k, _, store, kv := testStore(t, smallOpts())
+	_ = store.Populate(100, valFor)
+	kv.PrimeCache(100)
+	for i := uint64(0); i < 10; i++ {
+		_ = kv.Get(i, func([]byte, error) {})
+		_ = kv.Update(i, valFor(i), func(error) {})
+	}
+	k.Run()
+	if kv.rare != nil {
+		t.Error("primed whole-record GETs and Updates allocated the rare-path state")
+	}
+	for _, tc := range []struct {
+		name string
+		use  func(c *Client) error
+	}{
+		{"cold GET", func(c *Client) error { return c.Get(150, func([]byte, error) {}) }},
+		{"short Update", func(c *Client) error { return c.Update(1, []byte{1}, func(error) {}) }},
+		{"two-sided GET", func(c *Client) error { return c.GetTwoSided(1, func([]byte, error) {}) }},
+	} {
+		k, _, store, kv := testStore(t, smallOpts())
+		_ = store.Populate(100, valFor)
+		kv.PrimeCache(100)
+		if err := tc.use(kv); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		k.Run()
+		if kv.rare == nil {
+			t.Errorf("a %s left the rare-path state nil", tc.name)
+		}
+	}
+}
+
 func TestTwoSidedGetPut(t *testing.T) {
 	k, _, store, kv := testStore(t, smallOpts())
 	if err := store.Put(7, []byte("two-sided")); err != nil {
@@ -512,7 +553,7 @@ func TestTwoSidedMissPassesHit(t *testing.T) {
 	if want := []string{"miss", "7", "8"}; !slices.Equal(order, want) {
 		t.Errorf("replies completed as %v, want %v", order, want)
 	}
-	if n := kv.pendingGet.Len(); n != 0 {
+	if n := kv.rare.pendingGet.Len(); n != 0 {
 		t.Errorf("%d GETs still pending", n)
 	}
 }

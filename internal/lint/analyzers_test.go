@@ -170,7 +170,7 @@ func TestDefaultRulesWaivers(t *testing.T) {
 		{"walltime", nil, []string{"cmd/haechibench"}},
 		{"globalrand", nil, nil},
 		{"maporder", nil, nil},
-		{"noconcurrency", nil, []string{"internal/parallel"}},
+		{"noconcurrency", nil, []string{"internal/parallel", "internal/lint/stdimport"}},
 		{"floateq", []string{".", "internal"}, nil},
 		{"timetaint", nil, nil},
 		{"waiverdrift", nil, nil},
@@ -196,6 +196,7 @@ func TestDefaultRulesWaivers(t *testing.T) {
 		{"walltime", "cmd/haechibench", false},
 		{"walltime", "internal/sim", true},
 		{"noconcurrency", "cmd/haechibench", true},
+		{"noconcurrency", "internal/lint", true},
 		{"floateq", "internal/core", true},
 	}
 	for _, kp := range []string{

@@ -20,8 +20,9 @@
 //   - maporder: map iteration whose body schedules events, appends
 //     results, sends on channels, or accumulates floats must sort its
 //     keys first or carry a //lint:ordered justification.
-//   - noconcurrency: no package outside internal/parallel may use
-//     goroutines, channels, or sync primitives; a run is one goroutine.
+//   - noconcurrency: no package outside internal/parallel and
+//     internal/lint/stdimport may use goroutines, channels, or sync
+//     primitives; a run is one goroutine.
 //   - floateq: ==/!= between floating-point operands in QoS/capacity
 //     math is rounding-order fragile (exact-zero sentinel checks are
 //     exempt).
@@ -207,10 +208,11 @@ func NewModule(pkgs []*Package, rules []Rule) *Module {
 //   - walltime excludes cmd/haechibench: it measures the real runtime of
 //     the tool itself (how long a simulation takes to execute), not
 //     simulated time, so wall-clock use there is correct.
-//   - noconcurrency covers the entire module with one standing waiver
+//   - noconcurrency covers the entire module with two standing waivers
 //     (DESIGN.md §6): internal/parallel, the sweep runner that executes
 //     independent runs on worker goroutines and merges results by input
-//     index.
+//     index, and internal/lint/stdimport, whose mutex guards the
+//     linter's one process-wide standard-library importer.
 //
 // The two whole-module analyzers (timetaint, waiverdrift) run with no
 // waivers: timetaint deliberately sees through the walltime waiver, and
@@ -220,7 +222,7 @@ func DefaultRules() []Rule {
 		{Analyzer: Walltime, Exclude: []string{"cmd/haechibench"}},
 		{Analyzer: Globalrand},
 		{Analyzer: Maporder},
-		{Analyzer: Noconcurrency, Exclude: []string{"internal/parallel"}},
+		{Analyzer: Noconcurrency, Exclude: []string{"internal/parallel", "internal/lint/stdimport"}},
 		{Analyzer: Floateq, Include: []string{".", "internal"}},
 		{Analyzer: Timetaint},
 		{Analyzer: Waiverdrift},

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"go/ast"
 	"go/build"
-	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
@@ -14,29 +13,31 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"github.com/haechi-qos/haechi/internal/lint/stdimport"
 )
 
 // Loader parses and type-checks packages using only the standard
 // library: module-internal imports are resolved against packages the
 // loader has already checked, standard-library imports go through the
-// source importer. No go/packages, no export data, no network.
+// process's one source importer (see stdimport), which checks each
+// standard-library package once however many loaders ask for it. No
+// go/packages, no export data, no network.
 type Loader struct {
 	fset    *token.FileSet
-	std     types.ImporterFrom
 	checked map[string]*types.Package
 }
 
 // NewLoader returns a loader with an empty package cache.
 func NewLoader() *Loader {
-	fset := token.NewFileSet()
 	return &Loader{
-		fset:    fset,
-		std:     importer.ForCompiler(fset, "source", nil).(types.ImporterFrom),
+		fset:    stdimport.Fset(),
 		checked: make(map[string]*types.Package),
 	}
 }
 
-// Fset returns the loader's file set (shared by every loaded package).
+// Fset returns the loader's file set (shared by every loaded package,
+// and by every loader of the process).
 func (l *Loader) Fset() *token.FileSet { return l.fset }
 
 // Import implements types.Importer.
@@ -50,7 +51,7 @@ func (l *Loader) ImportFrom(path, dir string, mode types.ImportMode) (*types.Pac
 	if tp, ok := l.checked[path]; ok {
 		return tp, nil
 	}
-	return l.std.ImportFrom(path, dir, mode)
+	return stdimport.ImportFrom(path, dir, mode)
 }
 
 // ModulePath reads the module path from root/go.mod.

@@ -127,7 +127,7 @@ func (b *BackgroundJob) onArrive() {
 	op := b.target.pool.get(false)
 	op.kind = opFunc
 	op.cb = b.onDoneFn
-	b.target.sched.enqueue(b.queue, op)
+	b.target.scheduler().enqueue(b.queue, op)
 }
 
 // onDone: the target serviced the I/O and the completion propagated back.

@@ -86,12 +86,16 @@ type Node struct {
 	// receive processing is folded into the initiator weight, see Send).
 	cpu *sim.Station
 
-	recv    func(from *Node, m Message)
+	recv func(from *Node, m Message)
+	// regions is allocated by the first registration: a client node
+	// registers none.
 	regions map[string]*Region
 	stats   Stats
 	// sched arbitrates incoming bulk operations round-robin across
-	// initiators (per-QP fairness).
-	sched rrScheduler
+	// initiators (per-QP fairness). It is allocated by the first bulk
+	// operation to arrive (see scheduler): a client node that is the
+	// target of SENDs only never needs one.
+	sched *rrScheduler
 
 	// flight is this node's shard's flight recorder (nil when recording
 	// is off). Cached per node so the hot stamping sites index nothing:
@@ -137,8 +141,7 @@ func (n *Node) qpPenalty(qp *QP) float64 {
 	if c.cap == 0 {
 		return 0
 	}
-	end := n.ctxEnd(qp)
-	hit, evicted := c.touch(qp, end)
+	hit, evicted := c.touch(n, qp)
 	if hit {
 		n.prof.QPCacheHits++
 		return 0
@@ -149,10 +152,10 @@ func (n *Node) qpPenalty(qp *QP) float64 {
 		case c.used > c.cap:
 			n.san.Reportf("qp-cache", int64(n.k.Now()),
 				"node %s: qp cache occupancy %d exceeds capacity %d", n.name, c.used, c.cap)
-		case !c.holds(qp, end):
+		case !c.holds(n, qp):
 			n.san.Reportf("qp-cache", int64(n.k.Now()),
 				"node %s: qp %d missed into slot word %d, whose slot does not point back",
-				n.name, qp.id, qp.ctxSlot[end])
+				n.name, qp.id, qp.ctxSlot[n.ctxEnd(qp)])
 		case evicted != nil && evicted.ctxSlot[n.ctxEnd(evicted)] != 0:
 			n.san.Reportf("qp-cache", int64(n.k.Now()),
 				"node %s: evicted qp %d still holds slot word %d",
@@ -191,6 +194,15 @@ func (n *Node) dispatchTag(tag uint32) {
 	case stageSched:
 		n.sched.onServed()
 	}
+}
+
+// scheduler returns the node's round-robin scheduler, allocating it on
+// first use.
+func (n *Node) scheduler() *rrScheduler {
+	if n.sched == nil {
+		n.sched = &rrScheduler{node: n}
+	}
+	return n.sched
 }
 
 // Name returns the node name.
@@ -239,7 +251,7 @@ func (n *Node) RegisterRegion(name string, size int) (*Region, error) {
 		return nil, err
 	}
 	r := &Region{name: name, owner: n, size: size, buf: make([]byte, size)}
-	n.regions[name] = r
+	n.addRegion(r)
 	return r, nil
 }
 
@@ -266,7 +278,7 @@ func (n *Node) RegisterPagedRegion(name string, pages, pageSize int, prefix func
 		dir:     make([]*[chunkPages][]byte, (pages+chunkPages-1)/chunkPages),
 		scratch: make([]byte, pageSize),
 	}
-	n.regions[name] = r
+	n.addRegion(r)
 	return r, nil
 }
 
@@ -278,6 +290,14 @@ func (n *Node) checkRegistration(name string, size int) error {
 		return fmt.Errorf("rdma: node %s: region %q already registered", n.name, name)
 	}
 	return nil
+}
+
+// addRegion indexes a registered region by its name.
+func (n *Node) addRegion(r *Region) {
+	if n.regions == nil {
+		n.regions = make(map[string]*Region)
+	}
+	n.regions[r.name] = r
 }
 
 // Region looks up a registered region by name.
@@ -468,19 +488,17 @@ func (f *Fabric) addNode(name string, kind NodeKind) (*Node, error) {
 	// past their capacity, so &chunk[i] stays valid forever.
 	chunk := slabChunk(&f.nodeChunks, nodeChunkSize)
 	*chunk = append(*chunk, Node{
-		fabric:  f,
-		name:    name,
-		kind:    kind,
-		id:      len(f.byName),
-		k:       f.kernels[shard],
-		shard:   shard,
-		regions: make(map[string]*Region),
+		fabric: f,
+		name:   name,
+		kind:   kind,
+		id:     len(f.byName),
+		k:      f.kernels[shard],
+		shard:  shard,
 	})
 	n := &(*chunk)[len(*chunk)-1]
 	n.flight = f.flightFor(n.shard)
 	n.prof = f.profs[n.shard]
 	n.pool = f.pools[n.shard]
-	n.sched.node = n
 	n.qpCache.init(f.cfg.QPCacheSize, f.cfg.QPCacheMissPenalty)
 	var err error
 	switch kind {

@@ -507,14 +507,15 @@ func pooled(list *flowOp) []*flowOp {
 // records lists every record the pool holds, plain ones first.
 func (p *opPool) records() []*flowOp { return append(pooled(p.free), pooled(p.exts)...) }
 
-// TestRecordFootprint pins what a verb in flight and a connection cost:
-// the record is one 64-byte cache line and the 64-byte allocation class
-// (its QP named by the queue that holds it, its weights derived, an
-// atomic's result in its operand, size packed with the flag bytes, one
-// callback slot, what only some verbs carry — a span, a hop's QP —
-// behind one pointer), a record with its extension still fits the
-// 128-byte class, and a QP is twelve two-word queues, not twelve slice
-// headers.
+// TestRecordFootprint pins what a verb in flight, a connection and a
+// machine cost: the record is one 64-byte cache line and the 64-byte
+// allocation class (its QP named by the queue that holds it, its weights
+// derived, an atomic's result in its operand, size packed with the flag
+// bytes, one callback slot, what only some verbs carry — a span, a hop's
+// QP — behind one pointer), a record with its extension still fits the
+// 128-byte class, a QP holds one two-word queue per station class its
+// stages wait on, and a node keeps its scheduler behind a pointer and its
+// QP-context cache as one slice of 16-byte slot records.
 func TestRecordFootprint(t *testing.T) {
 	if got := unsafe.Sizeof(flowOp{}); got > 64 {
 		t.Errorf("flowOp is %d bytes, want <= 64", got)
@@ -522,8 +523,14 @@ func TestRecordFootprint(t *testing.T) {
 	if got := unsafe.Sizeof(extOp{}); got > 128 {
 		t.Errorf("a record with its extension is %d bytes, want <= 128", got)
 	}
-	if got := unsafe.Sizeof(QP{}); got > 320 {
-		t.Errorf("QP is %d bytes, want <= 320", got)
+	if got := unsafe.Sizeof(QP{}); got > 264 {
+		t.Errorf("QP is %d bytes, want <= 264", got)
+	}
+	if got := unsafe.Sizeof(Node{}); got > 256 {
+		t.Errorf("Node is %d bytes, want <= 256", got)
+	}
+	if got := unsafe.Sizeof(qpSlot{}); got > 16 {
+		t.Errorf("a QP-context cache slot is %d bytes, want <= 16", got)
 	}
 }
 

@@ -63,23 +63,21 @@ type QP struct {
 	waiting  opFIFO
 	serverQ  *dataQueue
 
-	// Pipeline-stage FIFOs. Control-class and bulk-class operations each
-	// traverse their own initiator-NIC and wire stages (the two classes
-	// complete out of order relative to each other, but FIFO within a
-	// class); the remaining queues cover the target-side and delivery
-	// stages. deliver is shared by every op kind: each push is paired
-	// with scheduling one propagation-delayed event, so events pop in
-	// push order.
+	// Pipeline-stage FIFOs, one per station class a stage waits on (the
+	// control and bulk classes complete out of order relative to each
+	// other, but FIFO within a class). Each push pairs with one submission
+	// to the queue's class, so the head is the op whose completion fires
+	// next, whichever stage pushed it, and the completion's tag picks the
+	// handler: ctrlInit and bulkInit also hold loopback ops, ctrlServe the
+	// SENDs at a server target's NIC. deliver pairs each push with one
+	// propagation-delayed event, so events pop in push order.
 	ctrlInit  opFIFO // awaiting initiator-NIC priority completion
 	ctrlWire  opFIFO // on the wire toward the target (control class)
 	ctrlServe opFIFO // awaiting target-NIC priority completion
 	bulkInit  opFIFO // awaiting initiator-NIC bulk completion
 	bulkWire  opFIFO // on the wire toward the target (bulk class)
 	sendBulk  opFIFO // bulk SENDs awaiting a client target's NIC
-	sendSrv   opFIFO // SENDs awaiting a server target's NIC
 	sendCPU   opFIFO // SENDs awaiting a server target's CPU
-	loopCtrl  opFIFO // loopback control ops at the initiator NIC
-	loopBulk  opFIFO // loopback bulk ops at the initiator NIC
 	deliver   opFIFO // completions awaiting delivery at the initiator
 
 	// Wire arrival horizons. The FIFO pipeline pairs each wire push with
@@ -520,10 +518,10 @@ func (qp *QP) initiate(op *flowOp) {
 	if qp.loopback() {
 		pen := qp.initiator.qpPenalty(qp)
 		if op.control {
-			qp.loopCtrl.push(op)
+			qp.ctrlInit.push(op)
 			qp.initiator.nic.SubmitPriorityTagged(op.weight()+pen, qp.tag(stageLoopCtrl))
 		} else {
-			qp.loopBulk.push(op)
+			qp.bulkInit.push(op)
 			qp.initiator.nic.SubmitTagged(op.weight()+pen, qp.tag(stageLoopBulk))
 		}
 		return
@@ -714,10 +712,11 @@ func (qp *QP) deliverOp(op *flowOp) {
 }
 
 // loopCtrlServed / loopBulkServed: a loopback op traversed the NIC once;
-// its effect and completion happen at the same instant, with no wire.
-func (qp *QP) loopCtrlServed() { qp.loopServe(qp.loopCtrl.pop()) }
+// its effect and completion happen at the same instant, with no wire. It
+// waited in its class's initiator-NIC queue.
+func (qp *QP) loopCtrlServed() { qp.loopServe(qp.ctrlInit.pop()) }
 
-func (qp *QP) loopBulkServed() { qp.loopServe(qp.loopBulk.pop()) }
+func (qp *QP) loopBulkServed() { qp.loopServe(qp.bulkInit.pop()) }
 
 func (qp *QP) loopServe(op *flowOp) {
 	k := qp.initiator.k // loopback QPs are never cross-shard
@@ -803,7 +802,7 @@ func (qp *QP) bulkArriveOp(op *flowOp) {
 		qp.sendTargetSubmit(op)
 		return
 	}
-	qp.target.sched.enqueue(qp.serverQ, op)
+	qp.target.scheduler().enqueue(qp.serverQ, op)
 }
 
 // releaseCredit returns one flow-control credit after a serviced op and
@@ -822,7 +821,7 @@ func (qp *QP) releaseCredit() {
 func (qp *QP) sendTargetSubmit(op *flowOp) {
 	pen := qp.target.qpPenalty(qp)
 	if qp.target.kind == ServerNode {
-		qp.sendSrv.push(op)
+		qp.ctrlServe.push(op)
 		qp.target.nic.SubmitPriorityTagged(SendRequestWeight+pen, qp.tag(stageSendSrv))
 		return
 	}
@@ -838,8 +837,10 @@ func (qp *QP) sendTargetSubmit(op *flowOp) {
 	qp.target.nic.SubmitTagged(w, qp.tag(stageSendBulk))
 }
 
+// sendSrvServed: a server target's NIC finished a SEND's header (it
+// waited in ctrlServe); hand the message to the CPU.
 func (qp *QP) sendSrvServed() {
-	op := qp.sendSrv.pop()
+	op := qp.ctrlServe.pop()
 	qp.sendCPU.push(op)
 	// The CPU is not a QP-context station: no connection-cache charge.
 	qp.target.cpu.SubmitTagged(1, qp.tag(stageSendCPU))

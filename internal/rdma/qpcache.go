@@ -8,10 +8,13 @@ package rdma
 // throughput collapses once the active connection count outgrows the
 // cache — which the calibrated small-testbed model otherwise lacks.
 //
-// The cache is struct-of-arrays: the recency list is an intrusive doubly
-// linked list over slot arrays, and the way from a QP to its slot is a
-// word on the QP itself (QP.ctxSlot, one per end), so a touch looks
-// nothing up: the verb path holds the *QP already. Touches are O(1) and
+// The cache is one array of 16-byte slot records, each a cached QP and
+// its links in the recency list (an intrusive doubly linked list over the
+// slot indices), so a touch reads one cache line per slot it visits. The
+// way from a QP to its slot is a word on the QP itself (QP.ctxSlot, one
+// per end), so a touch looks nothing up: the verb path holds the *QP
+// already. Which of the QP's words is this cache's follows from the node
+// (Node.ctxEnd): a node is one end of a QP, never both. Touches are O(1) and
 // allocation-free in steady state. Every touch happens on the owning
 // node's kernel and writes only that node's end of the ctxSlot words —
 // the touched QP's and, on eviction, the victim's, which is cached here
@@ -23,12 +26,16 @@ type qpCache struct {
 	penalty float64
 	used    int
 
-	qps  []*QP   // slot -> cached QP
-	ends []uint8 // slot -> which of that QP's ctxSlot words is this cache's
-	prev []int32 // recency list, -1 terminated
-	next []int32
-	head int32 // most recently used
-	tail int32 // least recently used
+	slots []qpSlot
+	head  int32 // most recently used
+	tail  int32 // least recently used
+}
+
+// qpSlot is one cached context: the QP and its neighbours in the recency
+// list, -1 terminated.
+type qpSlot struct {
+	qp         *QP
+	prev, next int32
 }
 
 // init sizes the cache; capacity <= 0 disables it (every touch hits).
@@ -46,10 +53,11 @@ func (c *qpCache) init(capacity int, penalty float64) {
 	c.head, c.tail = -1, -1
 }
 
-// touch marks the context of qp, whose end-th end is this cache's node,
-// used now and reports whether it was already cached; on a miss that
-// evicted another QP's context it also returns that QP.
-func (c *qpCache) touch(qp *QP, end uint8) (hit bool, evicted *QP) {
+// touch marks the context of qp at node n, the cache's node, used now
+// and reports whether it was already cached; on a miss that evicted
+// another QP's context it also returns that QP.
+func (c *qpCache) touch(n *Node, qp *QP) (hit bool, evicted *QP) {
+	end := n.ctxEnd(qp)
 	if s := qp.ctxSlot[end] - 1; s >= 0 {
 		if s != c.head {
 			c.unlink(s)
@@ -61,54 +69,51 @@ func (c *qpCache) touch(qp *QP, end uint8) (hit bool, evicted *QP) {
 	if c.used < c.cap {
 		s = int32(c.used)
 		c.used++
-		if int(s) == len(c.qps) {
+		if int(s) == len(c.slots) {
 			// Grows only while the working set grows; steady state —
 			// whether all-resident or thrashing through evictions —
 			// stays allocation-free.
-			c.qps = append(c.qps, nil)
-			c.ends = append(c.ends, 0)
-			c.prev = append(c.prev, 0)
-			c.next = append(c.next, 0)
+			c.slots = append(c.slots, qpSlot{})
 		}
 	} else {
 		s = c.tail
 		c.unlink(s)
-		evicted = c.qps[s]
-		evicted.ctxSlot[c.ends[s]] = 0
+		evicted = c.slots[s].qp
+		evicted.ctxSlot[n.ctxEnd(evicted)] = 0
 	}
-	c.qps[s], c.ends[s] = qp, end
+	c.slots[s].qp = qp
 	qp.ctxSlot[end] = s + 1
 	c.pushFront(s)
 	return false, evicted
 }
 
-// holds reports whether slot and QP agree that the cache holds qp's
-// end-th end: the QP's word names a slot in use and that slot names the
-// QP and the end back.
-func (c *qpCache) holds(qp *QP, end uint8) bool {
-	s := int(qp.ctxSlot[end]) - 1
-	return s >= 0 && s < c.used && c.qps[s] == qp && c.ends[s] == end
+// holds reports whether slot and QP agree that the cache of node n holds
+// qp: the QP's word for n's end names a slot in use and that slot names
+// the QP back.
+func (c *qpCache) holds(n *Node, qp *QP) bool {
+	s := int(qp.ctxSlot[n.ctxEnd(qp)]) - 1
+	return s >= 0 && s < c.used && c.slots[s].qp == qp
 }
 
 func (c *qpCache) unlink(s int32) {
-	p, n := c.prev[s], c.next[s]
+	p, n := c.slots[s].prev, c.slots[s].next
 	if p >= 0 {
-		c.next[p] = n
+		c.slots[p].next = n
 	} else {
 		c.head = n
 	}
 	if n >= 0 {
-		c.prev[n] = p
+		c.slots[n].prev = p
 	} else {
 		c.tail = p
 	}
 }
 
 func (c *qpCache) pushFront(s int32) {
-	c.prev[s] = -1
-	c.next[s] = c.head
+	c.slots[s].prev = -1
+	c.slots[s].next = c.head
 	if c.head >= 0 {
-		c.prev[c.head] = s
+		c.slots[c.head].prev = s
 	}
 	c.head = s
 	if c.tail < 0 {

@@ -184,9 +184,10 @@ func checkQPCacheLinks(t *testing.T, nodes []*Node, qps []*QP) {
 	for _, n := range nodes {
 		c := &n.qpCache
 		for s := 0; s < c.used; s++ {
-			qp, end := c.qps[s], c.ends[s]
-			if end != n.ctxEnd(qp) {
-				t.Errorf("node %s slot %d: holds end %d of qp %d, the node is end %d", n.name, s, end, qp.id, n.ctxEnd(qp))
+			qp := c.slots[s].qp
+			end := n.ctxEnd(qp)
+			if qp.initiator != n && qp.target != n {
+				t.Errorf("node %s slot %d: holds qp %d, which the node is no end of", n.name, s, qp.id)
 			}
 			if got := qp.ctxSlot[end]; got != int32(s)+1 {
 				t.Errorf("node %s slot %d: qp %d end %d points at word %d, want %d", n.name, s, qp.id, end, got, s+1)
@@ -207,7 +208,7 @@ func checkQPCacheLinks(t *testing.T, nodes []*Node, qps []*QP) {
 			if end == 1 {
 				n = qp.target
 			}
-			if !n.qpCache.holds(qp, uint8(end)) {
+			if n.ctxEnd(qp) != uint8(end) || !n.qpCache.holds(n, qp) {
 				t.Errorf("qp %d end %d holds word %d, node %s's cache does not hold it", qp.id, end, w, n.name)
 			}
 		}
