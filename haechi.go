@@ -147,29 +147,13 @@ func New(cfg Config, tenants []Tenant) (*System, error) {
 	if len(tenants) == 0 {
 		return nil, fmt.Errorf("haechi: at least one tenant required")
 	}
-	ccfg := cluster.Laptop()
-	switch cfg.Mode {
-	case "", ModeHaechi:
-		cfg.Mode = ModeHaechi
-	case ModeBasic:
-		ccfg.Mode = cluster.BasicHaechi
-	case ModeBare:
-		ccfg.Mode = cluster.Bare
-	default:
-		return nil, fmt.Errorf("haechi: unknown mode %q", cfg.Mode)
+	ccfg, err := cfg.cluster()
+	if err != nil {
+		return nil, err
 	}
-	ccfg.Scale = cmp.Or(cfg.Scale, ccfg.Scale)
-	ccfg.Records = cmp.Or(cfg.Records, ccfg.Records)
-	ccfg.Seed = cmp.Or(cfg.Seed, ccfg.Seed)
-	ccfg.Chaos = cfg.Chaos
+	cfg.Mode = cmp.Or(cfg.Mode, ModeHaechi)
 	cfg.WarmupPeriods = cmp.Or(cfg.WarmupPeriods, cluster.LaptopWarmup)
 	cfg.MeasurePeriods = cmp.Or(cfg.MeasurePeriods, cluster.LaptopMeasure)
-	if cfg.FlightSpans > 0 || cfg.MetricsInterval > 0 {
-		ccfg.Observe = &cluster.Observe{
-			FlightSpans:     cfg.FlightSpans,
-			MetricsInterval: sim.Time(cfg.MetricsInterval),
-		}
-	}
 
 	var names []string
 	var specs []cluster.ClientSpec
@@ -190,6 +174,32 @@ func New(cfg Config, tenants []Tenant) (*System, error) {
 		return nil, fmt.Errorf("haechi: %w", err)
 	}
 	return &System{cfg: cfg, names: names, cluster: cl}, nil
+}
+
+// cluster translates cfg into the cluster configuration New builds from,
+// on the laptop preset; cluster.New resolves it through ApplyScale.
+func (cfg Config) cluster() (cluster.Config, error) {
+	ccfg := cluster.Laptop()
+	switch cfg.Mode {
+	case "", ModeHaechi:
+	case ModeBasic:
+		ccfg.Mode = cluster.BasicHaechi
+	case ModeBare:
+		ccfg.Mode = cluster.Bare
+	default:
+		return ccfg, fmt.Errorf("haechi: unknown mode %q", cfg.Mode)
+	}
+	ccfg.Scale = cmp.Or(cfg.Scale, ccfg.Scale)
+	ccfg.Records = cmp.Or(cfg.Records, ccfg.Records)
+	ccfg.Seed = cmp.Or(cfg.Seed, ccfg.Seed)
+	ccfg.Chaos = cfg.Chaos
+	if cfg.FlightSpans > 0 || cfg.MetricsInterval > 0 {
+		ccfg.Observe = &cluster.Observe{
+			FlightSpans:     cfg.FlightSpans,
+			MetricsInterval: sim.Time(cfg.MetricsInterval),
+		}
+	}
+	return ccfg, nil
 }
 
 // flight returns the run's merged flight recorder, nil before Run or

@@ -247,7 +247,8 @@ func TestConfigDefaults(t *testing.T) {
 		}
 		return cfg
 	}
-	// New resolves the public Config through ApplyScale.
+	// New builds the cluster from Config.cluster, which cluster.New
+	// resolves through ApplyScale.
 	public := func(cfg Config) cluster.Config {
 		sys, err := New(cfg, []Tenant{{Reservation: 1000, DemandPerPeriod: 1000}})
 		if err != nil {
@@ -256,7 +257,11 @@ func TestConfigDefaults(t *testing.T) {
 		if sys.cfg.WarmupPeriods != cluster.LaptopWarmup || sys.cfg.MeasurePeriods != cluster.LaptopMeasure {
 			t.Errorf("public windows %d+%d", sys.cfg.WarmupPeriods, sys.cfg.MeasurePeriods)
 		}
-		return sys.cluster.Config()
+		ccfg, err := cfg.cluster()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return apply(ccfg)
 	}
 	for _, tc := range []struct {
 		name     string

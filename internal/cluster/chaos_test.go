@@ -240,7 +240,7 @@ func TestChaosCatchesPostCrashCompletion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	T := cl.Config().Params.Period
+	T := cl.cfg.Params.Period
 	cl.kernel.At(sim.Time(3.5*float64(T)), func() {
 		cl.Clients()[0].Engine.DebugInjectPostCrashCompletion()
 	})

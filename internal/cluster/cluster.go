@@ -611,23 +611,14 @@ func (c *Cluster) record(s, id, period int, closed core.LedgerRow) {
 	}
 }
 
-// Fabric exposes the fabric.
-func (c *Cluster) Fabric() *rdma.Fabric { return c.fabric }
-
 // Server returns the data node (the first of Config.Servers).
 func (c *Cluster) Server() *rdma.Node { return c.nodes[0].node }
-
-// Store returns the first data node's KV store.
-func (c *Cluster) Store() *kvstore.Store { return c.nodes[0].store }
 
 // Monitor returns the first data node's QoS monitor (nil in Bare mode).
 func (c *Cluster) Monitor() *core.Monitor { return c.nodes[0].monitor }
 
 // Clients returns the tenants.
 func (c *Cluster) Clients() []*Client { return c.clients }
-
-// Config returns the normalized configuration.
-func (c *Cluster) Config() Config { return c.cfg }
 
 // sanFor returns shard s's invariant checker, or nil when sanitizing is
 // off (component hooks treat nil as disabled).

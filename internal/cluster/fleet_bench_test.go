@@ -20,7 +20,8 @@ import (
 // 100 % for a power of two).
 func storeLoadNsPerRecord(t *testing.T, records int) float64 {
 	t.Helper()
-	f, err := rdma.NewFabric(sim.New(1), rdma.NewDefaultConfig())
+	k := sim.New(1)
+	f, err := rdma.NewFabric(k, rdma.NewDefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,8 +49,13 @@ func storeLoadNsPerRecord(t *testing.T, records int) float64 {
 	}
 	kv.PrimeCache(records)
 	elapsed := time.Since(start)
-	if kv.CacheLen() != records {
-		t.Fatalf("primed %d of %d records", kv.CacheLen(), records)
+	// A primed key's GET is one data READ, no index probe.
+	if err := kv.Get(uint64(records-1), func([]byte, error) {}); err != nil {
+		t.Fatal(err)
+	}
+	k.Run()
+	if kv.OneSidedGets() != 1 || kv.ProbeReads() != 0 {
+		t.Fatalf("GET of the last primed key cost %d READs and %d probes", kv.OneSidedGets(), kv.ProbeReads())
 	}
 	return float64(elapsed.Nanoseconds()) / float64(records)
 }

@@ -281,8 +281,7 @@ func TestFleetSmoke(t *testing.T) {
 	// New (the whole process's, not a delta) under 428 MB: 335.8 MB
 	// measured, with the headroom 700 MB gave the 550 MB it held before.
 	heapMB := float64(heapAlloc()) / (1 << 20)
-	t.Logf("HeapAlloc after New: %.1f MB for %d clients (kv/data holds %d of %d bytes)",
-		heapMB, clients, cl.Store().DataRegion().Resident(), cl.Store().DataRegion().Size())
+	t.Logf("HeapAlloc after New: %.1f MB for %d clients", heapMB, clients)
 	if heapMB > 428 {
 		t.Errorf("HeapAlloc after New = %.1f MB, want <= 428", heapMB)
 	}
@@ -342,7 +341,7 @@ func TestOverheadDataReadsSaturates(t *testing.T) {
 	}
 	// The window runs from warm-up's end to the end of the run: the two
 	// measured periods and the three-quarter-period tail.
-	f, T := cl.Config().Fabric, cl.Config().Params.Period
+	f, T := cl.cfg.Fabric, cl.cfg.Params.Period
 	busy := float64(o.FAAs)*rdma.AtomicWeight + float64(o.ControlWrites)*rdma.MinVerbWeight + float64(o.ControlSends)*rdma.SendRequestWeight
 	if want := busy / (f.ServerOneSidedRate * (2*T + 3*T/4).Seconds()); math.Abs(o.NICFraction-want) > 1e-12 {
 		t.Errorf("NICFraction = %v, want %v from the counts and the window", o.NICFraction, want)

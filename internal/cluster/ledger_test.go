@@ -82,7 +82,7 @@ func TestRunCatchesMintedTokens(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	T := cl.Config().Params.Period
+	T := cl.cfg.Params.Period
 	cl.kernel.At(T+T/2, func() { _ = cl.Monitor().QoSRegion().PutUint64(0, 1_000_000) })
 	if _, err := cl.Run(1, 2); err == nil || !strings.Contains(err.Error(), "pool-bank: data node 0 ") {
 		t.Errorf("Run = %v, want a pool-bank breach at data node 0", err)

@@ -35,7 +35,7 @@ func TestSanitizerCatchesTokenLeak(t *testing.T) {
 				t.Fatal(err)
 			}
 			// ApplyScale ran inside New; use the normalized period.
-			T := cl.Config().Params.Period
+			T := cl.cfg.Params.Period
 			cl.kernel.At(T+T/2, func() {
 				eng := cl.Clients()[0].Engine
 				eng.DebugDropReservationTokens(5)
@@ -104,7 +104,7 @@ func TestSanitizerCatchesBrokenCookie(t *testing.T) {
 				}
 				m.mutate(w, cl.kernel.Now())
 			}
-			T := cl.Config().Params.Period
+			T := cl.cfg.Params.Period
 			cl.kernel.At(T+T/2, strike)
 			_, err = cl.Run(1, 2)
 			if err == nil || !strings.Contains(err.Error(), "completion-cookie") {

@@ -9,6 +9,7 @@ import (
 
 	"github.com/haechi-qos/haechi/internal/kvstore"
 	"github.com/haechi-qos/haechi/internal/rdma"
+	"github.com/haechi-qos/haechi/internal/sim"
 	"github.com/haechi-qos/haechi/internal/workload"
 )
 
@@ -132,32 +133,48 @@ func TestServersRunValidation(t *testing.T) {
 }
 
 // TestServersAccessors: the single-node accessors name data node 0, each
-// store holds its residue class of the keys, and every tenant is linked to
-// every node.
+// store holds its residue class of the keys — a tenant's one-sided GET on
+// that node finds exactly those — and every tenant is linked to every
+// node.
 func TestServersAccessors(t *testing.T) {
 	cl, err := New(serversConfig(3), []ClientSpec{{Reservation: 3000, Demand: ConstantDemand(3300)}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := cl.Config().Servers; got != 3 {
-		t.Errorf("Config().Servers = %d", got)
+	if got := cl.cfg.Servers; got != 3 {
+		t.Errorf("cfg.Servers = %d", got)
 	}
-	if cl.Server() != cl.nodes[0].node || cl.Store() != cl.nodes[0].store || cl.Monitor() != cl.nodes[0].monitor {
-		t.Error("Server/Store/Monitor do not name data node 0")
-	}
-	for s, dn := range cl.nodes {
-		if dn.store.Len() != 128 {
-			t.Errorf("data node %d holds %d records, want 128", s, dn.store.Len())
-		}
-		for key := uint64(0); key < 12; key++ {
-			if _, ok := dn.store.Get(key); ok != (key%3 == uint64(s)) {
-				t.Errorf("data node %d: key %d present = %v", s, key, ok)
-			}
-		}
+	if cl.Server() != cl.nodes[0].node || cl.Monitor() != cl.nodes[0].monitor {
+		t.Error("Server/Monitor do not name data node 0")
 	}
 	rt := cl.Clients()[0]
 	if rt.links == nil || len(*rt.links) != 3 || (*rt.links)[0].kv != rt.KV || (*rt.links)[0].engine != rt.Engine {
-		t.Error("links do not cover the three data nodes with link 0 as KV/Engine")
+		t.Fatal("links do not cover the three data nodes with link 0 as KV/Engine")
+	}
+	found := make([][]bool, len(cl.nodes))
+	for s := range cl.nodes {
+		found[s] = make([]bool, cl.cfg.Records)
+		for key := range found[s] {
+			err := (*rt.links)[s].kv.Get(uint64(key), func(_ []byte, err error) { found[s][key] = err == nil })
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	cl.kernel.RunUntil(cl.kernel.Now() + sim.Second)
+	for s := range cl.nodes {
+		held := 0
+		for key, ok := range found[s] {
+			if ok != (key%3 == s) {
+				t.Errorf("data node %d: key %d present = %v", s, key, ok)
+			}
+			if ok {
+				held++
+			}
+		}
+		if held != 128 {
+			t.Errorf("data node %d holds %d records, want 128", s, held)
+		}
 	}
 }
 

@@ -524,6 +524,52 @@ func TestMultiServerShape(t *testing.T) {
 	}
 }
 
+// TestMultiServerProbesNoIndex: every multiserver run draws its keys from
+// the keyspace its data nodes hold, so no GET misses and no tenant ever
+// probes an index. Each tenant's per-node kv/probe-reads gauge reads 0
+// at the last sample.
+func TestMultiServerProbesNoIndex(t *testing.T) {
+	o := fastOptions()
+	o.Parallel = 2
+	o.Base.Observe = &cluster.Observe{MetricsInterval: cluster.DefaultMetricsInterval(o.Base.Params.Period)}
+	rep, err := Run("multiserver", o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, run := range rep.Runs {
+		var csv bytes.Buffer
+		if err := run.Results.Metrics.WriteCSV(&csv); err != nil {
+			t.Fatal(err)
+		}
+		rows := strings.Split(strings.TrimSpace(csv.String()), "\n")
+		header, last := strings.Split(rows[0], ","), strings.Split(rows[len(rows)-1], ",")
+		gauges := 0
+		for i, col := range header {
+			if strings.HasSuffix(col, "/probe-reads") {
+				gauges++
+				if last[i] != "0" {
+					t.Errorf("run %q: %s = %s", run.Run.Name, col, last[i])
+				}
+			}
+		}
+		if want := len(run.Run.Specs) * run.Run.Config.Servers; gauges != want {
+			t.Errorf("run %q: %d probe-reads gauges, want one per tenant and data node (%d)", run.Run.Name, gauges, want)
+		}
+	}
+}
+
+// TestMultiServerRefusesChaos: the chaos grammar names no data node, so
+// a multiserver run under -chaos fails with ApplyScale's reason instead
+// of running its multi-node configurations unfaulted.
+func TestMultiServerRefusesChaos(t *testing.T) {
+	o := fastOptions()
+	o.Base.Chaos = "set5"
+	_, err := Run("multiserver", o)
+	if err == nil || !strings.Contains(err.Error(), "the chaos grammar has no server selector") {
+		t.Fatalf("Run(multiserver) under set5 = %v, want the server-selector refusal", err)
+	}
+}
+
 // TestProfileShape: the profiling procedure measures Omega_prof ≈ C_G*T
 // with small sigma, one run per measured period, and renders the
 // estimator's lower bound below Omega_prof.

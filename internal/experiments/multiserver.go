@@ -41,6 +41,7 @@ func MultiServer(o Options) (*Plan, error) {
 	config := func(servers, rebalanceEvery int) cluster.Config {
 		return cluster.Config{
 			Observe:        o.Base.Observe,
+			Chaos:          o.Base.Chaos,
 			Servers:        servers,
 			RebalanceEvery: rebalanceEvery,
 			Scale:          o.Base.Scale,
@@ -70,7 +71,7 @@ func MultiServer(o Options) (*Plan, error) {
 			specs[i] = cluster.ClientSpec{
 				Reservation: perTenant,
 				Demand:      cluster.ConstantDemand(uint64(perClientCap)), // saturate the client NIC
-				Keys:        &workload.UniformKeys{N: 1024},
+				Keys:        &workload.UniformKeys{N: recordsPerServer * uint64(servers)},
 			}
 		}
 		runs = append(runs, o.run(fmt.Sprintf("%d servers", servers), config(servers, 0), specs))

@@ -125,9 +125,6 @@ func Attach(node *rdma.Node, disp *rdma.Dispatcher, store *Store) (*Client, erro
 	return c, nil
 }
 
-// Node returns the client's node.
-func (c *Client) Node() *rdma.Node { return c.node }
-
 // OneSidedGets returns the number of one-sided data READs issued.
 func (c *Client) OneSidedGets() uint64 { return c.oneSidedGets }
 
@@ -137,14 +134,6 @@ func (c *Client) OneSidedPuts() uint64 { return c.oneSidedPuts }
 // ProbeReads returns the number of index probe READs issued (cold-cache
 // lookups only).
 func (c *Client) ProbeReads() uint64 { return c.probeReads }
-
-// CacheLen returns the number of cached key locations.
-func (c *Client) CacheLen() int {
-	if c.rare == nil {
-		return c.primedFound
-	}
-	return c.primedFound + len(c.rare.cache)
-}
 
 // lookup resolves a key's cached data offset: the probe-learned overlay
 // first (a primed key never probes, so the two never overlap), then the

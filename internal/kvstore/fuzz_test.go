@@ -31,7 +31,7 @@ func (s *storeFuzz) check(what string) {
 	pages := 0
 	for slot := range s.written {
 		key, _ := s.ref.slotState(uint64(slot))
-		rec, _ := s.ref.data.CopyOut(slot*size, size)
+		rec, _ := copyOut(s.ref.data, slot*size, size)
 		if !bytes.Equal(rec, synthetic(key, size)) {
 			s.written[slot] = true
 		}
@@ -39,7 +39,7 @@ func (s *storeFuzz) check(what string) {
 			pages++
 		}
 	}
-	if data := s.got.DataRegion(); !data.Paged() || data.Resident() != pages*size {
+	if data := s.got.data; !data.Paged() || data.Resident() != pages*size {
 		s.t.Fatalf("after %s: paged = %v with %d bytes resident, the reference has written %d records of %d",
 			what, data.Paged(), data.Resident(), pages, size)
 	}
@@ -51,7 +51,7 @@ func (s *storeFuzz) refRecord(key uint64) ([]byte, bool) {
 	if !ok {
 		return nil, false
 	}
-	rec, _ := s.ref.data.CopyOut(int(slot)*s.ref.opts.RecordSize, s.ref.opts.RecordSize)
+	rec, _ := copyOut(s.ref.data, int(slot)*s.ref.opts.RecordSize, s.ref.opts.RecordSize)
 	return rec, true
 }
 

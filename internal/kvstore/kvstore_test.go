@@ -49,6 +49,31 @@ func testStore(t *testing.T, opts Options) (*sim.Kernel, *rdma.Fabric, *Store, *
 	return k, f, store, kv
 }
 
+// copyOut copies size bytes of r at off, as a same-shard READ sees them.
+func copyOut(r *rdma.Region, off, size int) ([]byte, error) {
+	w, err := r.Window(off, size)
+	return slices.Clone(w), err
+}
+
+// stored returns a copy of the record stored under key, read server-side.
+func stored(s *Store, key uint64) ([]byte, bool) {
+	slot, found, _ := s.findSlot(key)
+	if !found {
+		return nil, false
+	}
+	rec, err := copyOut(s.data, int(s.dataOff(slot)), s.opts.RecordSize)
+	return rec, err == nil
+}
+
+// cacheLen returns the number of key locations c has cached: the primed
+// prefix and the probe-learned overlay.
+func cacheLen(c *Client) int {
+	if c.rare == nil {
+		return c.primedFound
+	}
+	return c.primedFound + len(c.rare.cache)
+}
+
 func smallOpts() Options { return Options{Capacity: 256, RecordSize: 64} }
 
 func valFor(key uint64) []byte {
@@ -86,9 +111,7 @@ func TestStoreRefusesCapacityPastSlotRange(t *testing.T) {
 			t.Errorf("capacity %d: err = %v, want the slot-range refusal", capacity, err)
 		}
 	}
-	if _, ok := server.Region(IndexRegionName); ok {
-		t.Error("a refused store left its index region registered")
-	}
+	// A refused store leaves no region registered: the names are free.
 	if _, err := NewStore(server, nil, Options{Capacity: 16, RecordSize: 64}); err != nil {
 		t.Errorf("a store in range after the refusals: %v", err)
 	}
@@ -102,8 +125,8 @@ func TestCapacityRoundsToPowerOfTwo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Options().Capacity != 128 {
-		t.Errorf("capacity = %d, want 128", s.Options().Capacity)
+	if s.opts.Capacity != 128 {
+		t.Errorf("capacity = %d, want 128", s.opts.Capacity)
 	}
 }
 
@@ -130,11 +153,11 @@ func TestPutGetLocal(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if store.Len() != 100 {
-		t.Errorf("Len = %d, want 100", store.Len())
+	if store.count != 100 {
+		t.Errorf("Len = %d, want 100", store.count)
 	}
 	for k := uint64(0); k < 100; k++ {
-		v, ok := store.Get(k)
+		v, ok := stored(store, k)
 		if !ok {
 			t.Fatalf("key %d missing", k)
 		}
@@ -142,7 +165,7 @@ func TestPutGetLocal(t *testing.T) {
 			t.Fatalf("key %d value mismatch", k)
 		}
 	}
-	if _, ok := store.Get(9999); ok {
+	if _, ok := stored(store, 9999); ok {
 		t.Error("missing key found")
 	}
 }
@@ -155,10 +178,10 @@ func TestPutOverwrite(t *testing.T) {
 	if err := store.Put(5, []byte("second")); err != nil {
 		t.Fatal(err)
 	}
-	if store.Len() != 1 {
-		t.Errorf("Len = %d after overwrite, want 1", store.Len())
+	if store.count != 1 {
+		t.Errorf("Len = %d after overwrite, want 1", store.count)
 	}
-	v, _ := store.Get(5)
+	v, _ := stored(store, 5)
 	if string(v[:6]) != "second" {
 		t.Errorf("overwrite lost: %q", v[:6])
 	}
@@ -168,7 +191,7 @@ func TestPutShortValueZeroPadded(t *testing.T) {
 	_, _, store, _ := testStore(t, smallOpts())
 	_ = store.Put(1, bytes.Repeat([]byte{0xFF}, 64))
 	_ = store.Put(1, []byte("x"))
-	v, _ := store.Get(1)
+	v, _ := stored(store, 1)
 	if v[0] != 'x' {
 		t.Error("value not stored")
 	}
@@ -203,8 +226,8 @@ func TestPopulate(t *testing.T) {
 	if err := store.Populate(50, valFor); err != nil {
 		t.Fatal(err)
 	}
-	if store.Len() != 50 {
-		t.Errorf("Len = %d", store.Len())
+	if store.count != 50 {
+		t.Errorf("Len = %d", store.count)
 	}
 }
 
@@ -233,8 +256,8 @@ func TestOneSidedGetColdAndWarm(t *testing.T) {
 	if kv.ProbeReads() == 0 {
 		t.Error("cold GET did not probe the index")
 	}
-	if kv.CacheLen() != 1 {
-		t.Errorf("CacheLen = %d, want 1", kv.CacheLen())
+	if cacheLen(kv) != 1 {
+		t.Errorf("CacheLen = %d, want 1", cacheLen(kv))
 	}
 
 	probesBefore := kv.ProbeReads()
@@ -257,7 +280,7 @@ func TestOneSidedGetIsSilent(t *testing.T) {
 		_ = kv.Get(i, func([]byte, error) {})
 	}
 	k.Run()
-	if n := store.Node().Stats().SendsReceived; n != 0 {
+	if n := store.node.Stats().SendsReceived; n != 0 {
 		t.Errorf("one-sided GETs generated %d server messages; CPU involved", n)
 	}
 }
@@ -288,8 +311,8 @@ func TestPrimeCache(t *testing.T) {
 	k, _, store, kv := testStore(t, smallOpts())
 	_ = store.Populate(100, valFor)
 	kv.PrimeCache(100)
-	if kv.CacheLen() != 100 {
-		t.Errorf("CacheLen = %d, want 100", kv.CacheLen())
+	if cacheLen(kv) != 100 {
+		t.Errorf("CacheLen = %d, want 100", cacheLen(kv))
 	}
 	// All primed GETs must be single reads: no probes.
 	for i := uint64(0); i < 100; i++ {
@@ -374,7 +397,7 @@ func TestTwoSidedUsesServerCPU(t *testing.T) {
 		_ = kv.GetTwoSided(i, func([]byte, error) {})
 	}
 	k.Run()
-	if n := store.Node().Stats().SendsReceived; n != 5 {
+	if n := store.node.Stats().SendsReceived; n != 5 {
 		t.Errorf("server received %d sends, want 5", n)
 	}
 }
@@ -396,10 +419,19 @@ func TestTwoSidedRepliesShareOneQP(t *testing.T) {
 		_ = kv.GetTwoSided(i%3, func([]byte, error) {})
 	}
 	k.Run()
-	var qps []int32
-	for _, sp := range fr.Spans() {
-		if sp.Op == trace.OpSend && sp.Initiator == uint32(store.Node().ID()) && sp.Target == uint32(kv.Node().ID()) {
-			qps = append(qps, sp.QP)
+	var dump strings.Builder
+	if err := fr.Dump(&dump); err != nil {
+		t.Fatal(err)
+	}
+	reply := fmt.Sprintf(" %-15s %-10s -> %s qp=", trace.OpSend, store.node.Name(), kv.node.Name())
+	var qps []int
+	for _, line := range strings.Split(dump.String(), "\n") {
+		if _, tail, ok := strings.Cut(line, reply); ok {
+			var qp int
+			if _, err := fmt.Sscanf(tail, "%d", &qp); err != nil {
+				t.Fatalf("timeline line %q: %v", line, err)
+			}
+			qps = append(qps, qp)
 		}
 	}
 	if len(qps) != 6 {
@@ -428,7 +460,7 @@ func TestTwoSidedReadsAtDelivery(t *testing.T) {
 		return k, store, kv
 	}
 	updated := func(store *Store) bool {
-		rec, _ := store.Get(3)
+		rec, _ := stored(store, 3)
 		return bytes.Equal(rec, valFor(99))
 	}
 	// stepUntil runs k until cond holds and returns the time it did.
@@ -672,12 +704,8 @@ func TestAttachValidation(t *testing.T) {
 	if _, err := Attach(client, nil, nil); err == nil {
 		t.Error("nil store accepted")
 	}
-	kv, err := Attach(client, nil, store) // nil dispatcher: one-sided only
-	if err != nil {
+	if _, err := Attach(client, nil, store); err != nil { // nil dispatcher: one-sided only
 		t.Fatal(err)
-	}
-	if kv.Node() != client {
-		t.Error("Node accessor wrong")
 	}
 }
 
@@ -702,7 +730,7 @@ func TestServerHandlersIgnoreWrongTypes(t *testing.T) {
 	// Garbage under the RPC kind, from a node with no client: the store
 	// must answer or ignore it, never panic.
 	client2, _ := f.AddClient("c2")
-	qp, _ := f.Connect(client2, store.Node())
+	qp, _ := f.Connect(client2, store.node)
 	_ = qp.Send(rdma.Message{Kind: msgGet, Flag: true, Seq: 9, A: -1, B: -1}, 16, nil)
 	k.Run() // must not panic
 }

@@ -212,25 +212,29 @@ func (p *layoutPair) prime(n int) {
 	}
 }
 
-// same compares everything a client can observe remotely plus Len.
+// same compares everything a client can observe remotely plus the record
+// count.
 func (p *layoutPair) same() {
 	p.t.Helper()
-	for _, r := range []struct{ got, want *rdma.Region }{
-		{p.got.IndexRegion(), p.ref.index}, {p.got.DataRegion(), p.ref.data},
+	for _, r := range []struct {
+		name      string
+		got, want *rdma.Region
+	}{
+		{IndexRegionName, p.got.index, p.ref.index}, {DataRegionName, p.got.data, p.ref.data},
 	} {
-		got, _ := r.got.CopyOut(0, r.got.Size())
-		want, _ := r.want.CopyOut(0, r.want.Size())
+		got, _ := copyOut(r.got, 0, r.got.Size())
+		want, _ := copyOut(r.want, 0, r.want.Size())
 		if !bytes.Equal(got, want) {
 			i := 0
 			for i < len(got) && i < len(want) && got[i] == want[i] {
 				i++
 			}
 			p.t.Fatalf("region %s differs from the reference at byte %d (sizes %d, %d)",
-				r.got.Name(), i, len(got), len(want))
+				r.name, i, len(got), len(want))
 		}
 	}
-	if p.got.Len() != p.ref.count {
-		p.t.Fatalf("Len = %d, reference %d", p.got.Len(), p.ref.count)
+	if p.got.count != p.ref.count {
+		p.t.Fatalf("%d records, reference %d", p.got.count, p.ref.count)
 	}
 }
 
@@ -349,8 +353,8 @@ func TestPopulateShardRejectsBadShape(t *testing.T) {
 		if err := store.PopulateShard(c.shard, c.of, c.n, nil); err == nil || err.Error() != c.want {
 			t.Errorf("PopulateShard(%d, %d, %d) = %v, want %q", c.shard, c.of, c.n, err, c.want)
 		}
-		if store.Len() != 0 {
-			t.Errorf("PopulateShard(%d, %d, %d) stored %d records", c.shard, c.of, c.n, store.Len())
+		if store.count != 0 {
+			t.Errorf("PopulateShard(%d, %d, %d) stored %d records", c.shard, c.of, c.n, store.count)
 		}
 	}
 }
@@ -516,9 +520,9 @@ func TestLayoutClientView(t *testing.T) {
 					scanned++
 				}
 			}
-			if kv.CacheLen() != scanned {
+			if cacheLen(kv) != scanned {
 				t.Errorf("capacity %d: PrimeCache(%d): CacheLen = %d, scan of the reference slab %d",
-					capacity, n, kv.CacheLen(), scanned)
+					capacity, n, cacheLen(kv), scanned)
 			}
 		}
 	}
@@ -539,7 +543,7 @@ func TestLayoutPagedRecords(t *testing.T) {
 	opts := Options{Capacity: 64, RecordSize: size}
 	k, _, store, kv := testStore(t, opts)
 	p := &layoutPair{t: t, ref: newRefStore(t, opts), got: store}
-	data := store.DataRegion()
+	data := store.data
 	check := func(what string, pages int) {
 		t.Helper()
 		k.Run()
@@ -561,7 +565,7 @@ func TestLayoutPagedRecords(t *testing.T) {
 			t.Fatal(err)
 		}
 		k.Run()
-		if server, ok := store.Get(key); !ok || !bytes.Equal(server, value) {
+		if server, ok := stored(store, key); !ok || !bytes.Equal(server, value) {
 			t.Fatalf("Get(%d): one-sided %x, server-side %x (%v)", key, value, server, ok)
 		}
 		return value
@@ -625,7 +629,7 @@ func TestLayoutTinyRecordsAreFlat(t *testing.T) {
 		p.put(key, layoutValue(key, int(key%5)))
 	}
 	p.same()
-	if data := p.got.DataRegion(); data.Paged() || data.Resident() != data.Size() {
+	if data := p.got.data; data.Paged() || data.Resident() != data.Size() {
 		t.Errorf("4-byte records: paged = %v, %d of %d bytes resident", data.Paged(), data.Resident(), data.Size())
 	}
 }

@@ -223,21 +223,6 @@ func NewStore(node *rdma.Node, disp *rdma.Dispatcher, opts Options) (*Store, err
 	return s, nil
 }
 
-// Node returns the data node hosting the store.
-func (s *Store) Node() *rdma.Node { return s.node }
-
-// Options returns the store's configuration (with Capacity rounded up).
-func (s *Store) Options() Options { return s.opts }
-
-// Len returns the number of stored records.
-func (s *Store) Len() int { return s.count }
-
-// IndexRegion returns the index region capability for client attach.
-func (s *Store) IndexRegion() *rdma.Region { return s.index }
-
-// DataRegion returns the data region capability for client attach.
-func (s *Store) DataRegion() *rdma.Region { return s.data }
-
 // findSlot walks key's probe path over the index bytes and returns the
 // slot holding key (found), or else the first free slot on the path. ok is
 // false when the path covers the whole table without either.
@@ -322,16 +307,6 @@ func (s *Store) writeRecord(slot uint64, value []byte) error {
 		return s.data.CopyIn(off+len(value), s.padding[:pad])
 	}
 	return nil
-}
-
-// Get returns a copy of the record stored under key, server-side.
-func (s *Store) Get(key uint64) ([]byte, bool) {
-	slot, found, _ := s.findSlot(key)
-	if !found {
-		return nil, false
-	}
-	rec, err := s.data.CopyOut(int(s.dataOff(slot)), s.opts.RecordSize)
-	return rec, err == nil
 }
 
 // Populate fills the store with n records whose values are produced by

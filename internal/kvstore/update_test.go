@@ -21,7 +21,7 @@ func TestUpdateWarmCache(t *testing.T) {
 	if !called || updErr != nil {
 		t.Fatalf("update callback: called=%v err=%v", called, updErr)
 	}
-	v, ok := store.Get(7)
+	v, ok := stored(store, 7)
 	if !ok || string(v[:8]) != "updated!" {
 		t.Errorf("server value = %q", v[:8])
 	}
@@ -48,7 +48,7 @@ func TestUpdateColdCacheResolves(t *testing.T) {
 	if kv.ProbeReads() == 0 {
 		t.Error("cold update did not probe")
 	}
-	v, _ := store.Get(11)
+	v, _ := stored(store, 11)
 	if string(v[:4]) != "cold" {
 		t.Errorf("value = %q", v[:4])
 	}
@@ -77,7 +77,7 @@ func TestUpdateCapturesValueAtCall(t *testing.T) {
 	}
 	k.Run()
 	for key, want := range map[uint64]string{1: "first!!!", 2: "second!!"} {
-		if v, _ := store.Get(key); string(v[:8]) != want {
+		if v, _ := stored(store, key); string(v[:8]) != want {
 			t.Errorf("record %d = %q, want %q", key, v[:8], want)
 		}
 	}
@@ -114,7 +114,7 @@ func TestUpdateIsSilent(t *testing.T) {
 		_ = kv.Update(i, []byte{byte(i)}, func(error) {})
 	}
 	k.Run()
-	if n := store.Node().Stats().SendsReceived; n != 0 {
+	if n := store.node.Stats().SendsReceived; n != 0 {
 		t.Errorf("one-sided updates generated %d server messages", n)
 	}
 }
@@ -167,7 +167,7 @@ func TestUpdateShortValueNoAlloc(t *testing.T) {
 		one() // end on the short value
 	}
 	want := append([]byte("short"), make([]byte, 64-5)...)
-	if v, ok := store.Get(7); !ok || !bytes.Equal(v, want) {
+	if v, ok := stored(store, 7); !ok || !bytes.Equal(v, want) {
 		t.Errorf("record after a 40-byte then a 5-byte Update = %x", v)
 	}
 }

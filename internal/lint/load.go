@@ -36,10 +36,6 @@ func NewLoader() *Loader {
 	}
 }
 
-// Fset returns the loader's file set (shared by every loaded package,
-// and by every loader of the process).
-func (l *Loader) Fset() *token.FileSet { return l.fset }
-
 // Import implements types.Importer.
 func (l *Loader) Import(path string) (*types.Package, error) {
 	return l.ImportFrom(path, "", 0)
@@ -129,22 +125,6 @@ func (l *Loader) LoadModule(root string) ([]*Package, error) {
 	}
 	sort.Slice(order, func(i, j int) bool { return order[i].Rel < order[j].Rel })
 	return order, nil
-}
-
-// LoadDir parses and type-checks the single package in dir under the
-// given import path. Used to load analyzer test fixtures.
-func (l *Loader) LoadDir(dir, importPath string) (*Package, error) {
-	p, err := l.parseFiles(dir, importPath, ".")
-	if err != nil {
-		return nil, err
-	}
-	if p == nil {
-		return nil, fmt.Errorf("lint: no Go files in %s", dir)
-	}
-	if err := l.check(p); err != nil {
-		return nil, err
-	}
-	return p, nil
 }
 
 func discoverPackageDirs(root string) ([]string, error) {

@@ -124,7 +124,7 @@ func TestRunDiagnosticOrder(t *testing.T) {
 // TestFixtureModulesTypeCheck: every mini-module under testdata/mod
 // must load and type-check — fixtures that rot stop proving anything.
 func TestFixtureModulesTypeCheck(t *testing.T) {
-	names := []string{"timetaintmod", "waiverdriftmod"}
+	names := []string{"surfacemod", "timetaintmod", "waiverdriftmod"}
 	for _, name := range names {
 		if pkgs := loadFixtureModule(t, name); len(pkgs) == 0 {
 			t.Errorf("fixture module %s loaded no packages", name)

@@ -114,9 +114,6 @@ func (h *Histogram) Record(v sim.Time) {
 	h.sum += float64(v)
 }
 
-// Count returns the number of recorded samples.
-func (h *Histogram) Count() uint64 { return h.total }
-
 // Mean returns the average sample, or 0 with no samples.
 func (h *Histogram) Mean() sim.Time {
 	if h.total == 0 {
@@ -124,12 +121,6 @@ func (h *Histogram) Mean() sim.Time {
 	}
 	return sim.Time(h.sum / float64(h.total))
 }
-
-// Min returns the smallest recorded sample.
-func (h *Histogram) Min() sim.Time { return h.min }
-
-// Max returns the largest recorded sample.
-func (h *Histogram) Max() sim.Time { return h.max }
 
 // Percentile returns the sample value at quantile p in [0,100]. With no
 // samples it returns 0. The result is accurate to the bucket width

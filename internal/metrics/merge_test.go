@@ -45,7 +45,7 @@ func TestMergeSharded(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantNames := []string{"sim/pending", "shard0/sim/pending", "shard1/sim/pending", "dn/nic", "c1/kv"}
-	got := m.Names()
+	got := m.names
 	if len(got) != len(wantNames) {
 		t.Fatalf("merged names = %v, want %v", got, wantNames)
 	}

@@ -13,7 +13,7 @@ import (
 
 func TestHistogramEmpty(t *testing.T) {
 	var h Histogram
-	if h.Count() != 0 || h.Mean() != 0 || h.Percentile(99) != 0 {
+	if h.total != 0 || h.Mean() != 0 || h.Percentile(99) != 0 {
 		t.Error("empty histogram returned nonzero stats")
 	}
 }
@@ -21,11 +21,11 @@ func TestHistogramEmpty(t *testing.T) {
 func TestHistogramSingle(t *testing.T) {
 	var h Histogram
 	h.Record(1000)
-	if h.Count() != 1 {
-		t.Errorf("Count = %d", h.Count())
+	if h.total != 1 {
+		t.Errorf("Count = %d", h.total)
 	}
-	if h.Mean() != 1000 || h.Min() != 1000 || h.Max() != 1000 {
-		t.Errorf("single-sample stats wrong: mean=%v min=%v max=%v", h.Mean(), h.Min(), h.Max())
+	if h.Mean() != 1000 || h.min != 1000 || h.max != 1000 {
+		t.Errorf("single-sample stats wrong: mean=%v min=%v max=%v", h.Mean(), h.min, h.max)
 	}
 	for _, p := range []float64{0, 50, 99, 99.9, 100} {
 		if got := h.Percentile(p); got != 1000 {
@@ -37,7 +37,7 @@ func TestHistogramSingle(t *testing.T) {
 func TestHistogramNegativeClamped(t *testing.T) {
 	var h Histogram
 	h.Record(-5)
-	if h.Min() != 0 || h.Max() != 0 {
+	if h.min != 0 || h.max != 0 {
 		t.Error("negative sample not clamped")
 	}
 }
@@ -80,18 +80,18 @@ func TestHistogramMerge(t *testing.T) {
 	b.Record(300)
 	b.Record(500)
 	a.Merge(&b)
-	if a.Count() != 3 {
-		t.Errorf("merged Count = %d", a.Count())
+	if a.total != 3 {
+		t.Errorf("merged Count = %d", a.total)
 	}
 	if a.Mean() != 300 {
 		t.Errorf("merged Mean = %v, want 300", a.Mean())
 	}
-	if a.Min() != 100 || a.Max() != 500 {
-		t.Errorf("merged min/max = %v/%v", a.Min(), a.Max())
+	if a.min != 100 || a.max != 500 {
+		t.Errorf("merged min/max = %v/%v", a.min, a.max)
 	}
 	a.Merge(nil)          // no-op
 	a.Merge(&Histogram{}) // empty no-op
-	if a.Count() != 3 {
+	if a.total != 3 {
 		t.Error("merging nil/empty changed count")
 	}
 }
@@ -100,7 +100,7 @@ func TestHistogramReset(t *testing.T) {
 	var h Histogram
 	h.Record(50)
 	h.Reset()
-	if h.Count() != 0 || h.Max() != 0 {
+	if h.total != 0 || h.max != 0 {
 		t.Error("Reset did not clear")
 	}
 }
@@ -138,7 +138,7 @@ func TestHistogramPercentileMonotoneProperty(t *testing.T) {
 		prev := sim.Time(-1)
 		for p := 0.0; p <= 100; p += 2.5 {
 			v := h.Percentile(p)
-			if v < prev || v < h.Min() || v > h.Max() {
+			if v < prev || v < h.min || v > h.max {
 				return false
 			}
 			prev = v
@@ -257,9 +257,9 @@ func TestHistogramSparseMatchesDense(t *testing.T) {
 		if d.total > 0 {
 			mean = sim.Time(d.sum / float64(d.total))
 		}
-		if h.Count() != d.total || h.Mean() != mean || h.Min() != d.min || h.Max() != d.max {
+		if h.total != d.total || h.Mean() != mean || h.min != d.min || h.max != d.max {
 			t.Fatalf("%s: count/mean/min/max = %d/%v/%v/%v, dense %d/%v/%v/%v", label,
-				h.Count(), h.Mean(), h.Min(), h.Max(), d.total, mean, d.min, d.max)
+				h.total, h.Mean(), h.min, h.max, d.total, mean, d.min, d.max)
 		}
 		for p := 0.0; p <= 100; p += 0.05 {
 			if got, want := h.Percentile(p), d.percentile(p); got != want {

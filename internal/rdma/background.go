@@ -23,7 +23,6 @@ type BackgroundJob struct {
 	window      int
 	running     bool
 	outstanding int
-	completed   uint64
 
 	// Pipeline-stage callbacks, bound once at construction. Background
 	// I/Os all take the same three-stage path (initiator NIC, wire,
@@ -98,9 +97,6 @@ func (b *BackgroundJob) Start() {
 // Stop ceases issuing new I/Os; in-flight ones drain naturally.
 func (b *BackgroundJob) Stop() { b.running = false }
 
-// Completed returns the number of background I/Os finished so far.
-func (b *BackgroundJob) Completed() uint64 { return b.completed }
-
 func (b *BackgroundJob) issue() {
 	b.outstanding++
 	if b.san != nil {
@@ -133,7 +129,6 @@ func (b *BackgroundJob) onArrive() {
 // onDone: the target serviced the I/O and the completion propagated back.
 func (b *BackgroundJob) onDone() {
 	b.outstanding--
-	b.completed++
 	if b.san != nil {
 		b.checkWindow()
 	}

@@ -119,9 +119,6 @@ type Node struct {
 	qpCache qpCache
 }
 
-// ID returns the node's dense creation-order index.
-func (n *Node) ID() int { return n.id }
-
 // ctxEnd returns which end of qp this node is, as an index into
 // QP.ctxSlot: 0 for the initiator — a loopback QP's one context on its
 // one NIC — and 1 for the target.
@@ -300,12 +297,6 @@ func (n *Node) addRegion(r *Region) {
 	n.regions[r.name] = r
 }
 
-// Region looks up a registered region by name.
-func (n *Node) Region(name string) (*Region, bool) {
-	r, ok := n.regions[name]
-	return r, ok
-}
-
 // Fabric is the simulated network: it owns the nodes and the performance
 // model and schedules all verb processing on the simulation kernel.
 type Fabric struct {
@@ -378,10 +369,6 @@ func NewFabric(k *sim.Kernel, cfg Config) (*Fabric, error) {
 		qps:     []*QP{nil},
 	}, nil
 }
-
-// Kernel returns shard 0's kernel (the one NewFabric was given);
-// per-node work must use Node.Kernel instead.
-func (f *Fabric) Kernel() *sim.Kernel { return f.kernels[0] }
 
 // EnableSharding sets the fabric's shard topology: each node is
 // built on the shard kernel assign selects for it, and cross-shard
@@ -456,9 +443,6 @@ func (f *Fabric) ExecProfiles() []ExecProfile {
 	}
 	return out
 }
-
-// Config returns the fabric's performance model.
-func (f *Fabric) Config() Config { return f.cfg }
 
 // Nodes returns all nodes attached to the fabric.
 func (f *Fabric) Nodes() []*Node { return f.nodes }

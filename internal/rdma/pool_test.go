@@ -239,7 +239,7 @@ func TestCrossShardReadDeliversServeTimeBytes(t *testing.T) {
 		if !bytes.Equal(data, fill(0xaa, DataIOSize)) {
 			t.Errorf("READ delivered %#x.., want the serve-time record 0xaa..", data[:4])
 		}
-		if live, _ := b.region.CopyOut(recA, 4); !bytes.Equal(live, fill(0xcc, 4)) {
+		if live, _ := copyOut(b.region, recA, 4); !bytes.Equal(live, fill(0xcc, 4)) {
 			t.Errorf("region holds %#x at delivery, want the overwrite 0xcc..", live)
 		}
 		first = &data[0]
@@ -422,7 +422,7 @@ func TestFleetVerbsTakeNoExtension(t *testing.T) {
 			t.Fatal("a plain record carries an extension")
 		}
 	}
-	got, _ := b.region.CopyOut(recB, DataIOSize)
+	got, _ := copyOut(b.region, recB, DataIOSize)
 	binary.LittleEndian.PutUint64(update, rounds)
 	if !bytes.Equal(got, update) {
 		t.Errorf("record after the UPDATEs starts %x, want the last key and zeros", got[:16])
@@ -430,9 +430,9 @@ func TestFleetVerbsTakeNoExtension(t *testing.T) {
 }
 
 // TestRecycledRecordCarriesNothingStale: a record that comes back from a
-// SEND, a CMP_SWAP or a buffered WRITE is pooled with its payload, swap
-// value and buffer cleared, and the verbs that take it next — on a
-// same-shard and a cross-shard QP — see none of them.
+// SEND or a buffered WRITE is pooled with its payload and buffer cleared,
+// and the verbs that take it next — on a same-shard and a cross-shard
+// QP — see none of them.
 func TestRecycledRecordCarriesNothingStale(t *testing.T) {
 	for _, cross := range []bool{false, true} {
 		b := newPoolBed(t, false, nil)
@@ -460,7 +460,7 @@ func TestRecycledRecordCarriesNothingStale(t *testing.T) {
 			}
 		}
 		step("a SEND", qp.Send(stale, 64, func() {}))
-		step("a CMP_SWAP", qp.CompareSwap(b.region, cell, 0, 0x77, nil))
+		step("a FETCH_ADD", qp.FetchAdd(b.region, cell, 0x77, nil))
 		step("a buffered WRITE", qp.Write(b.region, recB, fill(0xee, DataIOSize), nil))
 
 		if err := b.region.CopyIn(recA, fill(0x11, DataIOSize)); err != nil {
@@ -471,15 +471,15 @@ func TestRecycledRecordCarriesNothingStale(t *testing.T) {
 		var old int64 = -1
 		step("an empty SEND", qp.Send(Message{}, 64, func() {}))
 		step("an inline WRITE", qp.Write(b.region, recA, update, nil))
-		step("a failing CMP_SWAP", qp.CompareSwap(b.region, cell, 1, 2, func(v int64) { old = v }))
+		step("a FETCH_ADD of 0", qp.FetchAdd(b.region, cell, 0, func(v int64) { old = v }))
 		if len(got) != 2 || got[0] != stale || got[1] != (Message{}) {
 			t.Errorf("cross=%v: server received %+v, want [%+v {}]", cross, got, stale)
 		}
-		if rec, _ := b.region.CopyOut(recA, DataIOSize); !bytes.Equal(rec, update) {
+		if rec, _ := copyOut(b.region, recA, DataIOSize); !bytes.Equal(rec, update) {
 			t.Errorf("cross=%v: record after the inline WRITE starts %x, want 9 and zeros", cross, rec[:16])
 		}
 		if v, _ := b.region.Uint64(cell); old != 0x77 || v != 0x77 {
-			t.Errorf("cross=%v: CMP_SWAP saw %#x and left %#x, want 0x77 both", cross, old, v)
+			t.Errorf("cross=%v: FETCH_ADD of 0 saw %#x and left %#x, want 0x77 both", cross, old, v)
 		}
 	}
 }
@@ -488,7 +488,7 @@ func TestRecycledRecordCarriesNothingStale(t *testing.T) {
 // but its extension and the continuation an earlier hop bound there; its
 // next link is the freelist's.
 func recycled(op *flowOp) bool {
-	if x := op.ext; x != nil && (x.msg != (Message{}) || x.swap != 0 || x.buf != nil || x.span != nil || x.qp != nil) {
+	if x := op.ext; x != nil && (x.msg != (Message{}) || x.buf != nil || x.span != nil || x.qp != nil) {
 		return false
 	}
 	return op.kind == 0 && !op.control && !op.back && op.size == 0 &&

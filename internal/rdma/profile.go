@@ -53,8 +53,6 @@ func (p *ExecProfile) countKind(k opKind) {
 		p.Writes++
 	case opFetchAdd:
 		p.FetchAdds++
-	case opCompareSwap:
-		p.CompareSwaps++
 	case opSend:
 		p.Sends++
 	case opFunc:

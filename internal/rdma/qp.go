@@ -14,7 +14,7 @@ import (
 // station they traverse, so per-QP ordering matches RDMA reliable
 // connection semantics.
 //
-// One-sided verbs (Read, Write, FetchAdd, CompareSwap) never involve the
+// One-sided verbs (Read, Write, FetchAdd) never involve the
 // target CPU: their memory effects are applied by the simulated target NIC
 // at its service-completion instant. Two-sided Sends are handed to the
 // target CPU (for servers) and delivered to the node's receive handler.
@@ -140,12 +140,11 @@ type opKind uint8
 const (
 	// opFunc is a raw unit of target service used by injection paths
 	// (background jobs) that enqueue directly at a target scheduler.
-	opFunc        opKind = 0
-	opRead               = opKind(trace.OpRead)
-	opWrite              = opKind(trace.OpWrite)
-	opFetchAdd           = opKind(trace.OpFetchAdd)
-	opCompareSwap        = opKind(trace.OpCompareSwap)
-	opSend               = opKind(trace.OpSend)
+	opFunc     opKind = 0
+	opRead            = opKind(trace.OpRead)
+	opWrite           = opKind(trace.OpWrite)
+	opFetchAdd        = opKind(trace.OpFetchAdd)
+	opSend            = opKind(trace.OpSend)
 )
 
 // flowOp is one verb moving through the pipeline: a pooled record that
@@ -203,14 +202,13 @@ type flowOp struct {
 	ext *opExt
 }
 
-// opExt is what only some verbs carry: a SEND's message, a CMP_SWAP's
-// swap value, a WRITE's captured buffer, a recorded verb's span, and a
-// cross-shard hop's QP, continuation and READ bounce buffer. It is
-// allocated as part of its record (extOp) and never leaves it, so a
-// record with an extension is one object of 128 bytes.
+// opExt is what only some verbs carry: a SEND's message, a WRITE's
+// captured buffer, a recorded verb's span, and a cross-shard hop's QP,
+// continuation and READ bounce buffer. It is allocated as part of its
+// record (extOp) and never leaves it, so a record with an extension is
+// one object in the 128-byte size class.
 type opExt struct {
-	msg  Message // SEND payload, held by value
-	swap int64
+	msg Message // SEND payload, held by value
 	// buf is a pooled payload buffer: a WRITE's data captured at call
 	// time, or the bounce buffer a cross-shard READ's data is copied into
 	// at serve time. It returns to the freelist with the record.
@@ -238,7 +236,7 @@ type extOp struct {
 // and are worked out where they are charged.
 func (op *flowOp) weight() float64 {
 	switch op.kind {
-	case opFetchAdd, opCompareSwap:
+	case opFetchAdd:
 		return AtomicWeight
 	case opFunc:
 		return 1
@@ -384,7 +382,7 @@ func (op *flowOp) holdsCredit() bool { return !op.control && op.kind != opSend }
 // WRITEs and SENDs only when the caller asked for a completion callback.
 func (op *flowOp) needsDeliver() bool {
 	switch op.kind {
-	case opRead, opFetchAdd, opCompareSwap:
+	case opRead, opFetchAdd:
 		return true
 	case opWrite, opSend:
 		return op.cb != nil
@@ -410,12 +408,6 @@ func (op *flowOp) apply() {
 		old := int64(op.region.load64(op.off))
 		op.region.store64(op.off, uint64(old+op.delta))
 		op.delta = old
-	case opCompareSwap:
-		old := int64(op.region.load64(op.off))
-		if old == op.delta {
-			op.region.store64(op.off, uint64(op.ext.swap))
-		}
-		op.delta = old
 	}
 }
 
@@ -439,12 +431,6 @@ func (op *flowOp) invokeCB() {
 		cb()
 	}
 }
-
-// Initiator returns the initiating node.
-func (qp *QP) Initiator() *Node { return qp.initiator }
-
-// ID returns the queue pair's fabric-wide creation-order id.
-func (qp *QP) ID() int { return qp.id }
 
 // newOp takes a record from the initiator's freelist for a verb posted
 // on this QP and, when recording is on, begins its flight-recorder span
@@ -476,9 +462,6 @@ func (qp *QP) retire(op *flowOp) {
 		qp.initiator.pool.put(op)
 	}
 }
-
-// Target returns the target node.
-func (qp *QP) Target() *Node { return qp.target }
 
 // checkAccess validates a one-sided verb's target: r must be a region of
 // the QP's target and [off, off+size) inside it, and size must fit the
@@ -952,28 +935,6 @@ func (qp *QP) FetchAdd(r *Region, off int, delta int64, cb func(old int64)) erro
 	op := qp.newOp(opFetchAdd, true, false)
 	op.region, op.off = r, off
 	op.delta = delta
-	if cb != nil {
-		op.cb = cb
-	}
-	qp.initiate(op)
-	return nil
-}
-
-// CompareSwap performs a one-sided atomic CMP_SWAP on the 8-byte cell at
-// off: if the cell equals expect it is set to swap; the callback receives
-// the value before the operation. The QoS monitor samples the global token
-// cell with CompareSwap(v, v) loopbacks.
-func (qp *QP) CompareSwap(r *Region, off int, expect, swap int64, cb func(old int64)) error {
-	if err := qp.checkAccess(r, off, 8); err != nil {
-		return err
-	}
-	qp.initiator.stats.CompareSwaps++
-	if !qp.cross { // cross-shard: counted at arrival, on the target's shard
-		qp.land(opCompareSwap, r)
-	}
-	op := qp.newOp(opCompareSwap, true, true)
-	op.region, op.off = r, off
-	op.delta, op.ext.swap = expect, swap
 	if cb != nil {
 		op.cb = cb
 	}

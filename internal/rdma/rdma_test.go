@@ -101,12 +101,6 @@ func TestDuplicateNodeAndRegion(t *testing.T) {
 	if _, err := server.RegisterRegion("bad", 0); err == nil {
 		t.Error("zero-size region accepted")
 	}
-	if r, ok := server.Region("r"); !ok || r.Name() != "r" {
-		t.Error("Region lookup failed")
-	}
-	if _, ok := server.Region("missing"); ok {
-		t.Error("missing region lookup succeeded")
-	}
 }
 
 func TestNodeKindString(t *testing.T) {
@@ -178,7 +172,7 @@ func TestWriteAppliesAtServer(t *testing.T) {
 	}
 	payload[0] = 99 // caller reuses its buffer: must not affect the write
 	k.Run()
-	got, _ := r.CopyOut(8, 4)
+	got, _ := copyOut(r, 8, 4)
 	if got[0] != 1 || got[3] != 4 {
 		t.Errorf("Write result %v, want [1 2 3 4]", got)
 	}
@@ -233,28 +227,6 @@ func TestFetchAddSemantics(t *testing.T) {
 	}
 }
 
-func TestCompareSwap(t *testing.T) {
-	k, f, client, server := testFabric(t)
-	r, _ := server.RegisterRegion("cell", 8)
-	_ = r.PutUint64(0, 42)
-	qp, _ := f.Connect(client, server)
-
-	var old1, old2 int64
-	_ = qp.CompareSwap(r, 0, 42, 100, func(old int64) { old1 = old })
-	_ = qp.CompareSwap(r, 0, 42, 200, func(old int64) { old2 = old })
-	k.Run()
-	if old1 != 42 {
-		t.Errorf("first CAS old = %d, want 42", old1)
-	}
-	if old2 != 100 {
-		t.Errorf("second CAS old = %d, want 100 (first swap applied)", old2)
-	}
-	v, _ := r.Uint64(0)
-	if v != 100 {
-		t.Errorf("cell = %d, want 100 (second CAS must not swap)", v)
-	}
-}
-
 func TestLoopbackAtomic(t *testing.T) {
 	k, f, _, server := testFabric(t)
 	r, _ := server.RegisterRegion("cell", 8)
@@ -296,9 +268,6 @@ func TestVerbValidation(t *testing.T) {
 	}
 	if err := qp.FetchAdd(r, 61, 1, nil); err == nil {
 		t.Error("out-of-range FetchAdd accepted")
-	}
-	if err := qp.CompareSwap(r, 64, 0, 1, nil); err == nil {
-		t.Error("out-of-range CompareSwap accepted")
 	}
 	if err := qp.Send(Message{}, -1, nil); err == nil {
 		t.Error("negative-size Send accepted")
@@ -346,8 +315,8 @@ func TestRegionLocalAccessors(t *testing.T) {
 	if u != 9 {
 		t.Errorf("Uint64 = %d", u)
 	}
-	if _, err := r.CopyOut(30, 4); err == nil {
-		t.Error("out-of-range CopyOut accepted")
+	if _, err := copyOut(r, 30, 4); err == nil {
+		t.Error("out-of-range Window accepted")
 	}
 	if err := r.CopyIn(30, []byte{1, 2, 3, 4}); err == nil {
 		t.Error("out-of-range CopyIn accepted")
@@ -376,8 +345,8 @@ func TestRegionRangeOverflow(t *testing.T) {
 			t.Errorf("View at offset %d accepted", off)
 		}
 	}
-	if _, err := r.CopyOut(8, math.MaxInt); err == nil {
-		t.Error("CopyOut of MaxInt bytes accepted")
+	if _, err := copyOut(r, 8, math.MaxInt); err == nil {
+		t.Error("Window of MaxInt bytes accepted")
 	}
 	// The last cell and the empty window at the end stay legal.
 	if _, err := r.Uint64(24); err != nil {
@@ -411,7 +380,7 @@ func TestRegionView(t *testing.T) {
 		t.Errorf("store through the view not in the region: cell = %d", got)
 	}
 	_ = append(v, 0xff) // reallocates: capacity ends with the window
-	if got, _ := r.CopyOut(32, 1); got[0] != 0 {
+	if got, _ := copyOut(r, 32, 1); got[0] != 0 {
 		t.Error("append to a view wrote past its window")
 	}
 
@@ -655,15 +624,16 @@ func TestBackgroundJob(t *testing.T) {
 		t.Error("job not running after Start")
 	}
 	k.RunUntil(sim.Second / 2)
-	done := job.Completed()
+	// The target's scheduler counts each background I/O it serves.
+	done := f.ExecProfiles()[0].Funcs
 	if done < 190_000 || done > 210_000 {
-		t.Errorf("background job completed %d in 0.5s, want ≈200K (client-NIC capped)", done)
+		t.Errorf("background job served %d in 0.5s, want ≈200K (client-NIC capped)", done)
 	}
 	job.Stop()
 	k.RunUntil(sim.Second)
-	after := job.Completed()
+	after := f.ExecProfiles()[0].Funcs
 	if after-done > 64 {
-		t.Errorf("job completed %d I/Os after Stop, want <= window", after-done)
+		t.Errorf("job served %d I/Os after Stop, want <= window", after-done)
 	}
 }
 

@@ -57,9 +57,6 @@ type Region struct {
 // region.
 func (r *Region) Landed() Landed { return r.landed }
 
-// Name returns the region's diagnostic name.
-func (r *Region) Name() string { return r.name }
-
 // Size returns the region length in bytes.
 func (r *Region) Size() int { return r.size }
 
@@ -316,14 +313,4 @@ func (r *Region) CopyIn(off int, data []byte) error {
 	}
 	r.write(off, data)
 	return nil
-}
-
-// CopyOut copies size bytes from the region at off into a fresh slice.
-func (r *Region) CopyOut(off, size int) ([]byte, error) {
-	if err := r.checkRange(off, size); err != nil {
-		return nil, err
-	}
-	out := make([]byte, size)
-	r.read(out, off)
-	return out, nil
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"unsafe"
@@ -27,6 +28,12 @@ var fuzzGeometries = []struct{ pages, base int }{
 	{1, 0},                             // one page in one chunk
 	{chunkPages + 2, chunkPages - 3},   // pages 253..257: a chunk boundary, then the end of a 2-page last chunk
 	{2 * chunkPages, 2*chunkPages - 4}, // the region ends where its last chunk does
+}
+
+// copyOut copies size bytes of r at off, as a same-shard READ sees them.
+func copyOut(r *Region, off, size int) ([]byte, error) {
+	w, err := r.Window(off, size)
+	return slices.Clone(w), err
 }
 
 func fuzzPrefix(page int) uint64 {
@@ -86,11 +93,11 @@ func (rp *regionPair) sameErr(t *testing.T, what string, paged, flat error) bool
 // page, and its scratch page still ends in zeros.
 func (rp *regionPair) same(t *testing.T, what string) {
 	t.Helper()
-	got, err := rp.paged.CopyOut(0, rp.size)
+	got, err := copyOut(rp.paged, 0, rp.size)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _ := rp.flat.CopyOut(0, rp.size)
+	want, _ := copyOut(rp.flat, 0, rp.size)
 	if !bytes.Equal(got, want) {
 		t.Fatalf("after %s the regions differ:\npaged %x\nflat  %x", what, got, want)
 	}
@@ -185,7 +192,7 @@ func (p *program) payload(flat *Region, off, n int) []byte {
 	switch k := p.next(); k % 4 {
 	case 0:
 	case 1:
-		if cur, err := flat.CopyOut(off, n); err == nil {
+		if cur, err := copyOut(flat, off, n); err == nil {
 			copy(data, cur)
 		}
 	default:
@@ -206,23 +213,23 @@ func (p *program) payload(flat *Region, off, n int) []byte {
 // same-shard and cross-shard — and requires equal bytes, equal errors,
 // equal callback payloads and a page held only where one was written, at
 // every step. An op byte with bit 0x10 set first posts a SEND on the same
-// QP, so records with an extension are recycled between SENDs, CMP_SWAPs,
-// buffered WRITEs and cross-shard verbs; the SEND must deliver its own
+// QP, so records with an extension are recycled between SENDs, buffered
+// WRITEs and cross-shard verbs; the SEND must deliver its own
 // payload, and every pooled record must hold nothing of its last verb. The
 // input's first byte picks the geometry.
 func FuzzPagedRegion(f *testing.F) {
 	// TestRegionRangeOverflow's offsets, through every accessor and verb.
 	for _, off := range []byte{255, 254, 253, 252} {
 		f.Add([]byte{0, 0, off, 8, 2, 1, off, 8, 2, off, 3, off, 1, 2, 3, 4, 5, 6, 7, 8,
-			4, off, 8, 5, off, 8, 2, 6, off, 1, 0, 0, 0, 0, 0, 0, 0, 7, off, 0})
+			4, off, 8, 5, off, 8, 2, 6, off, 1, 0, 0, 0, 0, 0, 0, 0})
 	}
-	f.Add([]byte{0, 1, 8, 255})                                  // CopyOut(8, MaxInt)
+	f.Add([]byte{0, 1, 8, 255})                                  // Window(8, MaxInt)
 	f.Add([]byte{0, 0, 20, 8, 7, 4, 16, 30, 12, 16, 30})         // straddling CopyIn, then READs both ways
 	f.Add([]byte{0, 6, 20, 5, 0, 0, 0, 0, 0, 0, 0, 8, 4, 0, 24}) // straddling FETCH_ADD, READ
 	f.Add([]byte{0, 0, 0, 24, 1, 6, 0, 0, 0, 0, 0, 0, 0, 0, 0})  // rewrite what is there; FETCH_ADD of 0
 	f.Add([]byte{0, 1, 27, 8, 4, 3, 10, 12, 28, 4, 2, 4})        // windows that open inside a prefix
 	// One page: every access ends at the region's end or past it.
-	f.Add([]byte{1, 1, 0, 24, 3, 16, 1, 2, 3, 4, 5, 6, 7, 8, 5, 20, 8, 2, 4, 0, 24, 14, 16, 1, 0, 0, 0, 0, 0, 0, 0, 7, 0, 1, 9, 0, 0, 0, 0, 0, 0, 0})
+	f.Add([]byte{1, 1, 0, 24, 3, 16, 1, 2, 3, 4, 5, 6, 7, 8, 5, 20, 8, 2, 4, 0, 24, 14, 16, 1, 0, 0, 0, 0, 0, 0, 0})
 	// Pages 253..257 of 258 (the window opens at page 253): WRITE page 255,
 	// READ across the chunk boundary, CopyIn page 256, FETCH_ADD across
 	// 256/257 in the 2-page last chunk, a cross-shard WRITE past the end,
@@ -242,9 +249,9 @@ func FuzzPagedRegion(f *testing.F) {
 	// Across the chunk boundary, same-shard and cross-shard.
 	f.Add([]byte{2, 5, 68, 40, 0x84, 13, 60, 30, 0x8f, 4, 60, 40, 12, 66, 40})
 	// SENDs beside every verb: a buffered WRITE then a zero-tail one on
-	// the recycled record, a CMP_SWAP, a READ, cross-shard the same.
-	f.Add([]byte{0, 0x15, 10, 30, 2, 0x15, 10, 30, 0x81, 0x17, 16, 1, 5, 0, 0, 0, 0, 0, 0, 0, 0x14, 10, 30,
-		0x1d, 40, 30, 3, 0x1d, 40, 30, 0x82, 0x1f, 48, 0, 9, 0, 0, 0, 0, 0, 0, 0, 0x1c, 40, 30, 0x1e, 48, 0, 0, 0, 0, 0, 0, 0, 0})
+	// the recycled record, a FETCH_ADD, a READ, cross-shard the same.
+	f.Add([]byte{0, 0x15, 10, 30, 2, 0x15, 10, 30, 0x81, 0x16, 16, 5, 0, 0, 0, 0, 0, 0, 0, 0x14, 10, 30,
+		0x1d, 40, 30, 3, 0x1d, 40, 30, 0x82, 0x1e, 48, 9, 0, 0, 0, 0, 0, 0, 0, 0x1c, 40, 30, 0x1e, 48, 0, 0, 0, 0, 0, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, input []byte) {
 		p := &program{b: input}
 		g := fuzzGeometries[int(p.next())%len(fuzzGeometries)]
@@ -291,12 +298,12 @@ func FuzzPagedRegion(f *testing.F) {
 				off, n := p.off(), p.size()
 				data := p.payload(rp.flat, off, n)
 				rp.sameErr(t, what, rp.paged.CopyIn(off, data), rp.flat.CopyIn(off, data))
-			case 1: // CopyOut
+			case 1: // Window
 				off, n := p.off(), p.size()
-				got, gerr := rp.paged.CopyOut(off, n)
-				want, werr := rp.flat.CopyOut(off, n)
+				got, gerr := copyOut(rp.paged, off, n)
+				want, werr := copyOut(rp.flat, off, n)
 				if rp.sameErr(t, what, gerr, werr) && !bytes.Equal(got, want) {
-					t.Fatalf("%s: CopyOut(%d, %d) = %x, flat %x", what, off, n, got, want)
+					t.Fatalf("%s: Window(%d, %d) = %x, flat %x", what, off, n, got, want)
 				}
 			case 2: // Uint64
 				off := p.off()
@@ -325,16 +332,7 @@ func FuzzPagedRegion(f *testing.F) {
 				for i, r := range regions {
 					errs[i] = qp.FetchAdd(r, off, delta, onOld[i])
 				}
-			case 7: // CMP_SWAP against the cell's value or a wild guess
-				off, guess, swap := p.off(), p.next(), int64(p.u64())
-				cell, err := rp.flat.Uint64(off)
-				expect := int64(cell)
-				if err != nil || guess%2 == 0 {
-					expect = int64(guess)
-				}
-				for i, r := range regions {
-					errs[i] = qp.CompareSwap(r, off, expect, swap, onOld[i])
-				}
+			case 7: // no access: the step only posts its SEND, if any, and settles
 			}
 			rp.sameErr(t, what, errs[0], errs[1])
 			b.settle()
@@ -342,7 +340,7 @@ func FuzzPagedRegion(f *testing.F) {
 				t.Fatalf("%s: callbacks delivered %x from the paged region, %x from the flat one", what, log[0], log[1])
 			}
 			rp.same(t, what)
-			if got, err := rp.flat.CopyOut(wroteAt, len(wrote)); wrote != nil && errs[1] == nil && !bytes.Equal(got, wrote) {
+			if got, err := copyOut(rp.flat, wroteAt, len(wrote)); wrote != nil && errs[1] == nil && !bytes.Equal(got, wrote) {
 				t.Fatalf("%s: WRITE of %x at %d landed as %x (%v)", what, wrote, wroteAt, got, err)
 			}
 			if code&0x10 != 0 {
@@ -402,8 +400,8 @@ func TestPagedRegionFootprint(t *testing.T) {
 	}
 
 	// Reads of every kind, and writes of the bytes already there.
-	page1, _ := rp.flat.CopyOut(fuzzPageSize, fuzzPageSize)
-	straddle, _ := rp.flat.CopyOut(2*fuzzPageSize-4, 12)
+	page1, _ := copyOut(rp.flat, fuzzPageSize, fuzzPageSize)
+	straddle, _ := copyOut(rp.flat, 2*fuzzPageSize-4, 12)
 	for _, qp := range []*QP{b.localQP, b.qp} {
 		var seen []byte
 		onRead := func(d []byte) { seen = append(seen, d...) }
@@ -414,9 +412,6 @@ func TestPagedRegionFootprint(t *testing.T) {
 			t.Fatal(err)
 		}
 		if err := qp.FetchAdd(r, 0, 0, nil); err != nil {
-			t.Fatal(err)
-		}
-		if err := qp.CompareSwap(r, fuzzPageSize, 1, 2, nil); err != nil { // no match
 			t.Fatal(err)
 		}
 		b.settle()

@@ -111,14 +111,6 @@ func (c *Checker) Violations() []Violation {
 	return c.violations
 }
 
-// Dropped reports how many breaches exceeded the collection cap.
-func (c *Checker) Dropped() uint64 {
-	if c == nil {
-		return 0
-	}
-	return c.dropped
-}
-
 // Merge concatenates several checkers' violations into one checker, in
 // argument order. A sharded cluster gives each shard its own checker
 // and merges them in shard order at the end of the run, which is

@@ -15,9 +15,6 @@ func TestNilCheckerIsInert(t *testing.T) {
 	if got := c.Violations(); got != nil {
 		t.Errorf("nil checker has violations: %v", got)
 	}
-	if got := c.Dropped(); got != 0 {
-		t.Errorf("nil checker dropped %d", got)
-	}
 	if err := c.Err(); err != nil {
 		t.Errorf("nil checker errs: %v", err)
 	}
@@ -31,7 +28,7 @@ func TestReportfCapsAndCounts(t *testing.T) {
 	if got := len(c.Violations()); got != maxViolations {
 		t.Fatalf("recorded %d violations, want cap %d", got, maxViolations)
 	}
-	if got := c.Dropped(); got != 10 {
+	if got := c.dropped; got != 10 {
 		t.Errorf("dropped %d, want 10", got)
 	}
 	if v := c.Violations()[0]; v.Check != "pool-floor" || v.At != 0 || v.Detail != "breach 0" {
@@ -78,7 +75,7 @@ func TestMergeKeepsShardOrder(t *testing.T) {
 	if got := len(m.Violations()); got != maxViolations {
 		t.Fatalf("merged %d violations, want cap %d", got, maxViolations)
 	}
-	if got := m.Dropped(); got != 4 {
+	if got := m.dropped; got != 4 {
 		t.Errorf("merged dropped = %d, want 4 (3 pre-merge + 1 trimmed)", got)
 	}
 	if err := Merge().Err(); err != nil {

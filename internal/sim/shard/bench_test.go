@@ -45,7 +45,7 @@ func benchRngNext(rng *uint64) uint64 {
 // shardChurn executes ~n events across the group and returns the exact
 // count. Every piece of mutable state is per-shard.
 func shardChurn(g *Group, n int) uint64 {
-	ks := g.Kernels()
+	ks := g.kernels
 	rngs := make([]uint64, len(ks))
 	executed := make([]int, len(ks))
 	quota := n / len(ks)

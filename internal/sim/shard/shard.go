@@ -119,9 +119,6 @@ func New(kernels []*sim.Kernel, delta sim.Time) (*Group, error) {
 	return g, nil
 }
 
-// Kernels returns the shard kernels, indexed by shard.
-func (g *Group) Kernels() []*sim.Kernel { return g.kernels }
-
 // Delta returns the lookahead.
 func (g *Group) Delta() sim.Time { return g.delta }
 
@@ -171,17 +168,6 @@ func (g *Group) Post(src, dst int, at sim.Time, fn func()) {
 	g.seq[src]++
 }
 
-// Stop halts the group: the current RunUntil (if any) has already
-// returned, and subsequent RunUntil calls are no-ops. Pending events
-// on every shard remain queued but never fire. To stop from inside the
-// simulation, an event handler stops its own shard's kernel instead;
-// see RunUntil for how that propagates.
-func (g *Group) Stop() { g.stopped = true }
-
-// Stopped reports whether the group has halted, by Stop or by a shard
-// kernel stopping.
-func (g *Group) Stopped() bool { return g.stopped }
-
 // RunUntil advances every shard to virtual time t: events with
 // timestamps <= t fire, clocks end at exactly t.
 //
@@ -191,8 +177,7 @@ func (g *Group) Stopped() bool { return g.stopped }
 // quantum first, because shards exchange nothing mid-quantum. The final quantum's mailbox
 // messages are injected — so queued state is complete — but nothing
 // further fires, no clock is advanced to t, and the group halts:
-// subsequent RunUntil calls return immediately. An external Stop on
-// the Group behaves the same way from the next RunUntil call on.
+// subsequent RunUntil calls return immediately.
 func (g *Group) RunUntil(t sim.Time) {
 	if g.stopped {
 		return

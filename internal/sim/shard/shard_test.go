@@ -290,7 +290,7 @@ func TestGroupStopSemantics(t *testing.T) {
 		g, _ := New(ks, sim.Microsecond)
 		got := run(g, ks, seed)
 		diffLogs(t, fmt.Sprintf("seed %d", seed), got, want)
-		if !g.Stopped() {
+		if !g.stopped {
 			t.Fatalf("seed %d: group not halted after shard stop", seed)
 		}
 		// The halt is sticky and total: nothing fires on any shard
@@ -322,19 +322,6 @@ func TestGroupStopKeepsFinalQuantumMessagesQueued(t *testing.T) {
 	}
 	if ks[1].Pending() != 1 {
 		t.Fatalf("final-quantum message not queued: %d pending on shard 1", ks[1].Pending())
-	}
-}
-
-// TestGroupExternalStop pins Group.Stop: the next RunUntil is a no-op.
-func TestGroupExternalStop(t *testing.T) {
-	ks := makeKernels(2, 1)
-	g, _ := New(ks, sim.Microsecond)
-	fired := 0
-	ks[0].At(0, func() { fired++ })
-	g.Stop()
-	g.RunUntil(sim.Millisecond)
-	if fired != 0 {
-		t.Fatal("event fired after external Stop")
 	}
 }
 

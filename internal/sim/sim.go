@@ -99,15 +99,6 @@ func (t Timer) Cancel() bool {
 	return true
 }
 
-// At reports the virtual time the timer is scheduled for; zero once the
-// timer has fired and its event has been recycled.
-func (t Timer) At() Time {
-	if t.ev == nil || t.gen != t.ev.gen {
-		return 0
-	}
-	return t.ev.at
-}
-
 // Kernel is the discrete-event simulation engine. The zero value is not
 // usable; construct one with New.
 type Kernel struct {

@@ -136,18 +136,7 @@ func TestTimerCancelAfterFire(t *testing.T) {
 	if tm.Cancel() {
 		t.Error("Cancel after fire returned true")
 	}
-}
-
-func TestTimerAt(t *testing.T) {
-	k := New(1)
-	tm := k.Schedule(25, func() {})
-	if tm.At() != 25 {
-		t.Errorf("Timer.At() = %v, want 25", tm.At())
-	}
 	var zero Timer
-	if zero.At() != 0 {
-		t.Error("zero Timer.At() != 0")
-	}
 	if zero.Cancel() {
 		t.Error("zero Timer.Cancel() returned true")
 	}
@@ -523,8 +512,8 @@ func TestStationAccessors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Name() != "mynic" {
-		t.Errorf("Name = %q", st.Name())
+	if st.name != "mynic" {
+		t.Errorf("Name = %q", st.name)
 	}
 	if got := st.Rate(); got < 1.99e6 || got > 2.01e6 {
 		t.Errorf("Rate = %v", got)

@@ -71,9 +71,6 @@ func NewStation(k *Kernel, name string, opsPerSec float64, jitter float64) (*Sta
 	return s, nil
 }
 
-// Name returns the station's diagnostic name.
-func (s *Station) Name() string { return s.name }
-
 // Rate returns the station's mean service rate in operations per second.
 func (s *Station) Rate() float64 { return float64(Second) / float64(s.service) }
 

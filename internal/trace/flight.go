@@ -287,15 +287,6 @@ func (f *FlightRecorder) Dropped() uint64 {
 	return f.recorded - retained
 }
 
-// Count returns the number of protocol events of kind k ever marked,
-// evicted ones included.
-func (f *FlightRecorder) Count(k Kind) uint64 {
-	if f == nil {
-		return 0
-	}
-	return f.marks[k]
-}
-
 // Sharded reports whether this recorder was produced by merging more
 // than one per-shard recorder.
 func (f *FlightRecorder) Sharded() bool { return f != nil && f.shards > 1 }
@@ -309,25 +300,6 @@ func (f *FlightRecorder) ShardCount() int {
 	return f.shards
 }
 
-// Capacity returns the ring size.
-func (f *FlightRecorder) Capacity() int {
-	if f == nil {
-		return 0
-	}
-	return len(f.ring)
-}
-
-// Spans returns the retained spans and events in record order, oldest
-// first.
-func (f *FlightRecorder) Spans() []Span {
-	if f == nil {
-		return nil
-	}
-	live := f.live()
-	out := make([]Span, 0, len(live[0])+len(live[1]))
-	return append(append(out, live[0]...), live[1]...)
-}
-
 // live returns the retained entries as two ring segments, oldest
 // first; the first is empty only when both are.
 func (f *FlightRecorder) live() [2][]Span {
@@ -338,20 +310,6 @@ func (f *FlightRecorder) live() [2][]Span {
 		return [2][]Span{f.ring[:f.next], nil}
 	}
 	return [2][]Span{f.ring[f.next:], f.ring[:f.next]}
-}
-
-// Events returns the retained protocol events of the given kinds (of
-// every kind when none is given), oldest first.
-func (f *FlightRecorder) Events(kinds ...Kind) []Span {
-	var out []Span
-	for _, seg := range f.live() {
-		for i := range seg {
-			if sp := &seg[i]; sp.Kind != 0 && (len(kinds) == 0 || slices.Contains(kinds, sp.Kind)) {
-				out = append(out, *sp)
-			}
-		}
-	}
-	return out
 }
 
 // Dump writes the retained timeline — spans and events together — to w,
@@ -447,7 +405,7 @@ func MergeFlightRecorders(frs ...*FlightRecorder) *FlightRecorder {
 		}
 	}
 	m.ring = ring
-	m.wrapped = len(ring) > 0 // Spans() reads the whole ring from next=0
+	m.wrapped = len(ring) > 0 // live() reads the whole ring from next=0
 	m.folded = m.recorded     // the shards fold their own rings
 	for _, f := range frs {
 		for _, st := range f.Stages() {

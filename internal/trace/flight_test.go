@@ -24,10 +24,10 @@ func TestFlightRecorderNilSafe(t *testing.T) {
 		t.Error("nil recorder returned a span")
 	}
 	fr.Finish(nil) // must not panic
-	if fr.Started() != 0 || fr.Finished() != 0 || fr.Capacity() != 0 {
+	if fr.Started() != 0 || fr.Finished() != 0 || fr.Dropped() != 0 {
 		t.Error("nil recorder counters non-zero")
 	}
-	if fr.Spans() != nil || fr.Stages() != nil {
+	if timeline(fr) != nil || fr.Stages() != nil {
 		t.Error("nil recorder returned data")
 	}
 }
@@ -42,7 +42,7 @@ func TestFlightRingEvictionKeepsHistogramsExact(t *testing.T) {
 	if fr.Started() != 6 || fr.Finished() != 6 {
 		t.Fatalf("started/finished = %d/%d, want 6/6", fr.Started(), fr.Finished())
 	}
-	spans := fr.Spans()
+	spans := timeline(fr)
 	if len(spans) != 4 {
 		t.Fatalf("ring retained %d spans, want 4", len(spans))
 	}
@@ -56,8 +56,8 @@ func TestFlightRingEvictionKeepsHistogramsExact(t *testing.T) {
 	if len(st) != 1 || st[0].Actor != "c1" {
 		t.Fatalf("stages = %+v, want one entry for c1", st)
 	}
-	if st[0].Total.Count() != 6 {
-		t.Errorf("total histogram count = %d, want 6 (must survive ring eviction)", st[0].Total.Count())
+	if st[0].Total.Summarize().Count != 6 {
+		t.Errorf("total histogram count = %d, want 6 (must survive ring eviction)", st[0].Total.Summarize().Count)
 	}
 }
 
@@ -86,8 +86,8 @@ func TestSpanStageDurations(t *testing.T) {
 		Service: 200, Served: 240, Done: 250,
 	}
 	want := [len(StageNames)]sim.Time{10, 40, 10, 40, 40, 10, 150}
-	if got := sp.StageDurations(); got != want {
-		t.Errorf("StageDurations = %v, want %v (stages %v)", got, want, StageNames)
+	if got := stageDurations(sp); got != want {
+		t.Errorf("stage durations = %v, want %v (stages %v)", got, want, StageNames)
 	}
 	// A control span (stages skipped) reports Unset for them and still
 	// has a total.
@@ -136,7 +136,7 @@ func TestFlightRecordingNoAlloc(t *testing.T) {
 }
 
 // TestFinishFoldsByInitiator checks the ring fold against the
-// StageDurations rule, with one QP id shared by two initiators and spans
+// stage-duration rule, with one QP id shared by two initiators and spans
 // that skip a stage or run one backwards: every span lands in its own
 // initiator's histograms, and a stage is recorded exactly when its
 // duration is d >= 0. The ring holds 4, so the fifth span folds the
@@ -155,7 +155,7 @@ func TestFinishFoldsByInitiator(t *testing.T) {
 			want[actor] = w
 		}
 		hs := w.Histograms()
-		for i, d := range sp.StageDurations() {
+		for i, d := range stageDurations(sp) {
 			if d >= 0 {
 				hs[i].Record(d)
 			}
@@ -179,7 +179,7 @@ func TestFinishFoldsByInitiator(t *testing.T) {
 			}
 		}
 	}
-	if c1, c2 := st[0].Total.Count(), st[1].Total.Count(); c1 != 3 || c2 != 2 {
+	if c1, c2 := st[0].Total.Summarize().Count, st[1].Total.Summarize().Count; c1 != 3 || c2 != 2 {
 		t.Errorf("total counts c1=%d c2=%d, want 3 and 2", c1, c2)
 	}
 }
@@ -351,7 +351,7 @@ func TestMergeFlightRecorders(t *testing.T) {
 	if !m.Sharded() || m.ShardCount() != 3 {
 		t.Errorf("Sharded()/ShardCount() = %v/%d, want true/3", m.Sharded(), m.ShardCount())
 	}
-	spans := m.Spans()
+	spans := timeline(m)
 	if len(spans) != 5 {
 		t.Fatalf("merged %d spans, want 5", len(spans))
 	}
@@ -378,21 +378,21 @@ func TestMergeFlightRecorders(t *testing.T) {
 	if len(st) != 3 {
 		t.Fatalf("merged stages for %d actors, want 3", len(st))
 	}
-	if st[0].Actor != "c1" || st[0].Total.Count() != 3 {
-		t.Errorf("c1 merged histogram count = %d, want 3 (spans from two shards)", st[0].Total.Count())
+	if st[0].Actor != "c1" || st[0].Total.Summarize().Count != 3 {
+		t.Errorf("c1 merged histogram count = %d, want 3 (spans from two shards)", st[0].Total.Summarize().Count)
 	}
 	// Events merge by their instant beside the spans, keep their
 	// shard, and their per-kind totals sum.
 	fr1.Mark(250, Claim, id("engine-1"), 0, 0)
 	fr2.Mark(60, Claim, id("engine-2"), 0, 0)
 	m = MergeFlightRecorders(fr0, fr1, fr2)
-	all, evs := m.Spans(), m.Events()
+	all, evs := timeline(m), events(m)
 	if len(all) != 7 || all[1].Kind != Claim || all[5].Kind != Claim {
 		t.Errorf("merged timeline = %d entries with events at %v/%v, want 7 with claims at 1 and 5",
 			len(all), all[1].Kind, all[5].Kind)
 	}
-	if m.Count(Claim) != 2 || len(evs) != 2 || evs[0].Shard() != 2 || evs[1].Shard() != 1 || m.Finished() != 5 {
-		t.Errorf("merged events: %d counted, %d retained, finished %d", m.Count(Claim), len(evs), m.Finished())
+	if m.marks[Claim] != 2 || len(evs) != 2 || evs[0].Shard() != 2 || evs[1].Shard() != 1 || m.Finished() != 5 {
+		t.Errorf("merged events: %d counted, %d retained, finished %d", m.marks[Claim], len(evs), m.Finished())
 	}
 	// Identity on a single recorder: no copy, no shard marking.
 	if got := MergeFlightRecorders(fr0); got != fr0 || got.Sharded() {

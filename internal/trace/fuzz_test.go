@@ -28,7 +28,7 @@ func (r *eagerRecorder) finish(sp *Span) {
 		r.stats[sp.Initiator] = st
 	}
 	hs := st.Histograms()
-	for i, d := range sp.StageDurations() {
+	for i, d := range stageDurations(sp) {
 		if d >= 0 {
 			hs[i].Record(d)
 		}
@@ -48,8 +48,8 @@ var fuzzValues = [...]int64{-1, 0, math.MaxInt64, math.MinInt64}
 //	2 Finish an open span
 //	3 Mark an event of some kind by a node, the monitor or an engine,
 //	  with A and B from fuzzValues
-//	4 read Stages: the histograms, Dropped and every Count must match
-//	5 read Spans: the ring, Dropped and every Count must match
+//	4 read Stages: the histograms, Dropped and every kind count must match
+//	5 read the ring: its entries, Dropped and every kind count must match
 //	6 advance the clock by arg
 //
 // Stages reads fold the ring part way through a lap, so the fold at wrap
@@ -108,13 +108,13 @@ func FuzzFlightRecorder(f *testing.F) {
 // checkCounts compares the exact counters a read of either kind sees.
 func checkCounts(t *testing.T, fr *FlightRecorder, ref *eagerRecorder) {
 	t.Helper()
-	retained := min(len(ref.all), fr.Capacity())
+	retained := min(len(ref.all), len(fr.ring))
 	if got, want := fr.Dropped(), uint64(len(ref.all)-retained); got != want {
 		t.Fatalf("Dropped() = %d, want %d", got, want)
 	}
 	for k := range ref.marks {
-		if got := fr.Count(Kind(k)); got != ref.marks[k] {
-			t.Fatalf("Count(%v) = %d, want %d", Kind(k), got, ref.marks[k])
+		if got := fr.marks[Kind(k)]; got != ref.marks[k] {
+			t.Fatalf("marks[%v] = %d, want %d", Kind(k), got, ref.marks[k])
 		}
 	}
 }
@@ -124,8 +124,8 @@ func checkCounts(t *testing.T, fr *FlightRecorder, ref *eagerRecorder) {
 func checkRing(t *testing.T, fr *FlightRecorder, ref *eagerRecorder) {
 	t.Helper()
 	checkCounts(t, fr, ref)
-	want := ref.all[len(ref.all)-min(len(ref.all), fr.Capacity()):]
-	got := fr.Spans()
+	want := ref.all[len(ref.all)-min(len(ref.all), len(fr.ring)):]
+	got := timeline(fr)
 	if len(got) != len(want) {
 		t.Fatalf("ring holds %d entries, want %d", len(got), len(want))
 	}

@@ -14,7 +14,6 @@ const (
 	OpRead Op = iota + 1
 	OpWrite
 	OpFetchAdd
-	OpCompareSwap
 	OpSend
 )
 
@@ -26,8 +25,6 @@ func (o Op) String() string {
 		return "WRITE"
 	case OpFetchAdd:
 		return "FETCH_ADD"
-	case OpCompareSwap:
-		return "CMP_SWAP"
 	case OpSend:
 		return "SEND"
 	default:
@@ -111,7 +108,7 @@ func (s *Span) Line(names *Actors) string {
 
 // StageNames lists the per-stage latency components of a data span, in
 // pipeline order, followed by the end-to-end total. The array is
-// parallel to Span.StageDurations and StageStats.Histograms.
+// parallel to StageStats.Histograms.
 var StageNames = [...]string{
 	"credit-wait",
 	"init-nic",
@@ -177,17 +174,3 @@ func (s *Span) Delivery() sim.Time { return stage(s.Served, s.Done) }
 // Total is the end-to-end latency from posting to the last stamped
 // stage.
 func (s *Span) Total() sim.Time { return s.End() - s.Posted }
-
-// StageDurations returns the durations parallel to StageNames; entries
-// are Unset for stages the span did not traverse.
-func (s *Span) StageDurations() [len(StageNames)]sim.Time {
-	return [...]sim.Time{
-		s.CreditWait(),
-		s.InitNIC(),
-		s.Wire(),
-		s.TargetQueue(),
-		s.TargetService(),
-		s.Delivery(),
-		s.Total(),
-	}
-}

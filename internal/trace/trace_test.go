@@ -100,15 +100,15 @@ func TestNewRecorderValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fr.Capacity() != 4 {
-		t.Errorf("capacity %d, want 4", fr.Capacity())
+	if len(fr.ring) != 4 {
+		t.Errorf("capacity %d, want 4", len(fr.ring))
 	}
 }
 
 func TestNilRecorderSafe(t *testing.T) {
 	var fr *FlightRecorder
 	fr.Mark(0, Claim, id("engine-0"), 1, 2) // must not panic
-	if fr.Count(Claim) != 0 || fr.Events() != nil || fr.Dropped() != 0 {
+	if fr.Summary() != "trace: empty" || timeline(fr) != nil || fr.Dropped() != 0 {
 		t.Error("nil recorder not empty")
 	}
 	if err := fr.Dump(nil); err != nil {
@@ -125,11 +125,11 @@ func TestRecordAndOrder(t *testing.T) {
 	sp.Done = 6
 	fr.Finish(sp)
 	fr.Mark(7, Yield, id("engine-0"), 5, 0)
-	all := fr.Spans()
+	all := timeline(fr)
 	if len(all) != 7 || all[5].Kind != 0 || all[5].Op != OpRead {
 		t.Fatalf("timeline = %v, want 5 claims, the READ span, then a yield", all)
 	}
-	evs := fr.Events()
+	evs := events(fr)
 	if len(evs) != 6 {
 		t.Fatalf("len = %d", len(evs))
 	}
@@ -138,8 +138,8 @@ func TestRecordAndOrder(t *testing.T) {
 			t.Errorf("event %d out of order: %v", i, ev.Line(testActors))
 		}
 	}
-	if fr.Count(Claim) != 5 || fr.Count(Yield) != 1 {
-		t.Errorf("Count(claim, yield) = %d, %d", fr.Count(Claim), fr.Count(Yield))
+	if fr.marks[Claim] != 5 || fr.marks[Yield] != 1 {
+		t.Errorf("claims, yields = %d, %d", fr.marks[Claim], fr.marks[Yield])
 	}
 	// Events are not spans: the verb counters do not move.
 	if fr.Started() != 1 || fr.Finished() != 1 {
@@ -152,7 +152,7 @@ func TestRingEviction(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		fr.Mark(sim.Time(i), Probe, id("engine-0"), int64(i), 0)
 	}
-	evs := fr.Events()
+	evs := events(fr)
 	if len(evs) != 4 {
 		t.Fatalf("retained %d, want 4", len(evs))
 	}
@@ -163,8 +163,8 @@ func TestRingEviction(t *testing.T) {
 		}
 	}
 	// The per-kind total is exact; only the ring forgets.
-	if fr.Count(Probe) != 10 || fr.Dropped() != 6 {
-		t.Errorf("Count = %d, Dropped = %d, want 10 and 6", fr.Count(Probe), fr.Dropped())
+	if fr.marks[Probe] != 10 || fr.Dropped() != 6 {
+		t.Errorf("probes = %d, Dropped = %d, want 10 and 6", fr.marks[Probe], fr.Dropped())
 	}
 }
 
@@ -174,15 +174,39 @@ func TestFilterAndCounts(t *testing.T) {
 	fr.Mark(0, Yield, id("engine-0"), 0, 0)
 	fr.Mark(0, Claim, id("engine-1"), 0, 0)
 	fr.Mark(0, PoolCap, id("monitor"), 0, 0)
-	if claims := fr.Events(Claim); len(claims) != 2 {
-		t.Errorf("Events(Claim) = %d", len(claims))
+	if fr.marks[Claim] != 2 || fr.marks[Yield] != 1 || fr.marks[PoolCap] != 1 {
+		t.Errorf("counts = %d %d %d", fr.marks[Claim], fr.marks[Yield], fr.marks[PoolCap])
 	}
-	if both := fr.Events(Claim, Yield); len(both) != 3 {
-		t.Errorf("Events(Claim,Yield) = %d", len(both))
+	if got, want := fr.Summary(), "trace: claim=2 yield=1 pool-cap=1"; got != want {
+		t.Errorf("Summary = %q, want %q", got, want)
 	}
-	if fr.Count(Claim) != 2 || fr.Count(Yield) != 1 || fr.Count(PoolCap) != 1 {
-		t.Errorf("counts = %d %d %d", fr.Count(Claim), fr.Count(Yield), fr.Count(PoolCap))
+}
+
+// timeline returns fr's retained spans and events in record order, oldest
+// first: the timeline Dump and WriteChromeTrace walk.
+func timeline(fr *FlightRecorder) []Span {
+	var out []Span
+	for _, seg := range fr.live() {
+		out = append(out, seg...)
 	}
+	return out
+}
+
+// events returns the retained protocol events, oldest first.
+func events(fr *FlightRecorder) []Span {
+	var out []Span
+	for _, sp := range timeline(fr) {
+		if sp.Kind != 0 {
+			out = append(out, sp)
+		}
+	}
+	return out
+}
+
+// stageDurations returns sp's stage latencies parallel to StageNames,
+// Unset for the stages it did not traverse.
+func stageDurations(sp *Span) [len(StageNames)]sim.Time {
+	return [...]sim.Time{sp.CreditWait(), sp.InitNIC(), sp.Wire(), sp.TargetQueue(), sp.TargetService(), sp.Delivery(), sp.Total()}
 }
 
 func TestKindStrings(t *testing.T) {
@@ -225,33 +249,13 @@ func TestDumpAndSummary(t *testing.T) {
 	}
 }
 
-// TestEventsMatchingNothingAllocates pins that Events walks the ring in
-// place: asking for a kind no entry has allocates nothing, over a ring
-// that has wrapped.
-func TestEventsMatchingNothingAllocates(t *testing.T) {
-	fr := newRecorder(8)
-	for i := 0; i < 11; i++ {
-		fr.Mark(sim.Time(i), Claim, id("engine-0"), int64(i), 0)
-		sp := fr.Begin(new(Span), OpRead, false, id("c1"), id("dn"), 1, sim.Time(i))
-		sp.Done = sim.Time(i + 1)
-		fr.Finish(sp)
-	}
-	if n := testing.AllocsPerRun(100, func() {
-		if fr.Events(Report) != nil {
-			t.Fatal("Events(Report) matched")
-		}
-	}); n != 0 {
-		t.Errorf("Events(Report) allocates %v objects, want 0", n)
-	}
-}
-
 // TestEventWithUnsetValue pins that an event whose A is Unset's -1 — a
 // value that shares the Credit slot — still ends at its instant and
 // renders as A=-1, in the dump line and in the Chrome trace.
 func TestEventWithUnsetValue(t *testing.T) {
 	fr := newRecorder(4)
 	fr.Mark(3*sim.Microsecond, Claim, id("engine-7"), int64(Unset), 5)
-	ev := fr.Events()[0]
+	ev := events(fr)[0]
 	if ev.End() != ev.Posted || ev.A() != -1 || ev.B() != 5 || ev.Total() != 0 {
 		t.Fatalf("event End %v A %d B %d Total %v, want End at Posted %v, A=-1, B=5, Total 0",
 			ev.End(), ev.A(), ev.B(), ev.Total(), ev.Posted)

@@ -491,8 +491,8 @@ func TestGeneratorLatencyRecorded(t *testing.T) {
 	g, _ := newPulledGenerator(k, 1, &SequentialKeys{N: 10}, Burst{Window: 1}, sim.Second, instantSend(k, 5*sim.Microsecond))
 	g.BeginPeriod(4)
 	k.Run()
-	if g.Latency.Count() != 4 {
-		t.Errorf("latency samples = %d, want 4", g.Latency.Count())
+	if g.Latency.Summarize().Count != 4 {
+		t.Errorf("latency samples = %d, want 4", g.Latency.Summarize().Count)
 	}
 	if g.Latency.Mean() != 5*sim.Microsecond {
 		t.Errorf("latency mean = %v, want 5µs", g.Latency.Mean())
@@ -711,8 +711,8 @@ func TestBacklogHoldsNoSlot(t *testing.T) {
 	if g.Completed() != 9 {
 		t.Errorf("completed %d, want 9", g.Completed())
 	}
-	if g.Latency.Min() != 3*sim.Microsecond || g.Latency.Max() != 10*sim.Microsecond {
+	if g.Latency.Percentile(0) != 3*sim.Microsecond || g.Latency.Percentile(100) != 10*sim.Microsecond {
 		t.Errorf("latency min/max = %v/%v, want 3µs/10µs (measured from each request's arrival)",
-			g.Latency.Min(), g.Latency.Max())
+			g.Latency.Percentile(0), g.Latency.Percentile(100))
 	}
 }
